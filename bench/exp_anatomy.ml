@@ -2,12 +2,13 @@
 
    A traditional-looking LabStack (permissions -> LabFS -> LRU cache ->
    No-Op scheduler -> Kernel Driver) serves 4 KiB reads and writes on
-   NVMe with a single worker; per-LabMod exclusive time is measured by
-   the executor probe, device time by the device's service statistics,
-   and IPC time as the remainder of the client-observed latency. *)
+   NVMe with a single worker. Every request is traced; per-LabMod
+   exclusive time (a module's span minus its direct children) and
+   device time come from the spans via Profile.exclusive, the same fold
+   behind the flamegraph and anatomy2, and IPC time is the remainder of
+   the client-observed latency. *)
 
 open Labstor
-open Lab_device
 
 let spec =
   {|
@@ -37,23 +38,16 @@ let ops = 512
 let file_bytes = 16 * 1024 * 1024  (* far larger than the 1 MiB cache *)
 
 type breakdown = {
-  mutable perm : float;
-  mutable fs : float;
-  mutable cache : float;
-  mutable sched : float;
-  mutable driver_total : float;  (* includes waiting on the device *)
+  self_ns : (string, float) Hashtbl.t;
+      (* exclusive time per span name: LabMod names and "device" *)
   mutable client : float;  (* client-observed latency *)
-  mutable device : float;
 }
 
 let collect kind =
-  let platform = Platform.boot ~nworkers:1 () in
+  let platform = Platform.boot ~nworkers:1 ~trace_sample:1 () in
   ignore (Platform.mount_exn platform spec);
-  let rt = Platform.runtime platform in
-  let b =
-    { perm = 0.0; fs = 0.0; cache = 0.0; sched = 0.0; driver_total = 0.0; client = 0.0; device = 0.0 }
-  in
-  let dev = Platform.device platform Profile.Nvme in
+  let tracer = Platform.tracer platform in
+  let b = { self_ns = Hashtbl.create 8; client = 0.0 } in
   Platform.go platform (fun () ->
       let c = Platform.client platform ~thread:0 () in
       let fd =
@@ -63,17 +57,7 @@ let collect kind =
       in
       (* Populate the file so reads have something to miss on. *)
       ignore (Runtime.Client.pwrite c ~fd ~off:0 ~bytes:file_bytes);
-      Device.reset_stats dev;
-      Runtime.Runtime.set_probe rt
-        (Some
-           (fun ~uuid ~exclusive_ns ->
-             match uuid with
-             | "an-perm" -> b.perm <- b.perm +. exclusive_ns
-             | "an-fs" -> b.fs <- b.fs +. exclusive_ns
-             | "an-lru" -> b.cache <- b.cache +. exclusive_ns
-             | "an-sched" -> b.sched <- b.sched +. exclusive_ns
-             | "an-drv" -> b.driver_total <- b.driver_total +. exclusive_ns
-             | _ -> ()));
+      Obs.Trace.clear tracer;
       let rng = Sim.Rng.create 11 in
       for _ = 1 to ops do
         let off = Sim.Rng.int rng (file_bytes / 4096) * 4096 in
@@ -82,15 +66,28 @@ let collect kind =
         | `Write -> ignore (Runtime.Client.pwrite c ~fd ~off ~bytes:4096)
         | `Read -> ignore (Runtime.Client.pread c ~fd ~off ~bytes:4096));
         b.client <- b.client +. (Platform.now platform -. t0)
-      done;
-      Runtime.Runtime.set_probe rt None;
-      b.device <- Sim.Stats.sum (Device.service_stats dev));
+      done);
+  (* Every LabMod span minus its direct children is that module's own
+     time; the driver's child is the device span, so its exclusive time
+     is pure driver software. *)
+  List.iter
+    (fun (_, spans) ->
+      List.iter
+        (fun (sp : Obs.Profile.span) ->
+          let e = sp.Obs.Profile.sp_ev in
+          if e.Obs.Trace.ev_cat = "mod" || e.Obs.Trace.ev_cat = "device" then begin
+            let name = e.Obs.Trace.ev_name in
+            let prev = Option.value (Hashtbl.find_opt b.self_ns name) ~default:0.0 in
+            Hashtbl.replace b.self_ns name (prev +. sp.Obs.Profile.sp_self_ns)
+          end)
+        spans)
+    (Obs.Profile.exclusive (Obs.Trace.events tracer));
   b
 
 let print_breakdown label b =
   let per x = x /. float_of_int ops in
-  let driver_sw = Float.max 0.0 (per b.driver_total -. per b.device) in
-  let stack = per b.perm +. per b.fs +. per b.cache +. per b.sched +. per b.driver_total in
+  let self name = per (Option.value (Hashtbl.find_opt b.self_ns name) ~default:0.0) in
+  let stack = Hashtbl.fold (fun _ v acc -> acc +. per v) b.self_ns 0.0 in
   let ipc = Float.max 0.0 (per b.client -. stack) in
   let total = per b.client in
   let row name v =
@@ -100,15 +97,15 @@ let print_breakdown label b =
   Bench_util.print_table [ 22; 10; 8 ]
     [ "component"; "ns/op"; "share" ]
     [
-      row "device I/O" (per b.device);
-      row "page cache (LRU)" (per b.cache);
+      row "device I/O" (self "device");
+      row "page cache (LRU)" (self "lru_cache");
       row "IPC (shmem queues)" ipc;
-      row "filesystem metadata" (per b.fs);
-      row "permission checks" (per b.perm);
-      row "I/O scheduler (NoOp)" (per b.sched);
-      row "driver (software)" driver_sw;
+      row "filesystem metadata" (self "labfs");
+      row "permission checks" (self "permissions");
+      row "I/O scheduler (NoOp)" (self "noop_sched");
+      row "driver (software)" (self "kernel_driver");
     ];
-  let software = total -. per b.device in
+  let software = total -. self "device" in
   Printf.printf "  software total: %.0f ns = %.0f%% of op latency\n" software
     (100.0 *. software /. total)
 

@@ -9,9 +9,10 @@
    of each request tile its root span, so the table is checked to
    reconcile with end-to-end latency within 1% per request.
 
-   Inside the module-stack stage the nested mod/device spans are
-   unwound into exclusive per-layer software time (cache, scheduler,
-   driver) plus raw device service time.
+   Inside the module-stack stage, Profile.exclusive (a span minus its
+   direct children) splits the nested mod/device spans into per-layer
+   software time (cache, scheduler, driver) plus raw device service
+   time.
 
    Also asserts the zero-overhead-when-off guarantee: a run with
    trace_sample = 0 must execute the identical number of simulator
@@ -102,63 +103,45 @@ let aggregate spans =
   let driver_ns = Stats.create () in
   let device_ns = Stats.create () in
   let e2e = Stats.create () in
-  (* Per-request accumulators: root duration, stage-duration sum, and
-     the nested mod/device spans for exclusive-time unwinding. *)
-  let by_req = Hashtbl.create 256 in
-  let acc id =
-    match Hashtbl.find_opt by_req id with
-    | Some a -> a
-    | None ->
-        let a = (ref 0.0, ref 0.0, Hashtbl.create 8) in
-        Hashtbl.add by_req id a;
-        a
-  in
-  List.iter
-    (fun (e : Obs.Trace.ev) ->
-      let root, stage_sum, mods = acc e.Obs.Trace.ev_id in
-      match e.Obs.Trace.ev_cat with
-      | "request" -> root := e.Obs.Trace.ev_dur
-      | "stage" ->
-          stage_sum := !stage_sum +. e.Obs.Trace.ev_dur;
-          (match List.assoc_opt e.Obs.Trace.ev_name per_stage with
-          | Some st -> Stats.add st e.Obs.Trace.ev_dur
-          | None -> ())
-      | "mod" | "device" ->
-          (* A request can traverse a module several times (e.g. the
-             ride-fill path); keep the total per layer. *)
-          let prev =
-            Option.value (Hashtbl.find_opt mods e.Obs.Trace.ev_name)
-              ~default:0.0
-          in
-          Hashtbl.replace mods e.Obs.Trace.ev_name
-            (prev +. e.Obs.Trace.ev_dur)
-      | _ -> ())
-    spans;
   let requests = ref 0 in
   let max_residual = ref 0.0 in
-  Hashtbl.iter
-    (fun _ (root, stage_sum, mods) ->
+  List.iter
+    (fun (_, spans) ->
+      let root = ref 0.0 and stage_sum = ref 0.0 in
+      (* Exclusive time per layer: each span minus its direct children
+         (cache minus sched, sched minus driver, driver minus device).
+         A request can traverse a module several times (e.g. the
+         ride-fill path); keep the total per layer. *)
+      let cache = ref 0.0 and sched = ref 0.0 and driver = ref 0.0
+      and device = ref 0.0 in
+      List.iter
+        (fun (sp : Obs.Profile.span) ->
+          let e = sp.Obs.Profile.sp_ev in
+          let self = sp.Obs.Profile.sp_self_ns in
+          match e.Obs.Trace.ev_cat, e.Obs.Trace.ev_name with
+          | "request", _ -> root := e.Obs.Trace.ev_dur
+          | "stage", name ->
+              stage_sum := !stage_sum +. e.Obs.Trace.ev_dur;
+              (match List.assoc_opt name per_stage with
+              | Some st -> Stats.add st e.Obs.Trace.ev_dur
+              | None -> ())
+          | "mod", "lru_cache" -> cache := !cache +. self
+          | "mod", "blkswitch_sched" -> sched := !sched +. self
+          | "mod", "kernel_driver" -> driver := !driver +. self
+          | "device", _ -> device := !device +. self
+          | _ -> ())
+        spans;
       if !root > 0.0 then begin
         incr requests;
         Stats.add e2e !root;
         let residual = Float.abs (!root -. !stage_sum) /. !root in
         if residual > !max_residual then max_residual := residual;
-        (* Nested spans: cache contains sched contains driver contains
-           device; subtracting the inner total leaves each layer's own
-           software time. A cache hit has no inner spans at all. *)
-        let total name =
-          Option.value (Hashtbl.find_opt mods name) ~default:0.0
-        in
-        let cache = total "lru_cache" in
-        let sched = total "blkswitch_sched" in
-        let driver = total "kernel_driver" in
-        let device = total "device" in
-        Stats.add cache_ns (Float.max 0.0 (cache -. sched));
-        Stats.add sched_ns (Float.max 0.0 (sched -. driver));
-        Stats.add driver_ns (Float.max 0.0 (driver -. device));
-        Stats.add device_ns device
+        Stats.add cache_ns !cache;
+        Stats.add sched_ns !sched;
+        Stats.add driver_ns !driver;
+        Stats.add device_ns !device
       end)
-    by_req;
+    (Obs.Profile.exclusive spans);
   {
     per_stage;
     cache_ns;

@@ -24,6 +24,11 @@ dune exec bench/main.exe -- cache --smoke
 test -s BENCH_cache.json
 dune exec bin/bench_diff.exe -- bench/baselines/BENCH_cache.json BENCH_cache.json
 
+echo "== fig4a anatomy (byte-identical to baseline) =="
+# Per-layer exclusive times come from spans; any drift in the table is
+# a regression in the tracer, the exclusive-time fold or the stack.
+dune exec bench/main.exe -- anatomy | diff bench/baselines/fig4a.txt -
+
 echo "== anatomy2 smoke (--smoke) =="
 # Asserts per-request stage/e2e reconciliation and zero overhead when
 # tracing is off; exits nonzero on violation.

@@ -1086,7 +1086,7 @@ let qos_cmd =
             ]
             ~suffix:
               (Printf.sprintf ", p99=%.1fus"
-                 (Obs.Metrics.p99 (latency tn) /. 1e3))
+                 (Obs.Hist.quantile (latency tn) 0.99 /. 1e3))
     in
     for i = 0 to Stdlib.min (n - 1) 7 do
       report (2000 + i) (Printf.sprintf "tenant %d" (2000 + i))

@@ -57,7 +57,7 @@ type tenant = {
   mutable pc : Lab_sim.Engine.park_cell array;
   mutable phead : int;
   mutable plen : int;
-  lat : Lab_obs.Metrics.histogram;  (* end-to-end op latency, ns *)
+  lat : Lab_obs.Hist.t;  (* end-to-end op latency, ns *)
 }
 
 type t = {
@@ -124,7 +124,7 @@ let register t ~ext_id ~weight ~rate_mbps ~burst_bytes ~qcap =
       pc = Array.make 8 dummy_cell;
       phead = 0;
       plen = 0;
-      lat = Lab_obs.Metrics.histogram "lat";
+      lat = Lab_obs.Hist.create ();
     }
   in
   t.tenants.(idx) <- tn;
@@ -207,7 +207,7 @@ let admit t tn ~bytes ~now =
 let complete t tn ~bytes ~latency_ns ~ok =
   ignore t;
   if tn.queued > 0 then tn.queued <- tn.queued - 1;
-  Lab_obs.Metrics.observe tn.lat latency_ns;
+  Lab_obs.Hist.observe tn.lat latency_ns;
   if ok then begin
     tn.ops_done <- tn.ops_done + 1;
     tn.bytes_done <- tn.bytes_done + bytes

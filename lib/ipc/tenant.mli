@@ -103,7 +103,7 @@ val bypassed : tenant -> int
 
 val served_bytes : tenant -> int
 
-val latency : tenant -> Lab_obs.Metrics.histogram
+val latency : tenant -> Lab_obs.Hist.t
 
 val backlog : t -> int
 

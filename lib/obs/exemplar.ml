@@ -15,13 +15,15 @@
    slowest requests seen; ties keep the incumbent, which makes the
    contents deterministic for a deterministic run.
 
-   The default threshold is adaptive: the store keeps a high-resolution
-   [Latrec.Hist] of every offered latency and promotes what clears its
-   corrected p99. The histogram's estimate never exceeds its exact
-   running max, so a new slowest-so-far request always promotes — the
-   property a coarse log2-bucket p99 (which overshoots up to 2x)
-   breaks under a rising tail. Callers can instead wire an explicit
-   closure — a fixed [exemplar_tail_us] floor, or any live signal. *)
+   The default threshold is adaptive: the store keeps a [Hist] of every
+   offered latency and promotes what clears its corrected p99. The
+   histogram's estimate never exceeds its exact running max, so a new
+   slowest-so-far request always promotes. The store owns its instance
+   rather than reading the registry's "client.latency_ns": it sees one
+   sample per traced attempt (offered at [Trace.finish]), the registry
+   one per logical request after retries, and sharing would change
+   promotion decisions. Callers can instead wire an explicit closure —
+   a fixed [exemplar_tail_us] floor, or any live signal. *)
 
 (* Stage slots per captured request. The deepest stock stack
    (inject_lag/submit/queue_wait/dispatch/module_stack + one span per
@@ -44,7 +46,7 @@ type t = {
   k : int;
   entries : entry array;
   mutable n : int; (* live entries, <= k *)
-  hist : Latrec.Hist.t; (* every offered latency, for the adaptive p99 *)
+  hist : Hist.t; (* every offered latency, for the adaptive p99 *)
   mutable threshold : (unit -> float) option; (* None = adaptive p99 *)
   mutable offered : int;
   mutable promoted : int;
@@ -71,7 +73,7 @@ let create ?threshold ~k () =
     k;
     entries = Array.init k (fun _ -> fresh_entry ());
     n = 0;
-    hist = Latrec.Hist.create ();
+    hist = Hist.create ();
     threshold;
     offered = 0;
     promoted = 0;
@@ -84,7 +86,7 @@ let set_threshold t f = t.threshold <- Some f
 let threshold_ns t =
   match t.threshold with
   | Some f -> f ()
-  | None -> Latrec.Hist.quantile t.hist 0.99
+  | None -> Hist.quantile t.hist 0.99
 let k t = t.k
 let stored t = t.n
 let offered t = t.offered
@@ -109,7 +111,7 @@ let fill e ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s =
    [true] iff promoted. *)
 let offer t ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s =
   t.offered <- t.offered + 1;
-  Latrec.Hist.observe t.hist latency;
+  Hist.observe t.hist latency;
   let n = Stdlib.min n stage_capacity in
   if t.k = 0 || latency < threshold_ns t then begin
     t.recycled <- t.recycled + 1;

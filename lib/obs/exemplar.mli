@@ -19,10 +19,11 @@ type t
 
 val create : ?threshold:(unit -> float) -> k:int -> unit -> t
 (** [k] slots ([k = 0] disables the store: every offer recycles).
-    Without [threshold] the store is self-adaptive: it keeps a
-    {!Latrec.Hist} of every offered latency and promotes what clears
-    its corrected p99 (whose estimate never exceeds the exact running
-    max, so a new slowest-so-far always promotes). An explicit
+    Without [threshold] the store is self-adaptive: it keeps its own
+    {!Hist} of every offered latency (one per traced attempt, not the
+    registry's per-request "client.latency_ns") and promotes what
+    clears its corrected p99 (whose estimate never exceeds the exact
+    running max, so a new slowest-so-far always promotes). An explicit
     [threshold] closure (ns) overrides that; it is re-read on every
     offer, so it can track any live signal. *)
 

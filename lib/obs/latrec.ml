@@ -18,113 +18,12 @@
    diverge — the divergence *is* the queueing delay closed-loop
    measurement hides.
 
-   The histograms are higher resolution than the metrics registry's
-   64-bucket log2 ones: HDR-style log2 majors split into 32 linear
-   sub-buckets (≤ 6.25% quantile error instead of ≤ 2x), with exact
-   min/max/sum tracked beside the buckets. Everything here is plain
+   All three are [Hist.t]s: the same log2x32 buckets with exact
+   min/max that the metrics registry uses. Everything here is plain
    arithmetic on caller-supplied timestamps — no clocks, no engine —
    so recording can never perturb a deterministic run. *)
 
-(* ------------------------------------------------------------------ *)
-(* High-resolution histogram                                           *)
-
-module Hist = struct
-  let sub_bits = 5
-
-  let subs = 1 lsl sub_bits (* 32 linear sub-buckets per log2 major *)
-
-  let half = 1 lsl (sub_bits - 1)
-
-  (* 62-bit values land at bucket ~ (62-5+1)*16+31 = 959; 1024 covers
-     every int the simulator can produce. *)
-  let nbuckets = 1024
-
-  type t = {
-    buckets : int array;
-    mutable count : int;
-    mutable sum : float;
-    mutable min_v : float;
-    mutable max_v : float;
-  }
-
-  let create () =
-    {
-      buckets = Array.make nbuckets 0;
-      count = 0;
-      sum = 0.0;
-      min_v = infinity;
-      max_v = neg_infinity;
-    }
-
-  let msb v =
-    let r = ref 0 and v = ref v in
-    while !v > 1 do
-      incr r;
-      v := !v lsr 1
-    done;
-    !r
-
-  (* Values below [subs] ns are exact; above, a value with top bit p
-     shares a bucket with the other values agreeing on its top
-     [sub_bits] bits — relative error at most 2^-(sub_bits-1). *)
-  let index_of iv =
-    if iv < subs then iv
-    else begin
-      let b = msb iv - sub_bits + 1 in
-      let top = iv lsr b in
-      Stdlib.min (nbuckets - 1) ((b * half) + top)
-    end
-
-  let upper_of idx =
-    if idx < subs then Stdlib.float_of_int idx
-    else begin
-      let b = (idx / half) - 1 in
-      let top = idx - (b * half) in
-      Stdlib.float_of_int ((top + 1) lsl b) -. 1.0
-    end
-
-  let observe h v =
-    let v = if Float.is_finite v && v > 0.0 then v else 0.0 in
-    let idx = index_of (Stdlib.int_of_float v) in
-    h.buckets.(idx) <- h.buckets.(idx) + 1;
-    h.count <- h.count + 1;
-    h.sum <- h.sum +. v;
-    if v < h.min_v then h.min_v <- v;
-    if v > h.max_v then h.max_v <- v
-
-  let count h = h.count
-
-  let sum h = h.sum
-
-  let mean h = if h.count = 0 then 0.0 else h.sum /. Stdlib.float_of_int h.count
-
-  let min_value h = if h.count = 0 then 0.0 else h.min_v
-
-  let max_value h = if h.count = 0 then 0.0 else h.max_v
-
-  (* Nearest-rank quantile over the buckets; the estimate is the
-     bucket's upper bound clamped into the exact [min, max] envelope,
-     so p0/p100 are exact and no estimate can exceed the true range. *)
-  let quantile h q =
-    if h.count = 0 then 0.0
-    else begin
-      let rank =
-        let r = Stdlib.int_of_float (ceil (q *. Stdlib.float_of_int h.count)) in
-        if r < 1 then 1 else if r > h.count then h.count else r
-      in
-      let cum = ref 0 and ans = ref h.max_v in
-      (try
-         for i = 0 to nbuckets - 1 do
-           cum := !cum + h.buckets.(i);
-           if !cum >= rank then begin
-             ans := upper_of i;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      Float.min h.max_v (Float.max h.min_v !ans)
-    end
-end
+module Hist = Hist
 
 (* ------------------------------------------------------------------ *)
 (* The recorder                                                        *)

@@ -7,36 +7,15 @@
     naive one (completed − sent) plus the injection lag between them.
     Below saturation the two agree; past the knee the corrected tail
     diverges by exactly the queueing delay closed-loop measurement
-    hides.
+    hides. All three distributions are {!Hist} histograms.
 
     Everything is plain arithmetic on caller-supplied timestamps: no
     clocks, no engine events, so recording cannot perturb a
     deterministic run. *)
 
-(** High-resolution histogram: HDR-style log2 majors split into 32
-    linear sub-buckets (quantile error ≤ 6.25%, vs ≤ 2x for the metrics
-    registry's pure log2 buckets), with exact min/max/sum/count kept
-    beside the buckets. Values are nanoseconds; non-finite or negative
-    observations clamp to 0. *)
-module Hist : sig
-  type t
-
-  val create : unit -> t
-  val observe : t -> float -> unit
-  val count : t -> int
-  val sum : t -> float
-  val mean : t -> float
-
-  val min_value : t -> float
-  (** Exact smallest observation (0.0 when empty). *)
-
-  val max_value : t -> float
-  (** Exact largest observation (0.0 when empty). *)
-
-  val quantile : t -> float -> float
-  (** [quantile h q] for [q] in [0,1]; nearest-rank over the buckets,
-      clamped into the exact [min,max] envelope. 0.0 when empty. *)
-end
+module Hist = Hist
+(** Re-export of the shared {!Hist}, so existing callers of
+    [Latrec.Hist] keep working. *)
 
 type t
 

@@ -7,28 +7,18 @@
    - counters   : monotonically increasing ints, owned by the producer.
    - gauges     : read-through callbacks sampled at export time, for
                   values some other struct already maintains.
-   - histograms : fixed log2-bucketed distributions with p50/p99/p999.
+   - histograms : {!Hist} distributions (log2 majors x 32 linear
+                  sub-buckets, exact min/max) with p50/p99/p999.
 
-   Instruments are plain mutable records; a counter handle works even
-   when it is not attached to any registry (a "detached" counter), so
+   Instruments are plain mutable records; a counter or histogram handle
+   works even when it is not attached to any registry ("detached"), so
    library code can keep one code path whether or not observability is
    wired up.  Nothing in here touches simulated time: recording is a
    few machine operations, and exporting only reads. *)
 
 type counter = { mutable c : int }
 
-let nbuckets = 64
-
-type histogram = {
-  buckets : int array; (* bucket i counts values v with 2^(i-1) < v <= 2^i *)
-  mutable h_count : int;
-  mutable h_sum : float;
-  (* Exact extremes beside the quantized buckets: the log2 buckets
-     place the extreme tail only within 2x, and the knee analyses in
-     the load harness need the true worst observation. *)
-  mutable h_min : float;
-  mutable h_max : float;
-}
+type histogram = Hist.t
 
 type instrument =
   | Counter of counter
@@ -82,80 +72,14 @@ let gauge_fn t name f = Hashtbl.replace t.tbl name (Gauge f)
 (* --- histograms --------------------------------------------------- *)
 
 let histogram ?reg name =
-  let make () =
-    {
-      buckets = Array.make nbuckets 0;
-      h_count = 0;
-      h_sum = 0.0;
-      h_min = infinity;
-      h_max = neg_infinity;
-    }
-  in
   match reg with
-  | None -> make ()
+  | None -> Hist.create ()
   | Some t ->
       intern t name
         (fun () ->
-          let h = make () in
+          let h = Hist.create () in
           (h, Histogram h))
         (function Histogram h -> Some h | _ -> None)
-
-(* Bucket index for [v]: 0 holds everything <= 1 (and non-positive /
-   non-finite junk), bucket i holds (2^(i-1), 2^i].  frexp gives
-   v = m * 2^e with m in [0.5, 1), so e is exactly ceil(log2 v) for
-   v > 0 unless v is a power of two, where m = 0.5 and e is one high —
-   acceptable: buckets stay monotone and deterministic, which is all
-   quantile estimation needs. *)
-let bucket_of v =
-  if not (Float.is_finite v) || v <= 1.0 then 0
-  else
-    let _, e = Float.frexp v in
-    if e < 0 then 0 else if e >= nbuckets then nbuckets - 1 else e
-
-(* Clamp at record time, not only at export: one NaN added to [h_sum]
-   would poison the sum (and anything derived from it) forever, and an
-   inf would survive the exporter's per-value clamp via arithmetic. *)
-let observe h v =
-  let v = if Float.is_finite v then v else 0.0 in
-  let i = bucket_of v in
-  h.buckets.(i) <- h.buckets.(i) + 1;
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v
-
-let hist_count h = h.h_count
-let hist_sum h = h.h_sum
-let hist_min h = if h.h_count = 0 then 0.0 else h.h_min
-let hist_max h = if h.h_count = 0 then 0.0 else h.h_max
-let bucket_upper i = Float.of_int (1 lsl i)
-
-(* Nearest-rank quantile over the bucketed distribution; returns the
-   upper bound of the bucket containing the rank, so the estimate is
-   within one log2 bucket (<= 2x) of the true value. *)
-let quantile h q =
-  if h.h_count = 0 then 0.0
-  else begin
-    let rank =
-      let r = int_of_float (ceil (q *. float_of_int h.h_count)) in
-      if r < 1 then 1 else if r > h.h_count then h.h_count else r
-    in
-    let cum = ref 0 and ans = ref (bucket_upper (nbuckets - 1)) in
-    (try
-       for i = 0 to nbuckets - 1 do
-         cum := !cum + h.buckets.(i);
-         if !cum >= rank then begin
-           ans := bucket_upper i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !ans
-  end
-
-let p50 h = quantile h 0.50
-let p99 h = quantile h 0.99
-let p999 h = quantile h 0.999
 
 (* --- export ------------------------------------------------------- *)
 
@@ -176,19 +100,15 @@ type value =
   | V_histogram of hist_snapshot
 
 let snapshot_hist h =
-  let buckets = ref [] in
-  for i = nbuckets - 1 downto 0 do
-    if h.buckets.(i) > 0 then buckets := (bucket_upper i, h.buckets.(i)) :: !buckets
-  done;
   {
-    hs_count = h.h_count;
-    hs_sum = h.h_sum;
-    hs_min = hist_min h;
-    hs_max = hist_max h;
-    hs_p50 = p50 h;
-    hs_p99 = p99 h;
-    hs_p999 = p999 h;
-    hs_buckets = !buckets;
+    hs_count = Hist.count h;
+    hs_sum = Hist.sum h;
+    hs_min = Hist.min_value h;
+    hs_max = Hist.max_value h;
+    hs_p50 = Hist.quantile h 0.50;
+    hs_p99 = Hist.quantile h 0.99;
+    hs_p999 = Hist.quantile h 0.999;
+    hs_buckets = Hist.buckets h;
   }
 
 let to_list t =

@@ -1,6 +1,7 @@
-(** Unified metrics registry: named counters, gauges and log-bucketed
-    histograms that every subsystem registers into, replacing bespoke
-    per-module counter structs with one queryable tree.
+(** Unified metrics registry: named counters, gauges and {!Hist}
+    histograms (log2 majors x 32 linear sub-buckets, exact min/max)
+    that every subsystem registers into, replacing bespoke per-module
+    counter structs with one queryable tree.
 
     Dotted names express the hierarchy ("ipc.qp3.doorbell_rings",
     "mod.lru.hits", "device.nvme.bytes_read").  Recording never touches
@@ -38,34 +39,12 @@ val gauge_fn : t -> string -> (unit -> float) -> unit
 
 (** {1 Histograms} *)
 
-type histogram
-(** Fixed log2-bucketed distribution (64 buckets; bucket [i] holds
-    values in [(2^(i-1), 2^i]]).  Quantiles report the upper bound of
-    the rank's bucket, i.e. within one power of two. *)
+type histogram = Hist.t
+(** A registry histogram is a plain {!Hist.t}: record with
+    {!Hist.observe}, read with {!Hist.quantile} and friends. *)
 
 val histogram : ?reg:t -> string -> histogram
 (** Interned like {!counter}; detached without [~reg]. *)
-
-val observe : histogram -> float -> unit
-(** [observe h v] records [v]; non-finite values are clamped to 0 at
-    record time, so one pathological observation cannot poison the
-    running sum or the quantiles. *)
-
-val hist_count : histogram -> int
-val hist_sum : histogram -> float
-
-val hist_min : histogram -> float
-(** Exact smallest observation (not bucket-quantized); 0.0 when empty. *)
-
-val hist_max : histogram -> float
-(** Exact largest observation; 0.0 when empty. *)
-
-val quantile : histogram -> float -> float
-(** [quantile h q] for [q] in [0,1]; 0.0 when empty. *)
-
-val p50 : histogram -> float
-val p99 : histogram -> float
-val p999 : histogram -> float
 
 (** {1 Export} *)
 

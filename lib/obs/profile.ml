@@ -10,7 +10,9 @@
      a containment scan — spans are sorted by (begin asc, duration
      desc, emission order) and pushed on a stack whose frames pop when
      their end passes; the telescoping stage API guarantees the spans
-     of one request are well nested, so the scan is exact.
+     of one request are well nested, so the scan is exact. The scan is
+     [exclusive], exposed on its own so every anatomy table reads its
+     per-layer software time from the same fold.
 
    - tail attribution: per-request stage durations are split into a
      p50 cohort (end-to-end latency <= the p50) and a tail cohort
@@ -50,30 +52,102 @@ let percentile sorted q =
     let rank = int_of_float (ceil (q *. float_of_int n)) in
     sorted.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
 
-type acc = { mutable a_count : int; mutable a_total : float; mutable a_self : float }
+type span = { sp_ev : Trace.ev; sp_path : string; sp_self_ns : float }
 
 type frame = {
+  fr_ev : Trace.ev;
   fr_path : string;
   fr_end : float;
-  fr_dur : float;
   mutable fr_child : float;
 }
 
-let of_events (evs : Trace.ev list) =
+let exclusive (evs : Trace.ev list) =
   (* Group spans per request, remembering emission order for the sort
-     tie-break (deterministic input -> deterministic aggregate). *)
+     tie-break (deterministic input -> deterministic output). *)
   let by_req : (int, (int * Trace.ev) list ref) Hashtbl.t = Hashtbl.create 64 in
-  let roots : (int, float) Hashtbl.t = Hashtbl.create 64 in
+  let roots : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   List.iteri
     (fun i (e : Trace.ev) ->
       if e.Trace.ev_ph = 'X' then begin
         (match Hashtbl.find_opt by_req e.Trace.ev_id with
         | Some l -> l := (i, e) :: !l
         | None -> Hashtbl.add by_req e.Trace.ev_id (ref [ (i, e) ]));
-        if e.Trace.ev_cat = "request" then
-          Hashtbl.replace roots e.Trace.ev_id e.Trace.ev_dur
+        if e.Trace.ev_cat = "request" then Hashtbl.replace roots e.Trace.ev_id ()
       end)
     evs;
+  Hashtbl.fold
+    (fun id spans acc ->
+      if not (Hashtbl.mem roots id) then acc
+        (* no root span: request still in flight at run end *)
+      else begin
+        (* Containment order: start asc, then at equal starts the
+           longer span is the parent and is pushed first. Two
+           refinements at equal starts: a zero-width span is a
+           degenerate {e predecessor} (a stage that took no time), not
+           a child, so it sorts first and is popped before the next
+           span opens; and for equal (start, duration) — an inner span
+           exactly filling its parent — the parent closes last, so
+           with 'X' events emitted at span close the {e later}
+           emission is the outer one. *)
+        let sorted =
+          List.sort
+            (fun (ia, (a : Trace.ev)) (ib, (b : Trace.ev)) ->
+              let c = Float.compare a.Trace.ev_ts b.Trace.ev_ts in
+              if c <> 0 then c
+              else
+                let za = a.Trace.ev_dur = 0.0 and zb = b.Trace.ev_dur = 0.0 in
+                if za <> zb then if za then -1 else 1
+                else
+                  let c = Float.compare b.Trace.ev_dur a.Trace.ev_dur in
+                  if c <> 0 then c else Int.compare ib ia)
+            !spans
+        in
+        let out = ref [] and stack = ref [] in
+        let pop_frame f =
+          out :=
+            {
+              sp_ev = f.fr_ev;
+              sp_path = f.fr_path;
+              sp_self_ns = Float.max 0.0 (f.fr_ev.Trace.ev_dur -. f.fr_child);
+            }
+            :: !out
+        in
+        let rec pop_until ts =
+          match !stack with
+          | f :: rest when f.fr_end <= ts ->
+              pop_frame f;
+              stack := rest;
+              pop_until ts
+          | _ -> ()
+        in
+        List.iter
+          (fun (_, (e : Trace.ev)) ->
+            pop_until e.Trace.ev_ts;
+            let path =
+              match !stack with
+              | [] -> e.Trace.ev_name
+              | parent :: _ ->
+                  parent.fr_child <- parent.fr_child +. e.Trace.ev_dur;
+                  parent.fr_path ^ ";" ^ e.Trace.ev_name
+            in
+            stack :=
+              {
+                fr_ev = e;
+                fr_path = path;
+                fr_end = e.Trace.ev_ts +. e.Trace.ev_dur;
+                fr_child = 0.0;
+              }
+              :: !stack)
+          sorted;
+        List.iter pop_frame !stack;
+        (id, List.rev !out) :: acc
+      end)
+    by_req []
+  |> List.rev
+
+type acc = { mutable a_count : int; mutable a_total : float; mutable a_self : float }
+
+let of_events (evs : Trace.ev list) =
   let agg : (string, acc) Hashtbl.t = Hashtbl.create 64 in
   let acc_of path =
     match Hashtbl.find_opt agg path with
@@ -83,88 +157,36 @@ let of_events (evs : Trace.ev list) =
         Hashtbl.add agg path a;
         a
   in
-  (* Per-request per-stage durations for the tail contrast. *)
+  (* Per-request root duration and per-stage durations for the tail
+     contrast. *)
+  let roots : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let stage_names = ref [] in
   let req_stages : (int, (string, float) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
   let req_ids = ref [] in
-  Hashtbl.iter
-    (fun id spans ->
-      match Hashtbl.find_opt roots id with
-      | None -> () (* no root span: request still in flight at run end *)
-      | Some _ ->
-          req_ids := id :: !req_ids;
-          (* Containment order: start asc, then at equal starts the
-             longer span is the parent and is pushed first. Two
-             refinements at equal starts: a zero-width span is a
-             degenerate {e predecessor} (a stage that took no time),
-             not a child, so it sorts first and is popped before the
-             next span opens; and for equal (start, duration) — an
-             inner span exactly filling its parent — the parent closes
-             last, so with 'X' events emitted at span close the {e
-             later} emission is the outer one. *)
-          let sorted =
-            List.sort
-              (fun (ia, (a : Trace.ev)) (ib, (b : Trace.ev)) ->
-                let c = Float.compare a.Trace.ev_ts b.Trace.ev_ts in
-                if c <> 0 then c
-                else
-                  let za = a.Trace.ev_dur = 0.0
-                  and zb = b.Trace.ev_dur = 0.0 in
-                  if za <> zb then (if za then -1 else 1)
-                  else
-                    let c = Float.compare b.Trace.ev_dur a.Trace.ev_dur in
-                    if c <> 0 then c else Int.compare ib ia)
-              !spans
-          in
-          let stages = Hashtbl.create 8 in
-          Hashtbl.replace req_stages id stages;
-          let stack = ref [] in
-          let pop_frame f =
-            let a = acc_of f.fr_path in
-            a.a_self <- a.a_self +. Float.max 0.0 (f.fr_dur -. f.fr_child)
-          in
-          let rec pop_until ts =
-            match !stack with
-            | f :: rest when f.fr_end <= ts ->
-                pop_frame f;
-                stack := rest;
-                pop_until ts
-            | _ -> ()
-          in
-          List.iter
-            (fun (_, (e : Trace.ev)) ->
-              pop_until e.Trace.ev_ts;
-              let path =
-                match !stack with
-                | [] -> e.Trace.ev_name
-                | parent :: _ ->
-                    parent.fr_child <- parent.fr_child +. e.Trace.ev_dur;
-                    parent.fr_path ^ ";" ^ e.Trace.ev_name
+  List.iter
+    (fun (id, spans) ->
+      req_ids := id :: !req_ids;
+      let stages = Hashtbl.create 8 in
+      Hashtbl.replace req_stages id stages;
+      List.iter
+        (fun sp ->
+          let e = sp.sp_ev in
+          let a = acc_of sp.sp_path in
+          a.a_count <- a.a_count + 1;
+          a.a_total <- a.a_total +. e.Trace.ev_dur;
+          a.a_self <- a.a_self +. sp.sp_self_ns;
+          match e.Trace.ev_cat with
+          | "request" -> Hashtbl.replace roots id e.Trace.ev_dur
+          | "stage" ->
+              if not (List.mem e.Trace.ev_name !stage_names) then
+                stage_names := e.Trace.ev_name :: !stage_names;
+              let prev =
+                Option.value (Hashtbl.find_opt stages e.Trace.ev_name) ~default:0.0
               in
-              let a = acc_of path in
-              a.a_count <- a.a_count + 1;
-              a.a_total <- a.a_total +. e.Trace.ev_dur;
-              if e.Trace.ev_cat = "stage" then begin
-                if not (List.mem e.Trace.ev_name !stage_names) then
-                  stage_names := e.Trace.ev_name :: !stage_names;
-                let prev =
-                  Option.value (Hashtbl.find_opt stages e.Trace.ev_name)
-                    ~default:0.0
-                in
-                Hashtbl.replace stages e.Trace.ev_name
-                  (prev +. e.Trace.ev_dur)
-              end;
-              stack :=
-                {
-                  fr_path = path;
-                  fr_end = e.Trace.ev_ts +. e.Trace.ev_dur;
-                  fr_dur = e.Trace.ev_dur;
-                  fr_child = 0.0;
-                }
-                :: !stack)
-            sorted;
-          List.iter pop_frame !stack)
-    by_req;
+              Hashtbl.replace stages e.Trace.ev_name (prev +. e.Trace.ev_dur)
+          | _ -> ())
+        spans)
+    (exclusive evs);
   let nodes =
     Hashtbl.fold
       (fun key a acc ->

@@ -10,7 +10,7 @@
     ["request;module_stack;lru_cache;blkswitch_sched;kernel_driver;device"].
     Per key: occurrence count, inclusive (total) ns, and exclusive
     (self) ns — self is total minus the direct children's total, i.e.
-    the layer's own software time.
+    the layer's own software time ({!exclusive} exposes it per span).
 
     {b Tail attribution.} Requests are ranked by end-to-end latency
     (the root span). The stage means of the tail cohort (e2e >= p99)
@@ -44,6 +44,20 @@ type t = {
   nodes : node list;  (** sorted by key *)
   tail : tail_row list;  (** sorted by stage name *)
 }
+
+type span = {
+  sp_ev : Trace.ev;
+  sp_path : string;  (** ";"-joined names of the enclosing spans and this one *)
+  sp_self_ns : float;  (** exclusive: duration minus direct children, >= 0 *)
+}
+
+val exclusive : Trace.ev list -> (int * span list) list
+(** The containment scan behind every anatomy table: per request that
+    has a root "request" span, its complete ('X') spans with their
+    flamegraph path and exclusive time, each listed after its
+    children. Requests come in a deterministic order. {!of_events},
+    Fig 4(a) and the anatomy2 breakdown all read per-layer software
+    time from this one fold. *)
 
 val of_events : Trace.ev list -> t
 (** Aggregates every complete ('X') span; instants are ignored. *)

@@ -467,7 +467,7 @@ let do_request t (stack : Stack.t) ?stream ?scheduled_at payload =
   let origin =
     match scheduled_at with Some s -> Float.min s t_begin | None -> t_begin
   in
-  Metrics.observe t.latency_hist (t_end -. origin);
+  Lab_obs.Hist.observe t.latency_hist (t_end -. origin);
   (match Runtime.slo t.runtime with
   | Some slo ->
       Lab_obs.Latrec.Slo.observe slo ~latency_ns:(t_end -. origin) ~now:t_end

@@ -1,8 +1,6 @@
 open Lab_sim
 open Lab_core
 
-type probe = uuid:string -> exclusive_ns:float -> unit
-
 (* Instrumentation reads the simulated clock but never charges compute
    or schedules events, so a traced run's timing is identical to an
    untraced one.  Each module span is attached to the flow carried by
@@ -15,24 +13,18 @@ let mod_span (r : Request.t) ~name ~uuid ~thread ~t0 ~t1 =
         ~args:[ ("uuid", uuid) ]
   | None -> ()
 
-let run machine ~registry ~stack ~thread ?probe req =
+let run machine ~registry ~stack ~thread req =
   let now () = Engine.now machine.Machine.engine in
   let rec run_vertex uuid req =
     match Registry.find registry uuid with
     | None -> Request.Failed (Printf.sprintf "no LabMod instance %S" uuid)
     | Some m ->
         req.Request.hop <- uuid;
-        let child_time = ref 0.0 in
         let ctx =
           {
             Labmod.machine;
             thread;
-            forward =
-              (fun r ->
-                let t0 = now () in
-                let result = forward uuid r in
-                child_time := !child_time +. (now () -. t0);
-                result);
+            forward = (fun r -> forward uuid r);
             forward_async =
               (fun r on_result ->
                 Engine.spawn machine.Machine.engine (fun () ->
@@ -41,9 +33,6 @@ let run machine ~registry ~stack ~thread ?probe req =
         in
         let t0 = now () in
         let result = m.Labmod.ops.Labmod.operate m ctx req in
-        (match probe with
-        | Some p -> p ~uuid ~exclusive_ns:(now () -. t0 -. !child_time)
-        | None -> ());
         mod_span req ~name:m.Labmod.name ~uuid ~thread ~t0 ~t1:(now ());
         result
   and forward uuid r =

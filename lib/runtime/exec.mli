@@ -1,16 +1,14 @@
-(** LabStack executor: walks a request through a stack's DAG, timing
-    each LabMod's exclusive contribution (used by the I/O-anatomy
-    experiment and by the per-module performance counters workers
-    collect). *)
-
-type probe = uuid:string -> exclusive_ns:float -> unit
+(** LabStack executor: walks a request through a stack's DAG. On a
+    traced request every LabMod hop emits a "mod" span (and the whole
+    walk a "module_stack" stage span); per-layer exclusive time — the
+    I/O anatomy — is derived from those spans by
+    {!Lab_obs.Profile.exclusive}. *)
 
 val run :
   Lab_sim.Machine.t ->
   registry:Lab_core.Registry.t ->
   stack:Lab_core.Stack.t ->
   thread:int ->
-  ?probe:probe ->
   Lab_core.Request.t ->
   Lab_core.Request.result
 (** Executes the entry LabMod; each mod's [forward] continues to its

@@ -120,7 +120,6 @@ type t = {
   mutable req_counter : int;
   admin_thread : int;
   mutable live : bool;
-  mutable probe : Exec.probe option;
   repo_mgr : Repo.t;
   tracer : Lab_obs.Trace.t;
   metrics : Lab_obs.Metrics.t;
@@ -192,14 +191,11 @@ let make_load_code machine (backend : Lab_mods.Mods_env.backend) =
     done;
     Machine.compute machine ~thread link_cpu_ns
 
-let exec_request t ~thread ?probe req =
-  let probe = match probe with Some _ -> probe | None -> t.probe in
+let exec_request t ~thread req =
   match Namespace.stack_by_id t.ns req.Request.stack_id with
   | None ->
       Request.Failed (Printf.sprintf "unknown stack id %d" req.Request.stack_id)
-  | Some stack -> Exec.run t.machine ~registry:t.reg ~stack ~thread ?probe req
-
-let set_probe t probe = t.probe <- probe
+  | Some stack -> Exec.run t.machine ~registry:t.reg ~stack ~thread req
 
 let qstat_of t qp_id =
   match Hashtbl.find_opt t.qstats qp_id with
@@ -212,7 +208,7 @@ let qstat_of t qp_id =
 let note_service t ~qp_id ~service_ns =
   let s = qstat_of t qp_id in
   s.ewma <- (0.8 *. s.ewma) +. (0.2 *. service_ns);
-  Lab_obs.Metrics.observe t.service_hist service_ns
+  Lab_obs.Hist.observe t.service_hist service_ns
 
 (* Dispatch-time estimate (EstProcessingTime over the request's stack):
    raises the queue's expected service time immediately; later
@@ -349,7 +345,6 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
          req_counter = 0;
          admin_thread = admin_thread_id;
          live = true;
-         probe = None;
          repo_mgr = Repo.create ~runtime_uid:0 ();
          tracer;
          metrics;
@@ -555,7 +550,7 @@ let register_tenant t ~ext_id ?weight ?rate_mbps ?burst_kb ?qcap () =
   in
   let name k = Printf.sprintf "tenant.%d.%s" ext_id k in
   Lab_obs.Metrics.gauge_fn t.metrics (name "p99") (fun () ->
-      Lab_obs.Metrics.p99 (Tenant.latency tn));
+      Lab_obs.Hist.quantile (Tenant.latency tn) 0.99);
   Lab_obs.Metrics.gauge_fn t.metrics (name "throughput_bytes") (fun () ->
       Stdlib.float_of_int (Tenant.bytes_done tn));
   Lab_obs.Metrics.gauge_fn t.metrics (name "deficit") (fun () ->

@@ -213,15 +213,10 @@ val modify_mods : t -> Lab_core.Module_manager.upgrade -> unit
 
 val next_request_id : t -> int
 
-val exec_request :
-  t -> thread:int -> ?probe:Exec.probe -> Lab_core.Request.t -> Lab_core.Request.result
+val exec_request : t -> thread:int -> Lab_core.Request.t -> Lab_core.Request.result
 (** Executes a request through the stack named by its [stack_id] —
     used by workers (async stacks) and directly by clients of
     synchronous stacks. *)
-
-val set_probe : t -> Exec.probe option -> unit
-(** Attaches a per-LabMod timing probe to every request the workers
-    execute (the I/O-anatomy instrumentation). *)
 
 val rebalance_now : t -> unit
 (** Forced orchestration epoch (also triggered when clients connect). *)

@@ -1,6 +1,6 @@
 (* Coverage sweep: corners of the public APIs not exercised by the
    behavioural suites — accessors, error paths, edge cases, and a few
-   cross-module contracts (probe exclusivity, doorbell hand-off,
+   cross-module contracts (span exclusive times, doorbell hand-off,
    region lifecycle). *)
 
 open Lab_sim
@@ -192,7 +192,7 @@ let test_namespace_listings () =
   Alcotest.(check bool) "distinct ids" true (s1.Stack.id <> s2.Stack.id)
 
 (* ------------------------------------------------------------------ *)
-(* Exec probe exclusivity                                              *)
+(* Exclusive time from executor spans                                 *)
 (* ------------------------------------------------------------------ *)
 
 type Labmod.state += Burn of float
@@ -213,7 +213,7 @@ let burner name ns : Registry.factory =
       state_repair = (fun _ -> ());
     }
 
-let test_exec_probe_exclusive_times () =
+let test_exec_span_exclusive_times () =
   in_sim (fun m ->
       let reg = Registry.create () in
       Registry.register_factory reg ~name:"fast" (burner "fast" 100.0);
@@ -224,13 +224,26 @@ let test_exec_probe_exclusive_times () =
              "mount: \"x::/p\"\ndag:\n  - uuid: top\n    mod: fast\n    outputs: [bottom]\n  - uuid: bottom\n    mod: slow")
       in
       let stack = Result.get_ok (Stack.instantiate reg spec ~id:1) in
-      let seen = Hashtbl.create 4 in
-      let probe ~uuid ~exclusive_ns = Hashtbl.replace seen uuid exclusive_ns in
+      let tracer = Lab_obs.Trace.create ~sample:1 () in
       let req =
         Request.make ~id:1 ~pid:1 ~uid:0 ~thread:0 ~stack_id:1 ~now:0.0
           (Request.Control 0)
       in
-      ignore (Lab_runtime.Exec.run m ~registry:reg ~stack ~thread:0 ~probe req);
+      let fl = Lab_obs.Trace.start tracer ~id:1 ~now:(Machine.now m) in
+      req.Request.trace <- fl;
+      ignore (Lab_runtime.Exec.run m ~registry:reg ~stack ~thread:0 req);
+      Lab_obs.Trace.finish (Option.get fl) ~tid:0 ~now:(Machine.now m);
+      let seen = Hashtbl.create 4 in
+      List.iter
+        (fun (_, spans) ->
+          List.iter
+            (fun (sp : Lab_obs.Profile.span) ->
+              let e = sp.Lab_obs.Profile.sp_ev in
+              match List.assoc_opt "uuid" e.Lab_obs.Trace.ev_args with
+              | Some uuid -> Hashtbl.replace seen uuid sp.Lab_obs.Profile.sp_self_ns
+              | None -> ())
+            spans)
+        (Lab_obs.Profile.exclusive (Lab_obs.Trace.events tracer));
       (* The parent's exclusive time must not include the child's. *)
       Alcotest.(check (float 1.0)) "top exclusive" 100.0 (Hashtbl.find seen "top");
       Alcotest.(check (float 1.0)) "bottom exclusive" 900.0 (Hashtbl.find seen "bottom"))
@@ -418,7 +431,7 @@ let () =
         ] );
       ( "runtime",
         [
-          Alcotest.test_case "probe exclusivity" `Quick test_exec_probe_exclusive_times;
+          Alcotest.test_case "span exclusivity" `Quick test_exec_span_exclusive_times;
           Alcotest.test_case "ipc region lifecycle" `Quick test_ipc_disconnect_frees_region;
           Alcotest.test_case "doorbell handoff" `Quick test_worker_doorbell_handoff;
           Alcotest.test_case "unordered multi-worker" `Quick

@@ -313,10 +313,10 @@ let test_hist_exact_min_max () =
   (* Satellite guarantee: snapshots carry the exact extrema and count,
      not bucket midpoints. *)
   let h = Lab_obs.Metrics.histogram "test_load.minmax" in
-  List.iter (fun v -> Lab_obs.Metrics.observe h v) [ 123.0; 77.5; 90001.25 ];
-  Alcotest.(check (float 0.0)) "exact min" 77.5 (Lab_obs.Metrics.hist_min h);
-  Alcotest.(check (float 0.0)) "exact max" 90001.25 (Lab_obs.Metrics.hist_max h);
-  Alcotest.(check int) "count" 3 (Lab_obs.Metrics.hist_count h)
+  List.iter (fun v -> Lab_obs.Hist.observe h v) [ 123.0; 77.5; 90001.25 ];
+  Alcotest.(check (float 0.0)) "exact min" 77.5 (Lab_obs.Hist.min_value h);
+  Alcotest.(check (float 0.0)) "exact max" 90001.25 (Lab_obs.Hist.max_value h);
+  Alcotest.(check int) "count" 3 (Lab_obs.Hist.count h)
 
 let test_slo_burn () =
   (* 1% error budget, p99 target 100ns, 1µs windows. A window where

@@ -5,6 +5,7 @@
 
 open Labstor
 module Metrics = Lab_obs.Metrics
+module Hist = Lab_obs.Hist
 module Trace = Lab_obs.Trace
 module Timeseries = Lab_obs.Timeseries
 module Profile = Lab_obs.Profile
@@ -63,22 +64,78 @@ let test_gauge_read_through () =
 
 let test_histogram_quantiles () =
   let h = Metrics.histogram "h" in
-  (* Log2 buckets report the upper bound of the rank's bucket. *)
-  List.iter (Metrics.observe h) [ 3.0; 3.0; 3.0; 1000.0 ];
-  Alcotest.(check int) "count" 4 (Metrics.hist_count h);
-  Alcotest.(check (float 1e-9)) "sum" 1009.0 (Metrics.hist_sum h);
-  Alcotest.(check (float 0.0)) "p50 in (2,4] bucket" 4.0 (Metrics.p50 h);
-  Alcotest.(check (float 0.0)) "p999 in (512,1024] bucket" 1024.0
-    (Metrics.p999 h);
+  (* Values below 32 have exact buckets; larger ones report the
+     bucket's upper bound clamped into the exact [min, max]. *)
+  List.iter (Hist.observe h) [ 3.0; 3.0; 3.0; 1000.0 ];
+  Alcotest.(check int) "count" 4 (Hist.count h);
+  Alcotest.(check (float 1e-9)) "sum" 1009.0 (Hist.sum h);
+  Alcotest.(check (float 0.0)) "p50 exact below 32" 3.0 (Hist.quantile h 0.5);
+  Alcotest.(check (float 0.0)) "p999 clamped to the max" 1000.0
+    (Hist.quantile h 0.999);
   let empty = Metrics.histogram "h2" in
-  Alcotest.(check (float 0.0)) "empty quantile" 0.0 (Metrics.p50 empty)
+  Alcotest.(check (float 0.0)) "empty quantile" 0.0 (Hist.quantile empty 0.5)
+
+let test_hist_huge_values () =
+  (* Values past the int range must not wrap [int_of_float] to a
+     negative index (an out-of-bounds write) or to bucket 0: they share
+     the last bucket, and the envelope stays exact. *)
+  let h = Hist.create () in
+  List.iter (Hist.observe h) [ 5e18; 1e300; Float.max_float ];
+  Alcotest.(check int) "all counted" 3 (Hist.count h);
+  Alcotest.(check (float 0.0)) "exact min" 5e18 (Hist.min_value h);
+  Alcotest.(check (float 0.0)) "exact max" Float.max_float (Hist.max_value h);
+  List.iter
+    (fun q ->
+      let v = Hist.quantile h q in
+      Alcotest.(check bool)
+        (Printf.sprintf "q%.3f within [min,max]" q)
+        true
+        (v >= 5e18 && v <= Float.max_float))
+    [ 0.0; 0.5; 0.99; 1.0 ];
+  (match Hist.buckets h with
+  | [ (_, 3) ] -> ()
+  | _ -> Alcotest.fail "expected one shared top bucket");
+  (* A small value after the huge ones still lands in its exact bucket. *)
+  Hist.observe h 7.0;
+  Alcotest.(check (float 0.0)) "p0 exact" 7.0 (Hist.quantile h 0.0)
+
+(* Random integer ns values: 0, the exact range below 32, and values up
+   to 2^40, mixed so the sub-32 and log2x32 ranges share one histogram. *)
+let prop_hist_quantile_accuracy =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 400)
+        (frequency
+           [
+             (1, return 0);
+             (3, int_range 1 31);
+             (6, map (fun e -> 1 lsl e) (int_range 5 40) >>= fun hi -> int_range 0 hi);
+           ]))
+  in
+  QCheck.Test.make ~name:"hist quantile within 2^-4 of exact nearest rank"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list int) gen)
+    (fun vs ->
+      let h = Hist.create () in
+      List.iter (fun v -> Hist.observe h (float_of_int v)) vs;
+      let sorted = Array.of_list (List.sort compare vs) in
+      let n = Array.length sorted in
+      List.for_all
+        (fun q ->
+          let rank = Stdlib.max 1 (int_of_float (ceil (q *. float_of_int n))) in
+          let exact = float_of_int sorted.(rank - 1) in
+          let est = Hist.quantile h q in
+          est >= Hist.min_value h
+          && est <= Hist.max_value h
+          && Float.abs (est -. exact) <= exact *. Float.ldexp 1.0 (-4))
+        [ 0.5; 0.99; 0.999 ])
 
 let build_registry () =
   let reg = Metrics.create () in
   Metrics.incr ~by:3 (Metrics.counter ~reg "b.count");
   Metrics.gauge_fn reg "a.gauge" (fun () -> 1.5);
   let h = Metrics.histogram ~reg "c.hist" in
-  List.iter (Metrics.observe h) [ 10.0; 20.0; 3000.0 ];
+  List.iter (Hist.observe h) [ 10.0; 20.0; 3000.0 ];
   reg
 
 let test_jsonl_stable () =
@@ -111,15 +168,15 @@ let test_nonfinite_clamped () =
 let test_observe_clamps_nonfinite () =
   (* Clamped at record time: one NaN must not poison the running sum. *)
   let h = Metrics.histogram "clamp" in
-  Metrics.observe h Float.nan;
-  Metrics.observe h Float.infinity;
-  Metrics.observe h Float.neg_infinity;
-  Metrics.observe h 8.0;
-  Alcotest.(check int) "all observations counted" 4 (Metrics.hist_count h);
+  Hist.observe h Float.nan;
+  Hist.observe h Float.infinity;
+  Hist.observe h Float.neg_infinity;
+  Hist.observe h 8.0;
+  Alcotest.(check int) "all observations counted" 4 (Hist.count h);
   Alcotest.(check bool) "sum stayed finite" true
-    (Float.is_finite (Metrics.hist_sum h));
+    (Float.is_finite (Hist.sum h));
   Alcotest.(check (float 1e-9)) "non-finite recorded as 0" 8.0
-    (Metrics.hist_sum h)
+    (Hist.sum h)
 
 let test_gauge_clamped_at_read () =
   (* Clamped in to_list itself, not only in the JSONL exporter, so every
@@ -738,6 +795,8 @@ let () =
           Alcotest.test_case "gauge replace" `Quick test_gauge_replace;
           Alcotest.test_case "gauge read-through" `Quick test_gauge_read_through;
           Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
+          Alcotest.test_case "histogram huge values" `Quick test_hist_huge_values;
+          QCheck_alcotest.to_alcotest prop_hist_quantile_accuracy;
           Alcotest.test_case "jsonl stable" `Quick test_jsonl_stable;
           Alcotest.test_case "non-finite clamped" `Quick test_nonfinite_clamped;
           Alcotest.test_case "observe clamps non-finite" `Quick
