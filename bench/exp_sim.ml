@@ -1,7 +1,8 @@
 (* Simulator-core benchmark: events/sec and minor words/event on the
    DES hot path.
 
-   Three synthetic closed loops plus one full-stack scenario:
+   Three synthetic closed loops, one idle worker and one full-stack
+   scenario:
 
    - timer:  [loops] concurrent self-rescheduling timers on the pooled
              [Engine.timer] path (closure-free dispatch, calendar
@@ -15,6 +16,10 @@
              of the pre-rewrite engine (boxed keys, per-event closures,
              cmp-closure heap, Fun.protect per event). The before/after
              events/sec ratio is measured against it.
+   - idle-spin: one runtime worker with an empty queue spin-polling
+             for its next submission. Every event is an empty poll on
+             the worker's timer-path tick; gated at <= 0.5 minor
+             words/poll.
    - batching: one point of the exp_batching sweep, as a whole-stack
              events fingerprint.
 
@@ -120,6 +125,30 @@ let run_legacy ~warmup ~total =
   let events = Legacy_engine.events_executed e - e0 in
   (events, words /. Stdlib.float_of_int events, wall)
 
+(* Idle spin: a real worker, one empty queue, a spin budget longer
+   than the run. The first millisecond is not measured: it touches
+   every calendar bucket the 80 ns poll grid reaches (a bucket's entry
+   array is allocated on first use). *)
+let run_idle_spin ~polls =
+  let m = Machine.create ~ncores:1 () in
+  let e = m.Machine.engine in
+  let poll_ns = m.Machine.costs.Costs.poll_spin_ns in
+  let warm_ns = 1_000_000.0 in
+  let limit = warm_ns +. (Stdlib.float_of_int polls *. poll_ns) in
+  let w =
+    Lab_runtime.Worker.create m ~id:0 ~thread:0
+      ~exec:(fun ~thread:_ _ -> Lab_core.Request.Done)
+      ~spin_ns:(limit +. poll_ns) ()
+  in
+  let qp =
+    Lab_ipc.Qp.create ~role:Lab_ipc.Qp.Primary ~ordering:Lab_ipc.Qp.Ordered
+      ~id:0 ()
+  in
+  Lab_runtime.Worker.assign w [ qp ];
+  Lab_runtime.Worker.start w;
+  Engine.run ~until:warm_ns e;
+  measured e (fun () -> Engine.run ~until:limit e)
+
 let rate events wall =
   if wall > 0.0 then Stdlib.float_of_int events /. wall else 0.0
 
@@ -134,6 +163,7 @@ let run () =
   let wait_total = if smoke then 10_000 else 400_000 in
   let legacy_total = if smoke then 10_000 else 400_000 in
   let batch_ops = if smoke then 256 else 2048 in
+  let idle_polls = if smoke then 20_000 else 200_000 in
   Bench_util.heading "sim"
     "Simulator core: events/sec and minor words/event on the hot path";
   Printf.printf
@@ -151,6 +181,9 @@ let run () =
   let l_events, l_wpe, l_wall = run_legacy ~warmup ~total:legacy_total in
   Bench_util.print_row widths
     [ "legacy"; string_of_int l_events; Printf.sprintf "%.2f" l_wpe ];
+  let i_events, i_wpe, i_wall = run_idle_spin ~polls:idle_polls in
+  Bench_util.print_row widths
+    [ "idle-spin"; string_of_int i_events; Printf.sprintf "%.4f" i_wpe ];
   let b = Exp_batching.run_case ~seed:0xBA7C4 ~qd:64 ~batch:16
       ~total_ops:batch_ops in
   Bench_util.print_row widths
@@ -171,10 +204,20 @@ let run () =
       t_wpe;
     exit 1
   end;
+  (* An empty idle poll is a timer-path tick that re-arms itself; a
+     poll that resumed the worker's coroutine would cost a
+     continuation. *)
+  if native && i_wpe > 0.5 then begin
+    Bench_util.note
+      "ALLOCATION REGRESSION: idle worker at %.4f minor words/poll (budget 0.5)"
+      i_wpe;
+    exit 1
+  end;
   if Bench_util.wallclock_enabled () then begin
     Bench_util.note "timer:  %7.0fk events/sec" (rate t_events t_wall /. 1e3);
     Bench_util.note "wait:   %7.0fk events/sec" (rate w_events w_wall /. 1e3);
     Bench_util.note "legacy: %7.0fk events/sec" (rate l_events l_wall /. 1e3);
+    Bench_util.note "idle:   %7.0fk polls/sec" (rate i_events i_wall /. 1e3);
     if l_wall > 0.0 && t_wall > 0.0 then begin
       let speedup = rate t_events t_wall /. rate l_events l_wall in
       Bench_util.note "speedup (timer vs legacy): %.1fx" speedup;
@@ -208,11 +251,13 @@ let run () =
     \  \"wait_words_per_event\": %.2f,\n\
     \  \"legacy_events\": %d,\n\
     \  \"legacy_words_per_event\": %.2f,\n\
+    \  \"idle_spin_polls\": %d,\n\
+    \  \"idle_spin_words_per_poll\": %.4f,\n\
     \  \"batching_events\": %d,\n\
     \  \"deterministic\": %b\n\
      }\n"
-    loops t_events t_wpe alloc_ok w_events w_wpe l_events l_wpe
-    b.Exp_batching.events
+    loops t_events t_wpe alloc_ok w_events w_wpe l_events l_wpe i_events
+    i_wpe b.Exp_batching.events
     (t_events = t_events' && t_now = t_now');
   close_out oc;
   Bench_util.note "wrote BENCH_sim.json"

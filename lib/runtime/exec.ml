@@ -35,11 +35,15 @@ let run machine ~registry ~stack ~thread req =
         let result = m.Labmod.ops.Labmod.operate m ctx req in
         mod_span req ~name:m.Labmod.name ~uuid ~thread ~t0 ~t1:(now ());
         result
-  and forward uuid r =
-    match Stack.next_uuids stack uuid with
+  and forward uuid r = forward_all (Stack.next_uuids stack uuid) r
+  (* Every successor runs; the last one's result is the hop's. *)
+  and forward_all nexts r =
+    match nexts with
     | [] -> Request.Done
-    | nexts ->
-        List.fold_left (fun _ next -> run_vertex next r) Request.Done nexts
+    | [ next ] -> run_vertex next r
+    | next :: rest ->
+        ignore (run_vertex next r);
+        forward_all rest r
   in
   match req.Request.trace with
   | None -> run_vertex (Stack.entry_uuid stack) req

@@ -29,6 +29,13 @@ type t = {
   qprime : qp_id:int -> Request.t -> unit;
   spin_ns : float;
   busy_poll : bool;
+  (* Idle polling on the closure-free timer path: while idle the worker
+     process sits parked in [cell], and [tick] (preallocated, arg
+     unused) stands in for each poll's [wait]. [poll] holds the spin
+     deadline (0) and the poll interval (1) unboxed; see [idle_tick]. *)
+  cell : Engine.park_cell;
+  poll : float array;
+  mutable tick : int -> unit;
   batch_size : int;
   mutable inflight : int;
   max_inflight : int;
@@ -42,6 +49,27 @@ type t = {
   blackbox : Lab_obs.Flightrec.t option;
 }
 
+(* One idle poll, fired where the replaced [Engine.wait] would have
+   resumed the worker. Re-arming is taken only when that resume would
+   have done nothing but poll again: the worker is running, has queues,
+   no readiness bit is set and the spin deadline has not passed — an
+   empty-bitmap sweep has no side effects, so skipping it is exact.
+   Otherwise the worker continues in place, inside this event, just as
+   it would have continued from its wait. The re-arm is queued at the
+   same moment and for the same instant as the replaced wait's event,
+   so it takes the same (time, seq) key: ties at equal instants and
+   [events_executed] are unchanged. No [Engine.now] here: under
+   [-opaque] its float return would be boxed on every poll. *)
+let idle_tick t _ =
+  let eng = t.machine.Machine.engine in
+  if
+    t.running
+    && Array.length t.qarr > 0
+    && Bitset.is_empty t.ready
+    && not (Engine.reached eng t.poll 0)
+  then Engine.timer_after eng t.poll 1 t.tick 0
+  else Engine.resume_in_place t.cell
+
 let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ ~service_ns:_ -> ())
     ?(qprime = fun ~qp_id:_ _ -> ()) ?(spin_ns = 5000.0) ?(busy_poll = false)
     ?(batch_size = 1) ?(max_inflight = 16) ?blackbox () =
@@ -50,32 +78,39 @@ let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ ~service_ns:_ -> ())
     Request.make ~id:(-1) ~pid:(-1) ~uid:(-1) ~thread:(-1) ~stack_id:(-1)
       ~now:0.0 (Request.Control 0)
   in
-  {
-    w_id = id;
-    w_thread = thread;
-    machine;
-    bell = Waitq.create ();
-    assigned = [];
-    qarr = [||];
-    listeners = [||];
-    ready = Bitset.create 0;
-    running = true;
-    is_parked = false;
-    awake_since = 0.0;
-    active = 0.0;
-    done_count = 0;
-    exec;
-    qstat;
-    qprime;
-    spin_ns;
-    busy_poll;
-    batch_size;
-    inflight = 0;
-    max_inflight = Stdlib.max 1 max_inflight;
-    scratch = Array.make batch_size scratch_dummy;
-    scratch_dummy;
-    blackbox;
-  }
+  let t =
+    {
+      w_id = id;
+      w_thread = thread;
+      machine;
+      bell = Waitq.create ();
+      assigned = [];
+      qarr = [||];
+      listeners = [||];
+      ready = Bitset.create 0;
+      running = true;
+      is_parked = false;
+      awake_since = 0.0;
+      active = 0.0;
+      done_count = 0;
+      exec;
+      qstat;
+      qprime;
+      spin_ns;
+      busy_poll;
+      cell = Engine.make_park_cell ();
+      poll = [| 0.0; 0.0 |];
+      tick = ignore;
+      batch_size;
+      inflight = 0;
+      max_inflight = Stdlib.max 1 max_inflight;
+      scratch = Array.make batch_size scratch_dummy;
+      scratch_dummy;
+      blackbox;
+    }
+  in
+  t.tick <- idle_tick t;
+  t
 
 let id t = t.w_id
 
@@ -271,6 +306,22 @@ let park t =
         ~tag:"worker" ()
   | None -> ()
 
+(* Wait one poll interval ([poll.(1)]) on the idle tick: the worker
+   parks, and the tick resumes it in place once polling would find
+   something or the deadline ([poll.(0)]) has passed. *)
+let poll_wait t =
+  Engine.timer_after t.machine.Machine.engine t.poll 1 t.tick 0;
+  Engine.park t.cell
+
+(* Spin-poll until a sweep dispatches work (true) or the deadline
+   passes (false). *)
+let rec spin t =
+  if Engine.reached t.machine.Machine.engine t.poll 0 then false
+  else begin
+    poll_wait t;
+    sweep t || spin t
+  end
+
 let start t =
   Engine.spawn t.machine.Machine.engine (fun () ->
       t.awake_since <- Engine.now t.machine.Machine.engine;
@@ -283,22 +334,16 @@ let start t =
         else if t.busy_poll && t.assigned <> [] then begin
           (* Statically-configured workers never sleep: poll the queue
              set at a coarse interval (the sweep itself costs time). *)
-          Engine.wait 2000.0;
+          t.poll.(0) <- Float.infinity;
+          t.poll.(1) <- 2000.0;
+          poll_wait t;
           loop ()
         end
         else begin
           (* Idle: spin-poll for a bounded budget, then park. *)
-          let deadline =
-            Engine.now t.machine.Machine.engine +. t.spin_ns
-          in
-          let rec spin () =
-            if Engine.now t.machine.Machine.engine >= deadline then false
-            else begin
-              Engine.wait (costs t).Costs.poll_spin_ns;
-              if sweep t then true else spin ()
-            end
-          in
-          if not (spin ()) then park t;
+          Engine.set_after t.poll 0 t.spin_ns;
+          t.poll.(1) <- (costs t).Costs.poll_spin_ns;
+          if not (spin t) then park t;
           loop ()
         end
       in

@@ -50,10 +50,16 @@ let[@inline] mem t i =
 
 let clear_all t = Array.fill t.words 0 (Array.length t.words) 0
 
+(* A plain loop: the local recursive [go] it replaces closed over the
+   word array and cost a closure on every call. *)
 let is_empty t =
-  let n = Array.length t.words in
-  let rec go i = i >= n || (Array.unsafe_get t.words i = 0 && go (i + 1)) in
-  go 0
+  let words = t.words in
+  let n = Array.length words in
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get words !i = 0 do
+    incr i
+  done;
+  !i >= n
 
 (* First set bit at index >= [from], or -1. Reads words live (no
    snapshot): bits set behind the cursor during iteration are seen on

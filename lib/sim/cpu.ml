@@ -1,15 +1,20 @@
 type thread_id = int
 
+(* Per-core state is kept free of boxed fields, so a burst allocates
+   nothing beyond the wait's own continuation and delay: the last
+   thread is an int (-1 = none), and the two float accumulators live in
+   a flat float array — a mutable float field in a mixed record would
+   box on every store. *)
 type core = {
   lock : Semaphore.t;
-  mutable last_thread : thread_id option;
-  mutable busy : float;
+  mutable last_thread : thread_id;
   mutable switches : int;
-  (* End time of the burst currently charged to [busy]. The semaphore
-     serializes bursts, so at most one is in flight per core; a sampler
-     asking for busy time up to an instant inside the burst subtracts
-     the not-yet-elapsed overhang (interval accounting). *)
-  mutable burst_end : float;
+  (* fl.(0) busy ns · fl.(1) end time of the burst currently charged to
+     busy. The semaphore serializes bursts, so at most one is in flight
+     per core; a sampler asking for busy time up to an instant inside
+     the burst subtracts the not-yet-elapsed overhang (interval
+     accounting). *)
+  fl : float array;
 }
 
 type t = { costs : Costs.t; cores : core array; affinity : (thread_id, int) Hashtbl.t }
@@ -19,10 +24,9 @@ let create ?(costs = Costs.default) ~ncores () =
   let make_core _ =
     {
       lock = Semaphore.create 1;
-      last_thread = None;
-      busy = 0.0;
+      last_thread = -1;
       switches = 0;
-      burst_end = 0.0;
+      fl = [| 0.0; 0.0 |];
     }
   in
   { costs; cores = Array.init ncores make_core; affinity = Hashtbl.create 64 }
@@ -33,10 +37,11 @@ let pin t ~thread ~core =
   if core < 0 || core >= Array.length t.cores then invalid_arg "Cpu.pin: bad core";
   Hashtbl.replace t.affinity thread core
 
+(* [Hashtbl.find] rather than [find_opt]: no [Some] per lookup. *)
 let core_of t thread =
-  match Hashtbl.find_opt t.affinity thread with
-  | Some c -> c
-  | None -> thread mod Array.length t.cores
+  match Hashtbl.find t.affinity thread with
+  | c -> c
+  | exception Not_found -> thread mod Array.length t.cores
 
 let compute t ~thread ?core ns =
   let ns = if ns < 0.0 then 0.0 else ns in
@@ -44,26 +49,28 @@ let compute t ~thread ?core ns =
   let c = t.cores.(idx) in
   Semaphore.acquire c.lock;
   let switch =
-    match c.last_thread with
-    | Some prev when prev = thread -> 0.0
-    | Some _ ->
-        c.switches <- c.switches + 1;
-        t.costs.ctx_switch_ns
-    | None -> 0.0
+    if c.last_thread < 0 || c.last_thread = thread then 0.0
+    else begin
+      c.switches <- c.switches + 1;
+      t.costs.ctx_switch_ns
+    end
   in
-  c.last_thread <- Some thread;
-  let total = ns +. switch in
-  c.busy <- c.busy +. total;
-  c.burst_end <- Engine.now_here () +. total;
+  c.last_thread <- thread;
+  (* Boxed once here and shared by both calls below; an unboxed
+     let-bound float would be boxed again at each call. *)
+  let total = Sys.opaque_identity (ns +. switch) in
+  let fl = c.fl in
+  fl.(0) <- fl.(0) +. total;
+  Engine.set_after fl 1 total;
   Engine.wait total;
   Semaphore.release c.lock
 
 let context_switches t =
   Array.fold_left (fun acc c -> acc + c.switches) 0 t.cores
 
-let busy_ns t = Array.fold_left (fun acc c -> acc +. c.busy) 0.0 t.cores
+let busy_ns t = Array.fold_left (fun acc c -> acc +. c.fl.(0)) 0.0 t.cores
 
-let busy_ns_of_core t i = t.cores.(i).busy
+let busy_ns_of_core t i = t.cores.(i).fl.(0)
 
 (* Busy nanoseconds of core [i] accumulated strictly up to [now]: the
    whole-burst charge made at burst start minus the part of an
@@ -73,8 +80,8 @@ let busy_ns_of_core t i = t.cores.(i).busy
    a long burst entirely to the interval it began in. *)
 let busy_ns_upto t i ~now =
   let c = t.cores.(i) in
-  let overhang = Float.max 0.0 (c.burst_end -. now) in
-  Float.max 0.0 (c.busy -. overhang)
+  let overhang = Float.max 0.0 (c.fl.(1) -. now) in
+  Float.max 0.0 (c.fl.(0) -. overhang)
 
 let utilization t ~elapsed =
   if elapsed <= 0.0 then 0.0
@@ -83,6 +90,6 @@ let utilization t ~elapsed =
 let reset_stats t =
   Array.iter
     (fun c ->
-      c.busy <- 0.0;
+      c.fl.(0) <- 0.0;
       c.switches <- 0)
     t.cores

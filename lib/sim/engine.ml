@@ -210,17 +210,32 @@ let schedule t time thunk =
   t.evq.Evq.key_in.(0) <- time;
   Evq.push t.evq ~seq:t.seq ~slot
 
-let timer t ~ns fn arg =
-  let ns = if ns < 0 then 0 else ns in
+(* Queue a tag-3 event; its due time is already staged in [key_in]. *)
+let[@inline] push_timer t fn arg =
   let slot = alloc_slot t in
   (* Unchecked: [slot] comes from the free list, always in bounds. *)
   Array.unsafe_set t.tags slot 3;
   Array.unsafe_set t.pays slot (Obj.repr fn);
   Array.unsafe_set t.args slot arg;
   t.seq <- t.seq + 1;
+  Evq.push t.evq ~seq:t.seq ~slot
+
+let timer t ~ns fn arg =
+  let ns = if ns < 0 then 0 else ns in
   Array.unsafe_set t.evq.Evq.key_in 0
     (Array.unsafe_get t.fl 0 +. Stdlib.float_of_int ns);
-  Evq.push t.evq ~seq:t.seq ~slot
+  push_timer t fn arg
+
+(* Float cells owned by the caller: delays and deadlines are read and
+   compared here, next to [fl], so neither they nor the clock cross a
+   call boxed. *)
+let timer_after t cells i fn arg =
+  let d = Array.unsafe_get cells i in
+  let d = if d < 0.0 then 0.0 else d in
+  Array.unsafe_set t.evq.Evq.key_in 0 (Array.unsafe_get t.fl 0 +. d);
+  push_timer t fn arg
+
+let reached t cells i = Array.unsafe_get t.fl 0 >= cells.(i)
 
 let spawn t ?name f =
   ignore name;
@@ -248,6 +263,8 @@ let engine_of_process () =
   | None -> invalid_arg "Engine.wait/suspend called outside a process"
 
 let now_here () = (engine_of_process ()).fl.(0)
+
+let set_after cells i d = cells.(i) <- (engine_of_process ()).fl.(0) +. d
 
 let wait d =
   let t = engine_of_process () in
@@ -285,6 +302,18 @@ let unpark cell =
         Evq.push t.evq ~seq:t.seq ~slot
 
 let parked cell = cell.pk != dummy_pay
+
+(* Continue the parked process right here, inside the event being
+   dispatched, instead of queueing a tag-2 event for it: the resumed
+   process runs until its next perform and control comes back to the
+   caller. Only a timer callback may do this (see the .mli) — the
+   process then takes the callback event's place in the schedule. *)
+let resume_in_place cell =
+  if cell.pk != dummy_pay then begin
+    let k = cell.pk in
+    cell.pk <- dummy_pay;
+    Effect.Deep.continue (Obj.obj k : (unit, unit) Effect.Deep.continuation) ()
+  end
 
 (* ---------------- ticks ---------------- *)
 

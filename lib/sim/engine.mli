@@ -80,6 +80,42 @@ val unpark : park_cell -> unit
 val parked : park_cell -> bool
 (** True while a process is parked in the cell. *)
 
+val resume_in_place : park_cell -> unit
+(** [resume_in_place cell] continues the process parked in [cell] at
+    once, inside the current dispatch, and returns when that process
+    next waits, parks or ends. No event is queued, so the process runs
+    at the dispatching event's place in the (time, seq) order — where
+    {!unpark} would queue it behind every event already due at the
+    same instant. An empty cell is a no-op.
+
+    Call it only from a {!timer} callback, never from inside a
+    process. The intended use is a polling tick that stands in for a
+    [wait] loop: the process parks once, a preallocated tick re-arms
+    itself with {!timer_after} while polling would find nothing, and
+    resumes the process in place when it would. Each tick is queued
+    exactly when the replaced [wait] would have queued its event, so
+    it takes the same (time, seq) key and the schedule is unchanged. *)
+
+(** {2 Float cells}
+
+    Per-event code that keeps a delay or deadline in a caller-owned
+    [float array] hands the array and an index to these, so the value
+    and the clock are read and compared inside the engine and no float
+    is boxed at a call. *)
+
+val timer_after : t -> float array -> int -> (int -> unit) -> int -> unit
+(** [timer_after t cells i fn arg] is {!timer} with a float delay read
+    from [cells.(i)] (negative treated as 0): due at [now t +.
+    cells.(i)], the same instant a [wait cells.(i)] issued now would
+    end. *)
+
+val reached : t -> float array -> int -> bool
+(** [reached t cells i] is [now t >= cells.(i)]. *)
+
+val set_after : float array -> int -> float -> unit
+(** [set_after cells i d] stores [now_here () +. d] into [cells.(i)].
+    Must be called from within a process, like {!now_here}. *)
+
 val run : ?until:float -> t -> unit
 (** Executes events until the queue drains or virtual time would exceed
     [until]. Processes still suspended when the queue drains simply never

@@ -174,6 +174,162 @@ let test_engine_timer_alloc_free () =
         (per_event <= 2.0)
   | Sys.Bytecode | Sys.Other _ -> ()
 
+(* An idle poll loop on the timer path must replay a loop of [wait]s
+   event for event. The poller parks once per idle period; its tick
+   re-arms while there is nothing to see and resumes it in place when
+   there is. Competitors land exactly on poll instants: [early] was
+   queued before the poll due at its instant (so it runs first and the
+   poll sees it), [late] after (so the poll misses it until the next
+   one), [at_deadline] on the deadline instant itself, and a peer
+   process waits on the same grid so ties between processes matter.
+   Resuming through [unpark] instead would queue an extra event and
+   move the poller behind the peer at the same instant. *)
+let poll_scenario variant =
+  let e = Engine.create () in
+  let log = Buffer.create 512 in
+  let note s = Buffer.add_string log (Printf.sprintf "%s@%.0f;" s (Engine.now e)) in
+  let ready = ref 0 in
+  let cells = [| 0.0; 80.0 |] in
+  let cell = Engine.make_park_cell () in
+  let rec tick _ =
+    if !ready = 0 && not (Engine.reached e cells 0) then
+      Engine.timer_after e cells 1 tick 0
+    else Engine.resume_in_place cell
+  in
+  let poll_wait () =
+    match variant with
+    | `Wait -> Engine.wait 80.0
+    | `Tick ->
+        Engine.timer_after e cells 1 tick 0;
+        Engine.park cell
+  in
+  let signal name () =
+    note name;
+    incr ready
+  in
+  Engine.schedule e 160.0 (signal "early");
+  Engine.schedule e 330.0 (fun () -> Engine.schedule e 400.0 (signal "late"));
+  Engine.schedule e 1440.0 (signal "at_deadline");
+  Engine.spawn e (fun () ->
+      let rec idle () =
+        Engine.set_after cells 0 960.0;
+        let rec spin () =
+          if Engine.reached e cells 0 then false
+          else begin
+            poll_wait ();
+            !ready > 0 || spin ()
+          end
+        in
+        if spin () then begin
+          note "work";
+          decr ready;
+          idle ()
+        end
+        else note "idle"
+      in
+      idle ());
+  Engine.spawn e (fun () ->
+      for _ = 1 to 30 do
+        Engine.wait 80.0;
+        note "peer"
+      done);
+  Engine.run e;
+  (Buffer.contents log, Engine.events_executed e, Engine.now e)
+
+let test_engine_resume_in_place_matches_wait () =
+  let log_w, ev_w, now_w = poll_scenario `Wait in
+  let log_t, ev_t, now_t = poll_scenario `Tick in
+  Alcotest.(check string) "same interleaving" log_w log_t;
+  Alcotest.(check int) "same events_executed" ev_w ev_t;
+  check_float "same final time" now_w now_t;
+  Alcotest.(check bool) "competitors were seen in the expected order" true
+    (let has sub =
+       let n = String.length sub and m = String.length log_t in
+       let rec go i = i + n <= m && (String.sub log_t i n = sub || go (i + 1)) in
+       go 0
+     in
+     has "early@160;work@160;peer@160;"
+     && has "peer@400;late@400;work@480;peer@480;"
+     && has "at_deadline@1440;work@1440;peer@1440;"
+     && has "idle@2400;")
+
+(* [resume_in_place] on an empty cell does nothing, like [unpark]. *)
+let test_engine_resume_in_place_empty () =
+  let e = Engine.create () in
+  let cell = Engine.make_park_cell () in
+  Engine.timer e ~ns:10 (fun _ -> Engine.resume_in_place cell) 0;
+  Engine.run e;
+  Alcotest.(check bool) "still empty" false (Engine.parked cell);
+  Alcotest.(check int) "one event" 1 (Engine.events_executed e)
+
+(* A spinning worker, and in a second run a busy-polling one, see
+   submissions that land exactly on their poll instants: before the
+   poll due then, after it, on the spin deadline, while parked, and a
+   stop / resume / unassign on the busy worker's grid. The event counts, final times
+   and completion instants are pinned to what the [Engine.wait] poll
+   loop produced, so any drift in the idle path's schedule shows. *)
+let worker_poll_scenario ~busy_poll =
+  let costs =
+    { Costs.default with Costs.shmem_cross_core_ns = 0.0; shmem_enqueue_ns = 0.0 }
+  in
+  let m = Machine.create ~costs ~ncores:2 () in
+  let e = m.Machine.engine in
+  let seen = Buffer.create 64 in
+  let exec ~thread:_ (r : Lab_core.Request.t) =
+    Buffer.add_string seen
+      (Printf.sprintf "%d@%.0f;" r.Lab_core.Request.id (Engine.now e));
+    Lab_core.Request.Done
+  in
+  let w =
+    Lab_runtime.Worker.create m ~id:0 ~thread:0 ~exec ~busy_poll ~spin_ns:4000.0 ()
+  in
+  let qp =
+    Lab_ipc.Qp.create ~role:Lab_ipc.Qp.Primary ~ordering:Lab_ipc.Qp.Ordered ~id:1 ()
+  in
+  Lab_runtime.Worker.assign w [ qp ];
+  Lab_runtime.Worker.start w;
+  let submit i () =
+    let r =
+      Lab_core.Request.make ~id:i ~pid:1 ~uid:0 ~thread:1 ~stack_id:1
+        ~now:(Engine.now e) (Lab_core.Request.Control i)
+    in
+    ignore (Lab_ipc.Qp.try_submit qp r)
+  in
+  let later at f () = Engine.schedule e at f in
+  if busy_poll then begin
+    Engine.schedule e 2000.0 (submit 1);
+    Engine.schedule e 5000.0 (later 6000.0 (submit 2));
+    Engine.schedule e 10000.0 (fun () -> Lab_runtime.Worker.stop w);
+    Engine.schedule e 12000.0 (fun () -> Lab_runtime.Worker.resume w);
+    Engine.schedule e 13000.0 (later 14000.0 (submit 3));
+    Engine.schedule e 18000.0 (fun () -> Lab_runtime.Worker.assign w [])
+  end
+  else begin
+    Engine.schedule e 160.0 (submit 1);
+    Engine.schedule e 330.0 (later 400.0 (submit 2));
+    Engine.schedule e 4480.0 (submit 3);
+    Engine.schedule e 20000.0 (submit 4)
+  end;
+  Engine.run e;
+  ( Engine.events_executed e,
+    Engine.now e,
+    Buffer.contents seen,
+    Lab_runtime.Worker.processed w )
+
+let test_worker_poll_schedule_pinned () =
+  let check name (ev, now, seen, n) (ev', now', seen', n') =
+    Alcotest.(check int) (name ^ " events_executed") ev' ev;
+    check_float (name ^ " final time") now' now;
+    Alcotest.(check string) (name ^ " completion instants") seen' seen;
+    Alcotest.(check int) (name ^ " processed") n' n
+  in
+  check "spin"
+    (worker_poll_scenario ~busy_poll:false)
+    (175, 24000.0, "1@160;2@480;3@4480;4@20000;", 4);
+  check "busy"
+    (worker_poll_scenario ~busy_poll:true)
+    (77, 22000.0, "1@2000;2@8000;3@16000;", 3)
+
 (* stop_all must blank the event pool, not just the queue indices, so
    dropped events release their closures to the GC. *)
 let test_engine_stop_all_releases () =
@@ -465,6 +621,40 @@ let test_cpu_utilization () =
   check_float "one core busy 1000 of 4*1000" 0.25
     (Cpu.utilization cpu ~elapsed:1000.0)
 
+(* A compute burst allocates only what its wait needs: the effect
+   continuation and the one boxed burst length (ints and a float array
+   hold the per-core state, the affinity lookup is [Hashtbl.find]).
+   20k warm-up bursts (2 ms) touch every calendar bucket the 100 ns
+   grid reaches first. Native only. *)
+let test_cpu_compute_words () =
+  let e = Engine.create () in
+  let cpu = Cpu.create ~ncores:2 () in
+  Cpu.pin cpu ~thread:5 ~core:1;
+  let unpinned = ref 0.0 and pinned = ref 0.0 in
+  let measure thread =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      Cpu.compute cpu ~thread 100.0
+    done;
+    (Gc.minor_words () -. w0) /. 10_000.0
+  in
+  Engine.spawn e (fun () ->
+      for _ = 1 to 20_000 do
+        Cpu.compute cpu ~thread:0 100.0
+      done;
+      unpinned := measure 0;
+      pinned := measure 5);
+  Engine.run e;
+  check_float "busy time kept" 4_000_000.0 (Cpu.busy_ns cpu);
+  match Sys.backend_type with
+  | Sys.Native ->
+      Alcotest.(check bool)
+        (Printf.sprintf "compute allocates <= 4 words (unpinned %.3f, pinned %.3f)"
+           !unpinned !pinned)
+        true
+        (!unpinned <= 4.0 && !pinned <= 4.0)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 let test_cpu_pinning () =
   let e = Engine.create () in
   let cpu = Cpu.create ~ncores:4 () in
@@ -472,6 +662,33 @@ let test_cpu_pinning () =
   Engine.spawn e (fun () -> Cpu.compute cpu ~thread:9 500.0);
   Engine.run e;
   check_float "burst landed on pinned core" 500.0 (Cpu.busy_ns_of_core cpu 2)
+
+(* ------------------------------------------------------------------ *)
+(* Bitset                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [is_empty] runs on every idle poll, so it must be exact across word
+   boundaries and allocate nothing. Native only for the words. *)
+let test_bitset_is_empty () =
+  let b = Bitset.create 100 in
+  Alcotest.(check bool) "fresh set is empty" true (Bitset.is_empty b);
+  Bitset.set b 70;
+  Alcotest.(check bool) "bit in the third word" false (Bitset.is_empty b);
+  Bitset.clear b 70;
+  Alcotest.(check bool) "cleared again" true (Bitset.is_empty b);
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    if Bitset.is_empty b then incr hits
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every call saw it empty" 10_000 !hits;
+  match Sys.backend_type with
+  | Sys.Native ->
+      Alcotest.(check bool)
+        (Printf.sprintf "is_empty allocates nothing (got %.0f words / 10k)" words)
+        true (words <= 2.0)
+  | Sys.Bytecode | Sys.Other _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -634,6 +851,12 @@ let () =
           Alcotest.test_case "timer" `Quick test_engine_timer;
           Alcotest.test_case "timer alloc-free" `Quick
             test_engine_timer_alloc_free;
+          Alcotest.test_case "resume_in_place matches wait" `Quick
+            test_engine_resume_in_place_matches_wait;
+          Alcotest.test_case "resume_in_place empty cell" `Quick
+            test_engine_resume_in_place_empty;
+          Alcotest.test_case "worker poll schedule pinned" `Quick
+            test_worker_poll_schedule_pinned;
           Alcotest.test_case "stop_all releases" `Quick
             test_engine_stop_all_releases;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
@@ -666,7 +889,9 @@ let () =
             test_cpu_shared_core_switches;
           Alcotest.test_case "utilization" `Quick test_cpu_utilization;
           Alcotest.test_case "pinning" `Quick test_cpu_pinning;
+          Alcotest.test_case "compute words" `Quick test_cpu_compute_words;
         ] );
+      ("bitset", [ Alcotest.test_case "is_empty" `Quick test_bitset_is_empty ]);
       ( "stats",
         [
           Alcotest.test_case "basic" `Quick test_stats_basic;
