@@ -22,13 +22,17 @@
              words/poll.
    - batching: one point of the exp_batching sweep, as a whole-stack
              events fingerprint.
+   - evq:    the timer scenario's pushes and pops replayed on a bare
+             [Evq]; its reachable words afterwards are the queue's
+             footprint, gated at <= 2x a fresh queue's.
 
    One in sixteen timers sleeps far beyond the calendar window so the
    overflow heap and window re-anchoring stay on the measured path.
 
    Default output is deterministic (event counts, words/event from
    Gc.minor_words deltas). Set LABSTOR_WALLCLOCK for events/sec and the
-   new-vs-legacy speedup (asserted >= 5x in full runs); LABSTOR_SMOKE=1
+   new-vs-legacy speedup (asserted >= 5x in full runs, where idle polls
+   must also run at least as fast as timer events); LABSTOR_SMOKE=1
    shrinks the workload for CI. Writes BENCH_sim.json. *)
 
 open Lab_sim
@@ -126,9 +130,8 @@ let run_legacy ~warmup ~total =
   (events, words /. Stdlib.float_of_int events, wall)
 
 (* Idle spin: a real worker, one empty queue, a spin budget longer
-   than the run. The first millisecond is not measured: it touches
-   every calendar bucket the 80 ns poll grid reaches (a bucket's entry
-   array is allocated on first use). *)
+   than the run. The first millisecond (worker start-up) is not
+   measured. *)
 let run_idle_spin ~polls =
   let m = Machine.create ~ncores:1 () in
   let e = m.Machine.engine in
@@ -149,6 +152,36 @@ let run_idle_spin ~polls =
   Engine.run ~until:warm_ns e;
   measured e (fun () -> Engine.run ~until:limit e)
 
+(* Queue footprint: replay [run_timer]'s exact push/pop sequence (same
+   seqs, same times) on a bare queue and count the words it retains.
+   [Engine] keeps its queue private, hence the replay. *)
+let evq_words ~warmup ~total =
+  let q = Evq.create () in
+  let seq = ref 0 in
+  let push time slot =
+    Stdlib.incr seq;
+    q.Evq.key_in.(0) <- time;
+    Evq.push q ~seq:!seq ~slot
+  in
+  let phase remaining =
+    let remaining = ref remaining in
+    for i = 0 to loops - 1 do
+      push (q.Evq.key_out.(0) +. Stdlib.float_of_int (100 + i)) i
+    done;
+    let slot = ref (Evq.pop q) in
+    while !slot >= 0 do
+      if !remaining > 0 then begin
+        Stdlib.decr remaining;
+        push (q.Evq.key_out.(0) +. Stdlib.float_of_int (delay_ns !slot)) !slot
+      end;
+      slot := Evq.pop q
+    done
+  in
+  let fresh = Obj.reachable_words (Obj.repr q) in
+  phase warmup;
+  phase total;
+  (fresh, Obj.reachable_words (Obj.repr q))
+
 let rate events wall =
   if wall > 0.0 then Stdlib.float_of_int events /. wall else 0.0
 
@@ -156,7 +189,7 @@ let run () =
   let smoke = Bench_util.smoke () in
   (* Warmup must cover at least one full calendar-window cycle (~42000
      events for this workload: ~3.1 ns of simulated time per event
-     against a 131 us window) so pool and bucket growth are out of the
+     against a 131 us window) so entry-pool and heap growth are out of the
      measured phase. *)
   let warmup = if smoke then 50_000 else 100_000 in
   let timer_total = if smoke then 20_000 else 2_000_000 in
@@ -188,6 +221,9 @@ let run () =
       ~total_ops:batch_ops in
   Bench_util.print_row widths
     [ "batching"; string_of_int b.Exp_batching.events; "-" ];
+  let q_fresh, q_words = evq_words ~warmup ~total:timer_total in
+  Bench_util.note "evq footprint after the timer scenario: %d words (fresh %d)"
+    q_words q_fresh;
   Bench_util.note
     "timer is the pooled closure-free path; legacy replicates the";
   Bench_util.note
@@ -213,6 +249,15 @@ let run () =
       i_wpe;
     exit 1
   end;
+  (* Footprint guard: the queue's storage must not grow with the
+     number of buckets a run has touched. *)
+  if q_words > 2 * q_fresh then begin
+    Bench_util.note
+      "FOOTPRINT REGRESSION: evq holds %d words after the timer scenario \
+       (budget 2x fresh = %d)"
+      q_words (2 * q_fresh);
+    exit 1
+  end;
   if Bench_util.wallclock_enabled () then begin
     Bench_util.note "timer:  %7.0fk events/sec" (rate t_events t_wall /. 1e3);
     Bench_util.note "wait:   %7.0fk events/sec" (rate w_events w_wall /. 1e3);
@@ -227,6 +272,15 @@ let run () =
           speedup;
         exit 1
       end
+    end;
+    (* An empty poll is one timer event on a near-empty queue, so it
+       must be no slower than a timer event on a 256-entry queue. *)
+    if (not smoke) && rate i_events i_wall < rate t_events t_wall then begin
+      Bench_util.note
+        "IDLE-SPIN REGRESSION: %.0fk polls/sec below %.0fk timer events/sec"
+        (rate i_events i_wall /. 1e3)
+        (rate t_events t_wall /. 1e3);
+      exit 1
     end
   end;
   (* Determinism: identical runs must execute the identical event
@@ -254,10 +308,11 @@ let run () =
     \  \"idle_spin_polls\": %d,\n\
     \  \"idle_spin_words_per_poll\": %.4f,\n\
     \  \"batching_events\": %d,\n\
+    \  \"evq_words\": %d,\n\
     \  \"deterministic\": %b\n\
      }\n"
     loops t_events t_wpe alloc_ok w_events w_wpe l_events l_wpe i_events
-    i_wpe b.Exp_batching.events
+    i_wpe b.Exp_batching.events q_words
     (t_events = t_events' && t_now = t_now');
   close_out oc;
   Bench_util.note "wrote BENCH_sim.json"

@@ -53,7 +53,8 @@ dune exec bin/bench_diff.exe -- bench/baselines/BENCH_lvm.json BENCH_lvm.json
 
 echo "== sim smoke (--smoke) =="
 # Asserts the pooled timer path stays within 2 minor words/event in
-# steady state and that back-to-back runs execute identical event
+# steady state, the event queue within 2x its fresh size after the
+# timer scenario, and that back-to-back runs execute identical event
 # sequences; exits nonzero on violation.
 dune exec bench/main.exe -- sim --smoke
 test -s BENCH_sim.json

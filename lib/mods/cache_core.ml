@@ -196,19 +196,25 @@ let chunk_shift = 6
 let shard_of t page = t.shards.((page lsr chunk_shift) mod t.cfg.nshards)
 
 (* Group a request's pages by shard, groups in ascending shard order so
-   concurrent requests always visit shards in the same order. *)
+   concurrent requests always visit shards in the same order. A
+   one-page request (the common case) is its own single group. *)
 let group_by_shard t pages =
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (fun p ->
-      let sh = shard_of t p in
-      match Hashtbl.find_opt tbl sh.sh_id with
-      | Some (_, acc) -> acc := p :: !acc
-      | None -> Hashtbl.replace tbl sh.sh_id (sh, ref [ p ]))
-    pages;
-  List.sort
-    (fun ((a : shard), _) (b, _) -> compare a.sh_id b.sh_id)
-    (Hashtbl.fold (fun _ (sh, acc) gs -> (sh, List.rev !acc) :: gs) tbl [])
+  match pages with
+  | [ p ] -> [ (shard_of t p, pages) ]
+  | _ ->
+      let tbl = Hashtbl.create 4 in
+      List.iter
+        (fun p ->
+          let sh = shard_of t p in
+          match Hashtbl.find_opt tbl sh.sh_id with
+          | Some (_, acc) -> acc := p :: !acc
+          | None -> Hashtbl.replace tbl sh.sh_id (sh, ref [ p ]))
+        pages;
+      List.sort
+        (fun ((a : shard), _) (b, _) -> compare a.sh_id b.sh_id)
+        (Hashtbl.fold
+           (fun _ (sh, acc) gs -> (sh, List.rev !acc) :: gs)
+           tbl [])
 
 (* Enter a shard: serialize on its lock and pay the per-shard service
    cost. With one shard every worker funnels through here; with many

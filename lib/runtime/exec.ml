@@ -31,10 +31,16 @@ let run machine ~registry ~stack ~thread req =
                     on_result (forward uuid r)));
           }
         in
-        let t0 = now () in
-        let result = m.Labmod.ops.Labmod.operate m ctx req in
-        mod_span req ~name:m.Labmod.name ~uuid ~thread ~t0 ~t1:(now ());
-        result
+        (* Read the clock only for a traced request: [Engine.now]
+           returns a boxed float, and an untraced hop would box two
+           just to drop them. *)
+        (match req.Request.trace with
+        | None -> m.Labmod.ops.Labmod.operate m ctx req
+        | Some _ ->
+            let t0 = now () in
+            let result = m.Labmod.ops.Labmod.operate m ctx req in
+            mod_span req ~name:m.Labmod.name ~uuid ~thread ~t0 ~t1:(now ());
+            result)
   and forward uuid r = forward_all (Stack.next_uuids stack uuid) r
   (* Every successor runs; the last one's result is the hop's. *)
   and forward_all nexts r =

@@ -11,15 +11,23 @@
    monotonic).
 
    Layout. The calendar covers one window of [nbuckets] buckets of
-   [width] ns starting at [wstart]; an entry due inside the window is
-   appended, unsorted, to its bucket. Entries past the window go to the
-   overflow heap. Draining sorts each bucket once when the cursor
-   reaches it; entries that arrive for the bucket currently draining
-   (schedule-at-now is common) are insertion-placed into the sorted
-   remainder. When the window is exhausted it is re-anchored at the
-   overflow minimum and every heap entry now inside the new window
-   migrates into buckets, so an idle stretch costs one re-anchor, not a
-   walk over empty buckets.
+   [width] ns starting at [wstart]. Every entry due inside the window
+   lives in one shared entry pool (parallel time/seq/slot/next arrays
+   with a free list); a bucket is just a head and a tail index into it,
+   and its list is kept sorted by (time, seq) on insert. Pop therefore
+   always takes the head of the draining bucket. Insert checks the tail
+   first: seqs only grow, so schedule-at-now and later-than-everything
+   pushes append in O(1); only an out-of-order time walks the (short)
+   list. Entries at or before the drain cursor join the draining
+   bucket. Entries past the window go to the overflow heap. When the
+   window is exhausted it is re-anchored at the overflow minimum and
+   every heap entry now inside the new window migrates into buckets, so
+   an idle stretch costs one re-anchor, not a walk over empty buckets.
+
+   Footprint is the point of the pool: the queue holds a handful of
+   entries at a time, so the pool stays a few cache lines, a push
+   touches two words of bucket state, and the GC has a fixed, small
+   set of blocks to mark.
 
    Floats must never cross a function boundary on the hot path (the
    compiler would box them), so the API is staged: writers store the
@@ -39,12 +47,14 @@ type t = {
      fq.(2) = float nbuckets · fq.(3) = width *)
   fq : float array;
   mutable cur : int;  (* draining bucket; [nbuckets] = window exhausted *)
-  mutable cur_sorted : bool;
-  bt : float array array;  (* per-bucket times *)
-  bs : int array array;  (* per-bucket seqs *)
-  bv : int array array;  (* per-bucket slots *)
-  blen : int array;
-  bpos : int array;  (* drain position within the current bucket *)
+  (* entry pool: one node per in-window entry *)
+  mutable ptime : float array;
+  mutable pseq : int array;
+  mutable pslot : int array;
+  mutable pnext : int array;  (* bucket-list link, or free-list link *)
+  mutable free : int;  (* free-list head; -1 = pool exhausted *)
+  bhead : int array;  (* per-bucket first node; -1 = empty *)
+  btail : int array;  (* per-bucket last node; -1 = empty *)
   occ : int array;  (* occupancy bitmap, 32 buckets per word *)
   mutable ht : float array;  (* overflow heap, SoA *)
   mutable hs : int array;
@@ -53,38 +63,56 @@ type t = {
   mutable count : int;
 }
 
-(* Narrow buckets keep each bucket's sort small and keep re-arms out of
-   the insertion-into-current-bucket path even under thousands of
-   outstanding events; the occupancy bitmap makes skipping the many
-   empty buckets O(1), so sparse workloads don't pay for the width.
-   16384 x 8 ns = a 131 us window before the overflow heap kicks in. *)
+(* Narrow buckets keep each bucket's list short (so an out-of-order
+   insert walks one or two nodes) even under thousands of outstanding
+   events; the occupancy bitmap makes skipping the many empty buckets
+   O(1), so sparse workloads don't pay for the width. 16384 x 8 ns = a
+   131 us window before the overflow heap kicks in. *)
 let default_nbuckets = 16384
 
 let default_width = 8.0
 
+let initial_pool = 64
+
+(* Make nodes [lo, length) the whole free list. [lo] is below the pool
+   length: 0 for a fresh or cleared pool, the old length after growth
+   (which runs only with the free list empty). *)
+let pool_thread t lo =
+  let n = Array.length t.pnext in
+  for i = lo to n - 2 do
+    t.pnext.(i) <- i + 1
+  done;
+  t.pnext.(n - 1) <- -1;
+  t.free <- lo
+
 let create ?(nbuckets = default_nbuckets) ?(width = default_width) () =
   if nbuckets <= 0 then invalid_arg "Evq.create: nbuckets must be positive";
   if not (width > 0.0) then invalid_arg "Evq.create: width must be positive";
-  {
-    key_in = Array.make 1 0.0;
-    key_out = Array.make 1 0.0;
-    out_seq = 0;
-    nbuckets;
-    fq = [| 0.0; 1.0 /. width; Stdlib.float_of_int nbuckets; width |];
-    cur = 0;
-    cur_sorted = false;
-    bt = Array.make nbuckets [||];
-    bs = Array.make nbuckets [||];
-    bv = Array.make nbuckets [||];
-    blen = Array.make nbuckets 0;
-    bpos = Array.make nbuckets 0;
-    occ = Array.make ((nbuckets + 31) / 32) 0;
-    ht = [||];
-    hs = [||];
-    hv = [||];
-    hsize = 0;
-    count = 0;
-  }
+  let t =
+    {
+      key_in = Array.make 1 0.0;
+      key_out = Array.make 1 0.0;
+      out_seq = 0;
+      nbuckets;
+      fq = [| 0.0; 1.0 /. width; Stdlib.float_of_int nbuckets; width |];
+      cur = 0;
+      ptime = Array.make initial_pool 0.0;
+      pseq = Array.make initial_pool 0;
+      pslot = Array.make initial_pool 0;
+      pnext = Array.make initial_pool 0;
+      free = -1;
+      bhead = Array.make nbuckets (-1);
+      btail = Array.make nbuckets (-1);
+      occ = Array.make ((nbuckets + 31) / 32) 0;
+      ht = [||];
+      hs = [||];
+      hv = [||];
+      hsize = 0;
+      count = 0;
+    }
+  in
+  pool_thread t 0;
+  t
 
 let length t = t.count
 
@@ -169,9 +197,9 @@ let heap_drop_min t =
 
 (* Unchecked accesses throughout the occupancy/bucket/heap hot paths:
    every index is maintained internally (bucket indices are clamped to
-   [0, nbuckets), positions are bounded by blen/bpos/hsize invariants,
-   capacities by bucket_reserve/heap_grow), and these run several times
-   per simulated event. *)
+   [0, nbuckets), nodes come from the free list, which only ever holds
+   pool indices, and heap positions are bounded by [hsize]), and these
+   run several times per simulated event. *)
 
 let[@inline] occ_set t b =
   let w = b lsr 5 in
@@ -213,118 +241,79 @@ let next_occupied t b =
     if !bits = 0 then t.nbuckets else (!w lsl 5) + ctz !bits
   end
 
-(* ---------------- buckets ---------------- *)
+(* ---------------- entry pool and bucket lists ---------------- *)
 
-let bucket_reserve t b need =
-  let cap = Array.length t.bt.(b) in
-  if need > cap then begin
-    let n = Stdlib.max 8 (Stdlib.max need (2 * cap)) in
-    let bt = Array.make n 0.0 and bs = Array.make n 0 and bv = Array.make n 0 in
-    let len = t.blen.(b) in
-    Array.blit t.bt.(b) 0 bt 0 len;
-    Array.blit t.bs.(b) 0 bs 0 len;
-    Array.blit t.bv.(b) 0 bv 0 len;
-    t.bt.(b) <- bt;
-    t.bs.(b) <- bs;
-    t.bv.(b) <- bv
+(* Only runs with the free list empty; doubles every pool array. *)
+let[@inline never] pool_grow t =
+  let old = Array.length t.pnext in
+  let n = 2 * old in
+  let ptime = Array.make n 0.0
+  and pseq = Array.make n 0
+  and pslot = Array.make n 0
+  and pnext = Array.make n 0 in
+  Array.blit t.ptime 0 ptime 0 old;
+  Array.blit t.pseq 0 pseq 0 old;
+  Array.blit t.pslot 0 pslot 0 old;
+  Array.blit t.pnext 0 pnext 0 old;
+  t.ptime <- ptime;
+  t.pseq <- pseq;
+  t.pslot <- pslot;
+  t.pnext <- pnext;
+  pool_thread t old
+
+(* Link node [n] (key already stored) into the sorted list of bucket
+   [b], which is non-empty and whose tail sorts after [n]. Takes only
+   ints, so it can stay out of line without boxing. *)
+let insert_sorted t b n =
+  let ptime = t.ptime and pseq = t.pseq and pnext = t.pnext in
+  let time = Array.unsafe_get ptime n and seq = Array.unsafe_get pseq n in
+  let hd = Array.unsafe_get t.bhead b in
+  if before time seq (Array.unsafe_get ptime hd) (Array.unsafe_get pseq hd)
+  then begin
+    Array.unsafe_set pnext n hd;
+    Array.unsafe_set t.bhead b n
+  end
+  else begin
+    (* The tail sorts after [n], so the walk stops before the end. *)
+    let prev = ref hd and nx = ref (Array.unsafe_get pnext hd) in
+    while
+      not
+        (before time seq (Array.unsafe_get ptime !nx)
+           (Array.unsafe_get pseq !nx))
+    do
+      prev := !nx;
+      nx := Array.unsafe_get pnext !nx
+    done;
+    Array.unsafe_set pnext n !nx;
+    Array.unsafe_set pnext !prev n
   end
 
 (* Forced inline: [time] must not cross a real call boundary — a float
    argument to a non-inlined function is boxed (2 words), which is the
    entire per-event allocation budget. *)
-let[@inline] bucket_append t b time seq slot =
-  let len = Array.unsafe_get t.blen b in
-  bucket_reserve t b (len + 1);
-  Array.unsafe_set (Array.unsafe_get t.bt b) len time;
-  Array.unsafe_set (Array.unsafe_get t.bs b) len seq;
-  Array.unsafe_set (Array.unsafe_get t.bv b) len slot;
-  Array.unsafe_set t.blen b (len + 1);
-  occ_set t b
-
-(* In-place quicksort of the triple arrays by (time, seq), insertion
-   sort below a small cutoff, median-of-three pivot. Runs once per
-   bucket, when the drain cursor reaches it. *)
-(* Top level (not a local closure inside sort3): a closure capturing the
-   three arrays would be allocated once per quicksort frame. Annotated
-   so the array reads compile to unboxed monomorphic accesses. *)
-let swap3 (ta : float array) (sa : int array) (va : int array) i j =
-  let xt = ta.(i) and xs = sa.(i) and xv = va.(i) in
-  ta.(i) <- ta.(j);
-  sa.(i) <- sa.(j);
-  va.(i) <- va.(j);
-  ta.(j) <- xt;
-  sa.(j) <- xs;
-  va.(j) <- xv
-
-let rec sort3 ta sa va lo hi =
-  if hi - lo < 12 then
-    for i = lo + 1 to hi do
-      let kt = ta.(i) and ks = sa.(i) and kv = va.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && before kt ks ta.(!j) sa.(!j) do
-        ta.(!j + 1) <- ta.(!j);
-        sa.(!j + 1) <- sa.(!j);
-        va.(!j + 1) <- va.(!j);
-        decr j
-      done;
-      ta.(!j + 1) <- kt;
-      sa.(!j + 1) <- ks;
-      va.(!j + 1) <- kv
-    done
-  else begin
-    let mid = lo + ((hi - lo) / 2) in
-    if before ta.(mid) sa.(mid) ta.(lo) sa.(lo) then swap3 ta sa va lo mid;
-    if before ta.(hi) sa.(hi) ta.(lo) sa.(lo) then swap3 ta sa va lo hi;
-    if before ta.(hi) sa.(hi) ta.(mid) sa.(mid) then swap3 ta sa va mid hi;
-    let pt = ta.(mid) and ps = sa.(mid) in
-    let i = ref (lo - 1) and j = ref (hi + 1) in
-    let p = ref (-1) in
-    while !p < 0 do
-      incr i;
-      while before ta.(!i) sa.(!i) pt ps do
-        incr i
-      done;
-      decr j;
-      while before pt ps ta.(!j) sa.(!j) do
-        decr j
-      done;
-      if !i >= !j then p := !j else swap3 ta sa va !i !j
-    done;
-    sort3 ta sa va lo !p;
-    sort3 ta sa va (!p + 1) hi
+let[@inline] bucket_add t b time seq slot =
+  if t.free < 0 then pool_grow t;
+  let n = t.free in
+  let pnext = t.pnext in
+  t.free <- Array.unsafe_get pnext n;
+  Array.unsafe_set t.ptime n time;
+  Array.unsafe_set t.pseq n seq;
+  Array.unsafe_set t.pslot n slot;
+  let tl = Array.unsafe_get t.btail b in
+  if tl < 0 then begin
+    Array.unsafe_set pnext n (-1);
+    Array.unsafe_set t.bhead b n;
+    Array.unsafe_set t.btail b n;
+    occ_set t b
   end
-
-(* Place an entry into the sorted remainder [bpos, blen) of the bucket
-   being drained (binary search + shift). Used for schedule-at-now and
-   for any entry whose time lands at or before the drain cursor. Like
-   {!heap_push}, the time comes from [key_in] — this path runs on every
-   push while other events are outstanding, so a boxed float argument
-   here would blow the per-event allocation budget. *)
-let insert_current t seq slot =
-  let time = Array.unsafe_get t.key_in 0 in
-  let b = t.cur in
-  let len = Array.unsafe_get t.blen b in
-  bucket_reserve t b (len + 1);
-  let ta = Array.unsafe_get t.bt b
-  and sa = Array.unsafe_get t.bs b
-  and va = Array.unsafe_get t.bv b in
-  let lo = ref (Array.unsafe_get t.bpos b) and hi = ref len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if
-      before (Array.unsafe_get ta mid) (Array.unsafe_get sa mid) time seq
-    then lo := mid + 1
-    else hi := mid
-  done;
-  let p = !lo in
-  Array.blit ta p ta (p + 1) (len - p);
-  Array.blit sa p sa (p + 1) (len - p);
-  Array.blit va p va (p + 1) (len - p);
-  Array.unsafe_set ta p time;
-  Array.unsafe_set sa p seq;
-  Array.unsafe_set va p slot;
-  Array.unsafe_set t.blen b (len + 1);
-  occ_set t b
+  else if
+    before (Array.unsafe_get t.ptime tl) (Array.unsafe_get t.pseq tl) time seq
+  then begin
+    Array.unsafe_set pnext n (-1);
+    Array.unsafe_set pnext tl n;
+    Array.unsafe_set t.btail b n
+  end
+  else insert_sorted t b n
 
 (* ---------------- push / pop ---------------- *)
 
@@ -341,14 +330,12 @@ let push t ~seq ~slot =
     if f >= 0.0 && f < Array.unsafe_get fq 2 then begin
       let b = int_of_float f in
       t.cur <- b;
-      t.cur_sorted <- false;
-      bucket_append t b time seq slot
+      bucket_add t b time seq slot
     end
     else begin
       Array.unsafe_set fq 0 time;
       t.cur <- 0;
-      t.cur_sorted <- false;
-      bucket_append t 0 time seq slot
+      bucket_add t 0 time seq slot
     end
   end
   else begin
@@ -356,22 +343,19 @@ let push t ~seq ~slot =
     if f >= Array.unsafe_get fq 2 || t.cur >= t.nbuckets then
       heap_push t seq slot
     else begin
+      (* At or before the drain cursor: join the draining bucket. *)
       let b = int_of_float f in
-      let b = if b < 0 then 0 else b in
-      if b <= t.cur then
-        if t.cur_sorted then insert_current t seq slot
-        else bucket_append t t.cur time seq slot
-      else bucket_append t b time seq slot
+      bucket_add t (if b < t.cur then t.cur else b) time seq slot
     end
   end
 
 (* Re-anchor the window at the overflow minimum and migrate every heap
-   entry that now falls inside it. Called with all buckets empty. *)
+   entry that now falls inside it. Called with all buckets empty; the
+   heap yields ascending keys, so every migration is a tail append. *)
 let advance_window t =
   let fq = t.fq in
   fq.(0) <- t.ht.(0);
   t.cur <- 0;
-  t.cur_sorted <- false;
   let fmax = fq.(2) in
   let continue = ref true in
   while !continue && t.hsize > 0 do
@@ -381,32 +365,35 @@ let advance_window t =
     else begin
       let seq = t.hs.(0) and slot = t.hv.(0) in
       heap_drop_min t;
-      let b = int_of_float f in
-      let b = if b < 0 then 0 else b in
-      bucket_append t b time seq slot
+      bucket_add t (int_of_float f) time seq slot
     end
   done
 
 (* Pop the minimum entry: returns its slot, or -1 when empty; the key
-   is left in key_out.(0) / out_seq. *)
+   is left in key_out.(0) / out_seq. While entries remain, the draining
+   bucket is never empty, so the minimum is its list head. *)
 let rec pop t =
   if t.count = 0 then -1
   else if t.cur < t.nbuckets then begin
     let b = t.cur in
-    if (not t.cur_sorted) && Array.unsafe_get t.blen b = 1 then begin
-      (* Untouched single-entry bucket — the common case at this bucket
-         width: emit directly, skipping the sort/bpos protocol. *)
-      Array.unsafe_set t.key_out 0
-        (Array.unsafe_get (Array.unsafe_get t.bt b) 0);
-      t.out_seq <- Array.unsafe_get (Array.unsafe_get t.bs b) 0;
-      let slot = Array.unsafe_get (Array.unsafe_get t.bv b) 0 in
-      t.count <- t.count - 1;
-      Array.unsafe_set t.blen b 0;
+    let n = Array.unsafe_get t.bhead b in
+    let pnext = t.pnext in
+    Array.unsafe_set t.key_out 0 (Array.unsafe_get t.ptime n);
+    t.out_seq <- Array.unsafe_get t.pseq n;
+    let slot = Array.unsafe_get t.pslot n in
+    let nx = Array.unsafe_get pnext n in
+    Array.unsafe_set pnext n t.free;
+    t.free <- n;
+    t.count <- t.count - 1;
+    if nx >= 0 then Array.unsafe_set t.bhead b nx
+    else begin
+      Array.unsafe_set t.bhead b (-1);
+      Array.unsafe_set t.btail b (-1);
       occ_clear t b;
-      t.cur <- next_occupied t (b + 1);
-      slot
-    end
-    else pop_slow t b
+      (* With nothing left, the next push re-aims the cursor itself. *)
+      if t.count > 0 then t.cur <- next_occupied t (b + 1)
+    end;
+    slot
   end
   else begin
     (* Window exhausted; count > 0 means the overflow heap is live. *)
@@ -414,50 +401,14 @@ let rec pop t =
     pop t
   end
 
-and pop_slow t b =
-  begin
-    if not t.cur_sorted then begin
-      if Array.unsafe_get t.blen b > 1 then
-        sort3 t.bt.(b) t.bs.(b) t.bv.(b) 0 (t.blen.(b) - 1);
-      Array.unsafe_set t.bpos b 0;
-      t.cur_sorted <- true
-    end;
-    let p = Array.unsafe_get t.bpos b in
-    let len = Array.unsafe_get t.blen b in
-    if p < len then begin
-      Array.unsafe_set t.key_out 0 (Array.unsafe_get (Array.unsafe_get t.bt b) p);
-      t.out_seq <- Array.unsafe_get (Array.unsafe_get t.bs b) p;
-      let slot = Array.unsafe_get (Array.unsafe_get t.bv b) p in
-      t.count <- t.count - 1;
-      let p' = p + 1 in
-      if p' = len then begin
-        Array.unsafe_set t.blen b 0;
-        Array.unsafe_set t.bpos b 0;
-        occ_clear t b;
-        t.cur <- next_occupied t (b + 1);
-        t.cur_sorted <- false
-      end
-      else Array.unsafe_set t.bpos b p';
-      slot
-    end
-    else begin
-      t.blen.(b) <- 0;
-      t.bpos.(b) <- 0;
-      occ_clear t b;
-      t.cur <- next_occupied t (b + 1);
-      t.cur_sorted <- false;
-      pop t
-    end
-  end
-
-(* Slots, times and seqs are scalars — clearing the counters is enough
+(* Slots, times and seqs are scalars — resetting the lists is enough
    for the GC; the engine owns (and blanks) the payload pool. *)
 let clear t =
-  Array.fill t.blen 0 t.nbuckets 0;
-  Array.fill t.bpos 0 t.nbuckets 0;
+  Array.fill t.bhead 0 t.nbuckets (-1);
+  Array.fill t.btail 0 t.nbuckets (-1);
   Array.fill t.occ 0 (Array.length t.occ) 0;
+  pool_thread t 0;
   t.cur <- 0;
-  t.cur_sorted <- false;
   t.fq.(0) <- 0.0;
   t.hsize <- 0;
   t.count <- 0

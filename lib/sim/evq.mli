@@ -5,7 +5,8 @@
     parallel unboxed arrays; {!pop} returns them in strictly ascending
     [(time, seq)] order — identical to a stable binary heap keyed on
     [(time, seq)] with unique seqs (same-time entries drain in push
-    order).
+    order). In-window entries live in one shared pool; each bucket is a
+    sorted list threaded through it.
 
     Because a [float] crossing a function boundary would be boxed by
     the compiler, the key is exchanged through staging cells instead of
@@ -22,13 +23,14 @@ type t = {
   nbuckets : int;
   fq : float array;
       (** [0] wstart · [1] 1/width · [2] float nbuckets · [3] width *)
-  mutable cur : int;
-  mutable cur_sorted : bool;
-  bt : float array array;
-  bs : int array array;
-  bv : int array array;
-  blen : int array;
-  bpos : int array;
+  mutable cur : int;  (** draining bucket; [nbuckets] = window exhausted *)
+  mutable ptime : float array;  (** entry pool: times *)
+  mutable pseq : int array;
+  mutable pslot : int array;
+  mutable pnext : int array;  (** bucket-list or free-list link *)
+  mutable free : int;
+  bhead : int array;  (** per-bucket first pool node, [-1] = empty *)
+  btail : int array;  (** per-bucket last pool node, [-1] = empty *)
   occ : int array;  (** occupancy bitmap, 32 buckets per word *)
   mutable ht : float array;
   mutable hs : int array;
@@ -39,7 +41,7 @@ type t = {
 
 val create : ?nbuckets:int -> ?width:float -> unit -> t
 (** [create ()] uses 16384 buckets of 8 ns — one 131 µs window. Narrow
-    buckets keep per-bucket sorts small under high concurrency, and the
+    buckets keep per-bucket lists short under high concurrency, and the
     occupancy bitmap makes skipping empty buckets O(1), so sparse
     workloads don't pay for the width. Entries past the window fall
     back to the overflow heap and migrate in when the window advances,
@@ -49,7 +51,7 @@ val create : ?nbuckets:int -> ?width:float -> unit -> t
 val push : t -> seq:int -> slot:int -> unit
 (** Inserts the entry [(key_in.(0), seq, slot)]. Seqs must be unique
     per queue ({!pop} order among equal times follows seqs). Amortized
-    O(1); allocates only when a bucket or the heap grows. *)
+    O(1); allocates only when the entry pool or the heap grows. *)
 
 val pop : t -> int
 (** Removes the minimum-[(time, seq)] entry and returns its slot, or

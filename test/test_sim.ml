@@ -367,49 +367,169 @@ let test_engine_determinism () =
 
 (* The calendar queue must pop the exact same (time, seq, slot)
    sequence as a binary heap ordered on (time, seq) — the engine's
-   byte-identical-output guarantee rests on this. The generator drives
-   random push/pop interleavings with duplicate times (same-time FIFO),
-   a tiny 8x16ns window so times up to ~1000 constantly overflow into
-   the far-future heap and force window advances, and pushes landing at
-   or before the drain cursor (schedule-at-now). *)
-let prop_evq_matches_heap =
+   byte-identical-output guarantee rests on this. Each generated op
+   list mixes the shapes that reach different queue paths:
+
+   - [scattered]: absolute times up to ~1000 with duplicates — at the
+     tiny 8x16 ns window they constantly overflow into the heap;
+   - [burst]: runs of pushes at one timestamp (tail appends, same-time
+     FIFO);
+   - [one_bucket]: out-of-order times inside one bucket, so inserts
+     land mid-list and at the head;
+   - [behind]: times before the last pop (the drain cursor);
+   - [far]: times one to three windows ahead (overflow heap, window
+     re-anchoring);
+   - [drain_far]: pop to empty, then push past the window;
+   - [clear]: drop everything, then keep using the queue.
+
+   Push times are relative to the last popped time, as the engine's
+   are. *)
+type evq_op =
+  | Pop
+  | Push_at of float  (* absolute time *)
+  | Push_after of float  (* offset from the last popped time, >= -now *)
+  | Drain
+  | Clear
+
+let gen_evq_ops ~width ~window =
+  let open QCheck.Gen in
+  let pops = map (fun n -> List.init n (fun _ -> Pop)) (int_range 0 3) in
+  let scattered =
+    map (fun m -> [ Push_at (Stdlib.float_of_int (m * 97 mod 1000)) ]) small_nat
+  in
+  let burst =
+    map (fun n -> List.init n (fun _ -> Push_after 0.0)) (int_range 1 12)
+  in
+  let one_bucket =
+    map
+      (List.map (fun k ->
+           Push_after (width +. (Stdlib.float_of_int k *. width /. 8.0))))
+      (list_size (int_range 2 8) (int_range 0 7))
+  in
+  let behind =
+    map (fun r -> [ Push_after (-.Stdlib.float_of_int r) ]) (int_range 1 300)
+  in
+  let far =
+    map2
+      (fun k r ->
+        [ Push_after ((window *. Stdlib.float_of_int k) +. Stdlib.float_of_int r) ])
+      (int_range 1 3) small_nat
+  in
+  let drain_far = map (fun ops -> Drain :: ops) far in
+  let chunk =
+    frequency
+      [
+        (6, pops);
+        (3, scattered);
+        (2, burst);
+        (2, one_bucket);
+        (2, behind);
+        (2, far);
+        (1, drain_far);
+        (1, return [ Clear ]);
+      ]
+  in
+  map List.concat (list_size (int_range 0 60) chunk)
+
+let show_evq_op = function
+  | Pop -> "pop"
+  | Push_at t -> Printf.sprintf "at %g" t
+  | Push_after d -> Printf.sprintf "+%g" d
+  | Drain -> "drain"
+  | Clear -> "clear"
+
+let prop_evq_matches_heap_at ~name ~nbuckets ~width =
   let key_cmp (t1, s1) (t2, s2) =
     let c = Float.compare t1 t2 in
     if c <> 0 then c else Int.compare s1 s2
   in
-  QCheck.Test.make ~name:"evq pops the same (time,seq) sequence as a heap"
-    ~count:300
-    QCheck.(list (pair (int_range 0 4) small_int))
+  let window = Stdlib.float_of_int nbuckets *. width in
+  QCheck.Test.make ~name ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_evq_op ops))
+       (gen_evq_ops ~width ~window))
     (fun ops ->
-      let q = Evq.create ~nbuckets:8 ~width:16.0 () in
+      let q = Evq.create ~nbuckets ~width () in
       let h = Heap.create ~cmp:key_cmp () in
       let seq = ref 0 in
+      let now = ref 0.0 in
       let ok = ref true in
       let pop_both () =
         let slot = Evq.pop q in
         match Heap.pop h with
         | None -> ok := !ok && slot < 0
         | Some ((time, s), hslot) ->
+            now := time;
             ok :=
               !ok && slot = hslot
               && q.Evq.key_out.(0) = time
               && q.Evq.out_seq = s
       in
+      let push time =
+        incr seq;
+        q.Evq.key_in.(0) <- time;
+        Evq.push q ~seq:!seq ~slot:!seq;
+        Heap.push h (time, !seq) !seq
+      in
       List.iter
-        (fun (sel, m) ->
-          if sel = 0 then pop_both ()
-          else begin
-            incr seq;
-            let time = Stdlib.float_of_int (m * 97 mod 1000) in
-            q.Evq.key_in.(0) <- time;
-            Evq.push q ~seq:!seq ~slot:!seq;
-            Heap.push h (time, !seq) !seq
-          end)
+        (function
+          | Pop -> pop_both ()
+          | Push_at time -> push time
+          | Push_after d -> push (Float.max 0.0 (!now +. d))
+          | Drain ->
+              while not (Heap.is_empty h) do
+                pop_both ()
+              done;
+              ok := !ok && Evq.is_empty q
+          | Clear ->
+              Evq.clear q;
+              Heap.clear h)
         ops;
       while not (Evq.is_empty q) || not (Heap.is_empty h) do
         pop_both ()
       done;
-      !ok && Evq.length q = 0)
+      !ok && Evq.length q = 0 && Evq.pop q = -1)
+
+let prop_evq_matches_heap =
+  prop_evq_matches_heap_at
+    ~name:"evq pops the same (time,seq) sequence as a heap" ~nbuckets:8
+    ~width:16.0
+
+let prop_evq_matches_heap_default =
+  prop_evq_matches_heap_at
+    ~name:"evq matches the heap at the default 16384x8ns geometry"
+    ~nbuckets:16384 ~width:8.0
+
+(* Popping the last entry leaves the cursor where it was; the next push
+   re-aims it at its own bucket, or re-anchors the window when the
+   entry falls outside it. Either way the pop order is unaffected. *)
+let test_evq_push_after_last_pop () =
+  let q = Evq.create () in
+  let push seq time =
+    q.Evq.key_in.(0) <- time;
+    Evq.push q ~seq ~slot:seq
+  in
+  let pop_key () =
+    let slot = Evq.pop q in
+    (slot, q.Evq.key_out.(0))
+  in
+  let key = Alcotest.(pair int (float 0.0)) in
+  push 1 800.0;
+  Alcotest.check key "only entry" (1, 800.0) (pop_key ());
+  Alcotest.(check int) "cursor stays on the emptied bucket" 100 q.Evq.cur;
+  (* Earlier than the last pop, inside the window: cursor jumps back. *)
+  push 2 80.0;
+  Alcotest.(check int) "cursor re-aimed at the new bucket" 10 q.Evq.cur;
+  Alcotest.check key "earlier entry" (2, 80.0) (pop_key ());
+  (* Past the window: re-anchored at the entry, cursor on bucket 0. *)
+  push 3 1e6;
+  Alcotest.(check int) "re-anchored cursor" 0 q.Evq.cur;
+  Alcotest.(check (float 0.0)) "window starts at the entry" 1e6 q.Evq.fq.(0);
+  (* Behind the re-anchored window while it is live: joins bucket 0. *)
+  push 4 500.0;
+  Alcotest.check key "behind-window entry first" (4, 500.0) (pop_key ());
+  Alcotest.check key "re-anchored entry" (3, 1e6) (pop_key ());
+  Alcotest.(check int) "empty" (-1) (Evq.pop q)
 
 (* ------------------------------------------------------------------ *)
 (* Heap                                                                *)
@@ -624,8 +744,8 @@ let test_cpu_utilization () =
 (* A compute burst allocates only what its wait needs: the effect
    continuation and the one boxed burst length (ints and a float array
    hold the per-core state, the affinity lookup is [Hashtbl.find]).
-   20k warm-up bursts (2 ms) touch every calendar bucket the 100 ns
-   grid reaches first. Native only. *)
+   20k warm-up bursts (2 ms) run first, so pool growth stays out of
+   the measurement. Native only. *)
 let test_cpu_compute_words () =
   let e = Engine.create () in
   let cpu = Cpu.create ~ncores:2 () in
@@ -861,7 +981,11 @@ let () =
             test_engine_stop_all_releases;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
         ] );
-      ("evq", [ QCheck_alcotest.to_alcotest prop_evq_matches_heap ]);
+      ( "evq",
+        Alcotest.test_case "push after last pop" `Quick
+          test_evq_push_after_last_pop
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_evq_matches_heap; prop_evq_matches_heap_default ] );
       ( "heap",
         Alcotest.test_case "ordering" `Quick test_heap_ordering
         :: Alcotest.test_case "releases entries" `Quick test_heap_releases_entries
