@@ -44,7 +44,11 @@ type breakdown = {
 }
 
 let collect kind =
-  let platform = Platform.boot ~nworkers:1 ~trace_sample:1 () in
+  let platform =
+    Platform.boot ~nworkers:1
+      ~config:{ Runtime.Runtime.default_config with trace_sample = 1 }
+      ()
+  in
   ignore (Platform.mount_exn platform spec);
   let tracer = Platform.tracer platform in
   let b = { self_ns = Hashtbl.create 8; client = 0.0 } in

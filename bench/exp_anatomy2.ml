@@ -49,7 +49,11 @@ let bytes = 4096
 type run = { elapsed : float; events : int; spans : Obs.Trace.ev list }
 
 let run_case ~seed ~ops ~sample =
-  let platform = Platform.boot ~nworkers:4 ~seed ~trace_sample:sample () in
+  let platform =
+    Platform.boot ~nworkers:4 ~seed
+      ~config:{ Runtime.Runtime.default_config with trace_sample = sample }
+      ()
+  in
   (match Platform.mount platform stack_spec with
   | Ok _ -> ()
   | Error e -> failwith ("exp_anatomy2: mount: " ^ e));

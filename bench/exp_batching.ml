@@ -60,7 +60,9 @@ let run_case ~seed ~qd ~batch ~total_ops =
   let rounds = Stdlib.max 1 (total_ops / (threads * batch)) in
   let total = threads * rounds * batch in
   let platform =
-    Platform.boot ~nworkers:4 ~seed ~worker_batch_size:batch ()
+    Platform.boot ~nworkers:4 ~seed
+      ~config:{ Runtime.Runtime.default_config with worker_batch_size = batch }
+      ()
   in
   (match
      Platform.mount platform (stack_spec ~merge_window_ns:(merge_window_ns ~batch))

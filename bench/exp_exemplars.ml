@@ -58,23 +58,16 @@ type obs = Plain | Off | On
    corrected latency (completion − scheduled arrival), the same number
    the exemplar store ranks by. *)
 let run_point ~seed ~rate_kops ~total ~obs ?fault_script ?(slo = false) () =
-  let boot () =
+  let d = { Runtime.Runtime.default_config with worker_max_inflight = 32 } in
+  let config =
     match obs with
-    | Plain ->
-        Platform.boot ~nworkers:4 ~worker_max_inflight:32 ~seed ?fault_script ()
-    | Off ->
-        Platform.boot ~nworkers:4 ~worker_max_inflight:32 ~seed ?fault_script
-          ~exemplar_k:0 ~blackbox_cap:0 ()
+    | Plain | Off -> d
     | On ->
-        if slo then
-          Platform.boot ~nworkers:4 ~worker_max_inflight:32 ~seed ?fault_script
-            ~exemplar_k:32 ~blackbox_cap:4096 ~slo_p99_target_us:500.0
-            ~slo_window_ms:1.0 ()
-        else
-          Platform.boot ~nworkers:4 ~worker_max_inflight:32 ~seed ?fault_script
-            ~exemplar_k:32 ~blackbox_cap:4096 ()
+        let d = { d with exemplar_k = 32; blackbox_cap = 4096 } in
+        if slo then { d with slo_p99_target_us = 500.0; slo_window_ms = 1.0 }
+        else d
   in
-  let platform = boot () in
+  let platform = Platform.boot ~config ~nworkers:4 ~seed ?fault_script () in
   (match Platform.mount platform stack_spec with
   | Ok _ -> ()
   | Error e -> failwith ("exp_exemplars: mount: " ^ e));

@@ -64,7 +64,11 @@ type point = {
 }
 
 let run_point ~seed ~rate_kops ~total =
-  let platform = Platform.boot ~nworkers:4 ~worker_max_inflight:32 ~seed () in
+  let platform =
+    Platform.boot ~nworkers:4 ~seed
+      ~config:{ Runtime.Runtime.default_config with worker_max_inflight = 32 }
+      ()
+  in
   (match Platform.mount platform stack_spec with
   | Ok _ -> ()
   | Error e -> failwith ("exp_load: mount: " ^ e));

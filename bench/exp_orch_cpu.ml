@@ -29,7 +29,9 @@ let client_counts = [ 1; 2; 4; 8; 16 ]
 let run_config ~nclients config_name policy busy_poll =
   ignore config_name;
   let platform =
-    Platform.boot ~ncores:32 ~nworkers:8 ~policy ~workers_busy_poll:busy_poll ()
+    Platform.boot ~ncores:32 ~nworkers:8 ~policy
+      ~config:{ Runtime.Runtime.default_config with workers_busy_poll = busy_poll }
+      ()
   in
   ignore (Platform.mount_exn platform spec);
   let rt = Platform.runtime platform in

@@ -53,8 +53,15 @@ let run_case ~seed ~ops ~busy_poll ~profile =
   let profile_period = if profile then period_ns else 0.0 in
   let trace_sample = if profile then 1 else 0 in
   let platform =
-    Platform.boot ~nworkers:4 ~seed ~workers_busy_poll:busy_poll ~trace_sample
-      ~profile_period ()
+    Platform.boot ~nworkers:4 ~seed
+      ~config:
+        {
+          Runtime.Runtime.default_config with
+          workers_busy_poll = busy_poll;
+          trace_sample;
+          profile_period_ns = profile_period;
+        }
+      ()
   in
   (match Platform.mount platform stack_spec with
   | Ok _ -> ()

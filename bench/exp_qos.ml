@@ -215,7 +215,11 @@ type e2e_out = {
 }
 
 let run_e2e ~seed ~n_tenants ~noisy ~total_ops =
-  let platform = Platform.boot ~nworkers:4 ~worker_max_inflight:32 ~seed () in
+  let platform =
+    Platform.boot ~nworkers:4 ~seed
+      ~config:{ Runtime.Runtime.default_config with worker_max_inflight = 32 }
+      ()
+  in
   (match Platform.mount platform stack_spec with
   | Ok _ -> ()
   | Error e -> failwith ("exp_qos: mount: " ^ e));

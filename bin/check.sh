@@ -93,6 +93,14 @@ echo "== labstor_cli metrics smoke =="
 dune exec bin/labstor_cli.exe -- metrics --ops 200 --threads 2 > /dev/null
 test -s out/metrics.jsonl
 
+echo "== labstor_cli config smoke (examples/runtime.yaml) =="
+# Every key of the config file reaches the Runtime: the SLO keys must
+# surface as burn-rate gauges in the metrics file the config names.
+rm -f out/config_smoke/metrics.jsonl
+dune exec bin/labstor_cli.exe -- metrics examples/runtime.yaml --ops 200 --threads 2 > /dev/null
+test -s out/config_smoke/metrics.jsonl
+grep -q 'slo.client.burn_rate' out/config_smoke/metrics.jsonl
+
 echo "== labstor_cli profile/top smoke =="
 dune exec bin/labstor_cli.exe -- profile --ops 200 --threads 2 > /dev/null
 test -s out/profile.json

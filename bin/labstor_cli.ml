@@ -98,63 +98,44 @@ let run_cmd =
   let bytes = Arg.(value & opt int 4096 & info [ "bytes" ] ~doc:"bytes per write") in
   let threads = Arg.(value & opt int 1 & info [ "threads" ] ~doc:"client threads") in
   let run stack_file config_file ops bytes threads =
-    let config = parse_run_config config_file in
-    let machine = Sim.Machine.create ~ncores:24 () in
-    let nvme = Device.Device.create machine.Sim.Machine.engine Device.Profile.nvme in
-    let backend = Mods.Mods_env.backend_of_device machine nvme in
-    let config =
-      { config with Runtime.Runtime.worker_core_base = 24 - config.Runtime.Runtime.nworkers }
-    in
-    let rt =
-      Runtime.Runtime.create machine ~config ~backends:[ ("nvme", backend) ]
-        ~default_backend:"nvme" ()
-    in
-    Runtime.Runtime.start rt;
-    let spec_text = read_file stack_file in
+    let platform = Platform.boot ~config:(parse_run_config config_file) () in
     let mount =
-      match Runtime.Runtime.mount_text rt spec_text with
+      match Platform.mount platform (read_file stack_file) with
       | Ok stack -> stack.Core.Stack.mount
       | Error e ->
           Printf.eprintf "mount error: %s\n" e;
           exit 1
     in
-    let result = ref None in
-    Sim.Machine.spawn machine (fun () ->
-        let t0 = Sim.Machine.now machine in
-        let finished = ref 0 in
-        Sim.Engine.suspend (fun resume ->
-            for th = 0 to threads - 1 do
-              Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
-                  let c =
-                    Runtime.Client.connect rt ~pid:(100 + th) ~uid:1000 ~thread:th ()
-                  in
-                  for i = 1 to ops do
-                    let path = Printf.sprintf "%s/t%d-f%d" mount th i in
-                    (match Runtime.Client.create c path with
-                    | Ok () -> ()
-                    | Error e -> failwith e);
-                    match Runtime.Client.open_file c path with
-                    | Ok fd ->
-                        ignore (Runtime.Client.pwrite c ~fd ~off:0 ~bytes);
-                        ignore (Runtime.Client.close c fd)
-                    | Error e -> failwith e
-                  done;
-                  incr finished;
-                  if !finished = threads then resume ())
-            done);
-        result := Some (Sim.Machine.now machine -. t0);
-        Sim.Engine.stop_all machine.Sim.Machine.engine);
-    Sim.Machine.run machine;
-    match !result with
-    | Some elapsed ->
-        let total_ops = 3 * ops * threads in
-        Printf.printf "%s: %d ops in %.2f ms (simulated) -> %.1f kops/s, %.1f MiB written\n"
-          mount total_ops (elapsed /. 1e6)
-          (float_of_int total_ops /. (elapsed /. 1e9) /. 1000.0)
-          (float_of_int (ops * threads * bytes) /. 1048576.0)
-    | None ->
-        Printf.eprintf "workload did not complete\n";
-        exit 1
+    let machine = Platform.machine platform in
+    let elapsed =
+      Platform.go platform (fun () ->
+          let t0 = Sim.Machine.now machine in
+          let finished = ref 0 in
+          Sim.Engine.suspend (fun resume ->
+              for th = 0 to threads - 1 do
+                Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
+                    let c = Platform.client platform ~pid:(100 + th) ~thread:th () in
+                    for i = 1 to ops do
+                      let path = Printf.sprintf "%s/t%d-f%d" mount th i in
+                      (match Runtime.Client.create c path with
+                      | Ok () -> ()
+                      | Error e -> failwith e);
+                      match Runtime.Client.open_file c path with
+                      | Ok fd ->
+                          ignore (Runtime.Client.pwrite c ~fd ~off:0 ~bytes);
+                          ignore (Runtime.Client.close c fd)
+                      | Error e -> failwith e
+                    done;
+                    incr finished;
+                    if !finished = threads then resume ())
+              done);
+          Sim.Machine.now machine -. t0)
+    in
+    let total_ops = 3 * ops * threads in
+    Printf.printf "%s: %d ops in %.2f ms (simulated) -> %.1f kops/s, %.1f MiB written\n"
+      mount total_ops (elapsed /. 1e6)
+      (float_of_int total_ops /. (elapsed /. 1e9) /. 1000.0)
+      (float_of_int (ops * threads * bytes) /. 1048576.0)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Mount a LabStack on a simulated NVMe machine and drive a create/write/close workload")
@@ -293,7 +274,9 @@ let lvm_cmd =
   let run extents ops threads seed rate journal =
     let extent_blocks = 2048 in
     let platform =
-      Platform.boot ~nworkers:4 ~seed ~lvm_rebuild_rate_mbps:rate
+      Platform.boot ~nworkers:4 ~seed
+        ~config:
+          { Runtime.Runtime.default_config with lvm_rebuild_rate_mbps = rate }
         ~devices:[ Device.Profile.Nvme; Device.Profile.Nvme ]
         ()
     in
@@ -578,8 +561,33 @@ let conf_pos =
     & pos 0 (some file) None
     & info [] ~docv:"CONF"
         ~doc:
-          "Runtime configuration YAML (workers, trace_sample, trace_path, \
-           metrics_path, profile_period_us, profile_path)")
+          "Runtime configuration YAML (see Run_config); every key applies, \
+           and a flag overrides the key it names")
+
+(* A path flag beats the config's path, which beats the command's
+   default. *)
+let out_path out conf ~default =
+  match out with Some p -> p | None -> Option.value conf ~default
+
+(* A feature flag beats the config; a feature the config leaves off
+   falls back to the command's own default. *)
+let flag_or_conf flag conf ~default =
+  match flag with Some v -> v | None -> if conf > 0 then conf else default
+
+(* The sampler period (ns) for profile/top: --period-us, else the
+   config's profile_period_us, else 50 us. *)
+let period_ns period_us cfg =
+  match period_us with
+  | Some us -> us *. 1000.0
+  | None ->
+      let p = cfg.Runtime.Runtime.profile_period_ns in
+      if p > 0.0 then p else 50_000.0
+
+let period_us_arg =
+  Arg.(value & opt (some float) None
+       & info [ "period-us" ]
+           ~doc:"sampler period in microseconds (overrides the config's \
+                 profile_period_us; defaults to 50)")
 
 let metrics_cmd =
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
@@ -592,9 +600,9 @@ let metrics_cmd =
   in
   let run conf ops threads seed out =
     let cfg = parse_run_config conf in
+    let path = out_path out cfg.metrics_path ~default:"out/metrics.jsonl" in
     let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed
-        ~trace_sample:cfg.Runtime.Runtime.trace_sample ()
+      Platform.boot ~config:{ cfg with metrics_path = Some path } ~seed ()
     in
     drive_obs_workload platform ~ops ~threads;
     let fmt_value = function
@@ -613,14 +621,7 @@ let metrics_cmd =
     Printf.printf "%d instruments after %d ops x %d threads:\n" (List.length rows)
       ops threads;
     print_value_table rows;
-    let path =
-      match out with
-      | Some p -> p
-      | None ->
-          Option.value cfg.Runtime.Runtime.metrics_path
-            ~default:"out/metrics.jsonl"
-    in
-    Platform.export ~metrics_path:path platform;
+    Platform.export platform;
     Printf.printf "wrote %s\n" path
   in
   Cmd.v
@@ -633,7 +634,7 @@ let trace_cmd =
   let threads = Arg.(value & opt int 2 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
   let sample =
-    Arg.(value & opt int 0
+    Arg.(value & opt (some int) None
          & info [ "sample" ]
              ~doc:"trace 1-in-N requests (overrides the config's trace_sample; defaults to 1)")
   in
@@ -644,15 +645,12 @@ let trace_cmd =
   in
   let run conf ops threads seed sample out =
     let cfg = parse_run_config conf in
-    let sample =
-      if sample > 0 then sample
-      else if cfg.Runtime.Runtime.trace_sample > 0 then
-        cfg.Runtime.Runtime.trace_sample
-      else 1
-    in
+    let sample = flag_or_conf sample cfg.trace_sample ~default:1 in
+    let path = out_path out cfg.trace_path ~default:"out/trace.json" in
     let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed
-        ~trace_sample:sample ()
+      Platform.boot
+        ~config:{ cfg with trace_sample = sample; trace_path = Some path }
+        ~seed ()
     in
     drive_obs_workload platform ~ops ~threads;
     let evs = Obs.Trace.events (Platform.tracer platform) in
@@ -677,13 +675,7 @@ let trace_cmd =
            tbl [])
     in
     print_value_table rows;
-    let path =
-      match out with
-      | Some p -> p
-      | None ->
-          Option.value cfg.Runtime.Runtime.trace_path ~default:"out/trace.json"
-    in
-    Platform.export ~trace_path:path platform;
+    Platform.export platform;
     Printf.printf "wrote %s (load in Perfetto / chrome://tracing)\n" path
   in
   Cmd.v
@@ -697,11 +689,17 @@ let exemplars_cmd =
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
   let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let k = Arg.(value & opt int 8 & info [ "k" ] ~doc:"exemplar slots (slowest K requests kept)") in
+  let k =
+    Arg.(value & opt (some int) None
+         & info [ "k" ]
+             ~doc:"exemplar slots, the slowest K requests kept (overrides the \
+                   config's exemplar_k; defaults to 8)")
+  in
   let tail_us =
-    Arg.(value & opt float 0.0
+    Arg.(value & opt (some float) None
          & info [ "tail-us" ]
-             ~doc:"fixed promotion threshold in microseconds (0 = adapt to the live client p99)")
+             ~doc:"fixed promotion threshold in microseconds, 0 = adapt to the \
+                   live client p99 (overrides the config's exemplar_tail_us)")
   in
   let out =
     Arg.(value & opt (some string) None
@@ -710,10 +708,16 @@ let exemplars_cmd =
   in
   let run conf ops threads seed k tail_us out =
     let cfg = parse_run_config conf in
-    let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed ~exemplar_k:k
-        ~exemplar_tail_us:tail_us ()
+    let path = out_path out cfg.exemplar_path ~default:"out/exemplars.json" in
+    let cfg =
+      {
+        cfg with
+        exemplar_k = flag_or_conf k cfg.exemplar_k ~default:8;
+        exemplar_tail_us = Option.value tail_us ~default:cfg.exemplar_tail_us;
+        exemplar_path = Some path;
+      }
     in
+    let platform = Platform.boot ~config:cfg ~seed () in
     drive_obs_workload platform ~ops ~threads;
     (match Runtime.Runtime.exemplars (Platform.runtime platform) with
     | None -> Printf.printf "exemplar store disabled (k = 0)\n"
@@ -748,14 +752,7 @@ let exemplars_cmd =
             (Obs.Exemplar.dump store)
         in
         print_value_table rows);
-    let path =
-      match out with
-      | Some p -> p
-      | None ->
-          Option.value cfg.Runtime.Runtime.exemplar_path
-            ~default:"out/exemplars.json"
-    in
-    Platform.export ~exemplar_path:path platform;
+    Platform.export platform;
     Printf.printf "wrote %s\n" path
   in
   Cmd.v
@@ -767,7 +764,12 @@ let blackbox_cmd =
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
   let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let cap = Arg.(value & opt int 512 & info [ "cap" ] ~doc:"flight-recorder ring capacity (events)") in
+  let cap =
+    Arg.(value & opt (some int) None
+         & info [ "cap" ]
+             ~doc:"flight-recorder ring capacity in events (overrides the \
+                   config's blackbox_cap; defaults to 512)")
+  in
   let offline_ms =
     Arg.(value & opt float 2.0
          & info [ "offline-ms" ]
@@ -796,10 +798,15 @@ let blackbox_cmd =
               };
           ]
     in
-    let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed
-        ~blackbox_cap:cap ?fault_script ()
+    let path = out_path out cfg.blackbox_path ~default:"out/blackbox.json" in
+    let cfg =
+      {
+        cfg with
+        blackbox_cap = flag_or_conf cap cfg.blackbox_cap ~default:512;
+        blackbox_path = Some path;
+      }
     in
+    let platform = Platform.boot ~config:cfg ~seed ?fault_script () in
     drive_obs_workload platform ~ops ~threads;
     (match Runtime.Runtime.blackbox (Platform.runtime platform) with
     | None -> Printf.printf "flight recorder disabled (cap = 0)\n"
@@ -826,14 +833,7 @@ let blackbox_cmd =
                tbl [])
         in
         print_value_table rows);
-    let path =
-      match out with
-      | Some p -> p
-      | None ->
-          Option.value cfg.Runtime.Runtime.blackbox_path
-            ~default:"out/blackbox.json"
-    in
-    Platform.export ~blackbox_path:path platform;
+    Platform.export platform;
     Printf.printf "wrote %s\n" path
   in
   Cmd.v
@@ -847,10 +847,6 @@ let profile_cmd =
   let ops = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"block ops per thread") in
   let threads = Arg.(value & opt int 2 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let period_us =
-    Arg.(value & opt float 50.0
-         & info [ "period-us" ] ~doc:"sampler period in microseconds")
-  in
   let top_n =
     Arg.(value & opt int 20 & info [ "top" ] ~doc:"flamegraph rows to print")
   in
@@ -861,15 +857,17 @@ let profile_cmd =
   in
   let run conf ops threads seed period_us top_n out =
     let cfg = parse_run_config conf in
-    let period_ns =
-      if cfg.Runtime.Runtime.profile_period_ns > 0.0 then
-        cfg.Runtime.Runtime.profile_period_ns
-      else period_us *. 1000.0
+    let period_ns = period_ns period_us cfg in
+    let path = out_path out cfg.profile_path ~default:"out/profile.json" in
+    let cfg =
+      {
+        cfg with
+        trace_sample = (if cfg.trace_sample > 0 then cfg.trace_sample else 1);
+        profile_period_ns = period_ns;
+        profile_path = Some path;
+      }
     in
-    let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed ~trace_sample:1
-        ~profile_period:period_ns ()
-    in
+    let platform = Platform.boot ~config:cfg ~seed () in
     drive_obs_workload platform ~ops ~threads;
     let prof =
       Obs.Profile.of_events (Obs.Trace.events (Platform.tracer platform))
@@ -907,14 +905,7 @@ let profile_cmd =
                   r.Obs.Profile.tr_tail_mean_ns /. r.Obs.Profile.tr_p50_mean_ns
                 else 0.0) ))
          prof.Obs.Profile.tail);
-    let path =
-      match out with
-      | Some p -> p
-      | None ->
-          Option.value cfg.Runtime.Runtime.profile_path
-            ~default:"out/profile.json"
-    in
-    Platform.export ~profile_path:path platform;
+    Platform.export platform;
     Printf.printf "wrote %s\n" path
   in
   Cmd.v
@@ -922,26 +913,17 @@ let profile_cmd =
        ~doc:
          "Continuously profile a canned stack: span-based flamegraph, tail \
           attribution, and the sampler timeline exported as profile JSON")
-    Term.(const run $ conf_pos $ ops $ threads $ seed $ period_us $ top_n $ out)
+    Term.(const run $ conf_pos $ ops $ threads $ seed $ period_us_arg $ top_n $ out)
 
 let top_cmd =
   let ops = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"block ops per thread") in
   let threads = Arg.(value & opt int 2 & info [ "threads" ] ~doc:"client threads") in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
-  let period_us =
-    Arg.(value & opt float 50.0
-         & info [ "period-us" ] ~doc:"sampler period in microseconds")
-  in
   let run conf ops threads seed period_us =
     let cfg = parse_run_config conf in
-    let period_ns =
-      if cfg.Runtime.Runtime.profile_period_ns > 0.0 then
-        cfg.Runtime.Runtime.profile_period_ns
-      else period_us *. 1000.0
-    in
+    let period_ns = period_ns period_us cfg in
     let platform =
-      Platform.boot ~nworkers:cfg.Runtime.Runtime.nworkers ~seed
-        ~profile_period:period_ns ()
+      Platform.boot ~config:{ cfg with profile_period_ns = period_ns } ~seed ()
     in
     drive_obs_workload platform ~ops ~threads;
     match Runtime.Runtime.timeseries (Platform.runtime platform) with
@@ -964,7 +946,7 @@ let top_cmd =
        ~doc:
          "Drive a canned stack with the continuous-profiling sampler on and \
           summarize every utilization/occupancy series")
-    Term.(const run $ conf_pos $ ops $ threads $ seed $ period_us)
+    Term.(const run $ conf_pos $ ops $ threads $ seed $ period_us_arg)
 
 (* ---------------- mods ---------------- *)
 
@@ -1153,8 +1135,14 @@ let load_cmd =
     in
     let injectors = Stdlib.max 1 injectors in
     let platform =
-      Platform.boot ~nworkers:4 ~worker_max_inflight:32 ~seed
-        ~slo_p99_target_us:slo_p99 ()
+      Platform.boot ~nworkers:4 ~seed
+        ~config:
+          {
+            Runtime.Runtime.default_config with
+            worker_max_inflight = 32;
+            slo_p99_target_us = slo_p99;
+          }
+        ()
     in
     (match Platform.mount platform load_stack_spec with
     | Ok _ -> ()

@@ -26,16 +26,10 @@ let instance_names devices =
       if n = 0 then base else Printf.sprintf "%s%d" base (n + 1))
     devices
 
-let boot ?(ncores = 24) ?(nworkers = 4) ?policy ?costs
-    ?(devices = [ Profile.Nvme ]) ?default_device ?(seed = 0xC0FFEE)
-    ?(workers_busy_poll = false) ?(worker_batch_size = 1)
-    ?(worker_max_inflight = 16) ?fault_rates ?fault_script
-    ?(trace_sample = 0) ?trace_path ?metrics_path
-    ?(profile_period = 0.0) ?profile_path ?lvm_rebuild_rate_mbps
-    ?qos_quantum_kb ?qos_window_kb ?qos_bypass_kb ?slo_name
-    ?slo_p99_target_us ?slo_floor_kops ?slo_error_budget ?slo_window_ms
-    ?exemplar_k ?exemplar_tail_us ?exemplar_path ?blackbox_cap ?blackbox_path
-    () =
+let boot ?(config = Lab_runtime.Runtime.default_config) ?(ncores = 24)
+    ?nworkers ?policy ?costs ?(devices = [ Profile.Nvme ]) ?default_device
+    ?(seed = 0xC0FFEE) ?fault_rates ?fault_script ?worker_max_inflight
+    ?trace_sample () =
   let m = Machine.create ?costs ~seed ~ncores () in
   let devices = if devices = [] then [ Profile.Nvme ] else devices in
   let default_device = Option.value default_device ~default:(List.hd devices) in
@@ -58,100 +52,28 @@ let boot ?(ncores = 24) ?(nworkers = 4) ?policy ?costs
   let backends =
     List.map (fun (k, d) -> (k, Lab_mods.Mods_env.backend_of_device m d)) devs
   in
+  (* An explicit pool size re-deals queues round-robin over it; the
+     config's policy was sized for the config's pool. *)
   let policy =
-    Option.value policy ~default:(Lab_runtime.Orchestrator.Round_robin nworkers)
+    match (policy, nworkers) with
+    | Some p, _ -> p
+    | None, Some n -> Lab_runtime.Orchestrator.Round_robin n
+    | None, None -> config.Lab_runtime.Runtime.policy
+  in
+  let nworkers =
+    Option.value nworkers ~default:config.Lab_runtime.Runtime.nworkers
   in
   let config =
     {
-      Lab_runtime.Runtime.default_config with
-      nworkers;
+      config with
+      Lab_runtime.Runtime.nworkers;
       policy;
       (* Workers occupy the top cores; client threads take the bottom. *)
       worker_core_base = Stdlib.max 0 (ncores - nworkers);
-      workers_busy_poll;
-      worker_batch_size;
-      worker_max_inflight;
-      trace_sample;
-      trace_path;
-      metrics_path;
-      profile_period_ns = profile_period;
-      profile_path;
+      worker_max_inflight =
+        Option.value worker_max_inflight ~default:config.worker_max_inflight;
+      trace_sample = Option.value trace_sample ~default:config.trace_sample;
     }
-  in
-  let config =
-    match lvm_rebuild_rate_mbps with
-    | None -> config
-    | Some r -> { config with Lab_runtime.Runtime.lvm_rebuild_rate_mbps = r }
-  in
-  let opt_i field config v =
-    match v with None -> config | Some i -> field config i
-  in
-  let config =
-    opt_i
-      (fun c i -> { c with Lab_runtime.Runtime.qos_quantum_kb = i })
-      config qos_quantum_kb
-  in
-  let config =
-    opt_i
-      (fun c i -> { c with Lab_runtime.Runtime.qos_window_kb = i })
-      config qos_window_kb
-  in
-  let config =
-    opt_i
-      (fun c i -> { c with Lab_runtime.Runtime.qos_bypass_kb = i })
-      config qos_bypass_kb
-  in
-  (* SLO knobs: [opt_i] is type-polymorphic despite the name. *)
-  let config =
-    opt_i
-      (fun c s -> { c with Lab_runtime.Runtime.slo_name = s })
-      config slo_name
-  in
-  let config =
-    opt_i
-      (fun c f -> { c with Lab_runtime.Runtime.slo_p99_target_us = f })
-      config slo_p99_target_us
-  in
-  let config =
-    opt_i
-      (fun c f -> { c with Lab_runtime.Runtime.slo_floor_kops = f })
-      config slo_floor_kops
-  in
-  let config =
-    opt_i
-      (fun c f -> { c with Lab_runtime.Runtime.slo_error_budget = f })
-      config slo_error_budget
-  in
-  let config =
-    opt_i
-      (fun c f -> { c with Lab_runtime.Runtime.slo_window_ms = f })
-      config slo_window_ms
-  in
-  (* Retroactive observability knobs (exemplar store + flight recorder). *)
-  let config =
-    opt_i
-      (fun c i -> { c with Lab_runtime.Runtime.exemplar_k = i })
-      config exemplar_k
-  in
-  let config =
-    opt_i
-      (fun c f -> { c with Lab_runtime.Runtime.exemplar_tail_us = f })
-      config exemplar_tail_us
-  in
-  let config =
-    opt_i
-      (fun c p -> { c with Lab_runtime.Runtime.exemplar_path = Some p })
-      config exemplar_path
-  in
-  let config =
-    opt_i
-      (fun c i -> { c with Lab_runtime.Runtime.blackbox_cap = i })
-      config blackbox_cap
-  in
-  let config =
-    opt_i
-      (fun c p -> { c with Lab_runtime.Runtime.blackbox_path = Some p })
-      config blackbox_path
   in
   let rt =
     Lab_runtime.Runtime.create m ~config
@@ -274,35 +196,23 @@ let profile_json t =
   in
   Printf.sprintf "{\"timeline\":%s,\n\"spans\":%s}\n" timeline spans
 
-let export ?trace_path ?metrics_path ?profile_path ?exemplar_path
-    ?blackbox_path t =
+let export t =
   let cfg = Lab_runtime.Runtime.config t.rt in
-  let pick override conf =
-    match override with Some _ -> override | None -> conf
-  in
-  (match pick trace_path cfg.Lab_runtime.Runtime.trace_path with
-  | Some p -> write_file p (Lab_obs.Trace.to_chrome_json (tracer t))
-  | None -> ());
-  (match pick profile_path cfg.Lab_runtime.Runtime.profile_path with
-  | Some p -> write_file p (profile_json t)
-  | None -> ());
-  (match
-     (Lab_runtime.Runtime.exemplars t.rt,
-      pick exemplar_path cfg.Lab_runtime.Runtime.exemplar_path)
-   with
+  Option.iter
+    (fun p -> write_file p (Lab_obs.Trace.to_chrome_json (tracer t)))
+    cfg.trace_path;
+  Option.iter (fun p -> write_file p (profile_json t)) cfg.profile_path;
+  (match (Lab_runtime.Runtime.exemplars t.rt, cfg.exemplar_path) with
   | Some store, Some p -> write_file p (Lab_obs.Exemplar.to_json store)
   | _ -> ());
-  (match
-     (Lab_runtime.Runtime.blackbox t.rt,
-      pick blackbox_path cfg.Lab_runtime.Runtime.blackbox_path)
-   with
+  (match (Lab_runtime.Runtime.blackbox t.rt, cfg.blackbox_path) with
   | Some bb, Some p -> write_file p (Lab_obs.Flightrec.to_json bb)
   | _ -> ());
-  match pick metrics_path cfg.Lab_runtime.Runtime.metrics_path with
-  | Some p ->
+  Option.iter
+    (fun p ->
       sync_fault_counters t;
-      write_file p (Lab_obs.Metrics.to_jsonl (metrics t))
-  | None -> ()
+      write_file p (Lab_obs.Metrics.to_jsonl (metrics t)))
+    cfg.metrics_path
 
 let machine t = t.m
 

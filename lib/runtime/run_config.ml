@@ -2,98 +2,133 @@ open Lab_core
 
 let ( let* ) r f = Result.bind r f
 
-let policy_of_yaml ~nworkers node =
-  match node with
-  | None -> Ok (Orchestrator.Round_robin nworkers)
-  | Some node -> (
-      let geti key default =
-        Option.value ~default (Option.bind (Yamlite.find node key) Yamlite.get_int)
-      in
-      let getf key default =
-        Option.value ~default
-          (Option.bind (Yamlite.find node key) Yamlite.get_float)
-      in
-      match Option.bind (Yamlite.find node "kind") Yamlite.get_string with
-      | Some "static" -> Ok (Orchestrator.Static (geti "workers" nworkers))
-      | Some "round_robin" | None ->
-          Ok (Orchestrator.Round_robin (geti "workers" nworkers))
-      | Some "dynamic" ->
-          Ok
-            (Orchestrator.Dynamic
-               {
-                 max_workers = geti "max_workers" nworkers;
-                 threshold = getf "threshold" 0.2;
-                 lq_cutoff_ns = getf "lq_cutoff_us" 1000.0 *. 1000.0;
-               })
-      | Some other -> Error (Printf.sprintf "unknown policy kind %S" other))
+(* A key table maps each YAML key to a decoder that updates one field
+   of the value being built. The same table decides which keys are
+   valid, so a key is accepted exactly when it is decoded. *)
+type 'a table = (string * ('a -> Yamlite.t -> ('a, string) result)) list
 
-let of_yaml node =
-  let d = Runtime.default_config in
-  let geti key default =
-    Option.value ~default (Option.bind (Yamlite.find node key) Yamlite.get_int)
-  in
-  let getf key default =
-    Option.value ~default (Option.bind (Yamlite.find node key) Yamlite.get_float)
-  in
-  let getb key default =
-    Option.value ~default (Option.bind (Yamlite.find node key) Yamlite.get_bool)
-  in
-  let gets key default =
-    match Option.bind (Yamlite.find node key) Yamlite.get_string with
-    | Some s when s <> "" -> Some s
-    | _ -> default
-  in
-  let nworkers = geti "workers" d.Runtime.nworkers in
-  if nworkers <= 0 then Error "workers must be positive"
-  else
-    let* policy = policy_of_yaml ~nworkers (Yamlite.find node "policy") in
-    Ok
-      {
-        Runtime.nworkers;
-        policy;
-        admin_period_ns =
-          getf "admin_period_us" (d.Runtime.admin_period_ns /. 1000.0) *. 1000.0;
-        worker_spin_ns =
-          getf "worker_spin_us" (d.Runtime.worker_spin_ns /. 1000.0) *. 1000.0;
-        worker_core_base = geti "worker_core_base" d.Runtime.worker_core_base;
-        workers_busy_poll = getb "busy_poll" d.Runtime.workers_busy_poll;
-        worker_batch_size =
-          geti "worker_batch_size" d.Runtime.worker_batch_size;
-        worker_max_inflight =
-          geti "worker_max_inflight" d.Runtime.worker_max_inflight;
-        trace_sample = geti "trace_sample" d.Runtime.trace_sample;
-        trace_path = gets "trace_path" d.Runtime.trace_path;
-        metrics_path = gets "metrics_path" d.Runtime.metrics_path;
-        profile_period_ns =
-          getf "profile_period_us"
-            (d.Runtime.profile_period_ns /. 1000.0)
-          *. 1000.0;
-        profile_path = gets "profile_path" d.Runtime.profile_path;
-        lvm_rebuild_rate_mbps =
-          getf "lvm_rebuild_rate_mbps" d.Runtime.lvm_rebuild_rate_mbps;
-        qos_quantum_kb = geti "qos_quantum_kb" d.Runtime.qos_quantum_kb;
-        qos_window_kb = geti "qos_window_kb" d.Runtime.qos_window_kb;
-        qos_bypass_kb = geti "qos_bypass_kb" d.Runtime.qos_bypass_kb;
-        tenant_weight = geti "tenant_weight" d.Runtime.tenant_weight;
-        tenant_rate_mbps = getf "tenant_rate_mbps" d.Runtime.tenant_rate_mbps;
-        tenant_burst_kb = geti "tenant_burst_kb" d.Runtime.tenant_burst_kb;
-        tenant_qcap = geti "tenant_qcap" d.Runtime.tenant_qcap;
-        slo_name =
-          Option.value ~default:d.Runtime.slo_name (gets "slo_name" None);
-        slo_p99_target_us =
-          getf "slo_p99_target_us" d.Runtime.slo_p99_target_us;
-        slo_floor_kops = getf "slo_floor_kops" d.Runtime.slo_floor_kops;
-        slo_error_budget = getf "slo_error_budget" d.Runtime.slo_error_budget;
-        slo_window_ms = getf "slo_window_ms" d.Runtime.slo_window_ms;
-        load_rate_kops = getf "load_rate_kops" d.Runtime.load_rate_kops;
-        load_injectors = geti "load_injectors" d.Runtime.load_injectors;
-        load_queue_cap = geti "load_queue_cap" d.Runtime.load_queue_cap;
-        exemplar_k = geti "exemplar_k" d.Runtime.exemplar_k;
-        exemplar_tail_us = getf "exemplar_tail_us" d.Runtime.exemplar_tail_us;
-        exemplar_path = gets "exemplar_path" d.Runtime.exemplar_path;
-        blackbox_cap = geti "blackbox_cap" d.Runtime.blackbox_cap;
-        blackbox_path = gets "blackbox_path" d.Runtime.blackbox_path;
-      }
+let decode (table : 'a table) init node =
+  match node with
+  | Yamlite.Null -> Ok init
+  | Yamlite.Map kvs -> (
+      match List.find_opt (fun (k, _) -> not (List.mem_assoc k table)) kvs with
+      | Some (k, _) -> Error (Printf.sprintf "unknown key %S" k)
+      | None ->
+          (* Table order, not document order: [workers] is decoded
+             before [policy], whose defaults depend on it. *)
+          List.fold_left
+            (fun acc (key, dec) ->
+              let* v = acc in
+              match List.assoc_opt key kvs with
+              | None -> Ok v
+              | Some n ->
+                  Result.map_error (Printf.sprintf "%s: %s" key) (dec v n))
+            (Ok init) table)
+  | n -> Error ("expected a map, got " ^ Yamlite.to_string n)
+
+let typed what get set v n =
+  match get n with
+  | Some x -> set v x
+  | None -> Error (Printf.sprintf "expected %s, got %s" what (Yamlite.to_string n))
+
+let int set = typed "an int" Yamlite.get_int (fun v x -> Ok (set v x))
+
+let float set = typed "a number" Yamlite.get_float (fun v x -> Ok (set v x))
+
+let bool set = typed "a bool" Yamlite.get_bool (fun v x -> Ok (set v x))
+
+let string set = typed "a string" Yamlite.get_string (fun v x -> Ok (set v x))
+
+(* Microsecond keys fill nanosecond fields. *)
+let us set = float (fun v x -> set v (x *. 1000.0))
+
+(* Output paths: an empty string or a bare key means "no file". *)
+let path set v = function
+  | Yamlite.Null | Yamlite.Str "" -> Ok (set v None)
+  | n -> string (fun v s -> set v (Some s)) v n
+
+let workers_of = function
+  | Orchestrator.Static n | Orchestrator.Round_robin n -> n
+  | Orchestrator.Dynamic d -> d.max_workers
+
+let policy_table : Orchestrator.policy table =
+  let open Orchestrator in
+  [
+    ( "kind",
+      typed "a string" Yamlite.get_string (fun p kind ->
+          let n = workers_of p in
+          match kind with
+          | "static" -> Ok (Static n)
+          | "round_robin" -> Ok (Round_robin n)
+          | "dynamic" ->
+              Ok (Dynamic { max_workers = n; threshold = 0.2; lq_cutoff_ns = 1e6 })
+          | other -> Error (Printf.sprintf "unknown policy kind %S" other)) );
+    ( "workers",
+      int (fun p n ->
+          match p with
+          | Static _ -> Static n
+          | Round_robin _ -> Round_robin n
+          | Dynamic _ -> p) );
+    ( "max_workers",
+      int (fun p max_workers ->
+          match p with Dynamic d -> Dynamic { d with max_workers } | _ -> p) );
+    ( "threshold",
+      float (fun p threshold ->
+          match p with Dynamic d -> Dynamic { d with threshold } | _ -> p) );
+    ( "lq_cutoff_us",
+      us (fun p lq_cutoff_ns ->
+          match p with Dynamic d -> Dynamic { d with lq_cutoff_ns } | _ -> p) );
+  ]
+
+let table : Runtime.config table =
+  [
+    ( "workers",
+      typed "an int" Yamlite.get_int (fun c n ->
+          if n <= 0 then Error "workers must be positive"
+          else
+            Ok { c with Runtime.nworkers = n; policy = Orchestrator.Round_robin n })
+    );
+    ( "policy",
+      fun c n ->
+        let* policy =
+          decode policy_table (Orchestrator.Round_robin c.Runtime.nworkers) n
+        in
+        Ok { c with Runtime.policy } );
+    ("admin_period_us", us (fun c x -> { c with Runtime.admin_period_ns = x }));
+    ("worker_spin_us", us (fun c x -> { c with Runtime.worker_spin_ns = x }));
+    ("worker_core_base", int (fun c x -> { c with Runtime.worker_core_base = x }));
+    ("busy_poll", bool (fun c x -> { c with Runtime.workers_busy_poll = x }));
+    ("worker_batch_size", int (fun c x -> { c with Runtime.worker_batch_size = x }));
+    ( "worker_max_inflight",
+      int (fun c x -> { c with Runtime.worker_max_inflight = x }) );
+    ("trace_sample", int (fun c x -> { c with Runtime.trace_sample = x }));
+    ("trace_path", path (fun c x -> { c with Runtime.trace_path = x }));
+    ("metrics_path", path (fun c x -> { c with Runtime.metrics_path = x }));
+    ("exemplar_k", int (fun c x -> { c with Runtime.exemplar_k = x }));
+    ("exemplar_tail_us", float (fun c x -> { c with Runtime.exemplar_tail_us = x }));
+    ("exemplar_path", path (fun c x -> { c with Runtime.exemplar_path = x }));
+    ("blackbox_cap", int (fun c x -> { c with Runtime.blackbox_cap = x }));
+    ("blackbox_path", path (fun c x -> { c with Runtime.blackbox_path = x }));
+    ("profile_period_us", us (fun c x -> { c with Runtime.profile_period_ns = x }));
+    ("profile_path", path (fun c x -> { c with Runtime.profile_path = x }));
+    ( "lvm_rebuild_rate_mbps",
+      float (fun c x -> { c with Runtime.lvm_rebuild_rate_mbps = x }) );
+    ("qos_quantum_kb", int (fun c x -> { c with Runtime.qos_quantum_kb = x }));
+    ("qos_window_kb", int (fun c x -> { c with Runtime.qos_window_kb = x }));
+    ("qos_bypass_kb", int (fun c x -> { c with Runtime.qos_bypass_kb = x }));
+    ("tenant_weight", int (fun c x -> { c with Runtime.tenant_weight = x }));
+    ("tenant_rate_mbps", float (fun c x -> { c with Runtime.tenant_rate_mbps = x }));
+    ("tenant_burst_kb", int (fun c x -> { c with Runtime.tenant_burst_kb = x }));
+    ("tenant_qcap", int (fun c x -> { c with Runtime.tenant_qcap = x }));
+    ("slo_name", string (fun c x -> { c with Runtime.slo_name = x }));
+    ( "slo_p99_target_us",
+      float (fun c x -> { c with Runtime.slo_p99_target_us = x }) );
+    ("slo_floor_kops", float (fun c x -> { c with Runtime.slo_floor_kops = x }));
+    ("slo_error_budget", float (fun c x -> { c with Runtime.slo_error_budget = x }));
+    ("slo_window_ms", float (fun c x -> { c with Runtime.slo_window_ms = x }));
+  ]
+
+let of_yaml node = decode table Runtime.default_config node
 
 let parse text =
   match Yamlite.parse text with

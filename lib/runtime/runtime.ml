@@ -56,12 +56,6 @@ type config = {
          budget for the unserved demand; 0 = no floor *)
   slo_error_budget : float;  (* allowed bad fraction (default 1%) *)
   slo_window_ms : float;  (* burn-rate window (simulated ms) *)
-  load_rate_kops : float;
-      (* default offered arrival rate for the open-loop load harness *)
-  load_injectors : int;  (* injector pool size (concurrent senders) *)
-  load_queue_cap : int;
-      (* pending-arrival backlog cap; arrivals past it are shed and
-         counted as drops rather than queued without bound *)
 }
 
 let default_config =
@@ -97,9 +91,6 @@ let default_config =
     slo_floor_kops = 0.0;
     slo_error_budget = 0.01;
     slo_window_ms = 1.0;
-    load_rate_kops = 50.0;
-    load_injectors = 16;
-    load_queue_cap = 4096;
   }
 
 type qstat = {

@@ -88,16 +88,6 @@ type config = {
       (** allowed bad fraction of requests (default 0.01) *)
   slo_window_ms : float;
       (** burn-rate window in simulated milliseconds (default 1) *)
-  load_rate_kops : float;
-      (** default offered arrival rate (kops/s) for the open-loop load
-          harness ({!Lab_workloads.Load}); default 50 *)
-  load_injectors : int;
-      (** injector pool size: concurrent open-loop senders (default 16,
-          matching the device's hardware-queue count) *)
-  load_queue_cap : int;
-      (** pending-arrival backlog cap (default 4096): arrivals past it
-          are shed and counted as drops, keeping a saturated run's
-          memory bounded *)
 }
 
 val default_config : config

@@ -327,6 +327,171 @@ let test_run_config_rejects_bad () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown policy should be rejected"
 
+(* Field-by-field equality of two configs. The record pattern names
+   every field, so adding a field to [Runtime.config] fails to compile
+   here until the field is compared. *)
+let config_fields (a : Lab_runtime.Runtime.config)
+    (b : Lab_runtime.Runtime.config) =
+  let {
+    Lab_runtime.Runtime.nworkers;
+    policy;
+    admin_period_ns;
+    worker_spin_ns;
+    worker_core_base;
+    workers_busy_poll;
+    worker_batch_size;
+    worker_max_inflight;
+    trace_sample;
+    trace_path;
+    metrics_path;
+    exemplar_k;
+    exemplar_tail_us;
+    exemplar_path;
+    blackbox_cap;
+    blackbox_path;
+    profile_period_ns;
+    profile_path;
+    lvm_rebuild_rate_mbps;
+    qos_quantum_kb;
+    qos_window_kb;
+    qos_bypass_kb;
+    tenant_weight;
+    tenant_rate_mbps;
+    tenant_burst_kb;
+    tenant_qcap;
+    slo_name;
+    slo_p99_target_us;
+    slo_floor_kops;
+    slo_error_budget;
+    slo_window_ms;
+  } =
+    a
+  in
+  [
+    ("nworkers", nworkers = b.nworkers);
+    ("policy", policy = b.policy);
+    ("admin_period_ns", admin_period_ns = b.admin_period_ns);
+    ("worker_spin_ns", worker_spin_ns = b.worker_spin_ns);
+    ("worker_core_base", worker_core_base = b.worker_core_base);
+    ("workers_busy_poll", workers_busy_poll = b.workers_busy_poll);
+    ("worker_batch_size", worker_batch_size = b.worker_batch_size);
+    ("worker_max_inflight", worker_max_inflight = b.worker_max_inflight);
+    ("trace_sample", trace_sample = b.trace_sample);
+    ("trace_path", trace_path = b.trace_path);
+    ("metrics_path", metrics_path = b.metrics_path);
+    ("exemplar_k", exemplar_k = b.exemplar_k);
+    ("exemplar_tail_us", exemplar_tail_us = b.exemplar_tail_us);
+    ("exemplar_path", exemplar_path = b.exemplar_path);
+    ("blackbox_cap", blackbox_cap = b.blackbox_cap);
+    ("blackbox_path", blackbox_path = b.blackbox_path);
+    ("profile_period_ns", profile_period_ns = b.profile_period_ns);
+    ("profile_path", profile_path = b.profile_path);
+    ("lvm_rebuild_rate_mbps", lvm_rebuild_rate_mbps = b.lvm_rebuild_rate_mbps);
+    ("qos_quantum_kb", qos_quantum_kb = b.qos_quantum_kb);
+    ("qos_window_kb", qos_window_kb = b.qos_window_kb);
+    ("qos_bypass_kb", qos_bypass_kb = b.qos_bypass_kb);
+    ("tenant_weight", tenant_weight = b.tenant_weight);
+    ("tenant_rate_mbps", tenant_rate_mbps = b.tenant_rate_mbps);
+    ("tenant_burst_kb", tenant_burst_kb = b.tenant_burst_kb);
+    ("tenant_qcap", tenant_qcap = b.tenant_qcap);
+    ("slo_name", slo_name = b.slo_name);
+    ("slo_p99_target_us", slo_p99_target_us = b.slo_p99_target_us);
+    ("slo_floor_kops", slo_floor_kops = b.slo_floor_kops);
+    ("slo_error_budget", slo_error_budget = b.slo_error_budget);
+    ("slo_window_ms", slo_window_ms = b.slo_window_ms);
+  ]
+
+(* Every key set to a non-default value. *)
+let every_key_doc =
+  {|
+workers: 6
+busy_poll: true
+admin_period_us: 500
+worker_spin_us: 7
+worker_core_base: 3
+worker_batch_size: 4
+worker_max_inflight: 8
+trace_sample: 10
+trace_path: out/t.json
+metrics_path: out/m.jsonl
+exemplar_k: 4
+exemplar_tail_us: 25
+exemplar_path: out/e.json
+blackbox_cap: 128
+blackbox_path: out/b.json
+profile_period_us: 20
+profile_path: out/p.json
+lvm_rebuild_rate_mbps: 200
+qos_quantum_kb: 32
+qos_window_kb: 256
+qos_bypass_kb: 8
+tenant_weight: 2
+tenant_rate_mbps: 500
+tenant_burst_kb: 128
+tenant_qcap: 32
+slo_name: tenant
+slo_p99_target_us: 40
+slo_floor_kops: 100
+slo_error_budget: 0.05
+slo_window_ms: 2
+policy:
+  kind: dynamic
+  max_workers: 6
+  threshold: 0.3
+  lq_cutoff_us: 250
+|}
+
+let every_key_config () =
+  match Lab_runtime.Run_config.parse every_key_doc with
+  | Ok c -> c
+  | Error e -> Alcotest.fail e
+
+let names fields = String.concat ", " (List.map fst fields)
+
+let test_run_config_every_key () =
+  let c = every_key_config () in
+  let same =
+    List.filter snd (config_fields c Lab_runtime.Runtime.default_config)
+  in
+  if same <> [] then Alcotest.failf "fields left at their default: %s" (names same)
+
+let test_run_config_rejects_unknown () =
+  let rejects label doc needle =
+    match Lab_runtime.Run_config.parse doc with
+    | Ok _ -> Alcotest.failf "%s: accepted %S" label doc
+    | Error e ->
+        let contains s sub =
+          let n = String.length sub in
+          let rec go i =
+            i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+          in
+          go 0
+        in
+        if not (contains e needle) then
+          Alcotest.failf "%s: error %S does not name %S" label e needle
+  in
+  rejects "misspelt key" "worker_spin_ns: 5000" "worker_spin_ns";
+  rejects "deleted key" "load_rate_kops: 50" "load_rate_kops";
+  rejects "policy key" "policy:\n  kind: dynamic\n  max_worker: 4" "max_worker";
+  rejects "int as word" "workers: eight" "workers";
+  rejects "int as bool" "busy_poll: 3" "busy_poll";
+  rejects "path as int" "trace_path: 7" "trace_path"
+
+(* Boot keeps every field of the config it is given; only the worker
+   cores are derived from the machine shape. *)
+let test_boot_keeps_config () =
+  let c = every_key_config () in
+  let p = Labstor.Platform.boot ~config:c () in
+  let got = Lab_runtime.Runtime.config (Labstor.Platform.runtime p) in
+  let differ =
+    List.filter
+      (fun (name, same) -> (not same) && name <> "worker_core_base")
+      (config_fields got c)
+  in
+  if differ <> [] then Alcotest.failf "boot changed: %s" (names differ);
+  Alcotest.(check int) "workers on the top cores" (24 - 6)
+    got.Lab_runtime.Runtime.worker_core_base
+
 (* ------------------------------------------------------------------ *)
 (* Mod harness (debugging mode)                                        *)
 (* ------------------------------------------------------------------ *)
@@ -440,6 +605,10 @@ let () =
           Alcotest.test_case "defaults" `Quick test_run_config_defaults;
           Alcotest.test_case "full document" `Quick test_run_config_full;
           Alcotest.test_case "rejects bad" `Quick test_run_config_rejects_bad;
+          Alcotest.test_case "every key" `Quick test_run_config_every_key;
+          Alcotest.test_case "rejects unknown" `Quick
+            test_run_config_rejects_unknown;
+          Alcotest.test_case "boot keeps config" `Quick test_boot_keeps_config;
         ] );
       ( "mod-harness",
         [

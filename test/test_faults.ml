@@ -329,7 +329,11 @@ let batch_writes ~lba0 n =
       })
 
 let test_merge_completes_individually () =
-  let platform = Platform.boot ~nworkers:2 ~worker_batch_size:4 () in
+  let platform =
+    Platform.boot ~nworkers:2
+      ~config:{ Runtime.Runtime.default_config with worker_batch_size = 4 }
+      ()
+  in
   (match Platform.mount platform merge_spec with
   | Ok _ -> ()
   | Error e -> failwith e);
@@ -370,7 +374,8 @@ let test_merge_torn_chunk_splits_errors () =
      inside the persisted prefix succeeds, the one beyond it gets the
      torn failure — errors cover only the originals they hit. *)
   let platform =
-    Platform.boot ~nworkers:2 ~worker_batch_size:2
+    Platform.boot ~nworkers:2
+      ~config:{ Runtime.Runtime.default_config with worker_batch_size = 2 }
       ~fault_script:
         [ Fault.One_shot { at_ns = 0.0; queue = None; fault = Fault.Torn_write 4096 } ]
       ()

@@ -166,7 +166,9 @@ dag:
 
 let boot_lvm ?(rate = 100_000.0) spec =
   let platform =
-    Platform.boot ~nworkers:2 ~lvm_rebuild_rate_mbps:rate
+    Platform.boot ~nworkers:2
+      ~config:
+        { Lab_runtime.Runtime.default_config with lvm_rebuild_rate_mbps = rate }
       ~devices:[ Lab_device.Profile.Nvme; Lab_device.Profile.Nvme ]
       ()
   in

@@ -570,11 +570,10 @@ let threads = 2
 
 let ops = 40
 
-let run_platform ?(profile_period = 0.0) ?exemplar_k ?exemplar_tail_us
-    ?blackbox_cap ~sample () =
+let run_platform ?(config = Runtime.Runtime.default_config) ~sample () =
   let platform =
-    Platform.boot ~nworkers:2 ~seed:0x0B5 ~trace_sample:sample ~profile_period
-      ?exemplar_k ?exemplar_tail_us ?blackbox_cap ()
+    Platform.boot ~config:{ config with trace_sample = sample } ~nworkers:2
+      ~seed:0x0B5 ()
   in
   (match Platform.mount platform stack_spec with
   | Ok _ -> ()
@@ -691,6 +690,16 @@ let test_zero_overhead_when_off () =
   Alcotest.(check int) "same event count" events0
     (Lab_sim.Engine.events_executed machine.Lab_sim.Machine.engine)
 
+(* Retroactive capture full blast: every request's stages recorded, a
+   low promotion bar and a flight recorder. *)
+let retro_config =
+  {
+    Runtime.Runtime.default_config with
+    exemplar_k = 8;
+    exemplar_tail_us = 1.0;
+    blackbox_cap = 256;
+  }
+
 let test_capture_neutrality () =
   (* Exemplar capture and the flight recorder do their work in plain
      OCaml between engine events — no spawns, no simulated time — so
@@ -702,10 +711,7 @@ let test_capture_neutrality () =
       Platform.now p )
   in
   let off = run_platform ~sample:0 () in
-  let on =
-    run_platform ~sample:0 ~exemplar_k:8 ~exemplar_tail_us:1.0
-      ~blackbox_cap:256 ()
-  in
+  let on = run_platform ~sample:0 ~config:retro_config () in
   let events0, elapsed0 = observe off in
   let events1, elapsed1 = observe on in
   Alcotest.(check int) "same event count" events0 events1;
@@ -744,10 +750,7 @@ let test_capture_neutrality () =
       Alcotest.(check int) "clean run, no dumps" 0
         (List.length (Flightrec.dumps bb)));
   (* Same-seed determinism extends to the new artifacts. *)
-  let again =
-    run_platform ~sample:0 ~exemplar_k:8 ~exemplar_tail_us:1.0
-      ~blackbox_cap:256 ()
-  in
+  let again = run_platform ~sample:0 ~config:retro_config () in
   let json p =
     match Runtime.Runtime.exemplars (Platform.runtime p) with
     | Some s -> Exemplar.to_json s
@@ -767,7 +770,9 @@ let test_sampler_neutrality () =
   let off = run_platform ~sample:0 () in
   Alcotest.(check bool) "no sampler when off" true
     (Runtime.Runtime.timeseries (Platform.runtime off) = None);
-  let on = run_platform ~sample:0 ~profile_period:25_000.0 () in
+  let on = run_platform ~sample:0
+      ~config:{ Runtime.Runtime.default_config with profile_period_ns = 25_000.0 }
+      () in
   let events0, elapsed0 = observe off in
   let events1, elapsed1 = observe on in
   Alcotest.(check int) "same event count" events0 events1;
@@ -779,7 +784,9 @@ let test_sampler_neutrality () =
       Alcotest.(check bool) "series registered" true
         (Timeseries.series_names ts <> []));
   (* Same-seed profile export is byte-identical. *)
-  let again = run_platform ~sample:0 ~profile_period:25_000.0 () in
+  let again = run_platform ~sample:0
+      ~config:{ Runtime.Runtime.default_config with profile_period_ns = 25_000.0 }
+      () in
   Alcotest.(check string) "profile json byte-identical"
     (Platform.profile_json on)
     (Platform.profile_json again)
