@@ -51,6 +51,16 @@ let workers_of = function
   | Orchestrator.Static n | Orchestrator.Round_robin n -> n
   | Orchestrator.Dynamic d -> d.max_workers
 
+let kind_of = function
+  | Orchestrator.Static _ -> "static"
+  | Orchestrator.Round_robin _ -> "round_robin"
+  | Orchestrator.Dynamic _ -> "dynamic"
+
+(* A policy key that the chosen kind does not read is an error, not a
+   silently dropped value. *)
+let inapplicable p =
+  Error (Printf.sprintf "does not apply to policy kind %s" (kind_of p))
+
 let policy_table : Orchestrator.policy table =
   let open Orchestrator in
   [
@@ -64,20 +74,26 @@ let policy_table : Orchestrator.policy table =
               Ok (Dynamic { max_workers = n; threshold = 0.2; lq_cutoff_ns = 1e6 })
           | other -> Error (Printf.sprintf "unknown policy kind %S" other)) );
     ( "workers",
-      int (fun p n ->
+      typed "an int" Yamlite.get_int (fun p n ->
           match p with
-          | Static _ -> Static n
-          | Round_robin _ -> Round_robin n
-          | Dynamic _ -> p) );
+          | Static _ -> Ok (Static n)
+          | Round_robin _ -> Ok (Round_robin n)
+          | Dynamic _ -> inapplicable p) );
     ( "max_workers",
-      int (fun p max_workers ->
-          match p with Dynamic d -> Dynamic { d with max_workers } | _ -> p) );
+      typed "an int" Yamlite.get_int (fun p max_workers ->
+          match p with
+          | Dynamic d -> Ok (Dynamic { d with max_workers })
+          | _ -> inapplicable p) );
     ( "threshold",
-      float (fun p threshold ->
-          match p with Dynamic d -> Dynamic { d with threshold } | _ -> p) );
+      typed "a number" Yamlite.get_float (fun p threshold ->
+          match p with
+          | Dynamic d -> Ok (Dynamic { d with threshold })
+          | _ -> inapplicable p) );
     ( "lq_cutoff_us",
-      us (fun p lq_cutoff_ns ->
-          match p with Dynamic d -> Dynamic { d with lq_cutoff_ns } | _ -> p) );
+      typed "a number" Yamlite.get_float (fun p us ->
+          match p with
+          | Dynamic d -> Ok (Dynamic { d with lq_cutoff_ns = us *. 1000.0 })
+          | _ -> inapplicable p) );
   ]
 
 let table : Runtime.config table =
@@ -96,7 +112,6 @@ let table : Runtime.config table =
         Ok { c with Runtime.policy } );
     ("admin_period_us", us (fun c x -> { c with Runtime.admin_period_ns = x }));
     ("worker_spin_us", us (fun c x -> { c with Runtime.worker_spin_ns = x }));
-    ("worker_core_base", int (fun c x -> { c with Runtime.worker_core_base = x }));
     ("busy_poll", bool (fun c x -> { c with Runtime.workers_busy_poll = x }));
     ("worker_batch_size", int (fun c x -> { c with Runtime.worker_batch_size = x }));
     ( "worker_max_inflight",

@@ -27,21 +27,24 @@
       lq_cutoff_us: 1000
     v}
 
-    The other keys are [worker_core_base], [worker_batch_size],
-    [worker_max_inflight], [exemplar_k], [exemplar_tail_us],
-    [exemplar_path], [blackbox_cap], [blackbox_path],
-    [lvm_rebuild_rate_mbps], [qos_quantum_kb], [qos_window_kb],
-    [qos_bypass_kb], [tenant_weight], [tenant_rate_mbps],
-    [tenant_burst_kb], [tenant_qcap] and [slo_name]. Under [policy:],
+    The other keys are [worker_batch_size], [worker_max_inflight],
+    [exemplar_k], [exemplar_tail_us], [exemplar_path], [blackbox_cap],
+    [blackbox_path], [lvm_rebuild_rate_mbps], [qos_quantum_kb],
+    [qos_window_kb], [qos_bypass_kb], [tenant_weight],
+    [tenant_rate_mbps], [tenant_burst_kb], [tenant_qcap] and
+    [slo_name]. Under [policy:],
     [workers] sizes a static or round-robin policy; the dynamic policy
-    reads [max_workers], [threshold] and [lq_cutoff_us].
+    reads [max_workers], [threshold] and [lq_cutoff_us]. There is no
+    key for [worker_core_base]: {!Platform.boot} derives it from the
+    machine shape.
 
     Missing keys keep {!Runtime.default_config}'s value, and a missing
     [policy] is round-robin over [workers]. An unknown key, at the top
     level or under [policy:], is an error naming the key, and so is a
     known key whose value has the wrong type ([workers: eight],
-    [busy_poll: 3]). Keys and decoders come from one table, so a key is
-    accepted exactly when it is decoded. *)
+    [busy_poll: 3]) or a [policy:] key the chosen kind does not read
+    ([max_workers] under [kind: round_robin]). Keys and decoders come
+    from one table, so a key is accepted exactly when it is decoded. *)
 
 val of_yaml : Lab_core.Yamlite.t -> (Runtime.config, string) result
 
