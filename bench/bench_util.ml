@@ -4,9 +4,6 @@
 let heading id title =
   Printf.printf "\n=== %s — %s ===\n" id title
 
-let row_format widths =
-  String.concat "  " (List.map (fun w -> Printf.sprintf "%%-%ds" w) widths)
-
 let print_row widths cells =
   List.iteri
     (fun i cell ->
@@ -57,5 +54,3 @@ let note_event_rate ~events ~wall_s =
       note "simulator: %d events in %.2fs cpu (%.0fk events/sec)" events wall_s
         (Stdlib.float_of_int events /. wall_s /. 1000.0)
     else note "simulator: %d events (too fast to time)" events
-
-let _ = row_format

@@ -14,10 +14,9 @@
       dispatch ns/op at 4096 tenants within 1.25x its 16-tenant value
       (the O(1)-in-tenant-count claim).
 
-   2. Waitq park/wake A/B. The pooled park-cell Waitq versus an inline
-      replica of the pre-rewrite Waitq (a Queue of {slot; resume}
-      records, one Engine.suspend closure per park), measured in minor
-      words per park/wake cycle with a pooled timer as the waker.
+   2. Waitq park/wake. The pooled park-cell Waitq, measured in minor
+      words per park/wake cycle with a pooled timer as the waker. Gate:
+      at most 8.0 words/cycle (deterministic, native only).
 
    3. Noisy-neighbor sweep. N well-behaved tenants — each a qd-1 mixed
       stream of 16 KiB reads (latency-class, bypasses the window) with
@@ -114,51 +113,25 @@ let drr_case ~ntenants ~ops =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Part 2: Waitq park/wake — pooled cells vs the pre-rewrite design    *)
-
-(* Inline replica of the old Waitq: an entry record and an
-   Engine.suspend closure per park. Kept here (not in lib/) purely as
-   the A/B baseline. *)
-module Legacy_waitq = struct
-  type 'a entry = { slot : 'a option ref; resume : Engine.resumer }
-
-  type 'a t = 'a entry Queue.t
-
-  let create () : 'a t = Queue.create ()
-
-  let length = Queue.length
-
-  let park (q : 'a t) slot =
-    Engine.suspend (fun resume -> Queue.add { slot; resume } q)
-
-  let wake (q : 'a t) v =
-    match Queue.take_opt q with
-    | None -> false
-    | Some e ->
-        e.slot := Some v;
-        e.resume ();
-        true
-end
+(* Part 2: Waitq park/wake                                           *)
 
 (* One parker process reusing a single hoisted slot; a pooled timer as
    the waker (closure-free re-arm), so the measured delta is the park
    path itself. *)
-let waitq_cycles ~legacy ~cycles =
+let waitq_cycles ~cycles =
   let eng = Engine.create () in
   let finished = ref false in
   let slot : int option ref = ref None in
-  let q_new : int Waitq.t = Waitq.create () in
-  let q_old : int Legacy_waitq.t = Legacy_waitq.create () in
+  let q : int Waitq.t = Waitq.create () in
   Engine.spawn eng (fun () ->
       for _ = 1 to cycles do
-        if legacy then Legacy_waitq.park q_old slot else Waitq.park q_new slot;
+        Waitq.park q slot;
         slot := None
       done;
       finished := true);
   let rec tick _ =
     if not !finished then begin
-      if legacy then (if Legacy_waitq.length q_old > 0 then ignore (Legacy_waitq.wake q_old 1))
-      else if Waitq.length q_new > 0 then ignore (Waitq.wake q_new 1);
+      if Waitq.length q > 0 then ignore (Waitq.wake q 1);
       Engine.timer eng ~ns:100 tick 0
     end
   in
@@ -426,15 +399,15 @@ let run () =
 
   (* --- Part 2 --- *)
   let cycles = if smoke then 5_000 else 20_000 in
-  let wq_new = waitq_cycles ~legacy:false ~cycles in
-  let wq_old = waitq_cycles ~legacy:true ~cycles in
-  Bench_util.note
-    "waitq park/wake: %.2f minor words/cycle pooled, %.2f legacy \
-     (suspend-per-park), %d cycles"
-    wq_new wq_old cycles;
-  if native && wq_new >= wq_old then begin
+  let wq_words = waitq_cycles ~cycles in
+  Bench_util.note "waitq park/wake: %.2f minor words/cycle pooled, %d cycles"
+    wq_words cycles;
+  (* Absolute budget: 2x the committed 4.05 words/cycle. *)
+  if native && wq_words > 8.0 then begin
     Bench_util.note
-      "WAITQ REGRESSION: pooled park/wake no cheaper than the legacy path";
+      "WAITQ REGRESSION: pooled park/wake at %.2f minor words/cycle (budget \
+       8.0)"
+      wq_words;
     exit 1
   end;
 
@@ -539,9 +512,7 @@ let run () =
     (drr_words 16) (drr_words 256) (drr_words 4096) fairness_ratio
     (if alloc_ok then 1 else 0);
   Printf.fprintf oc
-    " \"waitq\": {\"words_per_cycle\": %.2f, \"legacy_words_per_cycle\": \
-     %.2f},\n"
-    wq_new wq_old;
+    " \"waitq\": {\"words_per_cycle\": %.2f},\n" wq_words;
   List.iter
     (fun (n, alone, attack, ratio) ->
       if n <= 256 then

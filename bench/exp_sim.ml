@@ -1,8 +1,8 @@
 (* Simulator-core benchmark: events/sec and minor words/event on the
    DES hot path.
 
-   Three synthetic closed loops, one idle worker and one full-stack
-   scenario:
+   Two synthetic closed loops, one idle worker, one full-stack
+   scenario and a queue-footprint replay:
 
    - timer:  [loops] concurrent self-rescheduling timers on the pooled
              [Engine.timer] path (closure-free dispatch, calendar
@@ -12,10 +12,6 @@
              ([Engine.spawn] + [Engine.wait]) — the path every runtime
              coroutine takes. Reported for context; continuations
              allocate, so no words/event gate.
-   - legacy: the identical timer workload on [Legacy_engine], a replica
-             of the pre-rewrite engine (boxed keys, per-event closures,
-             cmp-closure heap, Fun.protect per event). The before/after
-             events/sec ratio is measured against it.
    - idle-spin: one runtime worker with an empty queue spin-polling
              for its next submission. Every event is an empty poll on
              the worker's timer-path tick; gated at <= 0.5 minor
@@ -30,10 +26,9 @@
    overflow heap and window re-anchoring stay on the measured path.
 
    Default output is deterministic (event counts, words/event from
-   Gc.minor_words deltas). Set LABSTOR_WALLCLOCK for events/sec and the
-   new-vs-legacy speedup (asserted >= 5x in full runs, where idle polls
-   must also run at least as fast as timer events); LABSTOR_SMOKE=1
-   shrinks the workload for CI. Writes BENCH_sim.json. *)
+   Gc.minor_words deltas). Set LABSTOR_WALLCLOCK for events/sec (in
+   full runs idle polls must run at least as fast as timer events);
+   LABSTOR_SMOKE=1 shrinks the workload for CI. Writes BENCH_sim.json. *)
 
 open Lab_sim
 
@@ -94,40 +89,6 @@ let run_wait ~total =
         done)
   done;
   measured e (fun () -> Engine.run e)
-
-(* Pre-rewrite replica: every reschedule allocates a fresh thunk, every
-   push a boxed key — exactly what the old engine did per event. *)
-let run_legacy ~warmup ~total =
-  let e = Legacy_engine.create () in
-  let remaining = ref 0 in
-  let rec fire slot () =
-    if !remaining > 0 then begin
-      Stdlib.decr remaining;
-      Legacy_engine.schedule e
-        (Legacy_engine.now e +. Stdlib.float_of_int (delay_ns slot))
-        (fire slot)
-    end
-  in
-  let seed () =
-    for i = 0 to loops - 1 do
-      Legacy_engine.schedule e
-        (Legacy_engine.now e +. Stdlib.float_of_int (100 + i))
-        (fire i)
-    done
-  in
-  remaining := warmup;
-  seed ();
-  Legacy_engine.run e;
-  remaining := total;
-  seed ();
-  let e0 = Legacy_engine.events_executed e in
-  let w0 = Gc.minor_words () in
-  let t0 = Sys.time () in
-  Legacy_engine.run e;
-  let wall = Sys.time () -. t0 in
-  let words = Gc.minor_words () -. w0 in
-  let events = Legacy_engine.events_executed e - e0 in
-  (events, words /. Stdlib.float_of_int events, wall)
 
 (* Idle spin: a real worker, one empty queue, a spin budget longer
    than the run. The first millisecond (worker start-up) is not
@@ -194,7 +155,6 @@ let run () =
   let warmup = if smoke then 50_000 else 100_000 in
   let timer_total = if smoke then 20_000 else 2_000_000 in
   let wait_total = if smoke then 10_000 else 400_000 in
-  let legacy_total = if smoke then 10_000 else 400_000 in
   let batch_ops = if smoke then 256 else 2048 in
   let idle_polls = if smoke then 20_000 else 200_000 in
   Bench_util.heading "sim"
@@ -211,9 +171,6 @@ let run () =
   let w_events, w_wpe, w_wall = run_wait ~total:wait_total in
   Bench_util.print_row widths
     [ "wait"; string_of_int w_events; Printf.sprintf "%.2f" w_wpe ];
-  let l_events, l_wpe, l_wall = run_legacy ~warmup ~total:legacy_total in
-  Bench_util.print_row widths
-    [ "legacy"; string_of_int l_events; Printf.sprintf "%.2f" l_wpe ];
   let i_events, i_wpe, i_wall = run_idle_spin ~polls:idle_polls in
   Bench_util.print_row widths
     [ "idle-spin"; string_of_int i_events; Printf.sprintf "%.4f" i_wpe ];
@@ -224,10 +181,6 @@ let run () =
   let q_fresh, q_words = evq_words ~warmup ~total:timer_total in
   Bench_util.note "evq footprint after the timer scenario: %d words (fresh %d)"
     q_words q_fresh;
-  Bench_util.note
-    "timer is the pooled closure-free path; legacy replicates the";
-  Bench_util.note
-    "pre-rewrite engine (boxed keys, per-event closures, Fun.protect).";
   (* Allocation-regression guard: the pooled path must stay within 2
      minor words/event in steady state. Gc counters are deterministic,
      so the gate (and the JSON it feeds) cannot flake. Bytecode allots
@@ -261,18 +214,7 @@ let run () =
   if Bench_util.wallclock_enabled () then begin
     Bench_util.note "timer:  %7.0fk events/sec" (rate t_events t_wall /. 1e3);
     Bench_util.note "wait:   %7.0fk events/sec" (rate w_events w_wall /. 1e3);
-    Bench_util.note "legacy: %7.0fk events/sec" (rate l_events l_wall /. 1e3);
     Bench_util.note "idle:   %7.0fk polls/sec" (rate i_events i_wall /. 1e3);
-    if l_wall > 0.0 && t_wall > 0.0 then begin
-      let speedup = rate t_events t_wall /. rate l_events l_wall in
-      Bench_util.note "speedup (timer vs legacy): %.1fx" speedup;
-      if (not smoke) && speedup < 5.0 then begin
-        Bench_util.note
-          "SPEEDUP REGRESSION: pooled path only %.1fx over legacy (floor 5.0x)"
-          speedup;
-        exit 1
-      end
-    end;
     (* An empty poll is one timer event on a near-empty queue, so it
        must be no slower than a timer event on a 256-entry queue. *)
     if (not smoke) && rate i_events i_wall < rate t_events t_wall then begin
@@ -303,15 +245,13 @@ let run () =
     \  \"timer_alloc_ok\": %b,\n\
     \  \"wait_events\": %d,\n\
     \  \"wait_words_per_event\": %.2f,\n\
-    \  \"legacy_events\": %d,\n\
-    \  \"legacy_words_per_event\": %.2f,\n\
     \  \"idle_spin_polls\": %d,\n\
     \  \"idle_spin_words_per_poll\": %.4f,\n\
     \  \"batching_events\": %d,\n\
     \  \"evq_words\": %d,\n\
     \  \"deterministic\": %b\n\
      }\n"
-    loops t_events t_wpe alloc_ok w_events w_wpe l_events l_wpe i_events
+    loops t_events t_wpe alloc_ok w_events w_wpe i_events
     i_wpe b.Exp_batching.events q_words
     (t_events = t_events' && t_now = t_now');
   close_out oc;

@@ -16,14 +16,22 @@ let test_ring =
            ignore (Lab_ipc.Ring.try_pop r)
          done))
 
-let test_heap =
-  Test.make ~name:"event heap push+pop (256)"
+(* The engine's event queue on the same key pattern. Like the engine,
+   it never pushes before the last popped time, and seqs stay unique
+   across iterations. *)
+let test_evq =
+  let q = Lab_sim.Evq.create () in
+  let seq = ref 0 in
+  Test.make ~name:"evq push+pop (256)"
     (Staged.stage (fun () ->
-         let h = Lab_sim.Heap.create ~cmp:Int.compare () in
+         let base = q.Lab_sim.Evq.key_out.(0) in
          for i = 0 to 255 do
-           Lab_sim.Heap.push h ((i * 7919) land 1023) ()
+           incr seq;
+           q.Lab_sim.Evq.key_in.(0) <-
+             base +. float_of_int ((i * 7919) land 1023);
+           Lab_sim.Evq.push q ~seq:!seq ~slot:i
          done;
-         while Lab_sim.Heap.pop h <> None do
+         while Lab_sim.Evq.pop q >= 0 do
            ()
          done))
 
@@ -71,7 +79,7 @@ let benchmark test =
 let run () =
   Bench_util.heading "micro" "Bechamel microbenchmarks (host wall-clock, ns/op)";
   let tests =
-    [ test_ring; test_heap; test_lru; test_lz77; test_alloc; test_yaml ]
+    [ test_ring; test_evq; test_lru; test_lz77; test_alloc; test_yaml ]
   in
   List.iter
     (fun t ->

@@ -17,7 +17,6 @@ type t = {
   queue : upgrade Queue.t;
   mutable published : (int * upgrade) list;  (* decentralized: (epoch, u), newest first *)
   mutable current_epoch : int;
-  mutable applied : int;
 }
 
 let create machine registry ~load_code =
@@ -28,7 +27,6 @@ let create machine registry ~load_code =
     queue = Queue.create ();
     published = [];
     current_epoch = 0;
-    applied = 0;
   }
 
 let submit_upgrade t u =
@@ -42,16 +40,13 @@ let pending t = Queue.length t.queue
 
 let epoch t = t.current_epoch
 
-let upgrades_applied t = t.applied
-
 (* Rebuild one registry instance from new code, carrying state over. *)
 let swap_instance t ~thread u (old_mod : Labmod.t) =
   t.load_code ~thread ~bytes:u.code_bytes;
   let fresh = u.factory ~uuid:old_mod.Labmod.uuid ~attrs:[] in
   fresh.Labmod.state <- fresh.Labmod.ops.Labmod.state_update old_mod.Labmod.state;
   fresh.Labmod.version <- old_mod.Labmod.version + 1;
-  Registry.replace t.registry fresh;
-  t.applied <- t.applied + 1
+  Registry.replace t.registry fresh
 
 let wait_for t cond =
   let rec loop () =
@@ -99,5 +94,4 @@ let apply_client_upgrade t ~thread ~local u =
   let fresh = u.factory ~uuid:local.Labmod.uuid ~attrs:[] in
   fresh.Labmod.state <- fresh.Labmod.ops.Labmod.state_update local.Labmod.state;
   fresh.Labmod.version <- local.Labmod.version + 1;
-  t.applied <- t.applied + 1;
   fresh

@@ -42,8 +42,6 @@ val epoch : t -> int
 (** Decentralized upgrade epoch; clients compare against their local
     epoch. *)
 
-val upgrades_applied : t -> int
-
 val process_centralized :
   t ->
   thread:int ->

@@ -14,9 +14,6 @@ let create ~runtime_uid ?(max_repos_per_user = 8) () =
 
 let repos t = Hashtbl.fold (fun k _ acc -> k :: acc) t.table []
 
-let trust_of_repo t name =
-  Option.map (fun r -> r.trust) (Hashtbl.find_opt t.table name)
-
 let trust_of_mod t mod_name =
   let provided =
     Hashtbl.fold

@@ -31,8 +31,6 @@ val unmount_repo : t -> Registry.t -> name:string -> (unit, string) result
 
 val repos : t -> string list
 
-val trust_of_repo : t -> string -> trust option
-
 val trust_of_mod : t -> string -> trust
 (** Trust of the repo providing implementation [name]; implementations
     not provided by any repo (the built-ins the Runtime was configured

@@ -164,14 +164,6 @@ let sector_bytes = 512
 
 let block_end_lba b = b.b_lba + ((b.b_bytes + sector_bytes - 1) / sector_bytes)
 
-(* Two block ops are mergeable when the second starts exactly where the
-   first ends, moves the same direction, and neither demands
-   force-unit-access ordering (sync writes must hit the device as
-   issued). *)
-let blocks_adjacent a b =
-  a.b_kind = b.b_kind && (not a.b_sync) && (not b.b_sync)
-  && b.b_lba = block_end_lba a
-
 let is_ok = function Done | Fd _ | Size _ -> true | Denied _ | Failed _ -> false
 
 (* Errno-style failures: device faults surface as [Failed "ECODE: ..."]

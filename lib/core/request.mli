@@ -141,19 +141,10 @@ end
 
 (** {2 Block-request geometry (adjacent-LBA merging)} *)
 
-val sector_bytes : int
-(** Bytes per LBA (512, the device sector size). *)
-
 val block_of : t -> block_op option
 
 val block_end_lba : block_op -> int
 (** First sector past the transfer. *)
-
-val blocks_adjacent : block_op -> block_op -> bool
-(** [blocks_adjacent a b] is true when [b] starts exactly at
-    [block_end_lba a], moves in the same direction, and neither is a
-    force-unit-access write — the condition for coalescing the two into
-    one device operation. *)
 
 val is_ok : result -> bool
 

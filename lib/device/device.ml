@@ -407,9 +407,9 @@ let submit_wait_result t ~hctx ~kind ~lba ~bytes =
           resume ()));
   match !result with Some r -> r | None -> assert false
 
-(* Legacy always-Ok API: callers predating the fault plan get a
-   fabricated completion on error so they still make progress; the
-   error remains visible in [completed_errors]. *)
+(* Fault-masking path for callers without an error path (the kernel
+   baselines): a fabricated completion on error lets them make
+   progress; the error remains visible in [completed_errors]. *)
 let submit t ~hctx ~kind ~lba ~bytes ~on_complete =
   let submitted = Engine.now t.engine in
   submit_result t ~hctx ~kind ~lba ~bytes ~on_complete:(function

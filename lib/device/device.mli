@@ -107,10 +107,12 @@ val submit :
   bytes:int ->
   on_complete:(completion -> unit) ->
   unit
-(** Legacy always-Ok API: like {!submit_result} but faults are masked —
-    on error a fabricated completion is delivered so callers without an
-    error path still make progress ([completed_errors] still counts the
-    fault). New code should use {!submit_result}. *)
+(** Fault-masking submission: like {!submit_result}, but on error a
+    fabricated completion is delivered, so callers without an error
+    path still make progress ([completed_errors] still counts the
+    fault). The kernel baselines use this path by design: they model
+    stacks whose fault handling is out of scope. Callers that recover
+    from faults use {!submit_result}. *)
 
 val submit_wait : t -> hctx:int -> kind:io_kind -> lba:int -> bytes:int -> completion
 (** Blocking submission: suspends the calling process until the command

@@ -21,8 +21,6 @@ let kind_to_string = function
   | Nvme -> "NVMe"
   | Pmem -> "PMEM"
 
-let pp_kind fmt k = Format.pp_print_string fmt (kind_to_string k)
-
 let gib = 1024 * 1024 * 1024
 
 (* 15K RPM SAS drive: ~2 ms average seek + 2 ms average rotational

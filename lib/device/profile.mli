@@ -23,8 +23,6 @@ type t = {
   byte_addressable : bool;  (** PMEM load/store access *)
 }
 
-val pp_kind : Format.formatter -> kind -> unit
-
 val kind_to_string : kind -> string
 
 val hdd : t

@@ -57,10 +57,6 @@ val qps : 'req t -> 'req Qp.t list
 
 val primary_qps : 'req t -> 'req Qp.t list
 
-val qps_of_connection : 'req t -> connection -> 'req Qp.t list
-
-val destroy_qp : 'req t -> 'req Qp.t -> unit
-
 (** {2 Runtime liveness} *)
 
 val online : 'req t -> bool

@@ -118,20 +118,6 @@ let submit_n t vs =
   (* One coalesced doorbell for the whole batch. *)
   if vs <> [] then ring_bell t
 
-(* Array-batch submit: same parking/doorbell protocol as [submit_n]
-   (push each entry, parking on SQ space when full; one coalesced bell
-   for the whole batch) but driven from a caller-owned scratch array,
-   so steady-state batched submission allocates nothing. *)
-let submit_arr t src n =
-  if n < 0 || n > Array.length src then invalid_arg "Qp.submit_arr";
-  let i = ref 0 in
-  while !i < n do
-    let pushed = Ring.push_arr t.sq src ~off:!i ~len:(n - !i) in
-    i := !i + pushed;
-    if !i < n then sq_park t
-  done;
-  if n > 0 then ring_bell t
-
 let try_completion t =
   match Ring.try_pop t.cq with
   | Some _ as v ->

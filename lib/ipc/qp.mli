@@ -59,13 +59,6 @@ val submit_n : 'a t -> 'a list -> unit
 val try_submit : 'a t -> 'a -> bool
 (** Non-blocking variant; still rings the doorbell on success. *)
 
-val submit_arr : 'a t -> 'a array -> int -> unit
-(** [submit_arr t src n] submits [src.(0 .. n-1)] with the same
-    parking/doorbell protocol as {!submit_n} (park on SQ space when
-    full, one coalesced doorbell per batch), but from a caller-owned
-    scratch array: steady-state batched submission allocates nothing.
-    [src] is not retained. *)
-
 val await_completion : 'a t -> 'a
 (** Blocks the calling process until a completion entry is available. *)
 

@@ -73,17 +73,6 @@ let pop_n t n =
   in
   go [] n
 
-let push_arr t src ~off ~len =
-  if off < 0 || len < 0 || off + len > Array.length src then
-    invalid_arg "Ring.push_arr";
-  let free = space t in
-  let n = if len < free then len else free in
-  for i = 0 to n - 1 do
-    t.slots.((t.tail + i) land t.mask) <- Obj.repr src.(off + i)
-  done;
-  t.tail <- t.tail + n;
-  n
-
 let pop_into (type a) (t : a t) (dst : a array) ~off ~max =
   if off < 0 || max < 0 || off + max > Array.length dst then
     invalid_arg "Ring.pop_into";

@@ -32,12 +32,6 @@ val push_n : 'a t -> 'a list -> int
 val pop_n : 'a t -> int -> 'a list
 (** Pops up to [n] entries in FIFO order (fewer if the ring drains). *)
 
-val push_arr : 'a t -> 'a array -> off:int -> len:int -> int
-(** [push_arr t src ~off ~len] pushes [src.(off .. off+len-1)] in order
-    until the ring fills; returns how many were pushed. Allocation-free:
-    the batched counterpart of {!push_n} for callers that reuse a
-    scratch array across batches. *)
-
 val pop_into : 'a t -> 'a array -> off:int -> max:int -> int
 (** [pop_into t dst ~off ~max] pops up to [max] entries in FIFO order
     into [dst.(off ...)]; returns how many were popped. Allocation-free

@@ -6,7 +6,7 @@ type sched = Noop | Blk_switch
 type t = {
   machine : Machine.t;
   dev : Device.t;
-  mutable scheduler : sched;
+  scheduler : sched;
   inflight_reqs : int array;
   inflight_bytes : float array;
 }
@@ -22,8 +22,6 @@ let create machine dev ~sched =
   }
 
 let device t = t.dev
-
-let set_sched t s = t.scheduler <- s
 
 let sched t = t.scheduler
 

@@ -17,8 +17,6 @@ val create : Lab_sim.Machine.t -> Lab_device.Device.t -> sched:sched -> t
 
 val device : t -> Lab_device.Device.t
 
-val set_sched : t -> sched -> unit
-
 val sched : t -> sched
 
 val select_hctx : t -> thread:int -> bytes:int -> int
@@ -48,8 +46,10 @@ val submit_io_to_hctx :
   unit
 (** LabStor's direct hardware-queue submission: skips the scheduler and
     the interrupt path (the caller polls for completion); still pays the
-    kernel request allocation. Device faults are masked (legacy API);
-    use {!submit_io_to_hctx_result} to observe them. *)
+    kernel request allocation. Device faults are masked, the
+    fault-masking path the kernel baselines use by design (see
+    {!Lab_device.Device.submit}); {!submit_io_to_hctx_result} observes
+    them. *)
 
 val submit_io_to_hctx_result :
   t ->

@@ -340,8 +340,4 @@ let fsync t ~thread path =
           List.iter (Page_cache.clean t.cache) pages);
       journal_commit_now t ~thread
 
-let drop_caches t =
-  Page_cache.drop t.cache;
-  Hashtbl.reset t.page_owner
-
 let journal_commits t = t.commits

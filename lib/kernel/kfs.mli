@@ -61,7 +61,5 @@ val read : t -> thread:int -> string -> off:int -> bytes:int -> direct:bool -> u
 val fsync : t -> thread:int -> string -> unit
 (** Writes back the file's dirty pages and commits the journal. *)
 
-val drop_caches : t -> unit
-
 val journal_commits : t -> int
 (** Commit count; observable for tests. *)

@@ -59,9 +59,6 @@ let dirty_pages t =
 
 let clean _t page = page.dirty <- false
 
-let drop t =
-  Lru.clear t.entries
-
 let hits t = t.hit_count
 
 let misses t = t.miss_count

@@ -31,9 +31,6 @@ val dirty_pages : t -> page list
 val clean : t -> page -> unit
 (** Marks a page clean after write-back. *)
 
-val drop : t -> unit
-(** Invalidates everything (models echo 3 > drop_caches between runs). *)
-
 val hits : t -> int
 
 val misses : t -> int

@@ -148,11 +148,6 @@ let shard_counter_list m =
 
 let arc_shards m = match m.Labmod.state with State s -> s.arcs | _ -> [||]
 
-(* The adaptive target across shards: each shard tunes its own p; the
-   largest is the most meaningful summary for a recency-heavy stream. *)
-let p_target m =
-  Array.fold_left (fun acc a -> Stdlib.max acc (Arc.p a)) 0 (arc_shards m)
-
 (* Adapt the pure ARC structure to the engine's policy interface. The
    factory collects each shard's Arc.t so tests can inspect ghost-list
    invariants per shard. *)

@@ -48,10 +48,6 @@ val counter_list : Labmod.t -> (string * int) list
 val shard_counter_list : Labmod.t -> (string * int) list
 (** Per-shard hits/misses/evictions as labelled pairs. *)
 
-val p_target : Labmod.t -> int
-(** Current adaptive target for the recency side, in pages (the
-    maximum across shards). *)
-
 (** The pure ARC structure, exposed for property tests. *)
 module Arc : sig
   type t

@@ -23,8 +23,6 @@ let workers t = Array.length t.partitions
 
 let extent_total extents = List.fold_left (fun acc (_, l) -> acc + l) 0 extents
 
-let free_blocks_of t ~worker = extent_total t.partitions.(worker)
-
 let free_blocks t =
   Array.fold_left (fun acc e -> acc + extent_total e) 0 t.partitions
 

@@ -24,8 +24,6 @@ val free : t -> worker:int -> int list -> unit
 val free_blocks : t -> int
 (** Total free blocks across all workers. *)
 
-val free_blocks_of : t -> worker:int -> int
-
 val resize : t -> workers:int -> unit
 (** Re-partitions for a new worker count, preserving all free blocks. *)
 

@@ -39,9 +39,6 @@ let mode_name = function
 
 let mode m = match m.Labmod.state with State s -> Some s.mode | _ -> None
 
-let set_mode m mode =
-  match m.Labmod.state with State s -> s.mode <- mode | _ -> ()
-
 let writes_seen m =
   match m.Labmod.state with State s -> s.writes_seen | _ -> 0
 

@@ -17,8 +17,6 @@ val factory : Registry.factory
 
 val mode : Labmod.t -> mode option
 
-val set_mode : Labmod.t -> mode -> unit
-
 val mode_name : mode -> string
 
 val writes_seen : Labmod.t -> int

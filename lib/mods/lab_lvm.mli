@@ -30,8 +30,6 @@ open Lab_core
 module Meta : sig
   type leg_state = Healthy | Dead | Rebuilding
 
-  val leg_state_to_string : leg_state -> string
-
   type op =
     | Alloc of { lidx : int; placements : (int * int) list }
         (** logical extent [lidx] lives at each [(leg, pidx)];

@@ -48,7 +48,3 @@ let device_error name e =
 let identity_state : Labmod.state -> Labmod.state = fun s -> s
 
 let no_repair (_ : Labmod.t) = ()
-
-let ok_or_failed name = function
-  | Some r -> r
-  | None -> Request.Failed (name ^ ": unsupported request payload")

@@ -23,5 +23,3 @@ val identity_state : Labmod.state -> Labmod.state
 (** The common [state_update]: carry the old state over unchanged. *)
 
 val no_repair : Labmod.t -> unit
-
-val ok_or_failed : string -> Request.result option -> Request.result

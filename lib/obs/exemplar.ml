@@ -47,7 +47,7 @@ type t = {
   entries : entry array;
   mutable n : int; (* live entries, <= k *)
   hist : Hist.t; (* every offered latency, for the adaptive p99 *)
-  mutable threshold : (unit -> float) option; (* None = adaptive p99 *)
+  threshold : (unit -> float) option; (* None = adaptive p99 *)
   mutable offered : int;
   mutable promoted : int;
   mutable recycled : int;
@@ -80,8 +80,6 @@ let create ?threshold ~k () =
     recycled = 0;
     evicted = 0;
   }
-
-let set_threshold t f = t.threshold <- Some f
 
 let threshold_ns t =
   match t.threshold with

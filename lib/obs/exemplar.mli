@@ -27,10 +27,6 @@ val create : ?threshold:(unit -> float) -> k:int -> unit -> t
     [threshold] closure (ns) overrides that; it is re-read on every
     offer, so it can track any live signal. *)
 
-val set_threshold : t -> (unit -> float) -> unit
-(** Rewire the promotion threshold (e.g. to a fixed [exemplar_tail_us]
-    floor, or an external {!Latrec} quantile). *)
-
 val offer :
   t ->
   id:int ->

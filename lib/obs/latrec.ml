@@ -184,10 +184,6 @@ module Slo = struct
     in
     frac /. t.error_budget
 
-  let bad_total t = t.bad
-
-  let observed_total t = t.total
-
   let floor_deficit t = t.floor_deficit
 
   let name t = t.name

@@ -95,8 +95,6 @@ module Slo : sig
       1.0 = burning exactly at budget. Cumulative until a window
       completes. *)
 
-  val bad_total : t -> float
-  val observed_total : t -> float
   val floor_deficit : t -> float
   val name : t -> string
   val p99_target_ns : t -> float

@@ -70,7 +70,6 @@ let create ?(sample = 0) ?exemplars () =
 
 let sample t = t.sample
 let enabled t = t.sample > 0
-let exemplar_store t = t.exemplars
 let capture t = t.exemplars <> None
 
 (* Multiplicative hash (a 63-bit-safe odd constant from the SplitMix /
@@ -139,9 +138,6 @@ let start t ~id ~now =
     Some fl
   end
   else None
-
-let flow_id fl = fl.fl_id
-let flow_t0 fl = fl.fl_t0
 
 (* ---- recording ---------------------------------------------------- *)
 

@@ -42,8 +42,6 @@ val create : ?sample:int -> ?exemplars:Exemplar.t -> unit -> t
 val sample : t -> int
 val enabled : t -> bool
 
-val exemplar_store : t -> Exemplar.t option
-
 val capture : t -> bool
 (** [true] iff an exemplar store is attached (every request carries a
     flow and records its stages). *)
@@ -65,9 +63,6 @@ type flow
 val start : t -> id:int -> now:float -> flow option
 (** [None] unless the id is sampled or capture is on; the result is
     stored in [Request.trace] and travels with the request. *)
-
-val flow_id : flow -> int
-val flow_t0 : flow -> float
 
 val span :
   ?args:(string * string) list ->

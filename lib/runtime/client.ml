@@ -122,14 +122,6 @@ let deadline_misses t = Metrics.value t.counters.fc_deadline_misses
 
 let exhausted_retries t = Metrics.value t.counters.fc_exhausted
 
-let fault_counter_list t =
-  [
-    ("retries", retries t);
-    ("requeues", requeues t);
-    ("deadline_misses", deadline_misses t);
-    ("exhausted", exhausted_retries t);
-  ]
-
 let disconnect t = Ipc_manager.disconnect (Runtime.ipc t.runtime) t.conn
 
 let qp_for_stack t (stack : Stack.t) =

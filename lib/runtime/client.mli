@@ -159,13 +159,6 @@ val submit_batch :
     doorbell once, return the in-flight requests in submission order.
     Async stacks only; must run inside a simulated process. *)
 
-val reap_batch : t -> Lab_core.Stack.t -> Lab_core.Request.t list -> Lab_core.Request.result list
-(** Awaits the completions of previously submitted requests (in
-    submission order), discarding stale completions, failing entries
-    still outstanding at the policy deadline with [ETIMEDOUT], and
-    transparently resubmitting survivors after a Runtime crash. No
-    retry policy is applied to the results. *)
-
 (** {2 Control} *)
 
 val control : t -> mount:string -> int -> (unit, string) result
@@ -196,6 +189,3 @@ val deadline_misses : t -> int
 val exhausted_retries : t -> int
 (** Requests that kept failing transiently after the last allowed
     retry and were surfaced to the application. *)
-
-val fault_counter_list : t -> (string * int) list
-(** The four counters above as labelled pairs, for reporting. *)

@@ -467,8 +467,6 @@ let start t =
       in
       admin ())
 
-let repo_manager t = t.repo_mgr
-
 let mount_repo t ~name ~owner_uid ~mods =
   Repo.mount_repo t.repo_mgr t.reg ~name ~owner_uid ~mods
 

@@ -183,8 +183,6 @@ val mount : t -> Lab_core.Stack_spec.t -> (Lab_core.Stack.t, string) result
 (** Validates trust (untrusted LabMods may not run inside the Runtime)
     before inducting the stack into the Namespace. *)
 
-val repo_manager : t -> Lab_core.Repo.t
-
 val mount_repo :
   t ->
   name:string ->

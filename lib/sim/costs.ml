@@ -43,13 +43,4 @@ let default =
 
 let copy_cost c bytes = c.copy_ns_per_byte *. Stdlib.float_of_int bytes
 
-(* Cross-core pull for a batch of [n] requests from one queue: the
-   first entry pays the full inter-core transfer, the rest land in
-   lines the prefetcher already pulled alongside it. *)
-let cross_core_batch_cost c n =
-  if n <= 0 then 0.0
-  else
-    c.shmem_cross_core_ns
-    *. (1.0 +. (c.shmem_batch_frac *. Stdlib.float_of_int (n - 1)))
-
 let user_copy_cost c bytes = c.user_copy_ns_per_byte *. Stdlib.float_of_int bytes

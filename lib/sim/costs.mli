@@ -39,9 +39,3 @@ val copy_cost : t -> int -> float
 (** [copy_cost c bytes] is the boundary-copy cost for [bytes]. *)
 
 val user_copy_cost : t -> int -> float
-
-val cross_core_batch_cost : t -> int -> float
-(** [cross_core_batch_cost c n] is the amortized cost of pulling [n]
-    requests from one queue in a single sweep: full
-    [shmem_cross_core_ns] for the first, [shmem_batch_frac] of it for
-    each subsequent entry. Zero for [n <= 0]. *)

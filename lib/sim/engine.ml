@@ -262,8 +262,6 @@ let engine_of_process () =
   | Some t -> t
   | None -> invalid_arg "Engine.wait/suspend called outside a process"
 
-let now_here () = (engine_of_process ()).fl.(0)
-
 let set_after cells i d = cells.(i) <- (engine_of_process ()).fl.(0) +. d
 
 let wait d =
@@ -325,12 +323,6 @@ let set_tick t ~period f =
   t.tick_k <- 1;
   t.tick_fn <- Some f;
   fl.(1) <- fl.(3) +. period
-
-let clear_tick t =
-  let fl = t.fl in
-  fl.(2) <- 0.0;
-  t.tick_fn <- None;
-  fl.(1) <- Float.infinity
 
 (* Fire the tick hook at every period boundary up to [time], then land
    the clock on [time]. Boundaries are derived as base + k*period — not

@@ -43,11 +43,6 @@ val timer : t -> ns:int -> (int -> unit) -> int -> unit
     {!schedule}/{!wait} which cost a closure / an effect continuation.
     [fn] must not call {!wait}/{!suspend}. *)
 
-val now_here : unit -> float
-(** Current virtual time of the calling process's engine. Must be
-    called from within a process (like {!wait}); lets library code read
-    the clock without carrying an engine handle. *)
-
 val wait : float -> unit
 (** [wait d] suspends the calling process for [d] simulated nanoseconds.
     Negative [d] is treated as 0. Must be called from within a process. *)
@@ -113,8 +108,9 @@ val reached : t -> float array -> int -> bool
 (** [reached t cells i] is [now t >= cells.(i)]. *)
 
 val set_after : float array -> int -> float -> unit
-(** [set_after cells i d] stores [now_here () +. d] into [cells.(i)].
-    Must be called from within a process, like {!now_here}. *)
+(** [set_after cells i d] stores the calling process's current virtual
+    time plus [d] into [cells.(i)]. Must be called from within a
+    process, like {!wait}. *)
 
 val run : ?until:float -> t -> unit
 (** Executes events until the queue drains or virtual time would exceed
@@ -145,9 +141,6 @@ val set_tick : t -> period:float -> (float -> unit) -> unit
     state: calling {!wait}, {!suspend}, or {!spawn} from it is
     unsupported. One hook per engine; installing replaces the previous
     one. @raise Invalid_argument if [period <= 0]. *)
-
-val clear_tick : t -> unit
-(** Removes the sampling hook. *)
 
 exception Stopped
 (** Raised inside processes that the engine terminates via {!stop_all}. *)

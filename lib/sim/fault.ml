@@ -36,10 +36,10 @@ type t = {
   mutable observer : (now:float -> queue:int -> label:string -> unit) option;
       (* injection hook: called once per injected (non-Pass) decision
          with a literal category label — the flight recorder rides it *)
-  io_errors : Stats.Counter.c;
-  timeouts : Stats.Counter.c;
-  torn_writes : Stats.Counter.c;
-  offline_rejects : Stats.Counter.c;
+  mutable io_errors : int;
+  mutable timeouts : int;
+  mutable torn_writes : int;
+  mutable offline_rejects : int;
 }
 
 let create ?(rates = no_rates) ?(queue_rates = []) ?(script = []) ~seed () =
@@ -68,10 +68,10 @@ let create ?(rates = no_rates) ?(queue_rates = []) ?(script = []) ~seed () =
     pending;
     rev_trace = [];
     observer = None;
-    io_errors = Stats.Counter.create ();
-    timeouts = Stats.Counter.create ();
-    torn_writes = Stats.Counter.create ();
-    offline_rejects = Stats.Counter.create ();
+    io_errors = 0;
+    timeouts = 0;
+    torn_writes = 0;
+    offline_rejects = 0;
   }
 
 let none () = create ~seed:0 ()
@@ -125,21 +125,21 @@ let count_and_trace t ~now ~queue ~bytes d =
   (match d with
   | Pass -> ()
   | Fail_io ->
-      Stats.Counter.incr t.io_errors;
+      t.io_errors <- t.io_errors + 1;
       record t ~now ~queue "io_error";
       observe t ~now ~queue "io_error"
   | Delay d ->
-      Stats.Counter.incr t.timeouts;
+      t.timeouts <- t.timeouts + 1;
       record t ~now ~queue
         (if Float.is_finite d then Printf.sprintf "timeout +%.0f" d
          else "timeout lost");
       observe t ~now ~queue "timeout"
   | Torn n ->
-      Stats.Counter.incr t.torn_writes;
+      t.torn_writes <- t.torn_writes + 1;
       record t ~now ~queue (Printf.sprintf "torn %d/%d" n bytes);
       observe t ~now ~queue "torn_write"
   | Reject_offline ->
-      Stats.Counter.incr t.offline_rejects;
+      t.offline_rejects <- t.offline_rejects + 1;
       record t ~now ~queue "offline_reject";
       observe t ~now ~queue "offline_reject");
   d
@@ -170,10 +170,10 @@ let decide t ~now ~queue ~is_write ~bytes =
 
 let injected t =
   [
-    ("io_error", Stats.Counter.value t.io_errors);
-    ("timeout", Stats.Counter.value t.timeouts);
-    ("torn_write", Stats.Counter.value t.torn_writes);
-    ("offline_reject", Stats.Counter.value t.offline_rejects);
+    ("io_error", t.io_errors);
+    ("timeout", t.timeouts);
+    ("torn_write", t.torn_writes);
+    ("offline_reject", t.offline_rejects);
   ]
 
 let injected_total t = List.fold_left (fun acc (_, n) -> acc + n) 0 (injected t)

@@ -89,7 +89,7 @@ val set_observer : t -> (now:float -> queue:int -> label:string -> unit) -> unit
 
 val injected : t -> (string * int) list
 (** Counter snapshot: [io_error], [timeout], [torn_write],
-    [offline_reject] — populated via {!Lab_sim.Stats.Counter}. *)
+    [offline_reject]. *)
 
 val injected_total : t -> int
 

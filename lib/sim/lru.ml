@@ -91,8 +91,3 @@ let fold f t acc =
   go t.head acc
 
 let to_list t = List.rev (fold (fun k v acc -> (k, v) :: acc) t [])
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None

@@ -32,5 +32,3 @@ val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
 
 val to_list : ('k, 'v) t -> ('k * 'v) list
 (** MRU-first association list. *)
-
-val clear : ('k, 'v) t -> unit

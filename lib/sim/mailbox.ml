@@ -18,8 +18,6 @@ let is_empty t = Queue.is_empty t.items
 let is_full t =
   match t.capacity with None -> false | Some c -> Queue.length t.items >= c
 
-let waiting_getters t = Waitq.length t.getters
-
 (* Delivery: a put hands the item straight to a parked getter if any,
    otherwise enqueues it. *)
 let deliver t v = if not (Waitq.wake t.getters v) then Queue.add v t.items

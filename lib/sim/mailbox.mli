@@ -19,5 +19,3 @@ val get : 'a t -> 'a
 (** Blocks the calling process while the mailbox is empty. *)
 
 val try_get : 'a t -> 'a option
-
-val waiting_getters : 'a t -> int

@@ -8,8 +8,6 @@ val create : int -> t
 val acquire : t -> unit
 (** Blocks the calling process until a unit is available. *)
 
-val try_acquire : t -> bool
-
 val release : t -> unit
 
 val available : t -> int

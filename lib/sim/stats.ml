@@ -2,22 +2,10 @@ type t = {
   mutable data : float array;
   mutable n : int;
   mutable total : float;
-  mutable total_sq : float;
-  mutable lo : float;
-  mutable hi : float;
   mutable sorted : bool;
 }
 
-let create () =
-  {
-    data = [||];
-    n = 0;
-    total = 0.0;
-    total_sq = 0.0;
-    lo = Float.nan;
-    hi = Float.nan;
-    sorted = true;
-  }
+let create () = { data = [||]; n = 0; total = 0.0; sorted = true }
 
 let add t x =
   if t.n >= Array.length t.data then begin
@@ -29,15 +17,6 @@ let add t x =
   t.data.(t.n) <- x;
   t.n <- t.n + 1;
   t.total <- t.total +. x;
-  t.total_sq <- t.total_sq +. (x *. x);
-  if t.n = 1 then begin
-    t.lo <- x;
-    t.hi <- x
-  end
-  else begin
-    if x < t.lo then t.lo <- x;
-    if x > t.hi then t.hi <- x
-  end;
   t.sorted <- false
 
 let count t = t.n
@@ -45,19 +24,6 @@ let count t = t.n
 let sum t = t.total
 
 let mean t = if t.n = 0 then 0.0 else t.total /. Stdlib.float_of_int t.n
-
-let stddev t =
-  if t.n < 2 then 0.0
-  else begin
-    let n = Stdlib.float_of_int t.n in
-    let m = t.total /. n in
-    let var = (t.total_sq /. n) -. (m *. m) in
-    if var < 0.0 then 0.0 else sqrt var
-  end
-
-let min t = t.lo
-
-let max t = t.hi
 
 let ensure_sorted t =
   if not t.sorted then begin
@@ -77,40 +43,7 @@ let percentile t p =
     t.data.(idx)
   end
 
-let merge a b =
-  let t = create () in
-  for i = 0 to a.n - 1 do
-    add t a.data.(i)
-  done;
-  for i = 0 to b.n - 1 do
-    add t b.data.(i)
-  done;
-  t
-
 let clear t =
   t.n <- 0;
   t.total <- 0.0;
-  t.total_sq <- 0.0;
-  t.lo <- Float.nan;
-  t.hi <- Float.nan;
   t.sorted <- true
-
-let pp fmt t =
-  Format.fprintf fmt "n=%d mean=%.1f p50=%.1f p99=%.1f" (count t) (mean t)
-    (percentile t 50.0) (percentile t 99.0)
-
-module Counter = struct
-  type c = { mutable v : int }
-
-  let create () = { v = 0 }
-
-  let incr ?(by = 1) c = c.v <- c.v + by
-
-  let value c = c.v
-
-  let rate_per_sec c ~elapsed_ns =
-    if elapsed_ns <= 0.0 then 0.0
-    else Stdlib.float_of_int c.v /. (elapsed_ns /. 1e9)
-
-  let reset c = c.v <- 0
-end

@@ -13,36 +13,8 @@ val sum : t -> float
 val mean : t -> float
 (** 0 when empty. *)
 
-val stddev : t -> float
-
-val min : t -> float
-(** [nan] when empty. *)
-
-val max : t -> float
-
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [0,100], nearest-rank on the sorted
     sample; [nan] when empty. *)
 
-val merge : t -> t -> t
-(** Fresh statistics over both sample sets. *)
-
 val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit
-(** Prints "n=… mean=… p50=… p99=…". *)
-
-(** Monotonically increasing event counter with rate helper. *)
-module Counter : sig
-  type c
-
-  val create : unit -> c
-
-  val incr : ?by:int -> c -> unit
-
-  val value : c -> int
-
-  val rate_per_sec : c -> elapsed_ns:float -> float
-
-  val reset : c -> unit
-end

@@ -85,16 +85,6 @@ let client_filebench client ~prefix =
     close = (fun ~thread:_ path -> drop_fd cache client (full path));
   }
 
-let client_fxmark client ~prefix =
-  let full path = prefix ^ path in
-  {
-    Fxmark.create = (fun ~thread:_ path -> ignore (Client.create client (full path)));
-    unlink = (fun ~thread:_ path -> ignore (Client.unlink client (full path)));
-    rename =
-      (fun ~thread:_ ~src ~dst ->
-        ignore (Client.rename client ~src:(full src) ~dst:(full dst)));
-  }
-
 let labios_file_backend_kfs fs =
   let m = Kfs.machine fs in
   let syscall ~thread =
@@ -109,21 +99,6 @@ let labios_file_backend_kfs fs =
     ~read:(fun ~thread key ~off ~bytes ->
       Kfs.read fs ~thread key ~off ~bytes ~direct:false)
     ~close:(fun ~thread _ -> syscall ~thread)
-
-let labios_file_backend_client client ~prefix =
-  let cache : fd_cache = Hashtbl.create 256 in
-  Labios.file_backend ~name:"labfs-file"
-    ~open_:(fun ~thread:_ key -> ignore (get_fd cache client (prefix ^ key)))
-    ~seek:(fun ~thread:_ _ _ -> ())
-    ~write:(fun ~thread:_ key ~off ~bytes ->
-      match get_fd cache client (prefix ^ key) with
-      | Some fd -> ignore (Client.pwrite client ~fd ~off ~bytes)
-      | None -> ())
-    ~read:(fun ~thread:_ key ~off ~bytes ->
-      match get_fd cache client (prefix ^ key) with
-      | Some fd -> ignore (Client.pread client ~fd ~off ~bytes)
-      | None -> ())
-    ~close:(fun ~thread:_ key -> drop_fd cache client (prefix ^ key))
 
 let labios_kvs_backend client =
   {

@@ -14,14 +14,8 @@ val client_filebench :
     (e.g. "fs::/data"). The adapter keeps a path→fd cache, mirroring an
     application's open-file table. *)
 
-val client_fxmark : Lab_runtime.Client.t -> prefix:string -> Fxmark.fs_ops
-
 val labios_file_backend_kfs : Lab_kernel.Kfs.t -> Labios.backend
 (** Labels as UNIX files on a kernel filesystem (open/seek/write/close). *)
-
-val labios_file_backend_client :
-  Lab_runtime.Client.t -> prefix:string -> Labios.backend
-(** Labels as UNIX files on a LabFS stack. *)
 
 val labios_kvs_backend : Lab_runtime.Client.t -> Labios.backend
 (** Labels as LabKVS keys: a single put/get per label. *)

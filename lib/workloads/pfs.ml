@@ -35,7 +35,6 @@ type t = {
   data : data_ops;
   links : Semaphore.t array;
   md_link : Semaphore.t;
-  mutable md_wall_ns : float;
   mutable md_op_count : int;
 }
 
@@ -47,15 +46,11 @@ let create machine ?(config = default_config) md data =
     data;
     links = Array.init config.nservers (fun _ -> Semaphore.create 1);
     md_link = Semaphore.create 1;
-    md_wall_ns = 0.0;
     md_op_count = 0;
   }
 
-let md_time_ns t = t.md_wall_ns
-
 (* One round trip to the metadata server. *)
 let md_rpc t ~thread op path =
-  let t0 = Machine.now t.machine in
   Engine.wait t.cfg.net_latency_ns;
   Semaphore.acquire t.md_link;
   (match op with
@@ -64,8 +59,7 @@ let md_rpc t ~thread op path =
   | `Lookup -> t.md.md_lookup ~thread path);
   Semaphore.release t.md_link;
   Engine.wait t.cfg.net_latency_ns;
-  t.md_op_count <- t.md_op_count + 1;
-  t.md_wall_ns <- t.md_wall_ns +. (Machine.now t.machine -. t0)
+  t.md_op_count <- t.md_op_count + 1
 
 let transfer t ~server bytes =
   Engine.wait t.cfg.net_latency_ns;

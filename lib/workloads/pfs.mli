@@ -43,10 +43,6 @@ val write_file : t -> thread:int -> path:string -> bytes:int -> unit
 
 val read_file : t -> thread:int -> path:string -> bytes:int -> unit
 
-val md_time_ns : t -> float
-(** Cumulative wall time spent inside metadata operations (across all
-    clients), for the time-split analysis. *)
-
 type result = {
   elapsed_ns : float;
   total_bytes : int;

@@ -38,6 +38,42 @@ let test_trace_determinism () =
   let c = drive_plan (Fault.create ~rates:busy_rates ~seed:0xDCBA ()) in
   Alcotest.(check bool) "different seed, different trace" true (a <> c)
 
+(* Each injected decision bumps exactly one of the four counters: the
+   snapshot must match a per-category tally of the trace lines. *)
+let test_injected_counts_match_trace () =
+  let plan =
+    Fault.create ~rates:busy_rates
+      ~script:
+        [ Fault.Offline { from_ns = 0.0; until_ns = 20_000.0; queue = Some 1 } ]
+      ~seed:0xABCD ()
+  in
+  let lines = String.split_on_char '\n' (drive_plan plan) in
+  let tally prefix =
+    List.length
+      (List.filter
+         (fun l ->
+           match String.split_on_char ' ' l with
+           | _ :: _ :: label :: _ -> String.starts_with ~prefix label
+           | _ -> false)
+         lines)
+  in
+  let expect =
+    [
+      ("io_error", tally "io_error");
+      ("timeout", tally "timeout");
+      ("torn_write", tally "torn");
+      ("offline_reject", tally "offline_reject");
+    ]
+  in
+  List.iter
+    (fun (k, n) ->
+      Alcotest.(check bool) (k ^ " injected") true (n > 0);
+      Alcotest.(check int) k n (List.assoc k (Fault.injected plan)))
+    expect;
+  Alcotest.(check int) "total"
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 expect)
+    (Fault.injected_total plan)
+
 (* ------------------------------------------------------------------ *)
 (* Torn writes never persist more bytes than requested.                *)
 (* ------------------------------------------------------------------ *)
@@ -414,6 +450,8 @@ let () =
       ( "plan",
         [
           Alcotest.test_case "trace determinism" `Quick test_trace_determinism;
+          Alcotest.test_case "injected counts match the trace" `Quick
+            test_injected_counts_match_trace;
           Alcotest.test_case "torn write bound" `Quick test_torn_write_bound;
         ] );
       ( "end-to-end",

@@ -818,9 +818,8 @@ let test_stats_basic () =
   let s = Stats.create () in
   List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
   Alcotest.(check int) "count" 4 (Stats.count s);
-  check_float "mean" 2.5 (Stats.mean s);
-  check_float "min" 1.0 (Stats.min s);
-  check_float "max" 4.0 (Stats.max s)
+  check_float "sum" 10.0 (Stats.sum s);
+  check_float "mean" 2.5 (Stats.mean s)
 
 let test_stats_percentile () =
   let s = Stats.create () in
@@ -838,29 +837,20 @@ let test_stats_empty () =
     (Float.is_nan (Stats.percentile s 50.0))
 
 (* Percentile queries sort lazily and memoize via the [sorted] flag.
-   Regression: repeated percentile/pp calls must not change results,
-   and the memo must be invalidated by add/merge/clear. *)
+   Regression: repeated percentile calls must not change results, and
+   the memo must be invalidated by add and clear. *)
 let test_stats_percentile_memo () =
   let s = Stats.create () in
   (* Adversarial insertion order. *)
   List.iter (Stats.add s) [ 9.0; 1.0; 8.0; 2.0; 7.0; 3.0 ];
   let first = Stats.percentile s 50.0 in
-  (* pp queries p50/p99 itself; run it twice between checks. *)
-  ignore (Format.asprintf "%a" Stats.pp s);
-  ignore (Format.asprintf "%a" Stats.pp s);
+  ignore (Stats.percentile s 99.0);
   check_float "p50 stable across repeated queries" first
     (Stats.percentile s 50.0);
   check_float "mean unperturbed" (30.0 /. 6.0) (Stats.mean s);
-  check_float "min unperturbed" 1.0 (Stats.min s);
   (* add after a sorted query must be observable. *)
   Stats.add s 0.5;
   check_float "p0 sees post-sort add" 0.5 (Stats.percentile s 0.0);
-  (* merge reflects both inputs and leaves the sources intact. *)
-  let other = Stats.create () in
-  Stats.add other 100.0;
-  let m = Stats.merge s other in
-  check_float "merged p100" 100.0 (Stats.percentile m 100.0);
-  check_float "source intact after merge" 9.0 (Stats.percentile s 100.0);
   (* clear resets; the instance stays reusable. *)
   Stats.clear s;
   Alcotest.(check bool) "cleared percentile is nan" true
@@ -890,7 +880,9 @@ let prop_stats_mean_bounds =
     (fun xs ->
       let s = Stats.create () in
       List.iter (Stats.add s) xs;
-      Stats.mean s >= Stats.min s -. 1e-6 && Stats.mean s <= Stats.max s +. 1e-6)
+      let lo = List.fold_left Float.min Float.infinity xs in
+      let hi = List.fold_left Float.max Float.neg_infinity xs in
+      Stats.mean s >= lo -. 1e-6 && Stats.mean s <= hi +. 1e-6)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
