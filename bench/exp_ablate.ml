@@ -24,7 +24,7 @@ let ext4_rate costs =
   Machine.spawn m (fun () ->
       let dev = Device.create m.Machine.engine Profile.nvme in
       let blk = Blk.create m dev ~sched:Blk.Noop in
-      let fs = Kfs.create_fs m blk ~flavor:Kfs.Ext4 () in
+      let fs = Kfs.create_fs m blk ~flavor:Kfs.Ext4 in
       for i = 1 to files do
         Kfs.create fs ~thread:0 (Printf.sprintf "/d/f%d" i)
       done;

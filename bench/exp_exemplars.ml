@@ -64,7 +64,7 @@ let run_point ~seed ~rate_kops ~total ~obs ?fault_script ?(slo = false) () =
     | Plain | Off -> d
     | On ->
         let d = { d with exemplar_k = 32; blackbox_cap = 4096 } in
-        if slo then { d with slo_p99_target_us = 500.0; slo_window_ms = 1.0 }
+        if slo then { d with slo_p99_target_us = 500.0 }
         else d
   in
   let platform = Platform.boot ~config ~nworkers:4 ~seed ?fault_script () in

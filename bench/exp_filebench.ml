@@ -45,7 +45,7 @@ let kernel_rate flavor personality =
   Machine.spawn m (fun () ->
       let dev = Device.create m.Machine.engine Profile.nvme in
       let blk = Blk.create m dev ~sched:Blk.Noop in
-      let fs = Kfs.create_fs m blk ~flavor () in
+      let fs = Kfs.create_fs m blk ~flavor in
       let r =
         Lab_workloads.Filebench.run m personality ~nthreads ~iterations
           (Lab_workloads.Adapters.kfs_filebench fs)

@@ -40,7 +40,7 @@ let kernel_backend_rate flavor kind =
   Machine.spawn m (fun () ->
       let dev = Device.create m.Machine.engine (Profile.of_kind kind) in
       let blk = Blk.create m dev ~sched:Blk.Noop in
-      let fs = Kfs.create_fs m blk ~flavor () in
+      let fs = Kfs.create_fs m blk ~flavor in
       let r =
         Lab_workloads.Labios.run_worker m
           (Lab_workloads.Adapters.labios_file_backend_kfs fs)

@@ -20,7 +20,7 @@ let kfs_rate flavor nthreads =
   Sim.Machine.spawn m (fun () ->
       let dev = Device.create m.Sim.Machine.engine Profile.nvme in
       let blk = Blk.create m dev ~sched:Blk.Noop in
-      let fs = Kfs.create_fs m blk ~flavor () in
+      let fs = Kfs.create_fs m blk ~flavor in
       let r =
         Lab_workloads.Fxmark.run_create m ~nthreads ~files_per_thread
           ~shared_dir:true

@@ -63,7 +63,7 @@ let run_kernel_md data_kind =
   Machine.spawn m (fun () ->
       let md_dev = Device.create m.Machine.engine Profile.nvme in
       let blk = Blk.create m md_dev ~sched:Blk.Noop in
-      let fs = Kfs.create_fs m blk ~flavor:Kfs.Ext4 () in
+      let fs = Kfs.create_fs m blk ~flavor:Kfs.Ext4 in
       let counter = ref 0 in
       let md =
         {

@@ -11,8 +11,8 @@ echo "== dune build =="
 dune build @all
 
 echo "== dead exports =="
-# Every val in lib/**/*.mli must have a caller outside its own module;
-# lists the ones that do not and fails.
+# Every val and every optional argument in lib/**/*.mli must have a
+# caller outside its own module; lists the ones that do not and fails.
 sh bin/dead_exports.sh
 
 echo "== dune runtest =="

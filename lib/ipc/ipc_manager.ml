@@ -68,10 +68,10 @@ let disconnect t conn =
 
 let credentials t ~pid = Hashtbl.find_opt t.creds pid
 
-let create_qp t conn ?sq_depth ?cq_depth ~role ~ordering () =
+let create_qp t conn ~role ~ordering =
   let id = t.next_qp_id in
   t.next_qp_id <- id + 1;
-  let qp = Qp.create ?metrics:t.metrics ?sq_depth ?cq_depth ~role ~ordering ~id () in
+  let qp = Qp.create ?metrics:t.metrics ~role ~ordering ~id () in
   Hashtbl.replace t.table id qp;
   Hashtbl.replace t.owners id conn.pid;
   t.order <- id :: t.order;

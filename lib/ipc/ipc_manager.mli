@@ -41,11 +41,8 @@ val credentials : 'req t -> pid:int -> int option
 val create_qp :
   'req t ->
   connection ->
-  ?sq_depth:int ->
-  ?cq_depth:int ->
   role:Qp.role ->
   ordering:Qp.ordering ->
-  unit ->
   'req Qp.t
 (** Allocates a queue pair owned by [connection]. Primary queues live in
     the connection's shared region; intermediate queues are private. *)

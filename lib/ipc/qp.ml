@@ -29,13 +29,13 @@ type 'a t = {
 (* Counters live in the metrics registry when one is supplied
    ("ipc.qp<N>.doorbell_rings" etc.); otherwise they are detached and
    only readable through the accessors below. *)
-let create ?metrics ?(sq_depth = 256) ?(cq_depth = 256) ~role ~ordering ~id () =
+let create ?metrics ?(sq_depth = 256) ~role ~ordering ~id () =
   let name k = Printf.sprintf "ipc.qp%d.%s" id k in
   let counter k = Lab_obs.Metrics.counter ?reg:metrics (name k) in
   {
     qp_id = id;
     sq = Ring.create ~capacity:sq_depth;
-    cq = Ring.create ~capacity:cq_depth;
+    cq = Ring.create ~capacity:256;
     qp_role = role;
     qp_ordering = ordering;
     qp_mark = Normal;

@@ -23,7 +23,6 @@ type 'a t
 val create :
   ?metrics:Lab_obs.Metrics.t ->
   ?sq_depth:int ->
-  ?cq_depth:int ->
   role:role ->
   ordering:ordering ->
   id:int ->
@@ -31,7 +30,9 @@ val create :
   'a t
 (** [?metrics] attaches the queue pair's doorbell/stall counters to a
     registry under ["ipc.qp<id>."]; without it the counters are still
-    maintained but only visible through the accessors below. *)
+    maintained but only visible through the accessors below. The
+    submission ring holds [sq_depth] (default 256) requests, the
+    completion ring 256. *)
 
 val id : 'a t -> int
 

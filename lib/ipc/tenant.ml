@@ -27,6 +27,15 @@
    ([qcap]); over-rate or over-cap submissions are refused (the client
    maps this to EAGAIN and its normal retry/backoff). *)
 
+(* DRR replenishment per visit per unit weight. *)
+let quantum_bytes = 65536
+
+(* Cap on outstanding throughput-class bytes across all tenants. *)
+let window_bytes = 131072
+
+(* Latency-class cutoff: the device's urgent-transfer threshold. *)
+let bypass_bytes = 16384
+
 type tenant = {
   idx : int;  (* dense table index; rides on requests *)
   ext_id : int;  (* external identity (client uid) *)
@@ -61,9 +70,6 @@ type tenant = {
 }
 
 type t = {
-  quantum_bytes : int;
-  window_bytes : int;
-  bypass_bytes : int;
   mutable tenants : tenant array;
   mutable n : int;
   by_ext : (int, int) Hashtbl.t;  (* ext_id -> idx; registration only *)
@@ -73,12 +79,8 @@ type t = {
   mutable inflight_bytes : int;  (* dispatched, not yet released *)
 }
 
-let create ?(quantum_bytes = 65536) ?(window_bytes = 131072)
-    ?(bypass_bytes = 16384) () =
+let create () =
   {
-    quantum_bytes;
-    window_bytes;
-    bypass_bytes;
     tenants = [||];
     n = 0;
     by_ext = Hashtbl.create 64;
@@ -169,10 +171,6 @@ let backlog t = t.backlog
 
 let inflight_bytes t = t.inflight_bytes
 
-let window_bytes t = t.window_bytes
-
-let quantum_bytes t = t.quantum_bytes
-
 (* ---------------- admission (client side) ---------------- *)
 
 let admit t tn ~bytes ~now =
@@ -188,8 +186,11 @@ let admit t tn ~bytes ~now =
       let filled = tn.tokens +. (dt *. tn.rate_bytes_per_ns) in
       tn.tokens <- (if filled > tn.burst_bytes then tn.burst_bytes else filled)
     end;
+    (* An op larger than the burst cannot wait for tokens the bucket
+       never holds: a full bucket admits it and goes into debt, which
+       later refills repay, so the long-run rate still holds. *)
     let b = Stdlib.float_of_int bytes in
-    if tn.tokens >= b then begin
+    if tn.tokens >= Float.min b tn.burst_bytes then begin
       tn.tokens <- tn.tokens -. b;
       tn.queued <- tn.queued + 1;
       true
@@ -215,7 +216,7 @@ let complete t tn ~bytes ~latency_ns ~ok =
 
 (* ---------------- DRR dispatch (scheduler side) ---------------- *)
 
-let windowed t ~bytes = bytes > t.bypass_bytes
+let windowed ~bytes = bytes > bypass_bytes
 
 let note_bypass tn = tn.bypassed <- tn.bypassed + 1
 
@@ -274,7 +275,7 @@ let[@inline] ring_push tn ~bytes cell =
    regardless because each replenish strictly grows the head's deficit.
    Every dispatch is a ring pop + unpark: nothing allocated. *)
 let rec drain t =
-  if t.backlog > 0 && t.inflight_bytes < t.window_bytes then begin
+  if t.backlog > 0 && t.inflight_bytes < window_bytes then begin
     let tn = t.tenants.(t.ahead) in
     let b = Array.unsafe_get tn.pb tn.phead in
     if tn.deficit >= b then begin
@@ -292,7 +293,7 @@ let rec drain t =
       drain t
     end
     else begin
-      tn.deficit <- tn.deficit + (t.quantum_bytes * tn.weight);
+      tn.deficit <- tn.deficit + (quantum_bytes * tn.weight);
       rotate t;
       drain t
     end
@@ -305,7 +306,7 @@ let rec drain t =
    parks immediately after — same coroutine, no intervening yield — so
    the unpark cannot arrive before the park. *)
 let submit t tn ~bytes cell =
-  if t.backlog = 0 && t.inflight_bytes < t.window_bytes then begin
+  if t.backlog = 0 && t.inflight_bytes < window_bytes then begin
     t.inflight_bytes <- t.inflight_bytes + bytes;
     tn.dispatched <- tn.dispatched + 1;
     tn.served_bytes <- tn.served_bytes + bytes;

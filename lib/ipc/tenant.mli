@@ -10,22 +10,24 @@
     is a ring pop plus an unpark — no per-op allocation.
 
     Ops divide into two classes, mirroring blk-switch's L-app/T-app
-    split: latency-class ops (at most [bypass_bytes]) skip the dispatch
-    window; throughput-class ops pass DRR, which keeps total
-    outstanding throughput-class bytes under [window_bytes] and shares
-    that window by weight among backlogged tenants. *)
+    split: latency-class ops (at most 16 KiB, the device's
+    urgent-transfer threshold) skip the dispatch window;
+    throughput-class ops pass DRR, which keeps total outstanding
+    throughput-class bytes under {!window_bytes} and shares that window
+    by weight among backlogged tenants, replenishing each visited
+    tenant's deficit by {!quantum_bytes} per unit weight. *)
 
 type tenant
 
 type t
 
-val create :
-  ?quantum_bytes:int -> ?window_bytes:int -> ?bypass_bytes:int -> unit -> t
-(** [quantum_bytes] (default 64 KiB) is the DRR replenishment per visit
-    per unit weight; [window_bytes] (default 128 KiB) caps outstanding
-    throughput-class bytes; ops of at most [bypass_bytes] (default
-    16 KiB, the device's urgent-transfer threshold) are latency-class
-    and bypass the window. *)
+val create : unit -> t
+
+val window_bytes : int
+(** Cap on outstanding throughput-class bytes (128 KiB). *)
+
+val quantum_bytes : int
+(** DRR replenishment per visit per unit weight (64 KiB). *)
 
 val register :
   t ->
@@ -52,7 +54,13 @@ val find : t -> ext_id:int -> tenant option
 val admit : t -> tenant -> bytes:int -> now:float -> bool
 (** Charges the token bucket and the outstanding-op cap. [false] means
     the op must be refused (EAGAIN) — the refusal is counted in
-    {!throttled}. A [true] admission must be paired with {!complete}. *)
+    {!throttled}. A [true] admission must be paired with {!complete}.
+
+    On a rate-capped tenant an op of [b] bytes is admitted when the
+    bucket holds at least [min b burst_bytes] tokens, and it always
+    takes all [b]. An op larger than the burst therefore needs a full
+    bucket and leaves it in debt; refused ops wait until the refill
+    repays the debt, so the long-run rate stays [rate_mbps]. *)
 
 val complete :
   t -> tenant -> bytes:int -> latency_ns:float -> ok:bool -> unit
@@ -61,7 +69,7 @@ val complete :
 
 (** {2 DRR dispatch — scheduler side} *)
 
-val windowed : t -> bytes:int -> bool
+val windowed : bytes:int -> bool
 (** True for throughput-class ops (they must pass {!submit} /
     {!release}); false for latency-class ops, which bypass the window
     (note them with {!note_bypass}). *)
@@ -109,6 +117,3 @@ val backlog : t -> int
 
 val inflight_bytes : t -> int
 
-val window_bytes : t -> int
-
-val quantum_bytes : t -> int

@@ -82,7 +82,7 @@ let region_pages = 4096 (* 16 MiB extents at 4 KiB pages *)
 
 let max_pages_per_file = 1 lsl 24
 
-let create_fs machine blk ~flavor ?(cache_pages = 65536) () =
+let create_fs machine blk ~flavor =
   let page_size = (Device.profile (Blk.device blk)).Profile.block_size in
   let page_size = Stdlib.max page_size 4096 in
   {
@@ -90,7 +90,7 @@ let create_fs machine blk ~flavor ?(cache_pages = 65536) () =
     fl = flavor;
     p = params_of flavor;
     blk;
-    cache = Page_cache.create machine ~capacity_pages:cache_pages ~page_size;
+    cache = Page_cache.create machine ~capacity_pages:65536 ~page_size;
     files = Hashtbl.create 1024;
     dir_locks = Hashtbl.create 64;
     alloc_locks = Array.init (params_of flavor).alloc_shards (fun _ -> Semaphore.create 1);

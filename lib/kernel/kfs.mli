@@ -19,11 +19,9 @@ val create_fs :
   Lab_sim.Machine.t ->
   Blk.t ->
   flavor:flavor ->
-  ?cache_pages:int ->
-  unit ->
   t
-(** Builds a filesystem over a block layer. [cache_pages] sizes the page
-    cache (default 65536 pages = 256 MiB). *)
+(** Builds a filesystem over a block layer with a 65536-page (256 MiB
+    at 4 KiB pages) page cache. *)
 
 val machine : t -> Lab_sim.Machine.t
 

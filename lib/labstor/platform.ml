@@ -27,12 +27,11 @@ let instance_names devices =
     devices
 
 let boot ?(config = Lab_runtime.Runtime.default_config) ?(ncores = 24)
-    ?nworkers ?policy ?costs ?(devices = [ Profile.Nvme ]) ?default_device
+    ?nworkers ?policy ?costs ?(devices = [ Profile.Nvme ])
     ?(seed = 0xC0FFEE) ?fault_rates ?fault_script ?worker_max_inflight
     ?trace_sample () =
   let m = Machine.create ?costs ~seed ~ncores () in
   let devices = if devices = [] then [ Profile.Nvme ] else devices in
-  let default_device = Option.value default_device ~default:(List.hd devices) in
   let devs =
     List.map2
       (fun k name ->
@@ -81,7 +80,7 @@ let boot ?(config = Lab_runtime.Runtime.default_config) ?(ncores = 24)
         (List.map
            (fun (_, b) -> (Device.name b.Lab_mods.Mods_env.device, b))
            backends)
-      ~default_backend:(backend_name default_device) ()
+      ~default_backend:(backend_name (List.hd devices)) ()
   in
   (* Injected faults feed the flight recorder: each device's fault plan
      reports (now, queue, label) as a fault fires, recording a Fault

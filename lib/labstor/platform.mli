@@ -12,7 +12,6 @@ val boot :
   ?policy:Lab_runtime.Orchestrator.policy ->
   ?costs:Lab_sim.Costs.t ->
   ?devices:Lab_device.Profile.kind list ->
-  ?default_device:Lab_device.Profile.kind ->
   ?seed:int ->
   ?fault_rates:Lab_sim.Fault.rates ->
   ?fault_script:Lab_sim.Fault.event list ->
@@ -26,7 +25,8 @@ val boot :
     {!Lab_runtime.Runtime.config}. The other arguments give the machine
     shape.
 
-    Defaults: 24 cores, one NVMe device (plus any others listed). The
+    Defaults: 24 cores, one NVMe device. The first device listed backs
+    the Runtime's default backend. The
     workers occupy the top [nworkers] cores, overriding the config's
     [worker_core_base]. [nworkers] overrides the config's pool size;
     the policy then defaults to [Round_robin nworkers] instead of the

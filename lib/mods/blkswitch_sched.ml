@@ -234,7 +234,7 @@ let operate m ctx req =
         | Some table when req.Request.tenant >= 0 ->
             let ib = Request.bytes_of req in
             let tn = Tenant.get table req.Request.tenant in
-            if Tenant.windowed table ~bytes:ib then begin
+            if Tenant.windowed ~bytes:ib then begin
               let cell = cell_acquire qcells in
               if not (Tenant.submit table tn ~bytes:ib cell) then begin
                 (match blackbox with

@@ -14,6 +14,8 @@ type inode = {
   mutable nblocks : int;
 }
 
+let block_size = 4096
+
 type fs_state = {
   inodes : (string, inode) Hashtbl.t;
   alloc : Block_alloc.t;
@@ -22,7 +24,6 @@ type fs_state = {
   mutable log_bytes_pending : int;
   mutable next_ino : int;
   mutable log_lba : int;
-  block_size : int;
   nworkers : int;
   mutable commit_failures : int;
       (* journal commits that failed at the device and were aborted *)
@@ -158,7 +159,7 @@ let append s ctx record =
     let bytes = s.log_bytes_pending in
     s.log_bytes_pending <- 0;
     let lba = s.log_lba in
-    s.log_lba <- s.log_lba + (bytes / s.block_size) + 1;
+    s.log_lba <- s.log_lba + (bytes / block_size) + 1;
     let flush_req =
       {
         (Request.make ~id:(-1) ~pid:0 ~uid:0 ~thread:ctx.Labmod.thread
@@ -205,10 +206,10 @@ let do_write s ctx req path ~off ~bytes =
   | None -> Request.Failed ("labfs: no such file " ^ path)
   | Some inode ->
       let needed_blocks =
-        let covered = inode.nblocks * s.block_size in
+        let covered = inode.nblocks * block_size in
         let upto = off + bytes in
         if upto <= covered then 0
-        else (upto - covered + s.block_size - 1) / s.block_size
+        else (upto - covered + block_size - 1) / block_size
       in
       if needed_blocks > 0 then begin
         let worker = ctx.Labmod.thread mod s.nworkers in
@@ -226,7 +227,7 @@ let do_write s ctx req path ~off ~bytes =
              })
       end;
       inode.size <- Stdlib.max inode.size (off + bytes);
-      let lba = inode.first_block + (off / s.block_size) in
+      let lba = inode.first_block + (off / block_size) in
       let io =
         {
           req with
@@ -247,7 +248,7 @@ let do_read s ctx req path ~off ~bytes =
         let bytes = Stdlib.min bytes (Stdlib.max 0 (inode.size - off)) in
         if bytes = 0 then Request.Size 0
         else begin
-          let lba = inode.first_block + (off / s.block_size) in
+          let lba = inode.first_block + (off / block_size) in
           let io =
             {
               req with
@@ -265,7 +266,7 @@ let do_fsync s ctx req =
     let bytes = s.log_bytes_pending in
     s.log_bytes_pending <- 0;
     let lba = s.log_lba in
-    s.log_lba <- s.log_lba + (bytes / s.block_size) + 1;
+    s.log_lba <- s.log_lba + (bytes / block_size) + 1;
     let io =
       {
         req with
@@ -346,7 +347,7 @@ let est m req =
       2000.0 +. (0.05 *. Stdlib.float_of_int bytes)
   | _ -> 1500.0
 
-let factory ~total_blocks ~nworkers ?(block_size = 4096) () : Registry.factory =
+let factory ~total_blocks ~nworkers () : Registry.factory =
  fun ~uuid ~attrs ->
   let nworkers =
     Option.value ~default:nworkers
@@ -362,7 +363,6 @@ let factory ~total_blocks ~nworkers ?(block_size = 4096) () : Registry.factory =
         log_bytes_pending = 0;
         next_ino = 1;
         log_lba = 0;
-        block_size;
         nworkers = Stdlib.max 1 nworkers;
         commit_failures = 0;
       }

@@ -25,10 +25,9 @@ type inode = {
 
 val name : string
 
-val factory :
-  total_blocks:int -> nworkers:int -> ?block_size:int -> unit -> Registry.factory
-(** [block_size] defaults to 4096. The factory's [attrs] may override
-    [nworkers] (key ["nworkers"]). *)
+val factory : total_blocks:int -> nworkers:int -> unit -> Registry.factory
+(** Blocks are 4 KiB. The factory's [attrs] may override [nworkers]
+    (key ["nworkers"]). *)
 
 (** {2 Introspection for tests, recovery and benchmarks} *)
 

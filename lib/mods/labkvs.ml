@@ -8,12 +8,13 @@ open Lab_core
 
 type entry = { mutable size : int; mutable first_block : int; mutable nblocks : int }
 
+let block_size = 4096
+
 type kv_state = {
   table : (string, entry) Hashtbl.t;
   alloc : Block_alloc.t;
   mutable log_bytes_pending : int;
   mutable log_lba : int;
-  block_size : int;
   nworkers : int;
 }
 
@@ -44,7 +45,7 @@ let log_append s ctx req =
     let bytes = s.log_bytes_pending in
     s.log_bytes_pending <- 0;
     let lba = s.log_lba in
-    s.log_lba <- s.log_lba + (bytes / s.block_size) + 1;
+    s.log_lba <- s.log_lba + (bytes / block_size) + 1;
     let io =
       {
         req with
@@ -70,9 +71,9 @@ let operate m ctx req =
             e
       in
       let needed =
-        let covered = entry.nblocks * s.block_size in
+        let covered = entry.nblocks * block_size in
         if bytes <= covered then 0
-        else (bytes - covered + s.block_size - 1) / s.block_size
+        else (bytes - covered + block_size - 1) / block_size
       in
       if needed > 0 then begin
         let worker = ctx.Labmod.thread mod s.nworkers in
@@ -137,7 +138,7 @@ let est m req =
   | Request.Kv (Request.Put { bytes; _ }) -> 1800.0 +. (0.05 *. Stdlib.float_of_int bytes)
   | _ -> 1200.0
 
-let factory ~total_blocks ~nworkers ?(block_size = 4096) () : Registry.factory =
+let factory ~total_blocks ~nworkers : Registry.factory =
  fun ~uuid ~attrs ->
   let nworkers =
     Option.value ~default:nworkers
@@ -151,7 +152,6 @@ let factory ~total_blocks ~nworkers ?(block_size = 4096) () : Registry.factory =
            alloc = Block_alloc.create ~total_blocks ~workers:(Stdlib.max 1 nworkers) ();
            log_bytes_pending = 0;
            log_lba = 0;
-           block_size;
            nworkers = Stdlib.max 1 nworkers;
          })
     {

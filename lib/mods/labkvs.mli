@@ -8,8 +8,8 @@ open Lab_core
 
 val name : string
 
-val factory :
-  total_blocks:int -> nworkers:int -> ?block_size:int -> unit -> Registry.factory
+val factory : total_blocks:int -> nworkers:int -> Registry.factory
+(** Blocks are 4 KiB. *)
 
 val key_count : Labmod.t -> int
 

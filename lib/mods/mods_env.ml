@@ -25,7 +25,7 @@ let install ?metrics ?timeseries ?qos ?blackbox registry ~machine ~backends
   register_drivers "" default;
   let total_blocks blk = Profile.blocks (Device.profile (Lab_kernel.Blk.device blk)) in
   reg "labfs" (Labfs.factory ~total_blocks:(total_blocks default.blk) ~nworkers ());
-  reg "labkvs" (Labkvs.factory ~total_blocks:(total_blocks default.blk) ~nworkers ());
+  reg "labkvs" (Labkvs.factory ~total_blocks:(total_blocks default.blk) ~nworkers);
   reg "lru_cache" (Lru_cache.factory ?metrics ?timeseries ());
   reg "arc_cache" (Arc_cache.factory ?metrics ?timeseries ());
   reg "permissions" Permissions.factory;

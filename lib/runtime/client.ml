@@ -130,7 +130,7 @@ let qp_for_stack t (stack : Stack.t) =
   | None ->
       let qp =
         Ipc_manager.create_qp (Runtime.ipc t.runtime) t.conn ~role:Qp.Primary
-          ~ordering:Qp.Ordered ()
+          ~ordering:Qp.Ordered
       in
       Hashtbl.replace t.qp_of_stack stack.Stack.id qp;
       (* New primary queue: the Work Orchestrator runs a rebalance, as

@@ -110,8 +110,6 @@ let table : Runtime.config table =
           decode policy_table (Orchestrator.Round_robin c.Runtime.nworkers) n
         in
         Ok { c with Runtime.policy } );
-    ("admin_period_us", us (fun c x -> { c with Runtime.admin_period_ns = x }));
-    ("worker_spin_us", us (fun c x -> { c with Runtime.worker_spin_ns = x }));
     ("busy_poll", bool (fun c x -> { c with Runtime.workers_busy_poll = x }));
     ("worker_batch_size", int (fun c x -> { c with Runtime.worker_batch_size = x }));
     ( "worker_max_inflight",
@@ -128,19 +126,9 @@ let table : Runtime.config table =
     ("profile_path", path (fun c x -> { c with Runtime.profile_path = x }));
     ( "lvm_rebuild_rate_mbps",
       float (fun c x -> { c with Runtime.lvm_rebuild_rate_mbps = x }) );
-    ("qos_quantum_kb", int (fun c x -> { c with Runtime.qos_quantum_kb = x }));
-    ("qos_window_kb", int (fun c x -> { c with Runtime.qos_window_kb = x }));
-    ("qos_bypass_kb", int (fun c x -> { c with Runtime.qos_bypass_kb = x }));
-    ("tenant_weight", int (fun c x -> { c with Runtime.tenant_weight = x }));
-    ("tenant_rate_mbps", float (fun c x -> { c with Runtime.tenant_rate_mbps = x }));
-    ("tenant_burst_kb", int (fun c x -> { c with Runtime.tenant_burst_kb = x }));
-    ("tenant_qcap", int (fun c x -> { c with Runtime.tenant_qcap = x }));
-    ("slo_name", string (fun c x -> { c with Runtime.slo_name = x }));
     ( "slo_p99_target_us",
       float (fun c x -> { c with Runtime.slo_p99_target_us = x }) );
     ("slo_floor_kops", float (fun c x -> { c with Runtime.slo_floor_kops = x }));
-    ("slo_error_budget", float (fun c x -> { c with Runtime.slo_error_budget = x }));
-    ("slo_window_ms", float (fun c x -> { c with Runtime.slo_window_ms = x }));
   ]
 
 let of_yaml node = decode table Runtime.default_config node

@@ -9,8 +9,6 @@
     {v
     workers: 8
     busy_poll: false
-    admin_period_us: 1000
-    worker_spin_us: 5
     trace_sample: 100       # trace 1-in-N requests (0 = off)
     trace_path: out/config_smoke/trace.json
     metrics_path: out/config_smoke/metrics.jsonl
@@ -18,8 +16,6 @@
     profile_path: out/config_smoke/profile.json
     slo_p99_target_us: 40   # latency objective (0 = no SLO)
     slo_floor_kops: 100     # throughput floor (0 = none)
-    slo_error_budget: 0.01
-    slo_window_ms: 1
     policy:
       kind: dynamic         # static | round_robin | dynamic
       max_workers: 8
@@ -27,16 +23,10 @@
       lq_cutoff_us: 1000
     v}
 
-    The other keys are [worker_batch_size], [worker_max_inflight],
-    [exemplar_k], [exemplar_tail_us], [exemplar_path], [blackbox_cap],
-    [blackbox_path], [lvm_rebuild_rate_mbps], [qos_quantum_kb],
-    [qos_window_kb], [qos_bypass_kb], [tenant_weight],
-    [tenant_rate_mbps], [tenant_burst_kb], [tenant_qcap] and
-    [slo_name]. Under [policy:],
-    [workers] sizes a static or round-robin policy; the dynamic policy
-    reads [max_workers], [threshold] and [lq_cutoff_us]. There is no
-    key for [worker_core_base]: {!Platform.boot} derives it from the
-    machine shape.
+    Under [policy:], [workers] sizes a static or round-robin policy;
+    the dynamic policy reads [max_workers], [threshold] and
+    [lq_cutoff_us]. There is no key for [worker_core_base]:
+    {!Platform.boot} derives it from the machine shape.
 
     Missing keys keep {!Runtime.default_config}'s value, and a missing
     [policy] is round-robin over [workers]. An unknown key, at the top

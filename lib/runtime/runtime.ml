@@ -6,8 +6,6 @@ open Lab_device
 type config = {
   nworkers : int;
   policy : Orchestrator.policy;
-  admin_period_ns : float;
-  worker_spin_ns : float;
   worker_core_base : int;
   workers_busy_poll : bool;
   worker_batch_size : int;
@@ -34,18 +32,6 @@ type config = {
   lvm_rebuild_rate_mbps : float;
       (* volume-manager resilver rate cap (MB/s); bounds how hard a
          background rebuild competes with foreground traffic *)
-  qos_quantum_kb : int;
-      (* DRR replenishment per visit per unit weight (KiB) *)
-  qos_window_kb : int;
-      (* outstanding throughput-class byte cap across all tenants (KiB) *)
-  qos_bypass_kb : int;
-      (* ops at or under this size are latency-class and skip the DRR
-         window (KiB; matches the device's urgent-transfer threshold) *)
-  tenant_weight : int;  (* default registration weight *)
-  tenant_rate_mbps : float;  (* default token-bucket rate; 0 = uncapped *)
-  tenant_burst_kb : int;  (* default token-bucket burst (KiB) *)
-  tenant_qcap : int;  (* default outstanding-op cap per tenant *)
-  slo_name : string;  (* SLO gauge prefix: slo.<name>.* *)
   slo_p99_target_us : float;
       (* client-latency objective (µs); observations over it burn error
          budget. <= 0 (with no floor) means no SLO object exists at all
@@ -54,16 +40,12 @@ type config = {
   slo_floor_kops : float;
       (* throughput floor (kops/s): windows serving less than this burn
          budget for the unserved demand; 0 = no floor *)
-  slo_error_budget : float;  (* allowed bad fraction (default 1%) *)
-  slo_window_ms : float;  (* burn-rate window (simulated ms) *)
 }
 
 let default_config =
   {
     nworkers = 4;
     policy = Orchestrator.Round_robin 4;
-    admin_period_ns = 1e6;
-    worker_spin_ns = 5000.0;
     worker_core_base = 0;
     workers_busy_poll = false;
     worker_batch_size = 1;
@@ -79,18 +61,8 @@ let default_config =
     profile_period_ns = 0.0;
     profile_path = None;
     lvm_rebuild_rate_mbps = 400.0;
-    qos_quantum_kb = 64;
-    qos_window_kb = 128;
-    qos_bypass_kb = 16;
-    tenant_weight = 1;
-    tenant_rate_mbps = 0.0;
-    tenant_burst_kb = 256;
-    tenant_qcap = 64;
-    slo_name = "client";
     slo_p99_target_us = 0.0;
     slo_floor_kops = 0.0;
-    slo_error_budget = 0.01;
-    slo_window_ms = 1.0;
   }
 
 type qstat = {
@@ -165,6 +137,10 @@ let next_request_id t =
 let worker_thread_base = 10_000
 
 let admin_thread_id = 9_999
+
+(* The admin process polls for upgrades and rebalances queues once per
+   simulated millisecond; the rebalancer's epoch is the same period. *)
+let admin_period_ns = 1e6
 
 (* Loading new LabMod code: the binary is page-faulted in from the
    default backend (4 KiB reads — the dominant cost Table I observes),
@@ -262,24 +238,16 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
      registers — requests without a tenant stamp skip the dispatch
      gate entirely), shared by the scheduler instances and the
      client-side admission path. *)
-  let qos =
-    Tenant.create
-      ~quantum_bytes:(1024 * config.qos_quantum_kb)
-      ~window_bytes:(1024 * config.qos_window_kb)
-      ~bypass_bytes:(1024 * config.qos_bypass_kb)
-      ()
-  in
+  let qos = Tenant.create () in
   (* The runtime-wide SLO: built only when an objective is configured,
      so the default request path never even allocates the object. *)
   let slo =
     if config.slo_p99_target_us > 0.0 || config.slo_floor_kops > 0.0 then
       Some
-        (Lab_obs.Latrec.Slo.create ~reg:metrics ~name:config.slo_name
+        (Lab_obs.Latrec.Slo.create ~reg:metrics ~name:"client"
            ~p99_target_ns:(config.slo_p99_target_us *. 1e3)
            ~floor_ops_s:(config.slo_floor_kops *. 1e3)
-           ~error_budget:config.slo_error_budget
-           ~window_ns:(config.slo_window_ms *. 1e6)
-           ())
+           ~window_ns:1e6 ())
     else None
   in
   (* The flight recorder rides SLO window rolls: every closed window is
@@ -318,7 +286,7 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
              in
              Cpu.pin machine.Machine.cpu ~thread ~core;
              Worker.create machine ~id:i ~thread ~exec ~qstat ~qprime
-               ~spin_ns:config.worker_spin_ns ~busy_poll:config.workers_busy_poll
+               ~busy_poll:config.workers_busy_poll
                ~batch_size:config.worker_batch_size
                ~max_inflight:config.worker_max_inflight ?blackbox ())
        in
@@ -436,7 +404,7 @@ let queue_loads t =
     (Ipc_manager.primary_qps t.ipc_mgr)
 
 let rebalance_now t =
-  Orchestrator.rebalance t.cfg.policy ~epoch_ns:t.cfg.admin_period_ns
+  Orchestrator.rebalance t.cfg.policy ~epoch_ns:admin_period_ns
     ~queues:(queue_loads t) ~workers:t.pool
 
 let all_primary_acked t =
@@ -458,7 +426,7 @@ let start t =
   Array.iter Worker.start t.pool;
   Engine.spawn t.machine.Machine.engine (fun () ->
       let rec admin () =
-        Engine.wait t.cfg.admin_period_ns;
+        Engine.wait admin_period_ns;
         if t.live then begin
           process_upgrades t;
           rebalance_now t
@@ -525,17 +493,13 @@ let restart t =
   Ipc_manager.set_online t.ipc_mgr true;
   rebalance_now t
 
-(* Tenant registration: config defaults apply unless overridden. Each
-   tenant gets read-through observability gauges (no state duplicated)
-   and, when the profiling sampler exists, timeline probes. *)
-let register_tenant t ~ext_id ?weight ?rate_mbps ?burst_kb ?qcap () =
-  let c = t.cfg in
+(* Each tenant gets read-through observability gauges (no state
+   duplicated) and, when the profiling sampler exists, timeline probes. *)
+let register_tenant t ~ext_id ?(weight = 1) ?(rate_mbps = 0.0)
+    ?(burst_kb = 256) ?(qcap = 64) () =
   let tn =
-    Tenant.register t.qos ~ext_id
-      ~weight:(Option.value weight ~default:c.tenant_weight)
-      ~rate_mbps:(Option.value rate_mbps ~default:c.tenant_rate_mbps)
-      ~burst_bytes:(1024 * Option.value burst_kb ~default:c.tenant_burst_kb)
-      ~qcap:(Option.value qcap ~default:c.tenant_qcap)
+    Tenant.register t.qos ~ext_id ~weight ~rate_mbps
+      ~burst_bytes:(1024 * burst_kb) ~qcap
   in
   let name k = Printf.sprintf "tenant.%d.%s" ext_id k in
   Lab_obs.Metrics.gauge_fn t.metrics (name "p99") (fun () ->

@@ -2,13 +2,12 @@
 
     Owns the Module Registry, the LabStack Namespace, the IPC Manager,
     the Module Manager, the worker pool, and the admin process that
-    periodically processes upgrades and rebalances queues. *)
+    processes upgrades and rebalances queues once per simulated
+    millisecond. *)
 
 type config = {
   nworkers : int;  (** worker pool size (upper bound for dynamic policy) *)
   policy : Orchestrator.policy;
-  admin_period_ns : float;  (** upgrade poll / rebalance epoch, default 1 ms *)
-  worker_spin_ns : float;  (** idle polling budget before a worker sleeps *)
   worker_core_base : int;  (** workers are pinned to cores starting here *)
   workers_busy_poll : bool;
       (** statically-provisioned workers that poll instead of sleeping *)
@@ -55,39 +54,17 @@ type config = {
           background mirror rebuild competes with foreground I/O
           (default 400, overridable per-instance via the stack's
           [rebuild_rate_mbps] attr) *)
-  qos_quantum_kb : int;
-      (** multi-tenant DRR replenishment per visit per unit weight
-          (KiB, default 64) — see {!Lab_ipc.Tenant} *)
-  qos_window_kb : int;
-      (** cap on outstanding throughput-class bytes across all tenants
-          (KiB, default 128) *)
-  qos_bypass_kb : int;
-      (** ops at or under this size are latency-class and bypass the
-          DRR window (KiB, default 16 — the device's urgent-transfer
-          threshold) *)
-  tenant_weight : int;  (** default {!register_tenant} weight (1) *)
-  tenant_rate_mbps : float;
-      (** default tenant token-bucket rate (0 = uncapped) *)
-  tenant_burst_kb : int;  (** default token-bucket burst (KiB, 256) *)
-  tenant_qcap : int;
-      (** default per-tenant outstanding-op cap (64); admission refuses
-          (EAGAIN) beyond it *)
-  slo_name : string;
-      (** prefix of the SLO burn gauges ([slo.<name>.budget_remaining],
-          [slo.<name>.burn_rate]); default ["client"] *)
   slo_p99_target_us : float;
       (** client-latency objective (µs): requests slower than this burn
-          error budget. [<= 0] with no floor (the default) means no SLO
-          object is built at all — the request path is byte-identical
-          to a build without SLO support *)
+          error budget (1% of requests, over 1 ms burn windows; gauges
+          [slo.client.budget_remaining] and [slo.client.burn_rate]).
+          [<= 0] with no floor (the default) means no SLO object is
+          built at all — the request path is byte-identical to a build
+          without SLO support *)
   slo_floor_kops : float;
       (** throughput floor (kops/s): a burn window that served fewer
           ops than the floor demanded burns budget for the unserved
           demand; [0] = no floor *)
-  slo_error_budget : float;
-      (** allowed bad fraction of requests (default 0.01) *)
-  slo_window_ms : float;
-      (** burn-rate window in simulated milliseconds (default 1) *)
 }
 
 val default_config : config
@@ -165,8 +142,9 @@ val register_tenant :
   ?qcap:int ->
   unit ->
   Lab_ipc.Tenant.tenant
-(** Registers a QoS tenant keyed by client uid (config defaults fill
-    omitted parameters) and installs its read-through gauges
+(** Registers a QoS tenant keyed by client uid (defaults: weight 1,
+    uncapped rate, 256 KiB burst, 64 outstanding ops; admission refuses
+    with EAGAIN beyond [qcap]) and installs its read-through gauges
     ([tenant.<id>.p99], [.throughput_bytes], [.deficit], [.throttled])
     plus, when profiling is on, timeline probes. Clients connecting
     with that uid are admission-controlled and their ops stamped with

@@ -29,7 +29,6 @@ type one_shot = { at_ns : float; os_queue : int option; os_fault : fault }
 type t = {
   rng : Rng.t;
   rates : rates;
-  queue_rates : (int * rates) list;
   windows : (float * float * int option) list;
   mutable pending : one_shot list;  (* sorted by at_ns, unconsumed *)
   mutable rev_trace : string list;
@@ -42,7 +41,7 @@ type t = {
   mutable offline_rejects : int;
 }
 
-let create ?(rates = no_rates) ?(queue_rates = []) ?(script = []) ~seed () =
+let create ?(rates = no_rates) ?(script = []) ~seed () =
   let windows =
     List.filter_map
       (function
@@ -63,7 +62,6 @@ let create ?(rates = no_rates) ?(queue_rates = []) ?(script = []) ~seed () =
   {
     rng = Rng.create seed;
     rates;
-    queue_rates;
     windows;
     pending;
     rev_trace = [];
@@ -111,11 +109,6 @@ let take_one_shot t ~now ~queue =
   in
   split [] t.pending
 
-let rates_for t queue =
-  match List.assoc_opt queue t.queue_rates with
-  | Some r -> r
-  | None -> t.rates
-
 let set_observer t f = t.observer <- Some f
 
 let observe t ~now ~queue label =
@@ -153,7 +146,7 @@ let decide t ~now ~queue ~is_write ~bytes =
         count_and_trace t ~now ~queue ~bytes
           (decision_of_fault ~is_write ~bytes f)
     | None ->
-        let r = rates_for t queue in
+        let r = t.rates in
         let torn = if is_write then r.torn_write else 0.0 in
         let total = r.io_error +. r.timeout +. torn in
         if total <= 0.0 then Pass

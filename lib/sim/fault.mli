@@ -53,11 +53,10 @@ type decision =
 
 type t
 
-val create :
-  ?rates:rates -> ?queue_rates:(int * rates) list -> ?script:event list -> seed:int -> unit -> t
-(** [queue_rates] overrides [rates] for specific hardware queues. The
-    script may be given in any order; one-shots are consumed in
-    submission order among matching commands. *)
+val create : ?rates:rates -> ?script:event list -> seed:int -> unit -> t
+(** [rates] apply to every hardware queue. The script may be given in
+    any order; one-shots are consumed in submission order among
+    matching commands. *)
 
 val none : unit -> t
 (** A plan that never injects anything. *)

@@ -96,8 +96,6 @@ let labios_file_backend_kfs fs =
     ~seek:(fun ~thread _ _ -> syscall ~thread)
     ~write:(fun ~thread key ~off ~bytes ->
       Kfs.write fs ~thread key ~off ~bytes ~direct:false)
-    ~read:(fun ~thread key ~off ~bytes ->
-      Kfs.read fs ~thread key ~off ~bytes ~direct:false)
     ~close:(fun ~thread _ -> syscall ~thread)
 
 let labios_kvs_backend client =
@@ -105,5 +103,4 @@ let labios_kvs_backend client =
     Labios.name = "labkvs";
     put_label =
       (fun ~thread:_ ~key ~bytes -> ignore (Client.put client ~key ~bytes));
-    get_label = (fun ~thread:_ ~key -> ignore (Client.get client ~key));
   }

@@ -18,4 +18,4 @@ val labios_file_backend_kfs : Lab_kernel.Kfs.t -> Labios.backend
 (** Labels as UNIX files on a kernel filesystem (open/seek/write/close). *)
 
 val labios_kvs_backend : Lab_runtime.Client.t -> Labios.backend
-(** Labels as LabKVS keys: a single put/get per label. *)
+(** Labels as LabKVS keys: a single put per label. *)

@@ -3,10 +3,9 @@ open Lab_sim
 type backend = {
   name : string;
   put_label : thread:int -> key:string -> bytes:int -> unit;
-  get_label : thread:int -> key:string -> unit;
 }
 
-let file_backend ~name ~open_ ~seek ~write ~read ~close =
+let file_backend ~name ~open_ ~seek ~write ~close =
   {
     name;
     put_label =
@@ -17,12 +16,6 @@ let file_backend ~name ~open_ ~seek ~write ~read ~close =
         seek ~thread key 0;
         write ~thread key ~off:0 ~bytes;
         close ~thread key);
-    get_label =
-      (fun ~thread ~key ->
-        open_ ~thread key;
-        seek ~thread key 0;
-        read ~thread key ~off:0 ~bytes:8192;
-        close ~thread key);
   }
 
 type result = {
@@ -32,20 +25,17 @@ type result = {
   mib_per_sec : float;
 }
 
-let run_worker machine backend ?(nthreads = 1) ?(labels_per_thread = 2000)
-    ?(label_bytes = 8192) ?(read_fraction = 0.0) () =
+let label_bytes = 8192
+
+let run_worker machine backend ?(nthreads = 1) ?(labels_per_thread = 2000) () =
   let t0 = Machine.now machine in
   let finished = ref 0 in
   Engine.suspend (fun resume ->
       for th = 0 to nthreads - 1 do
         Engine.spawn machine.Machine.engine (fun () ->
-            let rng = Rng.create (0x1AB + th) in
             for i = 1 to labels_per_thread do
               let key = Printf.sprintf "labios::/labels/t%d-l%d" th i in
-              if Rng.float rng 1.0 < read_fraction && i > 1 then
-                backend.get_label ~thread:th
-                  ~key:(Printf.sprintf "labios::/labels/t%d-l%d" th (Rng.int rng (i - 1) + 1))
-              else backend.put_label ~thread:th ~key ~bytes:label_bytes
+              backend.put_label ~thread:th ~key ~bytes:label_bytes
             done;
             incr finished;
             if !finished = nthreads then resume ())

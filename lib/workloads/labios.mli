@@ -8,7 +8,6 @@
 type backend = {
   name : string;
   put_label : thread:int -> key:string -> bytes:int -> unit;
-  get_label : thread:int -> key:string -> unit;
 }
 
 val file_backend :
@@ -16,7 +15,6 @@ val file_backend :
   open_:(thread:int -> string -> unit) ->
   seek:(thread:int -> string -> int -> unit) ->
   write:(thread:int -> string -> off:int -> bytes:int -> unit) ->
-  read:(thread:int -> string -> off:int -> bytes:int -> unit) ->
   close:(thread:int -> string -> unit) ->
   backend
 (** Wraps POSIX-style callbacks into the label interface, issuing the
@@ -34,9 +32,8 @@ val run_worker :
   backend ->
   ?nthreads:int ->
   ?labels_per_thread:int ->
-  ?label_bytes:int ->
-  ?read_fraction:float ->
   unit ->
   result
-(** Defaults: 1 thread, 2000 labels, 8 KiB labels, write-only —
-    the paper's LABIOS experiment configuration. *)
+(** Each thread writes [labels_per_thread] labels of 8 KiB. Defaults:
+    1 thread, 2000 labels — the paper's LABIOS experiment
+    configuration. *)

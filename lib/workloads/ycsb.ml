@@ -23,8 +23,10 @@ let read_fraction = function A -> 0.5 | B -> 0.95 | C -> 1.0 | D -> 0.95
 
 let key_name i = Printf.sprintf "user%08d" i
 
+let value_bytes = 1024
+
 let run machine mix ?(nthreads = 4) ?(records = 500) ?(ops_per_thread = 500)
-    ?(value_bytes = 1024) ?(theta = 0.99) ops =
+    ?(theta = 0.99) ops =
   if nthreads <= 0 || records <= 0 || ops_per_thread <= 0 then
     invalid_arg "Ycsb.run";
   (* Load phase, untimed. *)

@@ -32,7 +32,6 @@ val run :
   ?nthreads:int ->
   ?records:int ->
   ?ops_per_thread:int ->
-  ?value_bytes:int ->
   ?theta:float ->
   kv_ops ->
   result

@@ -296,8 +296,7 @@ let test_run_config_full () =
     {|
 workers: 12
 busy_poll: true
-admin_period_us: 500
-worker_spin_us: 10
+profile_period_us: 500
 policy:
   kind: dynamic
   max_workers: 10
@@ -310,8 +309,8 @@ policy:
   | Ok c ->
       Alcotest.(check int) "workers" 12 c.Lab_runtime.Runtime.nworkers;
       Alcotest.(check bool) "busy poll" true c.Lab_runtime.Runtime.workers_busy_poll;
-      Alcotest.(check (float 1e-9)) "admin period" 5e5
-        c.Lab_runtime.Runtime.admin_period_ns;
+      Alcotest.(check (float 1e-9)) "profile period" 5e5
+        c.Lab_runtime.Runtime.profile_period_ns;
       (match c.Lab_runtime.Runtime.policy with
       | Lab_runtime.Orchestrator.Dynamic { max_workers; threshold; lq_cutoff_ns } ->
           Alcotest.(check int) "max workers" 10 max_workers;
@@ -335,8 +334,6 @@ let config_fields (a : Lab_runtime.Runtime.config)
   let {
     Lab_runtime.Runtime.nworkers;
     policy;
-    admin_period_ns;
-    worker_spin_ns;
     worker_core_base;
     workers_busy_poll;
     worker_batch_size;
@@ -352,26 +349,14 @@ let config_fields (a : Lab_runtime.Runtime.config)
     profile_period_ns;
     profile_path;
     lvm_rebuild_rate_mbps;
-    qos_quantum_kb;
-    qos_window_kb;
-    qos_bypass_kb;
-    tenant_weight;
-    tenant_rate_mbps;
-    tenant_burst_kb;
-    tenant_qcap;
-    slo_name;
     slo_p99_target_us;
     slo_floor_kops;
-    slo_error_budget;
-    slo_window_ms;
   } =
     a
   in
   [
     ("nworkers", nworkers = b.nworkers);
     ("policy", policy = b.policy);
-    ("admin_period_ns", admin_period_ns = b.admin_period_ns);
-    ("worker_spin_ns", worker_spin_ns = b.worker_spin_ns);
     ("worker_core_base", worker_core_base = b.worker_core_base);
     ("workers_busy_poll", workers_busy_poll = b.workers_busy_poll);
     ("worker_batch_size", worker_batch_size = b.worker_batch_size);
@@ -387,18 +372,8 @@ let config_fields (a : Lab_runtime.Runtime.config)
     ("profile_period_ns", profile_period_ns = b.profile_period_ns);
     ("profile_path", profile_path = b.profile_path);
     ("lvm_rebuild_rate_mbps", lvm_rebuild_rate_mbps = b.lvm_rebuild_rate_mbps);
-    ("qos_quantum_kb", qos_quantum_kb = b.qos_quantum_kb);
-    ("qos_window_kb", qos_window_kb = b.qos_window_kb);
-    ("qos_bypass_kb", qos_bypass_kb = b.qos_bypass_kb);
-    ("tenant_weight", tenant_weight = b.tenant_weight);
-    ("tenant_rate_mbps", tenant_rate_mbps = b.tenant_rate_mbps);
-    ("tenant_burst_kb", tenant_burst_kb = b.tenant_burst_kb);
-    ("tenant_qcap", tenant_qcap = b.tenant_qcap);
-    ("slo_name", slo_name = b.slo_name);
     ("slo_p99_target_us", slo_p99_target_us = b.slo_p99_target_us);
     ("slo_floor_kops", slo_floor_kops = b.slo_floor_kops);
-    ("slo_error_budget", slo_error_budget = b.slo_error_budget);
-    ("slo_window_ms", slo_window_ms = b.slo_window_ms);
   ]
 
 (* Every key set to a non-default value. [worker_core_base] has no key:
@@ -407,8 +382,6 @@ let every_key_doc =
   {|
 workers: 6
 busy_poll: true
-admin_period_us: 500
-worker_spin_us: 7
 worker_batch_size: 4
 worker_max_inflight: 8
 trace_sample: 10
@@ -422,18 +395,8 @@ blackbox_path: out/b.json
 profile_period_us: 20
 profile_path: out/p.json
 lvm_rebuild_rate_mbps: 200
-qos_quantum_kb: 32
-qos_window_kb: 256
-qos_bypass_kb: 8
-tenant_weight: 2
-tenant_rate_mbps: 500
-tenant_burst_kb: 128
-tenant_qcap: 32
-slo_name: tenant
 slo_p99_target_us: 40
 slo_floor_kops: 100
-slo_error_budget: 0.05
-slo_window_ms: 2
 policy:
   kind: dynamic
   max_workers: 6
@@ -472,8 +435,25 @@ let test_run_config_rejects_unknown () =
         if not (contains e needle) then
           Alcotest.failf "%s: error %S does not name %S" label e needle
   in
-  rejects "misspelt key" "worker_spin_ns: 5000" "worker_spin_ns";
-  rejects "deleted key" "load_rate_kops: 50" "load_rate_kops";
+  rejects "misspelt key" "trace_sampel: 5" "trace_sampel";
+  List.iter
+    (fun doc ->
+      rejects "deleted key" doc (String.sub doc 0 (String.index doc ':')))
+    [
+      "load_rate_kops: 50";
+      "admin_period_us: 1000";
+      "worker_spin_us: 5";
+      "qos_quantum_kb: 64";
+      "qos_window_kb: 128";
+      "qos_bypass_kb: 16";
+      "tenant_weight: 1";
+      "tenant_rate_mbps: 0";
+      "tenant_burst_kb: 256";
+      "tenant_qcap: 64";
+      "slo_name: client";
+      "slo_error_budget: 0.01";
+      "slo_window_ms: 1";
+    ];
   rejects "derived field" "worker_core_base: 3" "worker_core_base";
   rejects "policy key" "policy:\n  kind: dynamic\n  max_worker: 4" "max_worker";
   rejects "key of another kind" "policy:\n  kind: round_robin\n  max_workers: 8"

@@ -334,10 +334,10 @@ let test_ipc_connect_and_qps () =
       Alcotest.(check (option int)) "credentials recorded" (Some 1000)
         (Ipc_manager.credentials m ~pid:100);
       let q1 =
-        Ipc_manager.create_qp m conn ~role:Qp.Primary ~ordering:Qp.Ordered ()
+        Ipc_manager.create_qp m conn ~role:Qp.Primary ~ordering:Qp.Ordered
       in
       let q2 =
-        Ipc_manager.create_qp m conn ~role:Qp.Intermediate ~ordering:Qp.Unordered ()
+        Ipc_manager.create_qp m conn ~role:Qp.Intermediate ~ordering:Qp.Unordered
       in
       Alcotest.(check int) "two qps" 2 (List.length (Ipc_manager.qps m));
       Alcotest.(check int) "one primary" 1

@@ -148,7 +148,7 @@ let prop_lru_evicts_least_recent =
 let make_fs ?(flavor = Kfs.Ext4) m =
   let dev = Device.create m.Machine.engine Profile.nvme in
   let blk = Blk.create m dev ~sched:Blk.Noop in
-  Kfs.create_fs m blk ~flavor ()
+  Kfs.create_fs m blk ~flavor
 
 let test_kfs_create_and_meta () =
   in_sim (fun m ->

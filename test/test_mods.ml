@@ -483,7 +483,7 @@ let prop_labfs_replay =
 
 let test_labkvs_put_get_delete () =
   in_sim (fun m ->
-      let kvs = Labkvs.factory ~total_blocks:100000 ~nworkers:4 () ~uuid:"kvs" ~attrs:[] in
+      let kvs = Labkvs.factory ~total_blocks:100000 ~nworkers:4 ~uuid:"kvs" ~attrs:[] in
       let forward _ = Request.Done in
       let r = drive m ~forward kvs (mk_req m (Request.Kv (Request.Put { key = "k1"; bytes = 8192 }))) in
       Alcotest.(check bool) "put ok" true (Request.is_ok r);

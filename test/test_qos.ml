@@ -55,7 +55,7 @@ let run_script ~bytes ~weights ~script =
   let check_invariants () =
     let unreleased = dispatched_total () - !released in
     if Tenant.backlog table > 0
-       && Tenant.inflight_bytes table < Tenant.window_bytes table
+       && Tenant.inflight_bytes table < Tenant.window_bytes
     then QCheck.Test.fail_report "window has room while ops are queued";
     if Tenant.inflight_bytes table <> bytes * unreleased then
       QCheck.Test.fail_report "inflight bytes out of sync with dispatches";
@@ -64,7 +64,7 @@ let run_script ~bytes ~weights ~script =
         let d = Tenant.deficit tn in
         let bound =
           float_of_int
-            ((Tenant.quantum_bytes table * Tenant.weight tn) + bytes)
+            ((Tenant.quantum_bytes * Tenant.weight tn) + bytes)
         in
         if d < 0.0 || d > bound then
           QCheck.Test.fail_report "deficit outside [0, quantum*weight + op]")
@@ -150,7 +150,7 @@ let prop_drr_fairness =
          side additionally carries a deficit residual of up to another
          quantum-per-weight plus one op. *)
       let bound =
-        float_of_int ((2 * Tenant.quantum_bytes table) + (2 * bytes))
+        float_of_int ((2 * Tenant.quantum_bytes) + (2 * bytes))
       in
       if mx -. mn > bound then
         QCheck.Test.fail_reportf
@@ -191,12 +191,32 @@ let test_admission_tokens () =
   Alcotest.(check bool) "refilled admits" true
     (Tenant.admit table tn ~bytes:8192 ~now:8.3e6)
 
-let test_class_split () =
+(* An op larger than the burst is admitted from a full bucket and
+   leaves it in debt; the long-run rate holds because the next op waits
+   until the refill has repaid the debt. *)
+let test_admission_oversized () =
   let table = Tenant.create () in
+  (* 1 MB/s = 0.001 bytes/ns; burst 64 KiB; one op of 256 KiB. *)
+  let tn =
+    Tenant.register table ~ext_id:9 ~weight:1 ~rate_mbps:1.0
+      ~burst_bytes:65536 ~qcap:1024
+  in
+  Alcotest.(check bool) "full bucket admits an op over the burst" true
+    (Tenant.admit table tn ~bytes:262144 ~now:0.0);
+  Alcotest.(check bool) "bucket in debt refuses" false
+    (Tenant.admit table tn ~bytes:4096 ~now:1e6);
+  (* Debt 196608 bytes: repaid at 196.608 ms, 4 KiB more by 200.704 ms. *)
+  Alcotest.(check bool) "still refused while repaying" false
+    (Tenant.admit table tn ~bytes:4096 ~now:196e6);
+  Alcotest.(check bool) "admits once the debt is repaid" true
+    (Tenant.admit table tn ~bytes:4096 ~now:201e6);
+  Alcotest.(check int) "two refusals counted" 2 (Tenant.throttled tn)
+
+let test_class_split () =
   Alcotest.(check bool) "16 KiB is latency-class" false
-    (Tenant.windowed table ~bytes:16384);
+    (Tenant.windowed ~bytes:16384);
   Alcotest.(check bool) "16 KiB + 1 is throughput-class" true
-    (Tenant.windowed table ~bytes:16385)
+    (Tenant.windowed ~bytes:16385)
 
 (* ---------------- e2e determinism with QoS on ---------------- *)
 
@@ -307,6 +327,7 @@ let () =
         [
           Alcotest.test_case "qcap" `Quick test_admission_qcap;
           Alcotest.test_case "token bucket" `Quick test_admission_tokens;
+          Alcotest.test_case "op over the burst" `Quick test_admission_oversized;
           Alcotest.test_case "class split" `Quick test_class_split;
         ] );
       ( "e2e",

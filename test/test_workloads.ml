@@ -119,7 +119,7 @@ let test_fio_seq_faster_on_hdd () =
 let kfs_of m flavor =
   let dev = Device.create m.Machine.engine Profile.nvme in
   let blk = Blk.create m dev ~sched:Blk.Noop in
-  Kfs.create_fs m blk ~flavor ()
+  Kfs.create_fs m blk ~flavor
 
 let test_fxmark_create_counts () =
   in_sim (fun m ->
