@@ -13,9 +13,9 @@
              coroutine takes. Reported for context; continuations
              allocate, so no words/event gate.
    - idle-spin: one runtime worker with an empty queue spin-polling
-             for its next submission. Every event is an empty poll on
-             the worker's timer-path tick; gated at <= 0.5 minor
-             words/poll.
+             for its next submission. Every event is an empty poll,
+             which the worker's poll chain elides: gated at <= 0.5
+             minor words/poll and at >= 99% of polls elided.
    - batching: one point of the exp_batching sweep, as a whole-stack
              events fingerprint.
    - evq:    the timer scenario's pushes and pops replayed on a bare
@@ -111,7 +111,11 @@ let run_idle_spin ~polls =
   Lab_runtime.Worker.assign w [ qp ];
   Lab_runtime.Worker.start w;
   Engine.run ~until:warm_ns e;
-  measured e (fun () -> Engine.run ~until:limit e)
+  let x0 = Engine.polls_elided e in
+  let events, wpe, wall =
+    measured e (fun () -> Engine.run ~until:limit e)
+  in
+  (events, wpe, wall, Engine.polls_elided e - x0)
 
 (* Queue footprint: replay [run_timer]'s exact push/pop sequence (same
    seqs, same times) on a bare queue and count the words it retains.
@@ -171,9 +175,14 @@ let run () =
   let w_events, w_wpe, w_wall = run_wait ~total:wait_total in
   Bench_util.print_row widths
     [ "wait"; string_of_int w_events; Printf.sprintf "%.2f" w_wpe ];
-  let i_events, i_wpe, i_wall = run_idle_spin ~polls:idle_polls in
-  Bench_util.print_row widths
-    [ "idle-spin"; string_of_int i_events; Printf.sprintf "%.4f" i_wpe ];
+  let i_events, i_wpe, i_wall, i_elided = run_idle_spin ~polls:idle_polls in
+  Bench_util.print_row (widths @ [ 0 ])
+    [
+      "idle-spin";
+      string_of_int i_events;
+      Printf.sprintf "%.4f" i_wpe;
+      Printf.sprintf "%d elided" i_elided;
+    ];
   let b = Exp_batching.run_case ~seed:0xBA7C4 ~qd:64 ~batch:16
       ~total_ops:batch_ops in
   Bench_util.print_row widths
@@ -202,6 +211,14 @@ let run () =
       i_wpe;
     exit 1
   end;
+  (* Elision guard: an idle worker's empty polls stay out of the event
+     queue. The count is deterministic, unlike the host time it saves. *)
+  if 100 * i_elided < 99 * i_events then begin
+    Bench_util.note
+      "ELISION REGRESSION: %d of %d idle polls elided (floor 99%%)" i_elided
+      i_events;
+    exit 1
+  end;
   (* Footprint guard: the queue's storage must not grow with the
      number of buckets a run has touched. *)
   if q_words > 2 * q_fresh then begin
@@ -215,8 +232,8 @@ let run () =
     Bench_util.note "timer:  %7.0fk events/sec" (rate t_events t_wall /. 1e3);
     Bench_util.note "wait:   %7.0fk events/sec" (rate w_events w_wall /. 1e3);
     Bench_util.note "idle:   %7.0fk polls/sec" (rate i_events i_wall /. 1e3);
-    (* An empty poll is one timer event on a near-empty queue, so it
-       must be no slower than a timer event on a 256-entry queue. *)
+    (* An elided poll is a few float and int updates, so it must be no
+       slower than a timer event on a 256-entry queue. *)
     if (not smoke) && rate i_events i_wall < rate t_events t_wall then begin
       Bench_util.note
         "IDLE-SPIN REGRESSION: %.0fk polls/sec below %.0fk timer events/sec"
@@ -247,12 +264,13 @@ let run () =
     \  \"wait_words_per_event\": %.2f,\n\
     \  \"idle_spin_polls\": %d,\n\
     \  \"idle_spin_words_per_poll\": %.4f,\n\
+    \  \"idle_spin_polls_elided\": %d,\n\
     \  \"batching_events\": %d,\n\
     \  \"evq_words\": %d,\n\
     \  \"deterministic\": %b\n\
      }\n"
     loops t_events t_wpe alloc_ok w_events w_wpe i_events
-    i_wpe b.Exp_batching.events q_words
+    i_wpe i_elided b.Exp_batching.events q_words
     (t_events = t_events' && t_now = t_now');
   close_out oc;
   Bench_util.note "wrote BENCH_sim.json"

@@ -29,13 +29,16 @@ type t = {
   qprime : qp_id:int -> Request.t -> unit;
   spin_ns : float;
   busy_poll : bool;
-  (* Idle polling on the closure-free timer path: while idle the worker
-     process sits parked in [cell], and [tick] (preallocated, arg
-     unused) stands in for each poll's [wait]. [poll] holds the spin
-     deadline (0) and the poll interval (1) unboxed; see [idle_tick]. *)
+  (* Idle polling on the closure-free path: while idle the worker
+     process sits parked in [cell], and [tick] (preallocated) stands in
+     for each poll's [wait]. [poll] holds the spin
+     deadline (0) and the poll interval (1) unboxed; [chain] keeps the
+     next poll out of the event queue while it would find nothing. See
+     [idle_tick]. *)
   cell : Engine.park_cell;
   poll : float array;
-  mutable tick : int -> unit;
+  chain : Engine.chain;
+  mutable tick : unit -> unit;
   batch_size : int;
   mutable inflight : int;
   max_inflight : int;
@@ -49,25 +52,26 @@ type t = {
   blackbox : Lab_obs.Flightrec.t option;
 }
 
-(* One idle poll, fired where the replaced [Engine.wait] would have
-   resumed the worker. Re-arming is taken only when that resume would
-   have done nothing but poll again: the worker is running, has queues,
-   no readiness bit is set and the spin deadline has not passed — an
-   empty-bitmap sweep has no side effects, so skipping it is exact.
-   Otherwise the worker continues in place, inside this event, just as
-   it would have continued from its wait. The re-arm is queued at the
-   same moment and for the same instant as the replaced wait's event,
-   so it takes the same (time, seq) key: ties at equal instants and
-   [events_executed] are unchanged. No [Engine.now] here: under
-   [-opaque] its float return would be boxed on every poll. *)
-let idle_tick t _ =
-  let eng = t.machine.Machine.engine in
-  if
-    t.running
-    && Array.length t.qarr > 0
-    && Bitset.is_empty t.ready
-    && not (Engine.reached eng t.poll 0)
-  then Engine.timer_after eng t.poll 1 t.tick 0
+(* Whether a poll now would only poll again: the worker is running, has
+   queues and no readiness bit is set. An empty-bitmap sweep has no side
+   effects, so skipping it is exact. Everything that can turn this false
+   while the worker spins fires [chain]: the readiness listeners,
+   [assign] and [stop]. *)
+let idle t = t.running && Array.length t.qarr > 0 && Bitset.is_empty t.ready
+
+(* One idle poll that runs as an event, where the replaced [Engine.wait]
+   would have resumed the worker: the chain was fired, or the spin
+   deadline has come. It re-arms when the resume would have done nothing
+   but poll again ([idle] and the deadline has not passed); otherwise
+   the worker continues in place, inside this event, just as it would
+   have continued from its wait. The re-arm takes the seq and instant
+   the replaced wait's event would have, and the polls the chain elides
+   after it do too, so ties at equal instants and [events_executed] are
+   unchanged. No [Engine.now] here: under [-opaque] its float return
+   would be boxed on every poll. *)
+let idle_tick t () =
+  if idle t && not (Engine.reached t.machine.Machine.engine t.poll 0) then
+    Engine.arm t.chain t.tick
   else Engine.resume_in_place t.cell
 
 let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ ~service_ns:_ -> ())
@@ -78,6 +82,7 @@ let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ ~service_ns:_ -> ())
     Request.make ~id:(-1) ~pid:(-1) ~uid:(-1) ~thread:(-1) ~stack_id:(-1)
       ~now:0.0 (Request.Control 0)
   in
+  let poll = [| 0.0; 0.0 |] in
   let t =
     {
       w_id = id;
@@ -99,7 +104,8 @@ let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ ~service_ns:_ -> ())
       spin_ns;
       busy_poll;
       cell = Engine.make_park_cell ();
-      poll = [| 0.0; 0.0 |];
+      poll;
+      chain = Engine.chain machine.Machine.engine poll;
       tick = ignore;
       batch_size;
       inflight = 0;
@@ -135,7 +141,10 @@ let assign t qps =
   let n = Array.length t.qarr in
   t.listeners <-
     Array.init n (fun i ->
-        let f () = Bitset.set t.ready i in
+        let f () =
+          Bitset.set t.ready i;
+          Engine.fire t.chain
+        in
         f);
   Bitset.resize t.ready n;
   Bitset.clear_all t.ready;
@@ -148,10 +157,12 @@ let assign t qps =
         Bitset.set t.ready i)
     t.qarr;
   List.iter (fun qp -> Qp.add_doorbell qp t.bell) qps;
+  Engine.fire t.chain;
   wake t
 
 let stop t =
   t.running <- false;
+  Engine.fire t.chain;
   wake t
 
 let resume t =
@@ -308,9 +319,12 @@ let park t =
 
 (* Wait one poll interval ([poll.(1)]) on the idle tick: the worker
    parks, and the tick resumes it in place once polling would find
-   something or the deadline ([poll.(0)]) has passed. *)
+   something or the deadline ([poll.(0)]) has passed. A sweep that left
+   a bit set (or a worker that is stopped or has no queues) needs its
+   next poll to run, so the chain is fired at once. *)
 let poll_wait t =
-  Engine.timer_after t.machine.Machine.engine t.poll 1 t.tick 0;
+  Engine.arm t.chain t.tick;
+  if not (idle t) then Engine.fire t.chain;
   Engine.park t.cell
 
 (* Spin-poll until a sweep dispatches work (true) or the deadline

@@ -15,6 +15,12 @@
    Slots are freed (tag 0) before dispatch so the callback can
    reschedule straight into the slot it just vacated.
 
+   A poll chain (see {!arm}) keeps a spinning poller's next event
+   out of the queue as a pending (time, seq) key. Before an event is
+   run, every chained poll that sorts before it is elided: it takes the
+   seq its re-arm would have taken and counts as executed, so the
+   schedule is the one the queued polls would have produced.
+
    Floats are kept out of function signatures on the hot path — an
    OCaml float crossing a non-inlined call is boxed — by staging times
    through [Evq.key_in]/[key_out] and keeping the engine's own hot
@@ -31,8 +37,15 @@ type t = {
   mutable seq : int;
   mutable executed : int;
   (* fl.(0) now · fl.(1) next_tick · fl.(2) tick_period ·
-     fl.(3) tick_base · fl.(4) delay staged by [wait] for the handler *)
+     fl.(3) tick_base · fl.(4) delay staged by [wait] for the handler ·
+     fl.(5) horizon of the current [run] (infinity for [step]) ·
+     fl.(6) time of the key chained polls are elided up to ([bseq]) *)
   fl : float array;
+  mutable bseq : int;
+  (* armed poll chains, [armed.(0 .. narmed - 1)] *)
+  mutable armed : chain array;
+  mutable narmed : int;
+  mutable elided : int;
   mutable tick_fn : (float -> unit) option;
   mutable tick_k : int;  (* next boundary is base +. float k *. period *)
   (* event pool *)
@@ -57,6 +70,17 @@ type t = {
    once per cell in steady state) so {!unpark} works from outside any
    process, like a {!resumer} does. *)
 and park_cell = { mutable pk : Obj.t; mutable peng : t option }
+
+(* A poller's next poll, held as a key instead of a queued event while
+   it is armed. [cells] is the caller's: deadline at 0, period at 1. *)
+and chain = {
+  ceng : t;
+  cells : float array;
+  ckey : float array;  (* [0] = time of the pending poll *)
+  mutable cseq : int;  (* seq of the pending poll *)
+  mutable cpos : int;  (* index in [ceng.armed]; -1 = not armed *)
+  mutable cfn : unit -> unit;
+}
 
 exception Stopped
 
@@ -124,7 +148,11 @@ let create () =
       evq = Evq.create ();
       seq = 0;
       executed = 0;
-      fl = [| 0.0; Float.infinity; 0.0; 0.0; 0.0 |];
+      fl = [| 0.0; Float.infinity; 0.0; 0.0; 0.0; Float.infinity; 0.0 |];
+      bseq = 0;
+      armed = [||];
+      narmed = 0;
+      elided = 0;
       tick_fn = None;
       tick_k = 0;
       tags = [||];
@@ -229,16 +257,9 @@ let timer t ~ns fn arg =
 (* Float cells owned by the caller: delays and deadlines are read and
    compared here, next to [fl], so neither they nor the clock cross a
    call boxed. *)
-let timer_after t cells i fn arg =
-  let d = Array.unsafe_get cells i in
-  let d = if d < 0.0 then 0.0 else d in
-  Array.unsafe_set t.evq.Evq.key_in 0 (Array.unsafe_get t.fl 0 +. d);
-  push_timer t fn arg
-
 let reached t cells i = Array.unsafe_get t.fl 0 >= cells.(i)
 
-let spawn t ?name f =
-  ignore name;
+let spawn t f =
   let slot = alloc_slot t in
   t.tags.(slot) <- 4;
   t.pays.(slot) <- Obj.repr f;
@@ -304,14 +325,129 @@ let parked cell = cell.pk != dummy_pay
 (* Continue the parked process right here, inside the event being
    dispatched, instead of queueing a tag-2 event for it: the resumed
    process runs until its next perform and control comes back to the
-   caller. Only a timer callback may do this (see the .mli) — the
-   process then takes the callback event's place in the schedule. *)
+   caller. Only a timer or poll-chain callback may do this (see the
+   .mli) — the process then takes the callback event's place in the
+   schedule. *)
 let resume_in_place cell =
   if cell.pk != dummy_pay then begin
     let k = cell.pk in
     cell.pk <- dummy_pay;
     Effect.Deep.continue (Obj.obj k : (unit, unit) Effect.Deep.continuation) ()
   end
+
+(* ---------------- poll chains ---------------- *)
+
+let chain t cells =
+  {
+    ceng = t;
+    cells;
+    ckey = [| 0.0 |];
+    cseq = 0;
+    cpos = -1;
+    cfn = ignore;
+  }
+
+let[@inline] before (t1 : float) (s1 : int) (t2 : float) (s2 : int) =
+  t1 < t2 || (t1 = t2 && s1 < s2)
+
+let[@inline] disarm t c =
+  let n = t.narmed - 1 in
+  let last = Array.unsafe_get t.armed n in
+  Array.unsafe_set t.armed c.cpos last;
+  last.cpos <- c.cpos;
+  t.narmed <- n;
+  c.cpos <- -1
+
+(* Queue the chain's pending poll as the tag-1 event it stands for, at
+   its own (time, seq) key. *)
+let push_poll t c =
+  let slot = alloc_slot t in
+  Array.unsafe_set t.tags slot 1;
+  Array.unsafe_set t.pays slot (Obj.repr c.cfn);
+  Array.unsafe_set t.evq.Evq.key_in 0 (Array.unsafe_get c.ckey 0);
+  Evq.push t.evq ~seq:c.cseq ~slot
+
+let arm c fn =
+  let t = c.ceng in
+  if c.cpos >= 0 then invalid_arg "Engine.arm: chain already armed";
+  c.cfn <- fn;
+  let d = Array.unsafe_get c.cells 1 in
+  let d = if d < 0.0 then 0.0 else d in
+  Array.unsafe_set c.ckey 0 (Array.unsafe_get t.fl 0 +. d);
+  t.seq <- t.seq + 1;
+  c.cseq <- t.seq;
+  if Array.unsafe_get c.ckey 0 >= Array.unsafe_get c.cells 0 then push_poll t c
+  else begin
+    if t.narmed = Array.length t.armed then begin
+      let a = Array.make (Stdlib.max 4 (2 * t.narmed)) c in
+      Array.blit t.armed 0 a 0 t.narmed;
+      t.armed <- a
+    end;
+    Array.unsafe_set t.armed t.narmed c;
+    c.cpos <- t.narmed;
+    t.narmed <- t.narmed + 1
+  end
+
+let fire c =
+  if c.cpos >= 0 then begin
+    let t = c.ceng in
+    disarm t c;
+    push_poll t c
+  end
+
+(* Elide, in (time, seq) order across chains, every armed poll that
+   sorts before the bound key (fl.(6), bseq) and is due within the
+   horizon fl.(5). An elided poll is the empty re-arm it stands for: it
+   counts as executed and takes the next seq, at the point in the seq
+   stream where the queued poll would have run. A poll whose next
+   instant reaches its deadline is queued for real; when that lands
+   before the bound, the bound drops to it and the result is true. *)
+let catch_up t =
+  let fl = t.fl in
+  let lowered = ref false in
+  let go = ref true in
+  while !go && t.narmed > 0 do
+    let armed = t.armed in
+    let b = ref (Array.unsafe_get armed 0) in
+    for i = 1 to t.narmed - 1 do
+      let c = Array.unsafe_get armed i in
+      if
+        before
+          (Array.unsafe_get c.ckey 0)
+          c.cseq
+          (Array.unsafe_get !b.ckey 0)
+          !b.cseq
+      then b := c
+    done;
+    let c = !b in
+    let key = c.ckey in
+    if
+      before (Array.unsafe_get key 0) c.cseq (Array.unsafe_get fl 6) t.bseq
+      && Array.unsafe_get key 0 <= Array.unsafe_get fl 5
+    then begin
+      t.executed <- t.executed + 1;
+      t.elided <- t.elided + 1;
+      t.seq <- t.seq + 1;
+      c.cseq <- t.seq;
+      let d = Array.unsafe_get c.cells 1 in
+      Array.unsafe_set key 0
+        (Array.unsafe_get key 0 +. if d < 0.0 then 0.0 else d);
+      if Array.unsafe_get key 0 >= Array.unsafe_get c.cells 0 then begin
+        disarm t c;
+        push_poll t c;
+        if
+          before (Array.unsafe_get key 0) c.cseq (Array.unsafe_get fl 6)
+            t.bseq
+        then begin
+          Array.unsafe_set fl 6 (Array.unsafe_get key 0);
+          t.bseq <- c.cseq;
+          lowered := true
+        end
+      end
+    end
+    else go := false
+  done;
+  !lowered
 
 (* ---------------- ticks ---------------- *)
 
@@ -380,8 +516,39 @@ let[@inline] exec t slot =
 
 (* ---------------- driving ---------------- *)
 
-let step t =
+(* Pop the next event to run, first eliding the chained polls due
+   before it; -1 when nothing is due within the horizon. A chain that
+   reached its deadline before the popped event queued its poll, so
+   that event goes back at its own key and the pop is retried. With the
+   queue empty, the chains run to their deadline polls or the
+   horizon. *)
+let rec next_chained t slot =
+  let q = t.evq in
+  if slot >= 0 then begin
+    Array.unsafe_set t.fl 6 (Array.unsafe_get q.Evq.key_out 0);
+    t.bseq <- q.Evq.out_seq;
+    if catch_up t then begin
+      Array.unsafe_set q.Evq.key_in 0 (Array.unsafe_get q.Evq.key_out 0);
+      Evq.push q ~seq:q.Evq.out_seq ~slot;
+      next_chained t (Evq.pop q)
+    end
+    else slot
+  end
+  else begin
+    Array.unsafe_set t.fl 6 Float.infinity;
+    t.bseq <- Stdlib.max_int;
+    ignore (catch_up t);
+    if Evq.is_empty q then -1 else next_chained t (Evq.pop q)
+  end
+
+(* With no chain armed, a pop is all there is to it. *)
+let[@inline] next t =
   let slot = Evq.pop t.evq in
+  if t.narmed = 0 then slot else next_chained t slot
+
+let step t =
+  t.fl.(5) <- Float.infinity;
+  let slot = next t in
   if slot < 0 then false
   else begin
     let saved = !current_engine in
@@ -407,8 +574,9 @@ let run ?until t =
     (fun () ->
       match until with
       | None ->
+          t.fl.(5) <- Float.infinity;
           let rec drain () =
-            let slot = Evq.pop t.evq in
+            let slot = next t in
             if slot >= 0 then begin
               exec t slot;
               drain ()
@@ -416,8 +584,9 @@ let run ?until t =
           in
           drain ()
       | Some limit ->
+          t.fl.(5) <- limit;
           let rec drain () =
-            let slot = Evq.pop t.evq in
+            let slot = next t in
             if slot >= 0 then
               if t.evq.Evq.key_out.(0) > limit then begin
                 advance_ticks t limit;
@@ -428,18 +597,28 @@ let run ?until t =
                 exec t slot;
                 drain ()
               end
+            else if t.narmed > 0 then
+              (* The chains' next polls lie past the horizon. *)
+              advance_ticks t limit
           in
           drain ())
 
-let active t = not (Evq.is_empty t.evq)
+let active t = t.narmed > 0 || not (Evq.is_empty t.evq)
 
 let events_executed t = t.executed
+
+let polls_elided t = t.elided
 
 (* Blank the pool — not just the queue — so dropped events release
    their closures/continuations to the GC instead of pinning them in
    stale slots (the old heap-backed engine leaked exactly that way). *)
 let stop_all t =
   Evq.clear t.evq;
+  for i = 0 to t.narmed - 1 do
+    t.armed.(i).cpos <- -1
+  done;
+  t.armed <- [||];
+  t.narmed <- 0;
   let n = Array.length t.tags in
   if n > 0 then begin
     Array.fill t.tags 0 n 0;

@@ -21,7 +21,7 @@ val create : unit -> t
 val now : t -> float
 (** Current virtual time in nanoseconds. *)
 
-val spawn : t -> ?name:string -> (unit -> unit) -> unit
+val spawn : t -> (unit -> unit) -> unit
 (** [spawn t f] registers process [f] to start at the current time.
     May be called from inside or outside a running process. *)
 
@@ -83,11 +83,12 @@ val resume_in_place : park_cell -> unit
     {!unpark} would queue it behind every event already due at the
     same instant. An empty cell is a no-op.
 
-    Call it only from a {!timer} callback, never from inside a
-    process. The intended use is a polling tick that stands in for a
-    [wait] loop: the process parks once, a preallocated tick re-arms
-    itself with {!timer_after} while polling would find nothing, and
-    resumes the process in place when it would. Each tick is queued
+    Call it only from a {!timer} or poll-chain callback, never from
+    inside a process. The intended use is a polling tick that stands
+    in for a [wait] loop: the process parks once, a preallocated tick
+    re-arms
+    its {!chain} with {!arm} while polling would find nothing, and
+    resumes the process in place when it would. Each poll is armed
     exactly when the replaced [wait] would have queued its event, so
     it takes the same (time, seq) key and the schedule is unchanged. *)
 
@@ -98,12 +99,6 @@ val resume_in_place : park_cell -> unit
     and the clock are read and compared inside the engine and no float
     is boxed at a call. *)
 
-val timer_after : t -> float array -> int -> (int -> unit) -> int -> unit
-(** [timer_after t cells i fn arg] is {!timer} with a float delay read
-    from [cells.(i)] (negative treated as 0): due at [now t +.
-    cells.(i)], the same instant a [wait cells.(i)] issued now would
-    end. *)
-
 val reached : t -> float array -> int -> bool
 (** [reached t cells i] is [now t >= cells.(i)]. *)
 
@@ -112,21 +107,65 @@ val set_after : float array -> int -> float -> unit
     time plus [d] into [cells.(i)]. Must be called from within a
     process, like {!wait}. *)
 
+(** {2 Poll chains}
+
+    A spin-poller whose empty polls only re-arm themselves keeps its
+    next poll in a chain instead of the event queue. While the chain is
+    armed, each poll that comes due before the next queued event is
+    elided: it takes the seq its re-arm would have taken, advances by
+    the period and counts in {!events_executed}, but nothing runs. So
+    the schedule, every tie at an equal instant and the event count are
+    those of the queued polls, at a few float and int updates per poll.
+
+    The poller must {!fire} the chain whenever what its poll would test
+    may have changed; an elided poll is one its callback would have
+    re-armed. *)
+
+type chain
+
+val chain : t -> float array -> chain
+(** [chain t cells] is an unarmed chain whose polls are due every
+    [cells.(1)] ns (negative treated as 0) until the deadline
+    [cells.(0)]. The cells stay the caller's and are read at each
+    poll; change them only while the chain is not armed. *)
+
+val arm : chain -> (unit -> unit) -> unit
+(** [arm c fn] takes the next seq for a poll at [now +. cells.(1)]
+    that runs [fn ()] as a plain callback (like {!schedule}'s), due
+    when a [wait cells.(1)] issued now would end. A poll that reaches the
+    deadline ([>= cells.(0)]) is queued as an event at once; any
+    other stays pending in the chain.
+    @raise Invalid_argument if [c] is already armed. *)
+
+val fire : chain -> unit
+(** [fire c] queues the pending poll of an armed chain as an event at
+    its own (time, seq) key and disarms the chain; no-op when [c] is
+    not armed. *)
+
+val polls_elided : t -> int
+(** Chained polls elided so far; each also counts in
+    {!events_executed}. *)
+
 val run : ?until:float -> t -> unit
 (** Executes events until the queue drains or virtual time would exceed
     [until]. Processes still suspended when the queue drains simply never
-    continue (this models daemons outliving the experiment). *)
+    continue (this models daemons outliving the experiment). Chained
+    polls are elided only up to [until], so events queued between runs
+    order against them as against queued polls. *)
 
 val step : t -> bool
-(** Executes exactly one event; false when the queue is empty. Lets a
-    caller interleave simulation with a host-side stop condition without
-    discarding pending events. *)
+(** Executes exactly one queued event, after eliding the chained polls
+    due before it; false when nothing is left. With only chains armed,
+    they run to their deadline polls and the first of those is the
+    event. Lets a caller interleave simulation with a host-side stop
+    condition without discarding pending events. *)
 
 val active : t -> bool
-(** True while the engine has queued events. *)
+(** True while the engine has queued events or an armed chain. *)
 
 val events_executed : t -> int
-(** Total event count; useful for regression tests on determinism. *)
+(** Total event count, each elided poll counted as the event it stands
+    for; useful for regression tests on determinism. *)
 
 val set_tick : t -> period:float -> (float -> unit) -> unit
 (** Installs the virtual-time sampling hook: [f] is called at every
@@ -146,4 +185,5 @@ exception Stopped
 (** Raised inside processes that the engine terminates via {!stop_all}. *)
 
 val stop_all : t -> unit
-(** Drops all queued events. Suspended processes are abandoned. *)
+(** Drops all queued events and disarms every chain. Suspended
+    processes are abandoned. *)

@@ -174,71 +174,192 @@ let test_engine_timer_alloc_free () =
         (per_event <= 2.0)
   | Sys.Bytecode | Sys.Other _ -> ()
 
-(* An idle poll loop on the timer path must replay a loop of [wait]s
-   event for event. The poller parks once per idle period; its tick
-   re-arms while there is nothing to see and resumes it in place when
-   there is. Competitors land exactly on poll instants: [early] was
-   queued before the poll due at its instant (so it runs first and the
-   poll sees it), [late] after (so the poll misses it until the next
-   one), [at_deadline] on the deadline instant itself, and a peer
-   process waits on the same grid so ties between processes matter.
-   Resuming through [unpark] instead would queue an extra event and
-   move the poller behind the peer at the same instant. *)
-let poll_scenario variant =
+(* A spinning poller on a poll chain must replay a loop of [wait]s event
+   for event. Each poller parks once per idle period; its tick re-arms
+   the chain while there is nothing to see and resumes it in place when
+   there is, and every signal or stop fires the chain. Competitors land
+   on and off the pollers' 80 ns grids, queued before and after the
+   re-arm they tie with (a relay queues them from an earlier instant),
+   and peer processes wait on grids of their own so ties between
+   processes matter. Pollers with an infinite deadline busy-poll until
+   a stop. The run is driven by [run], by [run ~until] with signals and
+   pushes between horizons, or by a [step] loop with signals between
+   steps. *)
+type poller = {
+  phase : float;  (* first sweep *)
+  budget : float option;  (* spin deadline after each sweep; None = busy *)
+  work_ns : float;  (* time each signal takes to serve *)
+  rounds : int;  (* idle periods before the poller ends *)
+  stop_at : float option;
+}
+
+type competitor = {
+  cname : string;
+  at : float;
+  target : int;
+  relay : float option;  (* queued at this earlier instant, not up front *)
+}
+
+type drive =
+  | Run
+  | Until of (float * int * float) list
+      (** horizon, poller signalled outside the run, delay of a signal
+          pushed then *)
+  | Steps of (int * int) list
+      (** after this many log entries, signal this poller between steps *)
+
+type poll_spec = {
+  pollers : poller list;
+  competitors : competitor list;
+  peers : float list;
+  drive : drive;
+}
+
+let poll_run spec variant =
   let e = Engine.create () in
-  let log = Buffer.create 512 in
-  let note s = Buffer.add_string log (Printf.sprintf "%s@%.0f;" s (Engine.now e)) in
-  let ready = ref 0 in
-  let cells = [| 0.0; 80.0 |] in
-  let cell = Engine.make_park_cell () in
-  let rec tick _ =
-    if !ready = 0 && not (Engine.reached e cells 0) then
-      Engine.timer_after e cells 1 tick 0
-    else Engine.resume_in_place cell
+  let log = Buffer.create 1024 in
+  let entries = ref 0 in
+  let note s =
+    incr entries;
+    Buffer.add_string log (Printf.sprintf "%s@%g;" s (Engine.now e))
   in
-  let poll_wait () =
+  let pollers = Array.of_list spec.pollers in
+  let n = Array.length pollers in
+  let ready = Array.make n 0 in
+  let stopped = Array.make n false in
+  let cells = Array.init n (fun _ -> [| 0.0; 80.0 |]) in
+  let cell = Array.init n (fun _ -> Engine.make_park_cell ()) in
+  let chains = Array.init n (fun i -> Engine.chain e cells.(i)) in
+  let idle i = ready.(i) = 0 && not stopped.(i) in
+  let ticks =
+    Array.init n (fun i ->
+        let rec tick () =
+          if idle i && not (Engine.reached e cells.(i) 0) then
+            Engine.arm chains.(i) tick
+          else Engine.resume_in_place cell.(i)
+        in
+        tick)
+  in
+  let poll_wait i =
     match variant with
     | `Wait -> Engine.wait 80.0
-    | `Tick ->
-        Engine.timer_after e cells 1 tick 0;
-        Engine.park cell
+    | `Chain ->
+        Engine.arm chains.(i) ticks.(i);
+        if not (idle i) then Engine.fire chains.(i);
+        Engine.park cell.(i)
   in
-  let signal name () =
+  let signal name i () =
     note name;
-    incr ready
+    ready.(i) <- ready.(i) + 1;
+    Engine.fire chains.(i)
   in
-  Engine.schedule e 160.0 (signal "early");
-  Engine.schedule e 330.0 (fun () -> Engine.schedule e 400.0 (signal "late"));
-  Engine.schedule e 1440.0 (signal "at_deadline");
-  Engine.spawn e (fun () ->
-      let rec idle () =
-        Engine.set_after cells 0 960.0;
-        let rec spin () =
-          if Engine.reached e cells 0 then false
-          else begin
-            poll_wait ();
-            !ready > 0 || spin ()
-          end
-        in
-        if spin () then begin
-          note "work";
-          decr ready;
-          idle ()
-        end
-        else note "idle"
+  Array.iteri
+    (fun i p ->
+      (match p.stop_at with
+      | Some at ->
+          Engine.schedule e at (fun () ->
+              note (Printf.sprintf "stop%d" i);
+              stopped.(i) <- true;
+              Engine.fire chains.(i))
+      | None -> ());
+      Engine.spawn_at e p.phase (fun () ->
+          let rec idle_period round =
+            (match p.budget with
+            | Some b -> Engine.set_after cells.(i) 0 b
+            | None -> cells.(i).(0) <- Float.infinity);
+            let rec spin () =
+              if Engine.reached e cells.(i) 0 then false
+              else begin
+                poll_wait i;
+                (not (idle i)) || spin ()
+              end
+            in
+            if spin () then
+              if stopped.(i) then note (Printf.sprintf "halt%d" i)
+              else begin
+                note (Printf.sprintf "work%d" i);
+                ready.(i) <- ready.(i) - 1;
+                if p.work_ns > 0.0 then Engine.wait p.work_ns;
+                idle_period round
+              end
+            else begin
+              note (Printf.sprintf "idle%d" i);
+              if round < p.rounds then begin
+                Engine.wait 500.0;
+                idle_period (round + 1)
+              end
+            end
+          in
+          idle_period 1))
+    pollers;
+  List.iter
+    (fun c ->
+      match c.relay with
+      | None -> Engine.schedule e c.at (signal c.cname c.target)
+      | Some r ->
+          Engine.schedule e r (fun () ->
+              Engine.schedule e c.at (signal c.cname c.target)))
+    spec.competitors;
+  List.iteri
+    (fun j phase ->
+      Engine.spawn_at e phase (fun () ->
+          for _ = 1 to 30 do
+            Engine.wait 80.0;
+            note (Printf.sprintf "peer%d" j)
+          done))
+    spec.peers;
+  (match spec.drive with
+  | Run -> Engine.run e
+  | Until horizons ->
+      List.iteri
+        (fun k (h, i, d) ->
+          Engine.run ~until:h e;
+          signal (Printf.sprintf "out%d" k) i ();
+          Engine.schedule e (Engine.now e +. d)
+            (signal (Printf.sprintf "push%d" k) i))
+        horizons;
+      Engine.run e
+  | Steps outside ->
+      (* Only events that log can satisfy a count, so the signals land
+         after the same event in both variants. *)
+      let rec outside_signals = function
+        | (k, i) :: rest when !entries >= k ->
+            signal (Printf.sprintf "out%d" k) i ();
+            outside_signals rest
+        | pending -> pending
       in
-      idle ());
-  Engine.spawn e (fun () ->
-      for _ = 1 to 30 do
-        Engine.wait 80.0;
-        note "peer"
+      let pending = ref outside in
+      while Engine.step e do
+        pending := outside_signals !pending
       done);
-  Engine.run e;
   (Buffer.contents log, Engine.events_executed e, Engine.now e)
 
+(* The fixed case: one poller, [early] queued before the poll due at
+   its instant (so the poll sees it), [late] after (so the poll misses
+   it until the next one), [at_deadline] on the deadline instant
+   itself, and a peer on the same grid. Resuming through [unpark]
+   instead would queue an extra event and move the poller behind the
+   peer at the same instant. *)
 let test_engine_resume_in_place_matches_wait () =
-  let log_w, ev_w, now_w = poll_scenario `Wait in
-  let log_t, ev_t, now_t = poll_scenario `Tick in
+  let spec =
+    {
+      pollers =
+        [
+          { phase = 0.0; budget = Some 960.0; work_ns = 0.0; rounds = 1;
+            stop_at = None };
+        ];
+      competitors =
+        [
+          { cname = "early"; at = 160.0; target = 0; relay = None };
+          { cname = "late"; at = 400.0; target = 0; relay = Some 330.0 };
+          { cname = "at_deadline"; at = 1440.0; target = 0; relay = None };
+        ];
+      peers = [ 0.0 ];
+      drive = Run;
+    }
+  in
+  let log_w, ev_w, now_w = poll_run spec `Wait in
+  let log_t, ev_t, now_t = poll_run spec `Chain in
   Alcotest.(check string) "same interleaving" log_w log_t;
   Alcotest.(check int) "same events_executed" ev_w ev_t;
   check_float "same final time" now_w now_t;
@@ -248,10 +369,111 @@ let test_engine_resume_in_place_matches_wait () =
        let rec go i = i + n <= m && (String.sub log_t i n = sub || go (i + 1)) in
        go 0
      in
-     has "early@160;work@160;peer@160;"
-     && has "peer@400;late@400;work@480;peer@480;"
-     && has "at_deadline@1440;work@1440;peer@1440;"
-     && has "idle@2400;")
+     has "early@160;work0@160;peer0@160;"
+     && has "peer0@400;late@400;work0@480;peer0@480;"
+     && has "at_deadline@1440;work0@1440;peer0@1440;"
+     && has "idle0@2400;")
+
+let gen_poll_spec =
+  let open QCheck.Gen in
+  let grid_time phases =
+    (* On a poller's grid, or anywhere. *)
+    frequency
+      [
+        ( 3,
+          map2
+            (fun i k -> List.nth phases (i mod List.length phases) +. (80.0 *. float_of_int k))
+            (int_bound 3) (int_range 1 40) );
+        (1, map float_of_int (int_bound 3500));
+      ]
+  in
+  let poller =
+    map
+      (fun (phase, budget, work_ns, rounds, stop) ->
+        let budget = if budget = 0 then None else Some (float_of_int (budget * 40)) in
+        let stop_at =
+          match (budget, stop) with
+          | None, _ -> Some (float_of_int (1000 + stop))
+          | Some _, s when s mod 3 = 0 -> Some (float_of_int (500 + s))
+          | Some _, _ -> None
+        in
+        { phase; budget; work_ns; rounds; stop_at })
+      (tup5
+         (map (fun q -> float_of_int q /. 4.0) (int_bound 640))
+         (frequency [ (1, return 0); (3, int_range 1 40) ])
+         (oneofl [ 0.0; 40.0; 80.0; 115.0 ])
+         (int_range 1 3) (int_bound 3000))
+  in
+  list_size (int_range 1 4) poller >>= fun pollers ->
+  let n = List.length pollers in
+  let phases = List.map (fun p -> p.phase) pollers in
+  let competitor k =
+    map3
+      (fun at target relay ->
+        let relay =
+          match relay with
+          | 0 -> None
+          | d -> Some (Float.max 0.0 (at -. float_of_int d))
+        in
+        { cname = Printf.sprintf "c%d" k; at; target; relay })
+      (grid_time phases) (int_bound (n - 1))
+      (frequency [ (1, return 0); (2, int_range 1 200) ])
+  in
+  int_bound 12 >>= fun nc ->
+  flatten_l (List.init nc competitor) >>= fun competitors ->
+  list_size (int_bound 2) (map float_of_int (int_bound 159)) >>= fun peers ->
+  let until =
+    map
+      (fun hs ->
+        Until
+          (List.sort compare hs
+          |> List.map (fun (h, i, d) -> (float_of_int h, i mod n, float_of_int d))))
+      (list_size (int_range 1 4)
+         (triple (int_bound 4000) (int_bound 3) (oneofl [ 0; 1; 80; 160; 37 ])))
+  in
+  let steps =
+    map
+      (fun ks ->
+        Steps (List.sort compare ks |> List.map (fun (k, i) -> (k, i mod n))))
+      (list_size (int_range 1 4) (pair (int_range 1 40) (int_bound 3)))
+  in
+  frequency [ (1, return Run); (2, until); (2, steps) ] >>= fun drive ->
+  return { pollers; competitors; peers; drive }
+
+let show_poll_spec s =
+  let f = Printf.sprintf "%g" in
+  let opt = function None -> "-" | Some x -> f x in
+  String.concat " "
+    (List.map
+       (fun p ->
+         Printf.sprintf "poller(phase=%s budget=%s work=%s rounds=%d stop=%s)"
+           (f p.phase) (opt p.budget) (f p.work_ns) p.rounds (opt p.stop_at))
+       s.pollers
+    @ List.map
+        (fun c ->
+          Printf.sprintf "%s(at=%s ->%d relay=%s)" c.cname (f c.at) c.target
+            (opt c.relay))
+        s.competitors
+    @ List.map (fun p -> "peer@" ^ f p) s.peers
+    @
+    match s.drive with
+    | Run -> [ "run" ]
+    | Until hs ->
+        List.map
+          (fun (h, i, d) -> Printf.sprintf "until(%s sig%d +%s)" (f h) i (f d))
+          hs
+    | Steps ks -> List.map (fun (k, i) -> Printf.sprintf "step(%d sig%d)" k i) ks)
+
+let prop_poll_chain_matches_wait =
+  QCheck.Test.make ~name:"poll chain replays the wait loop" ~count:300
+    (QCheck.make ~print:show_poll_spec gen_poll_spec)
+    (fun spec ->
+      let log_w, ev_w, now_w = poll_run spec `Wait in
+      let log_c, ev_c, now_c = poll_run spec `Chain in
+      if log_w <> log_c || ev_w <> ev_c || now_w <> now_c then
+        QCheck.Test.fail_reportf "wait: %d events, end %g\n%s\nchain: %d events, end %g\n%s"
+          ev_w now_w log_w ev_c now_c log_c
+      else true)
 
 (* [resume_in_place] on an empty cell does nothing, like [unpark]. *)
 let test_engine_resume_in_place_empty () =
@@ -329,6 +551,75 @@ let test_worker_poll_schedule_pinned () =
   check "busy"
     (worker_poll_scenario ~busy_poll:true)
     (77, 22000.0, "1@2000;2@8000;3@16000;", 3)
+
+(* Three spinning workers share one unordered queue pair, each polling
+   on its own phase of the 80 ns grid (started at 0, 30 and 55 ns).
+   Doorbells land on those poll instants, queued before and after the
+   poll due then, in a burst that keeps more than one worker busy, on
+   a spin deadline and while every worker is parked. The event count,
+   final time and who-ran-what-when are pinned to what the [Engine.wait]
+   poll loop produced. *)
+let shared_qp_scenario () =
+  let costs =
+    { Costs.default with Costs.shmem_cross_core_ns = 200.0; shmem_enqueue_ns = 0.0 }
+  in
+  let m = Machine.create ~costs ~ncores:4 () in
+  let e = m.Machine.engine in
+  let seen = Buffer.create 128 in
+  let exec ~thread (r : Lab_core.Request.t) =
+    Buffer.add_string seen
+      (Printf.sprintf "%d:%d@%.0f;" r.Lab_core.Request.id thread (Engine.now e));
+    Engine.wait 150.0;
+    Lab_core.Request.Done
+  in
+  let qp =
+    Lab_ipc.Qp.create ~role:Lab_ipc.Qp.Primary ~ordering:Lab_ipc.Qp.Unordered
+      ~id:1 ()
+  in
+  let workers =
+    List.mapi
+      (fun i (start_at, spin_ns) ->
+        let w =
+          Lab_runtime.Worker.create m ~id:i ~thread:i ~exec ~spin_ns ()
+        in
+        Engine.schedule e start_at (fun () ->
+            Lab_runtime.Worker.assign w [ qp ];
+            Lab_runtime.Worker.start w);
+        w)
+      [ (0.0, 3000.0); (30.0, 4000.0); (55.0, 2000.0) ]
+  in
+  let submit i () =
+    let r =
+      Lab_core.Request.make ~id:i ~pid:1 ~uid:0 ~thread:3 ~stack_id:1
+        ~now:(Engine.now e) (Lab_core.Request.Control i)
+    in
+    ignore (Lab_ipc.Qp.try_submit qp r)
+  in
+  let later at f () = Engine.schedule e at f in
+  Engine.schedule e 160.0 (submit 1);
+  Engine.schedule e 150.0 (later 190.0 (submit 2));
+  Engine.schedule e 215.0 (submit 3);
+  Engine.schedule e 200.0 (later 215.0 (submit 4));
+  List.iter (fun i -> Engine.schedule e 1040.0 (submit i)) [ 5; 6; 7; 8 ];
+  Engine.schedule e 1000.0 (later 1070.0 (submit 9));
+  Engine.schedule e 3960.0 (submit 10);
+  Engine.schedule e 5000.0 (later 5235.0 (submit 11));
+  Engine.schedule e 12000.0 (submit 12);
+  Engine.run e;
+  ( Engine.events_executed e,
+    Engine.now e,
+    Buffer.contents seen,
+    List.map Lab_runtime.Worker.processed workers )
+
+let test_worker_shared_qp_pinned () =
+  let ev, now, seen, per_worker = shared_qp_scenario () in
+  Alcotest.(check int) "events_executed" 396 ev;
+  check_float "final time" 16000.0 now;
+  Alcotest.(check string) "completion instants"
+    "1:0@360;2:2@415;3:1@470;4:0@560;5:0@1240;6:2@1255;7:1@1310;8:0@1440;\
+     9:2@1455;10:2@4160;11:0@5435;12:2@12200;"
+    seen;
+  Alcotest.(check (list int)) "processed per worker" [ 5; 2; 5 ] per_worker
 
 (* stop_all must blank the event pool, not just the queue indices, so
    dropped events release their closures to the GC. *)
@@ -969,6 +1260,9 @@ let () =
             test_engine_resume_in_place_empty;
           Alcotest.test_case "worker poll schedule pinned" `Quick
             test_worker_poll_schedule_pinned;
+          Alcotest.test_case "worker shared qp pinned" `Quick
+            test_worker_shared_qp_pinned;
+          QCheck_alcotest.to_alcotest prop_poll_chain_matches_wait;
           Alcotest.test_case "stop_all releases" `Quick
             test_engine_stop_all_releases;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
