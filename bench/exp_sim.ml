@@ -16,6 +16,11 @@
              for its next submission. Every event is an empty poll,
              which the worker's poll chain elides: gated at <= 0.5
              minor words/poll and at >= 99% of polls elided.
+   - device: one process issuing NVMe commands back to back through
+             [Device.submit_waiter] + [Device.await] on a pooled waiter.
+             Reports steady-state minor words per 4 KiB command and per
+             1 MiB (four-chunk) command; the 4 KiB figure is gated at
+             <= 32 words/command.
    - batching: one point of the exp_batching sweep, as a whole-stack
              events fingerprint.
    - evq:    the timer scenario's pushes and pops replayed on a bare
@@ -117,6 +122,35 @@ let run_idle_spin ~polls =
   in
   (events, wpe, wall, Engine.polls_elided e - x0)
 
+(* Device command path: [total] commands after [warmup], one in flight,
+   alternating writes and reads over the hctxs. Only the measured
+   commands count; the warmup grows the device's pools. *)
+let run_device ~warmup ~total ~bytes =
+  let open Lab_device in
+  let e = Engine.create () in
+  let dev = Device.create e Profile.nvme in
+  let waiters = Device.waiter_pool () in
+  let words = ref 0.0 in
+  let cmd i =
+    let w = Device.take_waiter waiters in
+    Device.submit_waiter dev w ~hctx:i
+      ~kind:(if i land 1 = 0 then Device.Write else Device.Read)
+      ~lba:(i * 256) ~bytes;
+    Device.await w;
+    Device.give_waiter waiters w
+  in
+  Engine.spawn e (fun () ->
+      for i = 1 to warmup do
+        cmd i
+      done;
+      let w0 = Gc.minor_words () in
+      for i = 1 to total do
+        cmd i
+      done;
+      words := Gc.minor_words () -. w0);
+  Engine.run e;
+  !words /. Stdlib.float_of_int total
+
 (* Queue footprint: replay [run_timer]'s exact push/pop sequence (same
    seqs, same times) on a bare queue and count the words it retains.
    [Engine] keeps its queue private, hence the replay. *)
@@ -183,6 +217,15 @@ let run () =
       Printf.sprintf "%.4f" i_wpe;
       Printf.sprintf "%d elided" i_elided;
     ];
+  let d_4k = run_device ~warmup:1_000 ~total:10_000 ~bytes:4096 in
+  let d_1m = run_device ~warmup:200 ~total:2_000 ~bytes:(1024 * 1024) in
+  Bench_util.print_row (widths @ [ 0 ])
+    [
+      "device";
+      "-";
+      Printf.sprintf "%.2f" d_4k;
+      Printf.sprintf "words/cmd (4 KiB); %.2f per 1 MiB cmd" d_1m;
+    ];
   let b = Exp_batching.run_case ~seed:0xBA7C4 ~qd:64 ~batch:16
       ~total_ops:batch_ops in
   Bench_util.print_row widths
@@ -217,6 +260,15 @@ let run () =
     Bench_util.note
       "ELISION REGRESSION: %d of %d idle polls elided (floor 99%%)" i_elided
       i_events;
+    exit 1
+  end;
+  (* Device guard: a steady-state command allocates only the effect
+     continuations of the processes it passes through. *)
+  if native && d_4k > 32.0 then begin
+    Bench_util.note
+      "ALLOCATION REGRESSION: device path at %.2f minor words per 4 KiB \
+       command (budget 32)"
+      d_4k;
     exit 1
   end;
   (* Footprint guard: the queue's storage must not grow with the
@@ -265,12 +317,14 @@ let run () =
     \  \"idle_spin_polls\": %d,\n\
     \  \"idle_spin_words_per_poll\": %.4f,\n\
     \  \"idle_spin_polls_elided\": %d,\n\
+    \  \"device_words_per_cmd\": %.2f,\n\
+    \  \"device_words_per_mib_cmd\": %.2f,\n\
     \  \"batching_events\": %d,\n\
     \  \"evq_words\": %d,\n\
     \  \"deterministic\": %b\n\
      }\n"
     loops t_events t_wpe alloc_ok w_events w_wpe i_events
-    i_wpe i_elided b.Exp_batching.events q_words
+    i_wpe i_elided d_4k d_1m b.Exp_batching.events q_words
     (t_events = t_events' && t_now = t_now');
   close_out oc;
   Bench_util.note "wrote BENCH_sim.json"

@@ -23,28 +23,127 @@ let error_to_string = function
 
 type health_event = Went_offline of { until_ns : float } | Came_online
 
-type request = {
-  kind : io_kind;
-  lba : int;
-  bytes : int;
-  submitted : float;
-  fault : Fault.decision;  (* drawn from the fault plan at submit time *)
-  on_complete : (completion, error) result -> unit;
+(* A caller-owned, reusable completion record. One submission fans out
+   into chunks; each finished chunk merges its outcome here in place,
+   and the last one stamps the completion time and calls [w_notify]. *)
+type waiter = {
+  w_cell : Engine.park_cell;
+  mutable w_pending : int;  (* chunks not finished yet; 0 = free to submit *)
+  mutable w_persisted : int;
+  mutable w_worst : int;  (* [error_rank] of the worst chunk error; -1 = none *)
+  w_times : float array;  (* [0] submitted, [1] completed *)
+  mutable w_notify : waiter -> unit;
+  mutable w_kind : io_kind;
+  mutable w_lba : int;
+  mutable w_bytes : int;
+  mutable w_hctx : int;
 }
 
-type transfer_item = { treq : request; tbytes : int; resume : unit -> unit }
+(* One pooled device command (a chunk of a submission), linked through
+   [next] into its hctx's FIFO or the device's free list. *)
+type cmd = {
+  mutable kind : io_kind;
+  mutable lba : int;
+  mutable bytes : int;
+  mutable fault : Fault.decision;  (* drawn from the fault plan at submit time *)
+  mutable owner : waiter;
+  submitted : float array;  (* [0]; a mutable float field would box per store *)
+  mutable next : cmd;
+  mutable live : bool;  (* between submit and finish *)
+}
+
+(* A long-lived service process. It serves one command at a time and
+   parks between commands on the device's idle list, or during its
+   transfer on its hctx's transfer FIFO. *)
+type server = {
+  s_cell : Engine.park_cell;
+  mutable s_cmd : cmd;
+  mutable s_hctx : int;
+  mutable s_tbytes : int;  (* payload waiting for the arbiter *)
+  mutable s_next : server;  (* idle list / transfer FIFO link *)
+  mutable s_state : int;
+  s_delay : float array;
+}
+
+(* Server states. A lost command's server stays parked for good. *)
+let busy = 0
+
+let idle = 1
+
+let transferring = 2
+
+let lost = 3
+
+let nil_waiter =
+  {
+    w_cell = Engine.make_park_cell ();
+    w_pending = 0;
+    w_persisted = 0;
+    w_worst = -1;
+    w_times = [| 0.0; 0.0 |];
+    w_notify = ignore;
+    w_kind = Read;
+    w_lba = 0;
+    w_bytes = 0;
+    w_hctx = 0;
+  }
+
+let nil_cmd =
+  let submitted = [| 0.0 |] in
+  let rec c =
+    {
+      kind = Read;
+      lba = 0;
+      bytes = 0;
+      fault = Fault.Pass;
+      owner = nil_waiter;
+      submitted;
+      next = c;
+      live = false;
+    }
+  in
+  c
+
+let nil_server =
+  let s_cell = Engine.make_park_cell () and s_delay = [| 0.0 |] in
+  let rec s =
+    {
+      s_cell;
+      s_cmd = nil_cmd;
+      s_hctx = 0;
+      s_tbytes = 0;
+      s_next = s;
+      s_state = busy;
+      s_delay;
+    }
+  in
+  s
+
+type waiter_pool = { mutable ws : waiter array; mutable nws : int }
 
 type t = {
   name : string;
   engine : Engine.t;
   profile : Profile.t;
-  queues : request Mailbox.t array;
+  (* Dispatch: per-hctx command FIFOs, and a park cell per dispatcher.
+     A command put while its dispatcher is parked is handed over in
+     [handoff] instead of entering the FIFO, as a mailbox would. *)
+  q_head : cmd array;
+  q_tail : cmd array;
+  handoff : cmd array;
+  dispatchers : Engine.park_cell array;
   channels : Semaphore.t;
-  (* Shared-bandwidth stage: one server draining per-hctx transfer
-     queues round-robin, as NVMe controllers arbitrate across
+  mutable free_cmds : cmd;
+  mutable idle_servers : server;
+  (* Shared-bandwidth stage: one arbiter draining per-hctx transfer
+     FIFOs round-robin, as NVMe controllers arbitrate across
      submission queues — a loaded queue cannot starve the others. *)
-  transfer_queues : transfer_item Queue.t array;
-  transfer_bell : unit Waitq.t;
+  t_head : server array;
+  t_tail : server array;
+  arbiter : Engine.park_cell;
+  arbiter_delay : float array;
+  mutable cursor : int;
+  blocking : waiter_pool;  (* waiters of the blocking submissions *)
   mutable last_lba : int;  (* head position, for seek modelling *)
   mutable outstanding : int;
   flush_waiters : unit Waitq.t;
@@ -64,7 +163,7 @@ let profile t = t.profile
 
 let engine t = t.engine
 
-let n_hw_queues t = Array.length t.queues
+let n_hw_queues t = Array.length t.q_head
 
 let outstanding t = t.outstanding
 
@@ -99,175 +198,386 @@ let latency_of t kind =
   | Read -> t.profile.Profile.read_latency_ns
   | Write -> t.profile.Profile.write_latency_ns
 
-(* A command is sequential if it starts where the previous one ended. *)
-let seek_cost t lba bytes =
-  if t.profile.Profile.avg_seek_ns <= 0.0 then 0.0
-  else begin
+(* A command is sequential if it starts where the previous one ended;
+   a seek adds to the delay in [cells.(0)]. *)
+let add_seek t cells lba bytes =
+  if t.profile.Profile.avg_seek_ns > 0.0 then begin
     let block = t.profile.Profile.block_size in
     let here = t.last_lba in
-    let next = lba + ((bytes + block - 1) / block) in
-    t.last_lba <- next;
-    if lba = here then 0.0 else t.profile.Profile.avg_seek_ns
+    t.last_lba <- lba + ((bytes + block - 1) / block);
+    if lba <> here then cells.(0) <- cells.(0) +. t.profile.Profile.avg_seek_ns
   end
 
-let finish t req result =
-  Stats.add t.service (Engine.now t.engine -. req.submitted);
-  (match result with
-  | Ok _ -> (
-      match req.kind with
+(* ---------------- waiters ---------------- *)
+
+(* Aggregating chunk errors: the whole operation reports the most
+   severe outcome (offline > media error > timeout > torn), and a torn
+   verdict carries the total bytes actually persisted across chunks —
+   never more than were requested. *)
+let error_rank = function
+  | E_offline -> 3
+  | E_io -> 2
+  | E_timeout -> 1
+  | E_torn _ -> 0
+
+let wake w = Engine.unpark w.w_cell
+
+let make_waiter () =
+  {
+    w_cell = Engine.make_park_cell ();
+    w_pending = 0;
+    w_persisted = 0;
+    w_worst = -1;
+    w_times = [| 0.0; 0.0 |];
+    w_notify = wake;
+    w_kind = Read;
+    w_lba = 0;
+    w_bytes = 0;
+    w_hctx = 0;
+  }
+
+let set_notify w f = w.w_notify <- f
+
+let await w = if w.w_pending > 0 then Engine.park w.w_cell
+
+let waiter_error w =
+  match w.w_worst with
+  | -1 -> None
+  | 0 -> Some (E_torn w.w_persisted)
+  | 1 -> Some E_timeout
+  | 2 -> Some E_io
+  | _ -> Some E_offline
+
+let waiter_hctx w = w.w_hctx
+
+let waiter_bytes w = w.w_bytes
+
+let waiter_submitted w = w.w_times.(0)
+
+let waiter_completed w = w.w_times.(1)
+
+let completion_of w =
+  {
+    c_kind = w.w_kind;
+    c_lba = w.w_lba;
+    c_bytes = w.w_bytes;
+    c_submitted = w.w_times.(0);
+    c_completed = w.w_times.(1);
+  }
+
+let result_of w =
+  match waiter_error w with None -> Ok (completion_of w) | Some e -> Error e
+
+let waiter_pool () = { ws = [||]; nws = 0 }
+
+let take_waiter p =
+  if p.nws = 0 then make_waiter ()
+  else begin
+    p.nws <- p.nws - 1;
+    let w = p.ws.(p.nws) in
+    p.ws.(p.nws) <- nil_waiter;
+    w
+  end
+
+let give_waiter p w =
+  if w.w_pending > 0 then
+    invalid_arg "Device.give_waiter: the waiter's command is still pending";
+  if p.nws = Array.length p.ws then begin
+    let ws = Array.make (Stdlib.max 4 (2 * p.nws)) nil_waiter in
+    Array.blit p.ws 0 ws 0 p.nws;
+    p.ws <- ws
+  end;
+  p.ws.(p.nws) <- w;
+  p.nws <- p.nws + 1
+
+(* One chunk's outcome ([None] = success) merges into its waiter; the
+   last chunk stamps the completion time and notifies. *)
+let chunk_done t w len err =
+  (match err with
+  | None -> w.w_persisted <- w.w_persisted + len
+  | Some e ->
+      (match e with E_torn n -> w.w_persisted <- w.w_persisted + n | _ -> ());
+      let r = error_rank e in
+      if r > w.w_worst then w.w_worst <- r);
+  w.w_pending <- w.w_pending - 1;
+  if w.w_pending = 0 then begin
+    w.w_times.(1) <- Engine.now t.engine;
+    w.w_notify w
+  end
+
+(* ---------------- commands ---------------- *)
+
+let alloc_cmd t =
+  let c = t.free_cmds in
+  if c == nil_cmd then
+    {
+      kind = Read;
+      lba = 0;
+      bytes = 0;
+      fault = Fault.Pass;
+      owner = nil_waiter;
+      submitted = [| 0.0 |];
+      next = nil_cmd;
+      live = true;
+    }
+  else begin
+    t.free_cmds <- c.next;
+    c.next <- nil_cmd;
+    c.live <- true;
+    c
+  end
+
+(* Order matters for the schedule: service sample, counters,
+   [outstanding], flush waiters, then the waiter's merge and notify. *)
+let finish t c err =
+  if not c.live then invalid_arg "Device.finish: command finished twice";
+  c.live <- false;
+  Stats.add t.service (Engine.now t.engine -. c.submitted.(0));
+  (match err with
+  | None -> (
+      match c.kind with
       | Read ->
           t.completed_reads <- t.completed_reads + 1;
-          t.bytes_read <- t.bytes_read + req.bytes
+          t.bytes_read <- t.bytes_read + c.bytes
       | Write ->
           t.completed_writes <- t.completed_writes + 1;
-          t.bytes_written <- t.bytes_written + req.bytes)
-  | Error (E_torn n) ->
+          t.bytes_written <- t.bytes_written + c.bytes)
+  | Some (E_torn n) ->
       (* A torn write persisted a prefix: account only those bytes. *)
       t.completed_errors <- t.completed_errors + 1;
-      if req.kind = Write then t.bytes_written <- t.bytes_written + n
-  | Error _ -> t.completed_errors <- t.completed_errors + 1);
+      if c.kind = Write then t.bytes_written <- t.bytes_written + n
+  | Some _ -> t.completed_errors <- t.completed_errors + 1);
   t.outstanding <- t.outstanding - 1;
   if t.outstanding = 0 then ignore (Waitq.wake_all t.flush_waiters ());
-  req.on_complete result
+  let w = c.owner and len = c.bytes in
+  c.owner <- nil_waiter;
+  c.fault <- Fault.Pass;
+  c.next <- t.free_cmds;
+  t.free_cmds <- c;
+  chunk_done t w len err
 
-let completion_of t req =
-  {
-    c_kind = req.kind;
-    c_lba = req.lba;
-    c_bytes = req.bytes;
-    c_submitted = req.submitted;
-    c_completed = Engine.now t.engine;
-  }
+(* Put a command on its hctx: straight to the dispatcher when it is
+   parked waiting for one, else at the FIFO's tail. *)
+let enqueue t q c =
+  let d = t.dispatchers.(q) in
+  if Engine.parked d then begin
+    t.handoff.(q) <- c;
+    Engine.unpark d
+  end
+  else begin
+    if t.q_head.(q) == nil_cmd then t.q_head.(q) <- c
+    else t.q_tail.(q).next <- c;
+    t.q_tail.(q) <- c
+  end
+
+(* The FIFO's head, or [nil_cmd] when it is empty. *)
+let dequeue t q =
+  let c = t.q_head.(q) in
+  if c != nil_cmd then begin
+    t.q_head.(q) <- c.next;
+    if c.next == nil_cmd then t.q_tail.(q) <- nil_cmd;
+    c.next <- nil_cmd
+  end;
+  c
 
 let offline_now t qidx =
   match t.faults with
   | None -> false
   | Some plan -> Fault.offline plan ~now:(Engine.now t.engine) ~queue:qidx
 
-let service t qidx req () =
-  let transfer nbytes =
-    (* Transfer stage: enqueue on this hctx's transfer queue and wait
-       for the round-robin arbiter to move the payload. *)
-    if nbytes > 0 then
-      Engine.suspend (fun resume ->
-          Queue.add { treq = req; tbytes = nbytes; resume } t.transfer_queues.(qidx);
-          ignore (Waitq.wake t.transfer_bell ()))
-  in
-  match req.fault with
+(* ---------------- service ---------------- *)
+
+let resume_server s ~from =
+  if s.s_state <> from then
+    invalid_arg "Device: server resumed while not parked for it";
+  s.s_state <- busy;
+  Engine.unpark s.s_cell
+
+(* Transfer stage: join this hctx's transfer FIFO, wake the arbiter and
+   park until it has moved the payload. *)
+let transfer t s nbytes =
+  if nbytes > 0 then begin
+    let q = s.s_hctx in
+    s.s_tbytes <- nbytes;
+    s.s_state <- transferring;
+    if t.t_head.(q) == nil_server then t.t_head.(q) <- s
+    else t.t_tail.(q).s_next <- s;
+    t.t_tail.(q) <- s;
+    Engine.unpark t.arbiter;
+    Engine.park s.s_cell
+  end
+
+let serve t s =
+  let c = s.s_cmd in
+  let delay = s.s_delay in
+  delay.(0) <- latency_of t c.kind;
+  match c.fault with
   | Fault.Fail_io ->
       (* Media error: the command occupies a channel for its nominal
          latency, transfers nothing, completes with an error. *)
-      Engine.wait (latency_of t req.kind);
+      Engine.wait_cell delay 0;
       Semaphore.release t.channels;
-      finish t req (Error E_io)
+      finish t c (Some E_io)
   | Fault.Delay d when not (Float.is_finite d) ->
       (* Lost command: it never completes. Release the channel so the
          rest of the device keeps serving; [outstanding] stays elevated
          on purpose — recovering is the client deadline's job. *)
-      Engine.wait (latency_of t req.kind);
+      Engine.wait_cell delay 0;
       Semaphore.release t.channels;
-      Engine.suspend (fun _ -> ())
+      s.s_state <- lost;
+      Engine.park s.s_cell
   | Fault.Torn n ->
-      Engine.wait (latency_of t req.kind +. seek_cost t req.lba req.bytes);
+      add_seek t delay c.lba c.bytes;
+      Engine.wait_cell delay 0;
       Semaphore.release t.channels;
-      transfer n;
-      finish t req (Error (E_torn n))
+      transfer t s n;
+      finish t c (Some (E_torn n))
   | Fault.Pass | Fault.Delay _ | Fault.Reject_offline ->
       (* Reject_offline is handled at submit time and never reaches the
          queues; a finite Delay serves normally after the extra wait. *)
-      let extra = match req.fault with Fault.Delay d -> d | _ -> 0.0 in
-      Engine.wait (latency_of t req.kind +. seek_cost t req.lba req.bytes +. extra);
+      add_seek t delay c.lba c.bytes;
+      (match c.fault with
+      | Fault.Delay d -> delay.(0) <- delay.(0) +. d
+      | _ -> ());
+      Engine.wait_cell delay 0;
       Semaphore.release t.channels;
-      if offline_now t qidx then
+      if offline_now t s.s_hctx then
         (* The device went offline while this command was in service:
            it completes with an error instead of data (the in-flight
            half of device-loss semantics; queued commands are aborted
            by [abort_queued]). *)
-        finish t req (Error E_offline)
+        finish t c (Some E_offline)
       else begin
-        transfer req.bytes;
-        finish t req (Ok (completion_of t req))
+        transfer t s c.bytes;
+        finish t c None
       end
 
+let server_loop t s () =
+  while true do
+    serve t s;
+    s.s_cmd <- nil_cmd;
+    s.s_state <- idle;
+    s.s_next <- t.idle_servers;
+    t.idle_servers <- s;
+    Engine.park s.s_cell
+  done
+
+(* Hand the command to an idle server, or spawn a new one. Unparking
+   takes the same (now, next seq) key the spawn would. *)
+let start_service t q c =
+  let s = t.idle_servers in
+  if s == nil_server then begin
+    let s =
+      {
+        s_cell = Engine.make_park_cell ();
+        s_cmd = c;
+        s_hctx = q;
+        s_tbytes = 0;
+        s_next = nil_server;
+        s_state = busy;
+        s_delay = [| 0.0 |];
+      }
+    in
+    Engine.spawn t.engine (server_loop t s)
+  end
+  else begin
+    t.idle_servers <- s.s_next;
+    s.s_next <- nil_server;
+    s.s_cmd <- c;
+    s.s_hctx <- q;
+    resume_server s ~from:idle
+  end
+
 (* The bandwidth arbiter: round-robin over the per-hctx transfer
-   queues, except that small commands form an urgent class (NVMe
+   FIFOs, except that small commands form an urgent class (NVMe
    weighted-round-robin arbitration) and are served ahead of bulk
    transfers; parks when everything is drained. *)
 let urgent_bytes = 16384
 
-let transfer_arbiter t () =
-  let n = Array.length t.transfer_queues in
-  let cursor = ref 0 in
-  let take_urgent () =
-    let found = ref None in
-    for i = 0 to n - 1 do
-      if !found = None then begin
-        let idx = (!cursor + i) mod n in
-        let q = t.transfer_queues.(idx) in
-        match Queue.peek_opt q with
-        | Some item when item.tbytes <= urgent_bytes ->
-            found := Queue.take_opt q;
-            (* Keep the scan fair: continue after the queue served. *)
-            cursor := (idx + 1) mod n
-        | _ -> ()
-      end
-    done;
-    !found
-  in
-  let rec round_robin tries =
-    if tries = n then None
-    else begin
-      let q = t.transfer_queues.(!cursor) in
-      cursor := (!cursor + 1) mod n;
-      match Queue.take_opt q with
-      | Some item -> Some item
-      | None -> round_robin (tries + 1)
+let take_transfer t q =
+  let s = t.t_head.(q) in
+  t.t_head.(q) <- s.s_next;
+  if s.s_next == nil_server then t.t_tail.(q) <- nil_server;
+  s.s_next <- nil_server;
+  s
+
+(* The first urgent head at or after the cursor; the cursor moves past
+   the queue served to keep the scan fair. *)
+let rec take_urgent t i =
+  let n = Array.length t.t_head in
+  if i = n then nil_server
+  else begin
+    let q = (t.cursor + i) mod n in
+    let s = t.t_head.(q) in
+    if s != nil_server && s.s_tbytes <= urgent_bytes then begin
+      t.cursor <- (q + 1) mod n;
+      take_transfer t q
     end
-  in
-  let next_item _ =
-    match take_urgent () with Some i -> Some i | None -> round_robin 0
-  in
+    else take_urgent t (i + 1)
+  end
+
+let rec round_robin t tries =
+  let n = Array.length t.t_head in
+  if tries = n then nil_server
+  else begin
+    let q = t.cursor in
+    t.cursor <- (q + 1) mod n;
+    if t.t_head.(q) != nil_server then take_transfer t q
+    else round_robin t (tries + 1)
+  end
+
+let transfer_arbiter t () =
   while true do
-    match next_item 0 with
-    | Some item ->
-        Engine.wait
-          (Stdlib.float_of_int item.tbytes /. t.profile.Profile.bandwidth_bytes_per_ns);
-        item.resume ()
-    | None ->
-        let slot = ref None in
-        Waitq.park t.transfer_bell slot
+    let s = take_urgent t 0 in
+    let s = if s != nil_server then s else round_robin t 0 in
+    if s == nil_server then Engine.park t.arbiter
+    else begin
+      t.arbiter_delay.(0) <-
+        Stdlib.float_of_int s.s_tbytes
+        /. t.profile.Profile.bandwidth_bytes_per_ns;
+      Engine.wait_cell t.arbiter_delay 0;
+      resume_server s ~from:transferring
+    end
   done
 
 (* One dispatcher per hardware queue: enforces FIFO service *start*
    within the queue while the channel semaphore caps global
    parallelism. *)
-let dispatcher t qidx () =
-  let q = t.queues.(qidx) in
+let dispatcher t q () =
   while true do
-    let req = Mailbox.get q in
+    let c = dequeue t q in
+    let c =
+      if c != nil_cmd then c
+      else begin
+        Engine.park t.dispatchers.(q);
+        let c = t.handoff.(q) in
+        t.handoff.(q) <- nil_cmd;
+        c
+      end
+    in
     Semaphore.acquire t.channels;
-    Engine.spawn t.engine (service t qidx req)
+    start_service t q c
   done
 
 (* Device loss must not leave queued commands waiting on a dead
    controller: at an offline window's start every not-yet-dispatched
    command on a covered queue completes with [E_offline] (commands
    already in service error out when their latency elapses, see
-   [service]). *)
+   [serve]). *)
 let abort_queued t ~queue =
-  let drain qidx =
-    let rec go () =
-      match Mailbox.try_get t.queues.(qidx) with
-      | None -> ()
-      | Some req ->
-          finish t req (Error E_offline);
-          go ()
-    in
-    go ()
+  let rec drain q =
+    let c = dequeue t q in
+    if c != nil_cmd then begin
+      finish t c (Some E_offline);
+      drain q
+    end
   in
   match queue with
-  | Some q -> drain (q mod Array.length t.queues)
-  | None -> Array.iteri (fun i _ -> drain i) t.queues
+  | Some q -> drain (q mod n_hw_queues t)
+  | None ->
+      for q = 0 to n_hw_queues t - 1 do
+        drain q
+      done
 
 let set_fault_plan t plan =
   t.faults <- Some plan;
@@ -288,15 +598,25 @@ let set_fault_plan t plan =
 
 let create ?(name = "dev") engine profile =
   let open Profile in
+  let n = profile.n_hw_queues in
   let t =
     {
       name;
       engine;
       profile;
-      queues = Array.init profile.n_hw_queues (fun _ -> Mailbox.create ());
+      q_head = Array.make n nil_cmd;
+      q_tail = Array.make n nil_cmd;
+      handoff = Array.make n nil_cmd;
+      dispatchers = Array.init n (fun _ -> Engine.make_park_cell ());
       channels = Semaphore.create profile.n_channels;
-      transfer_queues = Array.init profile.n_hw_queues (fun _ -> Queue.create ());
-      transfer_bell = Waitq.create ();
+      free_cmds = nil_cmd;
+      idle_servers = nil_server;
+      t_head = Array.make n nil_server;
+      t_tail = Array.make n nil_server;
+      arbiter = Engine.make_park_cell ();
+      arbiter_delay = [| 0.0 |];
+      cursor = 0;
+      blocking = waiter_pool ();
       last_lba = 0;
       outstanding = 0;
       flush_waiters = Waitq.create ();
@@ -310,11 +630,13 @@ let create ?(name = "dev") engine profile =
       health_watchers = [];
     }
   in
-  for i = 0 to profile.n_hw_queues - 1 do
+  for i = 0 to n - 1 do
     Engine.spawn engine (dispatcher t i)
   done;
   Engine.spawn engine (transfer_arbiter t);
   t
+
+(* ---------------- submission ---------------- *)
 
 (* Maximum data per command (MDTS): larger operations are split into a
    train of commands so one huge transfer cannot monopolize the
@@ -322,59 +644,29 @@ let create ?(name = "dev") engine profile =
    queues usable next to bulk streams. *)
 let max_transfer_bytes = 256 * 1024
 
-(* Aggregating chunk errors: the whole operation reports the most
-   severe outcome (offline > media error > timeout > torn), and a torn
-   verdict carries the total bytes actually persisted across chunks —
-   never more than were requested. *)
-let error_rank = function
-  | E_offline -> 3
-  | E_io -> 2
-  | E_timeout -> 1
-  | E_torn _ -> 0
-
-let submit_result t ~hctx ~kind ~lba ~bytes ~on_complete =
+let submit_waiter t w ~hctx ~kind ~lba ~bytes =
   if bytes <= 0 then invalid_arg "Device.submit: bytes must be positive";
-  let hctx = hctx mod Array.length t.queues in
+  if w.w_pending > 0 then
+    invalid_arg "Device.submit_waiter: the waiter's command is still pending";
+  let hctx = hctx mod n_hw_queues t in
   let block = t.profile.Profile.block_size in
   let nchunks = (bytes + max_transfer_bytes - 1) / max_transfer_bytes in
-  let remaining = ref nchunks in
-  let worst = ref None in
-  let persisted = ref 0 in
-  let last_completion = ref None in
-  let note e =
-    match !worst with
-    | Some w when error_rank w >= error_rank e -> ()
-    | _ -> worst := Some e
-  in
-  let chunk_done len result =
-    (match result with
-    | Ok c ->
-        last_completion := Some c;
-        persisted := !persisted + len
-    | Error (E_torn n) ->
-        persisted := !persisted + n;
-        note (E_torn n)
-    | Error e -> note e);
-    decr remaining;
-    if !remaining = 0 then
-      match !worst with
-      | None ->
-          let c =
-            match !last_completion with Some c -> c | None -> assert false
-          in
-          on_complete (Ok { c with c_bytes = bytes; c_lba = lba })
-      | Some (E_torn _) -> on_complete (Error (E_torn !persisted))
-      | Some e -> on_complete (Error e)
-  in
+  w.w_pending <- nchunks;
+  w.w_persisted <- 0;
+  w.w_worst <- -1;
+  w.w_kind <- kind;
+  w.w_lba <- lba;
+  w.w_bytes <- bytes;
+  w.w_hctx <- hctx;
+  w.w_times.(0) <- Engine.now t.engine;
   for i = 0 to nchunks - 1 do
     let off = i * max_transfer_bytes in
     let len = Stdlib.min max_transfer_bytes (bytes - off) in
-    let now = Engine.now t.engine in
     let fault =
       match t.faults with
       | None -> Fault.Pass
       | Some plan ->
-          Fault.decide plan ~now ~queue:hctx
+          Fault.decide plan ~now:(Engine.now t.engine) ~queue:hctx
             ~is_write:(match kind with Write -> true | Read -> false)
             ~bytes:len
     in
@@ -383,54 +675,53 @@ let submit_result t ~hctx ~kind ~lba ~bytes ~on_complete =
         (* The queue is offline: fail fast without entering the device —
            no channel, no outstanding slot. Deliver asynchronously so
            the submit path stays non-blocking. *)
-        Engine.spawn t.engine (fun () -> chunk_done len (Error E_offline))
+        Engine.spawn t.engine (fun () -> chunk_done t w len (Some E_offline))
     | _ ->
         t.outstanding <- t.outstanding + 1;
-        let req =
-          {
-            kind;
-            lba = lba + (off / block);
-            bytes = len;
-            submitted = now;
-            fault;
-            on_complete = chunk_done len;
-          }
-        in
-        Mailbox.put t.queues.(hctx) req
+        let c = alloc_cmd t in
+        c.kind <- kind;
+        c.lba <- lba + (off / block);
+        c.bytes <- len;
+        c.fault <- fault;
+        c.owner <- w;
+        c.submitted.(0) <- w.w_times.(0);
+        enqueue t hctx c
   done
 
-let submit_wait_result t ~hctx ~kind ~lba ~bytes =
-  let result = ref None in
-  Engine.suspend (fun resume ->
-      submit_result t ~hctx ~kind ~lba ~bytes ~on_complete:(fun r ->
-          result := Some r;
-          resume ()));
-  match !result with Some r -> r | None -> assert false
+(* The callback and blocking calls below are adapters over
+   [submit_waiter]: same commands, same events. *)
+
+let submit_result t ~hctx ~kind ~lba ~bytes ~on_complete =
+  let w = make_waiter () in
+  w.w_notify <- (fun w -> on_complete (result_of w));
+  submit_waiter t w ~hctx ~kind ~lba ~bytes
 
 (* Fault-masking path for callers without an error path (the kernel
-   baselines): a fabricated completion on error lets them make
-   progress; the error remains visible in [completed_errors]. *)
+   baselines): on error the completion is fabricated from the
+   submission, so they make progress; the error remains visible in
+   [completed_errors]. *)
 let submit t ~hctx ~kind ~lba ~bytes ~on_complete =
-  let submitted = Engine.now t.engine in
-  submit_result t ~hctx ~kind ~lba ~bytes ~on_complete:(function
-    | Ok c -> on_complete c
-    | Error _ ->
-        on_complete
-          {
-            c_kind = kind;
-            c_lba = lba;
-            c_bytes = bytes;
-            c_submitted = submitted;
-            c_completed = Engine.now t.engine;
-          })
+  let w = make_waiter () in
+  w.w_notify <- (fun w -> on_complete (completion_of w));
+  submit_waiter t w ~hctx ~kind ~lba ~bytes
+
+let blocking_wait t ~hctx ~kind ~lba ~bytes =
+  let w = take_waiter t.blocking in
+  submit_waiter t w ~hctx ~kind ~lba ~bytes;
+  await w;
+  w
+
+let submit_wait_result t ~hctx ~kind ~lba ~bytes =
+  let w = blocking_wait t ~hctx ~kind ~lba ~bytes in
+  let r = result_of w in
+  give_waiter t.blocking w;
+  r
 
 let submit_wait t ~hctx ~kind ~lba ~bytes =
-  let result = ref None in
-  Engine.suspend (fun resume ->
-      submit t ~hctx ~kind ~lba ~bytes ~on_complete:(fun c ->
-          result := Some c;
-          resume ()));
-  match !result with Some c -> c | None -> assert false
+  let w = blocking_wait t ~hctx ~kind ~lba ~bytes in
+  let c = completion_of w in
+  give_waiter t.blocking w;
+  c
 
 let flush t =
   if t.outstanding > 0 then begin

@@ -77,6 +77,74 @@ val engine : t -> Lab_sim.Engine.t
 
 val n_hw_queues : t -> int
 
+(** {2 Waiters}
+
+    The device's one submission path. A waiter is a caller-owned,
+    reusable completion record: {!submit_waiter} fans a command out
+    into chunks, each finished chunk merges its outcome into the waiter
+    in place, and the last one calls the waiter's notify. Pooled
+    waiters make a steady-state command allocate nothing but the
+    continuations of the processes it passes through. The callback and
+    blocking calls further down are adapters over it. *)
+
+type waiter
+
+val submit_waiter :
+  t -> waiter -> hctx:int -> kind:io_kind -> lba:int -> bytes:int -> unit
+(** Asynchronous submission: the waiter's notify fires in device
+    context once every chunk has finished. [hctx] is taken modulo the
+    queue count. Operations larger than the per-command transfer limit
+    are split into chunks; the outcome is the most severe chunk error
+    (offline > media error > torn), with [E_torn] carrying the total
+    bytes persisted. A command hit by an unbounded transient timeout is
+    {e lost}: the notify never fires and the waiter stays pending —
+    recovering from that is the client deadline's job.
+    @raise Invalid_argument if [bytes <= 0] or the waiter's previous
+    command is still pending. *)
+
+val wake : waiter -> unit
+(** The default notify: continues the process {!await}ing the waiter
+    at the current virtual time, with the (time, seq) key a resumer
+    would take. *)
+
+val set_notify : waiter -> (waiter -> unit) -> unit
+(** Replaces the waiter's notify (the default is {!wake}). A
+    preallocated callback makes this free per use. *)
+
+val await : waiter -> unit
+(** Parks the calling process until the waiter's notify wakes it;
+    returns at once when no command is pending. *)
+
+val waiter_error : waiter -> error option
+(** The finished command's outcome: [None] on success. *)
+
+val waiter_hctx : waiter -> int
+(** The hardware queue of the last submission (after the modulo). *)
+
+val waiter_bytes : waiter -> int
+
+val waiter_submitted : waiter -> float
+(** Submission time of the last command, ns. *)
+
+val waiter_completed : waiter -> float
+(** Time the last command's final chunk finished, ns. *)
+
+type waiter_pool
+(** A stack of free waiters, for callers that keep one per in-flight
+    command. *)
+
+val waiter_pool : unit -> waiter_pool
+
+val take_waiter : waiter_pool -> waiter
+(** A free waiter from the pool, or a new one with the default notify
+    when the pool is empty. *)
+
+val give_waiter : waiter_pool -> waiter -> unit
+(** Returns a waiter to the pool.
+    @raise Invalid_argument if its command is still pending. *)
+
+(** {2 Callback and blocking adapters} *)
+
 val submit_result :
   t ->
   hctx:int ->
@@ -85,19 +153,14 @@ val submit_result :
   bytes:int ->
   on_complete:((completion, error) result -> unit) ->
   unit
-(** Asynchronous submission; [on_complete] fires in device context with
-    the command's outcome. [hctx] is taken modulo the queue count.
-    Operations larger than the per-command transfer limit are split
-    into chunks; the reported outcome is the most severe chunk error
-    (offline > media error > torn), with [E_torn] carrying the total
-    bytes persisted. A command hit by an unbounded transient timeout is
-    {e lost}: [on_complete] never fires — recovering from that is the
-    client deadline's job. *)
+(** {!submit_waiter} on a fresh waiter whose notify passes the outcome
+    to [on_complete]. A lost command never calls it. *)
 
 val submit_wait_result :
   t -> hctx:int -> kind:io_kind -> lba:int -> bytes:int ->
   (completion, error) result
-(** Blocking variant of {!submit_result}. *)
+(** Blocking variant of {!submit_result}, on a waiter pooled by the
+    device. *)
 
 val submit :
   t ->

@@ -9,17 +9,37 @@ type t = {
   scheduler : sched;
   inflight_reqs : int array;
   inflight_bytes : float array;
+  (* Preallocated waiter notify for [submit_io_to_hctx_waiter]. *)
+  notify : Device.waiter -> unit;
 }
+
+let track_start t q bytes =
+  t.inflight_reqs.(q) <- t.inflight_reqs.(q) + 1;
+  t.inflight_bytes.(q) <- t.inflight_bytes.(q) +. Stdlib.float_of_int bytes
+
+let track_end t q bytes =
+  t.inflight_reqs.(q) <- t.inflight_reqs.(q) - 1;
+  t.inflight_bytes.(q) <- t.inflight_bytes.(q) -. Stdlib.float_of_int bytes
 
 let create machine dev ~sched =
   let n = Device.n_hw_queues dev in
-  {
-    machine;
-    dev;
-    scheduler = sched;
-    inflight_reqs = Array.make n 0;
-    inflight_bytes = Array.make n 0.0;
-  }
+  let inflight_reqs = Array.make n 0 and inflight_bytes = Array.make n 0.0 in
+  (* In-flight accounting ends at completion, before the waiter's
+     process resumes: blk-switch steering reads it in between. *)
+  let rec t =
+    {
+      machine;
+      dev;
+      scheduler = sched;
+      inflight_reqs;
+      inflight_bytes;
+      notify =
+        (fun w ->
+          track_end t (Device.waiter_hctx w) (Device.waiter_bytes w);
+          Device.wake w);
+    }
+  in
+  t
 
 let device t = t.dev
 
@@ -49,14 +69,6 @@ let select_hctx t ~thread ~bytes =
         if t.inflight_bytes.(q) < t.inflight_bytes.(!best) then best := q
       done;
       !best
-
-let track_start t q bytes =
-  t.inflight_reqs.(q) <- t.inflight_reqs.(q) + 1;
-  t.inflight_bytes.(q) <- t.inflight_bytes.(q) +. Stdlib.float_of_int bytes
-
-let track_end t q bytes =
-  t.inflight_reqs.(q) <- t.inflight_reqs.(q) - 1;
-  t.inflight_bytes.(q) <- t.inflight_bytes.(q) -. Stdlib.float_of_int bytes
 
 let note_dispatch t ~hctx ~bytes = track_start t hctx bytes
 
@@ -93,3 +105,10 @@ let submit_io_to_hctx_result t ~thread ~hctx ~kind ~lba ~bytes ~on_complete =
   Device.submit_result t.dev ~hctx ~kind ~lba ~bytes ~on_complete:(fun r ->
       track_end t hctx bytes;
       on_complete r)
+
+let submit_io_to_hctx_waiter t ~thread ~hctx ~kind ~lba ~bytes w =
+  let costs = t.machine.Machine.costs in
+  Machine.compute t.machine ~thread costs.Costs.kalloc_ns;
+  track_start t hctx bytes;
+  Device.set_notify w t.notify;
+  Device.submit_waiter t.dev w ~hctx ~kind ~lba ~bytes

@@ -66,6 +66,21 @@ val submit_io_to_hctx_result :
     ends on either outcome; a lost command (unbounded timeout) never
     completes and keeps its in-flight slot, mirroring the device. *)
 
+val submit_io_to_hctx_waiter :
+  t ->
+  thread:int ->
+  hctx:int ->
+  kind:Lab_device.Device.io_kind ->
+  lba:int ->
+  bytes:int ->
+  Lab_device.Device.waiter ->
+  unit
+(** {!submit_io_to_hctx_result} on a caller-owned waiter: the caller
+    {!Lab_device.Device.await}s it and reads the outcome from it. The
+    waiter's notify is replaced by one preallocated per block layer,
+    which ends the in-flight accounting and then wakes the waiter, so
+    no closure is built per command. *)
+
 val inflight : t -> int -> int
 (** In-flight requests on a given hardware queue. *)
 

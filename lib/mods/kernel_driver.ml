@@ -6,43 +6,47 @@
 open Lab_sim
 open Lab_core
 open Lab_kernel
+module Device = Lab_device.Device
 
-type Labmod.state += State of { blk : Blk.t }
+(* [waiters] holds one completion record per command in flight, reused
+   across calls. *)
+type Labmod.state += State of { blk : Blk.t; waiters : Device.waiter_pool }
 
 let name = "kernel_driver"
 
 let operate m ctx req =
   match (m.Labmod.state, req.Request.payload) with
-  | State { blk }, Request.Block { b_kind; b_lba; b_bytes; _ } ->
+  | State { blk; waiters }, Request.Block { b_kind; b_lba; b_bytes; _ } ->
       let machine = ctx.Labmod.machine in
-      let nq = Lab_device.Device.n_hw_queues (Blk.device blk) in
+      let nq = Device.n_hw_queues (Blk.device blk) in
       let hctx =
         match req.Request.hint_hctx with
         | Some h -> h mod nq
         | None -> ctx.Labmod.thread mod nq
       in
-      let outcome =
-        Mod_util.await_value (fun done_ ->
-            Blk.submit_io_to_hctx_result blk ~thread:ctx.Labmod.thread ~hctx
-              ~kind:(Mod_util.device_kind b_kind) ~lba:b_lba ~bytes:b_bytes
-              ~on_complete:done_)
-      in
+      let w = Device.take_waiter waiters in
+      Blk.submit_io_to_hctx_waiter blk ~thread:ctx.Labmod.thread ~hctx
+        ~kind:(Mod_util.device_kind b_kind) ~lba:b_lba ~bytes:b_bytes w;
+      Device.await w;
       (* The poller notices the completion entry. *)
       Engine.wait machine.Machine.costs.Costs.poll_spin_ns;
-      (match outcome with
-      | Ok c ->
-          (* The device kept exact service timestamps; attach them to
-             the request's trace so the anatomy breakdown can separate
-             device time from driver software time. *)
-          (match req.Request.trace with
-          | Some fl ->
-              Lab_obs.Trace.span fl ~name:"device" ~cat:"device"
-                ~tid:ctx.Labmod.thread
-                ~t0:c.Lab_device.Device.c_submitted
-                ~t1:c.Lab_device.Device.c_completed
-          | None -> ());
-          Request.Size b_bytes
-      | Error e -> Mod_util.device_error name e)
+      let result =
+        match Device.waiter_error w with
+        | None ->
+            (* The device kept exact service timestamps; attach them to
+               the request's trace so the anatomy breakdown can separate
+               device time from driver software time. *)
+            (match req.Request.trace with
+            | Some fl ->
+                Lab_obs.Trace.span fl ~name:"device" ~cat:"device"
+                  ~tid:ctx.Labmod.thread ~t0:(Device.waiter_submitted w)
+                  ~t1:(Device.waiter_completed w)
+            | None -> ());
+            Request.Size b_bytes
+        | Some e -> Mod_util.device_error name e
+      in
+      Device.give_waiter waiters w;
+      result
   | _ -> Request.Failed "kernel_driver: expects block requests"
 
 let est m req =
@@ -54,7 +58,8 @@ let est m req =
 let factory ~blk : Registry.factory =
  fun ~uuid ~attrs ->
   ignore attrs;
-  Labmod.make ~name ~uuid ~mod_type:Labmod.Driver ~state:(State { blk })
+  Labmod.make ~name ~uuid ~mod_type:Labmod.Driver
+    ~state:(State { blk; waiters = Device.waiter_pool () })
     {
       Labmod.operate;
       est_processing_time = est;

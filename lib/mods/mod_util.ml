@@ -8,19 +8,9 @@ let device_kind = function
   | Request.Write -> Lab_device.Device.Write
 
 (* Submit-then-await: issue an asynchronous operation from process
-   context and park until its completion callback fires. [submit] must
-   itself be safe to run in process context and call the completion
-   callback exactly once (possibly before returning). *)
-let await_completion submit =
-  let completed = ref false in
-  let resumer = ref None in
-  submit (fun () ->
-      completed := true;
-      match !resumer with Some r -> r () | None -> ());
-  if not !completed then Engine.suspend (fun r -> resumer := Some r)
-
-(* Like [await_completion] but the callback carries a value (e.g. a
-   device outcome) which becomes the return value. *)
+   context and park until its completion callback fires with a value
+   (e.g. a device outcome), which becomes the return value. [submit]
+   must call the callback exactly once (possibly before returning). *)
 let await_value submit =
   let result = ref None in
   let resumer = ref None in

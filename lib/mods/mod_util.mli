@@ -4,15 +4,12 @@ open Lab_core
 
 val device_kind : Request.io_kind -> Lab_device.Device.io_kind
 
-val await_completion : ((unit -> unit) -> unit) -> unit
-(** [await_completion submit] issues an asynchronous operation from
-    process context and parks until its completion callback fires.
-    [submit] must call the callback exactly once (possibly before
-    returning). *)
-
 val await_value : (('a -> unit) -> unit) -> 'a
-(** Like {!await_completion} but returns the value passed to the
-    callback (e.g. a device [(completion, error) result]). *)
+(** [await_value submit] issues an asynchronous operation from process
+    context and parks until its completion callback fires; returns the
+    value passed to the callback (e.g. a device
+    [(completion, error) result]). [submit] must call the callback
+    exactly once (possibly before returning). *)
 
 val device_error : string -> Lab_device.Device.error -> Request.result
 (** [device_error mod_name e] renders a device fault as the errno-tagged

@@ -6,7 +6,9 @@ open Lab_sim
 open Lab_core
 open Lab_device
 
-type Labmod.state += State of { device : Device.t }
+(* [waiters] holds one completion record per command in flight, reused
+   across calls. *)
+type Labmod.state += State of { device : Device.t; waiters : Device.waiter_pool }
 
 let name = "spdk"
 
@@ -15,7 +17,7 @@ let submit_cost_ns = 150.0
 
 let operate m ctx req =
   match (m.Labmod.state, req.Request.payload) with
-  | State { device }, Request.Block { b_kind; b_lba; b_bytes; _ } ->
+  | State { device; waiters }, Request.Block { b_kind; b_lba; b_bytes; _ } ->
       let machine = ctx.Labmod.machine in
       Machine.compute machine ~thread:ctx.Labmod.thread submit_cost_ns;
       let nq = Device.n_hw_queues device in
@@ -24,16 +26,18 @@ let operate m ctx req =
         | Some h -> h mod nq
         | None -> ctx.Labmod.thread mod nq
       in
-      let outcome =
-        Mod_util.await_value (fun done_ ->
-            Device.submit_result device ~hctx
-              ~kind:(Mod_util.device_kind b_kind) ~lba:b_lba ~bytes:b_bytes
-              ~on_complete:done_)
-      in
+      let w = Device.take_waiter waiters in
+      Device.submit_waiter device w ~hctx ~kind:(Mod_util.device_kind b_kind)
+        ~lba:b_lba ~bytes:b_bytes;
+      Device.await w;
       Engine.wait machine.Machine.costs.Costs.poll_spin_ns;
-      (match outcome with
-      | Ok _ -> Request.Size b_bytes
-      | Error e -> Mod_util.device_error name e)
+      let result =
+        match Device.waiter_error w with
+        | None -> Request.Size b_bytes
+        | Some e -> Mod_util.device_error name e
+      in
+      Device.give_waiter waiters w;
+      result
   | _ -> Request.Failed "spdk: expects block requests"
 
 let est m req =
@@ -47,7 +51,8 @@ let factory ~device : Registry.factory =
   ignore attrs;
   if not (Device.profile device).Profile.supports_polling then
     invalid_arg "spdk: device does not support userspace polling";
-  Labmod.make ~name ~uuid ~mod_type:Labmod.Driver ~state:(State { device })
+  Labmod.make ~name ~uuid ~mod_type:Labmod.Driver
+    ~state:(State { device; waiters = Device.waiter_pool () })
     {
       Labmod.operate;
       est_processing_time = est;

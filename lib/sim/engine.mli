@@ -107,6 +107,11 @@ val set_after : float array -> int -> float -> unit
     time plus [d] into [cells.(i)]. Must be called from within a
     process, like {!wait}. *)
 
+val wait_cell : float array -> int -> unit
+(** [wait_cell cells i] is [wait cells.(i)] without boxing the delay:
+    same event, same (time, seq) key. Must be called from within a
+    process. *)
+
 (** {2 Poll chains}
 
     A spin-poller whose empty polls only re-arm themselves keeps its

@@ -183,6 +183,175 @@ let prop_device_kinds_latency_order =
       and hd = time_for Profile.hdd in
       pm < nv && nv < sd && sd < hd)
 
+(* [finish]'s order: when a command completes, the service sample, the
+   counters and [outstanding] are already updated for its callback,
+   and flush waiters are woken before the submitter, so they resume
+   first at the same instant. *)
+let test_finish_order () =
+  in_sim (fun e ->
+      let dev = Device.create e Profile.nvme in
+      let order = Buffer.create 8 in
+      Engine.spawn e (fun () ->
+          ignore (Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096);
+          Buffer.add_string order "submitter;");
+      Engine.spawn e (fun () ->
+          Device.flush dev;
+          Buffer.add_string order "flusher;");
+      Engine.wait 20_000.0;
+      Alcotest.(check string) "flush waiters resume before the submitter"
+        "flusher;submitter;" (Buffer.contents order);
+      let seen = ref "" in
+      Device.submit_result dev ~hctx:1 ~kind:Write ~lba:8 ~bytes:4096
+        ~on_complete:(fun _ ->
+          seen :=
+            Printf.sprintf "out=%d writes=%d samples=%d" (Device.outstanding dev)
+              (Device.completed_writes dev)
+              (Stats.count (Device.service_stats dev)));
+      Engine.wait 20_000.0;
+      Alcotest.(check string) "callback sees finished accounting"
+        "out=0 writes=2 samples=2" !seen)
+
+(* Pool safety: a waiter is free again only once its command finished. *)
+let test_waiter_resubmit_raises () =
+  in_sim (fun e ->
+      let dev = Device.create e Profile.nvme in
+      let pool = Device.waiter_pool () in
+      let w = Device.take_waiter pool in
+      Device.submit_waiter dev w ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096;
+      (match Device.submit_waiter dev w ~hctx:1 ~kind:Write ~lba:8 ~bytes:4096 with
+      | () -> Alcotest.fail "resubmitting a pending waiter must raise"
+      | exception Invalid_argument _ -> ());
+      (match Device.give_waiter pool w with
+      | () -> Alcotest.fail "pooling a pending waiter must raise"
+      | exception Invalid_argument _ -> ());
+      Device.await w;
+      Alcotest.(check bool) "first command succeeded" true
+        (Device.waiter_error w = None);
+      Alcotest.(check int) "the refused submission issued nothing" 1
+        (Device.completed_writes dev);
+      Device.give_waiter pool w;
+      let w' = Device.take_waiter pool in
+      Alcotest.(check bool) "pool hands the waiter back" true (w' == w);
+      Device.submit_waiter dev w' ~hctx:1 ~kind:Read ~lba:8 ~bytes:(1 lsl 20);
+      Device.await w';
+      Alcotest.(check bool) "reused for a split command" true
+        (Device.waiter_error w' = None && Device.waiter_bytes w' = 1 lsl 20);
+      Alcotest.(check int) "nothing outstanding" 0 (Device.outstanding dev))
+
+(* A fixed mix on one 8-hctx NVMe device: 4 KiB, 64 KiB and 1 MiB
+   reads and writes (1 MiB splits into 4 chunks) through the blocking
+   and the callback submission paths, under a fault plan with a media
+   error, a torn write, a finite delay, a lost command, rate faults, a
+   per-queue offline window with commands queued on that queue, and a
+   whole-device window. Each command's outcome and completion instant,
+   the event count and the device counters are pinned, so any change
+   to the device's schedule shows here event for event. *)
+let pinned_device_scenario () =
+  let e = Engine.create () in
+  let dev = Device.create e { Profile.nvme with Profile.n_hw_queues = 8 } in
+  Device.set_fault_plan dev
+    (Fault.create
+       ~rates:
+         {
+           Fault.io_error = 0.02;
+           timeout = 0.02;
+           timeout_delay_ns = 9_000.0;
+           torn_write = 0.02;
+         }
+       ~script:
+         [
+           Fault.One_shot { at_ns = 0.0; queue = Some 2; fault = Fault.Io_error };
+           Fault.One_shot
+             { at_ns = 30_000.0; queue = Some 5; fault = Fault.Torn_write 5000 };
+           Fault.One_shot
+             {
+               at_ns = 50_000.0;
+               queue = None;
+               fault = Fault.Transient_timeout 15_000.0;
+             };
+           Fault.One_shot
+             {
+               at_ns = 70_000.0;
+               queue = Some 1;
+               fault = Fault.Transient_timeout Float.infinity;
+             };
+           Fault.Offline { from_ns = 120_000.0; until_ns = 160_000.0; queue = Some 3 };
+           Fault.Offline { from_ns = 400_000.0; until_ns = 430_000.0; queue = None };
+         ]
+       ~seed:11 ());
+  let log = Buffer.create 4096 in
+  let note id = function
+    | Ok (c : Device.completion) ->
+        Printf.bprintf log "%d:ok %.0f-%.0f;" id c.c_submitted c.c_completed
+    | Error err ->
+        Printf.bprintf log "%d:%s@%.0f;" id (Device.error_to_string err)
+          (Engine.now e)
+  in
+  let sizes = [| 4096; 65536; 1 lsl 20 |] in
+  (* Four blocking submitters; the last one uses the fault-masking
+     call. *)
+  for th = 0 to 3 do
+    Engine.spawn e (fun () ->
+        for i = 0 to 29 do
+          let id = (th * 100) + i in
+          let bytes = sizes.((th + i) mod 3) in
+          let kind = if (i + th) mod 2 = 0 then Device.Write else Device.Read in
+          let hctx = ((th * 3) + i) mod 8 in
+          let lba = id * 512 in
+          if th = 3 then note id (Ok (Device.submit_wait dev ~hctx ~kind ~lba ~bytes))
+          else note id (Device.submit_wait_result dev ~hctx ~kind ~lba ~bytes);
+          Engine.wait (Stdlib.float_of_int (((i * 7919) + (th * 104729)) mod 3000))
+        done)
+  done;
+  (* Callback bursts that overrun the 16 channels, so commands queue on
+     one hctx ahead of its offline window and ahead of device loss; the
+     burst at 125 us lands inside the window and is rejected. *)
+  let burst ~at ~base ~hctx ~masked =
+    Engine.spawn_at e at (fun () ->
+        for j = 0 to 23 do
+          let id = base + j in
+          let bytes = sizes.(j mod 3) in
+          let kind = if j mod 3 = 0 then Device.Read else Device.Write in
+          let lba = id * 64 in
+          if masked then
+            Device.submit dev ~hctx ~kind ~lba ~bytes ~on_complete:(fun c ->
+                note id (Ok c))
+          else Device.submit_result dev ~hctx ~kind ~lba ~bytes ~on_complete:(note id)
+        done)
+  in
+  burst ~at:115_000.0 ~base:1000 ~hctx:3 ~masked:false;
+  burst ~at:125_000.0 ~base:1500 ~hctx:3 ~masked:false;
+  burst ~at:200_000.0 ~base:2000 ~hctx:6 ~masked:true;
+  burst ~at:395_000.0 ~base:3000 ~hctx:4 ~masked:false;
+  Engine.run e;
+  let counters =
+    Printf.sprintf "r%d w%d err%d br%d bw%d svc%d" (Device.completed_reads dev)
+      (Device.completed_writes dev) (Device.completed_errors dev)
+      (Device.bytes_read dev) (Device.bytes_written dev)
+      (Stats.count (Device.service_stats dev))
+  in
+  let faults =
+    match Device.fault_plan dev with
+    | Some p -> Fault.trace_to_string p
+    | None -> ""
+  in
+  ( Buffer.contents log ^ "\n" ^ faults,
+    Engine.events_executed e,
+    Engine.now e,
+    Device.outstanding dev,
+    counters )
+
+let test_pinned_device_schedule () =
+  let log, events, now, outstanding, counters = pinned_device_scenario () in
+  (* Values captured before the device path was pooled. *)
+  if Digest.to_hex (Digest.string log) <> "77444f671351cb8eeb5e90849fca13bc"
+  then Alcotest.failf "outcomes or fault trace changed:\n%s" log;
+  Alcotest.(check int) "events_executed" 1363 events;
+  Alcotest.(check string) "final time" "22043472.500" (Printf.sprintf "%.3f" now);
+  Alcotest.(check int) "outstanding (the lost command)" 1 outstanding;
+  Alcotest.(check string) "counters"
+    "r99 w129 err105 br17584128 bw26488057 svc333" counters
+
 let () =
   Alcotest.run "lab_device"
     [
@@ -203,5 +372,10 @@ let () =
           Alcotest.test_case "per-queue fifo" `Quick test_per_queue_fifo;
           Alcotest.test_case "service stats" `Quick test_service_stats_collected;
           QCheck_alcotest.to_alcotest prop_device_kinds_latency_order;
+          Alcotest.test_case "pinned device schedule" `Quick
+            test_pinned_device_schedule;
+          Alcotest.test_case "finish order" `Quick test_finish_order;
+          Alcotest.test_case "waiter resubmit raises" `Quick
+            test_waiter_resubmit_raises;
         ] );
     ]

@@ -172,6 +172,36 @@ let test_kernel_driver_completes () =
       Alcotest.(check int) "device saw the write" 1
         (Lab_device.Device.completed_writes dev))
 
+(* A lost command keeps its waiter pending forever; the driver's next
+   command must take a fresh waiter and complete. *)
+let test_kernel_driver_survives_lost_command () =
+  in_sim (fun m ->
+      let dev = Lab_device.Device.create m.Machine.engine Lab_device.Profile.nvme in
+      Lab_device.Device.set_fault_plan dev
+        (Fault.create
+           ~script:
+             [
+               Fault.One_shot
+                 {
+                   at_ns = 0.0;
+                   queue = None;
+                   fault = Fault.Transient_timeout Float.infinity;
+                 };
+             ]
+           ~seed:1 ());
+      let blk = Lab_kernel.Blk.create m dev ~sched:Lab_kernel.Blk.Noop in
+      let kd = Kernel_driver.factory ~blk ~uuid:"kd" ~attrs:[] in
+      let first = ref None in
+      Machine.spawn m (fun () -> first := Some (drive m kd (mk_req m (block_write 4096))));
+      Engine.wait 50_000.0;
+      let r = drive m kd (mk_req m (block_write ~lba:64 4096)) in
+      Alcotest.(check bool) "next command completes" true (r = Request.Size 4096);
+      Alcotest.(check bool) "lost command never returns" true (!first = None);
+      Alcotest.(check int) "lost command still outstanding" 1
+        (Lab_device.Device.outstanding dev);
+      Alcotest.(check int) "only the second write completed" 1
+        (Lab_device.Device.completed_writes dev))
+
 let test_spdk_faster_than_kernel_driver () =
   let time_with make =
     in_sim (fun m ->
@@ -541,6 +571,8 @@ let () =
       ( "drivers",
         [
           Alcotest.test_case "kernel driver" `Quick test_kernel_driver_completes;
+          Alcotest.test_case "kernel driver survives a lost command" `Quick
+            test_kernel_driver_survives_lost_command;
           Alcotest.test_case "spdk < kernel driver" `Quick
             test_spdk_faster_than_kernel_driver;
           Alcotest.test_case "spdk rejects hdd" `Quick test_spdk_rejects_hdd;
