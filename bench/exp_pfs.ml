@@ -46,14 +46,12 @@ let data_ops machine kind nservers =
   {
     Lab_workloads.Pfs.srv_write =
       (fun ~server ~off ~bytes ->
-        ignore
-          (Device.submit_wait devs.(server) ~hctx:server ~kind:Device.Write
-             ~lba:(off / 4096) ~bytes));
+        Device.submit_wait devs.(server) ~hctx:server ~kind:Device.Write
+          ~lba:(off / 4096) ~bytes);
     srv_read =
       (fun ~server ~off ~bytes ->
-        ignore
-          (Device.submit_wait devs.(server) ~hctx:server ~kind:Device.Read
-             ~lba:(off / 4096) ~bytes));
+        Device.submit_wait devs.(server) ~hctx:server ~kind:Device.Read
+          ~lba:(off / 4096) ~bytes);
   }
 
 (* Metadata backend A: kernel ext4 on the MD server's NVMe. *)

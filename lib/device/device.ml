@@ -2,15 +2,7 @@ open Lab_sim
 
 type io_kind = Read | Write
 
-type completion = {
-  c_kind : io_kind;
-  c_lba : int;
-  c_bytes : int;
-  c_submitted : float;
-  c_completed : float;
-}
-
-type error = E_io | E_offline | E_timeout | E_torn of int
+type error = E_io | E_offline | E_torn of int
 
 (* Offline maps to ENODEV — "no such device" — so upper layers can
    tell a fail-over condition (the device is gone, requeue or switch
@@ -18,7 +10,6 @@ type error = E_io | E_offline | E_timeout | E_torn of int
 let error_to_string = function
   | E_io -> "EIO"
   | E_offline -> "ENODEV"
-  | E_timeout -> "ETIMEDOUT"
   | E_torn n -> Printf.sprintf "ETORN(%d persisted)" n
 
 type health_event = Went_offline of { until_ns : float } | Came_online
@@ -33,8 +24,6 @@ type waiter = {
   mutable w_worst : int;  (* [error_rank] of the worst chunk error; -1 = none *)
   w_times : float array;  (* [0] submitted, [1] completed *)
   mutable w_notify : waiter -> unit;
-  mutable w_kind : io_kind;
-  mutable w_lba : int;
   mutable w_bytes : int;
   mutable w_hctx : int;
 }
@@ -82,8 +71,6 @@ let nil_waiter =
     w_worst = -1;
     w_times = [| 0.0; 0.0 |];
     w_notify = ignore;
-    w_kind = Read;
-    w_lba = 0;
     w_bytes = 0;
     w_hctx = 0;
   }
@@ -126,8 +113,8 @@ type t = {
   engine : Engine.t;
   profile : Profile.t;
   (* Dispatch: per-hctx command FIFOs, and a park cell per dispatcher.
-     A command put while its dispatcher is parked is handed over in
-     [handoff] instead of entering the FIFO, as a mailbox would. *)
+     A command put while its dispatcher is parked is handed over
+     directly in [handoff] instead of entering the FIFO. *)
   q_head : cmd array;
   q_tail : cmd array;
   handoff : cmd array;
@@ -211,14 +198,10 @@ let add_seek t cells lba bytes =
 (* ---------------- waiters ---------------- *)
 
 (* Aggregating chunk errors: the whole operation reports the most
-   severe outcome (offline > media error > timeout > torn), and a torn
-   verdict carries the total bytes actually persisted across chunks —
-   never more than were requested. *)
-let error_rank = function
-  | E_offline -> 3
-  | E_io -> 2
-  | E_timeout -> 1
-  | E_torn _ -> 0
+   severe outcome (offline > media error > torn), and a torn verdict
+   carries the total bytes actually persisted across chunks — never
+   more than were requested. *)
+let error_rank = function E_offline -> 2 | E_io -> 1 | E_torn _ -> 0
 
 let wake w = Engine.unpark w.w_cell
 
@@ -230,8 +213,6 @@ let make_waiter () =
     w_worst = -1;
     w_times = [| 0.0; 0.0 |];
     w_notify = wake;
-    w_kind = Read;
-    w_lba = 0;
     w_bytes = 0;
     w_hctx = 0;
   }
@@ -244,8 +225,7 @@ let waiter_error w =
   match w.w_worst with
   | -1 -> None
   | 0 -> Some (E_torn w.w_persisted)
-  | 1 -> Some E_timeout
-  | 2 -> Some E_io
+  | 1 -> Some E_io
   | _ -> Some E_offline
 
 let waiter_hctx w = w.w_hctx
@@ -255,18 +235,6 @@ let waiter_bytes w = w.w_bytes
 let waiter_submitted w = w.w_times.(0)
 
 let waiter_completed w = w.w_times.(1)
-
-let completion_of w =
-  {
-    c_kind = w.w_kind;
-    c_lba = w.w_lba;
-    c_bytes = w.w_bytes;
-    c_submitted = w.w_times.(0);
-    c_completed = w.w_times.(1);
-  }
-
-let result_of w =
-  match waiter_error w with None -> Ok (completion_of w) | Some e -> Error e
 
 let waiter_pool () = { ws = [||]; nws = 0 }
 
@@ -654,8 +622,6 @@ let submit_waiter t w ~hctx ~kind ~lba ~bytes =
   w.w_pending <- nchunks;
   w.w_persisted <- 0;
   w.w_worst <- -1;
-  w.w_kind <- kind;
-  w.w_lba <- lba;
   w.w_bytes <- bytes;
   w.w_hctx <- hctx;
   w.w_times.(0) <- Engine.now t.engine;
@@ -688,40 +654,11 @@ let submit_waiter t w ~hctx ~kind ~lba ~bytes =
         enqueue t hctx c
   done
 
-(* The callback and blocking calls below are adapters over
-   [submit_waiter]: same commands, same events. *)
-
-let submit_result t ~hctx ~kind ~lba ~bytes ~on_complete =
-  let w = make_waiter () in
-  w.w_notify <- (fun w -> on_complete (result_of w));
-  submit_waiter t w ~hctx ~kind ~lba ~bytes
-
-(* Fault-masking path for callers without an error path (the kernel
-   baselines): on error the completion is fabricated from the
-   submission, so they make progress; the error remains visible in
-   [completed_errors]. *)
-let submit t ~hctx ~kind ~lba ~bytes ~on_complete =
-  let w = make_waiter () in
-  w.w_notify <- (fun w -> on_complete (completion_of w));
-  submit_waiter t w ~hctx ~kind ~lba ~bytes
-
-let blocking_wait t ~hctx ~kind ~lba ~bytes =
+let submit_wait t ~hctx ~kind ~lba ~bytes =
   let w = take_waiter t.blocking in
   submit_waiter t w ~hctx ~kind ~lba ~bytes;
   await w;
-  w
-
-let submit_wait_result t ~hctx ~kind ~lba ~bytes =
-  let w = blocking_wait t ~hctx ~kind ~lba ~bytes in
-  let r = result_of w in
-  give_waiter t.blocking w;
-  r
-
-let submit_wait t ~hctx ~kind ~lba ~bytes =
-  let w = blocking_wait t ~hctx ~kind ~lba ~bytes in
-  let c = completion_of w in
-  give_waiter t.blocking w;
-  c
+  give_waiter t.blocking w
 
 let flush t =
   if t.outstanding > 0 then begin

@@ -16,20 +16,11 @@ type t
 
 type io_kind = Read | Write
 
-type completion = {
-  c_kind : io_kind;
-  c_lba : int;
-  c_bytes : int;
-  c_submitted : float;
-  c_completed : float;
-}
-
 type error =
   | E_io  (** media error: command consumed its latency, moved no data *)
   | E_offline
       (** queue/device offline window: rejected at submission, or the
           device disappeared while the command was queued/in service *)
-  | E_timeout  (** reserved for upper layers fabricating deadline misses *)
   | E_torn of int
       (** torn write: only this many bytes were persisted — always
           strictly fewer than requested *)
@@ -84,8 +75,10 @@ val n_hw_queues : t -> int
     into chunks, each finished chunk merges its outcome into the waiter
     in place, and the last one calls the waiter's notify. Pooled
     waiters make a steady-state command allocate nothing but the
-    continuations of the processes it passes through. The callback and
-    blocking calls further down are adapters over it. *)
+    continuations of the processes it passes through. {!submit_wait}
+    is the one blocking call over it. A caller that never reads
+    {!waiter_error} masks faults; {!completed_errors} still counts
+    them. *)
 
 type waiter
 
@@ -143,43 +136,11 @@ val give_waiter : waiter_pool -> waiter -> unit
 (** Returns a waiter to the pool.
     @raise Invalid_argument if its command is still pending. *)
 
-(** {2 Callback and blocking adapters} *)
-
-val submit_result :
-  t ->
-  hctx:int ->
-  kind:io_kind ->
-  lba:int ->
-  bytes:int ->
-  on_complete:((completion, error) result -> unit) ->
-  unit
-(** {!submit_waiter} on a fresh waiter whose notify passes the outcome
-    to [on_complete]. A lost command never calls it. *)
-
-val submit_wait_result :
-  t -> hctx:int -> kind:io_kind -> lba:int -> bytes:int ->
-  (completion, error) result
-(** Blocking variant of {!submit_result}, on a waiter pooled by the
-    device. *)
-
-val submit :
-  t ->
-  hctx:int ->
-  kind:io_kind ->
-  lba:int ->
-  bytes:int ->
-  on_complete:(completion -> unit) ->
-  unit
-(** Fault-masking submission: like {!submit_result}, but on error a
-    fabricated completion is delivered, so callers without an error
-    path still make progress ([completed_errors] still counts the
-    fault). The kernel baselines use this path by design: they model
-    stacks whose fault handling is out of scope. Callers that recover
-    from faults use {!submit_result}. *)
-
-val submit_wait : t -> hctx:int -> kind:io_kind -> lba:int -> bytes:int -> completion
-(** Blocking submission: suspends the calling process until the command
-    completes. Faults masked as in {!submit}. *)
+val submit_wait : t -> hctx:int -> kind:io_kind -> lba:int -> bytes:int -> unit
+(** Blocking submission on a waiter pooled by the device: suspends the
+    calling process until the command completes and ignores its
+    outcome. The kernel baselines use it by design: they model stacks
+    whose fault handling is out of scope. *)
 
 val flush : t -> unit
 (** Suspends the caller until every outstanding command has completed

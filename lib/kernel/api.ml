@@ -3,7 +3,7 @@ open Lab_device
 
 type api = Psync | Posix_aio | Libaio | Io_uring
 
-type t = { machine : Machine.t; blk : Blk.t }
+type t = { machine : Machine.t; blk : Blk.t; waiters : Device.waiter_pool }
 
 let name = function
   | Psync -> "POSIX"
@@ -13,7 +13,7 @@ let name = function
 
 let all = [ Psync; Posix_aio; Libaio; Io_uring ]
 
-let create machine blk = { machine; blk }
+let create machine blk = { machine; blk; waiters = Device.waiter_pool () }
 
 let costs t = t.machine.Machine.costs
 
@@ -56,26 +56,26 @@ let submit_batch_wait t ~api ~thread ~kind ~offs ~bytes =
            still per request. *)
         Machine.compute t.machine ~thread
           (c.Costs.syscall_ns +. (Stdlib.float_of_int n *. c.Costs.kalloc_ns));
-        (* Scheduler decisions happen in process context, before the
-           asynchronous dispatch. *)
-        let placements =
-          Array.map
-            (fun off ->
-              let hctx = Blk.select_hctx t.blk ~thread ~bytes in
-              Blk.note_dispatch t.blk ~hctx ~bytes;
-              (off, hctx))
-            offs
+        (* Scheduler decisions happen in process context, as each
+           request is dispatched; the last completion's notify wakes
+           the caller. *)
+        let remaining = ref n and all_done = Engine.make_park_cell () in
+        let notify w =
+          Blk.note_completion t.blk ~hctx:(Device.waiter_hctx w) ~bytes;
+          Device.give_waiter t.waiters w;
+          decr remaining;
+          if !remaining = 0 then Engine.unpark all_done
         in
-        let remaining = ref n in
-        Engine.suspend (fun resume ->
-            Array.iter
-              (fun (off, hctx) ->
-                Device.submit (Blk.device t.blk) ~hctx ~kind ~lba:(off / 4096)
-                  ~bytes ~on_complete:(fun _ ->
-                    Blk.note_completion t.blk ~hctx ~bytes;
-                    decr remaining;
-                    if !remaining = 0 then resume ()))
-              placements);
+        Array.iter
+          (fun off ->
+            let hctx = Blk.select_hctx t.blk ~thread ~bytes in
+            Blk.note_dispatch t.blk ~hctx ~bytes;
+            let w = Device.take_waiter t.waiters in
+            Device.set_notify w notify;
+            Device.submit_waiter (Blk.device t.blk) w ~hctx ~kind
+              ~lba:(off / 4096) ~bytes)
+          offs;
+        Engine.park all_done;
         (* Per-completion reap cost. *)
         let reap =
           match api with

@@ -9,8 +9,6 @@ type t = {
   scheduler : sched;
   inflight_reqs : int array;
   inflight_bytes : float array;
-  (* Preallocated waiter notify for [submit_io_to_hctx_waiter]. *)
-  notify : Device.waiter -> unit;
 }
 
 let track_start t q bytes =
@@ -23,23 +21,13 @@ let track_end t q bytes =
 
 let create machine dev ~sched =
   let n = Device.n_hw_queues dev in
-  let inflight_reqs = Array.make n 0 and inflight_bytes = Array.make n 0.0 in
-  (* In-flight accounting ends at completion, before the waiter's
-     process resumes: blk-switch steering reads it in between. *)
-  let rec t =
-    {
-      machine;
-      dev;
-      scheduler = sched;
-      inflight_reqs;
-      inflight_bytes;
-      notify =
-        (fun w ->
-          track_end t (Device.waiter_hctx w) (Device.waiter_bytes w);
-          Device.wake w);
-    }
-  in
-  t
+  {
+    machine;
+    dev;
+    scheduler = sched;
+    inflight_reqs = Array.make n 0;
+    inflight_bytes = Array.make n 0.0;
+  }
 
 let device t = t.dev
 
@@ -51,24 +39,23 @@ let inflight t q = t.inflight_reqs.(q)
    throughput requests: the last quarter of the hardware queues is
    reserved for small I/O, and within each class requests steer to the
    least-loaded queue. *)
-let lq_threshold_bytes = 16384
+let switch_hctx inflight_bytes ~bytes =
+  let n = Array.length inflight_bytes in
+  let reserved = Stdlib.max 1 (n / 4) in
+  let lo, hi =
+    if bytes <= 16384 then (n - reserved, n - 1) else (0, n - reserved - 1)
+  in
+  let lo, hi = if lo > hi then (0, n - 1) else (lo, hi) in
+  let best = ref lo in
+  for q = lo to hi do
+    if inflight_bytes.(q) < inflight_bytes.(!best) then best := q
+  done;
+  !best
 
 let select_hctx t ~thread ~bytes =
-  let n = Array.length t.inflight_reqs in
   match t.scheduler with
-  | Noop -> thread mod n
-  | Blk_switch ->
-      let reserved = Stdlib.max 1 (n / 4) in
-      let lo, hi =
-        if bytes <= lq_threshold_bytes then (n - reserved, n - 1)
-        else (0, n - reserved - 1)
-      in
-      let lo, hi = if lo > hi then (0, n - 1) else (lo, hi) in
-      let best = ref lo in
-      for q = lo to hi do
-        if t.inflight_bytes.(q) < t.inflight_bytes.(!best) then best := q
-      done;
-      !best
+  | Noop -> thread mod Array.length t.inflight_reqs
+  | Blk_switch -> switch_hctx t.inflight_bytes ~bytes
 
 let note_dispatch t ~hctx ~bytes = track_start t hctx bytes
 
@@ -80,7 +67,7 @@ let submit_bio_wait t ~thread ~kind ~lba ~bytes ~polled =
   Machine.compute t.machine ~thread (costs.Costs.kalloc_ns +. costs.Costs.lock_ns);
   let q = select_hctx t ~thread ~bytes in
   track_start t q bytes;
-  ignore (Device.submit_wait t.dev ~hctx:q ~kind ~lba ~bytes);
+  Device.submit_wait t.dev ~hctx:q ~kind ~lba ~bytes;
   track_end t q bytes;
   if not polled then
     (* IRQ handling plus waking and rescheduling the blocked thread. *)
@@ -90,25 +77,9 @@ let submit_bio_wait t ~thread ~kind ~lba ~bytes ~polled =
     (* One poll iteration notices the completion. *)
     Engine.wait costs.Costs.poll_spin_ns
 
-let submit_io_to_hctx t ~thread ~hctx ~kind ~lba ~bytes ~on_complete =
+let submit_io_to_hctx t ~thread ~hctx ~kind ~lba ~bytes w =
   let costs = t.machine.Machine.costs in
   Machine.compute t.machine ~thread costs.Costs.kalloc_ns;
+  let hctx = hctx mod Array.length t.inflight_reqs in
   track_start t hctx bytes;
-  Device.submit t.dev ~hctx ~kind ~lba ~bytes ~on_complete:(fun _ ->
-      track_end t hctx bytes;
-      on_complete ())
-
-let submit_io_to_hctx_result t ~thread ~hctx ~kind ~lba ~bytes ~on_complete =
-  let costs = t.machine.Machine.costs in
-  Machine.compute t.machine ~thread costs.Costs.kalloc_ns;
-  track_start t hctx bytes;
-  Device.submit_result t.dev ~hctx ~kind ~lba ~bytes ~on_complete:(fun r ->
-      track_end t hctx bytes;
-      on_complete r)
-
-let submit_io_to_hctx_waiter t ~thread ~hctx ~kind ~lba ~bytes w =
-  let costs = t.machine.Machine.costs in
-  Machine.compute t.machine ~thread costs.Costs.kalloc_ns;
-  track_start t hctx bytes;
-  Device.set_notify w t.notify;
   Device.submit_waiter t.dev w ~hctx ~kind ~lba ~bytes

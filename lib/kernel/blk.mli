@@ -20,8 +20,16 @@ val device : t -> Lab_device.Device.t
 val sched : t -> sched
 
 val select_hctx : t -> thread:int -> bytes:int -> int
-(** The scheduler decision, exposed for tests and for the userspace
-    scheduler LabMods that reuse it. *)
+(** The scheduler decision: [Noop] steers to the originating core's
+    queue, [Blk_switch] applies {!switch_hctx} to this layer's
+    in-flight bytes. *)
+
+val switch_hctx : float array -> bytes:int -> int
+(** blk-switch's steering rule over per-queue in-flight bytes: a
+    request of at most 16 KiB goes to the least-loaded queue of the
+    last quarter (the latency class), a larger one to the least-loaded
+    of the rest; ties go to the lowest queue. The blkswitch_sched
+    LabMod steers with it too. *)
 
 val submit_bio_wait :
   t ->
@@ -42,44 +50,18 @@ val submit_io_to_hctx :
   kind:Lab_device.Device.io_kind ->
   lba:int ->
   bytes:int ->
-  on_complete:(unit -> unit) ->
-  unit
-(** LabStor's direct hardware-queue submission: skips the scheduler and
-    the interrupt path (the caller polls for completion); still pays the
-    kernel request allocation. Device faults are masked, the
-    fault-masking path the kernel baselines use by design (see
-    {!Lab_device.Device.submit}); {!submit_io_to_hctx_result} observes
-    them. *)
-
-val submit_io_to_hctx_result :
-  t ->
-  thread:int ->
-  hctx:int ->
-  kind:Lab_device.Device.io_kind ->
-  lba:int ->
-  bytes:int ->
-  on_complete:
-    ((Lab_device.Device.completion, Lab_device.Device.error) result -> unit) ->
-  unit
-(** Like {!submit_io_to_hctx} but delivers the device outcome, so driver
-    LabMods can propagate injected faults upstream. In-flight accounting
-    ends on either outcome; a lost command (unbounded timeout) never
-    completes and keeps its in-flight slot, mirroring the device. *)
-
-val submit_io_to_hctx_waiter :
-  t ->
-  thread:int ->
-  hctx:int ->
-  kind:Lab_device.Device.io_kind ->
-  lba:int ->
-  bytes:int ->
   Lab_device.Device.waiter ->
   unit
-(** {!submit_io_to_hctx_result} on a caller-owned waiter: the caller
-    {!Lab_device.Device.await}s it and reads the outcome from it. The
-    waiter's notify is replaced by one preallocated per block layer,
-    which ends the in-flight accounting and then wakes the waiter, so
-    no closure is built per command. *)
+(** LabStor's direct hardware-queue submission on a caller-owned
+    waiter: skips the scheduler and the interrupt path (the caller
+    polls for completion); still pays the kernel request allocation.
+    [hctx] is taken modulo the queue count, so the in-flight slot and
+    {!Lab_device.Device.waiter_hctx} agree. The waiter's notify is the
+    caller's and must start with {!note_completion} for the waiter's
+    queue and bytes: in-flight accounting then ends in device context,
+    before any process resumes, and blk-switch steering reads it in
+    between. A lost command never notifies and keeps its in-flight
+    slot, mirroring the device. *)
 
 val inflight : t -> int -> int
 (** In-flight requests on a given hardware queue. *)
@@ -89,3 +71,6 @@ val note_dispatch : t -> hctx:int -> bytes:int -> unit
     directly (batched APIs); pair with {!note_completion}. *)
 
 val note_completion : t -> hctx:int -> bytes:int -> unit
+(** Ends the in-flight accounting {!note_dispatch} or
+    {!submit_io_to_hctx} started; called from the completion's
+    notify. *)

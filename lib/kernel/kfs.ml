@@ -76,6 +76,10 @@ type t = {
   mutable next_lba : int;
   mutable next_file_id : int;
   page_owner : (int, file) Hashtbl.t;  (* cache key -> file, for fsync *)
+  (* Write-back of evicted dirty pages is fire and forget: a pooled
+     waiter's notify ends the in-flight accounting and frees it. *)
+  wb_waiters : Device.waiter_pool;
+  wb_notify : Device.waiter -> unit;
 }
 
 let region_pages = 4096 (* 16 MiB extents at 4 KiB pages *)
@@ -85,6 +89,7 @@ let max_pages_per_file = 1 lsl 24
 let create_fs machine blk ~flavor =
   let page_size = (Device.profile (Blk.device blk)).Profile.block_size in
   let page_size = Stdlib.max page_size 4096 in
+  let wb_waiters = Device.waiter_pool () in
   {
     machine;
     fl = flavor;
@@ -101,6 +106,12 @@ let create_fs machine blk ~flavor =
     next_lba = 1 lsl 20;  (* leave room for the journal region *)
     next_file_id = 0;
     page_owner = Hashtbl.create 4096;
+    wb_waiters;
+    wb_notify =
+      (fun w ->
+        Blk.note_completion blk ~hctx:(Device.waiter_hctx w)
+          ~bytes:(Device.waiter_bytes w);
+        Device.give_waiter wb_waiters w);
   }
 
 let machine t = t.machine
@@ -257,9 +268,10 @@ let writeback_evicted t ~thread page =
       | Some owner ->
           let page_no = p.Page_cache.page_index mod max_pages_per_file in
           let lba = lba_of_page t ~thread owner page_no in
+          let w = Device.take_waiter t.wb_waiters in
+          Device.set_notify w t.wb_notify;
           Blk.submit_io_to_hctx t.blk ~thread ~hctx:(thread land 15)
-            ~kind:Device.Write ~lba ~bytes:(page_size t)
-            ~on_complete:(fun () -> ());
+            ~kind:Device.Write ~lba ~bytes:(page_size t) w;
           Hashtbl.remove t.page_owner p.Page_cache.page_index
       | None -> ())
   | Some p -> Hashtbl.remove t.page_owner p.Page_cache.page_index

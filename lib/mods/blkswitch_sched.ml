@@ -27,11 +27,14 @@ module Tenant = Lab_ipc.Tenant
 
 (* One request that joined an open batch behind its leader. [m_off] is
    its byte offset inside the merged transfer — the torn-write split
-   needs it to decide which members fall inside the persisted prefix. *)
+   needs it to decide which members fall inside the persisted prefix.
+   The follower parks in [m_cell] until the leader has written its
+   share of the merged outcome into [m_result]. *)
 type member = {
   m_off : int;
   m_bytes : int;
-  m_notify : Request.result -> unit;
+  m_cell : Engine.park_cell;
+  mutable m_result : Request.result;
 }
 
 (* An open batch accumulating followers while its leader sits out the
@@ -52,8 +55,9 @@ type batch = {
   mutable bt_next : batch;
 }
 
-(* Pool of park cells for the DRR gate: acquire/release are array
-   stack ops, so a windowed op parks without allocating. *)
+(* Pool of park cells for the DRR gate and merge followers:
+   acquire/release are array stack ops, so a parked op allocates no
+   cell. *)
 type cell_pool = {
   mutable cp : Engine.park_cell array;
   mutable cn : int;
@@ -102,35 +106,15 @@ let name = "blkswitch_sched"
 
 let decision_cost_ns = 400.0
 
-(* Small requests get the reserved tail queues (latency class); large
-   ones steer least-loaded across the rest — blk-switch's separation of
-   latency-critical from throughput traffic. *)
-let lq_threshold_bytes = 16384
-
-let pick inflight bytes =
-  let n = Array.length inflight in
-  let reserved = Stdlib.max 1 (n / 4) in
-  let lo, hi =
-    if bytes <= lq_threshold_bytes then (n - reserved, n - 1)
-    else (0, n - reserved - 1)
-  in
-  let lo, hi = if lo > hi then (0, n - 1) else (lo, hi) in
-  let best = ref lo in
-  for q = lo to hi do
-    if inflight.(q) < inflight.(!best) then best := q
-  done;
-  !best
-
 (* Split a merged op's outcome back to one member. Success credits each
    member its own byte count; a torn write succeeds exactly the members
    that fit inside the persisted prefix; anything else fails them all. *)
-let member_result merged_result m =
+let member_result merged_result ~off ~bytes =
   match merged_result with
-  | Request.Done | Request.Size _ -> Request.Size m.m_bytes
+  | Request.Done | Request.Size _ -> Request.Size bytes
   | r -> (
       match Request.torn_persisted_of_result r with
-      | Some persisted when m.m_off + m.m_bytes <= persisted ->
-          Request.Size m.m_bytes
+      | Some persisted when off + bytes <= persisted -> Request.Size bytes
       | Some _ | None -> r)
 
 (* Leader path: open a batch on queue [q], sleep through the merge
@@ -193,21 +177,31 @@ let lead ctx ~open_batches ~merged_ops ~absorbed_reqs ~merge_window_ns
       in
       merged.Request.hint_hctx <- Some q;
       let merged_result = ctx.Labmod.forward merged in
-      List.iter (fun m -> m.m_notify (member_result merged_result m)) followers;
-      member_result merged_result
-        { m_off = 0; m_bytes = b.Request.b_bytes; m_notify = ignore }
+      List.iter
+        (fun m ->
+          m.m_result <- member_result merged_result ~off:m.m_off ~bytes:m.m_bytes;
+          Engine.unpark m.m_cell)
+        followers;
+      member_result merged_result ~off:0 ~bytes:b.Request.b_bytes
 
 (* Follower path: append to the leader's open batch and park until the
    leader fans out our share of the merged completion. *)
-let join batch b =
-  let off = batch.bt_bytes in
+let join qcells batch b =
+  let m =
+    {
+      m_off = batch.bt_bytes;
+      m_bytes = b.Request.b_bytes;
+      m_cell = cell_acquire qcells;
+      m_result = Request.Done;
+    }
+  in
   batch.bt_end_lba <- Request.block_end_lba b;
   batch.bt_bytes <- batch.bt_bytes + b.Request.b_bytes;
   batch.bt_nmembers <- batch.bt_nmembers + 1;
-  Mod_util.await_value (fun notify ->
-      batch.bt_members <-
-        { m_off = off; m_bytes = b.Request.b_bytes; m_notify = notify }
-        :: batch.bt_members)
+  batch.bt_members <- m :: batch.bt_members;
+  Engine.park m.m_cell;
+  cell_release qcells m.m_cell;
+  m.m_result
 
 let operate m ctx req =
   match m.Labmod.state with
@@ -316,7 +310,9 @@ let operate m ctx req =
         let q =
           match req.Request.hint_hctx with
           | Some h -> h mod Array.length inflight_bytes
-          | None -> pick inflight_bytes (Request.bytes_of req)
+          | None ->
+              Lab_kernel.Blk.switch_hctx inflight_bytes
+                ~bytes:(Request.bytes_of req)
         in
         req.Request.hint_hctx <- Some q;
         inflight_bytes.(q) <- inflight_bytes.(q) +. bytes;
@@ -343,7 +339,7 @@ let operate m ctx req =
                     ~tid:ctx.Labmod.thread
                     ~now:(Machine.now ctx.Labmod.machine)
               | None -> ());
-              finish q (join batch b)
+              finish q (join qcells batch b)
           | None ->
               let q = steer () in
               finish q

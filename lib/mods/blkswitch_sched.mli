@@ -24,9 +24,6 @@ open Lab_core
 
 val name : string
 
-val lq_threshold_bytes : int
-(** Requests at or below this size are treated as latency critical. *)
-
 val merged_ops : Labmod.t -> int
 (** Merged device ops dispatched so far (batches that absorbed at least
     one follower). *)

@@ -7,7 +7,9 @@ open Lab_sim
 open Lab_core
 open Lab_device
 
-type Labmod.state += State of { device : Device.t }
+(* [waiters] holds one completion record per command in flight, reused
+   across calls. *)
+type Labmod.state += State of { device : Device.t; waiters : Device.waiter_pool }
 
 let name = "dax"
 
@@ -15,17 +17,18 @@ let fence_cost_ns = 100.0
 
 let operate m ctx req =
   match (m.Labmod.state, req.Request.payload) with
-  | State { device }, Request.Block { b_kind; b_lba; b_bytes; _ } ->
+  | State { device; waiters }, Request.Block { b_kind; b_lba; b_bytes; _ } ->
       let machine = ctx.Labmod.machine in
-      let hctx = ctx.Labmod.thread mod Device.n_hw_queues device in
-      let outcome =
-        Device.submit_wait_result device ~hctx
-          ~kind:(Mod_util.device_kind b_kind) ~lba:b_lba ~bytes:b_bytes
-      in
+      let w = Device.take_waiter waiters in
+      Device.submit_waiter device w ~hctx:ctx.Labmod.thread
+        ~kind:(Mod_util.device_kind b_kind) ~lba:b_lba ~bytes:b_bytes;
+      Device.await w;
+      let outcome = Device.waiter_error w in
+      Device.give_waiter waiters w;
       Machine.compute machine ~thread:ctx.Labmod.thread fence_cost_ns;
       (match outcome with
-      | Ok _ -> Request.Size b_bytes
-      | Error e -> Mod_util.device_error name e)
+      | None -> Request.Size b_bytes
+      | Some e -> Mod_util.device_error name e)
   | _ -> Request.Failed "dax: expects block requests"
 
 let est m req =
@@ -39,7 +42,8 @@ let factory ~device : Registry.factory =
   ignore attrs;
   if not (Device.profile device).Profile.byte_addressable then
     invalid_arg "dax: device is not byte addressable";
-  Labmod.make ~name ~uuid ~mod_type:Labmod.Driver ~state:(State { device })
+  Labmod.make ~name ~uuid ~mod_type:Labmod.Driver
+    ~state:(State { device; waiters = Device.waiter_pool () })
     {
       Labmod.operate;
       est_processing_time = est;

@@ -9,23 +9,29 @@ open Lab_kernel
 module Device = Lab_device.Device
 
 (* [waiters] holds one completion record per command in flight, reused
-   across calls. *)
-type Labmod.state += State of { blk : Blk.t; waiters : Device.waiter_pool }
+   across calls; [notify], built once per module, ends the block
+   layer's in-flight accounting and wakes the waiter's process. *)
+type Labmod.state +=
+  | State of {
+      blk : Blk.t;
+      waiters : Device.waiter_pool;
+      notify : Device.waiter -> unit;
+    }
 
 let name = "kernel_driver"
 
 let operate m ctx req =
   match (m.Labmod.state, req.Request.payload) with
-  | State { blk; waiters }, Request.Block { b_kind; b_lba; b_bytes; _ } ->
+  | State { blk; waiters; notify }, Request.Block { b_kind; b_lba; b_bytes; _ } ->
       let machine = ctx.Labmod.machine in
-      let nq = Device.n_hw_queues (Blk.device blk) in
       let hctx =
         match req.Request.hint_hctx with
-        | Some h -> h mod nq
-        | None -> ctx.Labmod.thread mod nq
+        | Some h -> h
+        | None -> ctx.Labmod.thread
       in
       let w = Device.take_waiter waiters in
-      Blk.submit_io_to_hctx_waiter blk ~thread:ctx.Labmod.thread ~hctx
+      Device.set_notify w notify;
+      Blk.submit_io_to_hctx blk ~thread:ctx.Labmod.thread ~hctx
         ~kind:(Mod_util.device_kind b_kind) ~lba:b_lba ~bytes:b_bytes w;
       Device.await w;
       (* The poller notices the completion entry. *)
@@ -58,8 +64,13 @@ let est m req =
 let factory ~blk : Registry.factory =
  fun ~uuid ~attrs ->
   ignore attrs;
+  let notify w =
+    Blk.note_completion blk ~hctx:(Device.waiter_hctx w)
+      ~bytes:(Device.waiter_bytes w);
+    Device.wake w
+  in
   Labmod.make ~name ~uuid ~mod_type:Labmod.Driver
-    ~state:(State { blk; waiters = Device.waiter_pool () })
+    ~state:(State { blk; waiters = Device.waiter_pool (); notify })
     {
       Labmod.operate;
       est_processing_time = est;

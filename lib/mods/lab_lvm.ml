@@ -138,6 +138,8 @@ type leg = {
   mutable l_state : Meta.leg_state;
   l_used : Bytes.t;  (* physical-extent allocation bitmap *)
   mutable l_cursor : int;  (* next-fit scan position *)
+  l_notify : Device.waiter -> unit;
+      (* ends the leg's in-flight accounting, then wakes the waiter *)
 }
 
 type lvm = {
@@ -147,6 +149,7 @@ type lvm = {
   meta_blocks : int;  (* reserved journal area at the head of each leg *)
   data_extents : int;  (* per leg *)
   legs : leg array;
+  waiters : Device.waiter_pool;
   machine : Machine.t;
   rate_mbps : float;  (* resilver copy-rate cap *)
   ckpt_every : int;
@@ -168,36 +171,46 @@ type lvm = {
 
 type Labmod.state += State of lvm
 
-let hctx_of leg ~thread = thread mod Device.n_hw_queues (Blk.device leg.l_blk)
-
 let live_legs st =
   List.rev
     (Array.fold_left
        (fun acc leg -> if leg.l_state <> Meta.Dead then leg :: acc else acc)
        [] st.legs)
 
-let submit_leg_wait leg ~thread ~kind ~lba ~bytes =
-  Mod_util.await_value (fun done_ ->
-      Blk.submit_io_to_hctx_result leg.l_blk ~thread ~hctx:(hctx_of leg ~thread)
-        ~kind ~lba ~bytes ~on_complete:done_)
+(* One command on one leg, on a pooled waiter: [None] on success. *)
+let submit_leg_wait st leg ~thread ~kind ~lba ~bytes =
+  let w = Device.take_waiter st.waiters in
+  Device.set_notify w leg.l_notify;
+  Blk.submit_io_to_hctx leg.l_blk ~thread ~hctx:thread ~kind ~lba ~bytes w;
+  Device.await w;
+  let err = Device.waiter_error w in
+  Device.give_waiter st.waiters w;
+  err
 
-(* Fan one operation out to several legs and await every outcome. *)
-let submit_fan_wait targets ~thread ~kind ~bytes =
+(* Fan one operation out to several legs, each on its own waiter, and
+   park until all have finished. Each leg's notify ends its in-flight
+   accounting and records its outcome; the last one wakes the caller,
+   so the fan-out costs one wake. Outcomes come in completion order. *)
+let submit_fan_wait st targets ~thread ~kind ~bytes =
   match targets with
   | [] -> []
   | _ ->
-      Mod_util.await_value (fun done_ ->
-          let remaining = ref (List.length targets) in
-          let acc = ref [] in
-          List.iter
-            (fun (leg, lba) ->
-              Blk.submit_io_to_hctx_result leg.l_blk ~thread
-                ~hctx:(hctx_of leg ~thread) ~kind ~lba ~bytes
-                ~on_complete:(fun r ->
-                  acc := (leg, r) :: !acc;
-                  decr remaining;
-                  if !remaining = 0 then done_ (List.rev !acc)))
-            targets)
+      let remaining = ref (List.length targets) and outcomes = ref [] in
+      let all_done = Engine.make_park_cell () in
+      List.iter
+        (fun (leg, lba) ->
+          let w = Device.take_waiter st.waiters in
+          Device.set_notify w (fun w ->
+              Blk.note_completion leg.l_blk ~hctx:(Device.waiter_hctx w) ~bytes;
+              outcomes := (leg, Device.waiter_error w) :: !outcomes;
+              Device.give_waiter st.waiters w;
+              decr remaining;
+              if !remaining = 0 then Engine.unpark all_done);
+          Blk.submit_io_to_hctx leg.l_blk ~thread ~hctx:thread ~kind ~lba ~bytes w)
+        targets;
+      (* Submission charges CPU time, so early legs may already be done. *)
+      if !remaining > 0 then Engine.park all_done;
+      List.rev !outcomes
 
 (* Redo-log append: journal first, then apply to the in-memory volume
    group, then persist one record to every live leg's metadata area —
@@ -212,13 +225,13 @@ let log_op st ~thread op =
   st.jhead <- (st.jhead + 1) mod st.meta_blocks;
   let targets = List.map (fun leg -> (leg, lba)) (live_legs st) in
   let results =
-    submit_fan_wait targets ~thread ~kind:Device.Write
+    submit_fan_wait st targets ~thread ~kind:Device.Write
       ~bytes:journal_record_bytes
   in
   List.iter
     (function
-      | _, Ok _ -> ()
-      | _, Error _ -> Metrics.incr st.c_journal_write_errors)
+      | _, None -> ()
+      | _, Some _ -> Metrics.incr st.c_journal_write_errors)
     results
 
 let journal st = List.rev st.journal_rev
@@ -354,17 +367,17 @@ let rebuild st leg targets () =
         | Some (sli, spidx), Some tpidx -> (
             let src = st.legs.(sli) in
             match
-              submit_leg_wait src ~thread ~kind:Device.Read
+              submit_leg_wait st src ~thread ~kind:Device.Read
                 ~lba:(data_lba st ~pidx:spidx ~off:0) ~bytes:ebytes
             with
-            | Error _ -> aborted := true
-            | Ok _ -> (
+            | Some _ -> aborted := true
+            | None -> (
                 match
-                  submit_leg_wait leg ~thread ~kind:Device.Write
+                  submit_leg_wait st leg ~thread ~kind:Device.Write
                     ~lba:(data_lba st ~pidx:tpidx ~off:0) ~bytes:ebytes
                 with
-                | Error _ -> aborted := true
-                | Ok _ -> Metrics.incr ~by:ebytes st.c_rebuild_copied_bytes))
+                | Some _ -> aborted := true
+                | None -> Metrics.incr ~by:ebytes st.c_rebuild_copied_bytes))
         | _ -> aborted := true);
         (* The done-counter stays below the total until the completion
            block has journaled — rebuild_frac reads 1.0 only once the
@@ -424,18 +437,18 @@ let write_segment st ~thread placements seg_bytes ~off =
   if targets = [] then err_enodev "no live mirror leg for write"
   else begin
     if skipped <> [] then Metrics.incr st.c_degraded_writes;
-    let results = submit_fan_wait targets ~thread ~kind:Device.Write ~bytes:seg_bytes in
-    let oks, errs =
-      List.partition (function _, Ok _ -> true | _, Error _ -> false) results
+    let results =
+      submit_fan_wait st targets ~thread ~kind:Device.Write ~bytes:seg_bytes
     in
+    let oks, errs = List.partition (fun (_, err) -> err = None) results in
     List.iter
       (function
-        | leg, Error Device.E_offline -> mark_dead st ~thread leg
+        | leg, Some Device.E_offline -> mark_dead st ~thread leg
         | _ -> ())
       errs;
     if oks = [] then
       match errs with
-      | (_, Error e) :: _ -> Mod_util.device_error name e
+      | (_, Some e) :: _ -> Mod_util.device_error name e
       | _ -> err_enodev "no live mirror leg for write"
     else begin
       if errs <> [] then Metrics.incr st.c_degraded_writes;
@@ -471,11 +484,11 @@ let read_segment st ~thread placements seg_bytes ~off =
       | (li, pidx) :: rest -> (
           let leg = st.legs.(li) in
           match
-            submit_leg_wait leg ~thread ~kind:Device.Read
+            submit_leg_wait st leg ~thread ~kind:Device.Read
               ~lba:(data_lba st ~pidx ~off) ~bytes:seg_bytes
           with
-          | Ok _ -> Request.Size seg_bytes
-          | Error e ->
+          | None -> Request.Size seg_bytes
+          | Some e ->
               if e = Device.E_offline then mark_dead st ~thread leg;
               if rest <> [] then Metrics.incr st.c_degraded_reads;
               attempt (Some e) rest)
@@ -642,6 +655,11 @@ let factory ?metrics ~machine ~legs ~rebuild_rate_mbps () : Registry.factory =
              l_state = Meta.Healthy;
              l_used = Bytes.make data_extents '\000';
              l_cursor = 0;
+             l_notify =
+               (fun w ->
+                 Blk.note_completion blk ~hctx:(Device.waiter_hctx w)
+                   ~bytes:(Device.waiter_bytes w);
+                 Device.wake w);
            })
          chosen)
   in
@@ -654,6 +672,7 @@ let factory ?metrics ~machine ~legs ~rebuild_rate_mbps () : Registry.factory =
       meta_blocks;
       data_extents;
       legs = legs_arr;
+      waiters = Device.waiter_pool ();
       machine;
       rate_mbps = getf "rebuild_rate_mbps" rebuild_rate_mbps;
       ckpt_every = Stdlib.max 1 (geti "ckpt_every" 64);

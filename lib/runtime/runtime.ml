@@ -150,11 +150,9 @@ let make_load_code machine (backend : Lab_mods.Mods_env.backend) =
   fun ~thread ~bytes ->
     let pages = Stdlib.max 1 (bytes / 4096) in
     let dev = backend.Lab_mods.Mods_env.device in
-    let nq = Device.n_hw_queues dev in
     for page = 0 to pages - 1 do
-      ignore
-        (Device.submit_wait dev ~hctx:(thread mod nq) ~kind:Device.Read
-           ~lba:(1_000_000 + (page * 8)) ~bytes:4096)
+      Device.submit_wait dev ~hctx:thread ~kind:Device.Read
+        ~lba:(1_000_000 + (page * 8)) ~bytes:4096
     done;
     Machine.compute machine ~thread link_cpu_ns
 

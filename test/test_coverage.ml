@@ -346,13 +346,15 @@ let test_device_flush_with_chunked_io () =
   in_sim (fun m ->
       let dev = Lab_device.Device.create m.Machine.engine Lab_device.Profile.nvme in
       let done_ = ref false in
-      (* 1 MiB splits into 4 x 256 KiB commands; the user completion
+      (* 1 MiB splits into 4 x 256 KiB commands; the waiter's notify
          fires once, after all of them. *)
-      Lab_device.Device.submit dev ~hctx:0 ~kind:Lab_device.Device.Write ~lba:0
-        ~bytes:(1 lsl 20) ~on_complete:(fun c ->
+      let w = Lab_device.Device.take_waiter (Lab_device.Device.waiter_pool ()) in
+      Lab_device.Device.set_notify w (fun w ->
           Alcotest.(check int) "reported as one op" (1 lsl 20)
-            c.Lab_device.Device.c_bytes;
+            (Lab_device.Device.waiter_bytes w);
           done_ := true);
+      Lab_device.Device.submit_waiter dev w ~hctx:0 ~kind:Lab_device.Device.Write
+        ~lba:0 ~bytes:(1 lsl 20);
       Lab_device.Device.flush dev;
       Alcotest.(check bool) "flush waited for all chunks" true !done_;
       Alcotest.(check int) "four chunk completions counted" 4

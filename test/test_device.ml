@@ -11,12 +11,36 @@ let in_sim f =
   Engine.run e;
   match !result with Some r -> r | None -> Alcotest.fail "process never finished"
 
+(* A fresh waiter whose notify runs [f]. *)
+let waiter_with f =
+  let w = Device.take_waiter (Device.waiter_pool ()) in
+  Device.set_notify w f;
+  w
+
+(* Submits one write per [(hctx, lba, bytes)] on its own waiter, runs
+   [on_done lba] from each notify and parks until the last one. *)
+let write_all ?(on_done = ignore) dev cmds =
+  let remaining = ref (List.length cmds) and all_done = Engine.make_park_cell () in
+  List.iter
+    (fun (hctx, lba, bytes) ->
+      let w =
+        waiter_with (fun _ ->
+            on_done lba;
+            decr remaining;
+            if !remaining = 0 then Engine.unpark all_done)
+      in
+      Device.submit_waiter dev w ~hctx ~kind:Write ~lba ~bytes)
+    cmds;
+  Engine.park all_done
+
 let test_single_write_latency () =
   let elapsed =
     in_sim (fun e ->
         let dev = Device.create e Profile.nvme in
-        let c = Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096 in
-        c.c_completed -. c.c_submitted)
+        let w = waiter_with Device.wake in
+        Device.submit_waiter dev w ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096;
+        Device.await w;
+        Device.waiter_completed w -. Device.waiter_submitted w)
   in
   (* 6 us latency + 4096 B / 2 B/ns = 2048 ns transfer *)
   Alcotest.(check (float 1.0)) "4K NVMe write" 8048.0 elapsed
@@ -24,8 +48,8 @@ let test_single_write_latency () =
 let test_reads_and_writes_counted () =
   in_sim (fun e ->
       let dev = Device.create e Profile.pmem in
-      ignore (Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096);
-      ignore (Device.submit_wait dev ~hctx:0 ~kind:Read ~lba:0 ~bytes:8192);
+      Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096;
+      Device.submit_wait dev ~hctx:0 ~kind:Read ~lba:0 ~bytes:8192;
       Alcotest.(check int) "writes" 1 (Device.completed_writes dev);
       Alcotest.(check int) "reads" 1 (Device.completed_reads dev);
       Alcotest.(check int) "bytes written" 4096 (Device.bytes_written dev);
@@ -36,7 +60,7 @@ let test_hdd_sequential_vs_random () =
     in_sim (fun e ->
         let dev = Device.create e Profile.hdd in
         for i = 0 to 9 do
-          ignore (Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:i ~bytes:4096)
+          Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:i ~bytes:4096
         done;
         Engine.now e)
   in
@@ -44,8 +68,7 @@ let test_hdd_sequential_vs_random () =
     in_sim (fun e ->
         let dev = Device.create e Profile.hdd in
         for i = 0 to 9 do
-          ignore
-            (Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:(i * 1000) ~bytes:4096)
+          Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:(i * 1000) ~bytes:4096
         done;
         Engine.now e)
   in
@@ -60,20 +83,13 @@ let test_nvme_parallelism () =
   let one =
     in_sim (fun e ->
         let dev = Device.create e Profile.nvme in
-        ignore (Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096);
+        Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096;
         Engine.now e)
   in
   let sixteen =
     in_sim (fun e ->
         let dev = Device.create e Profile.nvme in
-        let remaining = ref 16 in
-        Engine.suspend (fun resume ->
-            for i = 0 to 15 do
-              Device.submit dev ~hctx:i ~kind:Write ~lba:(i * 8) ~bytes:4096
-                ~on_complete:(fun _ ->
-                  decr remaining;
-                  if !remaining = 0 then resume ())
-            done);
+        write_all dev (List.init 16 (fun i -> (i, i * 8, 4096)));
         Engine.now e)
   in
   Alcotest.(check bool)
@@ -87,20 +103,13 @@ let test_sata_single_queue_serializes () =
   let one =
     in_sim (fun e ->
         let dev = Device.create e Profile.sata_ssd in
-        ignore (Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096);
+        Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096;
         Engine.now e)
   in
   let sixteen =
     in_sim (fun e ->
         let dev = Device.create e Profile.sata_ssd in
-        let remaining = ref 16 in
-        Engine.suspend (fun resume ->
-            for i = 0 to 15 do
-              Device.submit dev ~hctx:i ~kind:Write ~lba:(i * 8) ~bytes:4096
-                ~on_complete:(fun _ ->
-                  decr remaining;
-                  if !remaining = 0 then resume ())
-            done);
+        write_all dev (List.init 16 (fun i -> (i, i * 8, 4096)));
         Engine.now e)
   in
   Alcotest.(check bool) "sata scales worse than nvme" true (sixteen >= one *. 3.0)
@@ -109,14 +118,13 @@ let test_large_io_bandwidth_bound () =
   let t_4k =
     in_sim (fun e ->
         let dev = Device.create e Profile.nvme in
-        ignore (Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096);
+        Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096;
         Engine.now e)
   in
   let t_1m =
     in_sim (fun e ->
         let dev = Device.create e Profile.nvme in
-        ignore
-          (Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:(1024 * 1024));
+        Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:(1024 * 1024);
         Engine.now e)
   in
   (* 1 MiB transfer = 524288 ns dominates the 12 us latency. *)
@@ -128,8 +136,9 @@ let test_flush_waits_for_outstanding () =
       let dev = Device.create e Profile.nvme in
       let completions = ref 0 in
       for i = 0 to 7 do
-        Device.submit dev ~hctx:i ~kind:Write ~lba:(i * 8) ~bytes:65536
-          ~on_complete:(fun _ -> incr completions)
+        Device.submit_waiter dev
+          (waiter_with (fun _ -> incr completions))
+          ~hctx:i ~kind:Write ~lba:(i * 8) ~bytes:65536
       done;
       Device.flush dev;
       Alcotest.(check int) "flush returned after all completions" 8 !completions;
@@ -139,15 +148,9 @@ let test_per_queue_fifo () =
   in_sim (fun e ->
       let dev = Device.create e Profile.nvme in
       let order = ref [] in
-      let remaining = ref 8 in
-      Engine.suspend (fun resume ->
-          for i = 0 to 7 do
-            Device.submit dev ~hctx:0 ~kind:Write ~lba:(i * 1000) ~bytes:4096
-              ~on_complete:(fun c ->
-                order := c.c_lba :: !order;
-                decr remaining;
-                if !remaining = 0 then resume ())
-          done);
+      write_all dev
+        (List.init 8 (fun i -> (0, i * 1000, 4096)))
+        ~on_done:(fun lba -> order := lba :: !order);
       Alcotest.(check (list int)) "same-queue completions in order"
         [ 0; 1000; 2000; 3000; 4000; 5000; 6000; 7000 ]
         (List.rev !order))
@@ -156,7 +159,7 @@ let test_service_stats_collected () =
   in_sim (fun e ->
       let dev = Device.create e Profile.pmem in
       for _ = 1 to 10 do
-        ignore (Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096)
+        Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096
       done;
       Alcotest.(check int) "10 samples" 10 (Stats.count (Device.service_stats dev));
       Device.reset_stats dev;
@@ -173,7 +176,7 @@ let prop_device_kinds_latency_order =
             let rng = Rng.create seed in
             for _ = 1 to 20 do
               let lba = Rng.int rng 100000 in
-              ignore (Device.submit_wait dev ~hctx:0 ~kind:Write ~lba ~bytes:4096)
+              Device.submit_wait dev ~hctx:0 ~kind:Write ~lba ~bytes:4096
             done;
             Engine.now e)
       in
@@ -184,7 +187,7 @@ let prop_device_kinds_latency_order =
       pm < nv && nv < sd && sd < hd)
 
 (* [finish]'s order: when a command completes, the service sample, the
-   counters and [outstanding] are already updated for its callback,
+   counters and [outstanding] are already updated for its notify,
    and flush waiters are woken before the submitter, so they resume
    first at the same instant. *)
 let test_finish_order () =
@@ -192,7 +195,7 @@ let test_finish_order () =
       let dev = Device.create e Profile.nvme in
       let order = Buffer.create 8 in
       Engine.spawn e (fun () ->
-          ignore (Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096);
+          Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096;
           Buffer.add_string order "submitter;");
       Engine.spawn e (fun () ->
           Device.flush dev;
@@ -201,14 +204,15 @@ let test_finish_order () =
       Alcotest.(check string) "flush waiters resume before the submitter"
         "flusher;submitter;" (Buffer.contents order);
       let seen = ref "" in
-      Device.submit_result dev ~hctx:1 ~kind:Write ~lba:8 ~bytes:4096
-        ~on_complete:(fun _ ->
-          seen :=
-            Printf.sprintf "out=%d writes=%d samples=%d" (Device.outstanding dev)
-              (Device.completed_writes dev)
-              (Stats.count (Device.service_stats dev)));
+      Device.submit_waiter dev
+        (waiter_with (fun _ ->
+             seen :=
+               Printf.sprintf "out=%d writes=%d samples=%d"
+                 (Device.outstanding dev) (Device.completed_writes dev)
+                 (Stats.count (Device.service_stats dev))))
+        ~hctx:1 ~kind:Write ~lba:8 ~bytes:4096;
       Engine.wait 20_000.0;
-      Alcotest.(check string) "callback sees finished accounting"
+      Alcotest.(check string) "notify sees finished accounting"
         "out=0 writes=2 samples=2" !seen)
 
 (* Pool safety: a waiter is free again only once its command finished. *)
@@ -239,8 +243,8 @@ let test_waiter_resubmit_raises () =
       Alcotest.(check int) "nothing outstanding" 0 (Device.outstanding dev))
 
 (* A fixed mix on one 8-hctx NVMe device: 4 KiB, 64 KiB and 1 MiB
-   reads and writes (1 MiB splits into 4 chunks) through the blocking
-   and the callback submission paths, under a fault plan with a media
+   reads and writes (1 MiB splits into 4 chunks) from blocking
+   submitters and from notify callbacks, under a fault plan with a media
    error, a torn write, a finite delay, a lost command, rate faults, a
    per-queue offline window with commands queued on that queue, and a
    whole-device window. Each command's outcome and completion instant,
@@ -280,30 +284,35 @@ let pinned_device_scenario () =
          ]
        ~seed:11 ());
   let log = Buffer.create 4096 in
-  let note id = function
-    | Ok (c : Device.completion) ->
-        Printf.bprintf log "%d:ok %.0f-%.0f;" id c.c_submitted c.c_completed
-    | Error err ->
+  (* A masked outcome is logged as a success with the command's times,
+     the way a caller that never reads [waiter_error] sees it. *)
+  let note ~masked id w =
+    match Device.waiter_error w with
+    | Some err when not masked ->
         Printf.bprintf log "%d:%s@%.0f;" id (Device.error_to_string err)
           (Engine.now e)
+    | _ ->
+        Printf.bprintf log "%d:ok %.0f-%.0f;" id (Device.waiter_submitted w)
+          (Device.waiter_completed w)
   in
   let sizes = [| 4096; 65536; 1 lsl 20 |] in
-  (* Four blocking submitters; the last one uses the fault-masking
-     call. *)
+  (* Four blocking submitters; the last one masks faults. *)
   for th = 0 to 3 do
     Engine.spawn e (fun () ->
+        let w = waiter_with Device.wake in
         for i = 0 to 29 do
           let id = (th * 100) + i in
           let bytes = sizes.((th + i) mod 3) in
           let kind = if (i + th) mod 2 = 0 then Device.Write else Device.Read in
           let hctx = ((th * 3) + i) mod 8 in
           let lba = id * 512 in
-          if th = 3 then note id (Ok (Device.submit_wait dev ~hctx ~kind ~lba ~bytes))
-          else note id (Device.submit_wait_result dev ~hctx ~kind ~lba ~bytes);
+          Device.submit_waiter dev w ~hctx ~kind ~lba ~bytes;
+          Device.await w;
+          note ~masked:(th = 3) id w;
           Engine.wait (Stdlib.float_of_int (((i * 7919) + (th * 104729)) mod 3000))
         done)
   done;
-  (* Callback bursts that overrun the 16 channels, so commands queue on
+  (* Notify bursts that overrun the 16 channels, so commands queue on
      one hctx ahead of its offline window and ahead of device loss; the
      burst at 125 us lands inside the window and is rejected. *)
   let burst ~at ~base ~hctx ~masked =
@@ -313,10 +322,8 @@ let pinned_device_scenario () =
           let bytes = sizes.(j mod 3) in
           let kind = if j mod 3 = 0 then Device.Read else Device.Write in
           let lba = id * 64 in
-          if masked then
-            Device.submit dev ~hctx ~kind ~lba ~bytes ~on_complete:(fun c ->
-                note id (Ok c))
-          else Device.submit_result dev ~hctx ~kind ~lba ~bytes ~on_complete:(note id)
+          Device.submit_waiter dev (waiter_with (note ~masked id)) ~hctx ~kind
+            ~lba ~bytes
         done)
   in
   burst ~at:115_000.0 ~base:1000 ~hctx:3 ~masked:false;

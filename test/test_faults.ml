@@ -90,20 +90,25 @@ let test_torn_write_bound () =
             (Fault.create
                ~rates:{ Fault.no_rates with Fault.torn_write = 1.0 }
                ~seed:(7 + bytes) ());
-          (match Device.submit_wait_result dev ~hctx:0 ~kind:Write ~lba:0 ~bytes with
-          | Error (Device.E_torn n) ->
+          let w = Device.take_waiter (Device.waiter_pool ()) in
+          Device.submit_waiter dev w ~hctx:0 ~kind:Write ~lba:0 ~bytes;
+          Device.await w;
+          (match Device.waiter_error w with
+          | Some (Device.E_torn n) ->
               Alcotest.(check bool)
                 (Printf.sprintf "torn %d/%d in bounds" n bytes)
                 true
                 (n >= 0 && n < bytes)
-          | Ok _ -> Alcotest.fail "write with torn rate 1.0 reported Ok"
-          | Error e -> Alcotest.fail ("unexpected error " ^ Device.error_to_string e));
+          | None -> Alcotest.fail "write with torn rate 1.0 reported Ok"
+          | Some e -> Alcotest.fail ("unexpected error " ^ Device.error_to_string e));
           Alcotest.(check bool) "accounted bytes_written < requested" true
             (Device.bytes_written dev < bytes);
           (* Reads are never torn. *)
-          match Device.submit_wait_result dev ~hctx:0 ~kind:Read ~lba:0 ~bytes with
-          | Ok c -> Alcotest.(check int) "read intact" bytes c.Device.c_bytes
-          | Error e -> Alcotest.fail ("read failed: " ^ Device.error_to_string e)))
+          Device.submit_waiter dev w ~hctx:0 ~kind:Read ~lba:0 ~bytes;
+          Device.await w;
+          match Device.waiter_error w with
+          | None -> Alcotest.(check int) "read intact" bytes (Device.waiter_bytes w)
+          | Some e -> Alcotest.fail ("read failed: " ^ Device.error_to_string e)))
     sizes
 
 (* ------------------------------------------------------------------ *)
@@ -193,12 +198,19 @@ let test_offline_fails_inflight_with_enodev () =
              [ Fault.Offline { from_ns = 1e5; until_ns = Float.infinity; queue = None } ]
            ~seed:42 ());
       let ok = ref 0 and enodev = ref 0 and other = ref 0 in
+      let waiters = Device.waiter_pool () in
+      let count w =
+        (match Device.waiter_error w with
+        | None -> incr ok
+        | Some Device.E_offline -> incr enodev
+        | Some _ -> incr other);
+        Device.give_waiter waiters w
+      in
       let submit ~bytes i =
-        Device.submit_result dev ~hctx:0 ~kind:Device.Write ~lba:(i * 4096)
-          ~bytes ~on_complete:(function
-          | Ok _ -> incr ok
-          | Error Device.E_offline -> incr enodev
-          | Error _ -> incr other)
+        let w = Device.take_waiter waiters in
+        Device.set_notify w count;
+        Device.submit_waiter dev w ~hctx:0 ~kind:Device.Write ~lba:(i * 4096)
+          ~bytes
       in
       (* These 8 small writes finish long before the 100 us loss. *)
       for i = 0 to 7 do

@@ -53,12 +53,37 @@ let test_blk_direct_hctx_skips_irq () =
       let dev = Device.create m.Machine.engine Profile.nvme in
       let blk = Blk.create m dev ~sched:Blk.Noop in
       let done_ = ref false in
+      let w = Device.take_waiter (Device.waiter_pool ()) in
+      Device.set_notify w (fun w ->
+          Blk.note_completion blk ~hctx:(Device.waiter_hctx w)
+            ~bytes:(Device.waiter_bytes w);
+          done_ := true);
       Blk.submit_io_to_hctx blk ~thread:0 ~hctx:2 ~kind:Device.Write ~lba:0
-        ~bytes:4096 ~on_complete:(fun () -> done_ := true);
+        ~bytes:4096 w;
       Alcotest.(check int) "tracked in-flight" 1 (Blk.inflight blk 2);
       Device.flush dev;
       Alcotest.(check bool) "completed" true !done_;
       Alcotest.(check int) "drained" 0 (Blk.inflight blk 2))
+
+(* The block layer reduces [hctx] modulo the queue count once, so a
+   single-queue SATA device accepts any queue index and the in-flight
+   slot it charges is the one the completion releases. *)
+let test_blk_hctx_wraps () =
+  in_sim (fun m ->
+      let dev = Device.create m.Machine.engine Profile.sata_ssd in
+      let blk = Blk.create m dev ~sched:Blk.Noop in
+      let w = Device.take_waiter (Device.waiter_pool ()) in
+      Device.set_notify w (fun w ->
+          Blk.note_completion blk ~hctx:(Device.waiter_hctx w)
+            ~bytes:(Device.waiter_bytes w);
+          Device.wake w);
+      Blk.submit_io_to_hctx blk ~thread:0 ~hctx:1 ~kind:Device.Write ~lba:0
+        ~bytes:4096 w;
+      Alcotest.(check int) "charged to queue 0" 1 (Blk.inflight blk 0);
+      Device.await w;
+      Alcotest.(check bool) "completed" true (Device.waiter_error w = None);
+      Alcotest.(check int) "waiter on queue 0" 0 (Device.waiter_hctx w);
+      Alcotest.(check int) "drained" 0 (Blk.inflight blk 0))
 
 (* ------------------------------------------------------------------ *)
 (* Page cache                                                          *)
@@ -262,6 +287,110 @@ let test_api_batch_amortizes () =
     true
     (per_op_batched < single /. 2.0)
 
+(* Two io_uring batches of 8 requests on a blk-switch block layer,
+   next to a burst of contiguous writes that the blkswitch_sched LabMod
+   merges over the kernel driver, all on one NVMe device. Every
+   completion instant, the event count and the in-flight accounting
+   after quiesce are pinned, so a change to how either path waits for
+   the device shows here event for event. *)
+let pinned_merge_spec =
+  {|
+mount: "blk::/dev/m"
+rules:
+  exec_mode: async
+dag:
+  - uuid: sched-m
+    mod: blkswitch_sched
+    attrs:
+      merge_window_ns: 5000.0
+    outputs: [drv-m]
+  - uuid: drv-m
+    mod: kernel_driver
+|}
+
+let pinned_batch_scenario () =
+  let platform =
+    Labstor.Platform.boot ~nworkers:2
+      ~config:
+        { Lab_runtime.Runtime.default_config with worker_batch_size = 4 }
+      ()
+  in
+  (match Labstor.Platform.mount platform pinned_merge_spec with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  let m = Labstor.Platform.machine platform in
+  let e = m.Machine.engine in
+  let backend = Labstor.Platform.backend platform Profile.Nvme in
+  let dev = backend.Lab_mods.Mods_env.device in
+  let switch = Blk.create m dev ~sched:Blk.Blk_switch in
+  let api = Api.create m switch in
+  let log = Buffer.create 512 in
+  Labstor.Platform.go platform (fun () ->
+      let remaining = ref 4 and all_done = Engine.make_park_cell () in
+      let spawn f =
+        Engine.spawn e (fun () ->
+            f ();
+            decr remaining;
+            if !remaining = 0 then Engine.unpark all_done)
+      in
+      for b = 0 to 1 do
+        spawn (fun () ->
+            Engine.wait (Stdlib.float_of_int (b * 3_000));
+            let offs = Array.init 8 (fun i -> ((b * 64) + (i * 3)) * 4096) in
+            Api.submit_batch_wait api ~api:Api.Io_uring ~thread:(4 + b)
+              ~kind:(if b = 0 then Device.Write else Device.Read)
+              ~offs ~bytes:(if b = 0 then 4096 else 65536);
+            Printf.bprintf log "batch%d@%.0f;" b (Machine.now m))
+      done;
+      for th = 0 to 1 do
+        spawn (fun () ->
+            let c = Labstor.Platform.client platform ~thread:th () in
+            let ops =
+              List.init 6 (fun i ->
+                  {
+                    Lab_runtime.Client.op_kind = Lab_core.Request.Write;
+                    op_lba = (th * 4096) + (i * 8);
+                    op_bytes = 4096;
+                  })
+            in
+            match Lab_runtime.Client.block_batch c ~mount:"blk::/dev/m" ops with
+            | Error err -> Printf.bprintf log "burst%d:%s;" th err
+            | Ok results ->
+                List.iteri
+                  (fun i r ->
+                    match r with
+                    | Ok n -> Printf.bprintf log "w%d.%d:%d@%.0f;" th i n (Machine.now m)
+                    | Error err -> Printf.bprintf log "w%d.%d:%s;" th i err)
+                  results)
+      done;
+      Engine.park all_done;
+      Device.flush dev);
+  let inflight blk =
+    let n = ref 0 in
+    for q = 0 to Device.n_hw_queues dev - 1 do
+      n := !n + Blk.inflight blk q
+    done;
+    !n
+  in
+  ( Buffer.contents log,
+    Engine.events_executed e,
+    Machine.now m,
+    inflight switch + inflight backend.Lab_mods.Mods_env.blk )
+
+let test_pinned_batch_schedule () =
+  let log, events, now, inflight = pinned_batch_scenario () in
+  (* Values captured while the batch still waited through a callback
+     adapter. *)
+  Alcotest.(check string) "completion times"
+    ("batch0@39684;batch1@301828;"
+    ^ "w0.0:4096@310716;w0.1:4096@310716;w0.2:4096@310716;w0.3:4096@310716;"
+    ^ "w0.4:4096@310716;w0.5:4096@310716;w1.0:4096@323004;w1.1:4096@323004;"
+    ^ "w1.2:4096@323004;w1.3:4096@323004;w1.4:4096@323004;w1.5:4096@323004;")
+    log;
+  Alcotest.(check int) "events_executed" 617 events;
+  Alcotest.(check string) "final time" "323004.000" (Printf.sprintf "%.3f" now);
+  Alcotest.(check int) "in flight after quiesce" 0 inflight
+
 let () =
   Alcotest.run "lab_kernel"
     [
@@ -272,6 +401,7 @@ let () =
             test_blk_switch_avoids_loaded_queue;
           Alcotest.test_case "polled vs irq" `Quick test_blk_polled_cheaper_than_irq;
           Alcotest.test_case "direct hctx" `Quick test_blk_direct_hctx_skips_irq;
+          Alcotest.test_case "direct hctx wraps" `Quick test_blk_hctx_wraps;
         ] );
       ( "page-cache",
         [
@@ -294,5 +424,7 @@ let () =
         [
           Alcotest.test_case "cost ordering" `Quick test_api_ordering;
           Alcotest.test_case "batch amortizes" `Quick test_api_batch_amortizes;
+          Alcotest.test_case "pinned batch schedule" `Quick
+            test_pinned_batch_schedule;
         ] );
     ]

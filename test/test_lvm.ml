@@ -324,6 +324,77 @@ let test_state_repair_replays_journal () =
   Alcotest.(check bool) "freed extent stayed freed" true
     (not (M.IMap.mem 3 (Lab_lvm.vg m).M.lmap))
 
+(* A RAID1 mirror under three concurrent writers whose fan-outs are in
+   flight when leg nvme2 goes offline, then a degraded read, then the
+   leg's return and a short resilver. Every outcome and its instant,
+   the event count, the final time and the lvm counters are pinned, so
+   a change to how the volume manager waits for its legs shows here
+   event for event. *)
+let pinned_lvm_scenario () =
+  let platform, m = boot_lvm ~rate:20_000.0 mirror_spec in
+  let machine = Platform.machine platform in
+  let e = machine.Machine.engine in
+  let t0 = Platform.now platform in
+  let from_ns = t0 +. 60_000.0 and until_ns = t0 +. 300_000.0 in
+  Lab_device.Device.set_fault_plan
+    (Platform.device_by_name platform "nvme2")
+    (Fault.create
+       ~script:[ Fault.Offline { from_ns; until_ns; queue = None } ]
+       ~seed:7 ());
+  let log = Buffer.create 1024 in
+  let note tag = function
+    | Ok n -> Printf.bprintf log "%s:%d@%.0f;" tag n (Machine.now machine)
+    | Error err -> Printf.bprintf log "%s:%s@%.0f;" tag err (Machine.now machine)
+  in
+  Platform.go platform (fun () ->
+      let remaining = ref 3 and all_done = Engine.make_park_cell () in
+      for th = 0 to 2 do
+        Engine.spawn e (fun () ->
+            let c = Platform.client platform ~thread:th () in
+            for i = 0 to 5 do
+              let lba = (((th * 6) + i) mod 4 * extent_blocks) + (i * 128) in
+              note
+                (Printf.sprintf "w%d.%d" th i)
+                (Runtime.Client.write_block c ~mount:"blk::/vol" ~lba
+                   ~bytes:(if i mod 2 = 0 then 65536 else 4096));
+              Engine.wait (Stdlib.float_of_int (((th * 7) + i) mod 5 * 2_000))
+            done;
+            decr remaining;
+            if !remaining = 0 then Engine.unpark all_done)
+      done;
+      Engine.park all_done;
+      let c = Platform.client platform ~thread:0 () in
+      note "r" (Runtime.Client.read_block c ~mount:"blk::/vol" ~lba:128 ~bytes:8192);
+      if until_ns > Machine.now machine then
+        Engine.wait (until_ns -. Machine.now machine);
+      let i = ref 0 in
+      while Lab_lvm.rebuild_frac m < 1.0 && !i < 1_000 do
+        note
+          (Printf.sprintf "rb%d" !i)
+          (Runtime.Client.read_block c ~mount:"blk::/vol" ~lba:(!i * 8) ~bytes:4096);
+        incr i;
+        Engine.wait 200_000.0
+      done);
+  let counters =
+    String.concat " "
+      (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Lab_lvm.counters m))
+  in
+  (Buffer.contents log, Engine.events_executed e, Platform.now platform, counters)
+
+let test_pinned_lvm_schedule () =
+  let log, events, now, counters = pinned_lvm_scenario () in
+  (* Values captured while the fan-out still waited through a callback
+     adapter. *)
+  if Digest.to_hex (Digest.string log) <> "bfa7a14cd021468c4acd4d8c18a86cc2"
+  then Alcotest.failf "outcomes changed:\n%s" log;
+  Alcotest.(check int) "events_executed" 4829 events;
+  Alcotest.(check string) "final time" "4733080.000" (Printf.sprintf "%.3f" now);
+  Alcotest.(check string) "counters"
+    "degraded_reads=13 degraded_writes=4 legs_lost=1 rebuilds_completed=1 \
+     journal_records=10 journal_write_errors=0 extents_allocated=4 \
+     rebuild_copied_bytes=4194304"
+    counters
+
 let () =
   Alcotest.run "lab_lvm"
     [
@@ -343,5 +414,7 @@ let () =
             test_degraded_then_rebuild;
           Alcotest.test_case "state_repair replays the journal" `Quick
             test_state_repair_replays_journal;
+          Alcotest.test_case "pinned lvm schedule" `Quick
+            test_pinned_lvm_schedule;
         ] );
     ]

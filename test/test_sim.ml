@@ -880,79 +880,6 @@ let prop_heap_length =
       !ok && Heap.pop h = None)
 
 (* ------------------------------------------------------------------ *)
-(* Mailbox                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_mailbox_fifo () =
-  let e = Engine.create () in
-  let mb = Mailbox.create () in
-  let got = ref [] in
-  Engine.spawn e (fun () ->
-      for i = 1 to 4 do
-        Mailbox.put mb i
-      done);
-  Engine.spawn e (fun () ->
-      for _ = 1 to 4 do
-        got := Mailbox.get mb :: !got
-      done);
-  Engine.run e;
-  Alcotest.(check (list int)) "FIFO order" [ 1; 2; 3; 4 ] (List.rev !got)
-
-let test_mailbox_blocking_get () =
-  let e = Engine.create () in
-  let mb = Mailbox.create () in
-  let received_at = ref Float.nan in
-  Engine.spawn e (fun () ->
-      ignore (Mailbox.get mb);
-      received_at := Engine.now e);
-  Engine.spawn e (fun () ->
-      Engine.wait 30.0;
-      Mailbox.put mb 1);
-  Engine.run e;
-  check_float "getter blocked until put" 30.0 !received_at
-
-let test_mailbox_capacity_blocks_put () =
-  let e = Engine.create () in
-  let mb = Mailbox.create ~capacity:2 () in
-  let done_at = ref Float.nan in
-  Engine.spawn e (fun () ->
-      Mailbox.put mb 1;
-      Mailbox.put mb 2;
-      Mailbox.put mb 3;
-      (* must block until a get *)
-      done_at := Engine.now e);
-  Engine.spawn e (fun () ->
-      Engine.wait 50.0;
-      ignore (Mailbox.get mb));
-  Engine.run e;
-  check_float "third put blocked" 50.0 !done_at
-
-let test_mailbox_try_ops () =
-  let e = Engine.create () in
-  let mb = Mailbox.create ~capacity:1 () in
-  Engine.spawn e (fun () ->
-      Alcotest.(check bool) "try_put into empty" true (Mailbox.try_put mb 1);
-      Alcotest.(check bool) "try_put into full" false (Mailbox.try_put mb 2);
-      Alcotest.(check (option int)) "try_get" (Some 1) (Mailbox.try_get mb);
-      Alcotest.(check (option int)) "try_get empty" None (Mailbox.try_get mb));
-  Engine.run e
-
-let prop_mailbox_preserves_sequence =
-  QCheck.Test.make ~name:"mailbox delivers every message in order" ~count:100
-    QCheck.(pair (list small_int) (int_range 1 8))
-    (fun (xs, cap) ->
-      let e = Engine.create () in
-      let mb = Mailbox.create ~capacity:cap () in
-      let out = ref [] in
-      Engine.spawn e (fun () -> List.iter (fun x -> Mailbox.put mb x) xs);
-      Engine.spawn e (fun () ->
-          for _ = 1 to List.length xs do
-            out := Mailbox.get mb :: !out
-          done);
-      Engine.run e;
-      List.rev !out = xs)
-
-(* ------------------------------------------------------------------ *)
 (* Semaphore                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1277,15 +1204,6 @@ let () =
         :: Alcotest.test_case "releases entries" `Quick test_heap_releases_entries
         :: List.map QCheck_alcotest.to_alcotest [ prop_heap_sorts; prop_heap_length ]
       );
-      ( "mailbox",
-        [
-          Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
-          Alcotest.test_case "blocking get" `Quick test_mailbox_blocking_get;
-          Alcotest.test_case "capacity blocks put" `Quick
-            test_mailbox_capacity_blocks_put;
-          Alcotest.test_case "try ops" `Quick test_mailbox_try_ops;
-          QCheck_alcotest.to_alcotest prop_mailbox_preserves_sequence;
-        ] );
       ( "semaphore",
         [
           Alcotest.test_case "mutex" `Quick test_semaphore_mutex;

@@ -211,14 +211,12 @@ let device_data m kind =
   {
     Pfs.srv_write =
       (fun ~server ~off ~bytes ->
-        ignore
-          (Device.submit_wait devs.(server) ~hctx:server ~kind:Device.Write
-             ~lba:(off / 4096) ~bytes));
+        Device.submit_wait devs.(server) ~hctx:server ~kind:Device.Write
+          ~lba:(off / 4096) ~bytes);
     srv_read =
       (fun ~server ~off ~bytes ->
-        ignore
-          (Device.submit_wait devs.(server) ~hctx:server ~kind:Device.Read
-             ~lba:(off / 4096) ~bytes));
+        Device.submit_wait devs.(server) ~hctx:server ~kind:Device.Read
+          ~lba:(off / 4096) ~bytes);
   }
 
 let test_pfs_vpic_totals () =
