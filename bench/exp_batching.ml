@@ -73,44 +73,43 @@ let run_case ~seed ~qd ~batch ~total_ops =
   let lat = Stats.create () in
   let failed = ref 0 in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Engine.spawn machine.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                let cursor = ref (th * region_sectors) in
-                for _ = 1 to rounds do
-                  let t0 = Machine.now machine in
-                  (if batch = 1 then
-                     match
-                       Runtime.Client.write_block c ~mount:"blk::/batch"
-                         ~lba:!cursor ~bytes
-                     with
-                     | Ok _ -> Stats.add lat (Machine.now machine -. t0)
-                     | Error _ -> incr failed
-                   else
-                     let ops =
-                       List.init batch (fun i ->
-                           {
-                             Runtime.Client.op_kind = Core.Request.Write;
-                             op_lba = !cursor + (i * sectors_per_op);
-                             op_bytes = bytes;
-                           })
-                     in
-                     match Runtime.Client.block_batch c ~mount:"blk::/batch" ops with
-                     | Error _ -> failed := !failed + batch
-                     | Ok results ->
-                         let dt = Machine.now machine -. t0 in
-                         List.iter
-                           (function
-                             | Ok _ -> Stats.add lat dt
-                             | Error _ -> incr failed)
-                           results);
-                  cursor := !cursor + (batch * sectors_per_op)
-                done;
-                incr finished;
-                if !finished = threads then resume ())
-          done));
+      let all_done = Engine.join threads in
+      for th = 0 to threads - 1 do
+        Engine.spawn machine.Machine.engine (fun () ->
+            let c = Platform.client platform ~thread:th () in
+            let cursor = ref (th * region_sectors) in
+            for _ = 1 to rounds do
+              let t0 = Machine.now machine in
+              (if batch = 1 then
+                 match
+                   Runtime.Client.write_block c ~mount:"blk::/batch"
+                     ~lba:!cursor ~bytes
+                 with
+                 | Ok _ -> Stats.add lat (Machine.now machine -. t0)
+                 | Error _ -> incr failed
+               else
+                 let ops =
+                   List.init batch (fun i ->
+                       {
+                         Runtime.Client.op_kind = Core.Request.Write;
+                         op_lba = !cursor + (i * sectors_per_op);
+                         op_bytes = bytes;
+                       })
+                 in
+                 match Runtime.Client.block_batch c ~mount:"blk::/batch" ops with
+                 | Error _ -> failed := !failed + batch
+                 | Ok results ->
+                     let dt = Machine.now machine -. t0 in
+                     List.iter
+                       (function
+                         | Ok _ -> Stats.add lat dt
+                         | Error _ -> incr failed)
+                       results);
+              cursor := !cursor + (batch * sectors_per_op)
+            done;
+            Engine.arrive all_done)
+      done;
+      Engine.await all_done);
   let elapsed = Platform.now platform in
   let rt = Platform.runtime platform in
   let doorbells =

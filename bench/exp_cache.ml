@@ -81,36 +81,35 @@ let run_case ~seed ~policy ~ra ~shards ~wr_pct ~ops_per_thread =
   let lat = Stats.create () in
   let failed = ref 0 in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Engine.spawn machine.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                let rpage = ref (th * region_pages) in
-                let wpage = ref ((th * region_pages) + write_off) in
-                for i = 1 to ops_per_thread do
-                  let t0 = Machine.now machine in
-                  let r =
-                    if wr_pct > 0 && i mod (100 / wr_pct) = 0 then begin
-                      let lba = !wpage in
-                      incr wpage;
-                      Runtime.Client.write_block c ~stream:th
-                        ~mount:"blk::/cache" ~lba ~bytes:4096
-                    end
-                    else begin
-                      let lba = !rpage in
-                      incr rpage;
-                      Runtime.Client.read_block c ~stream:th
-                        ~mount:"blk::/cache" ~lba ~bytes:4096
-                    end
-                  in
-                  match r with
-                  | Ok _ -> Stats.add lat (Machine.now machine -. t0)
-                  | Error _ -> incr failed
-                done;
-                incr finished;
-                if !finished = threads then resume ())
-          done));
+      let all_done = Engine.join threads in
+      for th = 0 to threads - 1 do
+        Engine.spawn machine.Machine.engine (fun () ->
+            let c = Platform.client platform ~thread:th () in
+            let rpage = ref (th * region_pages) in
+            let wpage = ref ((th * region_pages) + write_off) in
+            for i = 1 to ops_per_thread do
+              let t0 = Machine.now machine in
+              let r =
+                if wr_pct > 0 && i mod (100 / wr_pct) = 0 then begin
+                  let lba = !wpage in
+                  incr wpage;
+                  Runtime.Client.write_block c ~stream:th
+                    ~mount:"blk::/cache" ~lba ~bytes:4096
+                end
+                else begin
+                  let lba = !rpage in
+                  incr rpage;
+                  Runtime.Client.read_block c ~stream:th
+                    ~mount:"blk::/cache" ~lba ~bytes:4096
+                end
+              in
+              match r with
+              | Ok _ -> Stats.add lat (Machine.now machine -. t0)
+              | Error _ -> incr failed
+            done;
+            Engine.arrive all_done)
+      done;
+      Engine.await all_done);
   let elapsed = Platform.now platform in
   let rt = Platform.runtime platform in
   let core = core_of rt ~policy in

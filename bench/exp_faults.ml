@@ -56,26 +56,25 @@ let run_case ~rate ~seed ~ops =
   let failed = ref 0 in
   let clients = ref [] in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Engine.spawn machine.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                clients := c :: !clients;
-                let rng = Rng.create (seed lxor (th * 7919)) in
-                for _ = 1 to ops do
-                  let lba = Rng.int rng 262144 in
-                  let t0 = Machine.now machine in
-                  match
-                    Runtime.Client.write_block c ~mount:"blk::/faults" ~lba
-                      ~bytes
-                  with
-                  | Ok _ -> Stats.add lat (Machine.now machine -. t0)
-                  | Error _ -> incr failed
-                done;
-                incr finished;
-                if !finished = threads then resume ())
-          done));
+      let all_done = Engine.join threads in
+      for th = 0 to threads - 1 do
+        Engine.spawn machine.Machine.engine (fun () ->
+            let c = Platform.client platform ~thread:th () in
+            clients := c :: !clients;
+            let rng = Rng.create (seed lxor (th * 7919)) in
+            for _ = 1 to ops do
+              let lba = Rng.int rng 262144 in
+              let t0 = Machine.now machine in
+              match
+                Runtime.Client.write_block c ~mount:"blk::/faults" ~lba
+                  ~bytes
+              with
+              | Ok _ -> Stats.add lat (Machine.now machine -. t0)
+              | Error _ -> incr failed
+            done;
+            Engine.arrive all_done)
+      done;
+      Engine.await all_done);
   let elapsed = Platform.now platform in
   let total = ops * threads in
   let sum f = List.fold_left (fun acc c -> acc + f c) 0 !clients in

@@ -73,15 +73,14 @@ let lvm_mod platform =
 let spawn_clients platform f =
   let machine = Platform.machine platform in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Engine.spawn machine.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                f th c;
-                incr finished;
-                if !finished = threads then resume ())
-          done))
+      let all_done = Engine.join threads in
+      for th = 0 to threads - 1 do
+        Engine.spawn machine.Machine.engine (fun () ->
+            let c = Platform.client platform ~thread:th () in
+            f th c;
+            Engine.arrive all_done)
+      done;
+      Engine.await all_done)
 
 type mirror_outcome = {
   healthy_p99_us : float;

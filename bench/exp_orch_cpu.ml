@@ -55,19 +55,18 @@ let run_config ~nclients config_name policy busy_poll =
       Runtime.Runtime.reset_worker_stats rt;
       let t0 = Platform.now platform in
       let ops = bytes_per_client / 4096 in
-      let finished = ref 0 in
-      Sim.Engine.suspend (fun resume ->
-          Array.iteri
-            (fun i c ->
-              Sim.Engine.spawn m.Sim.Machine.engine (fun () ->
-                  let rng = Sim.Rng.create (77 + i) in
-                  for _ = 1 to ops do
-                    let off = Sim.Rng.int rng 4096 * 4096 in
-                    ignore (Runtime.Client.pwrite c ~fd:fds.(i) ~off ~bytes:4096)
-                  done;
-                  incr finished;
-                  if !finished = nclients then resume ()))
-            clients);
+      let all_done = Sim.Engine.join nclients in
+      Array.iteri
+        (fun i c ->
+          Sim.Engine.spawn m.Sim.Machine.engine (fun () ->
+              let rng = Sim.Rng.create (77 + i) in
+              for _ = 1 to ops do
+                let off = Sim.Rng.int rng 4096 * 4096 in
+                ignore (Runtime.Client.pwrite c ~fd:fds.(i) ~off ~bytes:4096)
+              done;
+              Sim.Engine.arrive all_done))
+        clients;
+      Sim.Engine.await all_done;
       let elapsed = Platform.now platform -. t0 in
       let iops = float_of_int (nclients * ops) /. (elapsed /. 1e9) in
       let cores =

@@ -59,43 +59,41 @@ let run_config nworkers policy =
   let c_elapsed = ref 0.0 in
   Platform.go platform (fun () ->
       let m = Platform.machine platform in
-      let finished = ref 0 and total = n_l + n_c in
-      Sim.Engine.suspend (fun resume ->
-          for cw = 0 to n_c - 1 do
-            Sim.Engine.spawn m.Sim.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:(8 + cw) () in
-                let t0 = Platform.now platform in
-                for i = 1 to writes_per_c do
-                  let path = Printf.sprintf "fs::/c/b%d-%d" cw i in
-                  ignore (Runtime.Client.create c path);
-                  (match Runtime.Client.open_file c path with
-                  | Ok fd ->
-                      ignore (Runtime.Client.pwrite c ~fd ~off:0 ~bytes:c_write_bytes);
-                      ignore (Runtime.Client.close c fd)
-                  | Error e -> failwith e);
-                  c_bytes := !c_bytes + c_write_bytes
-                done;
-                c_elapsed := Float.max !c_elapsed (Platform.now platform -. t0);
-                incr finished;
-                if !finished = total then resume ())
-          done;
-          for lw = 0 to n_l - 1 do
-            Sim.Engine.spawn m.Sim.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:lw () in
-                (* Warm-up so queue service estimates exist. *)
-                for i = 1 to 20 do
-                  ignore (Runtime.Client.create c (Printf.sprintf "fs::/l/w%d-%d" lw i))
-                done;
-                Sim.Engine.wait 60e6;  (* past the classification transient *)
-                for i = 1 to creates_per_l do
-                  let t0 = Platform.now platform in
-                  ignore (Runtime.Client.create c (Printf.sprintf "fs::/l/f%d-%d" lw i));
-                  Sim.Stats.add lat (Platform.now platform -. t0);
-                  Sim.Engine.wait 50_000.0
-                done;
-                incr finished;
-                if !finished = total then resume ())
-          done));
+      let all_done = Sim.Engine.join (n_l + n_c) in
+      for cw = 0 to n_c - 1 do
+        Sim.Engine.spawn m.Sim.Machine.engine (fun () ->
+            let c = Platform.client platform ~thread:(8 + cw) () in
+            let t0 = Platform.now platform in
+            for i = 1 to writes_per_c do
+              let path = Printf.sprintf "fs::/c/b%d-%d" cw i in
+              ignore (Runtime.Client.create c path);
+              (match Runtime.Client.open_file c path with
+              | Ok fd ->
+                  ignore (Runtime.Client.pwrite c ~fd ~off:0 ~bytes:c_write_bytes);
+                  ignore (Runtime.Client.close c fd)
+              | Error e -> failwith e);
+              c_bytes := !c_bytes + c_write_bytes
+            done;
+            c_elapsed := Float.max !c_elapsed (Platform.now platform -. t0);
+            Sim.Engine.arrive all_done)
+      done;
+      for lw = 0 to n_l - 1 do
+        Sim.Engine.spawn m.Sim.Machine.engine (fun () ->
+            let c = Platform.client platform ~thread:lw () in
+            (* Warm-up so queue service estimates exist. *)
+            for i = 1 to 20 do
+              ignore (Runtime.Client.create c (Printf.sprintf "fs::/l/w%d-%d" lw i))
+            done;
+            Sim.Engine.wait 60e6;  (* past the classification transient *)
+            for i = 1 to creates_per_l do
+              let t0 = Platform.now platform in
+              ignore (Runtime.Client.create c (Printf.sprintf "fs::/l/f%d-%d" lw i));
+              Sim.Stats.add lat (Platform.now platform -. t0);
+              Sim.Engine.wait 50_000.0
+            done;
+            Sim.Engine.arrive all_done)
+      done;
+      Sim.Engine.await all_done);
   let bw = float_of_int !c_bytes /. (!c_elapsed /. 1e9) /. (1024.0 *. 1024.0) in
   (Sim.Stats.mean lat, bw)
 

@@ -68,26 +68,25 @@ let run_case ~seed ~ops ~busy_poll ~profile =
   | Error e -> failwith ("exp_profile: mount: " ^ e));
   let machine = Platform.machine platform in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Engine.spawn machine.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                let rng = Rng.create (seed lxor (th * 7919)) in
-                for i = 1 to ops do
-                  let lba = Rng.int rng 262144 in
-                  if i mod 4 = 0 then
-                    ignore
-                      (Runtime.Client.write_block c ~mount:"blk::/profile"
-                         ~lba ~bytes)
-                  else
-                    ignore
-                      (Runtime.Client.read_block c ~mount:"blk::/profile"
-                         ~lba ~bytes)
-                done;
-                incr finished;
-                if !finished = threads then resume ())
-          done));
+      let all_done = Engine.join threads in
+      for th = 0 to threads - 1 do
+        Engine.spawn machine.Machine.engine (fun () ->
+            let c = Platform.client platform ~thread:th () in
+            let rng = Rng.create (seed lxor (th * 7919)) in
+            for i = 1 to ops do
+              let lba = Rng.int rng 262144 in
+              if i mod 4 = 0 then
+                ignore
+                  (Runtime.Client.write_block c ~mount:"blk::/profile"
+                     ~lba ~bytes)
+              else
+                ignore
+                  (Runtime.Client.read_block c ~mount:"blk::/profile"
+                     ~lba ~bytes)
+            done;
+            Engine.arrive all_done)
+      done;
+      Engine.await all_done);
   let util_means =
     match Runtime.Runtime.timeseries (Platform.runtime platform) with
     | None -> []

@@ -215,97 +215,92 @@ let run_e2e ~seed ~n_tenants ~noisy ~total_ops =
      is byte-identical with or without this measurement. *)
   let lat_co = Stats.create () in
   let failed = ref 0 in
-  let stop = ref false in
   let noisy_done = ref 0 in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Engine.suspend (fun resume ->
-          for i = 0 to n_tenants - 1 do
-            Engine.spawn eng (fun () ->
-                let c =
-                  Platform.client platform ~uid:(2000 + i) ~thread:(i mod 16) ()
-                in
-                (* Second connection for the tenant's bulk writes: a QP's
-                   completion queue is single-consumer, so the concurrent
-                   burst write may not share the reader's QP. Same uid —
-                   same tenant, same budgets. *)
-                let cw =
-                  Platform.client platform ~uid:(2000 + i) ~thread:(i mod 16) ()
-                in
-                (* Stagger arrivals across one period. *)
-                Engine.wait (float_of_int i *. base_period);
-                let loop_start = Machine.now machine in
-                let lba0 = i * 16384 in
-                for k = 0 to ops_per - 1 do
-                  if k mod 8 = 7 then begin
-                    (* The tenant's own bulk traffic, issued concurrently
-                       with the next read (a qd-2 burst: think of a store
-                       flushing its log while serving a lookup). Windowed,
-                       so it passes DRR and shares the window by weight
-                       with every other bulk stream; not part of the
-                       latency-class SLO — but the read issued right
-                       behind it collides with its transfer, so the
-                       tenant's *alone* read p99 already carries one
-                       bulk-transfer residual. *)
-                    Engine.spawn eng (fun () ->
-                        match
-                          Runtime.Client.write_block cw ~mount:mount_pt
-                            ~lba:(lba0 + 8192 + (k * 8))
-                            ~bytes:polite_wr_bytes
-                        with
-                        | Ok _ -> ()
-                        | Error _ -> incr failed);
-                    Engine.wait 8000.0
-                  end;
-                  (* The fixed-rate schedule this pacing loop aims for:
-                     read k was *intended* at loop_start + k·period (+ the
-                     burst iterations' 8µs offset). The loop actually
-                     sends at previous-completion + think, so past
-                     service times push sends behind schedule — the
-                     drift closed-loop measurement silently forgives. *)
-                  let sched =
-                    loop_start
-                    +. (float_of_int k *. period)
-                    +. (if k mod 8 = 7 then 8000.0 else 0.0)
-                  in
-                  let t0 = Machine.now machine in
-                  (match
-                     Runtime.Client.read_block c ~mount:mount_pt
-                       ~lba:(lba0 + (k * 32))
-                       ~bytes:polite_bytes
-                   with
-                  | Ok _ ->
-                      let tc = Machine.now machine in
-                      Stats.add lat (tc -. t0);
-                      Stats.add lat_co (tc -. Float.min sched t0)
-                  | Error _ -> incr failed);
-                  Engine.wait (if k mod 8 = 7 then period -. 8000.0 else period)
-                done;
-                incr finished;
-                if !finished = n_tenants then begin
-                  stop := true;
-                  resume ()
-                end)
-          done;
-          if noisy then
-            for j = 0 to noisy_clients - 1 do
-              Engine.spawn eng (fun () ->
-                  let c =
-                    Platform.client platform ~uid:noisy_uid
-                      ~thread:(16 + (j mod 4))
-                      ()
-                  in
-                  let lba = ref (100_000_000 + (j * 1_000_000)) in
-                  while not !stop do
-                    (match
-                       Runtime.Client.write_block c ~mount:mount_pt ~lba:!lba
-                         ~bytes:noisy_bytes
-                     with
-                    | Ok _ -> incr noisy_done
-                    | Error _ -> () (* EAGAIN after backoff: keep pushing *));
-                    lba := !lba + 40
-                  done)
-            done));
+      let all_done = Engine.join n_tenants in
+      for i = 0 to n_tenants - 1 do
+        Engine.spawn eng (fun () ->
+            let c =
+              Platform.client platform ~uid:(2000 + i) ~thread:(i mod 16) ()
+            in
+            (* Second connection for the tenant's bulk writes: a QP's
+               completion queue is single-consumer, so the concurrent
+               burst write may not share the reader's QP. Same uid —
+               same tenant, same budgets. *)
+            let cw =
+              Platform.client platform ~uid:(2000 + i) ~thread:(i mod 16) ()
+            in
+            (* Stagger arrivals across one period. *)
+            Engine.wait (float_of_int i *. base_period);
+            let loop_start = Machine.now machine in
+            let lba0 = i * 16384 in
+            for k = 0 to ops_per - 1 do
+              if k mod 8 = 7 then begin
+                (* The tenant's own bulk traffic, issued concurrently
+                   with the next read (a qd-2 burst: think of a store
+                   flushing its log while serving a lookup). Windowed,
+                   so it passes DRR and shares the window by weight
+                   with every other bulk stream; not part of the
+                   latency-class SLO — but the read issued right
+                   behind it collides with its transfer, so the
+                   tenant's *alone* read p99 already carries one
+                   bulk-transfer residual. *)
+                Engine.spawn eng (fun () ->
+                    match
+                      Runtime.Client.write_block cw ~mount:mount_pt
+                        ~lba:(lba0 + 8192 + (k * 8))
+                        ~bytes:polite_wr_bytes
+                    with
+                    | Ok _ -> ()
+                    | Error _ -> incr failed);
+                Engine.wait 8000.0
+              end;
+              (* The fixed-rate schedule this pacing loop aims for:
+                 read k was *intended* at loop_start + k·period (+ the
+                 burst iterations' 8µs offset). The loop actually
+                 sends at previous-completion + think, so past
+                 service times push sends behind schedule — the
+                 drift closed-loop measurement silently forgives. *)
+              let sched =
+                loop_start
+                +. (float_of_int k *. period)
+                +. (if k mod 8 = 7 then 8000.0 else 0.0)
+              in
+              let t0 = Machine.now machine in
+              (match
+                 Runtime.Client.read_block c ~mount:mount_pt
+                   ~lba:(lba0 + (k * 32))
+                   ~bytes:polite_bytes
+               with
+              | Ok _ ->
+                  let tc = Machine.now machine in
+                  Stats.add lat (tc -. t0);
+                  Stats.add lat_co (tc -. Float.min sched t0)
+              | Error _ -> incr failed);
+              Engine.wait (if k mod 8 = 7 then period -. 8000.0 else period)
+            done;
+            Engine.arrive all_done)
+      done;
+      if noisy then
+        for j = 0 to noisy_clients - 1 do
+          Engine.spawn eng (fun () ->
+              let c =
+                Platform.client platform ~uid:noisy_uid
+                  ~thread:(16 + (j mod 4))
+                  ()
+              in
+              let lba = ref (100_000_000 + (j * 1_000_000)) in
+              while not (Engine.joined all_done) do
+                (match
+                   Runtime.Client.write_block c ~mount:mount_pt ~lba:!lba
+                     ~bytes:noisy_bytes
+                 with
+                | Ok _ -> incr noisy_done
+                | Error _ -> () (* EAGAIN after backoff: keep pushing *));
+                lba := !lba + 40
+              done)
+        done;
+      Engine.await all_done);
   let throttled, noisy_ops, noisy_dispatched =
     if noisy then
       match Platform.tenant_for platform ~uid:noisy_uid with

@@ -15,6 +15,12 @@ echo "== dead exports =="
 # caller outside its own module; lists the ones that do not and fails.
 sh bin/dead_exports.sh
 
+echo "== fork-join only through Engine.join =="
+# The suspend shim is kept for labbench; only test_sim's two tests of it call it.
+bad=$(grep -rl 'Engine\.suspend' lib bench bin test | grep -v '^lib/sim/engine\.mli\{0,1\}$' | grep -v '^test/test_sim\.ml$' || true)
+[ -z "$bad" ] && [ "$(grep -c 'Engine\.suspend' test/test_sim.ml)" -le 2 ] \
+  || { echo "suspend called outside its two test_sim tests; use Engine.join: $bad"; exit 1; }
+
 echo "== dune runtest =="
 dune runtest
 
@@ -97,6 +103,10 @@ dune exec bin/bench_diff.exe -- bench/baselines/BENCH_exemplars.json BENCH_exemp
 echo "== labstor_cli metrics smoke =="
 dune exec bin/labstor_cli.exe -- metrics --ops 200 --threads 2 > /dev/null
 test -s out/metrics.jsonl
+
+echo "== labstor_cli --threads 0 exits at once, nonzero (124 = timeout, a hang) =="
+rc=0; timeout 10 dune exec bin/labstor_cli.exe -- metrics --threads 0 > /dev/null 2>&1 || rc=$?
+[ "$rc" -ne 0 ] && [ "$rc" -ne 124 ] || { echo "metrics --threads 0 exited $rc"; exit 1; }
 
 echo "== labstor_cli config smoke (examples/runtime.yaml) =="
 # Every key of the config file reaches the Runtime: the SLO keys must

@@ -32,6 +32,27 @@ let print_value_table rows =
   let w = List.fold_left (fun acc (k, _) -> Stdlib.max acc (String.length k)) 0 rows in
   List.iter (fun (k, v) -> Printf.printf "  %-*s  %s\n" w k v) rows
 
+(* [--threads N], rejected below 1 so a run never joins zero threads. *)
+let threads_arg ?(doc = "client threads") default =
+  let check n =
+    if n < 1 then (Printf.eprintf "labstor_cli: --threads must be >= 1, got %d\n" n; exit 1);
+    n
+  in
+  Term.(const check $ Arg.(value & opt int default & info [ "threads" ] ~doc))
+
+(* Runs [body th client] on [threads] client threads inside the
+   platform, each on its own client, and returns after the last. *)
+let on_client_threads ?pid_base platform ~threads body =
+  Platform.go platform (fun () ->
+      let all_done = Sim.Engine.join threads in
+      for th = 0 to threads - 1 do
+        Sim.Engine.spawn (Platform.machine platform).Sim.Machine.engine (fun () ->
+            let pid = Option.map (fun base -> base + th) pid_base in
+            body th (Platform.client platform ?pid ~thread:th ());
+            Sim.Engine.arrive all_done)
+      done;
+      Sim.Engine.await all_done)
+
 (* ---------------- validate ---------------- *)
 
 let validate_cmd =
@@ -96,7 +117,7 @@ let run_cmd =
   in
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"operations per thread") in
   let bytes = Arg.(value & opt int 4096 & info [ "bytes" ] ~doc:"bytes per write") in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~doc:"client threads") in
+  let threads = threads_arg 1 in
   let run stack_file config_file ops bytes threads =
     let platform = Platform.boot ~config:(parse_run_config config_file) () in
     let mount =
@@ -106,31 +127,20 @@ let run_cmd =
           Printf.eprintf "mount error: %s\n" e;
           exit 1
     in
-    let machine = Platform.machine platform in
-    let elapsed =
-      Platform.go platform (fun () ->
-          let t0 = Sim.Machine.now machine in
-          let finished = ref 0 in
-          Sim.Engine.suspend (fun resume ->
-              for th = 0 to threads - 1 do
-                Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
-                    let c = Platform.client platform ~pid:(100 + th) ~thread:th () in
-                    for i = 1 to ops do
-                      let path = Printf.sprintf "%s/t%d-f%d" mount th i in
-                      (match Runtime.Client.create c path with
-                      | Ok () -> ()
-                      | Error e -> failwith e);
-                      match Runtime.Client.open_file c path with
-                      | Ok fd ->
-                          ignore (Runtime.Client.pwrite c ~fd ~off:0 ~bytes);
-                          ignore (Runtime.Client.close c fd)
-                      | Error e -> failwith e
-                    done;
-                    incr finished;
-                    if !finished = threads then resume ())
-              done);
-          Sim.Machine.now machine -. t0)
-    in
+    let t0 = Platform.now platform in
+    on_client_threads ~pid_base:100 platform ~threads (fun th c ->
+        for i = 1 to ops do
+          let path = Printf.sprintf "%s/t%d-f%d" mount th i in
+          (match Runtime.Client.create c path with
+          | Ok () -> ()
+          | Error e -> failwith e);
+          match Runtime.Client.open_file c path with
+          | Ok fd ->
+              ignore (Runtime.Client.pwrite c ~fd ~off:0 ~bytes);
+              ignore (Runtime.Client.close c fd)
+          | Error e -> failwith e
+        done);
+    let elapsed = Platform.now platform -. t0 in
     let total_ops = 3 * ops * threads in
     Printf.printf "%s: %d ops in %.2f ms (simulated) -> %.1f kops/s, %.1f MiB written\n"
       mount total_ops (elapsed /. 1e6)
@@ -169,7 +179,7 @@ let faults_cmd =
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"fault-plan and workload seed") in
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block writes per thread") in
   let bytes = Arg.(value & opt int 4096 & info [ "bytes" ] ~doc:"bytes per write") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
+  let threads = threads_arg 4 in
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"print the full fault trace") in
   let run rate timeout_rate torn_rate seed ops bytes threads trace =
     let rates =
@@ -190,26 +200,18 @@ let faults_cmd =
     let lat = Sim.Stats.create () in
     let failed = ref 0 in
     let clients = ref [] in
-    Platform.go platform (fun () ->
-        let finished = ref 0 in
-        Sim.Engine.suspend (fun resume ->
-            for th = 0 to threads - 1 do
-              Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
-                  let c = Platform.client platform ~thread:th () in
-                  clients := c :: !clients;
-                  let rng = Sim.Rng.create (seed lxor (th * 7919)) in
-                  for _ = 1 to ops do
-                    let lba = Sim.Rng.int rng 262144 in
-                    let t0 = Sim.Machine.now machine in
-                    match
-                      Runtime.Client.write_block c ~mount:"blk::/dev/sim" ~lba ~bytes
-                    with
-                    | Ok _ -> Sim.Stats.add lat (Sim.Machine.now machine -. t0)
-                    | Error _ -> incr failed
-                  done;
-                  incr finished;
-                  if !finished = threads then resume ())
-            done));
+    on_client_threads platform ~threads (fun th c ->
+        clients := c :: !clients;
+        let rng = Sim.Rng.create (seed lxor (th * 7919)) in
+        for _ = 1 to ops do
+          let lba = Sim.Rng.int rng 262144 in
+          let t0 = Sim.Machine.now machine in
+          match
+            Runtime.Client.write_block c ~mount:"blk::/dev/sim" ~lba ~bytes
+          with
+          | Ok _ -> Sim.Stats.add lat (Sim.Machine.now machine -. t0)
+          | Error _ -> incr failed
+        done;);
     let elapsed = Platform.now platform in
     let total = ops * threads in
     Printf.printf "fault sweep: %d writes x %d B, io_error=%.4f timeout=%.4f torn=%.4f seed=%#x\n"
@@ -264,7 +266,7 @@ let lvm_cmd =
     Arg.(value & opt int 32 & info [ "extents" ] ~doc:"1 MiB extents to populate")
   in
   let ops = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"reads per thread per phase") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
+  let threads = threads_arg 4 in
   let seed = Arg.(value & opt int 0x1074 & info [ "seed" ] ~doc:"workload seed") in
   let rate =
     Arg.(value & opt float 400.0
@@ -289,18 +291,7 @@ let lvm_cmd =
     let mount = "blk::/vol" in
     let span = extents * extent_blocks in
     let failures = ref 0 in
-    let run_phase f =
-      Platform.go platform (fun () ->
-          let finished = ref 0 in
-          Sim.Engine.suspend (fun resume ->
-              for th = 0 to threads - 1 do
-                Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
-                    let c = Platform.client platform ~thread:th () in
-                    f th c;
-                    incr finished;
-                    if !finished = threads then resume ())
-              done))
-    in
+    let run_phase f = on_client_threads platform ~threads f in
     let read_loop th c n key =
       let rng = Sim.Rng.create (seed lxor (th * key)) in
       for _ = 1 to n do
@@ -414,7 +405,7 @@ let cache_cmd =
   let shards = Arg.(value & opt int 4 & info [ "shards" ] ~doc:"independent cache shards") in
   let readahead = Arg.(value & flag & info [ "readahead" ] ~doc:"enable sequential readahead") in
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads (one stream each)") in
+  let threads = threads_arg ~doc:"client threads (one stream each)" 4 in
   let write_pct =
     Arg.(value & opt int 25 & info [ "write-pct" ] ~doc:"percentage of ops that are writes (0-100)")
   in
@@ -433,40 +424,32 @@ let cache_cmd =
     let machine = Platform.machine platform in
     let lat = Sim.Stats.create () in
     let failed = ref 0 in
-    Platform.go platform (fun () ->
-        let finished = ref 0 in
-        Sim.Engine.suspend (fun resume ->
-            for th = 0 to threads - 1 do
-              Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
-                  let c = Platform.client platform ~thread:th () in
-                  (* Per-thread sequential streams in disjoint page
-                     regions: reads from the base, writes from the
-                     upper half. *)
-                  let rpage = ref (th * 1_000_000) in
-                  let wpage = ref ((th * 1_000_000) + 500_000) in
-                  for i = 1 to ops do
-                    let t0 = Sim.Machine.now machine in
-                    let r =
-                      if write_pct > 0 && i * write_pct mod 100 < write_pct then begin
-                        let lba = !wpage in
-                        incr wpage;
-                        Runtime.Client.write_block c ~stream:th ~mount:"blk::/cache"
-                          ~lba ~bytes:4096
-                      end
-                      else begin
-                        let lba = !rpage in
-                        incr rpage;
-                        Runtime.Client.read_block c ~stream:th ~mount:"blk::/cache"
-                          ~lba ~bytes:4096
-                      end
-                    in
-                    match r with
-                    | Ok _ -> Sim.Stats.add lat (Sim.Machine.now machine -. t0)
-                    | Error _ -> incr failed
-                  done;
-                  incr finished;
-                  if !finished = threads then resume ())
-            done));
+    on_client_threads platform ~threads (fun th c ->
+        (* Per-thread sequential streams in disjoint page
+           regions: reads from the base, writes from the
+           upper half. *)
+        let rpage = ref (th * 1_000_000) in
+        let wpage = ref ((th * 1_000_000) + 500_000) in
+        for i = 1 to ops do
+          let t0 = Sim.Machine.now machine in
+          let r =
+            if write_pct > 0 && i * write_pct mod 100 < write_pct then begin
+              let lba = !wpage in
+              incr wpage;
+              Runtime.Client.write_block c ~stream:th ~mount:"blk::/cache"
+                ~lba ~bytes:4096
+            end
+            else begin
+              let lba = !rpage in
+              incr rpage;
+              Runtime.Client.read_block c ~stream:th ~mount:"blk::/cache"
+                ~lba ~bytes:4096
+            end
+          in
+          match r with
+          | Ok _ -> Sim.Stats.add lat (Sim.Machine.now machine -. t0)
+          | Error _ -> incr failed
+        done;);
     let elapsed = Platform.now platform in
     let total = ops * threads in
     let rt = Platform.runtime platform in
@@ -531,29 +514,20 @@ let drive_obs_workload platform ~ops ~threads =
   | Error e ->
       Printf.eprintf "mount error: %s\n" e;
       exit 1);
-  let machine = Platform.machine platform in
-  Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Sim.Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Sim.Engine.spawn machine.Sim.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                let page = ref (th * 1_000_000) in
-                for i = 1 to ops do
-                  let lba = !page in
-                  incr page;
-                  if i mod 4 = 0 then
-                    ignore
-                      (Runtime.Client.write_block c ~stream:th
-                         ~mount:"blk::/obs" ~lba ~bytes:4096)
-                  else
-                    ignore
-                      (Runtime.Client.read_block c ~stream:th
-                         ~mount:"blk::/obs" ~lba ~bytes:4096)
-                done;
-                incr finished;
-                if !finished = threads then resume ())
-          done))
+  on_client_threads platform ~threads (fun th c ->
+      let page = ref (th * 1_000_000) in
+      for i = 1 to ops do
+        let lba = !page in
+        incr page;
+        if i mod 4 = 0 then
+          ignore
+            (Runtime.Client.write_block c ~stream:th
+               ~mount:"blk::/obs" ~lba ~bytes:4096)
+        else
+          ignore
+            (Runtime.Client.read_block c ~stream:th
+               ~mount:"blk::/obs" ~lba ~bytes:4096)
+      done;)
 
 let conf_pos =
   Arg.(
@@ -591,7 +565,7 @@ let period_us_arg =
 
 let metrics_cmd =
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
+  let threads = threads_arg 4 in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
   let out =
     Arg.(value & opt (some string) None
@@ -631,7 +605,7 @@ let metrics_cmd =
 
 let trace_cmd =
   let ops = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 2 & info [ "threads" ] ~doc:"client threads") in
+  let threads = threads_arg 2 in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
   let sample =
     Arg.(value & opt (some int) None
@@ -687,7 +661,7 @@ let trace_cmd =
 
 let exemplars_cmd =
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
+  let threads = threads_arg 4 in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
   let k =
     Arg.(value & opt (some int) None
@@ -762,7 +736,7 @@ let exemplars_cmd =
 
 let blackbox_cmd =
   let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~doc:"client threads") in
+  let threads = threads_arg 4 in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
   let cap =
     Arg.(value & opt (some int) None
@@ -845,7 +819,7 @@ let blackbox_cmd =
 
 let profile_cmd =
   let ops = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 2 & info [ "threads" ] ~doc:"client threads") in
+  let threads = threads_arg 2 in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
   let top_n =
     Arg.(value & opt int 20 & info [ "top" ] ~doc:"flamegraph rows to print")
@@ -917,7 +891,7 @@ let profile_cmd =
 
 let top_cmd =
   let ops = Arg.(value & opt int 500 & info [ "ops" ] ~doc:"block ops per thread") in
-  let threads = Arg.(value & opt int 2 & info [ "threads" ] ~doc:"client threads") in
+  let threads = threads_arg 2 in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"simulation seed") in
   let run conf ops threads seed period_us =
     let cfg = parse_run_config conf in
@@ -1012,43 +986,38 @@ let qos_cmd =
       ignore
         (Platform.register_tenant platform ~uid:999 ~rate_mbps:rate
            ~burst_kb:64 ~qcap:32 ());
-    let stop = ref false in
     Platform.go platform (fun () ->
-        let finished = ref 0 in
-        Sim.Engine.suspend (fun resume ->
-            for i = 0 to n - 1 do
-              Sim.Engine.spawn eng (fun () ->
-                  let c =
-                    Platform.client platform ~uid:(2000 + i) ~thread:(i mod 16) ()
-                  in
-                  Sim.Engine.wait (float_of_int i *. 10_000.0);
-                  for k = 0 to ops - 1 do
-                    ignore
-                      (Runtime.Client.read_block c ~mount:"blk::/qos"
-                         ~lba:((i * 16384) + (k * 32))
-                         ~bytes:16384);
-                    Sim.Engine.wait (10_000.0 *. float_of_int n)
-                  done;
-                  incr finished;
-                  if !finished = n then begin
-                    stop := true;
-                    resume ()
-                  end)
-            done;
-            if noisy then
-              for j = 0 to 31 do
-                Sim.Engine.spawn eng (fun () ->
-                    let c =
-                      Platform.client platform ~uid:999 ~thread:(16 + (j mod 4)) ()
-                    in
-                    let lba = ref (100_000_000 + (j * 1_000_000)) in
-                    while not !stop do
-                      ignore
-                        (Runtime.Client.write_block c ~mount:"blk::/qos"
-                           ~lba:!lba ~bytes:20480);
-                      lba := !lba + 40
-                    done)
-              done));
+        let all_done = Sim.Engine.join n in
+        for i = 0 to n - 1 do
+          Sim.Engine.spawn eng (fun () ->
+              let c =
+                Platform.client platform ~uid:(2000 + i) ~thread:(i mod 16) ()
+              in
+              Sim.Engine.wait (float_of_int i *. 10_000.0);
+              for k = 0 to ops - 1 do
+                ignore
+                  (Runtime.Client.read_block c ~mount:"blk::/qos"
+                     ~lba:((i * 16384) + (k * 32))
+                     ~bytes:16384);
+                Sim.Engine.wait (10_000.0 *. float_of_int n)
+              done;
+              Sim.Engine.arrive all_done)
+        done;
+        if noisy then
+          for j = 0 to 31 do
+            Sim.Engine.spawn eng (fun () ->
+                let c =
+                  Platform.client platform ~uid:999 ~thread:(16 + (j mod 4)) ()
+                in
+                let lba = ref (100_000_000 + (j * 1_000_000)) in
+                while not (Sim.Engine.joined all_done) do
+                  ignore
+                    (Runtime.Client.write_block c ~mount:"blk::/qos"
+                       ~lba:!lba ~bytes:20480);
+                  lba := !lba + 40
+                done)
+          done;
+        Sim.Engine.await all_done);
     Printf.printf "QoS report after %.2f ms simulated (%d tenants%s):\n"
       (Platform.now platform /. 1e6)
       n

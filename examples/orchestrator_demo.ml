@@ -51,46 +51,43 @@ let run_with policy label =
   let lat = Sim.Stats.create () in
   Platform.go platform (fun () ->
       let m = Platform.machine platform in
-      let finished = ref 0 in
-      let total = n_l_clients + n_c_clients in
-      Sim.Engine.suspend (fun resume ->
-          (* Bulk writers: a stream of 32 MiB compressed writes. *)
-          for cw = 1 to n_c_clients do
-            Sim.Engine.spawn m.Sim.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:cw () in
-                for i = 1 to 6 do
-                  let path = Printf.sprintf "fs::/bulk/c%d-big%d" cw i in
-                  ignore (Runtime.Client.create c path);
-                  match Runtime.Client.open_file c path with
-                  | Ok fd ->
-                      ignore
-                        (Runtime.Client.pwrite c ~fd ~off:0 ~bytes:(32 * 1024 * 1024));
-                      ignore (Runtime.Client.close c fd)
-                  | Error e -> failwith e
-                done;
-                incr finished;
-                if !finished = total then resume ())
-          done;
-          (* Metadata apps: creates paced through the bulk phase; warm
-             up first so the orchestrator has service-time estimates. *)
-          for lw = 1 to n_l_clients do
-            Sim.Engine.spawn m.Sim.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:(10 + lw) () in
-                for i = 1 to 20 do
+      let all_done = Sim.Engine.join (n_l_clients + n_c_clients) in
+      (* Bulk writers: a stream of 32 MiB compressed writes. *)
+      for cw = 1 to n_c_clients do
+        Sim.Engine.spawn m.Sim.Machine.engine (fun () ->
+            let c = Platform.client platform ~thread:cw () in
+            for i = 1 to 6 do
+              let path = Printf.sprintf "fs::/bulk/c%d-big%d" cw i in
+              ignore (Runtime.Client.create c path);
+              match Runtime.Client.open_file c path with
+              | Ok fd ->
                   ignore
-                    (Runtime.Client.create c (Printf.sprintf "fs::/meta/w%d-%d" lw i))
-                done;
-                Sim.Engine.wait 30e6;  (* past the first rebalance epochs *)
-                for i = 1 to 200 do
-                  let t0 = Platform.now platform in
-                  ignore
-                    (Runtime.Client.create c (Printf.sprintf "fs::/meta/f%d-%d" lw i));
-                  Sim.Stats.add lat (Platform.now platform -. t0);
-                  Sim.Engine.wait 100_000.0
-                done;
-                incr finished;
-                if !finished = total then resume ())
-          done));
+                    (Runtime.Client.pwrite c ~fd ~off:0 ~bytes:(32 * 1024 * 1024));
+                  ignore (Runtime.Client.close c fd)
+              | Error e -> failwith e
+            done;
+            Sim.Engine.arrive all_done)
+      done;
+      (* Metadata apps: creates paced through the bulk phase; warm
+         up first so the orchestrator has service-time estimates. *)
+      for lw = 1 to n_l_clients do
+        Sim.Engine.spawn m.Sim.Machine.engine (fun () ->
+            let c = Platform.client platform ~thread:(10 + lw) () in
+            for i = 1 to 20 do
+              ignore
+                (Runtime.Client.create c (Printf.sprintf "fs::/meta/w%d-%d" lw i))
+            done;
+            Sim.Engine.wait 30e6;  (* past the first rebalance epochs *)
+            for i = 1 to 200 do
+              let t0 = Platform.now platform in
+              ignore
+                (Runtime.Client.create c (Printf.sprintf "fs::/meta/f%d-%d" lw i));
+              Sim.Stats.add lat (Platform.now platform -. t0);
+              Sim.Engine.wait 100_000.0
+            done;
+            Sim.Engine.arrive all_done)
+      done;
+      Sim.Engine.await all_done);
   Printf.printf "%-12s metadata latency: avg %8.1f us   p99 %8.1f us\n" label
     (Sim.Stats.mean lat /. 1e3)
     (Sim.Stats.percentile lat 99.0 /. 1e3)

@@ -97,8 +97,8 @@ val submit_waiter :
 
 val wake : waiter -> unit
 (** The default notify: continues the process {!await}ing the waiter
-    at the current virtual time, with the (time, seq) key a resumer
-    would take. *)
+    at the current virtual time, with the (time, seq) key
+    {!Lab_sim.Engine.unpark} takes. *)
 
 val set_notify : waiter -> (waiter -> unit) -> unit
 (** Replaces the waiter's notify (the default is {!wake}). A

@@ -59,12 +59,11 @@ let submit_batch_wait t ~api ~thread ~kind ~offs ~bytes =
         (* Scheduler decisions happen in process context, as each
            request is dispatched; the last completion's notify wakes
            the caller. *)
-        let remaining = ref n and all_done = Engine.make_park_cell () in
+        let all_done = Engine.join n in
         let notify w =
           Blk.note_completion t.blk ~hctx:(Device.waiter_hctx w) ~bytes;
           Device.give_waiter t.waiters w;
-          decr remaining;
-          if !remaining = 0 then Engine.unpark all_done
+          Engine.arrive all_done
         in
         Array.iter
           (fun off ->
@@ -75,7 +74,7 @@ let submit_batch_wait t ~api ~thread ~kind ~offs ~bytes =
             Device.submit_waiter (Blk.device t.blk) w ~hctx ~kind
               ~lba:(off / 4096) ~bytes)
           offs;
-        Engine.park all_done;
+        Engine.await all_done;
         (* Per-completion reap cost. *)
         let reap =
           match api with

@@ -195,8 +195,7 @@ let submit_fan_wait st targets ~thread ~kind ~bytes =
   match targets with
   | [] -> []
   | _ ->
-      let remaining = ref (List.length targets) and outcomes = ref [] in
-      let all_done = Engine.make_park_cell () in
+      let all_done = Engine.join (List.length targets) and outcomes = ref [] in
       List.iter
         (fun (leg, lba) ->
           let w = Device.take_waiter st.waiters in
@@ -204,12 +203,11 @@ let submit_fan_wait st targets ~thread ~kind ~bytes =
               Blk.note_completion leg.l_blk ~hctx:(Device.waiter_hctx w) ~bytes;
               outcomes := (leg, Device.waiter_error w) :: !outcomes;
               Device.give_waiter st.waiters w;
-              decr remaining;
-              if !remaining = 0 then Engine.unpark all_done);
+              Engine.arrive all_done);
           Blk.submit_io_to_hctx leg.l_blk ~thread ~hctx:thread ~kind ~lba ~bytes w)
         targets;
       (* Submission charges CPU time, so early legs may already be done. *)
-      if !remaining > 0 then Engine.park all_done;
+      Engine.await all_done;
       List.rev !outcomes
 
 (* Redo-log append: journal first, then apply to the in-memory volume

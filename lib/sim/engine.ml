@@ -7,7 +7,7 @@
    calling a megamorphic [unit -> unit] closure:
 
      tag 1  run a [unit -> unit] thunk (generic [schedule])
-     tag 2  resume an effect continuation ([wait] / resumers)
+     tag 2  resume an effect continuation ([wait] / [unpark])
      tag 3  call a preallocated [int -> unit] with the slot's int arg
             ({!timer} — the fully closure-free path)
      tag 4  start a process under the engine's effect handler ([spawn])
@@ -29,8 +29,6 @@
    returns, and [Some t] for [current_engine] are all preallocated at
    {!create} time, so steady-state [timer] traffic allocates nothing
    and [wait] traffic allocates only the runtime's continuation. *)
-
-type resumer = unit -> unit
 
 type t = {
   evq : Evq.t;
@@ -56,9 +54,7 @@ type t = {
   (* preallocated once per engine; mutable only for create-time tying *)
   mutable eff_handler : (unit, unit) Effect.Deep.handler;
   mutable wait_some : ((unit, unit) Effect.Deep.continuation -> unit) option;
-  mutable susp_some : ((unit, unit) Effect.Deep.continuation -> unit) option;
   mutable park_some : ((unit, unit) Effect.Deep.continuation -> unit) option;
-  mutable pending_register : resumer -> unit;
   mutable park_into : park_cell;
   mutable self_some : t option;
 }
@@ -68,7 +64,7 @@ type t = {
    cell, or queue node — only the continuation the runtime itself
    allocates at the perform. [peng] caches the owning engine (written
    once per cell in steady state) so {!unpark} works from outside any
-   process, like a {!resumer} does. *)
+   process. *)
 and park_cell = { mutable pk : Obj.t; mutable peng : t option }
 
 (* A poller's next poll, held as a key instead of a queued event while
@@ -85,15 +81,14 @@ and chain = {
 exception Stopped
 
 (* Payload-free: the per-perform data rides in engine fields ([fl].(4)
-   for the wait delay, [pending_register] for suspend) — a payload
-   would allocate a tuple and box the float on every perform. The
+   for the wait delay, [park_into] for park) — a payload would
+   allocate a tuple and box the float on every perform. The
    performing process always runs under its own engine's handler, so
    no owner field is needed to route the effect. *)
 type _ Effect.t += Wait : unit Effect.t
-type _ Effect.t += Suspend : unit Effect.t
 type _ Effect.t += Park : unit Effect.t
 
-(* The engine a process belongs to, used so [wait]/[suspend] need no
+(* The engine a process belongs to, used so [wait]/[park] need no
    explicit engine argument. Set for the dynamic extent of [run]/[step]
    (not per event — saving/restoring per event cost a [Fun.protect]
    closure on every dispatch). *)
@@ -161,9 +156,7 @@ let create () =
       free_head = -1;
       eff_handler = dummy_handler;
       wait_some = None;
-      susp_some = None;
       park_some = None;
-      pending_register = (fun _ -> ());
       park_into = dummy_cell;
       self_some = None;
     }
@@ -184,28 +177,6 @@ let create () =
         t.seq <- t.seq + 1;
         t.evq.Evq.key_in.(0) <- fl.(0) +. d;
         Evq.push t.evq ~seq:t.seq ~slot);
-  (* Handle Suspend: hand the registered callback a one-shot resumer
-     that schedules the continuation at resume-time [now]. This path
-     allocates (the resumer closure escapes to arbitrary holders) —
-     that is inherent to handing out a first-class resumer. *)
-  t.susp_some <-
-    Some
-      (fun k ->
-        let register = t.pending_register in
-        t.pending_register <- (fun _ -> ());
-        let fired = ref false in
-        let resume () =
-          if not !fired then begin
-            fired := true;
-            let slot = alloc_slot t in
-            t.tags.(slot) <- 2;
-            t.pays.(slot) <- Obj.repr k;
-            t.seq <- t.seq + 1;
-            t.evq.Evq.key_in.(0) <- t.fl.(0);
-            Evq.push t.evq ~seq:t.seq ~slot
-          end
-        in
-        register resume);
   (* Handle Park: stash the continuation in the caller-supplied cell.
      Pure field traffic — no event, no closure, no allocation beyond
      the continuation itself. *)
@@ -219,7 +190,6 @@ let create () =
       a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option =
     function
     | Wait -> t.wait_some
-    | Suspend -> t.susp_some
     | Park -> t.park_some
     | _ -> None
   in
@@ -281,7 +251,7 @@ let spawn_at t time f =
 let engine_of_process () =
   match !current_engine with
   | Some t -> t
-  | None -> invalid_arg "Engine.wait/suspend called outside a process"
+  | None -> invalid_arg "Engine.wait/park called outside a process"
 
 let set_after cells i d = cells.(i) <- (engine_of_process ()).fl.(0) +. d
 
@@ -290,12 +260,8 @@ let wait d =
   t.fl.(4) <- d;
   Effect.perform Wait
 
-let suspend register =
-  let t = engine_of_process () in
-  t.pending_register <- register;
-  Effect.perform Suspend
-
 let park cell =
+  if cell.pk != dummy_pay then invalid_arg "Engine.park: cell is not empty";
   let t = engine_of_process () in
   (match cell.peng with
   | Some e when e == t -> ()
@@ -303,8 +269,8 @@ let park cell =
   t.park_into <- cell;
   Effect.perform Park
 
-(* One-shot like a resumer: the first unpark schedules the parked
-   continuation at the owning engine's current time; later calls (or
+(* One-shot: the first unpark schedules the parked continuation at the
+   owning engine's current time, taking the next seq; later calls (or
    calls on an empty cell) are no-ops. *)
 let unpark cell =
   if cell.pk != dummy_pay then
@@ -321,6 +287,29 @@ let unpark cell =
         Evq.push t.evq ~seq:t.seq ~slot
 
 let parked cell = cell.pk != dummy_pay
+
+(* ---------------- fork-join ---------------- *)
+
+(* A countdown over a park cell: the arrival that takes [left] to 0
+   unparks the awaiting process. *)
+type join = { mutable left : int; jcell : park_cell }
+
+let join n = { left = n; jcell = make_park_cell () }
+
+let arrive j =
+  if j.left > 0 then begin
+    j.left <- j.left - 1;
+    if j.left = 0 then unpark j.jcell
+  end
+
+let await j = if j.left > 0 then park j.jcell
+
+let joined j = j.left <= 0
+
+let suspend register =
+  let j = join 1 in
+  register (fun () -> arrive j);
+  await j
 
 (* Continue the parked process right here, inside the event being
    dispatched, instead of queueing a tag-2 event for it: the resumed

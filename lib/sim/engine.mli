@@ -1,20 +1,16 @@
 (** Discrete-event simulation engine.
 
     Simulated processes are ordinary OCaml functions run under an effect
-    handler. Inside a process, {!wait} advances virtual time and
-    {!suspend} parks the process until some other process resumes it.
-    The event queue is ordered by (time, sequence number), so runs are
-    fully deterministic.
+    handler. Inside a process, {!wait} advances virtual time and {!park}
+    blocks the process in a {!park_cell} until some other process or
+    callback {!unpark}s it; {!join} counts arrivals down to one such
+    wake-up. The event queue is ordered by (time, sequence number), so
+    runs are fully deterministic.
 
     Virtual time is a [float] count of nanoseconds since simulation
     start. *)
 
 type t
-
-type resumer = unit -> unit
-(** Calling a resumer schedules the suspended process to continue at the
-    current virtual time. A resumer is one-shot: second and later calls
-    are ignored. *)
 
 val create : unit -> t
 
@@ -31,7 +27,7 @@ val spawn_at : t -> float -> (unit -> unit) -> unit
 val schedule : t -> float -> (unit -> unit) -> unit
 (** [schedule t time thunk] runs [thunk] at absolute virtual [time] as
     a plain callback — no effect handler, so [thunk] must not call
-    {!wait}/{!suspend}. Cheaper than {!spawn_at} for fire-and-forget
+    {!wait}/{!park}/{!await}. Cheaper than {!spawn_at} for fire-and-forget
     actions; does not clamp past times (the queue orders them by
     (time, seq) like any other event). *)
 
@@ -41,36 +37,32 @@ val timer : t -> ns:int -> (int -> unit) -> int -> unit
     with a preallocated [fn], scheduling and dispatch touch only the
     engine's event pool — zero minor-heap allocation, unlike
     {!schedule}/{!wait} which cost a closure / an effect continuation.
-    [fn] must not call {!wait}/{!suspend}. *)
+    [fn] must not call {!wait}/{!park}/{!await}. *)
 
 val wait : float -> unit
 (** [wait d] suspends the calling process for [d] simulated nanoseconds.
     Negative [d] is treated as 0. Must be called from within a process. *)
 
-val suspend : (resumer -> unit) -> unit
-(** [suspend register] parks the calling process and hands a one-shot
-    {!resumer} to [register]. The process continues when the resumer is
-    invoked. *)
-
 type park_cell
-(** A reusable parking spot. Unlike {!suspend} — whose first-class
-    resumer costs a closure, a fired flag, and a register callback per
-    use — a park cell stores the suspended continuation in place, so a
-    pooled cell makes repeated park/unpark cycles free of everything
-    but the continuation the effect runtime itself allocates. *)
+(** A reusable parking spot, the engine's one way to block a process.
+    The cell stores the suspended continuation in place, so a pooled
+    cell makes repeated park/unpark cycles free of everything but the
+    continuation the effect runtime itself allocates. *)
 
 val make_park_cell : unit -> park_cell
 
 val park : park_cell -> unit
-(** [park cell] suspends the calling process into [cell]. The cell must
-    be empty (one process per cell at a time); the process continues
-    when {!unpark} is called. Must be called from within a process. *)
+(** [park cell] suspends the calling process into [cell]; the process
+    continues when {!unpark} is called. Must be called from within a
+    process.
+    @raise Invalid_argument if a process is already parked in [cell]
+    (one process per cell at a time). *)
 
 val unpark : park_cell -> unit
 (** Schedules the process parked in [cell] to continue at its engine's
-    current virtual time, exactly as invoking a {!resumer} would.
-    One-shot per park: an empty cell is a no-op. May be called from
-    inside or outside a process. *)
+    current virtual time, at the next (time, seq) key. One-shot per
+    park: an empty cell is a no-op. May be called from inside or
+    outside a process. *)
 
 val parked : park_cell -> bool
 (** True while a process is parked in the cell. *)
@@ -91,6 +83,29 @@ val resume_in_place : park_cell -> unit
     resumes the process in place when it would. Each poll is armed
     exactly when the replaced [wait] would have queued its event, so
     it takes the same (time, seq) key and the schedule is unchanged. *)
+
+type join
+(** Fork-join over one park cell: spawn [n] processes that each
+    {!arrive} once, then {!await} them all. No closure, no effect but
+    {!park}'s. *)
+
+val join : int -> join
+(** [join n] expects [n] arrivals (negative treated as 0). *)
+
+val arrive : join -> unit
+(** The [n]-th arrival {!unpark}s the awaiting process at the next
+    (time, seq) key; later ones do nothing. Callable outside a process. *)
+
+val await : join -> unit
+(** Parks until the last arrival. Returns at once, with no event, when
+    every arrival is in, so [join 0] never blocks. *)
+
+val joined : join -> bool
+(** True once every arrival is in. *)
+
+val suspend : ((unit -> unit) -> unit) -> unit
+(** [await] on a one-arrival join whose {!arrive} is handed to the
+    callback. Kept for labbench only; use {!join}. *)
 
 (** {2 Float cells}
 
@@ -182,7 +197,7 @@ val set_tick : t -> period:float -> (float -> unit) -> unit
     alive, and fires only while real events still advance the clock —
     so installing it cannot change a run's event count, event ordering,
     or final virtual time. The callback must only read simulation
-    state: calling {!wait}, {!suspend}, or {!spawn} from it is
+    state: calling {!wait}, {!park}, or {!spawn} from it is
     unsupported. One hook per engine; installing replaces the previous
     one. @raise Invalid_argument if [period <= 0]. *)
 

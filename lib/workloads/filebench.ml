@@ -115,33 +115,33 @@ let iteration personality profile ops ~thread ~rng ~iter =
 let run machine personality ?(nthreads = 8) ?(iterations = 50) ops =
   let profile = profile_of personality in
   (* Pre-populate the fileset (not timed). *)
-  Engine.suspend (fun resume ->
-      Engine.spawn machine.Machine.engine (fun () ->
-          for th = 0 to nthreads - 1 do
-            for i = 1 to profile.fileset do
-              ops.create ~thread:th (file_name th i);
-              ops.write ~thread:th (file_name th i) ~off:0 ~bytes:profile.file_bytes
-            done;
-            ops.create ~thread:th (Printf.sprintf "/fileset/log-%d" th)
-          done;
-          resume ()));
+  let loaded = Engine.join 1 in
+  Engine.spawn machine.Machine.engine (fun () ->
+      for th = 0 to nthreads - 1 do
+        for i = 1 to profile.fileset do
+          ops.create ~thread:th (file_name th i);
+          ops.write ~thread:th (file_name th i) ~off:0 ~bytes:profile.file_bytes
+        done;
+        ops.create ~thread:th (Printf.sprintf "/fileset/log-%d" th)
+      done;
+      Engine.arrive loaded);
+  Engine.await loaded;
   let total_ops = ref 0 and total_bytes = ref 0 in
   let t0 = Machine.now machine in
-  let finished = ref 0 in
-  Engine.suspend (fun resume ->
-      for th = 0 to nthreads - 1 do
-        Engine.spawn machine.Machine.engine (fun () ->
-            let rng = Rng.create (0xF11E + th) in
-            for iter = 1 to iterations do
-              let ops_done, bytes =
-                iteration personality profile ops ~thread:th ~rng ~iter
-              in
-              total_ops := !total_ops + ops_done;
-              total_bytes := !total_bytes + bytes
-            done;
-            incr finished;
-            if !finished = nthreads then resume ())
-      done);
+  let all_done = Engine.join nthreads in
+  for th = 0 to nthreads - 1 do
+    Engine.spawn machine.Machine.engine (fun () ->
+        let rng = Rng.create (0xF11E + th) in
+        for iter = 1 to iterations do
+          let ops_done, bytes =
+            iteration personality profile ops ~thread:th ~rng ~iter
+          in
+          total_ops := !total_ops + ops_done;
+          total_bytes := !total_bytes + bytes
+        done;
+        Engine.arrive all_done)
+  done;
+  Engine.await all_done;
   let elapsed = Machine.now machine -. t0 in
   {
     ops = !total_ops;

@@ -60,64 +60,63 @@ let run machine job target =
   let kind = kind_of job.pattern in
   let t0 = Machine.now machine in
   let deadline = Option.map (fun d -> t0 +. d) job.runtime_ns in
-  let finished = ref 0 in
-  Engine.suspend (fun resume ->
-      for th = 0 to job.nthreads - 1 do
-        Engine.spawn machine.Machine.engine (fun () ->
-            let rng = Rng.create (0x5EED + th) in
-            let region_blocks =
-              Stdlib.max 1 (job.region_bytes / job.block_bytes)
-            in
-            let next_seq = ref 0 in
-            let next_off () =
-              match job.pattern with
-              | Randwrite | Randread ->
-                  (Rng.int rng region_blocks * job.block_bytes)
-                  + (th * job.region_bytes)
-              | Seqwrite | Seqread ->
-                  let off =
-                    (!next_seq mod region_blocks * job.block_bytes)
-                    + (th * job.region_bytes)
-                  in
-                  incr next_seq;
-                  off
-            in
-            let ops_budget =
-              if deadline = None then
-                Stdlib.max 1 (job.total_bytes_per_thread / job.block_bytes)
-              else max_int
-            in
-            let issued = ref 0 in
-            let expired () =
-              match deadline with
-              | Some d -> Machine.now machine >= d
-              | None -> false
-            in
-            while !issued < ops_budget && not (expired ()) do
-              if job.iodepth = 1 then begin
-                let start = Machine.now machine in
-                target.submit ~thread:th ~kind ~off:(next_off ())
-                  ~bytes:job.block_bytes;
-                Stats.add latency (Machine.now machine -. start);
-                incr issued;
-                incr total_ops
-              end
-              else begin
-                let n = Stdlib.min job.iodepth (ops_budget - !issued) in
-                let offs = Array.init n (fun _ -> next_off ()) in
-                let start = Machine.now machine in
-                target.submit_batch ~thread:th ~kind ~offs ~bytes:job.block_bytes;
-                let per_slot = (Machine.now machine -. start) /. Stdlib.float_of_int n in
-                for _ = 1 to n do
-                  Stats.add latency per_slot
-                done;
-                issued := !issued + n;
-                total_ops := !total_ops + n
-              end
+  let all_done = Engine.join job.nthreads in
+  for th = 0 to job.nthreads - 1 do
+    Engine.spawn machine.Machine.engine (fun () ->
+        let rng = Rng.create (0x5EED + th) in
+        let region_blocks =
+          Stdlib.max 1 (job.region_bytes / job.block_bytes)
+        in
+        let next_seq = ref 0 in
+        let next_off () =
+          match job.pattern with
+          | Randwrite | Randread ->
+              (Rng.int rng region_blocks * job.block_bytes)
+              + (th * job.region_bytes)
+          | Seqwrite | Seqread ->
+              let off =
+                (!next_seq mod region_blocks * job.block_bytes)
+                + (th * job.region_bytes)
+              in
+              incr next_seq;
+              off
+        in
+        let ops_budget =
+          if deadline = None then
+            Stdlib.max 1 (job.total_bytes_per_thread / job.block_bytes)
+          else max_int
+        in
+        let issued = ref 0 in
+        let expired () =
+          match deadline with
+          | Some d -> Machine.now machine >= d
+          | None -> false
+        in
+        while !issued < ops_budget && not (expired ()) do
+          if job.iodepth = 1 then begin
+            let start = Machine.now machine in
+            target.submit ~thread:th ~kind ~off:(next_off ())
+              ~bytes:job.block_bytes;
+            Stats.add latency (Machine.now machine -. start);
+            incr issued;
+            incr total_ops
+          end
+          else begin
+            let n = Stdlib.min job.iodepth (ops_budget - !issued) in
+            let offs = Array.init n (fun _ -> next_off ()) in
+            let start = Machine.now machine in
+            target.submit_batch ~thread:th ~kind ~offs ~bytes:job.block_bytes;
+            let per_slot = (Machine.now machine -. start) /. Stdlib.float_of_int n in
+            for _ = 1 to n do
+              Stats.add latency per_slot
             done;
-            incr finished;
-            if !finished = job.nthreads then resume ())
-      done);
+            issued := !issued + n;
+            total_ops := !total_ops + n
+          end
+        done;
+        Engine.arrive all_done)
+  done;
+  Engine.await all_done;
   let elapsed = Machine.now machine -. t0 in
   let ops = !total_ops in
   {

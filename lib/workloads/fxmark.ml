@@ -18,14 +18,13 @@ let finish machine ~ops ~t0 =
   }
 
 let parallel machine nthreads body =
-  let finished = ref 0 in
-  Engine.suspend (fun resume ->
-      for th = 0 to nthreads - 1 do
-        Engine.spawn machine.Machine.engine (fun () ->
-            body th;
-            incr finished;
-            if !finished = nthreads then resume ())
-      done)
+  let all_done = Engine.join nthreads in
+  for th = 0 to nthreads - 1 do
+    Engine.spawn machine.Machine.engine (fun () ->
+        body th;
+        Engine.arrive all_done)
+  done;
+  Engine.await all_done
 
 let run_create machine ~nthreads ~files_per_thread ~shared_dir ops =
   if nthreads <= 0 || files_per_thread <= 0 then invalid_arg "Fxmark.run_create";

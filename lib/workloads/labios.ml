@@ -29,17 +29,16 @@ let label_bytes = 8192
 
 let run_worker machine backend ?(nthreads = 1) ?(labels_per_thread = 2000) () =
   let t0 = Machine.now machine in
-  let finished = ref 0 in
-  Engine.suspend (fun resume ->
-      for th = 0 to nthreads - 1 do
-        Engine.spawn machine.Machine.engine (fun () ->
-            for i = 1 to labels_per_thread do
-              let key = Printf.sprintf "labios::/labels/t%d-l%d" th i in
-              backend.put_label ~thread:th ~key ~bytes:label_bytes
-            done;
-            incr finished;
-            if !finished = nthreads then resume ())
-      done);
+  let all_done = Engine.join nthreads in
+  for th = 0 to nthreads - 1 do
+    Engine.spawn machine.Machine.engine (fun () ->
+        for i = 1 to labels_per_thread do
+          let key = Printf.sprintf "labios::/labels/t%d-l%d" th i in
+          backend.put_label ~thread:th ~key ~bytes:label_bytes
+        done;
+        Engine.arrive all_done)
+  done;
+  Engine.await all_done;
   let elapsed = Machine.now machine -. t0 in
   let labels = nthreads * labels_per_thread in
   {

@@ -164,78 +164,79 @@ let run (machine : Machine.t) spec ~submit =
   let succeeded = ref 0 in
   let last_arrival = ref t0 in
   let stopping = ref false in
-  Engine.suspend (fun resume ->
-      let finish_check () =
-        if
-          (not !stopping)
-          && !generated >= spec.total
-          && !completed + Lab_obs.Latrec.dropped recorder >= spec.total
-        then begin
-          stopping := true;
-          (* Wake the parked injectors so their processes exit. *)
-          Stack.iter Engine.unpark idle;
-          resume ()
-        end
-      in
-      let injector j cell () =
-        let rec loop () =
-          if not !stopping then
-            match Queue.take_opt backlog with
-            | Some scheduled ->
-                let sent = Machine.now machine in
-                let ok = submit ~injector:j ~scheduled in
-                Lab_obs.Latrec.record recorder ~scheduled ~sent
-                  ~completed:(Machine.now machine) ~ok;
-                incr completed;
-                if ok then incr succeeded;
-                finish_check ();
-                loop ()
-            | None ->
-                Stack.push cell idle;
-                Engine.park cell;
-                loop ()
-        in
-        loop ()
-      in
-      for j = 0 to spec.injectors - 1 do
-        let cell = Engine.make_park_cell () in
-        Engine.spawn eng (injector j cell)
-      done;
-      (* The dispatcher: one preallocated timer callback re-arming
-         itself with integer gaps — the closure-free hot path, and
-         crucially a path that never waits on the injectors, so the
-         offered schedule is independent of the completion rate. *)
-      let rel = ref 0 in
-      let next_rel () =
-        let exact = next gen in
-        let n = Stdlib.int_of_float (Float.round exact) in
-        if n <= !rel then !rel else n
-      in
-      let rec fire _ =
-        incr generated;
-        let now = Machine.now machine in
-        last_arrival := now;
-        if Queue.length backlog >= spec.queue_cap then
-          (* Shed rather than queue without bound: the drop count is
-             the signal that the offered rate is unservable. *)
-          Lab_obs.Latrec.drop recorder
-        else begin
-          Queue.push now backlog;
-          match Stack.pop_opt idle with
-          | Some cell -> Engine.unpark cell
-          | None -> ()
-        end;
-        if !generated < spec.total then begin
-          let r = next_rel () in
-          let gap = r - !rel in
-          rel := r;
-          Engine.timer eng ~ns:gap fire 0
-        end
-        else finish_check ()
-      in
-      let r0 = next_rel () in
-      rel := r0;
-      Engine.timer eng ~ns:r0 fire 0);
+  let finished = Engine.make_park_cell () in
+  let finish_check () =
+    if
+      (not !stopping)
+      && !generated >= spec.total
+      && !completed + Lab_obs.Latrec.dropped recorder >= spec.total
+    then begin
+      stopping := true;
+      (* Wake the parked injectors so their processes exit. *)
+      Stack.iter Engine.unpark idle;
+      Engine.unpark finished
+    end
+  in
+  let injector j cell () =
+    let rec loop () =
+      if not !stopping then
+        match Queue.take_opt backlog with
+        | Some scheduled ->
+            let sent = Machine.now machine in
+            let ok = submit ~injector:j ~scheduled in
+            Lab_obs.Latrec.record recorder ~scheduled ~sent
+              ~completed:(Machine.now machine) ~ok;
+            incr completed;
+            if ok then incr succeeded;
+            finish_check ();
+            loop ()
+        | None ->
+            Stack.push cell idle;
+            Engine.park cell;
+            loop ()
+    in
+    loop ()
+  in
+  for j = 0 to spec.injectors - 1 do
+    let cell = Engine.make_park_cell () in
+    Engine.spawn eng (injector j cell)
+  done;
+  (* The dispatcher: one preallocated timer callback re-arming
+     itself with integer gaps — the closure-free hot path, and
+     crucially a path that never waits on the injectors, so the
+     offered schedule is independent of the completion rate. *)
+  let rel = ref 0 in
+  let next_rel () =
+    let exact = next gen in
+    let n = Stdlib.int_of_float (Float.round exact) in
+    if n <= !rel then !rel else n
+  in
+  let rec fire _ =
+    incr generated;
+    let now = Machine.now machine in
+    last_arrival := now;
+    if Queue.length backlog >= spec.queue_cap then
+      (* Shed rather than queue without bound: the drop count is
+         the signal that the offered rate is unservable. *)
+      Lab_obs.Latrec.drop recorder
+    else begin
+      Queue.push now backlog;
+      match Stack.pop_opt idle with
+      | Some cell -> Engine.unpark cell
+      | None -> ()
+    end;
+    if !generated < spec.total then begin
+      let r = next_rel () in
+      let gap = r - !rel in
+      rel := r;
+      Engine.timer eng ~ns:gap fire 0
+    end
+    else finish_check ()
+  in
+  let r0 = next_rel () in
+  rel := r0;
+  Engine.timer eng ~ns:r0 fire 0;
+  Engine.park finished;
   let elapsed = Machine.now machine -. t0 in
   let span = !last_arrival -. t0 in
   {

@@ -103,14 +103,13 @@ type result = {
 }
 
 let run_procs t ~procs body =
-  let finished = ref 0 in
-  Engine.suspend (fun resume ->
-      for p = 0 to procs - 1 do
-        Engine.spawn t.machine.Machine.engine (fun () ->
-            body p;
-            incr finished;
-            if !finished = procs then resume ())
-      done)
+  let all_done = Engine.join procs in
+  for p = 0 to procs - 1 do
+    Engine.spawn t.machine.Machine.engine (fun () ->
+        body p;
+        Engine.arrive all_done)
+  done;
+  Engine.await all_done
 
 let vpic t ~procs ~steps ~bytes_per_proc_step =
   let t0 = Machine.now t.machine in

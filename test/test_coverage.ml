@@ -290,23 +290,21 @@ let test_unordered_queue_multi_worker () =
         in
         Array.iter (fun w -> Lab_runtime.Worker.assign w [ qp ]) workers;
         let t0 = Machine.now m in
-        let remaining = ref 8 in
-        Engine.suspend (fun resume ->
-            for i = 1 to 8 do
-              let req =
-                Request.make ~id:i ~pid:1 ~uid:0 ~thread:0 ~stack_id:1
-                  ~now:(Machine.now m) (Request.Control i)
-              in
-              Lab_ipc.Qp.submit qp req
-            done;
-            Engine.spawn m.Machine.engine (fun () ->
-                while !remaining > 0 do
-                  (match Lab_ipc.Qp.try_completion qp with
-                  | Some _ -> decr remaining
-                  | None -> Lab_ipc.Qp.wait_completion_event qp);
-                  ()
-                done;
-                resume ()));
+        let all_done = Engine.join 8 in
+        for i = 1 to 8 do
+          let req =
+            Request.make ~id:i ~pid:1 ~uid:0 ~thread:0 ~stack_id:1
+              ~now:(Machine.now m) (Request.Control i)
+          in
+          Lab_ipc.Qp.submit qp req
+        done;
+        Engine.spawn m.Machine.engine (fun () ->
+            while not (Engine.joined all_done) do
+              match Lab_ipc.Qp.try_completion qp with
+              | Some _ -> Engine.arrive all_done
+              | None -> Lab_ipc.Qp.wait_completion_event qp
+            done);
+        Engine.await all_done;
         Machine.now m -. t0)
   in
   let one = makespan 1 and two = makespan 2 in

@@ -20,18 +20,17 @@ let waiter_with f =
 (* Submits one write per [(hctx, lba, bytes)] on its own waiter, runs
    [on_done lba] from each notify and parks until the last one. *)
 let write_all ?(on_done = ignore) dev cmds =
-  let remaining = ref (List.length cmds) and all_done = Engine.make_park_cell () in
+  let all_done = Engine.join (List.length cmds) in
   List.iter
     (fun (hctx, lba, bytes) ->
       let w =
         waiter_with (fun _ ->
             on_done lba;
-            decr remaining;
-            if !remaining = 0 then Engine.unpark all_done)
+            Engine.arrive all_done)
       in
       Device.submit_waiter dev w ~hctx ~kind:Write ~lba ~bytes)
     cmds;
-  Engine.park all_done
+  Engine.await all_done
 
 let test_single_write_latency () =
   let elapsed =

@@ -84,14 +84,13 @@ let test_consistency_ordered_serializes () =
         decr inside;
         Request.Done
       in
-      let finished = ref 0 in
-      Engine.suspend (fun resume ->
-          for i = 1 to 4 do
-            Engine.spawn m.Machine.engine (fun () ->
-                ignore (drive m ~forward cons (mk_req m ~thread:i (block_write 4096)));
-                incr finished;
-                if !finished = 4 then resume ())
-          done);
+      let all_done = Engine.join 4 in
+      for i = 1 to 4 do
+        Engine.spawn m.Machine.engine (fun () ->
+            ignore (drive m ~forward cons (mk_req m ~thread:i (block_write 4096)));
+            Engine.arrive all_done)
+      done;
+      Engine.await all_done;
       Alcotest.(check int) "one write downstream at a time" 1 !peak)
 
 let test_consistency_live_mode_switch () =

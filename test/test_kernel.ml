@@ -213,17 +213,16 @@ let test_kfs_shared_dir_contention () =
     in_sim ~ncores:24 (fun m ->
         let fs = make_fs m in
         let per_thread = 200 in
-        let remaining = ref nthreads in
-        Engine.suspend (fun resume ->
-            for t = 1 to nthreads do
-              Engine.spawn m.Machine.engine (fun () ->
-                  for i = 1 to per_thread do
-                    Kfs.create fs ~thread:t
-                      (Printf.sprintf "/shared/f-%d-%d" t i)
-                  done;
-                  decr remaining;
-                  if !remaining = 0 then resume ())
-            done);
+        let all_done = Engine.join nthreads in
+        for t = 1 to nthreads do
+          Engine.spawn m.Machine.engine (fun () ->
+              for i = 1 to per_thread do
+                Kfs.create fs ~thread:t
+                  (Printf.sprintf "/shared/f-%d-%d" t i)
+              done;
+              Engine.arrive all_done)
+        done;
+        Engine.await all_done;
         Stdlib.float_of_int (nthreads * per_thread) /. Machine.now m)
   in
   let t1 = throughput 1 and t16 = throughput 16 in
@@ -326,12 +325,11 @@ let pinned_batch_scenario () =
   let api = Api.create m switch in
   let log = Buffer.create 512 in
   Labstor.Platform.go platform (fun () ->
-      let remaining = ref 4 and all_done = Engine.make_park_cell () in
+      let all_done = Engine.join 4 in
       let spawn f =
         Engine.spawn e (fun () ->
             f ();
-            decr remaining;
-            if !remaining = 0 then Engine.unpark all_done)
+            Engine.arrive all_done)
       in
       for b = 0 to 1 do
         spawn (fun () ->
@@ -363,7 +361,7 @@ let pinned_batch_scenario () =
                     | Error err -> Printf.bprintf log "w%d.%d:%s;" th i err)
                   results)
       done;
-      Engine.park all_done;
+      Engine.await all_done;
       Device.flush dev);
   let inflight blk =
     let n = ref 0 in

@@ -347,7 +347,7 @@ let pinned_lvm_scenario () =
     | Error err -> Printf.bprintf log "%s:%s@%.0f;" tag err (Machine.now machine)
   in
   Platform.go platform (fun () ->
-      let remaining = ref 3 and all_done = Engine.make_park_cell () in
+      let all_done = Engine.join 3 in
       for th = 0 to 2 do
         Engine.spawn e (fun () ->
             let c = Platform.client platform ~thread:th () in
@@ -359,10 +359,9 @@ let pinned_lvm_scenario () =
                    ~bytes:(if i mod 2 = 0 then 65536 else 4096));
               Engine.wait (Stdlib.float_of_int (((th * 7) + i) mod 5 * 2_000))
             done;
-            decr remaining;
-            if !remaining = 0 then Engine.unpark all_done)
+            Engine.arrive all_done)
       done;
-      Engine.park all_done;
+      Engine.await all_done;
       let c = Platform.client platform ~thread:0 () in
       note "r" (Runtime.Client.read_block c ~mount:"blk::/vol" ~lba:128 ~bytes:8192);
       if until_ns > Machine.now machine then

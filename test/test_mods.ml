@@ -255,19 +255,20 @@ let test_blkswitch_avoids_loaded () =
   in_sim (fun m ->
       let sched = Blkswitch_sched.factory ~nqueues:4 () ~uuid:"bsw" ~attrs:[] in
       (* Occupy queue 0 with a long-running request. *)
-      let release = ref None in
+      let blocker = Engine.make_park_cell () in
       Engine.spawn m.Machine.engine (fun () ->
           let big = mk_req m ~thread:0 (block_write (32 * 1024 * 1024)) in
           ignore
             (drive m
                ~forward:(fun _ ->
-                 Engine.suspend (fun r -> release := Some r);
+                 Engine.park blocker;
                  Request.Done)
                sched big));
       Engine.wait 10.0;
       let small = mk_req m ~thread:0 (block_write 4096) in
       ignore (drive m sched small);
-      (match !release with Some r -> r () | None -> Alcotest.fail "no blocker");
+      if Engine.parked blocker then Engine.unpark blocker
+      else Alcotest.fail "no blocker";
       Alcotest.(check bool) "small request steered off queue 0" true
         (small.Request.hint_hctx <> Some 0 && small.Request.hint_hctx <> None))
 

@@ -580,25 +580,24 @@ let run_platform ?(config = Runtime.Runtime.default_config) ~sample () =
   | Error e -> Alcotest.fail ("mount: " ^ e));
   let machine = Platform.machine platform in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Lab_sim.Engine.suspend (fun resume ->
-          for th = 0 to threads - 1 do
-            Lab_sim.Engine.spawn machine.Lab_sim.Machine.engine (fun () ->
-                let c = Platform.client platform ~thread:th () in
-                for i = 1 to ops do
-                  let lba = (th * 100_000) + i in
-                  if i mod 3 = 0 then
-                    ignore
-                      (Runtime.Client.write_block c ~mount:"blk::/obs-test"
-                         ~lba ~bytes:4096)
-                  else
-                    ignore
-                      (Runtime.Client.read_block c ~mount:"blk::/obs-test"
-                         ~lba ~bytes:4096)
-                done;
-                incr finished;
-                if !finished = threads then resume ())
-          done));
+      let all_done = Lab_sim.Engine.join threads in
+      for th = 0 to threads - 1 do
+        Lab_sim.Engine.spawn machine.Lab_sim.Machine.engine (fun () ->
+            let c = Platform.client platform ~thread:th () in
+            for i = 1 to ops do
+              let lba = (th * 100_000) + i in
+              if i mod 3 = 0 then
+                ignore
+                  (Runtime.Client.write_block c ~mount:"blk::/obs-test"
+                     ~lba ~bytes:4096)
+              else
+                ignore
+                  (Runtime.Client.read_block c ~mount:"blk::/obs-test"
+                     ~lba ~bytes:4096)
+            done;
+            Lab_sim.Engine.arrive all_done)
+      done;
+      Lab_sim.Engine.await all_done);
   platform
 
 let test_run_determinism () =

@@ -248,49 +248,44 @@ let e2e_fingerprint ~seed =
   ignore
     (Platform.register_tenant platform ~uid:999 ~rate_mbps:500.0 ~burst_kb:64
        ~qcap:8 ());
-  let stop = ref false in
   let lat_sum = ref 0.0 in
   Platform.go platform (fun () ->
-      let finished = ref 0 in
-      Lab_sim.Engine.suspend (fun resume ->
-          for i = 0 to 3 do
-            Lab_sim.Engine.spawn eng (fun () ->
-                let c =
-                  Platform.client platform ~uid:(2000 + i) ~thread:i ()
-                in
-                Lab_sim.Engine.wait (float_of_int i *. 5_000.0);
-                for k = 0 to 19 do
-                  let t0 = Lab_sim.Machine.now machine in
-                  (match
-                     Lab_runtime.Client.read_block c ~mount:"blk::/qos"
-                       ~lba:((i * 8192) + (k * 32))
-                       ~bytes:16384
-                   with
-                  | Ok _ ->
-                      lat_sum :=
-                        !lat_sum +. (Lab_sim.Machine.now machine -. t0)
-                  | Error _ -> ());
-                  Lab_sim.Engine.wait 40_000.0
-                done;
-                incr finished;
-                if !finished = 4 then begin
-                  stop := true;
-                  resume ()
-                end)
-          done;
-          for j = 0 to 3 do
-            Lab_sim.Engine.spawn eng (fun () ->
-                let c =
-                  Platform.client platform ~uid:999 ~thread:(8 + j) ()
-                in
-                let lba = ref (1_000_000 + (j * 100_000)) in
-                while not !stop do
-                  ignore
-                    (Lab_runtime.Client.write_block c ~mount:"blk::/qos"
-                       ~lba:!lba ~bytes:20480);
-                  lba := !lba + 40
-                done)
-          done));
+      let all_done = Lab_sim.Engine.join 4 in
+      for i = 0 to 3 do
+        Lab_sim.Engine.spawn eng (fun () ->
+            let c =
+              Platform.client platform ~uid:(2000 + i) ~thread:i ()
+            in
+            Lab_sim.Engine.wait (float_of_int i *. 5_000.0);
+            for k = 0 to 19 do
+              let t0 = Lab_sim.Machine.now machine in
+              (match
+                 Lab_runtime.Client.read_block c ~mount:"blk::/qos"
+                   ~lba:((i * 8192) + (k * 32))
+                   ~bytes:16384
+               with
+              | Ok _ ->
+                  lat_sum :=
+                    !lat_sum +. (Lab_sim.Machine.now machine -. t0)
+              | Error _ -> ());
+              Lab_sim.Engine.wait 40_000.0
+            done;
+            Lab_sim.Engine.arrive all_done)
+      done;
+      for j = 0 to 3 do
+        Lab_sim.Engine.spawn eng (fun () ->
+            let c =
+              Platform.client platform ~uid:999 ~thread:(8 + j) ()
+            in
+            let lba = ref (1_000_000 + (j * 100_000)) in
+            while not (Lab_sim.Engine.joined all_done) do
+              ignore
+                (Lab_runtime.Client.write_block c ~mount:"blk::/qos"
+                   ~lba:!lba ~bytes:20480);
+              lba := !lba + 40
+            done)
+      done;
+      Lab_sim.Engine.await all_done);
   let noisy =
     match Platform.tenant_for platform ~uid:999 with
     | Some tn -> tn

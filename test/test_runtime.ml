@@ -182,18 +182,17 @@ let test_multiple_clients_parallel () =
   in_rt ~nworkers:4 (fun m rt _dev ->
       ignore (ok (Runtime.mount_text rt (fs_stack_spec ())));
       let nclients = 8 in
-      let finished = ref 0 in
-      Engine.suspend (fun resume ->
-          for i = 1 to nclients do
-            Engine.spawn m.Machine.engine (fun () ->
-                let c = Client.connect rt ~pid:(100 + i) ~uid:1 ~thread:i () in
-                for j = 1 to 20 do
-                  ok (Client.create c (Printf.sprintf "fs::/data/c%d-f%d" i j))
-                done;
-                incr finished;
-                if !finished = nclients then resume ())
-          done);
-      Alcotest.(check int) "all clients done" nclients !finished;
+      let all_done = Engine.join nclients in
+      for i = 1 to nclients do
+        Engine.spawn m.Machine.engine (fun () ->
+            let c = Client.connect rt ~pid:(100 + i) ~uid:1 ~thread:i () in
+            for j = 1 to 20 do
+              ok (Client.create c (Printf.sprintf "fs::/data/c%d-f%d" i j))
+            done;
+            Engine.arrive all_done)
+      done;
+      Engine.await all_done;
+      Alcotest.(check bool) "all clients done" true (Engine.joined all_done);
       let fs = Option.get (Registry.find (Runtime.registry rt) "fs-1") in
       Alcotest.(check int) "all files exist" (nclients * 20)
         (Lab_mods.Labfs.file_count fs))

@@ -96,6 +96,148 @@ let test_engine_resumer_one_shot () =
   Engine.run e;
   Alcotest.(check int) "woken exactly once" 1 !wakeups
 
+(* A driver's fork-join: counted workers (one of them a nested join),
+   uncounted daemons spawned between them, and the last arrival landing
+   at t = 25 with four other events due then and one queued right
+   after it. Each process's resume
+   instant and order and the event count are pinned to the schedule the
+   countdown-and-resumer join produced, so a join that resumes at any
+   other (time, seq) key shows here. *)
+let fork_join_scenario () =
+  let e = Engine.create () in
+  let log = Buffer.create 256 in
+  let note who = Printf.bprintf log "%s@%.0f;" who (Engine.now e) in
+  let daemon name period () =
+    while true do
+      Engine.wait period;
+      note name
+    done
+  in
+  Engine.spawn e (fun () ->
+      Engine.schedule e 25.0 (fun () -> note "s25");
+      let all = Engine.join 3 in
+      Engine.spawn e (daemon "d0" 5.0);
+      Engine.spawn e (fun () ->
+          Engine.wait 10.0;
+          note "w0";
+          Engine.arrive all);
+      Engine.spawn e (daemon "d1" 10.0);
+      Engine.spawn e (fun () ->
+          Engine.wait 20.0;
+          Engine.schedule e 25.0 (fun () -> note "s1");
+          Engine.wait 5.0;
+          note "w1";
+          Engine.arrive all;
+          Engine.schedule e 25.0 (fun () -> note "s1'"));
+      Engine.spawn e (fun () ->
+          let inner = Engine.join 2 in
+          Engine.spawn e (fun () ->
+              Engine.wait 7.0;
+              note "a";
+              Engine.arrive inner);
+          Engine.spawn e (fun () ->
+              Engine.wait 18.0;
+              note "b";
+              Engine.arrive inner);
+          Engine.await inner;
+          note "w2";
+          Engine.wait 7.0;
+          note "w2'";
+          Engine.arrive all);
+      Engine.await all;
+      note "main";
+      let pair = Engine.join 2 in
+      for i = 0 to 1 do
+        Engine.spawn e (fun () ->
+            Engine.wait 4.0;
+            note (Printf.sprintf "x%d" i);
+            Engine.arrive pair;
+            Engine.wait 0.0;
+            note (Printf.sprintf "x%d'" i))
+      done;
+      Engine.await pair;
+      note "main'");
+  Engine.run ~until:30.0 e;
+  (Engine.events_executed e, Buffer.contents log)
+
+let test_fork_join_schedule_pinned () =
+  let events, log = fork_join_scenario () in
+  Alcotest.(check string) "resume instants and order"
+    "d0@5;a@7;w0@10;d1@10;d0@10;d0@15;b@18;w2@18;d1@20;d0@20;s25@25;w2'@25;\
+     s1@25;w1@25;d0@25;main@25;s1'@25;x0@29;x1@29;x0'@29;main'@29;x1'@29;\
+     d1@30;d0@30;"
+    log;
+  Alcotest.(check int) "events_executed" 35 events
+
+(* [join 0] has nothing to wait for: [await] returns at once and queues
+   no event. *)
+let test_join_zero () =
+  let e = Engine.create () in
+  let returned = ref false in
+  Engine.spawn e (fun () ->
+      let j = Engine.join 0 in
+      Alcotest.(check bool) "joined" true (Engine.joined j);
+      Engine.await j;
+      returned := true);
+  Engine.run e;
+  Alcotest.(check bool) "await returned" true !returned;
+  Alcotest.(check int) "only the spawn ran" 1 (Engine.events_executed e)
+
+(* Arrivals past the last one do nothing: one resume, one event. *)
+let test_join_extra_arrivals () =
+  let e = Engine.create () in
+  let wakeups = ref 0 in
+  let j = Engine.join 2 in
+  Engine.spawn e (fun () ->
+      Engine.await j;
+      incr wakeups);
+  Engine.spawn e (fun () ->
+      Engine.wait 1.0;
+      for _ = 1 to 5 do
+        Engine.arrive j
+      done);
+  Engine.run e;
+  Alcotest.(check int) "woken exactly once" 1 !wakeups;
+  (* two spawns, one wait, one resume *)
+  Alcotest.(check int) "events" 4 (Engine.events_executed e)
+
+(* The last arrival takes the next (time, seq) key, as unpark does: an
+   event queued for the same instant before the arrival runs first, one
+   queued after it runs after the resumed process. *)
+let test_join_resume_key () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let j = Engine.join 1 in
+  Engine.spawn e (fun () ->
+      Engine.await j;
+      log := ("awaiter", Engine.now e) :: !log);
+  Engine.spawn e (fun () ->
+      Engine.wait 5.0;
+      Engine.schedule e 5.0 (fun () -> log := ("before", Engine.now e) :: !log);
+      Engine.arrive j;
+      Engine.schedule e 5.0 (fun () -> log := ("after", Engine.now e) :: !log));
+  Engine.run e;
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "resumed at the arrival's key"
+    [ ("before", 5.0); ("awaiter", 5.0); ("after", 5.0) ]
+    (List.rev !log)
+
+(* [park] on a cell that already holds a process is refused; the first
+   process stays parked and still resumes. *)
+let test_park_occupied_cell () =
+  let e = Engine.create () in
+  let cell = Engine.make_park_cell () in
+  let first = ref false and refused = ref false in
+  Engine.spawn e (fun () ->
+      Engine.park cell;
+      first := true);
+  Engine.spawn e (fun () ->
+      (try Engine.park cell with Invalid_argument _ -> refused := true);
+      Engine.unpark cell);
+  Engine.run e;
+  Alcotest.(check bool) "second park refused" true !refused;
+  Alcotest.(check bool) "first process resumed" true !first
+
 let test_engine_until_pushback_order () =
   let e = Engine.create () in
   let log = ref [] in
@@ -1174,6 +1316,13 @@ let () =
           Alcotest.test_case "negative wait" `Quick test_engine_negative_wait;
           Alcotest.test_case "suspend/resume" `Quick test_engine_suspend_resume;
           Alcotest.test_case "resumer one-shot" `Quick test_engine_resumer_one_shot;
+          Alcotest.test_case "fork-join schedule pinned" `Quick
+            test_fork_join_schedule_pinned;
+          Alcotest.test_case "join zero" `Quick test_join_zero;
+          Alcotest.test_case "join extra arrivals" `Quick
+            test_join_extra_arrivals;
+          Alcotest.test_case "join resume key" `Quick test_join_resume_key;
+          Alcotest.test_case "park occupied cell" `Quick test_park_occupied_cell;
           Alcotest.test_case "until pushback order" `Quick
             test_engine_until_pushback_order;
           Alcotest.test_case "tick exact boundaries" `Quick
