@@ -168,22 +168,74 @@ let row ~policy ~ra ~shards ~wr_pct (o : outcome) =
     string_of_int o.events;
   ]
 
+(* Minor words per call of the cache's hit paths: [Mod_harness] runs of
+   a 4-shard write-back lru_cache minus a dummy_mod baseline (the
+   harness's own process spawn and request build). One-page requests
+   cycle over 256 resident pages on all four shards, so a hit promotes
+   a node that is not already most-recent; writes re-dirty resident
+   dirty pages (the absorb path). Gc counters are deterministic, so
+   these are exact. *)
+let hit_pages = 256
+
+let words_per_call make payload =
+  let h = Runtime.Mod_harness.create make in
+  let run () =
+    for i = 0 to hit_pages - 1 do
+      ignore (Runtime.Mod_harness.run h (payload i))
+    done
+  in
+  run ();
+  Runtime.Mod_harness.clear_forwarded h;
+  let rounds = 40 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    run ()
+  done;
+  (Gc.minor_words () -. w0) /. Stdlib.float_of_int (rounds * hit_pages)
+
+let hit_words () =
+  let base =
+    words_per_call
+      (fun _ -> Mods.Dummy_mod.factory ~op_ns:0.0 ())
+      (fun _ -> Core.Request.Control 0)
+  in
+  let lru _m ~uuid ~attrs:_ =
+    Mods.Lru_cache.factory () ~uuid ~attrs:[ ("shards", Core.Yamlite.Int 4) ]
+  in
+  let block kind =
+    Array.init hit_pages (fun i ->
+        Core.Request.Block
+          {
+            Core.Request.b_kind = kind;
+            b_lba = i * 67;
+            b_bytes = 4096;
+            b_sync = false;
+          })
+  in
+  let reads = block Core.Request.Read and writes = block Core.Request.Write in
+  (* Each harness's unmeasured first round admits the pages: reads by a
+     demand miss, writes dirty. *)
+  ( words_per_call lru (fun i -> reads.(i)) -. base,
+    words_per_call lru (fun i -> writes.(i)) -. base )
+
 let json_escape_free name = name (* policy names are [a-z_]+ *)
 
-let write_json path results =
+let write_json path results ~read_words ~write_words =
   let oc = open_out path in
   output_string oc "[\n";
-  List.iteri
-    (fun i ((policy, ra, shards, wr_pct), (o : outcome)) ->
+  List.iter
+    (fun ((policy, ra, shards, wr_pct), (o : outcome)) ->
       Printf.fprintf oc
         "  {\"policy\": \"%s\", \"readahead\": %b, \"shards\": %d, \
          \"write_pct\": %d, \"kiops\": %.1f, \"p99_us\": %.1f, \
          \"hit_rate\": %.4f, \"readahead_accuracy\": %.4f, \
-         \"avg_flush_batch\": %.2f, \"wb_ops_per_page\": %.4f}%s\n"
+         \"avg_flush_batch\": %.2f, \"wb_ops_per_page\": %.4f},\n"
         (json_escape_free policy) ra shards wr_pct o.kiops o.p99_us o.hit_rate
-        o.ra_acc o.flush_batch o.wb_ops_per_page
-        (if i < List.length results - 1 then "," else ""))
+        o.ra_acc o.flush_batch o.wb_ops_per_page)
     results;
+  Printf.fprintf oc
+    "  {\"read_hit_words_per_call\": %.2f, \"write_hit_words_per_call\": %.2f}\n"
+    read_words write_words;
   output_string oc "]\n";
   close_out oc
 
@@ -226,7 +278,8 @@ let run () =
         0)
   in
   let results = List.rev !results in
-  write_json "BENCH_cache.json" results;
+  let read_words, write_words = hit_words () in
+  write_json "BENCH_cache.json" results ~read_words ~write_words;
   Bench_util.note
     "readahead detects each thread's stream and fills ahead of the reader:";
   Bench_util.note
@@ -266,6 +319,17 @@ let run () =
         exit 1
       end)
     results;
+  (* Allocation guard: a hit allocates only its simulated CPU waits
+     and the returned size. Bytecode allots differently, so the gate
+     binds in native runs only. *)
+  if Sys.backend_type = Sys.Native && (read_words > 32.0 || write_words > 26.0)
+  then begin
+    Bench_util.note
+      "ALLOCATION REGRESSION: cache hit path at %.2f words per read hit \
+       (budget 32), %.2f per write absorb (budget 26)"
+      read_words write_words;
+    exit 1
+  end;
   (* Determinism: identical seeds must give byte-identical rows
      (including the event-count fingerprint). *)
   let a = run_case ~seed ~policy:"lru_cache" ~ra:true ~shards:4 ~wr_pct:25

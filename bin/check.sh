@@ -89,6 +89,13 @@ dune exec bench/main.exe -- load --smoke
 test -s BENCH_load.json
 dune exec bin/bench_diff.exe -- bench/baselines/BENCH_load.json BENCH_load.json
 
+echo "== exemplars full size =="
+# The full-size overload run: every one of the 6 slowest of its 6,601
+# completions must hold an exemplar (plus the same neutrality, dump and
+# determinism asserts as the smoke); exits nonzero on violation. Its
+# BENCH_exemplars.json is overwritten by the smoke below.
+dune exec bench/main.exe -- exemplars > /dev/null
+
 echo "== exemplars smoke (--smoke) =="
 # Asserts capture-off runs are byte-identical to no-obs runs (and
 # capture-on runs engine-neutral), >= 90% of the slowest 0.1% of

@@ -5,7 +5,7 @@ type page = { page_index : int; mutable dirty : bool }
 type t = {
   machine : Machine.t;
   psize : int;
-  entries : (int, page) Lru.t;
+  entries : page Lru.t;
   mutable hit_count : int;
   mutable miss_count : int;
 }
@@ -26,15 +26,16 @@ let copy_cost t = t.machine.Machine.costs.Costs.copy_ns_per_byte *. Stdlib.float
 
 let read t ~thread ~page_index =
   let costs = t.machine.Machine.costs in
-  match Lru.find t.entries page_index with
-  | Some _ ->
-      t.hit_count <- t.hit_count + 1;
-      Machine.compute t.machine ~thread (costs.Costs.cache_lookup_ns +. copy_cost t);
-      true
-  | None ->
-      t.miss_count <- t.miss_count + 1;
-      Machine.compute t.machine ~thread costs.Costs.cache_lookup_ns;
-      false
+  if Lru.touch t.entries page_index then begin
+    t.hit_count <- t.hit_count + 1;
+    Machine.compute t.machine ~thread (costs.Costs.cache_lookup_ns +. copy_cost t);
+    true
+  end
+  else begin
+    t.miss_count <- t.miss_count + 1;
+    Machine.compute t.machine ~thread costs.Costs.cache_lookup_ns;
+    false
+  end
 
 let insert_clean t ~thread ~page_index =
   let costs = t.machine.Machine.costs in

@@ -10,10 +10,10 @@ module Arc = struct
      pages; B1/B2 are ghosts (metadata only). *)
   type t = {
     cap : int;
-    t1 : (int, unit) Lru.t;
-    t2 : (int, unit) Lru.t;
-    b1 : (int, unit) Lru.t;
-    b2 : (int, unit) Lru.t;
+    t1 : unit Lru.t;
+    t2 : unit Lru.t;
+    b1 : unit Lru.t;
+    b2 : unit Lru.t;
     mutable p_val : int;  (* target size of t1, 0..cap *)
     mutable last_evicted : int option;
   }
@@ -72,10 +72,7 @@ module Arc = struct
       ignore (Lru.put t.t2 k ());
       true
     end
-    else if Lru.mem t.t2 k then begin
-      ignore (Lru.find t.t2 k);
-      true
-    end
+    else if Lru.touch t.t2 k then true
     else if Lru.mem t.b1 k then begin
       (* Ghost hit on the recency side: grow p. *)
       let delta = Stdlib.max 1 (Lru.length t.b2 / Stdlib.max 1 (Lru.length t.b1)) in
@@ -158,7 +155,7 @@ let arc_policy acc ~capacity =
     Cache_core.pol_mem = (fun p -> Arc.mem a p);
     pol_touch = (fun p -> Arc.touch a p);
     pol_evicted =
-      (fun () -> match Arc.evicted a with Some v -> [ v ] | None -> []);
+      (fun () -> match Arc.evicted a with Some v -> v | None -> -1);
     pol_live = (fun () -> Arc.live_count a);
   }
 

@@ -15,7 +15,7 @@ module Metrics = Lab_obs.Metrics
 type policy = {
   pol_mem : int -> bool;
   pol_touch : int -> bool;
-  pol_evicted : unit -> int list;
+  pol_evicted : unit -> int;
   pol_live : unit -> int;
 }
 
@@ -23,22 +23,19 @@ type policy_factory = capacity:int -> policy
 
 let lru_policy ~capacity =
   let lru = Lru.create ~capacity () in
-  let last = ref [] in
+  let last = ref (-1) in
   {
     pol_mem = (fun p -> Lru.mem lru p);
     pol_touch =
       (fun p ->
-        last := [];
-        if Lru.mem lru p then begin
-          ignore (Lru.find lru p);
-          true
-        end
-        else begin
-          (match Lru.put lru p () with
-          | Some (v, ()) -> last := [ v ]
-          | None -> ());
-          false
-        end);
+        last := -1;
+        Lru.touch lru p
+        || begin
+             (match Lru.put lru p () with
+             | Some (v, ()) -> last := v
+             | None -> ());
+             false
+           end);
     pol_evicted = (fun () -> !last);
     pol_live = (fun () -> Lru.length lru);
   }
@@ -110,6 +107,7 @@ type t = {
   shards : shard array;
   streams : (int, stream) Hashtbl.t;
   ra_inflight : (int, unit Waitq.t) Hashtbl.t;  (* page -> fill arrival *)
+  mutable ra_free : unit Waitq.t list;  (* drained queues, for reuse *)
   hit_count : Metrics.counter;
   miss_count : Metrics.counter;
   wb_failures : Metrics.counter;
@@ -155,6 +153,7 @@ let create ~policy ?metrics ?timeseries ?instance cfg =
           });
     streams = Hashtbl.create 16;
     ra_inflight = Hashtbl.create 64;
+    ra_free = [];
     hit_count = counter "hits";
     miss_count = counter "misses";
     wb_failures = counter "writeback_failures";
@@ -184,90 +183,75 @@ let create ~policy ?metrics ?timeseries ?instance cfg =
 (* Geometry                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let pages_of ~page_bytes lba bytes =
-  let first = lba and last = lba + ((bytes - 1) / page_bytes) in
-  List.init (last - first + 1) (fun i -> first + i)
-
-(* Pages map to shards in 64-page chunks, not singly: adjacent pages
-   must share a shard so a readahead run or a write-back batch is
-   shard-local and stays mergeable into one downstream op. *)
+(* A request covers the page range [first .. last]. Pages map to shards
+   in 64-page chunks, not singly: adjacent pages must share a shard so
+   a readahead run or a write-back batch is shard-local and stays
+   mergeable into one downstream op. *)
 let chunk_shift = 6
+
+let chunk_pages = 1 lsl chunk_shift
 
 let shard_of t page = t.shards.((page lsr chunk_shift) mod t.cfg.nshards)
 
-(* Group a request's pages by shard, groups in ascending shard order so
-   concurrent requests always visit shards in the same order. A
-   one-page request (the common case) is its own single group. *)
-let group_by_shard t pages =
-  match pages with
-  | [ p ] -> [ (shard_of t p, pages) ]
-  | _ ->
-      let tbl = Hashtbl.create 4 in
-      List.iter
-        (fun p ->
-          let sh = shard_of t p in
-          match Hashtbl.find_opt tbl sh.sh_id with
-          | Some (_, acc) -> acc := p :: !acc
-          | None -> Hashtbl.replace tbl sh.sh_id (sh, ref [ p ]))
-        pages;
-      List.sort
-        (fun ((a : shard), _) (b, _) -> compare a.sh_id b.sh_id)
-        (Hashtbl.fold
-           (fun _ (sh, acc) gs -> (sh, List.rev !acc) :: gs)
-           tbl [])
+let last_page t ~first ~bytes = first + ((bytes - 1) / t.cfg.page_bytes)
+
+(* The first chunk at or after [c] that maps to shard [s]. *)
+let first_chunk_on t s c =
+  let n = t.cfg.nshards in
+  c + ((s - (c mod n) + n) mod n)
+
+(* Pages of [first .. last] on the shard that owns chunk [c0], the
+   range's first chunk on that shard; [cl] is the range's last chunk. *)
+let pages_on t ~first ~last ~c0 ~cl =
+  let count = ref 0 and c = ref c0 in
+  while !c <= cl do
+    let lo = Stdlib.max first (!c lsl chunk_shift) in
+    let hi = Stdlib.min last ((!c lsl chunk_shift) + chunk_pages - 1) in
+    count := !count + (hi - lo + 1);
+    c := !c + t.cfg.nshards
+  done;
+  !count
 
 (* Enter a shard: serialize on its lock and pay the per-shard service
    cost. With one shard every worker funnels through here; with many
-   the same total work spreads across independent locks. *)
-let with_shard ctx sh f =
+   the same total work spreads across independent locks. Every [enter]
+   is paired with a [leave] on each exit path. Nothing in between can
+   raise: [Cpu.compute], the policies and [Hashtbl] operations do not,
+   and the engine never discontinues a process. *)
+let enter ctx sh =
   Semaphore.acquire sh.lock;
   let machine = ctx.Labmod.machine in
   Machine.compute machine ~thread:ctx.Labmod.thread
-    machine.Machine.costs.Costs.cache_shard_ns;
-  Fun.protect ~finally:(fun () -> Semaphore.release sh.lock) f
+    machine.Machine.costs.Costs.cache_shard_ns
+
+let leave sh = Semaphore.release sh.lock
 
 (* ------------------------------------------------------------------ *)
 (* Dirty bookkeeping + coalesced write-back                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Route the most recent touch's evictions (call under the shard lock,
+(* Route the most recent touch's eviction (call under the shard lock,
    once per touch — policies only remember the last eviction). *)
 let note_evictions t sh =
-  List.iter
-    (fun v ->
-      if Hashtbl.mem sh.prefetched v then begin
-        Hashtbl.remove sh.prefetched v;
-        Metrics.incr t.ra_wasted
-      end;
-      if Hashtbl.mem sh.dirty v then begin
-        Hashtbl.remove sh.dirty v;
-        Queue.add v sh.dirty_log;
-        sh.sh_evictions <- sh.sh_evictions + 1;
-        Metrics.incr t.dirty_evicted
-      end)
-    (sh.pol.pol_evicted ())
+  let v = sh.pol.pol_evicted () in
+  if v >= 0 then begin
+    if Hashtbl.mem sh.prefetched v then begin
+      Hashtbl.remove sh.prefetched v;
+      Metrics.incr t.ra_wasted
+    end;
+    if Hashtbl.mem sh.dirty v then begin
+      Hashtbl.remove sh.dirty v;
+      Queue.add v sh.dirty_log;
+      sh.sh_evictions <- sh.sh_evictions + 1;
+      Metrics.incr t.dirty_evicted
+    end
+  end
 
 let consume_prefetched t sh ~demand_read p =
   if Hashtbl.mem sh.prefetched p then begin
     Hashtbl.remove sh.prefetched p;
     if demand_read then Metrics.incr t.ra_hits
   end
-
-(* Merge sorted distinct pages into (start, length) runs of adjacent
-   pages, each at most [max_batch] long. *)
-let runs_of_pages pages ~max_batch =
-  match pages with
-  | [] -> []
-  | p0 :: rest ->
-      let runs, last =
-        List.fold_left
-          (fun (runs, (s, len)) p ->
-            if p = s + len && len < max_batch then (runs, (s, len + 1))
-            else ((s, len) :: runs, (p, 1)))
-          ([], (p0, 1))
-          rest
-      in
-      List.rev (last :: runs)
 
 (* Cache-internal I/O (readahead fills, write-back) is not part of any
    client request's critical path: it must not inherit the template's
@@ -287,7 +271,7 @@ let trace_instant ctx (req : Request.t) name =
         ~now:(Machine.now ctx.Labmod.machine)
   | None -> ()
 
-let write_back_run t ctx ~template (start_page, len) =
+let write_back_run t ctx ~template start_page len =
   Metrics.incr t.flush_op_count;
   Metrics.incr ~by:len t.flush_page_count;
   let io =
@@ -304,16 +288,28 @@ let write_back_run t ctx ~template (start_page, len) =
 
 (* Flush the shard's dirty log down to [target] entries: pop, sort,
    dedup (a page can be evicted twice between flushes), merge into
-   adjacent runs, one downstream write per run. *)
+   adjacent runs of at most [wb_max_batch] pages, one downstream write
+   per run. *)
 let flush_log t ctx sh ~template ~target =
-  if Queue.length sh.dirty_log > target then begin
-    let n = Queue.length sh.dirty_log - target in
-    let popped = List.init n (fun _ -> Queue.pop sh.dirty_log) in
-    List.iter
-      (write_back_run t ctx ~template)
-      (runs_of_pages
-         (List.sort_uniq compare popped)
-         ~max_batch:t.cfg.wb_max_batch)
+  let n = Queue.length sh.dirty_log - target in
+  if n > 0 then begin
+    let pages = Array.make n 0 in
+    for i = 0 to n - 1 do
+      pages.(i) <- Queue.pop sh.dirty_log
+    done;
+    Array.sort Int.compare pages;
+    let start = ref pages.(0) and len = ref 1 in
+    for i = 1 to n - 1 do
+      let p = pages.(i) in
+      if p <> pages.(i - 1) then
+        if p = !start + !len && !len < t.cfg.wb_max_batch then incr len
+        else begin
+          write_back_run t ctx ~template !start !len;
+          start := p;
+          len := 1
+        end
+    done;
+    write_back_run t ctx ~template !start !len
   end
 
 let maybe_flush t ctx sh ~template =
@@ -324,6 +320,85 @@ let drain t ctx ~template =
   Array.iter (fun sh -> flush_log t ctx sh ~template ~target:0) t.shards
 
 (* ------------------------------------------------------------------ *)
+(* Shard visits                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* What a visit does to each page of the range on the shard. *)
+type action =
+  | Resident  (* check residency (no promotion); stop at the first miss *)
+  | Admit_clean  (* insert or refresh, clear the dirty bit *)
+  | Admit_dirty  (* insert or refresh, set the dirty bit *)
+  | Serve  (* a demand hit: refresh, consume the prefetch mark *)
+  | Mark_dirty  (* set the dirty bit on resident pages *)
+
+(* Apply [action] to one page (under the shard lock); false only for a
+   non-resident page under [Resident]. *)
+let page_action t sh action p =
+  match action with
+  | Resident -> sh.pol.pol_mem p
+  | Mark_dirty ->
+      if sh.pol.pol_mem p then Hashtbl.replace sh.dirty p ();
+      true
+  | Admit_clean | Admit_dirty | Serve ->
+      ignore (sh.pol.pol_touch p);
+      consume_prefetched t sh ~demand_read:(action = Serve) p;
+      (match action with
+      | Admit_dirty -> Hashtbl.replace sh.dirty p ()
+      | Admit_clean -> Hashtbl.remove sh.dirty p
+      | _ -> ());
+      note_evictions t sh;
+      true
+
+(* The range's pages on one shard, in ascending order: chunk [c0], then
+   every [nshards]-th chunk up to [cl]. Stops at the first false page. *)
+let visit_pages t sh action ~first ~last ~c0 ~cl =
+  let ok = ref true and c = ref c0 in
+  while !ok && !c <= cl do
+    let lo = Stdlib.max first (!c lsl chunk_shift) in
+    let hi = Stdlib.min last ((!c lsl chunk_shift) + chunk_pages - 1) in
+    let p = ref lo in
+    while !ok && !p <= hi do
+      ok := page_action t sh action !p;
+      incr p
+    done;
+    c := !c + t.cfg.nshards
+  done;
+  !ok
+
+(* Visit every shard the range touches, in ascending shard id so
+   concurrent requests always take shard locks in the same order, each
+   once under its lock. Admits charge the insert cost per page on the
+   shard; admits and hits may trigger a write-back flush after the
+   lock is released. A [Resident] visit stops at the first shard with
+   a non-resident page and returns false. *)
+let visit_shards t ctx req action ~first ~last =
+  let n = t.cfg.nshards in
+  let cf = first lsr chunk_shift and cl = last lsr chunk_shift in
+  let s0, s1 = if cf = cl then (cf mod n, cf mod n) else (0, n - 1) in
+  let ok = ref true and s = ref s0 in
+  while !ok && !s <= s1 do
+    let c0 = first_chunk_on t !s cf in
+    if c0 <= cl then begin
+      let sh = t.shards.(!s) in
+      enter ctx sh;
+      (match action with
+      | Admit_clean | Admit_dirty ->
+          let machine = ctx.Labmod.machine in
+          Machine.compute machine ~thread:ctx.Labmod.thread
+            (machine.Machine.costs.Costs.cache_insert_ns
+            *. Stdlib.float_of_int (pages_on t ~first ~last ~c0 ~cl))
+      | Resident | Serve | Mark_dirty -> ());
+      ok := visit_pages t sh action ~first ~last ~c0 ~cl;
+      leave sh;
+      match action with
+      | Admit_clean | Admit_dirty | Serve -> maybe_flush t ctx sh ~template:req
+      | Resident | Mark_dirty -> ()
+    end;
+    incr s
+  done;
+  !ok
+
+(* ------------------------------------------------------------------ *)
 (* Readahead                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -331,31 +406,66 @@ let stream_of t req =
   let key =
     match req.Request.hint_stream with Some s -> s | None -> req.Request.pid
   in
-  match Hashtbl.find_opt t.streams key with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.streams key with
+  | s -> s
+  | exception Not_found ->
       let s = { next_page = Stdlib.min_int; window = 0 } in
       Hashtbl.replace t.streams key s;
       s
 
+(* A fill's completion: admit each page clean on success, or drop it
+   (a faulted fill has no data), then wake the page's demand readers —
+   only after the page is admitted or dropped, so their residency
+   re-check sees the outcome. *)
+let fill_arrived t ctx ~template ~start ~len r =
+  let ok = Request.is_ok r in
+  for p = start to start + len - 1 do
+    if ok then begin
+      let sh = shard_of t p in
+      enter ctx sh;
+      let machine = ctx.Labmod.machine in
+      Machine.compute machine ~thread:ctx.Labmod.thread
+        machine.Machine.costs.Costs.cache_insert_ns;
+      if not (sh.pol.pol_touch p) then Hashtbl.replace sh.prefetched p ();
+      note_evictions t sh;
+      leave sh;
+      maybe_flush t ctx sh ~template
+    end
+    else Metrics.incr t.ra_wasted;
+    match Hashtbl.find t.ra_inflight p with
+    | wq ->
+        Hashtbl.remove t.ra_inflight p;
+        ignore (Waitq.wake_all wq ());
+        t.ra_free <- wq :: t.ra_free
+    | exception Not_found -> ()
+  done
+
+let resident t p = (shard_of t p).pol.pol_mem p
+
+let ra_candidate t p = (not (Hashtbl.mem t.ra_inflight p)) && not (resident t p)
+
 (* Issue prefetch reads for [start .. start+count-1], skipping resident
-   and already-in-flight pages, merged into contiguous runs. Fills are
-   admitted clean in the completion callback — and dropped entirely
-   when the downstream read failed (a faulted fill has no data). *)
+   and already-in-flight pages, merged into contiguous runs of at most
+   [ra_max] pages. [forward_async] only schedules a fill, so no page's
+   state changes while the runs are cut. *)
 let issue_readahead t ctx ~template ~start ~count =
-  let candidates =
-    List.filter
-      (fun p ->
-        (not (Hashtbl.mem t.ra_inflight p))
-        && not ((shard_of t p).pol.pol_mem p))
-      (List.init count (fun i -> start + i))
-  in
-  List.iter
-    (fun (s, len) ->
-      let run_pages = List.init len (fun i -> s + i) in
-      List.iter
-        (fun p -> Hashtbl.replace t.ra_inflight p (Waitq.create ()))
-        run_pages;
+  let stop = start + count - 1 in
+  let p = ref start in
+  while !p <= stop do
+    if ra_candidate t !p then begin
+      let s = !p in
+      while !p <= stop && !p - s < t.cfg.ra_max && ra_candidate t !p do
+        let wq =
+          match t.ra_free with
+          | wq :: rest ->
+              t.ra_free <- rest;
+              wq
+          | [] -> Waitq.create ()
+        in
+        Hashtbl.replace t.ra_inflight !p wq;
+        incr p
+      done;
+      let len = !p - s in
       Metrics.incr ~by:len t.ra_issued;
       let io =
         derived_block template
@@ -367,32 +477,10 @@ let issue_readahead t ctx ~template ~start ~count =
           }
       in
       io.Request.prefetch <- true;
-      ctx.Labmod.forward_async io (fun r ->
-          let ok = Request.is_ok r in
-          List.iter
-            (fun p ->
-              if ok then begin
-                let sh = shard_of t p in
-                with_shard ctx sh (fun () ->
-                    let machine = ctx.Labmod.machine in
-                    Machine.compute machine ~thread:ctx.Labmod.thread
-                      machine.Machine.costs.Costs.cache_insert_ns;
-                    if not (sh.pol.pol_touch p) then
-                      Hashtbl.replace sh.prefetched p ();
-                    note_evictions t sh);
-                maybe_flush t ctx sh ~template
-              end
-              else Metrics.incr t.ra_wasted;
-              (* Wake demand readers only after the page is admitted
-                 (or definitively dropped), so their residency re-check
-                 sees the outcome. *)
-              match Hashtbl.find_opt t.ra_inflight p with
-              | Some wq ->
-                  Hashtbl.remove t.ra_inflight p;
-                  ignore (Waitq.wake_all wq ())
-              | None -> ())
-            run_pages))
-    (runs_of_pages candidates ~max_batch:t.cfg.ra_max)
+      ctx.Labmod.forward_async io (fill_arrived t ctx ~template ~start:s ~len)
+    end
+    else incr p
+  done
 
 (* Sequential-stream detection on demand reads: a read continuing
    exactly at the stream's last end ramps the window (ra_min, doubling,
@@ -415,20 +503,87 @@ let track_and_prefetch t ctx req ~first ~last =
     end
   end
 
-(* Park until every in-flight fill among [pages] has arrived. *)
-let wait_for_fills t pages =
-  List.iter
-    (fun p ->
-      match Hashtbl.find_opt t.ra_inflight p with
-      | Some wq ->
-          let slot = ref None in
-          Waitq.park wq slot
-      | None -> ())
-    pages
+(* When every non-resident page of the range has a prefetch fill in
+   flight, park until each of those fills has arrived and return true;
+   otherwise return false at once, without waiting. *)
+let ride_fills t ~first ~last =
+  let missing = ref 0 and riding = ref true and p = ref first in
+  while !riding && !p <= last do
+    if not (resident t !p) then begin
+      incr missing;
+      riding := Hashtbl.mem t.ra_inflight !p
+    end;
+    incr p
+  done;
+  !riding && !missing > 0
+  && begin
+       (* Only the pages missing now are waited for, even if a resident
+          one is evicted and refetched while this reader is parked. *)
+       let waited = Bytes.make (last - first + 1) '\000' in
+       for p = first to last do
+         if not (resident t p) then Bytes.set waited (p - first) '\001'
+       done;
+       for p = first to last do
+         if Bytes.get waited (p - first) = '\001' then
+           match Hashtbl.find t.ra_inflight p with
+           | wq -> Waitq.park wq (ref None)
+           | exception Not_found -> ()
+       done;
+       true
+     end
 
 (* ------------------------------------------------------------------ *)
 (* The data path                                                       *)
 (* ------------------------------------------------------------------ *)
+
+let serve_hit t ctx req ~home ~first ~last ~bytes =
+  Metrics.incr t.hit_count;
+  home.sh_hits <- home.sh_hits + 1;
+  trace_instant ctx req "cache_hit";
+  ignore (visit_shards t ctx req Serve ~first ~last);
+  let machine = ctx.Labmod.machine in
+  Machine.compute machine ~thread:ctx.Labmod.thread
+    (Costs.copy_cost machine.Machine.costs bytes);
+  Request.Size bytes
+
+let demand_miss t ctx req ~home ~first ~last ~bytes =
+  Metrics.incr t.miss_count;
+  home.sh_misses <- home.sh_misses + 1;
+  trace_instant ctx req "cache_miss";
+  let result = ctx.Labmod.forward req in
+  (* Never admit a page whose fill failed: a faulted read left no data
+     to cache, and admitting it would serve garbage on the next (hit)
+     access. *)
+  if Request.is_ok result then begin
+    let machine = ctx.Labmod.machine in
+    Machine.compute machine ~thread:ctx.Labmod.thread
+      (Costs.copy_cost machine.Machine.costs bytes);
+    ignore (visit_shards t ctx req Admit_clean ~first ~last)
+  end;
+  result
+
+(* Hit and miss are charged to the range's first (home) shard. *)
+let read t ctx req ~first ~last ~bytes =
+  let machine = ctx.Labmod.machine in
+  Machine.compute machine ~thread:ctx.Labmod.thread
+    (machine.Machine.costs.Costs.cache_lookup_ns
+    *. Stdlib.float_of_int (last - first + 1));
+  let home = shard_of t first in
+  if visit_shards t ctx req Resident ~first ~last then
+    serve_hit t ctx req ~home ~first ~last ~bytes
+  else if (not req.Request.prefetch) && ride_fills t ~first ~last then begin
+    (* The fills arrived: served from cache after a short wait, like
+       Linux waiting on a locked page — unless one faulted or its page
+       was already evicted. *)
+    let all = ref true and p = ref first in
+    while !all && !p <= last do
+      all := resident t !p;
+      incr p
+    done;
+    if !all then serve_hit t ctx req ~home ~first ~last ~bytes
+    else demand_miss t ctx req ~home ~first ~last ~bytes
+  end
+  else demand_miss t ctx req ~home ~first ~last ~bytes
 
 let operate t ctx req =
   match req.Request.payload with
@@ -436,136 +591,32 @@ let operate t ctx req =
       (* Force-unit-access traffic (journal/flush writes) bypasses the
          cache and goes straight to the device. *)
       ctx.Labmod.forward req
-  | Request.Block { b_kind; b_lba; b_bytes; b_sync = false } -> (
+  | Request.Block { b_kind = Request.Write; b_lba; b_bytes; b_sync = false } ->
+      let first = b_lba and last = last_page t ~first:b_lba ~bytes:b_bytes in
       let machine = ctx.Labmod.machine in
-      let costs = machine.Machine.costs in
-      let copy = Costs.copy_cost costs b_bytes in
-      let pages = pages_of ~page_bytes:t.cfg.page_bytes b_lba b_bytes in
-      let npages = Stdlib.float_of_int (List.length pages) in
-      let first = List.hd pages in
-      let last = first + List.length pages - 1 in
-      let groups = group_by_shard t pages in
-      let home = shard_of t first in  (* shard charged with the hit/miss *)
-      (* Insert/refresh [ps] in [sh]; dirty_of decides the dirty bit. *)
-      let admit_group ~dirty ~demand_read (sh, ps) =
-        with_shard ctx sh (fun () ->
-            Machine.compute machine ~thread:ctx.Labmod.thread
-              (costs.Costs.cache_insert_ns
-              *. Stdlib.float_of_int (List.length ps));
-            List.iter
-              (fun p ->
-                ignore (sh.pol.pol_touch p);
-                consume_prefetched t sh ~demand_read p;
-                if dirty then Hashtbl.replace sh.dirty p ()
-                else Hashtbl.remove sh.dirty p;
-                note_evictions t sh)
-              ps);
-        maybe_flush t ctx sh ~template:req
-      in
-      match b_kind with
-      | Request.Write ->
-          Machine.compute machine ~thread:ctx.Labmod.thread copy;
-          if t.cfg.write_through then begin
-            (* Copy in + insert clean, then persist synchronously. *)
-            List.iter (admit_group ~dirty:false ~demand_read:false) groups;
-            let result = ctx.Labmod.forward req in
-            (* Device fault: the cache copy is now the only good copy;
-               mark it dirty so eviction retries the persist. *)
-            if not (Request.is_ok result) then
-              List.iter
-                (fun (sh, ps) ->
-                  with_shard ctx sh (fun () ->
-                      List.iter
-                        (fun p ->
-                          if sh.pol.pol_mem p then
-                            Hashtbl.replace sh.dirty p ())
-                        ps))
-                groups;
-            result
-          end
-          else begin
-            (* Write-back: absorbed here; the data reaches the device
-               when its pages are evicted (or the log is drained). *)
-            List.iter (admit_group ~dirty:true ~demand_read:false) groups;
-            Request.Size b_bytes
-          end
-      | Request.Read ->
-          Machine.compute machine ~thread:ctx.Labmod.thread
-            (costs.Costs.cache_lookup_ns *. npages);
-          let resident_under_locks () =
-            List.for_all
-              (fun ((sh : shard), ps) ->
-                with_shard ctx sh (fun () ->
-                    List.for_all (fun p -> sh.pol.pol_mem p) ps))
-              groups
-          in
-          let serve_hit () =
-            List.iter
-              (fun ((sh : shard), ps) ->
-                with_shard ctx sh (fun () ->
-                    List.iter
-                      (fun p ->
-                        ignore (sh.pol.pol_touch p);
-                        consume_prefetched t sh ~demand_read:true p;
-                        note_evictions t sh)
-                      ps);
-                maybe_flush t ctx sh ~template:req)
-              groups;
-            Machine.compute machine ~thread:ctx.Labmod.thread copy;
-            Request.Size b_bytes
-          in
-          let demand_miss () =
-            Metrics.incr t.miss_count;
-            home.sh_misses <- home.sh_misses + 1;
-            trace_instant ctx req "cache_miss";
-            let result = ctx.Labmod.forward req in
-            (* Never admit a page whose fill failed: a faulted read left
-               no data to cache, and admitting it would serve garbage on
-               the next (hit) access. *)
-            if Request.is_ok result then begin
-              Machine.compute machine ~thread:ctx.Labmod.thread copy;
-              List.iter (admit_group ~dirty:false ~demand_read:false) groups
-            end;
-            result
-          in
-          let result =
-            if resident_under_locks () then begin
-              Metrics.incr t.hit_count;
-              home.sh_hits <- home.sh_hits + 1;
-              trace_instant ctx req "cache_hit";
-              serve_hit ()
-            end
-            else begin
-              (* When every missing page already has a prefetch fill in
-                 flight, ride that fill instead of issuing a duplicate
-                 downstream read. *)
-              let missing =
-                List.filter (fun p -> not ((shard_of t p).pol.pol_mem p)) pages
-              in
-              if
-                (not req.Request.prefetch)
-                && missing <> []
-                && List.for_all (fun p -> Hashtbl.mem t.ra_inflight p) missing
-              then begin
-                wait_for_fills t missing;
-                if
-                  List.for_all (fun p -> (shard_of t p).pol.pol_mem p) pages
-                then begin
-                  (* The fill arrived: served from cache after a short
-                     wait, like Linux waiting on a locked page. *)
-                  Metrics.incr t.hit_count;
-                  home.sh_hits <- home.sh_hits + 1;
-                  trace_instant ctx req "cache_hit";
-                  serve_hit ()
-                end
-                else demand_miss () (* fill faulted or already evicted *)
-              end
-              else demand_miss ()
-            end
-          in
-          if not req.Request.prefetch then
-            track_and_prefetch t ctx req ~first ~last;
-          result)
+      Machine.compute machine ~thread:ctx.Labmod.thread
+        (Costs.copy_cost machine.Machine.costs b_bytes);
+      if t.cfg.write_through then begin
+        (* Copy in + insert clean, then persist synchronously. *)
+        ignore (visit_shards t ctx req Admit_clean ~first ~last);
+        let result = ctx.Labmod.forward req in
+        (* Device fault: the cache copy is now the only good copy; mark
+           it dirty so eviction retries the persist. *)
+        if not (Request.is_ok result) then
+          ignore (visit_shards t ctx req Mark_dirty ~first ~last);
+        result
+      end
+      else begin
+        (* Write-back: absorbed here; the data reaches the device when
+           its pages are evicted (or the log is drained). *)
+        ignore (visit_shards t ctx req Admit_dirty ~first ~last);
+        Request.Size b_bytes
+      end
+  | Request.Block { b_kind = Request.Read; b_lba; b_bytes; b_sync = false } ->
+      let first = b_lba and last = last_page t ~first:b_lba ~bytes:b_bytes in
+      let result = read t ctx req ~first ~last ~bytes:b_bytes in
+      if not req.Request.prefetch then track_and_prefetch t ctx req ~first ~last;
+      result
   | Request.Control _ ->
       (* fsync-like hook: flush every shard's write-back log, then let
          the control message continue downstream. *)

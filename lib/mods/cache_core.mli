@@ -40,8 +40,8 @@ type policy = {
   pol_touch : int -> bool;
       (** record an access (promote or admit); true when the page was
           already resident. May evict. *)
-  pol_evicted : unit -> int list;
-      (** pages evicted by the most recent [pol_touch] *)
+  pol_evicted : unit -> int;
+      (** the page evicted by the most recent [pol_touch], or -1 *)
   pol_live : unit -> int;  (** resident page count *)
 }
 

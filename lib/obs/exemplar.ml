@@ -16,13 +16,15 @@
    contents deterministic for a deterministic run.
 
    The default threshold is adaptive: the store keeps a [Hist] of every
-   offered latency and promotes what clears its corrected p99. The
-   histogram's estimate never exceeds its exact running max, so a new
-   slowest-so-far request always promotes. The store owns its instance
-   rather than reading the registry's "client.latency_ns": it sees one
-   sample per traced attempt (offered at [Trace.finish]), the registry
-   one per logical request after retries, and sharing would change
-   promotion decisions. Callers can instead wire an explicit closure —
+   offered latency and, while it has a free slot, promotes what clears
+   its corrected p99. The histogram's estimate never exceeds its exact
+   running max, so a new slowest-so-far request always promotes. Once
+   full, only the compare against the stored minimum decides (see
+   [offer]). The store owns its instance rather than reading the
+   registry's "client.latency_ns": it sees one sample per traced
+   attempt (offered at [Trace.finish]), the registry one per logical
+   request after retries, and sharing would change promotion
+   decisions. Callers can instead wire an explicit closure —
    a fixed [exemplar_tail_us] floor, or any live signal. *)
 
 (* Stage slots per captured request. The deepest stock stack
@@ -46,6 +48,7 @@ type t = {
   k : int;
   entries : entry array;
   mutable n : int; (* live entries, <= k *)
+  mutable min_i : int; (* once full: the first entry of least latency *)
   hist : Hist.t; (* every offered latency, for the adaptive p99 *)
   threshold : (unit -> float) option; (* None = adaptive p99 *)
   mutable offered : int;
@@ -73,6 +76,7 @@ let create ?threshold ~k () =
     k;
     entries = Array.init k (fun _ -> fresh_entry ());
     n = 0;
+    min_i = 0;
     hist = Hist.create ();
     threshold;
     offered = 0;
@@ -103,34 +107,43 @@ let fill e ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s =
   Array.blit t0s 0 e.e_t0s 0 n;
   Array.blit t1s 0 e.e_t1s 0 n
 
+(* First minimum on ties, so the incumbent order is deterministic. *)
+let find_min t =
+  let mi = ref 0 in
+  for i = 1 to t.k - 1 do
+    if t.entries.(i).e_latency < t.entries.(!mi).e_latency then mi := i
+  done;
+  t.min_i <- !mi
+
 (* Offer one completed request. Arrays belong to the caller's pooled
    flow buffer and are only read during the call; on promotion the
    first [n] records are copied into a preallocated slot. Returns
-   [true] iff promoted. *)
+   [true] iff promoted.
+
+   Once the store is full, the compare against the stored minimum
+   decides, not the adaptive p99: that estimate is its bucket's upper
+   bound clamped to the running max, so under overload the slowest 1%
+   share the max's bucket and a request in the global top K, but below
+   the max when offered, would be recycled. An explicit threshold still
+   applies: it is a floor the caller chose. *)
 let offer t ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s =
   t.offered <- t.offered + 1;
   Hist.observe t.hist latency;
   let n = Stdlib.min n stage_capacity in
-  if t.k = 0 || latency < threshold_ns t then begin
+  if t.k = 0 then begin
     t.recycled <- t.recycled + 1;
     false
   end
-  else if t.n < t.k then begin
-    fill t.entries.(t.n) ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s;
-    t.n <- t.n + 1;
-    t.promoted <- t.promoted + 1;
-    true
-  end
-  else begin
-    (* Full: replace the strictly-smallest latency (first minimum on
-       ties — deterministic). Equal latencies keep the incumbent. *)
-    let mi = ref 0 in
-    for i = 1 to t.k - 1 do
-      if t.entries.(i).e_latency < t.entries.(!mi).e_latency then mi := i
-    done;
-    if latency > t.entries.(!mi).e_latency then begin
-      fill t.entries.(!mi) ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s
-        ~t1s;
+  else if t.n = t.k then begin
+    (* Full: replace the strictly-smallest latency. Equal latencies keep
+       the incumbent. *)
+    let e = t.entries.(t.min_i) in
+    if
+      latency > e.e_latency
+      && match t.threshold with Some f -> latency >= f () | None -> true
+    then begin
+      fill e ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s;
+      find_min t;
       t.evicted <- t.evicted + 1;
       t.promoted <- t.promoted + 1;
       true
@@ -139,6 +152,17 @@ let offer t ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s =
       t.recycled <- t.recycled + 1;
       false
     end
+  end
+  else if latency < threshold_ns t then begin
+    t.recycled <- t.recycled + 1;
+    false
+  end
+  else begin
+    fill t.entries.(t.n) ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s;
+    t.n <- t.n + 1;
+    if t.n = t.k then find_min t;
+    t.promoted <- t.promoted + 1;
+    true
   end
 
 (* ---- read-out ----------------------------------------------------- *)

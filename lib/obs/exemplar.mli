@@ -21,11 +21,13 @@ val create : ?threshold:(unit -> float) -> k:int -> unit -> t
 (** [k] slots ([k = 0] disables the store: every offer recycles).
     Without [threshold] the store is self-adaptive: it keeps its own
     {!Hist} of every offered latency (one per traced attempt, not the
-    registry's per-request "client.latency_ns") and promotes what
-    clears its corrected p99 (whose estimate never exceeds the exact
-    running max, so a new slowest-so-far always promotes). An explicit
-    [threshold] closure (ns) overrides that; it is re-read on every
-    offer, so it can track any live signal. *)
+    registry's per-request "client.latency_ns") and, while a slot is
+    free, promotes what clears its corrected p99 (whose estimate never
+    exceeds the exact running max, so a new slowest-so-far always
+    promotes). Once the store is full, an offer promotes exactly when
+    it beats the stored minimum. An explicit [threshold] closure (ns)
+    overrides the p99 and applies whether full or not; it is re-read on
+    every offer, so it can track any live signal. *)
 
 val offer :
   t ->

@@ -1,93 +1,96 @@
-type ('k, 'v) node = {
-  key : 'k;
+(* Doubly-linked recency list threaded through a sentinel: the list is
+   circular, [s.next] is the MRU node and [s.prev] the LRU node, so
+   links are never options and unlinking needs no head/tail cases. *)
+
+type 'v node = {
+  key : int;
   mutable value : 'v;
-  mutable prev : ('k, 'v) node option;  (* towards MRU *)
-  mutable next : ('k, 'v) node option;  (* towards LRU *)
+  mutable prev : 'v node;  (* towards MRU *)
+  mutable next : 'v node;  (* towards LRU *)
 }
 
-type ('k, 'v) t = {
-  cap : int option;
-  table : ('k, ('k, 'v) node) Hashtbl.t;
-  mutable head : ('k, 'v) node option;  (* MRU *)
-  mutable tail : ('k, 'v) node option;  (* LRU *)
-}
+module Tbl = Hashtbl.Make (Int)
+
+type 'v t = { cap : int; table : 'v node Tbl.t; s : 'v node }
 
 let create ?capacity () =
-  (match capacity with
-  | Some c when c <= 0 -> invalid_arg "Lru.create: capacity must be positive"
-  | _ -> ());
-  { cap = capacity; table = Hashtbl.create 64; head = None; tail = None }
+  let cap =
+    match capacity with
+    | Some c when c <= 0 -> invalid_arg "Lru.create: capacity must be positive"
+    | Some c -> c
+    | None -> max_int
+  in
+  (* The sentinel's value is never read: every traversal stops at it. *)
+  let rec s = { key = min_int; value = Obj.magic (); prev = s; next = s } in
+  { cap; table = Tbl.create 64; s }
 
-let capacity t = t.cap
+let length t = Tbl.length t.table
 
-let length t = Hashtbl.length t.table
+let mem t k = Tbl.mem t.table k
 
-let mem t k = Hashtbl.mem t.table k
-
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let unlink n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
 
 let push_front t n =
-  n.next <- t.head;
-  n.prev <- None;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
+  let s = t.s in
+  n.prev <- s;
+  n.next <- s.next;
+  s.next.prev <- n;
+  s.next <- n
 
 let promote t n =
-  if t.head != Some n then begin
-    unlink t n;
+  if t.s.next != n then begin
+    unlink n;
     push_front t n
   end
 
+let touch t k =
+  match Tbl.find t.table k with
+  | n ->
+      promote t n;
+      true
+  | exception Not_found -> false
+
 let find t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> None
-  | Some n ->
+  match Tbl.find t.table k with
+  | n ->
       promote t n;
       Some n.value
-
-let peek t k =
-  match Hashtbl.find_opt t.table k with None -> None | Some n -> Some n.value
+  | exception Not_found -> None
 
 let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> None
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.table k;
+  match Tbl.find t.table k with
+  | n ->
+      unlink n;
+      Tbl.remove t.table k;
       Some n.value
-
-let evict_lru t =
-  match t.tail with
-  | None -> None
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.table n.key;
-      Some (n.key, n.value)
+  | exception Not_found -> None
 
 let put t k v =
-  match Hashtbl.find_opt t.table k with
-  | Some n ->
+  match Tbl.find t.table k with
+  | n ->
       n.value <- v;
       promote t n;
       None
-  | None ->
-      let n = { key = k; value = v; prev = None; next = None } in
-      Hashtbl.replace t.table k n;
+  | exception Not_found ->
+      let s = t.s in
+      let n = { key = k; value = v; prev = s; next = s } in
+      Tbl.replace t.table k n;
       push_front t n;
-      (match t.cap with
-      | Some c when Hashtbl.length t.table > c -> evict_lru t
-      | _ -> None)
+      if Tbl.length t.table > t.cap then begin
+        let victim = s.prev in
+        unlink victim;
+        Tbl.remove t.table victim.key;
+        Some (victim.key, victim.value)
+      end
+      else None
 
-let lru t = match t.tail with None -> None | Some n -> Some (n.key, n.value)
+let lru t =
+  let n = t.s.prev in
+  if n == t.s then None else Some (n.key, n.value)
 
 let fold f t acc =
-  let rec go node acc =
-    match node with None -> acc | Some n -> go n.next (f n.key n.value acc)
-  in
-  go t.head acc
-
-let to_list t = List.rev (fold (fun k v acc -> (k, v) :: acc) t [])
+  let s = t.s in
+  let rec go n acc = if n == s then acc else go n.next (f n.key n.value acc) in
+  go s.next acc

@@ -413,6 +413,181 @@ let test_arc_ghost_lists_under_readahead () =
         shards)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned schedule                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Four concurrent clients on a 4-shard write-back lru_cache with
+   readahead and a low write-back watermark, plus a write-through twin,
+   over a downstream that takes device-like time and fails writes that
+   touch pages 200..203 or 900..903. Forwards run in spawned processes,
+   as in [Exec]:
+   - client 0 streams 80 one-page reads: readahead ramps, its reads
+     ride in-flight fills, and the window crosses into shard 1;
+   - client 1 reads and writes ranges that cross 64-page chunks (two
+     and three shards);
+   - client 2 writes 96 pages onto shard 3, whose 64-page share evicts
+     them dirty into watermark flushes (one fails), then re-reads two
+     evicted pages;
+   - client 3 writes through the twin and hits the device fault.
+   A final Control drains the write-back logs. Every completion and
+   downstream op with its instant, the event count and the per-shard
+   counters are pinned, so a change to the cache's schedule shows here
+   event for event. *)
+let pinned_cache_scenario () =
+  let m = Machine.create ~ncores:4 () in
+  let e = m.Machine.engine in
+  let log = Buffer.create 8192 in
+  let forward (r : Request.t) =
+    match r.Request.payload with
+    | Request.Block { b_kind; b_lba; b_bytes; _ } ->
+        Engine.wait (6_000.0 +. (Stdlib.float_of_int b_bytes /. 4.0));
+        let write = b_kind = Request.Write in
+        Printf.bprintf log "%s%d+%d%s@%.0f;"
+          (if write then "W" else "R")
+          b_lba (b_bytes / 4096)
+          (if r.Request.prefetch then "p" else "")
+          (Machine.now m);
+        let touches lo = b_lba <= lo + 3 && b_lba + (b_bytes / 4096) > lo in
+        if write && (touches 200 || touches 900) then
+          Request.failed_errno "EIO" "injected"
+        else Request.Done
+    | _ -> Request.Done
+  in
+  let attrs ~write_through =
+    [
+      ("capacity_mb", Yamlite.Int 1);
+      ("shards", Yamlite.Int 4);
+      ("readahead", Yamlite.Bool true);
+      ("wb_high", Yamlite.Int 4);
+      ("wb_low", Yamlite.Int 1);
+      ("write_through", Yamlite.Bool write_through);
+    ]
+  in
+  let cache uuid ~write_through =
+    Lru_cache.factory () ~uuid ~attrs:(attrs ~write_through)
+  in
+  let wb = cache "pin-wb" ~write_through:false in
+  let wt = cache "pin-wt" ~write_through:true in
+  let next_id = ref 0 in
+  let run labmod ~th ~tag ?stream payload =
+    incr next_id;
+    let req =
+      Request.make ~id:!next_id ~pid:(th + 1) ~uid:0 ~thread:th ~stack_id:1
+        ~now:(Machine.now m) payload
+    in
+    req.Request.hint_stream <- stream;
+    let ctx =
+      {
+        Labmod.machine = m;
+        thread = th;
+        forward;
+        forward_async = (fun r k -> Engine.spawn e (fun () -> k (forward r)));
+      }
+    in
+    let res = labmod.Labmod.ops.Labmod.operate labmod ctx req in
+    Printf.bprintf log "c%d.%s:%s@%.0f;" th tag
+      (match res with
+      | Request.Size n -> string_of_int n
+      | Request.Done -> "done"
+      | Request.Failed _ -> "failed"
+      | _ -> "other")
+      (Machine.now m)
+  in
+  let rd labmod ~th ~tag ?stream lba pages =
+    run labmod ~th ~tag ?stream (block Request.Read ~lba ~bytes:(pages * 4096))
+  in
+  let wr labmod ~th ~tag lba pages =
+    run labmod ~th ~tag (block Request.Write ~lba ~bytes:(pages * 4096))
+  in
+  Machine.spawn m (fun () ->
+      let all_done = Engine.join 4 in
+      let client body =
+        Engine.spawn e (fun () ->
+            body ();
+            Engine.arrive all_done)
+      in
+      client (fun () ->
+          for i = 0 to 79 do
+            rd wb ~th:0 ~tag:(Printf.sprintf "r%d" i) ~stream:0 i 1;
+            Engine.wait 1_500.0
+          done);
+      client (fun () ->
+          for i = 0 to 5 do
+            (match i mod 3 with
+            | 0 -> rd wb ~th:1 ~tag:(Printf.sprintf "x%d" i) 60 8
+            | 1 -> wr wb ~th:1 ~tag:(Printf.sprintf "y%d" i) 124 8
+            | _ -> rd wb ~th:1 ~tag:(Printf.sprintf "z%d" i) 250 81);
+            Engine.wait 3_000.0
+          done);
+      client (fun () ->
+          for i = 0 to 47 do
+            let lba = if i < 32 then 192 + (2 * i) else 448 + (2 * (i - 32)) in
+            wr wb ~th:2 ~tag:(Printf.sprintf "w%d" i) lba 2;
+            Engine.wait 500.0
+          done;
+          rd wb ~th:2 ~tag:"back0" 192 1;
+          rd wb ~th:2 ~tag:"back1" 194 1);
+      client (fun () ->
+          for i = 0 to 7 do
+            wr wt ~th:3 ~tag:(Printf.sprintf "t%d" i) (896 + i) 1;
+            Engine.wait 2_000.0
+          done;
+          rd wt ~th:3 ~tag:"tread" 896 8);
+      Engine.await all_done;
+      run wb ~th:0 ~tag:"drain" (Request.Control 0));
+  Machine.run m;
+  (* Sorted pages as "a-b" runs of adjacent pages. *)
+  let runs pages =
+    let rec go acc = function
+      | [] -> List.rev acc
+      | p :: rest -> (
+          match acc with
+          | (a, b) :: tl when p = b + 1 -> go ((a, p) :: tl) rest
+          | _ -> go ((p, p) :: acc) rest)
+    in
+    String.concat ","
+      (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) (go [] pages))
+  in
+  let counters labmod =
+    let core = Option.get (Lru_cache.core labmod) in
+    String.concat " "
+      (List.map
+         (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+         (Cache_core.counter_list core @ Cache_core.shard_counter_list core))
+    ^ " dirty=" ^ runs (Cache_core.dirty_resident core)
+  in
+  ( Buffer.contents log,
+    Engine.events_executed e,
+    Machine.now m,
+    counters wb,
+    counters wt )
+
+let test_pinned_cache_schedule () =
+  let log, events, now, wb, wt = pinned_cache_scenario () in
+  (* Values captured while the cache path still built page lists and
+     a closure per shard visit. *)
+  if Digest.to_hex (Digest.string log) <> "f3b9ae0e664f47a4782b7a57992c159d"
+  then Alcotest.failf "completions or downstream ops changed:\n%s" log;
+  Alcotest.(check int) "events_executed" 1337 events;
+  Alcotest.(check string) "final time" "635929.200" (Printf.sprintf "%.3f" now);
+  Alcotest.(check string) "write-back counters"
+    "hits=77 misses=9 writeback_failures=8 readahead_issued=148 \
+     readahead_hits=69 readahead_wasted=30 dirty_evictions=38 flush_ops=11 \
+     flush_pages=38 shard0_hits=62 shard0_misses=4 shard0_evictions=0 \
+     shard1_hits=15 shard1_misses=1 shard1_evictions=4 shard2_hits=0 \
+     shard2_misses=0 shard2_evictions=0 shard3_hits=0 shard3_misses=4 \
+     shard3_evictions=34 dirty=124-131,226-249,448-479"
+    wb;
+  Alcotest.(check string) "write-through counters"
+    "hits=1 misses=0 writeback_failures=0 readahead_issued=0 \
+     readahead_hits=0 readahead_wasted=0 dirty_evictions=0 flush_ops=0 \
+     flush_pages=0 shard0_hits=0 shard0_misses=0 shard0_evictions=0 \
+     shard1_hits=0 shard1_misses=0 shard1_evictions=0 shard2_hits=1 \
+     shard2_misses=0 shard2_evictions=0 shard3_hits=0 shard3_misses=0 \
+     shard3_evictions=0 dirty=900-903"
+    wt
+
+(* ------------------------------------------------------------------ *)
 (* worker_max_inflight plumbing                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -450,6 +625,8 @@ let () =
           Alcotest.test_case "lru shards=4" `Quick test_sharded_lru_mod;
           Alcotest.test_case "arc ghost lists" `Quick
             test_arc_ghost_lists_under_readahead;
+          Alcotest.test_case "pinned cache schedule" `Quick
+            test_pinned_cache_schedule;
         ] );
       ( "runtime",
         [

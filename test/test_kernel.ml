@@ -166,6 +166,103 @@ let prop_lru_evicts_least_recent =
           Option.map fst evicted = expected_evict)
         keys)
 
+(* Random put/find/touch/remove/lru sequences at a small capacity
+   against an association list, most recent first: every result
+   (evictions included), the MRU-to-LRU fold order and the length
+   agree after each step, and the length never exceeds the capacity. *)
+type lru_op = Put of int * int | Find of int | Touch of int | Remove of int | Lru_of
+
+let lru_op_gen =
+  QCheck.Gen.(
+    let key = int_range 0 7 in
+    frequency
+      [
+        (4, map2 (fun k v -> Put (k, v)) key small_nat);
+        (2, map (fun k -> Find k) key);
+        (2, map (fun k -> Touch k) key);
+        (1, map (fun k -> Remove k) key);
+        (1, return Lru_of);
+      ])
+
+let show_lru_op = function
+  | Put (k, v) -> Printf.sprintf "put %d %d" k v
+  | Find k -> Printf.sprintf "find %d" k
+  | Touch k -> Printf.sprintf "touch %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Lru_of -> "lru"
+
+let prop_lru_matches_model =
+  QCheck.Test.make ~name:"LRU matches an association-list model" ~count:300
+    QCheck.(
+      pair (int_range 1 5)
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map show_lru_op ops))
+           Gen.(list_size (int_range 1 60) lru_op_gen)))
+    (fun (cap, ops) ->
+      let l = Lru.create ~capacity:cap () in
+      let model = ref [] in
+      let promote k v = model := (k, v) :: List.remove_assoc k !model in
+      let last () =
+        match List.rev !model with [] -> None | kv :: _ -> Some kv
+      in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Put (k, v) ->
+                let fresh = not (List.mem_assoc k !model) in
+                promote k v;
+                let evicted =
+                  if fresh && List.length !model > cap then begin
+                    let victim = last () in
+                    model := List.filteri (fun i _ -> i < cap) !model;
+                    victim
+                  end
+                  else None
+                in
+                Lru.put l k v = evicted
+            | Find k ->
+                let expect = List.assoc_opt k !model in
+                Option.iter (promote k) expect;
+                Lru.find l k = expect
+            | Touch k ->
+                let expect = List.assoc_opt k !model in
+                Option.iter (promote k) expect;
+                Lru.touch l k = (expect <> None)
+            | Remove k ->
+                let expect = List.assoc_opt k !model in
+                model := List.remove_assoc k !model;
+                Lru.remove l k = expect
+            | Lru_of -> Lru.lru l = last ()
+          in
+          agrees
+          && List.rev (Lru.fold (fun k v acc -> (k, v) :: acc) l []) = !model
+          && Lru.length l = List.length !model
+          && Lru.length l <= cap)
+        ops)
+
+(* A hit's promotion relinks the node through the sentinel: no option
+   link, no fresh block. *)
+let test_lru_touch_allocates_nothing () =
+  let l = Lru.create ~capacity:64 () in
+  for k = 0 to 63 do
+    ignore (Lru.put l k k)
+  done;
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let base = words ignore in
+  let touched =
+    words (fun () ->
+        for i = 1 to 10_000 do
+          if not (Lru.touch l (i * 7 land 63)) then Alcotest.fail "not resident"
+        done)
+  in
+  Alcotest.(check (float 0.0)) "minor words for 10k touches" 0.0
+    (touched -. base)
+
 (* ------------------------------------------------------------------ *)
 (* Kfs                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -408,6 +505,9 @@ let () =
           Alcotest.test_case "dirty tracking" `Quick test_cache_dirty_tracking;
           QCheck_alcotest.to_alcotest prop_lru_never_exceeds_capacity;
           QCheck_alcotest.to_alcotest prop_lru_evicts_least_recent;
+          QCheck_alcotest.to_alcotest prop_lru_matches_model;
+          Alcotest.test_case "touch allocates nothing" `Quick
+            test_lru_touch_allocates_nothing;
         ] );
       ( "kfs",
         [

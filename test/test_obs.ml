@@ -460,6 +460,28 @@ let test_exemplar_promote_recycle () =
   Alcotest.(check string) "json stable" (Exemplar.to_json store)
     (Exemplar.to_json store)
 
+let test_exemplar_full_store_top_bucket () =
+  (* Adaptive store: its p99 estimate is the top bucket's upper bound
+     clamped to the running max, so 1000.5 (in the max's bucket, below
+     the max) reads as under the p99. Once the store is full, beating
+     the stored minimum must still promote it. *)
+  let store = Exemplar.create ~k:2 () in
+  Alcotest.(check bool) "first fills a slot" true
+    (offer_simple store ~id:1 ~latency:1000.0);
+  Alcotest.(check bool) "new max fills the last slot" true
+    (offer_simple store ~id:2 ~latency:1001.0);
+  Alcotest.(check (float 0.0)) "p99 is the running max" 1001.0
+    (Exemplar.threshold_ns store);
+  Alcotest.(check bool) "below the max, above the stored min: promoted" true
+    (offer_simple store ~id:3 ~latency:1000.5);
+  Alcotest.(check bool) "equal to the new min: incumbent kept" false
+    (offer_simple store ~id:4 ~latency:1000.5);
+  Alcotest.(check bool) "below the min: recycled" false
+    (offer_simple store ~id:5 ~latency:999.0);
+  Alcotest.(check (list int)) "the two slowest, slowest first" [ 2; 3 ]
+    (List.map (fun v -> v.Exemplar.v_id) (Exemplar.dump store));
+  Alcotest.(check int) "one eviction" 1 (Exemplar.evicted store)
+
 let test_exemplar_stage_copy () =
   (* Promotion copies the stage arrays; the caller's buffers can be
      reused without corrupting the stored anatomy. *)
@@ -834,6 +856,8 @@ let () =
         [
           Alcotest.test_case "promote/recycle/evict" `Quick
             test_exemplar_promote_recycle;
+          Alcotest.test_case "full store: top bucket below max promotes"
+            `Quick test_exemplar_full_store_top_bucket;
           Alcotest.test_case "stage copy" `Quick test_exemplar_stage_copy;
           Alcotest.test_case "disabled" `Quick test_exemplar_disabled;
         ] );
