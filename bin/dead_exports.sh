@@ -3,15 +3,57 @@
 # no source file outside its own module (the .ml/.mli pair) mentions,
 # and every optional argument `?name:` declared in a lib/**/*.mli when
 # no file outside its module contains `~name` or `?name`; exits 1 if
-# there is any. A mention anywhere in a file counts, so a name another
-# module also uses counts as live: the guard can miss a dead export or
-# option but never flags a live one.
+# there is any. Comments, string literals (plain and {|quoted|}) and
+# character literals are blanked out first, so a name that appears
+# only in a comment or a string is no caller. Any other mention in a
+# file counts, so a name another module also uses counts as live: the
+# guard can miss a dead export or option but never flags a live one.
 # Usage: bin/dead_exports.sh
 set -eu
 cd "$(dirname "$0")/.."
 
 awk '
-    FNR == 1 { unit = FILENAME; sub(/\.mli?$/, "", unit) }
+    # A char literal at s[i] ('"'"'x'"'"', '"'"'\n'"'"', '"'"'\065'"'"'): its length, else 0 (a
+    # type variable or a primed name).
+    function charlit(s, i,    j) {
+      if (substr(s, i + 1, 1) == "\\") {
+        j = index(substr(s, i + 2), "'"'"'")
+        return (j >= 2 && j <= 4) ? j + 1 : 0
+      }
+      return (substr(s, i + 2, 1) == "'"'"'") ? 3 : 0
+    }
+    # The line with comments and literals blanked; depth, instr and
+    # inq carry the lexer state across lines.
+    function strip(s,    out, i, n, c, d, k) {
+      out = ""; n = length(s); i = 1
+      while (i <= n) {
+        c = substr(s, i, 1); d = substr(s, i, 2)
+        if (instr) {
+          if (c == "\\") i++
+          else if (c == "\"") instr = 0
+          i++
+        } else if (inq) {
+          if (d == "|}") { inq = 0; i++ }
+          i++
+        } else if (c == "'"'"'" && (k = charlit(s, i)) > 0) {
+          out = out " "; i += k
+        } else if (d == "(*") {
+          depth++; i += 2
+        } else if (depth > 0 && d == "*)") {
+          depth--; i += 2
+        } else if (c == "\"") {
+          instr = 1; out = out " "; i++
+        } else if (depth == 0 && d == "{|") {
+          inq = 1; out = out " "; i += 2
+        } else {
+          if (depth == 0) out = out c
+          i++
+        }
+      }
+      return out
+    }
+    FNR == 1 { unit = FILENAME; sub(/\.mli?$/, "", unit); depth = instr = inq = 0 }
+    { $0 = strip($0) }
     FILENAME ~ /^lib\/.*\.mli$/ && /^[ \t]*val[ \t]/ {
       v = $0
       sub(/^[ \t]*val[ \t]+/, "", v)

@@ -158,10 +158,11 @@ val errno_of_result : result -> string option
     Ordinary failures (e.g. ["labfs: no such file"]) yield [None]. *)
 
 val is_transient_failure : result -> bool
-(** True for [EIO], [ENODEV] and [ETORN] failures — the ones a client
-    may retry (with requeueing for [ENODEV], which means the device or
-    queue is gone rather than a retryable media error). [ETIMEDOUT] is
-    final. *)
+(** True for [EIO], [ENODEV], [ETORN] and [EAGAIN] failures — the ones
+    a client may retry (with requeueing for [ENODEV], which means the
+    device or queue is gone rather than a retryable media error;
+    [EAGAIN] is a QoS admission refusal, retried after the backoff).
+    [ETIMEDOUT] is final. *)
 
 val torn_persisted_of_result : result -> int option
 (** For an [ETORN] failure, the byte count the device persisted before

@@ -81,8 +81,6 @@ let doorbell_rings t = Lab_obs.Metrics.value t.rings
 
 let sq_stalls t = Lab_obs.Metrics.value t.sq_stall_count
 
-let cq_stalls t = Lab_obs.Metrics.value t.cq_stall_count
-
 (* Producers park on [sq_space] when the submission ring is full and are
    woken one-per-slot as the worker pops entries — no timed busy-retry.
    A woken producer may race another for the freed slot; FIFO park order
@@ -104,19 +102,14 @@ let rec submit t v =
     submit t v
   end
 
-let submit_n t vs =
-  let rec push = function
-    | [] -> ()
-    | v :: rest ->
-        if Ring.try_push t.sq v then push rest
-        else begin
-          sq_park t;
-          push (v :: rest)
-        end
-  in
-  push vs;
+let submit_n t vs n =
+  for i = 0 to n - 1 do
+    while not (Ring.try_push t.sq vs.(i)) do
+      sq_park t
+    done
+  done;
   (* One coalesced doorbell for the whole batch. *)
-  if vs <> [] then ring_bell t
+  if n > 0 then ring_bell t
 
 let try_completion t =
   match Ring.try_pop t.cq with
@@ -153,13 +146,6 @@ let poll_sq t =
       v
   | None -> None
 
-let poll_sq_n t n =
-  let vs = Ring.pop_n t.sq n in
-  List.iter (fun _ -> ignore (Waitq.wake t.sq_space ())) vs;
-  vs
-
-(* Array-batch poll: identical pop-then-wake-per-slot sequence as
-   [poll_sq_n], into a caller-owned scratch array. *)
 let poll_sq_into t dst n =
   let got = Ring.pop_into t.sq dst ~off:0 ~max:n in
   for _ = 1 to got do
@@ -193,5 +179,3 @@ let add_doorbell t b =
 let remove_doorbell t b = t.bells <- List.filter (fun b' -> not (b' == b)) t.bells
 
 let doorbell t = match t.bells with [] -> None | b :: _ -> Some b
-
-let doorbells t = t.bells

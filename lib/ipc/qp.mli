@@ -52,10 +52,11 @@ val submit : 'a t -> 'a -> unit
     SQ-space wait queue and is woken when the worker pops an entry.
     Must run inside a simulated process. *)
 
-val submit_n : 'a t -> 'a list -> unit
-(** Batched submit: enqueues every entry in order (parking on SQ space
-    as needed) and rings the doorbell {e once} for the whole batch —
-    the io_uring-style coalesced doorbell. Empty batches do not ring. *)
+val submit_n : 'a t -> 'a array -> int -> unit
+(** Batched submit: [submit_n t vs n] enqueues [vs.(0 ...)] through
+    [vs.(n-1)] in order (parking on SQ space as needed) and rings the
+    doorbell {e once} for the whole batch — the io_uring-style
+    coalesced doorbell. [n = 0] does not ring. *)
 
 val try_submit : 'a t -> 'a -> bool
 (** Non-blocking variant; still rings the doorbell on success. *)
@@ -80,15 +81,11 @@ val poll_sq : 'a t -> 'a option
 (** Non-blocking pop from the submission ring; wakes one producer
     parked on SQ space. *)
 
-val poll_sq_n : 'a t -> int -> 'a list
-(** Batched pop: up to [n] entries in FIFO order, waking one parked
-    producer per freed slot. *)
-
 val poll_sq_into : 'a t -> 'a array -> int -> int
-(** [poll_sq_into t dst n] pops up to [n] entries into [dst.(0 ...)]
-    and returns the count — the allocation-free counterpart of
-    {!poll_sq_n} (same pop-then-wake-per-slot sequence). The caller
-    owns [dst] and should dummy-out the filled prefix after processing
+(** Batched pop: [poll_sq_into t dst n] pops up to [n] entries in
+    FIFO order into [dst.(0 ...)], wakes one parked producer per freed
+    slot, and returns the count. Allocation-free. The caller owns
+    [dst] and should dummy-out the filled prefix after processing
     so the scratch array does not pin completed requests. *)
 
 val peek_sq : 'a t -> 'a option
@@ -114,9 +111,6 @@ val doorbell_rings : 'a t -> int
 val sq_stalls : 'a t -> int
 (** Times a producer parked on a full submission ring. *)
 
-val cq_stalls : 'a t -> int
-(** Times a completer parked on a full completion ring. *)
-
 val set_doorbell : 'a t -> unit Lab_sim.Waitq.t option -> unit
 (** Attaches the doorbell of the worker assigned to this queue: each
     submission wakes that worker if it is idle-parked. [None] clears
@@ -138,5 +132,3 @@ val add_ready_listener : 'a t -> (unit -> unit) -> unit
     Idempotent by physical equality, like {!add_doorbell}. *)
 
 val remove_ready_listener : 'a t -> (unit -> unit) -> unit
-
-val doorbells : 'a t -> unit Lab_sim.Waitq.t list

@@ -63,16 +63,6 @@ let push_n t vs =
   in
   go 0 vs
 
-let pop_n t n =
-  let rec go acc k =
-    if k <= 0 then List.rev acc
-    else
-      match try_pop t with
-      | None -> List.rev acc
-      | Some v -> go (v :: acc) (k - 1)
-  in
-  go [] n
-
 let pop_into (type a) (t : a t) (dst : a array) ~off ~max =
   if off < 0 || max < 0 || off + max > Array.length dst then
     invalid_arg "Ring.pop_into";

@@ -29,15 +29,12 @@ val push_n : 'a t -> 'a list -> int
 (** Pushes entries in order until the list is exhausted or the ring is
     full; returns how many were pushed. *)
 
-val pop_n : 'a t -> int -> 'a list
-(** Pops up to [n] entries in FIFO order (fewer if the ring drains). *)
-
 val pop_into : 'a t -> 'a array -> off:int -> max:int -> int
 (** [pop_into t dst ~off ~max] pops up to [max] entries in FIFO order
-    into [dst.(off ...)]; returns how many were popped. Allocation-free
-    counterpart of {!pop_n}. The caller should overwrite (or dummy-out)
-    the filled prefix after use if ['a] is heap-allocated, since [dst]
-    retains the entries. *)
+    (fewer if the ring drains) into [dst.(off ...)]; returns how many
+    were popped. Allocation-free. The caller should overwrite (or
+    dummy-out) the filled prefix after use if ['a] is heap-allocated,
+    since [dst] retains the entries. *)
 
 val total_pushed : 'a t -> int
 (** Lifetime count of successful pushes (producer index). *)

@@ -64,15 +64,9 @@ let drop t = t.dropped <- t.dropped + 1
 
 let recorded t = t.recorded
 
-let errors t = t.errors
-
 let dropped t = t.dropped
 
 let late t = t.late
-
-let corrected t = t.corrected
-
-let naive t = t.naive
 
 let lag t = t.lag
 

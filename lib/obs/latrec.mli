@@ -34,15 +34,8 @@ val drop : t -> unit
     to be shed at all is the signal. *)
 
 val recorded : t -> int
-val errors : t -> int
 val dropped : t -> int
 val late : t -> int
-
-val corrected : t -> Hist.t
-(** completed − scheduled: the CO-safe latency distribution. *)
-
-val naive : t -> Hist.t
-(** completed − sent: what a closed-loop bench would have reported. *)
 
 val lag : t -> Hist.t
 (** sent − scheduled: how far the generator fell behind its schedule. *)

@@ -69,8 +69,6 @@ let create ?(sample = 0) ?exemplars () =
   { sample; exemplars; rev_events = []; count = 0; pool = [||]; pool_n = 0 }
 
 let sample t = t.sample
-let enabled t = t.sample > 0
-let capture t = t.exemplars <> None
 
 (* Multiplicative hash (a 63-bit-safe odd constant from the SplitMix /
    xorshift family) decorrelates the sampling decision from id

@@ -40,12 +40,6 @@ val create : ?sample:int -> ?exemplars:Exemplar.t -> unit -> t
     stage capture for {e every} request (see {!Exemplar}). *)
 
 val sample : t -> int
-val enabled : t -> bool
-
-val capture : t -> bool
-(** [true] iff an exemplar store is attached (every request carries a
-    flow and records its stages). *)
-
 val sampled : t -> id:int -> bool
 (** Deterministic: [sample > 0] and a multiplicative hash of [id] is
     [0 mod sample]. The hash decorrelates sampling from id allocation

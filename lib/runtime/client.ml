@@ -67,7 +67,25 @@ type t = {
      errno failures and deadline misses record into it; ENODEV /
      ETIMEDOUT and deadline misses trigger black-box dumps. *)
   bb : Lab_obs.Flightrec.t option;
+  (* The pending set of the one submission in flight (a request or a
+     batch; a client is one thread's connection). Slot i holds the id
+     of entry i's outstanding attempt, or [closed] and then its result.
+     [outbox] holds the requests built since the last post. The client
+     owns these arrays, so a single request allocates none of them. *)
+  mutable slot_id : int array;
+  mutable slot_res : Request.result array;
+  mutable slots : int;
+  mutable left : int;  (* slots still open *)
+  mutable outbox : Request.t array;  (* as long as [slot_id] *)
+  mutable outbox_n : int;
+  (* Reap rounds ended so far: a deadline watchdog wakes the completion
+     waiters only while the round that spawned it is still running. *)
+  mutable rounds : int;
 }
+
+(* A slot's id once its attempt is over; request ids start at 1, so 0
+   marks a slot whose first attempt is not built yet. *)
+let closed = -1
 
 let pid t = t.c_pid
 
@@ -112,6 +130,14 @@ let connect runtime ~pid ~uid ~thread ?(recovery_timeout_ns = 1e10)
     pool = Request.Pool.create ();
     tenant = Runtime.tenant_for runtime ~uid;
     bb = Runtime.blackbox runtime;
+    slot_id = [| closed |];
+    slot_res = [| Request.Done |];
+    slots = 0;
+    left = 0;
+    outbox =
+      [| Request.make ~id:0 ~pid ~uid ~thread ~stack_id:0 ~now:0.0 (Request.Control 0) |];
+    outbox_n = 0;
+    rounds = 0;
   }
 
 let retries t = Metrics.value t.counters.fc_retries
@@ -167,23 +193,6 @@ let run_state_repair t =
         (Stack.mods stack (Runtime.registry t.runtime)))
     (Namespace.stacks (Runtime.namespace t.runtime))
 
-(* Wait for OUR completion. Completions for other request ids are stale
-   leftovers of attempts this client abandoned on a deadline miss —
-   discard them. A finite deadline is enforced by a watchdog process
-   (spawned by the dispatcher) that flushes the queue's waiters at the
-   deadline so we wake up and notice. *)
-let rec await_completion_or_crash t qp ~req_id ~deadline_abs =
-  match Qp.try_completion qp with
-  | Some req when req.Request.id = req_id -> Ok req
-  | Some _stale -> await_completion_or_crash t qp ~req_id ~deadline_abs
-  | None ->
-      if Machine.now (machine t) >= deadline_abs then Error `Deadline
-      else if Ipc_manager.online (Runtime.ipc t.runtime) then begin
-        Qp.wait_completion_event qp;
-        await_completion_or_crash t qp ~req_id ~deadline_abs
-      end
-      else Error `Crashed
-
 (* ---- flight-recorder hooks -----------------------------------------
    Each is one option check when no recorder is configured; recording
    never reads anything but the clock, so it cannot perturb a run. *)
@@ -197,8 +206,8 @@ let bb_submit t (req : Request.t) =
 
 (* A settled attempt: ok/failed completions record; a client-visible
    ENODEV (device gone) or ETIMEDOUT (time budget spent) triggers a
-   black-box dump. Deadline misses go through [bb_deadline] instead —
-   they are their own trigger category. *)
+   black-box dump. Deadline misses go through [deadline_miss]
+   instead. *)
 let bb_result t ~id result =
   match t.bb with
   | None -> ()
@@ -217,13 +226,17 @@ let bb_result t ~id result =
             ~arg:(if Request.is_ok result then 0 else 1)
             ())
 
-let bb_deadline t ~id =
-  match t.bb with
+(* A deadline miss is counted, recorded as its own black-box trigger
+   category and surfaced as a final ETIMEDOUT failure. *)
+let deadline_miss t ~id detail =
+  Metrics.incr t.counters.fc_deadline_misses;
+  (match t.bb with
   | None -> ()
   | Some bb ->
       let now = Machine.now (machine t) in
       Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Deadline ~now ~id ();
-      Lab_obs.Flightrec.trigger bb ~reason:"deadline_miss" ~now
+      Lab_obs.Flightrec.trigger bb ~reason:"deadline_miss" ~now);
+  Request.failed_errno "ETIMEDOUT" detail
 
 (* Request construction + LabStack/Module-Registry lookups the Runtime
    would otherwise perform. *)
@@ -237,34 +250,31 @@ let recover t =
   then raise Runtime_gone;
   run_state_repair t
 
-(* One dispatch of one attempt, transparently handling Runtime crashes
-   (resubmitting after repair) and exec-mode differences. A metered
-   client charges its tenant's token bucket and outstanding-op cap up
-   front — a refusal is an EAGAIN the retry policy backs off on — and
-   settles the admission (cap slot back, latency recorded) on every
-   exit, including before the crash-recovery resubmission, which is a
-   fresh attempt and must re-admit. *)
-let rec dispatch_once t (stack : Stack.t) payload ~hint ~stream ~scheduled
-    ~deadline_abs =
-  apply_decentralized_upgrades t;
-  let tenant_bytes = Request.payload_bytes payload in
-  let t_attempt = Machine.now (machine t) in
-  match t.tenant with
-  | Some tn
-    when not
-           (Tenant.admit (Runtime.qos t.runtime) tn ~bytes:tenant_bytes
-              ~now:t_attempt) ->
-      Request.failed_errno "EAGAIN"
-        (Printf.sprintf "tenant %d admission refused" (Tenant.ext_id tn))
-  | tenant ->
-  let settle ~ok =
-    match tenant with
-    | Some tn ->
-        Tenant.complete (Runtime.qos t.runtime) tn ~bytes:tenant_bytes
-          ~latency_ns:(Machine.now (machine t) -. t_attempt)
-          ~ok
-    | None -> ()
-  in
+(* ---- the submission path -------------------------------------------
+   One mechanism for one request and for a batch: [build] each request,
+   [post] what was built with one doorbell, [reap] the completions into
+   the pending set. [dispatch_once] and [run_batch] are its two
+   policies. *)
+
+type reaped = Done | Deadline | Crashed
+
+(* Starts a submission of [n] entries, all pending and none built. *)
+let open_slots t n =
+  if n > Array.length t.slot_id then begin
+    t.slot_id <- Array.make n closed;
+    t.slot_res <- Array.make n Request.Done;
+    t.outbox <- Array.make n t.outbox.(0)
+  end;
+  Array.fill t.slot_id 0 n 0;
+  t.slots <- n;
+  t.left <- n;
+  t.outbox_n <- 0
+
+(* Build: a pooled request stamped with the tenant, the open-loop
+   origin and its trace context, with the "submit" stage open. It
+   becomes slot [slot]'s outstanding attempt and waits in the outbox
+   for the next post. *)
+let build t (stack : Stack.t) ~slot payload ~hint ~stream ~scheduled =
   let req =
     Request.Pool.acquire t.pool
       ~id:(Runtime.next_request_id t.runtime)
@@ -274,7 +284,10 @@ let rec dispatch_once t (stack : Stack.t) payload ~hint ~stream ~scheduled
   in
   req.Request.hint_hctx <- hint;
   req.Request.hint_stream <- stream;
-  (match tenant with
+  (* The tenant stamp lets the scheduler's DRR stage meter every
+     request, batched ones too: a batch skips admission (it is one
+     doorbell, not a pacing point). *)
+  (match t.tenant with
   | Some tn -> req.Request.tenant <- Tenant.idx tn
   | None -> ());
   (* Open-loop origin: the arrival process intended this request at
@@ -301,88 +314,143 @@ let rec dispatch_once t (stack : Stack.t) payload ~hint ~stream ~scheduled
       Trace.open_stage fl ~name:"submit" ~now:req.Request.submitted_at
   | None -> ());
   bb_submit t req;
-  match stack.Stack.exec_mode with
-  | Stack_spec.Sync ->
-      (* The whole DAG runs in the client thread: no IPC, no central
-         authority — the Lab-D / fully-decentralized configuration. The
-         connector still builds the request and walks the namespace and
-         Module Registry itself. *)
-      charge t sync_dispatch_ns;
-      (match req.Request.trace with
-      | Some fl -> Trace.close_stage fl ~tid:t.c_thread ~now:(Machine.now (machine t))
-      | None -> ());
-      let result = Runtime.exec_request t.runtime ~thread:t.c_thread req in
-      (match req.Request.trace with
-      | Some fl -> Trace.finish fl ~tid:t.c_thread ~now:(Machine.now (machine t))
-      | None -> ());
-      bb_result t ~id:req.Request.id result;
-      (* The DAG ran to completion in this thread, so nothing can still
-         reference the request: recycle it. *)
-      Request.Pool.release t.pool req;
-      settle ~ok:(Request.is_ok result);
-      result
-  | Stack_spec.Async ->
-      if not (Ipc_manager.online (Runtime.ipc t.runtime)) then begin
-        settle ~ok:false;
-        recover t;
-        dispatch_once t stack payload ~hint ~stream ~scheduled ~deadline_abs
-      end
-      else begin
-        let qp = qp_for_stack t stack in
-        charge t (costs t).Costs.shmem_enqueue_ns;
-        Qp.submit qp req;
-        (* "submit" ends (and the queue wait begins) once the request is
-           in the submission ring. *)
-        (match req.Request.trace with
-        | Some fl ->
-            let now = Machine.now (machine t) in
-            Trace.close_stage fl ~tid:t.c_thread ~now;
-            Trace.open_stage fl ~name:"queue_wait" ~now
-        | None -> ());
-        (* Deadline watchdog: wake the completion waiters at the
-           deadline so a lost command cannot park us forever. *)
-        let settled = ref false in
-        if Float.is_finite deadline_abs then begin
-          let m = machine t in
-          Engine.spawn m.Machine.engine (fun () ->
-              let delay = deadline_abs -. Machine.now m in
-              if delay > 0.0 then Engine.wait delay;
-              if not !settled then Qp.wake_all_waiters qp)
+  t.slot_id.(slot) <- req.Request.id;
+  t.outbox.(t.outbox_n) <- req;
+  t.outbox_n <- t.outbox_n + 1;
+  req
+
+(* Post: push the outbox into the submission ring with one doorbell.
+   Per-entry enqueue work is still charged per request; only the wakeup
+   is amortized. "submit" ends, and the queue wait begins, once the
+   requests are in the ring. *)
+let post t qp =
+  let n = t.outbox_n in
+  charge t ((costs t).Costs.shmem_enqueue_ns *. Stdlib.float_of_int n);
+  Qp.submit_n qp t.outbox n;
+  t.outbox_n <- 0;
+  let now = Machine.now (machine t) in
+  for k = 0 to n - 1 do
+    match t.outbox.(k).Request.trace with
+    | Some fl ->
+        Trace.close_stage fl ~tid:t.c_thread ~now;
+        Trace.open_stage fl ~name:"queue_wait" ~now
+    | None -> ()
+  done
+
+(* The slot awaiting request [id] (from slot [i] on), or -1 for a stale
+   completion: the leftover of an attempt this client abandoned. *)
+let rec slot_of t id i =
+  if i = t.slots then -1 else if t.slot_id.(i) = id then i else slot_of t id (i + 1)
+
+(* Ends [req] with [result] in slot [i]: the trace finishes, the flight
+   recorder notes the result and the record goes back to the pool. *)
+let finish t i (req : Request.t) result =
+  (match req.Request.trace with
+  | Some fl -> Trace.finish fl ~tid:t.c_thread ~now:(Machine.now (machine t))
+  | None -> ());
+  bb_result t ~id:req.Request.id result;
+  t.slot_res.(i) <- result;
+  Request.Pool.release t.pool req
+
+let rec reap_loop t qp ~deadline_abs =
+  if t.left = 0 then Done
+  else
+    match Qp.try_completion qp with
+    | Some req ->
+        let i = slot_of t req.Request.id 0 in
+        if i >= 0 then begin
+          t.slot_id.(i) <- closed;
+          t.left <- t.left - 1;
+          (* Pull the completion cache line back to our core. *)
+          charge t (costs t).Costs.shmem_cross_core_ns;
+          (* Completion consumed: the Runtime is done with the record. *)
+          finish t i req
+            (Option.value req.Request.result
+               ~default:(Request.Failed "no result recorded"))
         end;
-        let outcome =
-          await_completion_or_crash t qp ~req_id:req.Request.id ~deadline_abs
-        in
-        settled := true;
-        match outcome with
-        | Ok done_req ->
-            (* Pull the completion cache line back to our core. *)
-            charge t (costs t).Costs.shmem_cross_core_ns;
-            (match done_req.Request.trace with
+        reap_loop t qp ~deadline_abs
+    | None ->
+        if Machine.now (machine t) >= deadline_abs then Deadline
+        else if Ipc_manager.online (Runtime.ipc t.runtime) then begin
+          Qp.wait_completion_event qp;
+          reap_loop t qp ~deadline_abs
+        end
+        else Crashed
+
+(* Reap: close every pending slot from the completion ring. A finite
+   deadline gets one watchdog, which wakes the completion waiters at
+   the deadline so a lost command cannot park the client forever. *)
+let reap t qp ~deadline_abs =
+  if Float.is_finite deadline_abs then begin
+    let m = machine t and round = t.rounds in
+    Engine.spawn m.Machine.engine (fun () ->
+        let delay = deadline_abs -. Machine.now m in
+        if delay > 0.0 then Engine.wait delay;
+        if t.rounds = round then Qp.wake_all_waiters qp)
+  end;
+  let outcome = reap_loop t qp ~deadline_abs in
+  t.rounds <- t.rounds + 1;
+  outcome
+
+(* One dispatch of one attempt, transparently handling Runtime crashes
+   (resubmitting after repair) and exec-mode differences. A metered
+   client charges its tenant's token bucket and outstanding-op cap up
+   front — a refusal is an EAGAIN the retry policy backs off on — and
+   settles the admission on every exit, including before the
+   crash-recovery resubmission, which is a fresh attempt and must
+   re-admit. *)
+let rec dispatch_once t (stack : Stack.t) payload ~hint ~stream ~scheduled
+    ~deadline_abs =
+  apply_decentralized_upgrades t;
+  let bytes = Request.payload_bytes payload in
+  let since = Machine.now (machine t) in
+  match t.tenant with
+  | Some tn
+    when not (Tenant.admit (Runtime.qos t.runtime) tn ~bytes ~now:since) ->
+      Request.failed_errno "EAGAIN"
+        (Printf.sprintf "tenant %d admission refused" (Tenant.ext_id tn))
+  | tenant -> (
+      open_slots t 1;
+      let req = build t stack ~slot:0 payload ~hint ~stream ~scheduled in
+      let outcome =
+        match stack.Stack.exec_mode with
+        | Stack_spec.Sync ->
+            (* The whole DAG runs in the client thread: no IPC, no
+               central authority — the Lab-D / fully-decentralized
+               configuration. The connector still builds the request and
+               walks the namespace and Module Registry itself. *)
+            charge t sync_dispatch_ns;
+            (match req.Request.trace with
             | Some fl ->
-                Trace.finish fl ~tid:t.c_thread ~now:(Machine.now (machine t))
+                Trace.close_stage fl ~tid:t.c_thread ~now:(Machine.now (machine t))
             | None -> ());
-            let result =
-              Option.value done_req.Request.result
-                ~default:(Request.Failed "no result recorded")
-            in
-            bb_result t ~id:done_req.Request.id result;
-            (* Completion consumed: the Runtime is done with the record. *)
-            Request.Pool.release t.pool done_req;
-            settle ~ok:(Request.is_ok result);
-            result
-        | Error `Deadline ->
-            settle ~ok:false;
-            Metrics.incr t.counters.fc_deadline_misses;
-            bb_deadline t ~id:req.Request.id;
-            Request.failed_errno "ETIMEDOUT"
-              (Printf.sprintf "request %d missed its %.0fns deadline"
-                 req.Request.id t.policy.deadline_ns)
-        | Error `Crashed ->
-            settle ~ok:false;
-            recover t;
-            dispatch_once t stack payload ~hint ~stream ~scheduled
-              ~deadline_abs
-      end
+            (* The DAG runs to completion in this thread, so nothing can
+               still reference the request: [finish] recycles it. *)
+            finish t 0 req (Runtime.exec_request t.runtime ~thread:t.c_thread req);
+            Done
+        | Stack_spec.Async when Ipc_manager.online (Runtime.ipc t.runtime) ->
+            let qp = qp_for_stack t stack in
+            post t qp;
+            reap t qp ~deadline_abs
+        | Stack_spec.Async -> Crashed
+      in
+      (* Settle the admission: the cap slot goes back and the attempt's
+         latency is recorded. *)
+      (match tenant with
+      | Some tn ->
+          Tenant.complete (Runtime.qos t.runtime) tn ~bytes
+            ~latency_ns:(Machine.now (machine t) -. since)
+            ~ok:(match outcome with Done -> Request.is_ok t.slot_res.(0) | _ -> false)
+      | None -> ());
+      match outcome with
+      | Done -> t.slot_res.(0)
+      | Deadline ->
+          deadline_miss t ~id:req.Request.id
+            (Printf.sprintf "request %d missed its %.0fns deadline"
+               req.Request.id t.policy.deadline_ns)
+      | Crashed ->
+          recover t;
+          dispatch_once t stack payload ~hint ~stream ~scheduled ~deadline_abs)
 
 let deadline_of_policy t =
   let p = t.policy in
@@ -425,12 +493,8 @@ let retry_transient t (stack : Stack.t) payload ~stream ~scheduled
         else hint
       in
       Engine.wait (backoff_ns t n);
-      if Machine.now (machine t) >= deadline_abs then begin
-        Metrics.incr t.counters.fc_deadline_misses;
-        bb_deadline t ~id:(-1);
-        Request.failed_errno "ETIMEDOUT"
-          "deadline exhausted during retry backoff"
-      end
+      if Machine.now (machine t) >= deadline_abs then
+        deadline_miss t ~id:(-1) "deadline exhausted during retry backoff"
       else
         next (n + 1) ~hint
           (dispatch_once t stack payload ~hint ~stream ~scheduled
@@ -468,151 +532,40 @@ let do_request t (stack : Stack.t) ?stream ?scheduled_at payload =
 
 (* --- Batched submission (io_uring-style multi-submit) --- *)
 
-let make_request t (stack : Stack.t) payload =
-  let req =
-    Request.Pool.acquire t.pool
-      ~id:(Runtime.next_request_id t.runtime)
-      ~pid:t.c_pid ~uid:t.uid ~thread:t.c_thread ~stack_id:stack.Stack.id
-      ~now:(Machine.now (machine t))
-      payload
-  in
-  (* Batched ops skip admission (the batch is one doorbell, not a
-     pacing point) but still carry the tenant stamp so the scheduler's
-     DRR stage meters them. *)
-  (match t.tenant with
-  | Some tn -> req.Request.tenant <- Tenant.idx tn
-  | None -> ());
-  req
-
-(* Push a whole batch into the stack's submission queue, ringing the
-   worker's doorbell once. Per-entry enqueue work is still charged per
-   request — only the wakeup is amortized. *)
-let submit_batch t (stack : Stack.t) payloads =
+(* Builds every open slot's request from [payloads], posts them
+   with one doorbell and reaps them into the pending set, recovering a
+   Runtime found offline first. What is still outstanding at the
+   deadline fails with ETIMEDOUT; after a Runtime crash the survivors
+   are resubmitted as a fresh single-doorbell batch. Without
+   [deadline_abs] the reaping budget starts once the batch is in the
+   ring. *)
+let rec run_batch t (stack : Stack.t) payloads ?deadline_abs () =
   if not (Ipc_manager.online (Runtime.ipc t.runtime)) then recover t;
   apply_decentralized_upgrades t;
   let qp = qp_for_stack t stack in
-  let reqs = List.map (make_request t stack) payloads in
-  let tracer = Runtime.tracer t.runtime in
-  List.iter
-    (fun (r : Request.t) ->
-      r.Request.trace <-
-        Trace.start tracer ~id:r.Request.id ~now:r.Request.submitted_at;
-      (match r.Request.trace with
-      | Some fl -> Trace.open_stage fl ~name:"submit" ~now:r.Request.submitted_at
-      | None -> ());
-      bb_submit t r)
-    reqs;
-  charge t
-    ((costs t).Costs.shmem_enqueue_ns
-    *. Stdlib.float_of_int (List.length reqs));
-  Qp.submit_n qp reqs;
-  let t_in_ring = Machine.now (machine t) in
-  List.iter
-    (fun (r : Request.t) ->
-      match r.Request.trace with
-      | Some fl ->
-          Trace.close_stage fl ~tid:t.c_thread ~now:t_in_ring;
-          Trace.open_stage fl ~name:"queue_wait" ~now:t_in_ring
-      | None -> ())
-    reqs;
-  reqs
-
-(* Reap the whole batch: fill [firsts] for every (request id -> index)
-   in [pending], discarding stale completions, failing what is still
-   outstanding at the deadline, and transparently resubmitting the
-   survivors (as a fresh single-doorbell batch) after a Runtime crash.
-   [payloads] indexes the original payloads for those resubmissions. *)
-let rec reap_rounds t (stack : Stack.t) ~deadline_abs ~payloads ~pending
-    ~firsts =
-  if Hashtbl.length pending > 0 then begin
-    let qp = qp_for_stack t stack in
-    (* One deadline watchdog covers the whole batch. *)
-    let settled = ref false in
-    if Float.is_finite deadline_abs then begin
-      let m = machine t in
-      Engine.spawn m.Machine.engine (fun () ->
-          let delay = deadline_abs -. Machine.now m in
-          if delay > 0.0 then Engine.wait delay;
-          if not !settled then Qp.wake_all_waiters qp)
-    end;
-    let rec reap () =
-      if Hashtbl.length pending = 0 then `Done
-      else
-        match Qp.try_completion qp with
-        | Some req -> (
-            match Hashtbl.find_opt pending req.Request.id with
-            | Some i ->
-                Hashtbl.remove pending req.Request.id;
-                (* Pull the completion cache line back to our core. *)
-                charge t (costs t).Costs.shmem_cross_core_ns;
-                (match req.Request.trace with
-                | Some fl ->
-                    Trace.finish fl ~tid:t.c_thread
-                      ~now:(Machine.now (machine t))
-                | None -> ());
-                let result =
-                  Option.value req.Request.result
-                    ~default:(Request.Failed "no result recorded")
-                in
-                bb_result t ~id:req.Request.id result;
-                firsts.(i) <- Some result;
-                (* Matched and recorded: recycle the record. *)
-                Request.Pool.release t.pool req;
-                reap ()
-            | None -> reap () (* stale: an abandoned attempt's leftovers *))
-        | None ->
-            if Machine.now (machine t) >= deadline_abs then `Deadline
-            else if Ipc_manager.online (Runtime.ipc t.runtime) then begin
-              Qp.wait_completion_event qp;
-              reap ()
-            end
-            else `Crashed
-    in
-    let outcome = reap () in
-    settled := true;
-    match outcome with
-    | `Done -> ()
-    | `Deadline ->
-        Hashtbl.iter
-          (fun id i ->
-            Metrics.incr t.counters.fc_deadline_misses;
-            bb_deadline t ~id;
-            firsts.(i) <-
-              Some
-                (Request.failed_errno "ETIMEDOUT"
-                   (Printf.sprintf "batch entry %d missed its %.0fns deadline"
-                      i t.policy.deadline_ns)))
-          pending;
-        Hashtbl.reset pending
-    | `Crashed ->
-        let todo =
-          List.sort compare (Hashtbl.fold (fun _id i acc -> i :: acc) pending [])
-        in
-        Hashtbl.reset pending;
-        recover t;
-        let reqs = submit_batch t stack (List.map (fun i -> payloads.(i)) todo) in
-        List.iter2
-          (fun (r : Request.t) i -> Hashtbl.replace pending r.Request.id i)
-          reqs todo;
-        reap_rounds t stack ~deadline_abs ~payloads ~pending ~firsts
-  end
-
-(* Await the already-submitted [reqs] and return their first-attempt
-   results in submission order. No retry policy is applied here — that
-   is [block_batch]'s job. *)
-let reap_batch t (stack : Stack.t) (reqs : Request.t list) =
-  let deadline_abs = deadline_of_policy t in
-  let payloads =
-    Array.of_list (List.map (fun (r : Request.t) -> r.Request.payload) reqs)
-  in
-  let firsts = Array.make (Array.length payloads) None in
-  let pending = Hashtbl.create (Array.length payloads) in
-  List.iteri (fun i (r : Request.t) -> Hashtbl.replace pending r.Request.id i) reqs;
-  reap_rounds t stack ~deadline_abs ~payloads ~pending ~firsts;
-  Array.to_list
-    (Array.map
-       (function Some r -> r | None -> Request.Failed "no result recorded")
-       firsts)
+  Array.iteri
+    (fun i payload ->
+      if t.slot_id.(i) <> closed then
+        ignore
+          (build t stack ~slot:i payload ~hint:None ~stream:None ~scheduled:None))
+    payloads;
+  post t qp;
+  let deadline_abs = Option.value deadline_abs ~default:(deadline_of_policy t) in
+  match reap t qp ~deadline_abs with
+  | Done -> ()
+  | Deadline ->
+      for i = 0 to t.slots - 1 do
+        if t.slot_id.(i) <> closed then begin
+          t.slot_res.(i) <-
+            deadline_miss t ~id:t.slot_id.(i)
+              (Printf.sprintf "batch entry %d missed its %.0fns deadline" i
+                 t.policy.deadline_ns);
+          t.slot_id.(i) <- closed
+        end
+      done
+  | Crashed ->
+      recover t;
+      run_batch t stack payloads ~deadline_abs ()
 
 let resolve t target =
   match Namespace.resolve (Runtime.namespace t.runtime) target with
@@ -704,13 +657,15 @@ let delete t ~key =
   let* stack = resolve t key in
   as_unit (do_request t stack (Request.Kv (Request.Delete { key })))
 
+let block_payload kind ~lba ~bytes =
+  Request.Block { Request.b_kind = kind; b_lba = lba; b_bytes = bytes; b_sync = false }
+
 let block_op t ?stream ?scheduled_at ~mount kind ~lba ~bytes =
   match Namespace.lookup (Runtime.namespace t.runtime) mount with
   | None -> Error (Printf.sprintf "nothing mounted at %S" mount)
   | Some stack ->
       as_size
-        (do_request t stack ?stream ?scheduled_at
-           (Request.Block { Request.b_kind = kind; b_lba = lba; b_bytes = bytes; b_sync = false }))
+        (do_request t stack ?stream ?scheduled_at (block_payload kind ~lba ~bytes))
 
 let write_block ?stream ?scheduled_at t ~mount ~lba ~bytes =
   block_op t ?stream ?scheduled_at ~mount Request.Write ~lba ~bytes
@@ -730,25 +685,20 @@ let block_batch t ~mount ops =
   | None -> Error (Printf.sprintf "nothing mounted at %S" mount)
   | Some stack -> (
       let payload_of op =
-        Request.Block
-          {
-            Request.b_kind = op.op_kind;
-            b_lba = op.op_lba;
-            b_bytes = op.op_bytes;
-            b_sync = false;
-          }
+        block_payload op.op_kind ~lba:op.op_lba ~bytes:op.op_bytes
       in
       match (stack.Stack.exec_mode, ops) with
       | _, [] -> Ok []
-      | Stack_spec.Sync, ops ->
+      | Stack_spec.Sync, ops | Stack_spec.Async, ([ _ ] as ops) ->
           Ok (List.map (fun op -> as_size (do_request t stack (payload_of op))) ops)
-      | Stack_spec.Async, [ op ] ->
-          Ok [ as_size (do_request t stack (payload_of op)) ]
       | Stack_spec.Async, ops ->
           let deadline_abs = deadline_of_policy t in
           let payloads = List.map payload_of ops in
-          let reqs = submit_batch t stack payloads in
-          let firsts = reap_batch t stack reqs in
+          let n = List.length payloads in
+          open_slots t n;
+          run_batch t stack (Array.of_list payloads) ();
+          (* Copied out first: a retry below reuses the pending set. *)
+          let firsts = Array.to_list (Array.sub t.slot_res 0 n) in
           Ok
             (List.map2
                (fun payload first ->

@@ -55,7 +55,8 @@ val connect :
 (** Models the UNIX-socket handshake and credential exchange. Must run
     inside a simulated process.
 
-    Transient device failures ([EIO], [ENODEV], [ETORN] — see
+    Transient failures ([EIO], [ENODEV], [ETORN], and [EAGAIN] from a
+    refused QoS admission — see
     {!Lab_core.Request.is_transient_failure}) are retried per
     [retry_policy] with exponential backoff; an [ENODEV] retry is
     requeued to a different hardware queue (degraded-mode routing),
@@ -150,14 +151,10 @@ val block_batch :
 (** Submits the whole batch with one doorbell, awaits every completion,
     and applies the client fault policy per request (retries of
     transient failures go through the single-request path). Results are
-    in submission order. On a sync stack the ops simply run back to
-    back in the client thread. *)
-
-val submit_batch :
-  t -> Lab_core.Stack.t -> Lab_core.Request.payload list -> Lab_core.Request.t list
-(** Lower-level primitive: build and push the requests, ring the
-    doorbell once, return the in-flight requests in submission order.
-    Async stacks only; must run inside a simulated process. *)
+    in submission order. After a Runtime crash only the entries not yet
+    completed are resubmitted, again with one doorbell; entries still
+    outstanding at the deadline fail with [ETIMEDOUT]. On a sync stack
+    the ops simply run back to back in the client thread. *)
 
 (** {2 Control} *)
 

@@ -72,8 +72,6 @@ let create ?(rates = no_rates) ?(script = []) ~seed () =
     offline_rejects = 0;
   }
 
-let none () = create ~seed:0 ()
-
 let offline_windows t = t.windows
 
 let offline t ~now ~queue =

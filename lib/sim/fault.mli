@@ -58,9 +58,6 @@ val create : ?rates:rates -> ?script:event list -> seed:int -> unit -> t
     any order; one-shots are consumed in submission order among
     matching commands. *)
 
-val none : unit -> t
-(** A plan that never injects anything. *)
-
 val decide : t -> now:float -> queue:int -> is_write:bool -> bytes:int -> decision
 (** Decides the fate of a command of [bytes] bytes submitted at [now] on
     hardware queue [queue]. Records a trace entry and bumps the matching

@@ -36,11 +36,6 @@ let exponential t mean =
   let u = if u <= 0.0 then epsilon_float else u in
   -.mean *. log u
 
-let normal t ~mean ~stddev =
-  let u1 = Stdlib.max epsilon_float (float t 1.0) in
-  let u2 = float t 1.0 in
-  mean +. (stddev *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
 let zipf t ~n ~theta =
   assert (n > 0);
   if theta <= 0.0 then int t n
@@ -65,11 +60,3 @@ let zipf t ~n ~theta =
      with Exit -> ());
     !result
   end
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -31,13 +31,7 @@ val bool : t -> bool
 val exponential : t -> float -> float
 (** [exponential t mean] samples an exponential distribution. *)
 
-val normal : t -> mean:float -> stddev:float -> float
-(** Box-Muller normal sample. *)
-
 val zipf : t -> n:int -> theta:float -> int
 (** [zipf t ~n ~theta] samples a Zipf-distributed rank in [\[0, n)] with
     skew [theta] (rejection-inversion is overkill here; uses the
     classical CDF-inversion over a precomputed-free approximation). *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -20,6 +20,4 @@ let acquire t =
 
 let release t = if not (Waitq.wake t.queue ()) then t.units <- t.units + 1
 
-let available t = t.units
-
 let waiters t = Waitq.length t.queue

@@ -10,6 +10,4 @@ val acquire : t -> unit
 
 val release : t -> unit
 
-val available : t -> int
-
 val waiters : t -> int

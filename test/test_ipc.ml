@@ -63,17 +63,22 @@ let prop_ring_wraparound =
       drain ();
       List.rev !out = xs)
 
+(* Pops up to [n] entries through the array primitive, as a list. *)
+let pop_list r n =
+  let dst = Array.make n 0 in
+  Array.to_list (Array.sub dst 0 (Ring.pop_into r dst ~off:0 ~max:n))
+
 let test_ring_batch_ops () =
   let r = Ring.create ~capacity:4 in
   Alcotest.(check int) "space when empty" 4 (Ring.space r);
   Alcotest.(check int) "partial push on full ring" 4
     (Ring.push_n r [ 1; 2; 3; 4; 5; 6 ]);
   Alcotest.(check int) "no space left" 0 (Ring.space r);
-  Alcotest.(check (list int)) "pop_n beyond length stops at empty"
-    [ 1; 2; 3; 4 ] (Ring.pop_n r 10);
-  Alcotest.(check (list int)) "pop_n on empty" [] (Ring.pop_n r 3);
+  Alcotest.(check (list int)) "pop_into beyond length stops at empty"
+    [ 1; 2; 3; 4 ] (pop_list r 10);
+  Alcotest.(check (list int)) "pop_into on empty" [] (pop_list r 3);
   Alcotest.(check int) "push_n all fit" 2 (Ring.push_n r [ 7; 8 ]);
-  Alcotest.(check (list int)) "pop_n exact" [ 7 ] (Ring.pop_n r 1);
+  Alcotest.(check (list int)) "pop_into exact" [ 7 ] (pop_list r 1);
   Alcotest.(check (option int)) "single pop still FIFO" (Some 8)
     (Ring.try_pop r)
 
@@ -121,7 +126,7 @@ let prop_ring_batch_fifo =
           | `Push_n xs -> push_model xs (Ring.push_n r xs)
           | `Push x -> if Ring.try_push r x then push_model [ x ] 1
           | `Pop_n n ->
-              let vs = Ring.pop_n r n in
+              let vs = pop_list r n in
               popped := List.rev_append vs !popped;
               List.iter (fun _ -> pop_model ()) vs
           | `Pop -> (
@@ -133,7 +138,7 @@ let prop_ring_batch_fifo =
         ops;
       (* Drain what's left; the full pop order must equal everything the
          model saw queued, oldest first. *)
-      let tail = Ring.pop_n r (Ring.length r) in
+      let tail = pop_list r (Ring.length r) in
       popped := List.rev_append tail !popped;
       Ring.total_pushed r = !pushed
       && List.rev !popped = List.rev !popped_model @ !model)
@@ -267,19 +272,24 @@ let test_qp_backpressure () =
       Alcotest.(check bool) "submission throttled by full ring" true
         (Engine.now e -. t0 > 500.0))
 
+(* Polls up to [n] submissions through the array primitive, as a list. *)
+let poll_list qp n =
+  let dst = Array.make n 0 in
+  Array.to_list (Array.sub dst 0 (Qp.poll_sq_into qp dst n))
+
 let test_qp_submit_n_one_doorbell () =
   in_sim (fun _e ->
       let qp = Qp.create ~role:Qp.Primary ~ordering:Qp.Ordered ~id:1 () in
-      Qp.submit_n qp [ 1; 2; 3; 4 ];
+      Qp.submit_n qp [| 1; 2; 3; 4 |] 4;
       Alcotest.(check int) "one ring for the whole batch" 1
         (Qp.doorbell_rings qp);
       Qp.submit qp 5;
       Qp.submit qp 6;
       Alcotest.(check int) "singles ring per entry" 3 (Qp.doorbell_rings qp);
-      Qp.submit_n qp [];
+      Qp.submit_n qp [||] 0;
       Alcotest.(check int) "empty batch does not ring" 3 (Qp.doorbell_rings qp);
       Alcotest.(check (list int)) "batch then singles, FIFO" [ 1; 2; 3; 4; 5; 6 ]
-        (Qp.poll_sq_n qp 16))
+        (poll_list qp 16))
 
 let test_qp_batch_backpressure () =
   in_sim (fun e ->
@@ -292,11 +302,11 @@ let test_qp_batch_backpressure () =
              and wake the parked producer *)
           Engine.wait 1000.0;
           for _ = 1 to 3 do
-            drained := !drained @ Qp.poll_sq_n qp 2;
+            drained := !drained @ poll_list qp 2;
             Engine.wait 1000.0
           done);
       let t0 = Engine.now e in
-      Qp.submit_n qp [ 1; 2; 3; 4; 5; 6 ];
+      Qp.submit_n qp [| 1; 2; 3; 4; 5; 6 |] 6;
       Alcotest.(check bool) "producer parked until slots freed" true
         (Engine.now e -. t0 >= 1000.0);
       Alcotest.(check bool) "stalls counted" true (Qp.sq_stalls qp > 0);

@@ -378,6 +378,154 @@ let prop_orchestrator_assigns_all =
       List.length assigned = List.length queues
       && List.length bins <= max_workers)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned client schedule                                              *)
+(* ------------------------------------------------------------------ *)
+
+let pin_blk_spec ~mount ~exec =
+  Printf.sprintf
+    {|
+mount: "%s"
+rules:
+  exec_mode: %s
+dag:
+  - uuid: psched-1
+    mod: noop_sched
+    outputs: [pdrv-1]
+  - uuid: pdrv-1
+    mod: kernel_driver
+|}
+    mount exec
+
+(* Five client scenarios, each on a fresh platform:
+   - A: a single async write loses its device command and misses its
+     1 ms deadline; the command completes 3 ms later and its stale
+     completion is drained by a later request;
+   - B: a 4-op batch whose Runtime crashes mid-flight and restarts 1 ms
+     later, so the survivors are resubmitted;
+   - C: a 4-op batch with a lost command and a 1 ms deadline;
+   - D: a sync stack, whose first write fails once and is retried in
+     the client thread, then a read and a 3-op batch;
+   - E: a metered tenant (4 KiB burst) whose back-to-back writes are
+     refused with EAGAIN and retried, then a 2-op batch.
+   Every client-visible result with its instant is logged; the event
+   count, the final time and the client's fault counters of each
+   scenario are pinned, so a change to the client's schedule shows
+   here event for event. *)
+let pinned_client_scenarios () =
+  let log = Buffer.create 2048 in
+  let summary = Buffer.create 512 in
+  let show = function
+    | Ok n -> string_of_int n
+    | Error e -> (
+        match String.index_opt e ':' with
+        | Some i -> String.sub e 0 i
+        | None -> "error")
+  in
+  let scenario name ?fault_script ?tenant ?policy ~exec body =
+    let p = Labstor.Platform.boot ~nworkers:2 ?fault_script () in
+    let mount = "blk::/dev/p" in
+    ignore (ok (Labstor.Platform.mount p (pin_blk_spec ~mount ~exec)));
+    let uid =
+      match tenant with
+      | Some (rate_mbps, burst_kb) ->
+          ignore
+            (Labstor.Platform.register_tenant p ~uid:7 ~rate_mbps ~burst_kb ());
+          7
+      | None -> 1000
+    in
+    let m = Labstor.Platform.machine p in
+    let counters =
+      Labstor.Platform.go p (fun () ->
+          let c =
+            Labstor.Platform.client p ~uid ?retry_policy:policy ~thread:0 ()
+          in
+          let stamp tag r =
+            Printf.bprintf log "%s.%s:%s@%.0f;" name tag (show r) (Machine.now m)
+          in
+          let write lba = stamp (Printf.sprintf "w%d" lba) (Client.write_block c ~mount ~lba ~bytes:4096) in
+          let read lba = stamp (Printf.sprintf "r%d" lba) (Client.read_block c ~mount ~lba ~bytes:4096) in
+          let batch tag lba0 n =
+            let ops =
+              List.init n (fun i ->
+                  { Client.op_kind = Request.Write; op_lba = lba0 + (8 * i); op_bytes = 4096 })
+            in
+            match Client.block_batch c ~mount ops with
+            | Ok rs -> List.iteri (fun i r -> stamp (Printf.sprintf "%s.%d" tag i) r) rs
+            | Error e -> Alcotest.fail e
+          in
+          body p m ~write ~read ~batch;
+          Printf.sprintf "retries=%d requeues=%d deadline_misses=%d exhausted=%d"
+            (Client.retries c) (Client.requeues c) (Client.deadline_misses c)
+            (Client.exhausted_retries c))
+    in
+    Printf.bprintf summary "%s: events=%d now=%.3f %s\n" name
+      (Engine.events_executed m.Machine.engine)
+      (Machine.now m) counters
+  in
+  let lost delay =
+    [
+      Fault.One_shot
+        { at_ns = 0.0; queue = None; fault = Fault.Transient_timeout delay };
+    ]
+  in
+  let deadline ms =
+    { Client.default_retry_policy with Client.deadline_ns = ms *. 1e6 }
+  in
+  scenario "A" ~fault_script:(lost 3e6)
+    ~policy:{ (deadline 1.0) with Client.max_retries = 0 }
+    ~exec:"async"
+    (fun _p _m ~write ~read ~batch:_ ->
+      write 0;
+      write 8;
+      Engine.wait 3e6;
+      write 16;
+      read 0);
+  scenario "B" ~exec:"async" (fun p m ~write ~read:_ ~batch ->
+      write 0;
+      let rt = Labstor.Platform.runtime p in
+      Engine.spawn m.Machine.engine (fun () ->
+          Engine.wait 15_000.0;
+          Runtime.crash rt;
+          Engine.wait 1e6;
+          Runtime.restart rt);
+      batch "b" 64 4;
+      batch "b'" 128 4);
+  scenario "C" ~fault_script:(lost 4e6) ~policy:(deadline 1.0) ~exec:"async"
+    (fun _p _m ~write:_ ~read:_ ~batch ->
+      batch "b" 0 4;
+      Engine.wait 4e6;
+      batch "b'" 64 2);
+  scenario "D"
+    ~fault_script:
+      [ Fault.One_shot { at_ns = 0.0; queue = None; fault = Fault.Io_error } ]
+    ~exec:"sync"
+    (fun _p _m ~write ~read ~batch ->
+      write 0;
+      read 0;
+      batch "b" 8 3);
+  scenario "E" ~tenant:(100.0, 4) ~exec:"async"
+    (fun _p _m ~write ~read:_ ~batch ->
+      for i = 0 to 3 do
+        write (8 * i)
+      done;
+      batch "b" 64 2);
+  (Buffer.contents log, Buffer.contents summary)
+
+let test_pinned_client_schedule () =
+  let log, summary = pinned_client_scenarios () in
+  (* Values captured while single requests and batches still had
+     separate submit and reap code. *)
+  if Digest.to_hex (Digest.string log) <> "fd51e19872b8402a8fa72d28b0837ae7"
+  then Alcotest.failf "client-visible results changed:\n%s" log;
+  Alcotest.(check string) "per-scenario events, time and counters"
+    "A: events=1201 now=4062754.000 retries=0 requeues=0 deadline_misses=1 exhausted=0\n\
+     B: events=919 now=1088638.000 retries=0 requeues=0 deadline_misses=0 exhausted=0\n\
+     C: events=1259 now=5044316.000 retries=0 requeues=0 deadline_misses=1 exhausted=0\n\
+     D: events=212 now=149207.181 retries=1 requeues=0 deadline_misses=0 exhausted=0\n\
+     E: events=872 now=242583.190 retries=3 requeues=0 deadline_misses=0 exhausted=0\n"
+    summary
+
 let () =
   Alcotest.run "lab_runtime"
     [
@@ -409,6 +557,11 @@ let () =
         ] );
       ( "process-semantics",
         [ Alcotest.test_case "fork fd inheritance" `Quick test_fork_inherits_fds ] );
+      ( "client",
+        [
+          Alcotest.test_case "client schedule pinned" `Quick
+            test_pinned_client_schedule;
+        ] );
       ( "orchestrator",
         [
           Alcotest.test_case "dynamic decommissions" `Quick
