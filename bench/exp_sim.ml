@@ -1,8 +1,8 @@
 (* Simulator-core benchmark: events/sec and minor words/event on the
    DES hot path.
 
-   Two synthetic closed loops, one idle worker, one full-stack
-   scenario and a queue-footprint replay:
+   Two synthetic closed loops, one idle worker, two full-stack
+   scenarios and a queue-footprint replay:
 
    - timer:  [loops] concurrent self-rescheduling timers on the pooled
              [Engine.timer] path (closure-free dispatch, calendar
@@ -21,6 +21,11 @@
              Reports steady-state minor words per 4 KiB command and per
              1 MiB (four-chunk) command; the 4 KiB figure is gated at
              <= 32 words/command.
+   - request: one client reading a 4 KiB block back to back through
+             [Platform] (client -> queue pair -> worker -> lru_cache ->
+             noop_sched -> kernel_driver), every read a warm cache hit.
+             Reports steady-state minor words per request; gated at
+             its measured value, 141.59 ([request_budget]).
    - batching: one point of the exp_batching sweep, as a whole-stack
              events fingerprint.
    - evq:    the timer scenario's pushes and pops replayed on a bare
@@ -151,6 +156,48 @@ let run_device ~warmup ~total ~bytes =
   Engine.run e;
   !words /. Stdlib.float_of_int total
 
+(* Words per request on [run_request], set at the measured 141.59: one
+   more word per request fails the smoke. *)
+let request_budget = 141.6
+
+(* Full request path: one client, one worker, a cache that holds every
+   block it reads. The warmup fills the cache and grows the request,
+   command and executor pools, so each measured read is a cache hit that
+   allocates only what one request costs in steady state. *)
+let run_request ~warmup ~total =
+  let open Labstor in
+  let p = Platform.boot ~nworkers:1 () in
+  let mount = "blk::/sim" in
+  ignore
+    (Platform.mount_exn p
+       (Printf.sprintf
+          "mount: %S\n\
+           rules:\n  exec_mode: async\n\
+           dag:\n\
+          \  - uuid: rq-cache\n    mod: lru_cache\n\
+          \    attrs:\n      capacity_mb: 4\n    outputs: [rq-sched]\n\
+          \  - uuid: rq-sched\n    mod: noop_sched\n    outputs: [rq-drv]\n\
+          \  - uuid: rq-drv\n    mod: kernel_driver\n"
+          mount));
+  Platform.go p (fun () ->
+      let c = Platform.client p ~thread:0 () in
+      let read i =
+        match
+          Lab_runtime.Client.read_block c ~mount ~lba:(8 * (i land 63))
+            ~bytes:4096
+        with
+        | Ok _ -> ()
+        | Error e -> failwith ("sim request: " ^ e)
+      in
+      for i = 1 to warmup do
+        read i
+      done;
+      let w0 = Gc.minor_words () in
+      for i = 1 to total do
+        read i
+      done;
+      (Gc.minor_words () -. w0) /. Stdlib.float_of_int total)
+
 (* Queue footprint: replay [run_timer]'s exact push/pop sequence (same
    seqs, same times) on a bare queue and count the words it retains.
    [Engine] keeps its queue private, hence the replay. *)
@@ -226,6 +273,12 @@ let run () =
       Printf.sprintf "%.2f" d_4k;
       Printf.sprintf "words/cmd (4 KiB); %.2f per 1 MiB cmd" d_1m;
     ];
+  let r_words = run_request ~warmup:2_000 ~total:10_000 in
+  Bench_util.print_row (widths @ [ 0 ])
+    [
+      "request"; "-"; Printf.sprintf "%.2f" r_words;
+      "words/request (4 KiB cache-hit read_block)";
+    ];
   let b = Exp_batching.run_case ~seed:0xBA7C4 ~qd:64 ~batch:16
       ~total_ops:batch_ops in
   Bench_util.print_row widths
@@ -269,6 +322,15 @@ let run () =
       "ALLOCATION REGRESSION: device path at %.2f minor words per 4 KiB \
        command (budget 32)"
       d_4k;
+    exit 1
+  end;
+  (* Request guard: client, queue pair, worker executor and cache hit
+     allocate nothing beyond what [request_budget] was measured at. *)
+  if native && r_words > request_budget then begin
+    Bench_util.note
+      "ALLOCATION REGRESSION: request path at %.2f minor words per 4 KiB \
+       cache-hit read (budget %.2f)"
+      r_words request_budget;
     exit 1
   end;
   (* Footprint guard: the queue's storage must not grow with the
@@ -319,12 +381,13 @@ let run () =
     \  \"idle_spin_polls_elided\": %d,\n\
     \  \"device_words_per_cmd\": %.2f,\n\
     \  \"device_words_per_mib_cmd\": %.2f,\n\
+    \  \"request_words_per_op\": %.2f,\n\
     \  \"batching_events\": %d,\n\
     \  \"evq_words\": %d,\n\
     \  \"deterministic\": %b\n\
      }\n"
     loops t_events t_wpe alloc_ok w_events w_wpe i_events
-    i_wpe i_elided d_4k d_1m b.Exp_batching.events q_words
+    i_wpe i_elided d_4k d_1m r_words b.Exp_batching.events q_words
     (t_events = t_events' && t_now = t_now');
   close_out oc;
   Bench_util.note "wrote BENCH_sim.json"

@@ -27,9 +27,9 @@ let unmount t mountpoint =
       Hashtbl.remove t.by_id stack.Stack.id;
       Ok ()
 
-let lookup t mountpoint = Hashtbl.find_opt t.by_mount mountpoint
+let lookup t mountpoint = Hashtbl.find t.by_mount mountpoint
 
-let stack_by_id t id = Hashtbl.find_opt t.by_id id
+let stack_by_id t id = Hashtbl.find t.by_id id
 
 let parent path =
   match String.rindex_opt path '/' with
@@ -38,7 +38,7 @@ let parent path =
   | _ -> None
 
 let rec resolve t path =
-  match lookup t path with
+  match Hashtbl.find_opt t.by_mount path with
   | Some s -> Some s
   | None -> (
       match parent path with Some p -> resolve t p | None -> None)

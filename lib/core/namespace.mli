@@ -12,10 +12,13 @@ val mount : t -> Registry.t -> Stack_spec.t -> (Stack.t, string) result
 
 val unmount : t -> string -> (unit, string) result
 
-val lookup : t -> string -> Stack.t option
-(** Exact mount-point lookup. *)
+val lookup : t -> string -> Stack.t
+(** Exact mount-point lookup. It returns no option, so a per-request
+    lookup allocates nothing.
+    @raise Not_found if nothing is mounted there. *)
 
-val stack_by_id : t -> int -> Stack.t option
+val stack_by_id : t -> int -> Stack.t
+(** @raise Not_found if no stack has that id. *)
 
 val resolve : t -> string -> Stack.t option
 (** Longest-prefix resolution: tries the full path, then each parent

@@ -28,6 +28,8 @@ let instantiate t ~mod_name ~uuid ~attrs =
 
 let find t uuid = Hashtbl.find_opt t.by_uuid uuid
 
+let find_exn t uuid = Hashtbl.find t.by_uuid uuid
+
 let replace t m = Hashtbl.replace t.by_uuid m.Labmod.uuid m
 
 let remove t uuid = Hashtbl.remove t.by_uuid uuid

@@ -30,6 +30,10 @@ val instantiate :
 
 val find : t -> string -> Labmod.t option
 
+val find_exn : t -> string -> Labmod.t
+(** [find] without the option, for per-request paths.
+    @raise Not_found if no instance has that UUID. *)
+
 val replace : t -> Labmod.t -> unit
 (** Swaps the instance registered under the module's UUID (hot swap /
     upgrade). *)

@@ -49,7 +49,7 @@ type t = {
   mutable stack_id : int;
   mutable hop : string;
   mutable payload : payload;
-  mutable result : result option;
+  mutable result : result;
   mutable hint_hctx : int option;
       (** hardware-queue steering decision made by a scheduler LabMod *)
   mutable hint_stream : int option;
@@ -72,6 +72,10 @@ type t = {
           Equal to [submitted_at] for closed-loop requests. *)
 }
 
+(* The result of a request no worker has run yet: one static value, so
+   recording a result stores it and boxes no option. *)
+let no_result = Failed "no result recorded"
+
 let make ~id ~pid ~uid ~thread ~stack_id ~now payload =
   {
     id;
@@ -81,7 +85,7 @@ let make ~id ~pid ~uid ~thread ~stack_id ~now payload =
     stack_id;
     hop = "";
     payload;
-    result = None;
+    result = no_result;
     hint_hctx = None;
     hint_stream = None;
     prefetch = false;
@@ -119,7 +123,7 @@ module Pool = struct
       r.stack_id <- stack_id;
       r.hop <- "";
       r.payload <- payload;
-      r.result <- None;
+      r.result <- no_result;
       r.hint_hctx <- None;
       r.hint_stream <- None;
       r.prefetch <- false;
@@ -133,7 +137,7 @@ module Pool = struct
   let release p r =
     r.hop <- "";
     r.payload <- Control 0;
-    r.result <- None;
+    r.result <- no_result;
     r.hint_hctx <- None;
     r.hint_stream <- None;
     r.trace <- None;

@@ -51,7 +51,12 @@ type t = {
   mutable stack_id : int;
   mutable hop : string;  (** UUID of the LabMod currently responsible *)
   mutable payload : payload;
-  mutable result : result option;
+  mutable result : result;
+      (** what the stack returned, recorded by the worker that ran the
+          request. Until then it is the static sentinel
+          [Failed "no result recorded"], which {!make} and
+          {!Pool.acquire} install and {!Pool.release} restores; a
+          completion that carries it was never run. *)
   mutable hint_hctx : int option;
       (** hardware-queue steering decision made by a scheduler LabMod *)
   mutable hint_stream : int option;

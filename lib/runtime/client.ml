@@ -364,9 +364,7 @@ let rec reap_loop t qp ~deadline_abs =
           (* Pull the completion cache line back to our core. *)
           charge t (costs t).Costs.shmem_cross_core_ns;
           (* Completion consumed: the Runtime is done with the record. *)
-          finish t i req
-            (Option.value req.Request.result
-               ~default:(Request.Failed "no result recorded"))
+          finish t i req req.Request.result
         end;
         reap_loop t qp ~deadline_abs
     | None ->
@@ -467,41 +465,39 @@ let backoff_ns t attempt =
   if j > 0.0 then b -. j +. Rng.float t.rng (2.0 *. j) else b
 
 (* Client-side fault policy, shared by the single-request and batched
-   paths: given the first attempt's result, run bounded retries with
+   paths: given attempt [n]'s result, run bounded retries with
    exponential backoff + jitter on transient failures, degraded-mode
    requeueing to another hardware queue on ENODEV, all under one
-   per-request deadline. *)
-let retry_transient t (stack : Stack.t) payload ~stream ~scheduled
-    ~deadline_abs first =
+   per-request deadline. A top-level function, so a final first result
+   returns without building a closure. *)
+let rec retry_transient t (stack : Stack.t) payload ~stream ~scheduled
+    ~deadline_abs ~n ~hint result =
   let p = t.policy in
-  let rec next n ~hint result =
-    if not (Request.is_transient_failure result) then result
-    else if n >= p.max_retries then begin
-      Metrics.incr t.counters.fc_exhausted;
-      result
-    end
-    else begin
-      Metrics.incr t.counters.fc_retries;
-      (* Degraded mode: ENODEV means the queue/device is gone (not a
-         retryable media error), so steer the retry to a different
-         hardware queue instead of hammering the dead one. *)
-      let hint =
-        if Request.errno_of_result result = Some "ENODEV" then begin
-          Metrics.incr t.counters.fc_requeues;
-          Some (t.c_thread + n + 1)
-        end
-        else hint
-      in
-      Engine.wait (backoff_ns t n);
-      if Machine.now (machine t) >= deadline_abs then
-        deadline_miss t ~id:(-1) "deadline exhausted during retry backoff"
-      else
-        next (n + 1) ~hint
-          (dispatch_once t stack payload ~hint ~stream ~scheduled
-             ~deadline_abs)
-    end
-  in
-  next 0 ~hint:None first
+  if not (Request.is_transient_failure result) then result
+  else if n >= p.max_retries then begin
+    Metrics.incr t.counters.fc_exhausted;
+    result
+  end
+  else begin
+    Metrics.incr t.counters.fc_retries;
+    (* Degraded mode: ENODEV means the queue/device is gone (not a
+       retryable media error), so steer the retry to a different
+       hardware queue instead of hammering the dead one. *)
+    let hint =
+      if Request.errno_of_result result = Some "ENODEV" then begin
+        Metrics.incr t.counters.fc_requeues;
+        Some (t.c_thread + n + 1)
+      end
+      else hint
+    in
+    Engine.wait (backoff_ns t n);
+    if Machine.now (machine t) >= deadline_abs then
+      deadline_miss t ~id:(-1) "deadline exhausted during retry backoff"
+    else
+      retry_transient t stack payload ~stream ~scheduled ~deadline_abs
+        ~n:(n + 1) ~hint
+        (dispatch_once t stack payload ~hint ~stream ~scheduled ~deadline_abs)
+  end
 
 (* Submit a request and apply the fault policy to its outcome.
 
@@ -515,7 +511,7 @@ let do_request t (stack : Stack.t) ?stream ?scheduled_at payload =
   let deadline_abs = deadline_of_policy t in
   let result =
     retry_transient t stack payload ~stream ~scheduled:scheduled_at
-      ~deadline_abs
+      ~deadline_abs ~n:0 ~hint:None
       (dispatch_once t stack payload ~hint:None ~stream
          ~scheduled:scheduled_at ~deadline_abs)
   in
@@ -579,8 +575,8 @@ let lookup_fd t fd =
 
 let stack_of_id t sid =
   match Namespace.stack_by_id (Runtime.namespace t.runtime) sid with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "stack %d unmounted" sid)
+  | s -> Ok s
+  | exception Not_found -> Error (Printf.sprintf "stack %d unmounted" sid)
 
 let ( let* ) r f = Result.bind r f
 
@@ -662,10 +658,10 @@ let block_payload kind ~lba ~bytes =
 
 let block_op t ?stream ?scheduled_at ~mount kind ~lba ~bytes =
   match Namespace.lookup (Runtime.namespace t.runtime) mount with
-  | None -> Error (Printf.sprintf "nothing mounted at %S" mount)
-  | Some stack ->
+  | stack ->
       as_size
         (do_request t stack ?stream ?scheduled_at (block_payload kind ~lba ~bytes))
+  | exception Not_found -> Error (Printf.sprintf "nothing mounted at %S" mount)
 
 let write_block ?stream ?scheduled_at t ~mount ~lba ~bytes =
   block_op t ?stream ?scheduled_at ~mount Request.Write ~lba ~bytes
@@ -682,8 +678,8 @@ type batch_op = { op_kind : Request.io_kind; op_lba : int; op_bytes : int }
    to coalesce, and a 1-element batch is exactly a single request. *)
 let block_batch t ~mount ops =
   match Namespace.lookup (Runtime.namespace t.runtime) mount with
-  | None -> Error (Printf.sprintf "nothing mounted at %S" mount)
-  | Some stack -> (
+  | exception Not_found -> Error (Printf.sprintf "nothing mounted at %S" mount)
+  | stack -> (
       let payload_of op =
         block_payload op.op_kind ~lba:op.op_lba ~bytes:op.op_bytes
       in
@@ -704,13 +700,13 @@ let block_batch t ~mount ops =
                (fun payload first ->
                  as_size
                    (retry_transient t stack payload ~stream:None
-                      ~scheduled:None ~deadline_abs first))
+                      ~scheduled:None ~deadline_abs ~n:0 ~hint:None first))
                payloads firsts))
 
 let control t ~mount payload =
   match Namespace.lookup (Runtime.namespace t.runtime) mount with
-  | None -> Error (Printf.sprintf "nothing mounted at %S" mount)
-  | Some stack -> as_unit (do_request t stack (Request.Control payload))
+  | stack -> as_unit (do_request t stack (Request.Control payload))
+  | exception Not_found -> Error (Printf.sprintf "nothing mounted at %S" mount)
 
 (* clone/execve: the child re-connects (new shared-memory queue pairs)
    and asks the Runtime to copy the parent's open fds across. *)

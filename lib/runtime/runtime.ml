@@ -65,11 +65,14 @@ let default_config =
     slo_floor_kops = 0.0;
   }
 
-type qstat = {
-  mutable ewma : float;
-  mutable last_total : int;
-  mutable arrivals_ewma : float;  (* smoothed submissions per epoch *)
-}
+(* Per-queue service statistics. [qs] holds the service-time EWMA at
+   [ewma] and the smoothed submissions per epoch at [arrivals]: a
+   mutable float field in a mixed record would box on every store. *)
+type qstat = { qs : float array; mutable last_total : int }
+
+let ewma = 0
+
+let arrivals = 1
 
 type t = {
   machine : Machine.t;
@@ -80,6 +83,7 @@ type t = {
   pool : Worker.t array;
   cfg : config;
   qstats : (int, qstat) Hashtbl.t;
+  est : float array;  (* [0]: the sum [estimate_into] leaves *)
   mutable req_counter : int;
   admin_thread : int;
   mutable live : bool;
@@ -158,39 +162,52 @@ let make_load_code machine (backend : Lab_mods.Mods_env.backend) =
 
 let exec_request t ~thread req =
   match Namespace.stack_by_id t.ns req.Request.stack_id with
-  | None ->
+  | stack -> Exec.run t.machine ~registry:t.reg ~stack ~thread req
+  | exception Not_found ->
       Request.Failed (Printf.sprintf "unknown stack id %d" req.Request.stack_id)
-  | Some stack -> Exec.run t.machine ~registry:t.reg ~stack ~thread req
 
 let qstat_of t qp_id =
-  match Hashtbl.find_opt t.qstats qp_id with
-  | Some s -> s
-  | None ->
-      let s = { ewma = 2000.0; last_total = 0; arrivals_ewma = 0.0 } in
+  match Hashtbl.find t.qstats qp_id with
+  | s -> s
+  | exception Not_found ->
+      let s = { qs = [| 2000.0; 0.0 |]; last_total = 0 } in
       Hashtbl.replace t.qstats qp_id s;
       s
 
 let note_service t ~qp_id ~service_ns =
   let s = qstat_of t qp_id in
-  s.ewma <- (0.8 *. s.ewma) +. (0.2 *. service_ns);
+  s.qs.(ewma) <- (0.8 *. s.qs.(ewma)) +. (0.2 *. service_ns);
   Lab_obs.Hist.observe t.service_hist service_ns
 
-(* Dispatch-time estimate (EstProcessingTime over the request's stack):
-   raises the queue's expected service time immediately; later
-   completions pull it back if the estimate was pessimistic. *)
-let estimate_request t req =
-  match Namespace.stack_by_id t.ns req.Request.stack_id with
-  | None -> 0.0
-  | Some stack ->
-      List.fold_left
-        (fun acc (m : Labmod.t) ->
-          acc +. m.Labmod.ops.Labmod.est_processing_time m req)
-        0.0
-        (Stack.mods stack t.reg)
+(* EstProcessingTime over a stack: every LabMod on it asked in DAG
+   order and summed left to right, so the sum is bit-identical to a
+   fold over [Stack.mods]; a vertex with no instance is skipped, as
+   there. A top-level walk with the sum in a float cell: no closure, no
+   option, no boxed accumulator. *)
+let rec est_walk reg acc req = function
+  | [] -> ()
+  | (v : Stack_spec.vertex) :: rest ->
+      (match Registry.find_exn reg v.Stack_spec.uuid with
+      | m ->
+          acc.(0) <- acc.(0) +. m.Labmod.ops.Labmod.est_processing_time m req
+      | exception Not_found -> ());
+      est_walk reg acc req rest
 
+(* Leaves the estimate for [req]'s stack in [t.est.(0)]; 0 when the
+   stack is gone. *)
+let estimate_into t req =
+  t.est.(0) <- 0.0;
+  match Namespace.stack_by_id t.ns req.Request.stack_id with
+  | stack -> est_walk t.reg t.est req stack.Stack.spec.Stack_spec.dag
+  | exception Not_found -> ()
+
+(* Dispatch-time estimate: raises the queue's expected service time
+   immediately; later completions pull it back if the estimate was
+   pessimistic. *)
 let prime_estimate t ~qp_id req =
   let s = qstat_of t qp_id in
-  s.ewma <- Float.max s.ewma (estimate_request t req)
+  estimate_into t req;
+  s.qs.(ewma) <- Float.max s.qs.(ewma) t.est.(0)
 
 let create machine ?(config = default_config) ~backends ~default_backend () =
   let reg = Registry.create () in
@@ -299,6 +316,7 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
          pool;
          cfg = config;
          qstats = Hashtbl.create 64;
+         est = [| 0.0 |];
          req_counter = 0;
          admin_thread = admin_thread_id;
          live = true;
@@ -374,15 +392,9 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
 let estimate_queued t qp =
   match Qp.peek_sq qp with
   | None -> 0.0
-  | Some req -> (
-      match Namespace.stack_by_id t.ns req.Request.stack_id with
-      | None -> 0.0
-      | Some stack ->
-          List.fold_left
-            (fun acc (m : Labmod.t) ->
-              acc +. m.Labmod.ops.Labmod.est_processing_time m req)
-            0.0
-            (Stack.mods stack t.reg))
+  | Some req ->
+      estimate_into t req;
+      t.est.(0)
 
 let queue_loads t =
   List.map
@@ -393,11 +405,11 @@ let queue_loads t =
       s.last_total <- total;
       (* Smooth the arrival rate: long-running requests submit less than
          once per epoch, and a zero sample must not erase their load. *)
-      s.arrivals_ewma <- (0.7 *. s.arrivals_ewma) +. (0.3 *. fresh);
+      s.qs.(arrivals) <- (0.7 *. s.qs.(arrivals)) +. (0.3 *. fresh);
       {
         Orchestrator.qp;
-        est_service_ns = Float.max s.ewma (estimate_queued t qp);
-        expected_requests = Float.max s.arrivals_ewma 1.0;
+        est_service_ns = Float.max s.qs.(ewma) (estimate_queued t qp);
+        expected_requests = Float.max s.qs.(arrivals) 1.0;
       })
     (Ipc_manager.primary_qps t.ipc_mgr)
 

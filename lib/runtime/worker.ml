@@ -3,6 +3,18 @@ open Lab_ipc
 open Lab_core
 module Trace = Lab_obs.Trace
 
+(* A long-lived process that runs one request at a time for its worker
+   and parks on the worker's idle stack between requests. [x_t0.(0)] is
+   the request's start time: a mutable float field would box on every
+   store. *)
+type executor = {
+  x_cell : Engine.park_cell;
+  mutable x_req : Request.t;
+  mutable x_qp : Request.t Qp.t;
+  x_t0 : float array;
+  mutable x_busy : bool;
+}
+
 type t = {
   w_id : int;
   w_thread : int;
@@ -47,6 +59,11 @@ type t = {
      batch so the scratch never pins dispatched requests. *)
   scratch : Request.t array;
   scratch_dummy : Request.t;
+  (* Idle executors, a stack in [idle_x.(0 .. n_idle - 1)], and how
+     many executors the worker has spawned. *)
+  mutable idle_x : executor array;
+  mutable n_idle : int;
+  mutable spawned : int;
   (* Flight recorder: park/wake transitions are recorded so a black-box
      dump shows whether workers were asleep just before a trigger. *)
   blackbox : Lab_obs.Flightrec.t option;
@@ -112,6 +129,9 @@ let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ ~service_ns:_ -> ())
       max_inflight = Stdlib.max 1 max_inflight;
       scratch = Array.make batch_size scratch_dummy;
       scratch_dummy;
+      idle_x = [||];
+      n_idle = 0;
+      spawned = 0;
       blackbox;
     }
   in
@@ -175,6 +195,8 @@ let processed t = t.done_count
 
 let inflight t = t.inflight
 
+let executors t = t.spawned
+
 let active_ns t =
   if t.is_parked then t.active
   else t.active +. (Engine.now t.machine.Machine.engine -. t.awake_since)
@@ -186,25 +208,108 @@ let reset_stats t =
 
 let costs t = t.machine.Machine.costs
 
-(* Each request runs in its own coroutine on the worker's thread: CPU
-   bursts serialize on the worker's core, but waits (device I/O,
-   downstream LabMods) overlap across requests — the paper's
-   asynchronous message passing, which is what lets one worker drive a
-   device well beyond 1/latency. [max_inflight] bounds the window.
-   [pull_ns] is this request's share of the cross-core cache-line pull,
-   paid serially in the polling loop — the worker cannot dequeue the
-   next request meanwhile, which is what lets a second worker pick it
-   up from a shared (unordered) queue. *)
+(* Runs the executor's request through its stack and posts the
+   completion. Stage accounting (telescoping): the client's
+   "queue_wait" ended at dequeue and "dispatch" ends here; "complete"
+   covers the post-stack completion push. Tracing only reads the clock
+   — it never charges time or schedules events. *)
+let run_request t x =
+  let req = x.x_req and qp = x.x_qp in
+  let e = t.machine.Machine.engine in
+  Engine.set_after x.x_t0 0 0.0;
+  (match req.Request.trace with
+  | Some fl -> Trace.close_stage fl ~tid:t.w_thread ~now:x.x_t0.(0)
+  | None -> ());
+  req.Request.result <- t.exec ~thread:t.w_thread req;
+  (match req.Request.trace with
+  | Some fl -> Trace.open_stage fl ~name:"complete" ~now:(Engine.now e)
+  | None -> ());
+  t.qstat ~qp_id:(Qp.id qp) ~service_ns:(Engine.now e -. x.x_t0.(0));
+  Machine.compute t.machine ~thread:t.w_thread (costs t).Costs.shmem_enqueue_ns;
+  (* Hand the open "reap" stage to the client before the completion
+     push can wake it. *)
+  (match req.Request.trace with
+  | Some fl ->
+      let now = Engine.now e in
+      Trace.close_stage fl ~tid:t.w_thread ~now;
+      Trace.open_stage fl ~name:"reap" ~now
+  | None -> ());
+  Qp.complete qp req;
+  t.done_count <- t.done_count + 1;
+  t.inflight <- t.inflight - 1;
+  (* The worker may have parked on a full window; nudge it. *)
+  wake t
+
+(* An executor's life: run a request, drop it, push itself on the idle
+   stack and park until [dispatch] hands it the next one. *)
+let executor_loop t x () =
+  while true do
+    run_request t x;
+    x.x_req <- t.scratch_dummy;
+    x.x_busy <- false;
+    if t.n_idle = Array.length t.idle_x then begin
+      let grown = Array.make (Stdlib.max 4 (2 * t.n_idle)) x in
+      Array.blit t.idle_x 0 grown 0 t.n_idle;
+      t.idle_x <- grown
+    end;
+    t.idle_x.(t.n_idle) <- x;
+    t.n_idle <- t.n_idle + 1;
+    Engine.park x.x_cell
+  done
+
+(* Hands an idle executor its next request. Resuming an executor that
+   is not parked idle would run two requests in one process, so it
+   fails loudly instead. *)
+let resume_executor x req qp =
+  if x.x_busy || not (Engine.parked x.x_cell) then
+    invalid_arg "Worker: executor resumed while not parked idle";
+  x.x_busy <- true;
+  x.x_req <- req;
+  x.x_qp <- qp;
+  Engine.unpark x.x_cell
+
+let take_idle t =
+  if t.n_idle = 0 then raise Not_found;
+  t.n_idle <- t.n_idle - 1;
+  t.idle_x.(t.n_idle)
+
+(* Starts [req] on an idle executor, or on a new one when none is idle.
+   Unparking takes the same (now, next seq) key the spawn would, and
+   the executor then runs the same code, so the schedule is that of a
+   process spawned per request (DESIGN.md, "Request path"). *)
+let dispatch t qp req =
+  match take_idle t with
+  | x -> resume_executor x req qp
+  | exception Not_found ->
+      let x =
+        {
+          x_cell = Engine.make_park_cell ();
+          x_req = req;
+          x_qp = qp;
+          x_t0 = [| 0.0 |];
+          x_busy = true;
+        }
+      in
+      t.spawned <- t.spawned + 1;
+      Engine.spawn t.machine.Machine.engine (executor_loop t x)
+
+(* Each request runs on an executor on the worker's thread: CPU bursts
+   serialize on the worker's core, but waits (device I/O, downstream
+   LabMods) overlap across requests — the paper's asynchronous message
+   passing, which is what lets one worker drive a device well beyond
+   1/latency. [max_inflight] bounds the window. [pull_ns] is this
+   request's share of the cross-core cache-line pull, paid serially in
+   the polling loop — the worker cannot dequeue the next request
+   meanwhile, which is what lets a second worker pick it up from a
+   shared (unordered) queue. *)
 let process t qp req ~pull_ns =
   t.inflight <- t.inflight + 1;
   (* Tell the orchestrator what this request is expected to cost before
      we start on it (the EstProcessingTime API): a queue turns
      computational at dispatch, not at first completion. *)
   t.qprime ~qp_id:(Qp.id qp) req;
-  (* Stage accounting (telescoping): the client's "queue_wait" ends the
-     moment the worker dequeues; "dispatch" covers the cross-core pull,
-     "complete" the post-stack completion push. Tracing only reads the
-     clock — it never charges time or schedules events. *)
+  (* The client's "queue_wait" ends the moment the worker dequeues;
+     "dispatch" covers the cross-core pull. *)
   (match req.Request.trace with
   | Some fl ->
       let now = Engine.now t.machine.Machine.engine in
@@ -212,34 +317,7 @@ let process t qp req ~pull_ns =
       Trace.open_stage fl ~name:"dispatch" ~now
   | None -> ());
   Machine.compute t.machine ~thread:t.w_thread pull_ns;
-  Engine.spawn t.machine.Machine.engine (fun () ->
-      let t0 = Engine.now t.machine.Machine.engine in
-      (match req.Request.trace with
-      | Some fl -> Trace.close_stage fl ~tid:t.w_thread ~now:t0
-      | None -> ());
-      let result = t.exec ~thread:t.w_thread req in
-      req.Request.result <- Some result;
-      (match req.Request.trace with
-      | Some fl ->
-          Trace.open_stage fl ~name:"complete"
-            ~now:(Engine.now t.machine.Machine.engine)
-      | None -> ());
-      t.qstat ~qp_id:(Qp.id qp)
-        ~service_ns:(Engine.now t.machine.Machine.engine -. t0);
-      Machine.compute t.machine ~thread:t.w_thread (costs t).Costs.shmem_enqueue_ns;
-      (* Hand the open "reap" stage to the client before the completion
-         push can wake it. *)
-      (match req.Request.trace with
-      | Some fl ->
-          let now = Engine.now t.machine.Machine.engine in
-          Trace.close_stage fl ~tid:t.w_thread ~now;
-          Trace.open_stage fl ~name:"reap" ~now
-      | None -> ());
-      Qp.complete qp req;
-      t.done_count <- t.done_count + 1;
-      t.inflight <- t.inflight - 1;
-      (* The worker may have parked on a full window; nudge it. *)
-      wake t)
+  dispatch t qp req
 
 (* One pass over the *ready* queues: up to [batch_size] requests are
    drained per queue per pass, so one cross-core pull covers the whole

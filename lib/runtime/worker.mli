@@ -35,7 +35,7 @@ val create :
     the {!Lab_sim.Costs.shmem_batch_frac} fraction. Queues are visited
     round-robin, so batching never starves a sibling queue.
     [max_inflight] (default 16, min 1) bounds how many requests the
-    worker runs concurrently as coroutines — its asynchronous window;
+    worker runs concurrently on its executors — its asynchronous window;
     a full window parks the worker until a completion frees a slot. *)
 
 val id : t -> int
@@ -65,8 +65,27 @@ val parked : t -> bool
 val processed : t -> int
 
 val inflight : t -> int
-(** Requests currently running as coroutines (the asynchronous window
+(** Requests currently running on executors (the asynchronous window
     occupancy); sampled by the continuous profiler. *)
+
+val executors : t -> int
+(** Executor processes spawned so far. Each request runs on a
+    long-lived executor that parks on the worker's idle stack between
+    requests; a new one is spawned only when none is idle, so this
+    never exceeds [max_inflight]. *)
+
+type executor
+
+val take_idle : t -> executor
+(** Pops the executor on top of the idle stack, as a dispatch does.
+    @raise Not_found if no executor is idle. *)
+
+val resume_executor :
+  executor -> Lab_core.Request.t -> Lab_core.Request.t Lab_ipc.Qp.t -> unit
+(** Hands the request and its queue to a parked idle executor and
+    unparks it at the next (time, seq) key, exactly where a process
+    spawned for the request would start.
+    @raise Invalid_argument if the executor is busy or not parked. *)
 
 val active_ns : t -> float
 (** Total awake time (processing + polling), the utilization measure. *)

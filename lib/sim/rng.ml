@@ -1,21 +1,31 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes, read and written with
+   [Bytes.get/set_int64_le]: a mutable [int64] field would box the state
+   on every store. [next_raw] is inlined into each draw, so the
+   SplitMix64 arithmetic runs on unboxed values and a draw that returns
+   an int or a bool allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let next_raw t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] next_raw t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 = next_raw
+let int64 t = next_raw t
 
-let split t = { state = next_raw t }
+let split t = of_state (next_raw t)
 
-let copy t = { state = t.state }
+let copy t = Bytes.copy t
 
 let int t bound =
   assert (bound > 0);

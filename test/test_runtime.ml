@@ -526,6 +526,174 @@ let test_pinned_client_schedule () =
      E: events=872 now=242583.190 retries=3 requeues=0 deadline_misses=0 exhausted=0\n"
     summary
 
+(* Worker scheduling under pressure: 2 workers with an asynchronous
+   window of 2 and a batch of 4, the dynamic orchestrator, six clients
+   (more than the window) over two stacks with different estimates, one
+   injected media error and a Runtime crash at 60 us with a restart
+   300 us later. Every client-visible result with its instant, the
+   event count and each worker's processed count are pinned, so a
+   change to how workers dispatch, run or retire requests, or to the
+   estimate the orchestrator reads, shows here event for event. *)
+let pinned_worker_scenario () =
+  let config =
+    {
+      Runtime.default_config with
+      nworkers = 2;
+      policy =
+        Orchestrator.Dynamic
+          { max_workers = 2; threshold = 0.2; lq_cutoff_ns = 3000.0 };
+      worker_max_inflight = 2;
+      worker_batch_size = 4;
+    }
+  in
+  let p =
+    Labstor.Platform.boot ~config
+      ~fault_script:
+        [ Fault.One_shot { at_ns = 20_000.0; queue = None; fault = Fault.Io_error } ]
+      ()
+  in
+  ignore (ok (Labstor.Platform.mount p (pin_blk_spec ~mount:"blk::/a" ~exec:"async")));
+  ignore
+    (ok
+       (Labstor.Platform.mount p
+          {|
+mount: "blk::/b"
+rules:
+  exec_mode: async
+dag:
+  - uuid: wcache-1
+    mod: lru_cache
+    attrs:
+      capacity_mb: 1
+    outputs: [wsched-1]
+  - uuid: wsched-1
+    mod: noop_sched
+    outputs: [wdrv-1]
+  - uuid: wdrv-1
+    mod: kernel_driver
+|}));
+  let m = Labstor.Platform.machine p in
+  let rt = Labstor.Platform.runtime p in
+  let log = Buffer.create 4096 in
+  let retries = ref 0 in
+  let show = function
+    | Ok n -> string_of_int n
+    | Error e -> (
+        match String.index_opt e ':' with
+        | Some i -> String.sub e 0 i
+        | None -> "error")
+  in
+  Labstor.Platform.go p (fun () ->
+      let clients = 6 and ops = 12 in
+      let j = Engine.join clients in
+      for k = 0 to clients - 1 do
+        Engine.spawn m.Machine.engine (fun () ->
+            let c = Labstor.Platform.client p ~thread:k () in
+            for i = 0 to ops - 1 do
+              let mount = if (k + i) mod 3 = 0 then "blk::/b" else "blk::/a" in
+              let lba = 8 * ((k * ops) + (i / 2)) in
+              let r =
+                if i mod 2 = 0 then Client.write_block c ~mount ~lba ~bytes:4096
+                else Client.read_block c ~mount ~lba ~bytes:4096
+              in
+              Printf.bprintf log "c%d.%d:%s@%.0f;" k i (show r) (Machine.now m)
+            done;
+            retries := !retries + Client.retries c;
+            Engine.arrive j)
+      done;
+      Engine.spawn m.Machine.engine (fun () ->
+          Engine.wait 60_000.0;
+          Runtime.crash rt;
+          Engine.wait 300_000.0;
+          Runtime.restart rt);
+      Engine.await j);
+  let processed =
+    Array.to_list (Array.map Worker.processed (Runtime.workers rt))
+  in
+  ( Buffer.contents log,
+    Printf.sprintf "events=%d now=%.3f processed=%s retries=%d"
+      (Engine.events_executed m.Machine.engine)
+      (Machine.now m)
+      (String.concat "," (List.map string_of_int processed))
+      !retries )
+
+let test_pinned_worker_schedule () =
+  let log, summary = pinned_worker_scenario () in
+  (* Values captured while every request still ran in a process spawned
+     for it. *)
+  if Digest.to_hex (Digest.string log) <> "7fed1f8f347d164adc0fcfa709b01ce6"
+  then Alcotest.failf "client-visible results changed:\n%s" log;
+  Alcotest.(check string) "events, time, per-worker processed, retries"
+    "events=5150 now=648434.000 processed=15,61 retries=1" summary
+
+(* Executors are long-lived: a worker spawns one only when none is idle,
+   so 1,000 requests in a row through the full stack leave each worker
+   with at most its window of executors. *)
+let test_executors_reused () =
+  let max_inflight = 4 in
+  let config =
+    { Runtime.default_config with nworkers = 2; worker_max_inflight = max_inflight }
+  in
+  let p = Labstor.Platform.boot ~config () in
+  let mount = "blk::/x" in
+  ignore (ok (Labstor.Platform.mount p (pin_blk_spec ~mount ~exec:"async")));
+  let rt = Labstor.Platform.runtime p in
+  Labstor.Platform.go p (fun () ->
+      let c = Labstor.Platform.client p ~thread:0 () in
+      for i = 0 to 999 do
+        let r =
+          if i mod 2 = 0 then Client.write_block c ~mount ~lba:(8 * i) ~bytes:4096
+          else Client.read_block c ~mount ~lba:(8 * (i - 1)) ~bytes:4096
+        in
+        ignore (ok r)
+      done);
+  Alcotest.(check int) "every request ran" 1000 (Runtime.requests_processed rt);
+  Array.iter
+    (fun w ->
+      let n = Worker.executors w in
+      if n > max_inflight then
+        Alcotest.failf "worker %d spawned %d executors for 1000 requests"
+          (Worker.id w) n)
+    (Runtime.workers rt);
+  Alcotest.(check bool) "some worker spawned an executor" true
+    (Array.exists (fun w -> Worker.executors w > 0) (Runtime.workers rt))
+
+(* An executor is resumed only while it is parked idle: handing a
+   request to one that is already running one raises instead of losing
+   a request. *)
+let test_misrouted_executor_resume () =
+  let m = Machine.create ~ncores:2 () in
+  let e = m.Machine.engine in
+  let w =
+    Worker.create m ~id:0 ~thread:0 ~exec:(fun ~thread:_ _ -> Request.Done) ()
+  in
+  let qp =
+    Lab_ipc.Qp.create ~role:Lab_ipc.Qp.Primary ~ordering:Lab_ipc.Qp.Ordered
+      ~id:0 ()
+  in
+  let req i =
+    Request.make ~id:i ~pid:1 ~uid:0 ~thread:1 ~stack_id:1 ~now:0.0
+      (Request.Control i)
+  in
+  Worker.assign w [ qp ];
+  Worker.start w;
+  (match Worker.take_idle w with
+  | _ -> Alcotest.fail "a fresh worker has no idle executor"
+  | exception Not_found -> ());
+  Lab_ipc.Qp.submit qp (req 1);
+  Engine.run ~until:100_000.0 e;
+  Alcotest.(check int) "one executor ran the request" 1 (Worker.executors w);
+  let x = Worker.take_idle w in
+  Worker.resume_executor x (req 2) qp;
+  (match Worker.resume_executor x (req 3) qp with
+  | () -> Alcotest.fail "resuming a busy executor must raise"
+  | exception Invalid_argument _ -> ());
+  Engine.run ~until:200_000.0 e;
+  Alcotest.(check int) "the refused request never ran" 2
+    (Worker.processed w);
+  let x' = Worker.take_idle w in
+  Alcotest.(check bool) "and parked idle again" true (x' == x)
+
 let () =
   Alcotest.run "lab_runtime"
     [
@@ -561,6 +729,14 @@ let () =
         [
           Alcotest.test_case "client schedule pinned" `Quick
             test_pinned_client_schedule;
+        ] );
+      ( "worker",
+        [
+          Alcotest.test_case "worker schedule pinned" `Quick
+            test_pinned_worker_schedule;
+          Alcotest.test_case "executors are reused" `Quick test_executors_reused;
+          Alcotest.test_case "misrouted executor resume" `Quick
+            test_misrouted_executor_resume;
         ] );
       ( "orchestrator",
         [

@@ -1261,6 +1261,73 @@ let test_rng_split_independent () =
   let ys = List.init 10 (fun _ -> Rng.int64 b) in
   Alcotest.(check bool) "split streams differ" true (xs <> ys)
 
+(* The first outputs of each stream, captured while the state was a
+   mutable [int64] field: a change to the SplitMix64 arithmetic, to the
+   way the state is stored or to [split]/[copy] shows here. *)
+let test_rng_stream_pinned () =
+  let firsts r = List.init 8 (fun _ -> Rng.int64 r) in
+  let check name expected r =
+    Alcotest.(check (list int64)) name expected (firsts r)
+  in
+  check "seed 0"
+    [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+      -537132696929009172L; 1961750202426094747L; 6038094601263162090L;
+      3207296026000306913L; -4214222208109204676L ]
+    (Rng.create 0);
+  check "seed 42"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+      6349198060258255764L; 701532786141963250L; -2430762948046562554L;
+      4028864712777624925L; -3677692746721775708L ]
+    (Rng.create 42);
+  let parent = Rng.create 42 in
+  let child = Rng.split parent in
+  check "split child"
+    [ 6332618229526065668L; -816328817471504299L; 8971565426155258802L;
+      1242533817266198696L; -5959852680200513735L; 1245346008178237623L;
+      3603600226484403572L; -4893543810735773810L ]
+    child;
+  check "parent after split"
+    [ 2949826092126892291L; 5139283748462763858L; 6349198060258255764L;
+      701532786141963250L; -2430762948046562554L; 4028864712777624925L;
+      -3677692746721775708L; 6270620877612482005L ]
+    parent;
+  let orig = Rng.create 42 in
+  ignore (Rng.int64 orig);
+  ignore (Rng.int64 orig);
+  let dup = Rng.copy orig in
+  let after_two =
+    [ 5139283748462763858L; 6349198060258255764L; 701532786141963250L;
+      -2430762948046562554L; 4028864712777624925L; -3677692746721775708L;
+      6270620877612482005L; -7037763681458882642L ]
+  in
+  check "copy" after_two dup;
+  check "copied stream unaffected" after_two orig;
+  let r = Rng.create 7 in
+  let i1 = Rng.int r 1000 in
+  let i2 = Rng.int r 3 in
+  let f = Rng.float r 1.0 in
+  let b = Rng.bool r in
+  Alcotest.(check (list int)) "int draws" [ 621; 0 ] [ i1; i2 ];
+  Alcotest.(check (float 0.0)) "float draw" 0x1.cd30810175625p-1 f;
+  Alcotest.(check bool) "bool draw" true b
+
+(* A draw keeps the state in place and boxes nothing, so an [int] draw
+   allocates no word at all. Native only. *)
+let test_rng_int_alloc_free () =
+  let r = Rng.create 3 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int r 100
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "draws stay in bound" true (!acc < 100 * 10_000);
+  match Sys.backend_type with
+  | Sys.Native ->
+      Alcotest.(check (float 0.0))
+        "words allocated by 10k Rng.int draws" 0.0 words
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 let prop_rng_int_in_bounds =
   QCheck.Test.make ~name:"Rng.int stays within bound" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -1383,6 +1450,9 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
+          Alcotest.test_case "rng stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "Rng.int allocates nothing" `Quick
+            test_rng_int_alloc_free;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "zipf skew" `Quick test_rng_zipf_skew;
           QCheck_alcotest.to_alcotest prop_rng_int_in_bounds;
