@@ -150,6 +150,50 @@ let lab_case sched_mod ~colocated =
   Machine.run ~until:(duration_ns *. 3.0) machine;
   match !result with Some r -> r | None -> failwith "scheduler bench did not finish"
 
+(* The Table II shape this run must reproduce, checked on the averages
+   (the p99 columns are printed, not gated). [rows] is
+   [(name, (iso_avg, co_avg))] in [cases] order. Returns the violated
+   conditions, empty when the shape holds. *)
+let shape_violations rows =
+  let avg name = List.assoc name rows in
+  let iso name = fst (avg name) and co name = snd (avg name) in
+  let isos = List.map (fun (_, (i, _)) -> i) rows in
+  let lo = List.fold_left Float.min infinity isos
+  and hi = List.fold_left Float.max neg_infinity isos in
+  List.concat
+    [
+      (if hi <= 1.10 *. lo then []
+       else
+         [ Printf.sprintf "isolated averages spread %.1f..%.1f us (> 10%%)"
+             (lo /. 1e3) (hi /. 1e3) ]);
+      List.concat_map
+        (fun sys ->
+          let noop = sys ^ "-NoOp" and blk = sys ^ "-Blk" in
+          (if co noop >= 10.0 *. iso noop then []
+           else
+             [ Printf.sprintf "%s colocated %.1f us < 10x isolated %.1f us"
+                 noop (co noop /. 1e3) (iso noop /. 1e3) ])
+          @
+          if co blk <= 4.0 *. iso blk then []
+          else
+            [ Printf.sprintf "%s colocated %.1f us > 4x isolated %.1f us" blk
+                (co blk /. 1e3) (iso blk /. 1e3) ])
+        [ "Linux"; "Lab" ];
+      List.concat_map
+        (fun policy ->
+          let lab = "Lab-" ^ policy and linux = "Linux-" ^ policy in
+          List.filter_map
+            (fun (phase, get) ->
+              let a = get lab and b = get linux in
+              if Float.abs (a -. b) <= 0.05 *. b then None
+              else
+                Some
+                  (Printf.sprintf "%s %s %.1f us not within 5%% of %s %.1f us"
+                     lab phase (a /. 1e3) linux (b /. 1e3)))
+            [ ("isolated", iso); ("colocated", co) ])
+        [ "NoOp"; "Blk" ];
+    ]
+
 let run () =
   Bench_util.heading "fig8"
     "I/O schedulers: L-App 4 KiB write latency, isolated vs. colocated with T-App";
@@ -161,12 +205,18 @@ let run () =
       ("Lab-Blk", fun ~colocated -> lab_case "blkswitch_sched" ~colocated);
     ]
   in
+  let results =
+    List.map
+      (fun (name, f) ->
+        let iso = f ~colocated:false in
+        let co = f ~colocated:true in
+        (name, iso, co))
+      cases
+  in
   Bench_util.print_table [ 12; 13; 13; 13; 13 ]
     [ "system"; "iso avg(us)"; "iso p99(us)"; "colo avg(us)"; "colo p99(us)" ]
     (List.map
-       (fun (name, f) ->
-         let iso_avg, iso_p99 = f ~colocated:false in
-         let co_avg, co_p99 = f ~colocated:true in
+       (fun (name, (iso_avg, iso_p99), (co_avg, co_p99)) ->
          [
            name;
            Bench_util.f1 (iso_avg /. 1e3);
@@ -174,11 +224,19 @@ let run () =
            Bench_util.f1 (co_avg /. 1e3);
            Bench_util.f1 (co_p99 /. 1e3);
          ])
-       cases);
+       results);
   Bench_util.note
     "paper shape (Table II): isolated, NoOp ~ blk-switch (separate queues);";
   Bench_util.note
     "colocated, NoOp degrades badly (head-of-line blocking: 110 us -> 945 us for";
   Bench_util.note
     "Linux) while blk-switch holds ~100 us; Lab versions ~20%% (Blk) and ~5%%";
-  Bench_util.note "(NoOp isolated) better than their kernel counterparts."
+  Bench_util.note "(NoOp isolated) better than their kernel counterparts.";
+  match
+    shape_violations
+      (List.map (fun (name, (iso, _), (co, _)) -> (name, (iso, co))) results)
+  with
+  | [] -> ()
+  | bad ->
+      List.iter (Bench_util.note "SHAPE GATE FAILED: %s") bad;
+      exit 1

@@ -40,6 +40,13 @@ echo "== fig4a anatomy (byte-identical to baseline) =="
 # a regression in the tracer, the exclusive-time fold or the stack.
 dune exec bench/main.exe -- anatomy | diff bench/baselines/fig4a.txt -
 
+echo "== fig8 schedulers (Table II shape) =="
+# Asserts the paper's scheduler shape on L-App average latency:
+# isolated averages within 10% of each other, NoOp colocated >= 10x its
+# isolated average, blk-switch colocated <= 4x, and every Lab variant
+# within 5% of its Linux counterpart; exits nonzero on violation.
+dune exec bench/main.exe -- schedulers
+
 echo "== anatomy2 smoke (--smoke) =="
 # Asserts per-request stage/e2e reconciliation and zero overhead when
 # tracing is off; exits nonzero on violation.
