@@ -89,23 +89,23 @@ let stages =
   [ "submit"; "queue_wait"; "dispatch"; "module_stack"; "complete"; "reap" ]
 
 type anatomy = {
-  per_stage : (string * Stats.t) list;
-  cache_ns : Stats.t;  (** lru_cache software time, downstream excluded *)
-  sched_ns : Stats.t;
-  driver_ns : Stats.t;
-  device_ns : Stats.t;
-  e2e : Stats.t;
+  per_stage : (string * Obs.Hist.t) list;
+  cache_ns : Obs.Hist.t;  (** lru_cache software time, downstream excluded *)
+  sched_ns : Obs.Hist.t;
+  driver_ns : Obs.Hist.t;
+  device_ns : Obs.Hist.t;
+  e2e : Obs.Hist.t;
   requests : int;
   max_residual : float;  (** worst |root - sum(stages)| / root *)
 }
 
 let aggregate spans =
-  let per_stage = List.map (fun s -> (s, Stats.create ())) stages in
-  let cache_ns = Stats.create () in
-  let sched_ns = Stats.create () in
-  let driver_ns = Stats.create () in
-  let device_ns = Stats.create () in
-  let e2e = Stats.create () in
+  let per_stage = List.map (fun s -> (s, Obs.Hist.create ())) stages in
+  let cache_ns = Obs.Hist.create () in
+  let sched_ns = Obs.Hist.create () in
+  let driver_ns = Obs.Hist.create () in
+  let device_ns = Obs.Hist.create () in
+  let e2e = Obs.Hist.create () in
   let requests = ref 0 in
   let max_residual = ref 0.0 in
   List.iter
@@ -126,7 +126,7 @@ let aggregate spans =
           | "stage", name ->
               stage_sum := !stage_sum +. e.Obs.Trace.ev_dur;
               (match List.assoc_opt name per_stage with
-              | Some st -> Stats.add st e.Obs.Trace.ev_dur
+              | Some st -> Obs.Hist.observe st e.Obs.Trace.ev_dur
               | None -> ())
           | "mod", "lru_cache" -> cache := !cache +. self
           | "mod", "blkswitch_sched" -> sched := !sched +. self
@@ -136,13 +136,13 @@ let aggregate spans =
         spans;
       if !root > 0.0 then begin
         incr requests;
-        Stats.add e2e !root;
+        Obs.Hist.observe e2e !root;
         let residual = Float.abs (!root -. !stage_sum) /. !root in
         if residual > !max_residual then max_residual := residual;
-        Stats.add cache_ns !cache;
-        Stats.add sched_ns !sched;
-        Stats.add driver_ns !driver;
-        Stats.add device_ns !device
+        Obs.Hist.observe cache_ns !cache;
+        Obs.Hist.observe sched_ns !sched;
+        Obs.Hist.observe driver_ns !driver;
+        Obs.Hist.observe device_ns !device
       end)
     (Obs.Profile.exclusive spans);
   {
@@ -161,8 +161,8 @@ let write_json path (a : anatomy) =
   let pair name st =
     Printf.sprintf
       "    {\"stage\": \"%s\", \"mean_ns\": %.1f, \"p99_ns\": %.1f}" name
-      (Stats.mean st)
-      (Stats.percentile st 99.0)
+      (Obs.Hist.mean st)
+      (Obs.Hist.quantile st 0.99)
   in
   let rows =
     List.map (fun (n, st) -> pair n st) a.per_stage
@@ -176,7 +176,7 @@ let write_json path (a : anatomy) =
   Printf.fprintf oc
     "{\n  \"requests\": %d,\n  \"e2e_mean_ns\": %.1f,\n  \
      \"max_stage_residual\": %.6f,\n  \"stages\": [\n%s\n  ]\n}\n"
-    a.requests (Stats.mean a.e2e) a.max_residual
+    a.requests (Obs.Hist.mean a.e2e) a.max_residual
     (String.concat ",\n" rows);
   close_out oc
 
@@ -193,9 +193,9 @@ let run () =
     Bench_util.time_events (fun () -> run_case ~seed ~ops ~sample:1)
   in
   let a = aggregate traced.spans in
-  let e2e_mean = Stats.mean a.e2e in
+  let e2e_mean = Obs.Hist.mean a.e2e in
   let share st =
-    if e2e_mean > 0.0 then 100.0 *. Stats.mean st /. e2e_mean else 0.0
+    if e2e_mean > 0.0 then 100.0 *. Obs.Hist.mean st /. e2e_mean else 0.0
   in
   let widths = [ 22; 10; 10; 7 ] in
   Bench_util.print_table widths
@@ -204,8 +204,8 @@ let run () =
        (fun (name, st) ->
          [
            name;
-           Bench_util.f0 (Stats.mean st);
-           Bench_util.f0 (Stats.percentile st 99.0);
+           Bench_util.f0 (Obs.Hist.mean st);
+           Bench_util.f0 (Obs.Hist.quantile st 0.99);
            Printf.sprintf "%.1f%%" (share st);
          ])
        (a.per_stage

@@ -70,7 +70,7 @@ let run_case ~seed ~qd ~batch ~total_ops =
   | Ok _ -> ()
   | Error e -> failwith ("exp_batching: mount: " ^ e));
   let machine = Platform.machine platform in
-  let lat = Stats.create () in
+  let lat = Obs.Hist.create () in
   let failed = ref 0 in
   Platform.go platform (fun () ->
       let all_done = Engine.join threads in
@@ -85,7 +85,7 @@ let run_case ~seed ~qd ~batch ~total_ops =
                    Runtime.Client.write_block c ~mount:"blk::/batch"
                      ~lba:!cursor ~bytes
                  with
-                 | Ok _ -> Stats.add lat (Machine.now machine -. t0)
+                 | Ok _ -> Obs.Hist.observe lat (Machine.now machine -. t0)
                  | Error _ -> incr failed
                else
                  let ops =
@@ -102,7 +102,7 @@ let run_case ~seed ~qd ~batch ~total_ops =
                      let dt = Machine.now machine -. t0 in
                      List.iter
                        (function
-                         | Ok _ -> Stats.add lat dt
+                         | Ok _ -> Obs.Hist.observe lat dt
                          | Error _ -> incr failed)
                        results);
               cursor := !cursor + (batch * sectors_per_op)
@@ -129,7 +129,7 @@ let run_case ~seed ~qd ~batch ~total_ops =
   let ftotal = Stdlib.float_of_int total in
   {
     kiops = ftotal /. (elapsed /. 1e9) /. 1000.0;
-    p99_us = Stats.percentile lat 99.0 /. 1e3;
+    p99_us = Obs.Hist.quantile lat 0.99 /. 1e3;
     doorbells_per_req = Stdlib.float_of_int doorbells /. ftotal;
     merges_per_req = Stdlib.float_of_int merges /. ftotal;
     events = Engine.events_executed machine.Machine.engine;

@@ -78,7 +78,7 @@ let run_case ~seed ~policy ~ra ~shards ~wr_pct ~ops_per_thread =
   | Ok _ -> ()
   | Error e -> failwith ("exp_cache: mount: " ^ e));
   let machine = Platform.machine platform in
-  let lat = Stats.create () in
+  let lat = Obs.Hist.create () in
   let failed = ref 0 in
   Platform.go platform (fun () ->
       let all_done = Engine.join threads in
@@ -104,7 +104,7 @@ let run_case ~seed ~policy ~ra ~shards ~wr_pct ~ops_per_thread =
                 end
               in
               match r with
-              | Ok _ -> Stats.add lat (Machine.now machine -. t0)
+              | Ok _ -> Obs.Hist.observe lat (Machine.now machine -. t0)
               | Error _ -> incr failed
             done;
             Engine.arrive all_done)
@@ -122,7 +122,7 @@ let run_case ~seed ~policy ~ra ~shards ~wr_pct ~ops_per_thread =
   let dirty_evicted = Mods.Cache_core.dirty_evictions core in
   {
     kiops = Stdlib.float_of_int total /. (elapsed /. 1e9) /. 1000.0;
-    p99_us = Stats.percentile lat 99.0 /. 1e3;
+    p99_us = Obs.Hist.quantile lat 0.99 /. 1e3;
     hit_rate =
       Stdlib.float_of_int hits
       /. Stdlib.float_of_int (Stdlib.max 1 (hits + misses));

@@ -52,7 +52,7 @@ let run_case ~rate ~seed ~ops =
   | Ok _ -> ()
   | Error e -> failwith ("exp_faults: mount: " ^ e));
   let machine = Platform.machine platform in
-  let lat = Stats.create () in
+  let lat = Obs.Hist.create () in
   let failed = ref 0 in
   let clients = ref [] in
   Platform.go platform (fun () ->
@@ -69,7 +69,7 @@ let run_case ~rate ~seed ~ops =
                 Runtime.Client.write_block c ~mount:"blk::/faults" ~lba
                   ~bytes
               with
-              | Ok _ -> Stats.add lat (Machine.now machine -. t0)
+              | Ok _ -> Obs.Hist.observe lat (Machine.now machine -. t0)
               | Error _ -> incr failed
             done;
             Engine.arrive all_done)
@@ -85,8 +85,8 @@ let run_case ~rate ~seed ~ops =
   in
   {
     kiops = Stdlib.float_of_int total /. (elapsed /. 1e9) /. 1000.0;
-    p50_us = Stats.percentile lat 50.0 /. 1e3;
-    p99_us = Stats.percentile lat 99.0 /. 1e3;
+    p50_us = Obs.Hist.quantile lat 0.5 /. 1e3;
+    p99_us = Obs.Hist.quantile lat 0.99 /. 1e3;
     injected;
     retries = sum Runtime.Client.retries;
     requeues = sum Runtime.Client.requeues;

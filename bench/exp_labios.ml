@@ -118,7 +118,7 @@ let ycsb_row mix =
         in
         let r = Lab_workloads.Ycsb.run m mix ops in
         ( r.Lab_workloads.Ycsb.ops_per_sec,
-          Sim.Stats.percentile r.Lab_workloads.Ycsb.read_latency 99.0 ))
+          Obs.Hist.quantile r.Lab_workloads.Ycsb.read_latency 0.99 ))
   in
   let all_rate, _ = run_cfg ~perms:true ~exec:"async" in
   let min_rate, p99 = run_cfg ~perms:false ~exec:"sync" in

@@ -85,6 +85,8 @@ let spawn_clients platform f =
 type mirror_outcome = {
   healthy_p99_us : float;
   degraded_p99_us : float;
+  healthy_samples : int;
+  degraded_samples : int;  (* an empty phase must not pass the p99 bound *)
   degraded_failures : int;
   rebuild_ms : float;
   counters : (string * int) list;
@@ -109,15 +111,15 @@ let run_mirror ~seed ~extents ~ops =
   let machine = Platform.machine platform in
   let mount = "blk::/vol" in
   let span = extents * extent_blocks in
-  let healthy = Stats.create () in
-  let degraded = Stats.create () in
+  let healthy = Obs.Hist.create () in
+  let degraded = Obs.Hist.create () in
   let failures = ref 0 in
   let read_phase stats th c n rng =
     for _ = 1 to n do
       let lba = Rng.int rng span in
       let t0 = Machine.now machine in
       match Runtime.Client.read_block c ~mount ~lba ~bytes with
-      | Ok _ -> Stats.add stats (Machine.now machine -. t0)
+      | Ok _ -> Obs.Hist.observe stats (Machine.now machine -. t0)
       | Error _ -> incr failures
     done;
     ignore th
@@ -192,14 +194,16 @@ let run_mirror ~seed ~extents ~ops =
       @ List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters
       @ [
           Printf.sprintf "healthy_p99=%.1f degraded_p99=%.1f frac=%.3f"
-            (Stats.percentile healthy 99.0)
-            (Stats.percentile degraded 99.0)
+            (Obs.Hist.quantile healthy 0.99)
+            (Obs.Hist.quantile degraded 0.99)
             frac;
         ])
   in
   {
-    healthy_p99_us = Stats.percentile healthy 99.0 /. 1e3;
-    degraded_p99_us = Stats.percentile degraded 99.0 /. 1e3;
+    healthy_p99_us = Obs.Hist.quantile healthy 0.99 /. 1e3;
+    degraded_p99_us = Obs.Hist.quantile degraded 0.99 /. 1e3;
+    healthy_samples = Obs.Hist.count healthy;
+    degraded_samples = Obs.Hist.count degraded;
     degraded_failures;
     rebuild_ms = (!rebuild_done_at -. rebuild_t0) /. 1e6;
     counters;
@@ -271,6 +275,12 @@ let run () =
   if o.degraded_failures > 0 then begin
     Bench_util.note "AVAILABILITY FAILED: %d reads failed while degraded"
       o.degraded_failures;
+    exit 1
+  end;
+  if o.healthy_samples = 0 || o.degraded_samples = 0 then begin
+    Bench_util.note
+      "P99 BOUND FAILED: empty sample (healthy %d reads, degraded %d reads)"
+      o.healthy_samples o.degraded_samples;
     exit 1
   end;
   if o.degraded_p99_us > degraded_p99_factor *. o.healthy_p99_us then begin

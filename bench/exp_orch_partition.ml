@@ -54,7 +54,7 @@ let run_config nworkers policy =
   let platform = Platform.boot ~ncores:24 ~nworkers ~policy () in
   ignore (Platform.mount_exn platform l_spec);
   ignore (Platform.mount_exn platform c_spec);
-  let lat = Sim.Stats.create () in
+  let lat = Obs.Hist.create () in
   let c_bytes = ref 0 in
   let c_elapsed = ref 0.0 in
   Platform.go platform (fun () ->
@@ -88,14 +88,14 @@ let run_config nworkers policy =
             for i = 1 to creates_per_l do
               let t0 = Platform.now platform in
               ignore (Runtime.Client.create c (Printf.sprintf "fs::/l/f%d-%d" lw i));
-              Sim.Stats.add lat (Platform.now platform -. t0);
+              Obs.Hist.observe lat (Platform.now platform -. t0);
               Sim.Engine.wait 50_000.0
             done;
             Sim.Engine.arrive all_done)
       done;
       Sim.Engine.await all_done);
   let bw = float_of_int !c_bytes /. (!c_elapsed /. 1e9) /. (1024.0 *. 1024.0) in
-  (Sim.Stats.mean lat, bw)
+  (Obs.Hist.mean lat, bw)
 
 let run () =
   Bench_util.heading "fig5b"

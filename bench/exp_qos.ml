@@ -173,6 +173,7 @@ let noisy_uid = 999
 let base_period = 81920.0
 
 type e2e_out = {
+  reads : int;  (* polite reads measured; an empty sample fails the gate *)
   p50_us : float;
   p99_us : float;
   co_p99_us : float;
@@ -209,11 +210,11 @@ let run_e2e ~seed ~n_tenants ~noisy ~total_ops =
      includes its bulk burst and the read p99 reflects it. *)
   let ops_per = Stdlib.max 8 (total_ops / n_tenants) in
   let period = base_period *. float_of_int n_tenants in
-  let lat = Stats.create () in
+  let lat = Obs.Hist.create () in
   (* Schedule-origin latencies: pure arithmetic beside the existing
-     Stats — no extra engine events, so the run (and its gated JSON)
+     histogram — no extra engine events, so the run (and its gated JSON)
      is byte-identical with or without this measurement. *)
-  let lat_co = Stats.create () in
+  let lat_co = Obs.Hist.create () in
   let failed = ref 0 in
   let noisy_done = ref 0 in
   Platform.go platform (fun () ->
@@ -274,8 +275,8 @@ let run_e2e ~seed ~n_tenants ~noisy ~total_ops =
                with
               | Ok _ ->
                   let tc = Machine.now machine in
-                  Stats.add lat (tc -. t0);
-                  Stats.add lat_co (tc -. Float.min sched t0)
+                  Obs.Hist.observe lat (tc -. t0);
+                  Obs.Hist.observe lat_co (tc -. Float.min sched t0)
               | Error _ -> incr failed);
               Engine.wait (if k mod 8 = 7 then period -. 8000.0 else period)
             done;
@@ -310,9 +311,10 @@ let run_e2e ~seed ~n_tenants ~noisy ~total_ops =
     else (0, 0, 0)
   in
   {
-    p50_us = Stats.percentile lat 50.0 /. 1e3;
-    p99_us = Stats.percentile lat 99.0 /. 1e3;
-    co_p99_us = Stats.percentile lat_co 99.0 /. 1e3;
+    reads = Obs.Hist.count lat;
+    p50_us = Obs.Hist.quantile lat 0.5 /. 1e3;
+    p99_us = Obs.Hist.quantile lat 0.99 /. 1e3;
+    co_p99_us = Obs.Hist.quantile lat_co 0.99 /. 1e3;
     polite_failed = !failed;
     throttled;
     noisy_ops;
@@ -459,13 +461,19 @@ let run () =
   in
   let isolation_ok =
     List.for_all
-      (fun (_, _, attack, ratio) ->
-        ratio <= 1.5 && attack.throttled > 0 && attack.noisy_dispatched > 0)
+      (fun (_, alone, attack, ratio) ->
+        alone.reads > 0 && attack.reads > 0 && ratio <= 1.5
+        && attack.throttled > 0 && attack.noisy_dispatched > 0)
       e2e
   in
   if not isolation_ok then begin
     List.iter
-      (fun (n, _, attack, ratio) ->
+      (fun (n, alone, attack, ratio) ->
+        if alone.reads = 0 || attack.reads = 0 then
+          Bench_util.note
+            "ISOLATION REGRESSION: N=%d empty p99 sample (alone %d reads, \
+             attacked %d reads)"
+            n alone.reads attack.reads;
         if ratio > 1.5 then
           Bench_util.note
             "ISOLATION REGRESSION: N=%d polite p99 shifted %.3fx under attack \

@@ -27,7 +27,7 @@ let duration_ns = 100e6
 
 let linux_case sched ~colocated =
   let m = Machine.create ~ncores:24 () in
-  let lat = Stats.create () in
+  let lat = Obs.Hist.create () in
   let result = ref None in
   Machine.spawn m (fun () ->
       let dev = Device.create m.Machine.engine profile in
@@ -58,13 +58,13 @@ let linux_case sched ~colocated =
               let t0 = Machine.now m in
               Api.submit_wait api ~api:Api.Io_uring ~thread:th
                 ~kind:Device.Write ~off ~bytes:4096;
-              Stats.add lat (Machine.now m -. t0);
+              Obs.Hist.observe lat (Machine.now m -. t0);
               Engine.wait 50_000.0
             done;
             Engine.arrive all_done)
       done;
       Engine.await all_done;
-      result := Some (Stats.mean lat, Stats.percentile lat 99.0));
+      result := Some (Obs.Hist.mean lat, Obs.Hist.quantile lat 0.99));
   Machine.run m;
   Option.get !result
 
@@ -105,7 +105,7 @@ let lab_case sched_mod ~colocated =
   (match Runtime.Runtime.mount_text rt (lab_stack_spec sched_mod) with
   | Ok _ -> ()
   | Error e -> failwith e);
-  let lat = Stats.create () in
+  let lat = Obs.Hist.create () in
   let result = ref None in
   Machine.spawn machine (fun () ->
       let deadline = duration_ns in
@@ -140,59 +140,56 @@ let lab_case sched_mod ~colocated =
               ignore
                 (Runtime.Client.write_block c ~mount:"blk::/sched" ~lba
                    ~bytes:4096);
-              Stats.add lat (Machine.now machine -. t0);
+              Obs.Hist.observe lat (Machine.now machine -. t0);
               Engine.wait 50_000.0
             done;
             Engine.arrive all_done)
       done;
       Engine.await all_done;
-      result := Some (Stats.mean lat, Stats.percentile lat 99.0));
+      result := Some (Obs.Hist.mean lat, Obs.Hist.quantile lat 0.99));
   Machine.run ~until:(duration_ns *. 3.0) machine;
   match !result with Some r -> r | None -> failwith "scheduler bench did not finish"
 
 (* The Table II shape this run must reproduce, checked on the averages
    (the p99 columns are printed, not gated). [rows] is
-   [(name, (iso_avg, co_avg))] in [cases] order. Returns the violated
+   [(name, (iso_avg, co_avg))] over [cases]. Returns the violated
    conditions, empty when the shape holds. *)
 let shape_violations rows =
-  let avg name = List.assoc name rows in
-  let iso name = fst (avg name) and co name = snd (avg name) in
+  let iso name = fst (List.assoc name rows)
+  and co name = snd (List.assoc name rows) in
   let isos = List.map (fun (_, (i, _)) -> i) rows in
   let lo = List.fold_left Float.min infinity isos
   and hi = List.fold_left Float.max neg_infinity isos in
-  List.concat
-    [
-      (if hi <= 1.10 *. lo then []
-       else
-         [ Printf.sprintf "isolated averages spread %.1f..%.1f us (> 10%%)"
-             (lo /. 1e3) (hi /. 1e3) ]);
-      List.concat_map
-        (fun sys ->
-          let noop = sys ^ "-NoOp" and blk = sys ^ "-Blk" in
-          (if co noop >= 10.0 *. iso noop then []
-           else
-             [ Printf.sprintf "%s colocated %.1f us < 10x isolated %.1f us"
-                 noop (co noop /. 1e3) (iso noop /. 1e3) ])
-          @
-          if co blk <= 4.0 *. iso blk then []
-          else
-            [ Printf.sprintf "%s colocated %.1f us > 4x isolated %.1f us" blk
-                (co blk /. 1e3) (iso blk /. 1e3) ])
-        [ "Linux"; "Lab" ];
-      List.concat_map
-        (fun policy ->
-          let lab = "Lab-" ^ policy and linux = "Linux-" ^ policy in
-          List.filter_map
-            (fun (phase, get) ->
-              let a = get lab and b = get linux in
-              if Float.abs (a -. b) <= 0.05 *. b then None
-              else
-                Some
-                  (Printf.sprintf "%s %s %.1f us not within 5%% of %s %.1f us"
-                     lab phase (a /. 1e3) linux (b /. 1e3)))
-            [ ("isolated", iso); ("colocated", co) ])
-        [ "NoOp"; "Blk" ];
-    ]
+  let check ok msg = if ok then [] else [ msg ] in
+  let us v = v /. 1e3 in
+  check (hi <= 1.10 *. lo)
+    (Printf.sprintf "isolated averages spread %.1f..%.1f us (> 10%%)" (us lo)
+       (us hi))
+  @ List.concat_map
+      (fun sys ->
+        let noop = sys ^ "-NoOp" and blk = sys ^ "-Blk" in
+        check
+          (co noop >= 10.0 *. iso noop)
+          (Printf.sprintf "%s colocated %.1f us < 10x isolated %.1f us" noop
+             (us (co noop)) (us (iso noop)))
+        @ check
+            (co blk <= 4.0 *. iso blk)
+            (Printf.sprintf "%s colocated %.1f us > 4x isolated %.1f us" blk
+               (us (co blk)) (us (iso blk))))
+      [ "Linux"; "Lab" ]
+  @ List.concat_map
+      (fun (policy, phase, get) ->
+        let lab = get ("Lab-" ^ policy) and linux = get ("Linux-" ^ policy) in
+        check
+          (Float.abs (lab -. linux) <= 0.05 *. linux)
+          (Printf.sprintf "Lab-%s %s %.1f us not within 5%% of Linux %.1f us"
+             policy phase (us lab) (us linux)))
+      [
+        ("NoOp", "isolated", iso);
+        ("NoOp", "colocated", co);
+        ("Blk", "isolated", iso);
+        ("Blk", "colocated", co);
+      ]
 
 let run () =
   Bench_util.heading "fig8"

@@ -21,6 +21,12 @@ bad=$(grep -rl 'Engine\.suspend' lib bench bin test | grep -v '^lib/sim/engine\.
 [ -z "$bad" ] && [ "$(grep -c 'Engine\.suspend' test/test_sim.ml)" -le 2 ] \
   || { echo "suspend called outside its two test_sim tests; use Engine.join: $bad"; exit 1; }
 
+echo "== percentiles only through Obs.Hist =="
+# Stats survives only as the count/sum shim in lib/labstor/labstor.ml that
+# labbench reads; every other caller uses Obs.Hist.
+bad=$(grep -rlE '(^|[^A-Za-z0-9_])Stats\.' lib bench bin test examples | grep -v '^lib/labstor/labstor\.ml$' || true)
+[ -z "$bad" ] || { echo "Stats used outside the labstor.ml shim; use Obs.Hist: $bad"; exit 1; }
+
 echo "== dune runtest =="
 dune runtest
 

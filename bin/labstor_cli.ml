@@ -197,7 +197,7 @@ let faults_cmd =
         Printf.eprintf "mount error: %s\n" e;
         exit 1);
     let machine = Platform.machine platform in
-    let lat = Sim.Stats.create () in
+    let lat = Obs.Hist.create () in
     let failed = ref 0 in
     let clients = ref [] in
     on_client_threads platform ~threads (fun th c ->
@@ -209,7 +209,7 @@ let faults_cmd =
           match
             Runtime.Client.write_block c ~mount:"blk::/dev/sim" ~lba ~bytes
           with
-          | Ok _ -> Sim.Stats.add lat (Sim.Machine.now machine -. t0)
+          | Ok _ -> Obs.Hist.observe lat (Sim.Machine.now machine -. t0)
           | Error _ -> incr failed
         done;);
     let elapsed = Platform.now platform in
@@ -220,8 +220,8 @@ let faults_cmd =
       (float_of_int total /. (elapsed /. 1e9) /. 1000.0)
       (elapsed /. 1e6);
     Printf.printf "  latency       p50 %.1f us  p99 %.1f us\n"
-      (Sim.Stats.percentile lat 50.0 /. 1e3)
-      (Sim.Stats.percentile lat 99.0 /. 1e3);
+      (Obs.Hist.quantile lat 0.5 /. 1e3)
+      (Obs.Hist.quantile lat 0.99 /. 1e3);
     Printf.printf "  failed        %d of %d surfaced to the application\n" !failed total;
     Printf.printf
       "  errno         EIO/ETORN = transient media error (client retries in \
@@ -422,7 +422,7 @@ let cache_cmd =
         Printf.eprintf "mount error: %s\n" e;
         exit 1);
     let machine = Platform.machine platform in
-    let lat = Sim.Stats.create () in
+    let lat = Obs.Hist.create () in
     let failed = ref 0 in
     on_client_threads platform ~threads (fun th c ->
         (* Per-thread sequential streams in disjoint page
@@ -447,7 +447,7 @@ let cache_cmd =
             end
           in
           match r with
-          | Ok _ -> Sim.Stats.add lat (Sim.Machine.now machine -. t0)
+          | Ok _ -> Obs.Hist.observe lat (Sim.Machine.now machine -. t0)
           | Error _ -> incr failed
         done;);
     let elapsed = Platform.now platform in
@@ -460,8 +460,8 @@ let cache_cmd =
       (float_of_int total /. (elapsed /. 1e9) /. 1000.0)
       (elapsed /. 1e6);
     Printf.printf "  latency       p50 %.1f us  p99 %.1f us\n"
-      (Sim.Stats.percentile lat 50.0 /. 1e3)
-      (Sim.Stats.percentile lat 99.0 /. 1e3);
+      (Obs.Hist.quantile lat 0.5 /. 1e3)
+      (Obs.Hist.quantile lat 0.99 /. 1e3);
     if !failed > 0 then
       Printf.printf "  failed        %d of %d surfaced to the application\n" !failed total;
     (match Core.Registry.find (Runtime.Runtime.registry rt) "cache0" with

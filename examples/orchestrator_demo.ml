@@ -48,7 +48,7 @@ let run_with policy label =
   let platform = Platform.boot ~nworkers:2 ~policy () in
   ignore (Platform.mount_exn platform l_spec);
   ignore (Platform.mount_exn platform c_spec);
-  let lat = Sim.Stats.create () in
+  let lat = Obs.Hist.create () in
   Platform.go platform (fun () ->
       let m = Platform.machine platform in
       let all_done = Sim.Engine.join (n_l_clients + n_c_clients) in
@@ -82,15 +82,15 @@ let run_with policy label =
               let t0 = Platform.now platform in
               ignore
                 (Runtime.Client.create c (Printf.sprintf "fs::/meta/f%d-%d" lw i));
-              Sim.Stats.add lat (Platform.now platform -. t0);
+              Obs.Hist.observe lat (Platform.now platform -. t0);
               Sim.Engine.wait 100_000.0
             done;
             Sim.Engine.arrive all_done)
       done;
       Sim.Engine.await all_done);
   Printf.printf "%-12s metadata latency: avg %8.1f us   p99 %8.1f us\n" label
-    (Sim.Stats.mean lat /. 1e3)
-    (Sim.Stats.percentile lat 99.0 /. 1e3)
+    (Obs.Hist.mean lat /. 1e3)
+    (Obs.Hist.quantile lat 0.99 /. 1e3)
 
 let () =
   Printf.printf

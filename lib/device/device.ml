@@ -139,7 +139,7 @@ type t = {
   mutable completed_errors : int;
   mutable bytes_read : int;
   mutable bytes_written : int;
-  service : Stats.t;
+  service : Lab_obs.Hist.t;
   mutable faults : Fault.t option;
   mutable health_watchers : (health_event -> unit) list;
 }
@@ -178,7 +178,7 @@ let reset_stats t =
   t.completed_errors <- 0;
   t.bytes_read <- 0;
   t.bytes_written <- 0;
-  Stats.clear t.service
+  Lab_obs.Hist.clear t.service
 
 let latency_of t kind =
   match kind with
@@ -300,7 +300,7 @@ let alloc_cmd t =
 let finish t c err =
   if not c.live then invalid_arg "Device.finish: command finished twice";
   c.live <- false;
-  Stats.add t.service (Engine.now t.engine -. c.submitted.(0));
+  Lab_obs.Hist.observe t.service (Engine.now t.engine -. c.submitted.(0));
   (match err with
   | None -> (
       match c.kind with
@@ -593,7 +593,7 @@ let create ?(name = "dev") engine profile =
       completed_errors = 0;
       bytes_read = 0;
       bytes_written = 0;
-      service = Stats.create ();
+      service = Lab_obs.Hist.create ();
       faults = None;
       health_watchers = [];
     }

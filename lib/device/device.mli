@@ -163,7 +163,10 @@ val bytes_read : t -> int
 
 val bytes_written : t -> int
 
-val service_stats : t -> Lab_sim.Stats.t
-(** Per-command service times (submission to completion), ns. *)
+val service_stats : t -> Lab_obs.Hist.t
+(** Per-command service times (submission to completion), ns, as a
+    histogram: fixed memory however many commands complete. *)
 
 val reset_stats : t -> unit
+(** Zero the completion counters and clear {!service_stats} in place
+    (the same histogram, its buckets kept). *)

@@ -114,12 +114,12 @@ let boot ?(config = Lab_runtime.Runtime.default_config) ?(ncores = 24)
       gi "errors" Device.completed_errors;
       gi "bytes_read" Device.bytes_read;
       gi "bytes_written" Device.bytes_written;
-      let gp name p =
+      let gq name q =
         Lab_obs.Metrics.gauge_fn metrics (pre name) (fun () ->
-            Lab_sim.Stats.percentile (Device.service_stats d) p)
+            Lab_obs.Hist.quantile (Device.service_stats d) q)
       in
-      gp "service_p50_ns" 50.0;
-      gp "service_p99_ns" 99.0;
+      gq "service_p50_ns" 0.50;
+      gq "service_p99_ns" 0.99;
       match Device.fault_plan d with
       | None -> ()
       | Some f ->

@@ -19,16 +19,29 @@ let subs = 1 lsl sub_bits (* 32 linear sub-buckets per log2 major *)
 
 let half = 1 lsl (sub_bits - 1)
 
+(* The float state lives unboxed in [stats]: a mutable float field of a
+   mixed record would box a fresh float on every [observe]. *)
+let i_sum = 0
+
+let i_min = 1
+
+let i_max = 2
+
 type t = {
   mutable buckets : int array; (* index i < length; grows, never shrinks *)
   mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
+  stats : float array; (* [i_sum], [i_min], [i_max] *)
 }
 
 let create () =
-  { buckets = [||]; count = 0; sum = 0.0; min_v = infinity; max_v = neg_infinity }
+  { buckets = [||]; count = 0; stats = [| 0.0; infinity; neg_infinity |] }
+
+let clear h =
+  Array.fill h.buckets 0 (Array.length h.buckets) 0;
+  h.count <- 0;
+  h.stats.(i_sum) <- 0.0;
+  h.stats.(i_min) <- infinity;
+  h.stats.(i_max) <- neg_infinity
 
 let msb v =
   let r = ref 0 and v = ref v in
@@ -79,19 +92,20 @@ let observe h v =
   if idx >= Array.length h.buckets then grow h idx;
   h.buckets.(idx) <- h.buckets.(idx) + 1;
   h.count <- h.count + 1;
-  h.sum <- h.sum +. v;
-  if v < h.min_v then h.min_v <- v;
-  if v > h.max_v then h.max_v <- v
+  let s = h.stats in
+  s.(i_sum) <- s.(i_sum) +. v;
+  if v < s.(i_min) then s.(i_min) <- v;
+  if v > s.(i_max) then s.(i_max) <- v
 
 let count h = h.count
 
-let sum h = h.sum
+let sum h = h.stats.(i_sum)
 
-let mean h = if h.count = 0 then 0.0 else h.sum /. Float.of_int h.count
+let mean h = if h.count = 0 then 0.0 else sum h /. Float.of_int h.count
 
-let min_value h = if h.count = 0 then 0.0 else h.min_v
+let min_value h = if h.count = 0 then 0.0 else h.stats.(i_min)
 
-let max_value h = if h.count = 0 then 0.0 else h.max_v
+let max_value h = if h.count = 0 then 0.0 else h.stats.(i_max)
 
 (* Nearest-rank quantile over the buckets; the estimate is the
    bucket's upper bound clamped into the exact [min, max] envelope,
@@ -108,7 +122,7 @@ let quantile h q =
       cum := !cum + h.buckets.(!i);
       incr i
     done;
-    Float.min h.max_v (Float.max h.min_v (upper_of (!i - 1)))
+    Float.min h.stats.(i_max) (Float.max h.stats.(i_min) (upper_of (!i - 1)))
   end
 
 let buckets h =

@@ -3,18 +3,26 @@
     value it stands for, with exact min/max/sum/count kept beside the
     buckets. Values below 32 are exact.
 
-    This is the one bucketed histogram in the tree: the metrics
-    registry's histograms, {!Latrec}'s recorders and {!Exemplar}'s
-    adaptive threshold all use it. Values are nanoseconds; non-finite
-    or negative observations clamp to 0, and values past the int range
-    (≥ 2^62) share the last bucket. Buckets are allocated up to the
-    highest index observed so far, so an idle histogram costs a few
-    words. *)
+    This is the one source of percentiles in the tree: the metrics
+    registry's histograms, {!Latrec}'s recorders, {!Exemplar}'s
+    adaptive threshold, the device service times, the workload
+    generators and the experiments all use it. Values are
+    nanoseconds; non-finite or negative observations clamp to 0, and
+    values past the int range (≥ 2^62) share the last bucket. Buckets
+    are allocated up to the highest index observed so far, so an idle
+    histogram costs a few words. *)
 
 type t
 
 val create : unit -> t
 val observe : t -> float -> unit
+(** Allocates nothing once the buckets have grown to cover the value. *)
+
+val clear : t -> unit
+(** Forget every observation in place: zero the buckets (keeping their
+    size, so a cleared histogram does not re-grow) and reset count,
+    sum, min and max. *)
+
 val count : t -> int
 val sum : t -> float
 val mean : t -> float

@@ -45,7 +45,7 @@ type result = {
   elapsed_ns : float;
   iops : float;
   bandwidth_mib_s : float;
-  latency : Stats.t;
+  latency : Lab_obs.Hist.t;
 }
 
 let kind_of = function
@@ -55,7 +55,7 @@ let kind_of = function
 let run machine job target =
   if job.nthreads <= 0 || job.iodepth <= 0 || job.block_bytes <= 0 then
     invalid_arg "Fio.run: bad job";
-  let latency = Stats.create () in
+  let latency = Lab_obs.Hist.create () in
   let total_ops = ref 0 in
   let kind = kind_of job.pattern in
   let t0 = Machine.now machine in
@@ -97,7 +97,7 @@ let run machine job target =
             let start = Machine.now machine in
             target.submit ~thread:th ~kind ~off:(next_off ())
               ~bytes:job.block_bytes;
-            Stats.add latency (Machine.now machine -. start);
+            Lab_obs.Hist.observe latency (Machine.now machine -. start);
             incr issued;
             incr total_ops
           end
@@ -108,7 +108,7 @@ let run machine job target =
             target.submit_batch ~thread:th ~kind ~offs ~bytes:job.block_bytes;
             let per_slot = (Machine.now machine -. start) /. Stdlib.float_of_int n in
             for _ = 1 to n do
-              Stats.add latency per_slot
+              Lab_obs.Hist.observe latency per_slot
             done;
             issued := !issued + n;
             total_ops := !total_ops + n

@@ -43,7 +43,7 @@ type result = {
   elapsed_ns : float;
   iops : float;
   bandwidth_mib_s : float;
-  latency : Lab_sim.Stats.t;  (** per-op (iodepth 1) or per-batch-slot latency *)
+  latency : Lab_obs.Hist.t;  (** per-op (iodepth 1) or per-batch-slot latency *)
 }
 
 val run : Lab_sim.Machine.t -> job -> io_target -> result

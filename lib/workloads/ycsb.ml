@@ -15,8 +15,8 @@ type result = {
   ops : int;
   elapsed_ns : float;
   ops_per_sec : float;
-  read_latency : Stats.t;
-  update_latency : Stats.t;
+  read_latency : Lab_obs.Hist.t;
+  update_latency : Lab_obs.Hist.t;
 }
 
 let read_fraction = function A -> 0.5 | B -> 0.95 | C -> 1.0 | D -> 0.95
@@ -37,7 +37,8 @@ let run machine mix ?(nthreads = 4) ?(records = 500) ?(ops_per_thread = 500)
       done;
       Engine.arrive loaded);
   Engine.await loaded;
-  let read_latency = Stats.create () and update_latency = Stats.create () in
+  let read_latency = Lab_obs.Hist.create ()
+  and update_latency = Lab_obs.Hist.create () in
   let inserted = ref records in
   let t0 = Machine.now machine in
   let all_done = Engine.join nthreads in
@@ -63,7 +64,7 @@ let run machine mix ?(nthreads = 4) ?(records = 500) ?(ops_per_thread = 500)
               ops.put ~thread:th
                 ~key:(key_name (Rng.zipf rng ~n:records ~theta))
                 ~bytes:value_bytes);
-          Stats.add
+          Lab_obs.Hist.observe
             (if is_read then read_latency else update_latency)
             (Machine.now machine -. start)
         done;

@@ -22,8 +22,8 @@ type result = {
   ops : int;
   elapsed_ns : float;
   ops_per_sec : float;
-  read_latency : Lab_sim.Stats.t;
-  update_latency : Lab_sim.Stats.t;
+  read_latency : Lab_obs.Hist.t;
+  update_latency : Lab_obs.Hist.t;
 }
 
 val run :

@@ -14,15 +14,16 @@ let in_sim ?(ncores = 8) f =
   match !result with Some r -> r | None -> Alcotest.fail "process never finished"
 
 (* ------------------------------------------------------------------ *)
-(* Stats / Costs / Cpu / Machine                                       *)
+(* Hist / Costs / Cpu / Machine                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_stats_clear () =
-  let a = Stats.create () in
-  List.iter (Stats.add a) [ 1.0; 2.0 ];
-  Stats.clear a;
-  Alcotest.(check int) "cleared" 0 (Stats.count a);
-  Alcotest.(check (float 1e-9)) "cleared mean" 0.0 (Stats.mean a)
+let test_hist_clear () =
+  let module Hist = Lab_obs.Hist in
+  let a = Hist.create () in
+  List.iter (Hist.observe a) [ 1.0; 2.0 ];
+  Hist.clear a;
+  Alcotest.(check int) "cleared" 0 (Hist.count a);
+  Alcotest.(check (float 1e-9)) "cleared mean" 0.0 (Hist.mean a)
 
 let test_costs_copy () =
   let c = Costs.default in
@@ -384,7 +385,7 @@ let () =
     [
       ( "sim",
         [
-          Alcotest.test_case "stats clear" `Quick test_stats_clear;
+          Alcotest.test_case "stats clear" `Quick test_hist_clear;
           Alcotest.test_case "costs copy" `Quick test_costs_copy;
           Alcotest.test_case "cpu reset/bounds" `Quick test_cpu_reset_and_bounds;
           Alcotest.test_case "spawn_at" `Quick test_engine_spawn_at;

@@ -160,9 +160,20 @@ let test_service_stats_collected () =
       for _ = 1 to 10 do
         Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096
       done;
-      Alcotest.(check int) "10 samples" 10 (Stats.count (Device.service_stats dev));
+      let svc = Device.service_stats dev in
+      Alcotest.(check int) "10 samples" 10 (Lab_obs.Hist.count svc);
+      (* Reset in place: the same histogram, emptied, keeps counting. *)
       Device.reset_stats dev;
-      Alcotest.(check int) "reset" 0 (Stats.count (Device.service_stats dev)))
+      Alcotest.(check bool) "same histogram" true
+        (Device.service_stats dev == svc);
+      Alcotest.(check int) "reset" 0 (Lab_obs.Hist.count svc);
+      Alcotest.(check (float 0.0)) "reset sum" 0.0 (Lab_obs.Hist.sum svc);
+      for _ = 1 to 3 do
+        Device.submit_wait dev ~hctx:0 ~kind:Write ~lba:0 ~bytes:4096
+      done;
+      Alcotest.(check int) "counted after reset" 3 (Lab_obs.Hist.count svc);
+      Alcotest.(check bool) "service time after reset" true
+        (Lab_obs.Hist.min_value svc > 0.0))
 
 let prop_device_kinds_latency_order =
   QCheck.Test.make ~name:"PMEM < NVMe < SSD < HDD for 4K random writes"
@@ -208,7 +219,7 @@ let test_finish_order () =
              seen :=
                Printf.sprintf "out=%d writes=%d samples=%d"
                  (Device.outstanding dev) (Device.completed_writes dev)
-                 (Stats.count (Device.service_stats dev))))
+                 (Lab_obs.Hist.count (Device.service_stats dev))))
         ~hctx:1 ~kind:Write ~lba:8 ~bytes:4096;
       Engine.wait 20_000.0;
       Alcotest.(check string) "notify sees finished accounting"
@@ -334,7 +345,7 @@ let pinned_device_scenario () =
     Printf.sprintf "r%d w%d err%d br%d bw%d svc%d" (Device.completed_reads dev)
       (Device.completed_writes dev) (Device.completed_errors dev)
       (Device.bytes_read dev) (Device.bytes_written dev)
-      (Stats.count (Device.service_stats dev))
+      (Lab_obs.Hist.count (Device.service_stats dev))
   in
   let faults =
     match Device.fault_plan dev with

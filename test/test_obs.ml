@@ -73,7 +73,44 @@ let test_histogram_quantiles () =
   Alcotest.(check (float 0.0)) "p999 clamped to the max" 1000.0
     (Hist.quantile h 0.999);
   let empty = Metrics.histogram "h2" in
-  Alcotest.(check (float 0.0)) "empty quantile" 0.0 (Hist.quantile empty 0.5)
+  Alcotest.(check (float 0.0)) "empty quantile" 0.0 (Hist.quantile empty 0.5);
+  (* [clear] resets every statistic in place; the histogram stays
+     usable and its old buckets do not leak into new quantiles. *)
+  Hist.clear h;
+  Alcotest.(check int) "cleared count" 0 (Hist.count h);
+  Alcotest.(check (float 0.0)) "cleared sum" 0.0 (Hist.sum h);
+  Alcotest.(check (float 0.0)) "cleared min" 0.0 (Hist.min_value h);
+  Alcotest.(check (float 0.0)) "cleared max" 0.0 (Hist.max_value h);
+  Alcotest.(check (float 0.0)) "cleared p50" 0.0 (Hist.quantile h 0.5);
+  Alcotest.(check (list (pair (float 0.0) int))) "cleared buckets" []
+    (Hist.buckets h);
+  List.iter (Hist.observe h) [ 7.0; 9.0 ];
+  Alcotest.(check int) "reused count" 2 (Hist.count h);
+  Alcotest.(check (float 0.0)) "reused sum" 16.0 (Hist.sum h);
+  Alcotest.(check (float 0.0)) "reused min" 7.0 (Hist.min_value h);
+  Alcotest.(check (float 0.0)) "reused max" 9.0 (Hist.max_value h);
+  Alcotest.(check (float 0.0)) "reused p50" 7.0 (Hist.quantile h 0.5);
+  Alcotest.(check (float 0.0)) "reused p100" 9.0 (Hist.quantile h 1.0)
+
+(* [observe] runs on every request (runtime, client, device, recorders),
+   so once its buckets cover the value it must allocate nothing: the
+   float state is unboxed. Native only for the words. *)
+let test_hist_observe_words () =
+  let h = Hist.create () in
+  let v = 12_345.0 in
+  Hist.observe h v;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Hist.observe h v
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every observation counted" 10_001 (Hist.count h);
+  match Sys.backend_type with
+  | Sys.Native ->
+      Alcotest.(check bool)
+        (Printf.sprintf "observe allocates nothing (got %.0f words / 10k)" words)
+        true (words <= 2.0)
+  | Sys.Bytecode | Sys.Other _ -> ()
 
 let test_hist_huge_values () =
   (* Values past the int range must not wrap [int_of_float] to a
@@ -100,7 +137,9 @@ let test_hist_huge_values () =
   Alcotest.(check (float 0.0)) "p0 exact" 7.0 (Hist.quantile h 0.0)
 
 (* Random integer ns values: 0, the exact range below 32, and values up
-   to 2^40, mixed so the sub-32 and log2x32 ranges share one histogram. *)
+   to 2^40, mixed so the sub-32 and log2x32 ranges share one histogram.
+   The mean is exact (these sums fit a double's mantissa) and so lies in
+   [min, max]; quantiles are within 2^-4. *)
 let prop_hist_quantile_accuracy =
   let gen =
     QCheck.Gen.(
@@ -120,7 +159,13 @@ let prop_hist_quantile_accuracy =
       List.iter (fun v -> Hist.observe h (float_of_int v)) vs;
       let sorted = Array.of_list (List.sort compare vs) in
       let n = Array.length sorted in
-      List.for_all
+      let exact_mean =
+        float_of_int (List.fold_left ( + ) 0 vs) /. float_of_int n
+      in
+      Hist.mean h = exact_mean
+      && exact_mean >= Hist.min_value h
+      && exact_mean <= Hist.max_value h
+      && List.for_all
         (fun q ->
           let rank = Stdlib.max 1 (int_of_float (ceil (q *. float_of_int n))) in
           let exact = float_of_int sorted.(rank - 1) in
@@ -824,6 +869,8 @@ let () =
           Alcotest.test_case "gauge read-through" `Quick test_gauge_read_through;
           Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
           Alcotest.test_case "histogram huge values" `Quick test_hist_huge_values;
+          Alcotest.test_case "Hist.observe allocates nothing" `Quick
+            test_hist_observe_words;
           QCheck_alcotest.to_alcotest prop_hist_quantile_accuracy;
           Alcotest.test_case "jsonl stable" `Quick test_jsonl_stable;
           Alcotest.test_case "non-finite clamped" `Quick test_nonfinite_clamped;

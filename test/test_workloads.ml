@@ -52,7 +52,8 @@ let test_fio_op_count () =
       Alcotest.(check int) "ops = size/bs * threads" 512 r.Fio.ops;
       Alcotest.(check int) "device writes" 512 (Device.completed_writes dev);
       Alcotest.(check bool) "iops computed" true (r.Fio.iops > 0.0);
-      Alcotest.(check int) "latency samples" 512 (Stats.count r.Fio.latency))
+      Alcotest.(check int) "latency samples" 512
+        (Lab_obs.Hist.count r.Fio.latency))
 
 let test_fio_time_bounded () =
   in_sim (fun m ->
@@ -279,7 +280,8 @@ let test_ycsb_mix_ratios () =
         true
         (frac > 0.90 && frac < 0.99);
       Alcotest.(check int) "latencies recorded" 800
-        (Stats.count r.Ycsb.read_latency + Stats.count r.Ycsb.update_latency))
+        (Lab_obs.Hist.count r.Ycsb.read_latency
+        + Lab_obs.Hist.count r.Ycsb.update_latency))
 
 let test_ycsb_d_inserts_fresh_keys () =
   in_sim (fun m ->
