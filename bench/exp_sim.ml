@@ -21,11 +21,15 @@
              Reports steady-state minor words per 4 KiB command and per
              1 MiB (four-chunk) command; the 4 KiB figure is gated at
              <= 32 words/command.
+   - exec:   [Exec.run] over chains of 1 and 8 pass-through vertices
+             on a bound stack. The slope is minor words per module hop,
+             gated at <= 0.01; the 1-vertex chain is reported as the
+             walk's own words per call.
    - request: one client reading a 4 KiB block back to back through
              [Platform] (client -> queue pair -> worker -> lru_cache ->
              noop_sched -> kernel_driver), every read a warm cache hit.
              Reports steady-state minor words per request; gated at
-             its measured value, 141.59 ([request_budget]).
+             its measured value, 97.59 ([request_budget]).
    - batching: one point of the exp_batching sweep, as a whole-stack
              events fingerprint.
    - evq:    the timer scenario's pushes and pops replayed on a bare
@@ -156,9 +160,73 @@ let run_device ~warmup ~total ~bytes =
   Engine.run e;
   !words /. Stdlib.float_of_int total
 
-(* Words per request on [run_request], set at the measured 141.59: one
+(* Exec.run over a chain of [hops] pass-through vertices, each handing
+   the request on to the next and the last returning [Done]: steady-state
+   minor words per walk after [warmup] walks bind the stack. The slope
+   between chain lengths is the words per hop, as labbench measures
+   it; the one-vertex chain is the walk's own cost. *)
+let passthrough : Lab_core.Registry.factory =
+ fun ~uuid ~attrs:_ ->
+  Lab_core.Labmod.make ~name:"passthrough" ~uuid ~mod_type:Lab_core.Labmod.Control
+    {
+      Lab_core.Labmod.operate = (fun _ ctx req -> ctx.Lab_core.Labmod.forward req);
+      est_processing_time = Lab_core.Labmod.default_est;
+      state_update = Fun.id;
+      state_repair = ignore;
+    }
+
+let run_exec ~hops ~warmup ~total =
+  let open Lab_core in
+  let m = Machine.create ~ncores:1 () in
+  let registry = Registry.create () in
+  Registry.register_factory registry ~name:"passthrough" passthrough;
+  let vertex i =
+    {
+      Stack_spec.uuid = Printf.sprintf "v%d" i;
+      mod_name = "passthrough";
+      attrs = [];
+      outputs = (if i = hops - 1 then [] else [ Printf.sprintf "v%d" (i + 1) ]);
+    }
+  in
+  let spec =
+    {
+      Stack_spec.mount = "ctl::/hops";
+      rules = Stack_spec.default_rules;
+      dag = List.init hops vertex;
+    }
+  in
+  let stack =
+    match Stack.instantiate registry spec ~id:0 with
+    | Ok s -> s
+    | Error e -> failwith ("sim exec chain: " ^ e)
+  in
+  let req =
+    Request.make ~id:1 ~pid:1 ~uid:0 ~thread:0 ~stack_id:0 ~now:0.0
+      (Request.Control 0)
+  in
+  let walk () =
+    match Lab_runtime.Exec.run m ~registry ~stack ~thread:0 req with
+    | Request.Done -> ()
+    | r -> failwith (Format.asprintf "sim exec chain: %a" Request.pp_result r)
+  in
+  let words = ref 0.0 in
+  Machine.spawn m (fun () ->
+      for _ = 1 to warmup do
+        walk ()
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to total do
+        walk ()
+      done;
+      words := Gc.minor_words () -. w0);
+  Machine.run m;
+  !words /. Stdlib.float_of_int total
+
+let exec_hops = 8
+
+(* Words per request on [run_request], set at the measured 97.59: one
    more word per request fails the smoke. *)
-let request_budget = 141.6
+let request_budget = 97.6
 
 (* Full request path: one client, one worker, a cache that holds every
    block it reads. The warmup fills the cache and grows the request,
@@ -273,6 +341,15 @@ let run () =
       Printf.sprintf "%.2f" d_4k;
       Printf.sprintf "words/cmd (4 KiB); %.2f per 1 MiB cmd" d_1m;
     ];
+  let x_call = run_exec ~hops:1 ~warmup:100 ~total:20_000 in
+  let x_long = run_exec ~hops:exec_hops ~warmup:100 ~total:20_000 in
+  let x_hop = (x_long -. x_call) /. Stdlib.float_of_int (exec_hops - 1) in
+  Bench_util.print_row (widths @ [ 0 ])
+    [
+      "exec"; "-"; Printf.sprintf "%.4f" x_hop;
+      Printf.sprintf "words/hop (%d vs 1 vertices); %.4f per call" exec_hops
+        x_call;
+    ];
   let r_words = run_request ~warmup:2_000 ~total:10_000 in
   Bench_util.print_row (widths @ [ 0 ])
     [
@@ -322,6 +399,15 @@ let run () =
       "ALLOCATION REGRESSION: device path at %.2f minor words per 4 KiB \
        command (budget 32)"
       d_4k;
+    exit 1
+  end;
+  (* Exec guard: a bound stack's hop looks its instance up and calls
+     it with a context built once, so it allocates nothing. *)
+  if native && x_hop > 0.01 then begin
+    Bench_util.note
+      "ALLOCATION REGRESSION: Exec.run at %.4f minor words per hop \
+       (budget 0.01)"
+      x_hop;
     exit 1
   end;
   (* Request guard: client, queue pair, worker executor and cache hit
@@ -381,13 +467,15 @@ let run () =
     \  \"idle_spin_polls_elided\": %d,\n\
     \  \"device_words_per_cmd\": %.2f,\n\
     \  \"device_words_per_mib_cmd\": %.2f,\n\
+    \  \"exec_words_per_hop\": %.4f,\n\
+    \  \"exec_words_per_call\": %.4f,\n\
     \  \"request_words_per_op\": %.2f,\n\
     \  \"batching_events\": %d,\n\
     \  \"evq_words\": %d,\n\
     \  \"deterministic\": %b\n\
      }\n"
     loops t_events t_wpe alloc_ok w_events w_wpe i_events
-    i_wpe i_elided d_4k d_1m r_words b.Exp_batching.events q_words
+    i_wpe i_elided d_4k d_1m x_hop x_call r_words b.Exp_batching.events q_words
     (t_events = t_events' && t_now = t_now');
   close_out oc;
   Bench_util.note "wrote BENCH_sim.json"

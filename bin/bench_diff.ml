@@ -25,7 +25,30 @@
      curve's per-point tolerance. A knee curve that starts regressing
      mid-sweep trips the gate even if every point is inside its band.
 
-   Exit 0 = within threshold; 1 = regression; 2 = usage/parse error. *)
+   Each numeric leaf has a better direction, read off its last path
+   component (the name after the final "." with any "[i]" dropped):
+
+   - lower is better for times and costs: names ending in "_ns",
+     "_us" or "_ms", names containing "words", and names ending in
+     "residual", "failures", "_per_page" or "ratio";
+   - higher is better for rates and pass flags: names ending in
+     "kops", "kiops", "gbps", "speedup", "hit_rate", "accuracy",
+     "coverage", "covered", "elided", "_ok", "deterministic",
+     "neutral", "consistent", "_export" or "_dump";
+   - any other leaf (a count, a size, a setting, a fingerprint) has
+     none.
+
+   A "_curve" suffix is dropped before the rule applies. The rule reads
+   names only, so a setting named like a metric (sampler_period_ns,
+   rates_kops_curve) takes that metric's direction.
+
+   A leaf outside its band prints IMPROVED when it moved the better
+   way, REGRESS when it moved the worse way and CHANGED when it has no
+   direction. All three fail the run: a baseline records what the code
+   does, so an improvement is re-captured, not waved through.
+
+   Exit 0 = within threshold; 1 = drift beyond a band (any direction);
+   2 = usage/parse error. *)
 
 (* ---------------- minimal JSON ---------------- *)
 
@@ -221,6 +244,50 @@ let curves (j : json) : (string * float list) list =
   go "" j;
   List.rev !out
 
+(* ---------------- direction ---------------- *)
+
+type better = Lower | Higher | Either
+
+let lower_suffixes =
+  [ "_ns"; "_us"; "_ms"; "residual"; "failures"; "_per_page"; "ratio" ]
+
+let higher_suffixes =
+  [
+    "kops"; "kiops"; "gbps"; "speedup"; "hit_rate"; "accuracy"; "coverage";
+    "covered"; "elided"; "_ok"; "deterministic"; "neutral"; "consistent";
+    "_export"; "_dump";
+  ]
+
+(* The leaf's own name: "stages[3].p99_ns" -> "p99_ns",
+   "p99_us_curve[2]" -> "p99_us_curve". *)
+let leaf_name path =
+  let name =
+    match String.rindex_opt path '.' with
+    | Some i -> String.sub path (i + 1) (String.length path - i - 1)
+    | None -> path
+  in
+  match String.index_opt name '[' with
+  | Some i -> String.sub name 0 i
+  | None -> name
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+let direction path =
+  let name = leaf_name path in
+  let curve = "_curve" in
+  let name =
+    if Filename.check_suffix name curve then
+      String.sub name 0 (String.length name - String.length curve)
+    else name
+  in
+  let ends = List.exists (Filename.check_suffix name) in
+  if contains name "words" || ends lower_suffixes then Lower
+  else if ends higher_suffixes then Higher
+  else Either
+
 (* ---------------- compare ---------------- *)
 
 (* Relative difference with a small absolute guard: metrics that hover
@@ -309,9 +376,15 @@ let () =
             let t = leaf_threshold path in
             let d = rel_diff b f in
             if d > t then
+              let label =
+                match direction path with
+                | Either -> "CHANGED"
+                | Lower -> if f < b then "IMPROVED" else "REGRESS"
+                | Higher -> if f > b then "IMPROVED" else "REGRESS"
+              in
               flag ~drift:d
-                "REGRESS  %-40s baseline=%g fresh=%g (%+.1f%%, allowed ±%.0f%%)"
-                path b f
+                "%-8s %-40s baseline=%g fresh=%g (%+.1f%%, allowed ±%.0f%%)"
+                label path b f
                 (100.0 *. (f -. b) /. Float.max (Float.abs b) abs_guard)
                 (100.0 *. t))
     base;

@@ -1,11 +1,21 @@
 type factory = uuid:string -> attrs:(string * Yamlite.t) list -> Labmod.t
 
+type binding = ..
+
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   factories : (string, factory) Hashtbl.t;
   by_uuid : (string, Labmod.t) Hashtbl.t;
+  bindings : binding Itbl.t;
 }
 
-let create () = { factories = Hashtbl.create 32; by_uuid = Hashtbl.create 64 }
+let create () =
+  {
+    factories = Hashtbl.create 32;
+    by_uuid = Hashtbl.create 64;
+    bindings = Itbl.create 8;
+  }
 
 let register_factory t ~name factory = Hashtbl.replace t.factories name factory
 
@@ -38,3 +48,7 @@ let instances t = Hashtbl.fold (fun _ m acc -> m :: acc) t.by_uuid []
 
 let instances_of_name t name =
   List.filter (fun m -> m.Labmod.name = name) (instances t)
+
+let binding t key = Itbl.find t.bindings key
+
+let bind t key b = Itbl.replace t.bindings key b

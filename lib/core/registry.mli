@@ -44,3 +44,18 @@ val instances : t -> Labmod.t list
 
 val instances_of_name : t -> string -> Labmod.t list
 (** All instances built from the implementation called [name]. *)
+
+(** {2 Executor bindings} *)
+
+type binding = ..
+(** What a stack executor precomputes for one (stack, thread) pair
+    ([Lab_runtime.Exec] adds its own constructor). The registry owns
+    the bindings, so they live and die with the platform whose stacks
+    they wire and two platforms never share one. *)
+
+val binding : t -> int -> binding
+(** The binding stored under [key]; allocates nothing.
+    @raise Not_found if nothing is bound under [key]. *)
+
+val bind : t -> int -> binding -> unit
+(** Stores (or replaces) the binding under [key]. *)

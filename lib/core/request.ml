@@ -70,6 +70,9 @@ type t = {
           arrival process intended this request to exist, which can be
           earlier than [submitted_at] if the generator fell behind.
           Equal to [submitted_at] for closed-loop requests. *)
+  mutable gen : int;
+      (** pool generation: even while the record is live, odd while it
+          is parked in a {!Pool}; bumped on every acquire and release *)
 }
 
 (* The result of a request no worker has run yet: one static value, so
@@ -93,6 +96,7 @@ let make ~id ~pid ~uid ~thread ~stack_id ~now payload =
     tenant = -1;
     submitted_at = now;
     scheduled_at = now;
+    gen = 0;
   }
 
 (* Free-list of recycled request records. A released request is
@@ -131,10 +135,14 @@ module Pool = struct
       r.tenant <- -1;
       r.submitted_at <- now;
       r.scheduled_at <- now;
+      r.gen <- r.gen + 1;
       r
     end
 
   let release p r =
+    if r.gen land 1 = 1 then
+      invalid_arg "Request.Pool.release: request already released";
+    r.gen <- r.gen + 1;
     r.hop <- "";
     r.payload <- Control 0;
     r.result <- no_result;

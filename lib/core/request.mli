@@ -86,6 +86,13 @@ type t = {
           dispatch. Latency measured from here includes the time the
           request spent waiting to even be sent — the part closed-loop
           (send-time) measurement omits. *)
+  mutable gen : int;
+      (** pool generation: even while the record is live, odd while it
+          is parked in a {!Pool}. {!make} sets 0, and {!Pool.acquire}
+          and {!Pool.release} each add one, so a holder that noted the
+          generation when it took the request can tell that the record
+          was released, or released and re-acquired, since. A record
+          copy carries its parent's generation. *)
 }
 (** Fields are mutable to support {!Pool} recycling; everything except
     the explicitly-mutable routing state (hop, result, hints, prefetch,
@@ -119,7 +126,10 @@ val payload_bytes : payload -> int
     been consumed by the owner. Requests abandoned in flight (deadline
     expiry, runtime crash, stale duplicate) must {e not} be released —
     the runtime may still reference them; dropping them to the GC is
-    always safe. *)
+    always safe. The rule is checked: every acquire and release bumps
+    the record's [gen], a worker notes it when it takes a request and
+    raises [Invalid_argument] if it moved by completion, and releasing
+    a parked record raises [Invalid_argument] at once. *)
 module Pool : sig
   type req = t
 
@@ -142,6 +152,8 @@ module Pool : sig
     req
 
   val release : t -> req -> unit
+  (** @raise Invalid_argument if [req] is already parked (a double
+      release). *)
 end
 
 (** {2 Block-request geometry (adjacent-LBA merging)} *)

@@ -37,18 +37,10 @@ let vertex t uuid = Stack_spec.find_vertex t.spec uuid
 (* Outputs naming another mount ("fs::/b") leave the stack. *)
 let is_local o = String.index_opt o ':' = None
 
-(* Runs on every module hop, so it allocates nothing in the common
-   case: a closure-free scan for the vertex, and its own [outputs] list
-   handed back as is unless a cross-mount entry must be filtered out. *)
-let rec local_outputs uuid = function
-  | [] -> []
-  | (v : Stack_spec.vertex) :: rest ->
-      if String.equal v.Stack_spec.uuid uuid then
-        let outs = v.Stack_spec.outputs in
-        if List.for_all is_local outs then outs else List.filter is_local outs
-      else local_outputs uuid rest
-
-let next_uuids t uuid = local_outputs uuid t.spec.Stack_spec.dag
+let next_uuids t uuid =
+  match vertex t uuid with
+  | Some v -> List.filter is_local v.Stack_spec.outputs
+  | None -> []
 
 let mods t registry =
   List.filter_map

@@ -51,9 +51,11 @@ let msb v =
   done;
   !r
 
-(* Values below [subs] ns are exact; above, a value with top bit p
-   shares a bucket with the other values agreeing on its top
-   [sub_bits] bits — relative error below 2^-(sub_bits-1). *)
+(* Indexed by the value's whole nanoseconds. Whole values below [subs]
+   ns are exact (a fractional one reads its whole part, up to 1 ns
+   low); above, a value with top bit p shares a bucket with the other
+   values agreeing on its top [sub_bits] bits — relative error below
+   2^-(sub_bits-1). *)
 let index_of iv =
   if iv < subs then iv
   else begin

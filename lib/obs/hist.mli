@@ -1,7 +1,10 @@
 (** High-resolution histogram: HDR-style log2 majors split into 32
-    linear sub-buckets, so a quantile estimate is within 2^-4 of the
-    value it stands for, with exact min/max/sum/count kept beside the
-    buckets. Values below 32 are exact.
+    linear sub-buckets, with exact min/max/sum/count kept beside the
+    buckets. A value is truncated to whole nanoseconds before it is
+    bucketed, so a quantile estimate [e] of the exact nearest-rank value
+    [x] satisfies [x - 1 < e <= x * (1 + 2^-4)]. Whole-nanosecond values
+    below 32 are exact; a fractional value below 32 reads up to 1 ns
+    low (its whole part, or the exact minimum when that is larger).
 
     This is the one source of percentiles in the tree: the metrics
     registry's histograms, {!Latrec}'s recorders, {!Exemplar}'s

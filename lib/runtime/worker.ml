@@ -11,6 +11,7 @@ type executor = {
   x_cell : Engine.park_cell;
   mutable x_req : Request.t;
   mutable x_qp : Request.t Qp.t;
+  mutable x_gen : int;  (* [x_req]'s pool generation when taken *)
   x_t0 : float array;
   mutable x_busy : bool;
 }
@@ -221,6 +222,10 @@ let run_request t x =
   | Some fl -> Trace.close_stage fl ~tid:t.w_thread ~now:x.x_t0.(0)
   | None -> ());
   req.Request.result <- t.exec ~thread:t.w_thread req;
+  (* A request released (and maybe re-acquired) while it ran belongs to
+     someone else now: completing it would hand them our result. *)
+  if req.Request.gen <> x.x_gen then
+    invalid_arg "Worker: request released while in flight";
   (match req.Request.trace with
   | Some fl -> Trace.open_stage fl ~name:"complete" ~now:(Engine.now e)
   | None -> ());
@@ -266,6 +271,7 @@ let resume_executor x req qp =
   x.x_busy <- true;
   x.x_req <- req;
   x.x_qp <- qp;
+  x.x_gen <- req.Request.gen;
   Engine.unpark x.x_cell
 
 let take_idle t =
@@ -286,6 +292,7 @@ let dispatch t qp req =
           x_cell = Engine.make_park_cell ();
           x_req = req;
           x_qp = qp;
+          x_gen = req.Request.gen;
           x_t0 = [| 0.0 |];
           x_busy = true;
         }

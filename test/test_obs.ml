@@ -175,6 +175,43 @@ let prop_hist_quantile_accuracy =
           && Float.abs (est -. exact) <= exact *. Float.ldexp 1.0 (-4))
         [ 0.5; 0.99; 0.999 ])
 
+(* Fractional ns values below 32 (with a few whole and larger ones
+   mixed in): a value is bucketed by its whole part, so a quantile reads
+   at most 1 ns below the exact nearest-rank value and never above it
+   below 32 — never more than 2^-4 above it past 32 — and always lies in
+   [min, max]. *)
+let prop_hist_fractional_sub32 =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 400)
+        (frequency
+           [
+             (8, map2 (fun i k -> float_of_int i +. (float_of_int k /. 1000.0))
+                   (int_range 0 31) (int_range 1 999));
+             (1, map float_of_int (int_range 0 31));
+             (1, map (fun k -> 32.0 +. (float_of_int k /. 1000.0)) (int_range 0 1_000_000));
+           ]))
+  in
+  QCheck.Test.make ~name:"hist fractional sub-32 quantiles within 1 ns below"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list float) gen)
+    (fun vs ->
+      let h = Hist.create () in
+      List.iter (Hist.observe h) vs;
+      let sorted = Array.of_list (List.sort compare vs) in
+      let n = Array.length sorted in
+      List.for_all
+        (fun q ->
+          let rank = Stdlib.max 1 (int_of_float (ceil (q *. float_of_int n))) in
+          let exact = sorted.(rank - 1) in
+          let est = Hist.quantile h q in
+          let above = if exact < 32.0 then 0.0 else exact *. Float.ldexp 1.0 (-4) in
+          est >= Hist.min_value h
+          && est <= Hist.max_value h
+          && est > exact -. 1.0
+          && est <= exact +. above)
+        [ 0.0; 0.25; 0.5; 0.9; 0.99; 0.999; 1.0 ])
+
 let build_registry () =
   let reg = Metrics.create () in
   Metrics.incr ~by:3 (Metrics.counter ~reg "b.count");
@@ -872,6 +909,7 @@ let () =
           Alcotest.test_case "Hist.observe allocates nothing" `Quick
             test_hist_observe_words;
           QCheck_alcotest.to_alcotest prop_hist_quantile_accuracy;
+          QCheck_alcotest.to_alcotest prop_hist_fractional_sub32;
           Alcotest.test_case "jsonl stable" `Quick test_jsonl_stable;
           Alcotest.test_case "non-finite clamped" `Quick test_nonfinite_clamped;
           Alcotest.test_case "observe clamps non-finite" `Quick

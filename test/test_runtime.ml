@@ -694,6 +694,199 @@ let test_misrouted_executor_resume () =
   let x' = Worker.take_idle w in
   Alcotest.(check bool) "and parked idle again" true (x' == x)
 
+(* ---- Exec bindings ---------------------------------------------- *)
+
+(* A module that calls [log tag uuid] and hands the request on to its
+   successors; one with no successors returns [Done]. *)
+let tap ?(tag = "v1") log : Registry.factory =
+ fun ~uuid ~attrs:_ ->
+  Labmod.make ~name:"tap" ~uuid ~mod_type:Labmod.Control
+    {
+      Labmod.operate =
+        (fun _ ctx req ->
+          log tag uuid;
+          ctx.Labmod.forward req);
+      est_processing_time = Labmod.default_est;
+      state_update = Fun.id;
+      state_repair = ignore;
+    }
+
+let tap_spec ~mount dag =
+  {
+    Stack_spec.mount;
+    rules = Stack_spec.default_rules;
+    dag =
+      List.map
+        (fun (uuid, outputs) ->
+          { Stack_spec.uuid; mod_name = "tap"; attrs = []; outputs })
+        dag;
+  }
+
+let control_req () =
+  Request.make ~id:1 ~pid:1 ~uid:0 ~thread:0 ~stack_id:0 ~now:0.0
+    (Request.Control 0)
+
+(* A registry whose "tap" factory logs into [log], and [walk stack]:
+   one request through [stack], returning the taps it reached in
+   order. *)
+let logged_walk () =
+  let m = Machine.create ~ncores:1 () in
+  let registry = Registry.create () in
+  let log = ref [] in
+  let note tag uuid = log := (tag ^ ":" ^ uuid) :: !log in
+  Registry.register_factory registry ~name:"tap" (tap note);
+  let walk stack =
+    log := [];
+    Machine.spawn m (fun () ->
+        ignore (Exec.run m ~registry ~stack ~thread:0 (control_req ())));
+    Machine.run m;
+    List.rev !log
+  in
+  (registry, note, walk)
+
+(* A bound stack's walk allocates nothing: not per hop (the slope
+   between chain lengths) and not per call (the one-vertex chain).
+   Native only: bytecode allots differently. *)
+let test_exec_allocates_nothing () =
+  let words ~hops =
+    let m = Machine.create ~ncores:1 () in
+    let registry = Registry.create () in
+    Registry.register_factory registry ~name:"tap" (tap (fun _ _ -> ()));
+    let dag =
+      List.init hops (fun i ->
+          ( Printf.sprintf "v%d" i,
+            if i = hops - 1 then [] else [ Printf.sprintf "v%d" (i + 1) ] ))
+    in
+    let stack =
+      ok (Stack.instantiate registry (tap_spec ~mount:"ctl::/chain" dag) ~id:0)
+    in
+    let req = control_req () in
+    let walk () =
+      match Exec.run m ~registry ~stack ~thread:0 req with
+      | Request.Done -> ()
+      | r -> Alcotest.failf "walk: %a" Request.pp_result r
+    in
+    let w = ref nan in
+    Machine.spawn m (fun () ->
+        walk ();
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          walk ()
+        done;
+        w := Gc.minor_words () -. w0);
+    Machine.run m;
+    !w
+  in
+  match Sys.backend_type with
+  | Sys.Native ->
+      let call = words ~hops:1 and long = words ~hops:8 in
+      Alcotest.(check (float 0.0)) "0 minor words per call" 0.0 call;
+      Alcotest.(check (float 0.0)) "0 minor words per hop" 0.0
+        ((long -. call) /. 7.0)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
+(* A modified stack is a new record, so its next request walks the new
+   DAG: an added successor is reached, a replaced one is not. *)
+let test_exec_rebinds_modified_stack () =
+  let registry, _, walk_stack = logged_walk () in
+  let ns = Namespace.create () in
+  let mount = "ctl::/dag" in
+  let walk () = walk_stack (Namespace.lookup ns mount) in
+  let modify dag = ignore (ok (Namespace.modify_stack ns registry (tap_spec ~mount dag))) in
+  ignore
+    (ok (Namespace.mount ns registry (tap_spec ~mount [ ("e", [ "a" ]); ("a", []) ])));
+  Alcotest.(check (list string)) "as mounted" [ "v1:e"; "v1:a" ] (walk ());
+  Alcotest.(check (list string)) "bound twice, same walk" [ "v1:e"; "v1:a" ] (walk ());
+  modify [ ("e", [ "a"; "b" ]); ("a", []); ("b", []) ];
+  Alcotest.(check (list string)) "added successor reached"
+    [ "v1:e"; "v1:a"; "v1:b" ] (walk ());
+  modify [ ("e", [ "c" ]); ("c", []) ];
+  Alcotest.(check (list string)) "replaced successor, old one not reached"
+    [ "v1:e"; "v1:c" ] (walk ())
+
+(* Instances are looked up per hop, so a replaced instance runs on the
+   very next request of an already bound stack. *)
+let test_exec_sees_replaced_instance () =
+  let registry, note, walk = logged_walk () in
+  let stack =
+    ok
+      (Stack.instantiate registry
+         (tap_spec ~mount:"ctl::/swap" [ ("e", [ "a" ]); ("a", []) ])
+         ~id:0)
+  in
+  Alcotest.(check (list string)) "before" [ "v1:e"; "v1:a" ] (walk stack);
+  Registry.replace registry (tap ~tag:"v2" note ~uuid:"a" ~attrs:[]);
+  Alcotest.(check (list string)) "new instance runs" [ "v1:e"; "v2:a" ]
+    (walk stack)
+
+(* Bindings belong to their platform. Two platforms booted from the
+   same seed run the same workload, in the client thread (sync mode),
+   in alternating rounds: their warm rounds cost the same minor words,
+   and the first platform's warm round costs the same after the second
+   ran as before. A binding store shared between platforms would be
+   rebuilt at every switch. *)
+let test_exec_bindings_per_platform () =
+  let mount = "blk::/w" in
+  let boot () =
+    let p = Labstor.Platform.boot ~seed:11 ~nworkers:2 () in
+    ignore (ok (Labstor.Platform.mount p (pin_blk_spec ~mount ~exec:"sync")));
+    let c = Labstor.Platform.go p (fun () -> Labstor.Platform.client p ~thread:0 ()) in
+    (p, c)
+  in
+  let round (p, c) =
+    Labstor.Platform.go p (fun () ->
+        let w0 = Gc.minor_words () in
+        for i = 0 to 99 do
+          ignore (ok (Client.write_block c ~mount ~lba:(8 * i) ~bytes:4096));
+          ignore (ok (Client.read_block c ~mount ~lba:(8 * i) ~bytes:4096))
+        done;
+        Gc.minor_words () -. w0)
+  in
+  let p1 = boot () and p2 = boot () in
+  ignore (round p1);
+  let a = round p1 in
+  ignore (round p2);
+  let b = round p2 in
+  let a' = round p1 in
+  Alcotest.(check (float 0.0)) "same words on the second platform" a b;
+  Alcotest.(check (float 0.0)) "same words after the other platform ran" a a'
+
+(* The pool's ownership rule, checked: a request released on the
+   timeout path while its worker still runs it makes the worker raise at
+   completion, and a second release of the parked record raises too. *)
+let test_released_in_flight_raises () =
+  let m = Machine.create ~ncores:2 () in
+  let e = m.Machine.engine in
+  let w =
+    Worker.create m ~id:0 ~thread:0
+      ~exec:(fun ~thread:_ _ ->
+        Engine.wait 10_000.0;
+        Request.Done)
+      ()
+  in
+  let qp =
+    Lab_ipc.Qp.create ~role:Lab_ipc.Qp.Primary ~ordering:Lab_ipc.Qp.Ordered
+      ~id:0 ()
+  in
+  Worker.assign w [ qp ];
+  Worker.start w;
+  let pool = Request.Pool.create () in
+  let req =
+    Request.Pool.acquire pool ~id:1 ~pid:1 ~uid:0 ~thread:1 ~stack_id:1
+      ~now:0.0 (Request.Control 1)
+  in
+  Lab_ipc.Qp.submit qp req;
+  (* A 1 us deadline passes while the worker still runs the request. *)
+  Engine.run ~until:1_000.0 e;
+  Alcotest.(check int) "in flight at the deadline" 1 (Worker.inflight w);
+  Request.Pool.release pool req;
+  (match Request.Pool.release pool req with
+  | () -> Alcotest.fail "a double release must raise"
+  | exception Invalid_argument _ -> ());
+  match Engine.run ~until:100_000.0 e with
+  | () -> Alcotest.fail "completing a released request must raise"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "lab_runtime"
     [
@@ -737,6 +930,19 @@ let () =
           Alcotest.test_case "executors are reused" `Quick test_executors_reused;
           Alcotest.test_case "misrouted executor resume" `Quick
             test_misrouted_executor_resume;
+          Alcotest.test_case "request released in flight raises" `Quick
+            test_released_in_flight_raises;
+        ] );
+      ( "exec",
+        [
+          Alcotest.test_case "bound walk allocates nothing" `Quick
+            test_exec_allocates_nothing;
+          Alcotest.test_case "modified stack rebinds" `Quick
+            test_exec_rebinds_modified_stack;
+          Alcotest.test_case "replaced instance runs next" `Quick
+            test_exec_sees_replaced_instance;
+          Alcotest.test_case "bindings per platform" `Quick
+            test_exec_bindings_per_platform;
         ] );
       ( "orchestrator",
         [
