@@ -1,8 +1,8 @@
 (* Simulator-core benchmark: events/sec and minor words/event on the
    DES hot path.
 
-   Two synthetic closed loops, one idle worker, two full-stack
-   scenarios and a queue-footprint replay:
+   Two synthetic closed loops, one idle worker, a CPU burst loop, two
+   full-stack scenarios and a queue-footprint replay:
 
    - timer:  [loops] concurrent self-rescheduling timers on the pooled
              [Engine.timer] path (closure-free dispatch, calendar
@@ -16,11 +16,14 @@
              for its next submission. Every event is an empty poll,
              which the worker's poll chain elides: gated at <= 0.5
              minor words/poll and at >= 99% of polls elided.
+   - burst:  one process running [Machine.compute_cell] bursts back to
+             back on its own core. A burst allocates only its wait's
+             effect continuation: gated at <= 2.01 minor words/burst.
    - device: one process issuing NVMe commands back to back through
              [Device.submit_waiter] + [Device.await] on a pooled waiter.
              Reports steady-state minor words per 4 KiB command and per
              1 MiB (four-chunk) command; the 4 KiB figure is gated at
-             <= 32 words/command.
+             <= 14 words/command, its measured value.
    - exec:   [Exec.run] over chains of 1 and 8 pass-through vertices
              on a bound stack. The slope is minor words per module hop,
              gated at <= 0.01; the 1-vertex chain is reported as the
@@ -29,7 +32,7 @@
              [Platform] (client -> queue pair -> worker -> lru_cache ->
              noop_sched -> kernel_driver), every read a warm cache hit.
              Reports steady-state minor words per request; gated at
-             its measured value, 97.59 ([request_budget]).
+             its measured value, 49.59 ([request_budget]).
    - batching: one point of the exp_batching sweep, as a whole-stack
              events fingerprint.
    - evq:    the timer scenario's pushes and pops replayed on a bare
@@ -131,6 +134,24 @@ let run_idle_spin ~polls =
   in
   (events, wpe, wall, Engine.polls_elided e - x0)
 
+(* CPU bursts: one process charging a staged burst on its own core,
+   back to back; steady-state minor words per burst after [warmup]. *)
+let run_burst ~warmup ~total =
+  let m = Machine.create ~ncores:1 () in
+  let cells = [| 100.0 |] in
+  let words = ref 0.0 in
+  Machine.spawn m (fun () ->
+      for _ = 1 to warmup do
+        Machine.compute_cell m ~thread:0 cells 0
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to total do
+        Machine.compute_cell m ~thread:0 cells 0
+      done;
+      words := Gc.minor_words () -. w0);
+  Machine.run m;
+  !words /. Stdlib.float_of_int total
+
 (* Device command path: [total] commands after [warmup], one in flight,
    alternating writes and reads over the hctxs. Only the measured
    commands count; the warmup grows the device's pools. *)
@@ -224,9 +245,9 @@ let run_exec ~hops ~warmup ~total =
 
 let exec_hops = 8
 
-(* Words per request on [run_request], set at the measured 97.59: one
+(* Words per request on [run_request], set at the measured 49.59: one
    more word per request fails the smoke. *)
-let request_budget = 97.6
+let request_budget = 49.6
 
 (* Full request path: one client, one worker, a cache that holds every
    block it reads. The warmup fills the cache and grows the request,
@@ -332,6 +353,9 @@ let run () =
       Printf.sprintf "%.4f" i_wpe;
       Printf.sprintf "%d elided" i_elided;
     ];
+  let c_words = run_burst ~warmup:1_000 ~total:10_000 in
+  Bench_util.print_row (widths @ [ 0 ])
+    [ "burst"; "-"; Printf.sprintf "%.2f" c_words; "words/burst (compute_cell)" ];
   let d_4k = run_device ~warmup:1_000 ~total:10_000 ~bytes:4096 in
   let d_1m = run_device ~warmup:200 ~total:2_000 ~bytes:(1024 * 1024) in
   Bench_util.print_row (widths @ [ 0 ])
@@ -392,12 +416,20 @@ let run () =
       i_events;
     exit 1
   end;
+  (* Burst guard: a compute burst allocates only its wait's
+     continuation; the burst length crosses no call boxed. *)
+  if native && c_words > 2.01 then begin
+    Bench_util.note
+      "ALLOCATION REGRESSION: compute burst at %.2f minor words (budget 2.01)"
+      c_words;
+    exit 1
+  end;
   (* Device guard: a steady-state command allocates only the effect
      continuations of the processes it passes through. *)
-  if native && d_4k > 32.0 then begin
+  if native && d_4k > 14.0 then begin
     Bench_util.note
       "ALLOCATION REGRESSION: device path at %.2f minor words per 4 KiB \
-       command (budget 32)"
+       command (budget 14)"
       d_4k;
     exit 1
   end;
@@ -465,6 +497,7 @@ let run () =
     \  \"idle_spin_polls\": %d,\n\
     \  \"idle_spin_words_per_poll\": %.4f,\n\
     \  \"idle_spin_polls_elided\": %d,\n\
+    \  \"burst_words\": %.2f,\n\
     \  \"device_words_per_cmd\": %.2f,\n\
     \  \"device_words_per_mib_cmd\": %.2f,\n\
     \  \"exec_words_per_hop\": %.4f,\n\
@@ -475,7 +508,7 @@ let run () =
     \  \"deterministic\": %b\n\
      }\n"
     loops t_events t_wpe alloc_ok w_events w_wpe i_events
-    i_wpe i_elided d_4k d_1m x_hop x_call r_words b.Exp_batching.events q_words
+    i_wpe i_elided c_words d_4k d_1m x_hop x_call r_words b.Exp_batching.events q_words
     (t_events = t_events' && t_now = t_now');
   close_out oc;
   Bench_util.note "wrote BENCH_sim.json"

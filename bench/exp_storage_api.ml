@@ -93,45 +93,109 @@ let supports kind = function
   | `Spdk -> (Profile.of_kind kind).Profile.supports_polling
   | `Dax -> (Profile.of_kind kind).Profile.byte_addressable
 
+let columns = [ "POSIX"; "AIO"; "libaio"; "io_uring"; "KernDriver"; "SPDK"; "DAX" ]
+
+(* One device's IOPS in [columns] order; [None] where the device cannot
+   run that driver. Op counts scale to device speed so HDD runs stay
+   short. *)
+let measure kind ~bytes =
+  let total =
+    match kind with
+    | Profile.Hdd -> 200 * bytes
+    | Profile.Sata_ssd -> 1000 * bytes
+    | Profile.Nvme | Profile.Pmem -> 2000 * bytes
+  in
+  let api a = Some (api_iops kind a ~bytes ~total) in
+  let drv which =
+    if supports kind which then Some (driver_iops kind which ~bytes ~total) else None
+  in
+  [
+    api Api.Psync;
+    api Api.Posix_aio;
+    api Api.Libaio;
+    api Api.Io_uring;
+    drv `Kernel_driver;
+    drv `Spdk;
+    drv `Dax;
+  ]
+
+(* The Fig 6 shape, checked on raw IOPS ratios. [results] is
+   [(bytes, [(kind, iops)])]. Returns the violated claims, empty when
+   the shape holds. *)
+let shape_violations results =
+  let row bytes kind = List.combine columns (List.assoc kind (List.assoc bytes results)) in
+  let ratio bytes kind a b =
+    let r = row bytes kind in
+    Option.get (List.assoc a r) /. Option.get (List.assoc b r)
+  in
+  let check ok msg = if ok then [] else [ msg ] in
+  let k4 = 4096 and k128 = 131072 in
+  let kd_uring = ratio k4 Profile.Nvme "KernDriver" "io_uring" in
+  let spdk_kd = ratio k4 Profile.Nvme "SPDK" "KernDriver" in
+  let spdk_posix bytes = ratio bytes Profile.Nvme "SPDK" "POSIX" in
+  check (kd_uring >= 1.15)
+    (Printf.sprintf "NVMe 4 KiB: KernelDriver %.3fx io_uring (< 1.15x)" kd_uring)
+  @ check (spdk_kd > 1.0)
+      (Printf.sprintf "NVMe 4 KiB: SPDK %.3fx KernelDriver (not > 1x)" spdk_kd)
+  @ List.concat_map
+      (fun kind ->
+        let r = ratio k4 kind "AIO" "POSIX" in
+        check (r < 0.75)
+          (Printf.sprintf "%s 4 KiB: AIO %.3fx POSIX (not < 0.75x)"
+             (Profile.kind_to_string kind) r))
+      [ Profile.Nvme; Profile.Pmem ]
+  @ List.concat_map
+      (fun bytes ->
+        List.concat_map
+          (fun (col, v) ->
+            match v with
+            | None -> []
+            | Some _ ->
+                let r = ratio bytes Profile.Hdd col "POSIX" in
+                check
+                  (Float.abs (r -. 1.0) <= 0.01)
+                  (Printf.sprintf "HDD %d B: %s %.3fx POSIX (not within 1%%)"
+                     bytes col r))
+          (row bytes Profile.Hdd)
+        @
+        let r = ratio bytes Profile.Pmem "DAX" "SPDK" in
+        check (r >= 1.0) (Printf.sprintf "PMEM %d B: DAX %.3fx SPDK (< 1x)" bytes r))
+      [ k4; k128 ]
+  @ check
+      (spdk_posix k128 < spdk_posix k4)
+      (Printf.sprintf "NVMe SPDK/POSIX %.3fx at 128 KiB, not below %.3fx at 4 KiB"
+         (spdk_posix k128) (spdk_posix k4))
+
 let run () =
   let kinds = [ Profile.Hdd; Profile.Sata_ssd; Profile.Nvme; Profile.Pmem ] in
   let sizes = [ (4096, "4KiB"); (131072, "128KiB") ] in
-  List.iter
-    (fun (bytes, size_label) ->
-      Bench_util.heading "fig6" (Printf.sprintf "Storage API performance, %s random writes (IOPS, normalized to POSIX)" size_label);
-      let widths = [ 6; 10; 10; 10; 10; 11; 10; 10 ] in
-      Bench_util.print_table widths
-        [ "dev"; "POSIX"; "AIO"; "libaio"; "io_uring"; "KernDriver"; "SPDK"; "DAX" ]
-        (List.map
-           (fun kind ->
-             (* Scale op count to device speed so HDD runs stay short. *)
-             let total =
-               match kind with
-               | Profile.Hdd -> 200 * bytes
-               | Profile.Sata_ssd -> 1000 * bytes
-               | Profile.Nvme | Profile.Pmem -> 2000 * bytes
-             in
-             let posix = api_iops kind Api.Psync ~bytes ~total in
-             let cell v = Printf.sprintf "%s (%.2f)" (Bench_util.kops v) (v /. posix) in
-             let api_cell a = cell (api_iops kind a ~bytes ~total) in
-             let drv_cell which =
-               if supports kind which then cell (driver_iops kind which ~bytes ~total)
-               else "-"
-             in
-             [
-               Profile.kind_to_string kind;
-               Printf.sprintf "%s (1.00)" (Bench_util.kops posix);
-               api_cell Api.Posix_aio;
-               api_cell Api.Libaio;
-               api_cell Api.Io_uring;
-               drv_cell `Kernel_driver;
-               drv_cell `Spdk;
-               drv_cell `Dax;
-             ])
-           kinds))
-    sizes;
+  let results =
+    List.map
+      (fun (bytes, size_label) ->
+        Bench_util.heading "fig6" (Printf.sprintf "Storage API performance, %s random writes (IOPS, normalized to POSIX)" size_label);
+        let widths = [ 6; 10; 10; 10; 10; 11; 10; 10 ] in
+        let rows = List.map (fun kind -> (kind, measure kind ~bytes)) kinds in
+        Bench_util.print_table widths
+          ("dev" :: columns)
+          (List.map
+             (fun (kind, iops) ->
+               let posix = Option.get (List.hd iops) in
+               let cell = function
+                 | Some v -> Printf.sprintf "%s (%.2f)" (Bench_util.kops v) (v /. posix)
+                 | None -> "-"
+               in
+               Profile.kind_to_string kind :: List.map cell iops)
+             rows);
+        (bytes, rows))
+      sizes
+  in
   Bench_util.note
     "paper shape: LabStor paths win on fast devices (KernelDriver >= +15%% over";
   Bench_util.note
     "io_uring, SPDK ~ +12%% over KernelDriver at 4KiB on NVMe); gaps shrink to ~6%%";
-  Bench_util.note "at 128KiB; AIO worst (60-70%% overhead); HDD indifferent."
+  Bench_util.note "at 128KiB; AIO worst (60-70%% overhead); HDD indifferent.";
+  match shape_violations results with
+  | [] -> ()
+  | bad ->
+      List.iter (Bench_util.note "FIG 6 GATE FAILED: %s") bad;
+      exit 1

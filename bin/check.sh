@@ -53,6 +53,14 @@ echo "== fig8 schedulers (Table II shape) =="
 # within 5% of its Linux counterpart; exits nonzero on violation.
 dune exec bench/main.exe -- schedulers
 
+echo "== fig6 storage-api (Fig 6 shape) =="
+# Asserts the paper's storage-interface shape on raw IOPS ratios:
+# NVMe 4 KiB KernelDriver >= 1.15x io_uring and SPDK > KernelDriver,
+# AIO < 0.75x POSIX on NVMe and PMEM, every HDD column within 1% of
+# POSIX, DAX >= SPDK on PMEM, and NVMe SPDK/POSIX smaller at 128 KiB
+# than at 4 KiB; exits nonzero on violation.
+dune exec bench/main.exe -- storage-api > /dev/null
+
 echo "== anatomy2 smoke (--smoke) =="
 # Asserts per-request stage/e2e reconciliation and zero overhead when
 # tracing is off; exits nonzero on violation.

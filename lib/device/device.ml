@@ -140,6 +140,7 @@ type t = {
   mutable bytes_read : int;
   mutable bytes_written : int;
   service : Lab_obs.Hist.t;
+  service_ns : float array;  (* [0] stages a sample for [service] *)
   mutable faults : Fault.t option;
   mutable health_watchers : (health_event -> unit) list;
 }
@@ -269,7 +270,7 @@ let chunk_done t w len err =
       if r > w.w_worst then w.w_worst <- r);
   w.w_pending <- w.w_pending - 1;
   if w.w_pending = 0 then begin
-    w.w_times.(1) <- Engine.now t.engine;
+    Engine.stamp t.engine w.w_times 1;
     w.w_notify w
   end
 
@@ -300,7 +301,10 @@ let alloc_cmd t =
 let finish t c err =
   if not c.live then invalid_arg "Device.finish: command finished twice";
   c.live <- false;
-  Lab_obs.Hist.observe t.service (Engine.now t.engine -. c.submitted.(0));
+  let svc = t.service_ns in
+  Engine.stamp t.engine svc 0;
+  svc.(0) <- svc.(0) -. c.submitted.(0);
+  Lab_obs.Hist.observe_cell t.service svc 0;
   (match err with
   | None -> (
       match c.kind with
@@ -594,6 +598,7 @@ let create ?(name = "dev") engine profile =
       bytes_read = 0;
       bytes_written = 0;
       service = Lab_obs.Hist.create ();
+      service_ns = [| 0.0 |];
       faults = None;
       health_watchers = [];
     }
@@ -624,7 +629,7 @@ let submit_waiter t w ~hctx ~kind ~lba ~bytes =
   w.w_worst <- -1;
   w.w_bytes <- bytes;
   w.w_hctx <- hctx;
-  w.w_times.(0) <- Engine.now t.engine;
+  Engine.stamp t.engine w.w_times 0;
   for i = 0 to nchunks - 1 do
     let off = i * max_transfer_bytes in
     let len = Stdlib.min max_transfer_bytes (bytes - off) in

@@ -9,6 +9,9 @@ type t = {
   scheduler : sched;
   inflight_reqs : int array;
   inflight_bytes : float array;
+  (* The burst or poll staged right before each compute or wait: a
+     [Costs.t] field passed as a float would be boxed. *)
+  delay : float array;
 }
 
 let track_start t q bytes =
@@ -27,6 +30,7 @@ let create machine dev ~sched =
     scheduler = sched;
     inflight_reqs = Array.make n 0;
     inflight_bytes = Array.make n 0.0;
+    delay = [| 0.0 |];
   }
 
 let device t = t.dev
@@ -64,22 +68,26 @@ let note_completion t ~hctx ~bytes = track_end t hctx bytes
 let submit_bio_wait t ~thread ~kind ~lba ~bytes ~polled =
   let costs = t.machine.Machine.costs in
   (* Request allocation + scheduler bookkeeping. *)
-  Machine.compute t.machine ~thread (costs.Costs.kalloc_ns +. costs.Costs.lock_ns);
+  t.delay.(0) <- costs.Costs.kalloc_ns +. costs.Costs.lock_ns;
+  Machine.compute_cell t.machine ~thread t.delay 0;
   let q = select_hctx t ~thread ~bytes in
   track_start t q bytes;
   Device.submit_wait t.dev ~hctx:q ~kind ~lba ~bytes;
   track_end t q bytes;
-  if not polled then
+  if not polled then begin
     (* IRQ handling plus waking and rescheduling the blocked thread. *)
-    Machine.compute t.machine ~thread
-      (costs.Costs.interrupt_ns +. costs.Costs.wakeup_ns)
-  else
+    t.delay.(0) <- costs.Costs.interrupt_ns +. costs.Costs.wakeup_ns;
+    Machine.compute_cell t.machine ~thread t.delay 0
+  end
+  else begin
     (* One poll iteration notices the completion. *)
-    Engine.wait costs.Costs.poll_spin_ns
+    t.delay.(0) <- costs.Costs.poll_spin_ns;
+    Engine.wait_cell t.delay 0
+  end
 
 let submit_io_to_hctx t ~thread ~hctx ~kind ~lba ~bytes w =
-  let costs = t.machine.Machine.costs in
-  Machine.compute t.machine ~thread costs.Costs.kalloc_ns;
+  t.delay.(0) <- t.machine.Machine.costs.Costs.kalloc_ns;
+  Machine.compute_cell t.machine ~thread t.delay 0;
   let hctx = hctx mod Array.length t.inflight_reqs in
   track_start t hctx bytes;
   Device.submit_waiter t.dev w ~hctx ~kind ~lba ~bytes

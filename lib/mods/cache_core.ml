@@ -117,6 +117,9 @@ type t = {
   dirty_evicted : Metrics.counter;
   flush_op_count : Metrics.counter;
   flush_page_count : Metrics.counter;
+  (* The burst [charge] runs, staged right before each call; shared by
+     every thread, as nothing between a stage and its call waits. *)
+  burst : float array;
 }
 
 (* [?metrics] attaches the engine's counters to a registry under
@@ -163,6 +166,7 @@ let create ~policy ?metrics ?timeseries ?instance cfg =
     dirty_evicted = counter "dirty_evictions";
     flush_op_count = counter "flush_ops";
     flush_page_count = counter "flush_pages";
+    burst = [| 0.0 |];
   }
   in
   (* Dirty-log depth is the write-back pressure signal; exposing it as a
@@ -218,11 +222,15 @@ let pages_on t ~first ~last ~c0 ~cl =
    is paired with a [leave] on each exit path. Nothing in between can
    raise: [Cpu.compute], the policies and [Hashtbl] operations do not,
    and the engine never discontinues a process. *)
-let enter ctx sh =
+let charge t ctx =
+  Machine.compute_cell ctx.Labmod.machine ~thread:ctx.Labmod.thread t.burst 0
+
+let costs ctx = ctx.Labmod.machine.Machine.costs
+
+let enter t ctx sh =
   Semaphore.acquire sh.lock;
-  let machine = ctx.Labmod.machine in
-  Machine.compute machine ~thread:ctx.Labmod.thread
-    machine.Machine.costs.Costs.cache_shard_ns
+  t.burst.(0) <- (costs ctx).Costs.cache_shard_ns;
+  charge t ctx
 
 let leave sh = Semaphore.release sh.lock
 
@@ -380,13 +388,13 @@ let visit_shards t ctx req action ~first ~last =
     let c0 = first_chunk_on t !s cf in
     if c0 <= cl then begin
       let sh = t.shards.(!s) in
-      enter ctx sh;
+      enter t ctx sh;
       (match action with
       | Admit_clean | Admit_dirty ->
-          let machine = ctx.Labmod.machine in
-          Machine.compute machine ~thread:ctx.Labmod.thread
-            (machine.Machine.costs.Costs.cache_insert_ns
-            *. Stdlib.float_of_int (pages_on t ~first ~last ~c0 ~cl))
+          t.burst.(0) <-
+            (costs ctx).Costs.cache_insert_ns
+            *. Stdlib.float_of_int (pages_on t ~first ~last ~c0 ~cl);
+          charge t ctx
       | Resident | Serve | Mark_dirty -> ());
       ok := visit_pages t sh action ~first ~last ~c0 ~cl;
       leave sh;
@@ -422,10 +430,9 @@ let fill_arrived t ctx ~template ~start ~len r =
   for p = start to start + len - 1 do
     if ok then begin
       let sh = shard_of t p in
-      enter ctx sh;
-      let machine = ctx.Labmod.machine in
-      Machine.compute machine ~thread:ctx.Labmod.thread
-        machine.Machine.costs.Costs.cache_insert_ns;
+      enter t ctx sh;
+      t.burst.(0) <- (costs ctx).Costs.cache_insert_ns;
+      charge t ctx;
       if not (sh.pol.pol_touch p) then Hashtbl.replace sh.prefetched p ();
       note_evictions t sh;
       leave sh;
@@ -541,9 +548,8 @@ let serve_hit t ctx req ~home ~first ~last ~bytes =
   home.sh_hits <- home.sh_hits + 1;
   trace_instant ctx req "cache_hit";
   ignore (visit_shards t ctx req Serve ~first ~last);
-  let machine = ctx.Labmod.machine in
-  Machine.compute machine ~thread:ctx.Labmod.thread
-    (Costs.copy_cost machine.Machine.costs bytes);
+  Costs.stage_copy_cost (costs ctx) bytes t.burst 0;
+  charge t ctx;
   Request.Size bytes
 
 let demand_miss t ctx req ~home ~first ~last ~bytes =
@@ -555,19 +561,17 @@ let demand_miss t ctx req ~home ~first ~last ~bytes =
      to cache, and admitting it would serve garbage on the next (hit)
      access. *)
   if Request.is_ok result then begin
-    let machine = ctx.Labmod.machine in
-    Machine.compute machine ~thread:ctx.Labmod.thread
-      (Costs.copy_cost machine.Machine.costs bytes);
+    Costs.stage_copy_cost (costs ctx) bytes t.burst 0;
+    charge t ctx;
     ignore (visit_shards t ctx req Admit_clean ~first ~last)
   end;
   result
 
 (* Hit and miss are charged to the range's first (home) shard. *)
 let read t ctx req ~first ~last ~bytes =
-  let machine = ctx.Labmod.machine in
-  Machine.compute machine ~thread:ctx.Labmod.thread
-    (machine.Machine.costs.Costs.cache_lookup_ns
-    *. Stdlib.float_of_int (last - first + 1));
+  t.burst.(0) <-
+    (costs ctx).Costs.cache_lookup_ns *. Stdlib.float_of_int (last - first + 1);
+  charge t ctx;
   let home = shard_of t first in
   if visit_shards t ctx req Resident ~first ~last then
     serve_hit t ctx req ~home ~first ~last ~bytes
@@ -593,9 +597,8 @@ let operate t ctx req =
       ctx.Labmod.forward req
   | Request.Block { b_kind = Request.Write; b_lba; b_bytes; b_sync = false } ->
       let first = b_lba and last = last_page t ~first:b_lba ~bytes:b_bytes in
-      let machine = ctx.Labmod.machine in
-      Machine.compute machine ~thread:ctx.Labmod.thread
-        (Costs.copy_cost machine.Machine.costs b_bytes);
+      Costs.stage_copy_cost (costs ctx) b_bytes t.burst 0;
+      charge t ctx;
       if t.cfg.write_through then begin
         (* Copy in + insert clean, then persist synchronously. *)
         ignore (visit_shards t ctx req Admit_clean ~first ~last);

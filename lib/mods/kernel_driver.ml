@@ -10,19 +10,21 @@ module Device = Lab_device.Device
 
 (* [waiters] holds one completion record per command in flight, reused
    across calls; [notify], built once per module, ends the block
-   layer's in-flight accounting and wakes the waiter's process. *)
+   layer's in-flight accounting and wakes the waiter's process; [poll]
+   stages the completion poll's wait, so it is not boxed. *)
 type Labmod.state +=
   | State of {
       blk : Blk.t;
       waiters : Device.waiter_pool;
       notify : Device.waiter -> unit;
+      poll : float array;
     }
 
 let name = "kernel_driver"
 
 let operate m ctx req =
   match (m.Labmod.state, req.Request.payload) with
-  | State { blk; waiters; notify }, Request.Block { b_kind; b_lba; b_bytes; _ } ->
+  | State { blk; waiters; notify; poll }, Request.Block { b_kind; b_lba; b_bytes; _ } ->
       let machine = ctx.Labmod.machine in
       let hctx =
         match req.Request.hint_hctx with
@@ -35,7 +37,8 @@ let operate m ctx req =
         ~kind:(Mod_util.device_kind b_kind) ~lba:b_lba ~bytes:b_bytes w;
       Device.await w;
       (* The poller notices the completion entry. *)
-      Engine.wait machine.Machine.costs.Costs.poll_spin_ns;
+      poll.(0) <- machine.Machine.costs.Costs.poll_spin_ns;
+      Engine.wait_cell poll 0;
       let result =
         match Device.waiter_error w with
         | None ->
@@ -70,7 +73,8 @@ let factory ~blk : Registry.factory =
     Device.wake w
   in
   Labmod.make ~name ~uuid ~mod_type:Labmod.Driver
-    ~state:(State { blk; waiters = Device.waiter_pool (); notify })
+    ~state:
+      (State { blk; waiters = Device.waiter_pool (); notify; poll = [| 0.0 |] })
     {
       Labmod.operate;
       est_processing_time = est;

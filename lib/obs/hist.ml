@@ -86,7 +86,9 @@ let grow h idx =
   Array.blit h.buckets 0 b 0 len;
   h.buckets <- b
 
-let observe h v =
+(* The one recording body, inlined into both entry points so a value
+   read from a cell stays unboxed. *)
+let[@inline] record h v =
   let v = if Float.is_finite v && v > 0.0 then v else 0.0 in
   let idx =
     if v >= int_limit then nbuckets - 1 else index_of (Stdlib.int_of_float v)
@@ -98,6 +100,10 @@ let observe h v =
   s.(i_sum) <- s.(i_sum) +. v;
   if v < s.(i_min) then s.(i_min) <- v;
   if v > s.(i_max) then s.(i_max) <- v
+
+let observe h v = record h v
+
+let observe_cell h cells i = record h cells.(i)
 
 let count h = h.count
 

@@ -21,6 +21,10 @@ val create : unit -> t
 val observe : t -> float -> unit
 (** Allocates nothing once the buckets have grown to cover the value. *)
 
+val observe_cell : t -> float array -> int -> unit
+(** [observe_cell h cells i] is [observe h cells.(i)] without boxing
+    the value at the call. *)
+
 val clear : t -> unit
 (** Forget every observation in place: zero the buckets (keeping their
     size, so a cleared histogram does not re-grow) and reset count,

@@ -174,10 +174,11 @@ let qstat_of t qp_id =
       Hashtbl.replace t.qstats qp_id s;
       s
 
-let note_service t ~qp_id ~service_ns =
+(* The service time is [cells.(i)]: a float argument would be boxed. *)
+let note_service t ~qp_id cells i =
   let s = qstat_of t qp_id in
-  s.qs.(ewma) <- (0.8 *. s.qs.(ewma)) +. (0.2 *. service_ns);
-  Lab_obs.Hist.observe t.service_hist service_ns
+  s.qs.(ewma) <- (0.8 *. s.qs.(ewma)) +. (0.2 *. cells.(i));
+  Lab_obs.Hist.observe_cell t.service_hist cells i
 
 (* EstProcessingTime over a stack: every LabMod on it asked in DAG
    order and summed left to right, so the sum is bit-identical to a
@@ -289,8 +290,7 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
   let rec t =
     lazy
       (let exec ~thread req = exec_request (Lazy.force t) ~thread req in
-       let qstat ~qp_id ~service_ns =
-         note_service (Lazy.force t) ~qp_id ~service_ns
+       let qstat ~qp_id cells i = note_service (Lazy.force t) ~qp_id cells i
        in
        let qprime ~qp_id req = prime_estimate (Lazy.force t) ~qp_id req in
        let pool =

@@ -4,15 +4,16 @@ open Lab_core
 module Trace = Lab_obs.Trace
 
 (* A long-lived process that runs one request at a time for its worker
-   and parks on the worker's idle stack between requests. [x_t0.(0)] is
-   the request's start time: a mutable float field would box on every
+   and parks on the worker's idle stack between requests. [x_fl.(0)] is
+   the request's start time and [x_fl.(1)] stages its service time,
+   then its completion charge: a mutable float field would box on every
    store. *)
 type executor = {
   x_cell : Engine.park_cell;
   mutable x_req : Request.t;
   mutable x_qp : Request.t Qp.t;
   mutable x_gen : int;  (* [x_req]'s pool generation when taken *)
-  x_t0 : float array;
+  x_fl : float array;
   mutable x_busy : bool;
 }
 
@@ -38,7 +39,7 @@ type t = {
   mutable active : float;
   mutable done_count : int;
   exec : thread:int -> Request.t -> Request.result;
-  qstat : qp_id:int -> service_ns:float -> unit;
+  qstat : qp_id:int -> float array -> int -> unit;
   qprime : qp_id:int -> Request.t -> unit;
   spin_ns : float;
   busy_poll : bool;
@@ -52,6 +53,8 @@ type t = {
   poll : float array;
   chain : Engine.chain;
   mutable tick : unit -> unit;
+  (* The cross-core pull [sweep] stages for [process]. *)
+  pull : float array;
   batch_size : int;
   mutable inflight : int;
   max_inflight : int;
@@ -92,7 +95,7 @@ let idle_tick t () =
     Engine.arm t.chain t.tick
   else Engine.resume_in_place t.cell
 
-let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ ~service_ns:_ -> ())
+let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ _ _ -> ())
     ?(qprime = fun ~qp_id:_ _ -> ()) ?(spin_ns = 5000.0) ?(busy_poll = false)
     ?(batch_size = 1) ?(max_inflight = 16) ?blackbox () =
   let batch_size = Stdlib.max 1 batch_size in
@@ -125,6 +128,7 @@ let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ ~service_ns:_ -> ())
       poll;
       chain = Engine.chain machine.Machine.engine poll;
       tick = ignore;
+      pull = [| 0.0 |];
       batch_size;
       inflight = 0;
       max_inflight = Stdlib.max 1 max_inflight;
@@ -216,10 +220,10 @@ let costs t = t.machine.Machine.costs
    — it never charges time or schedules events. *)
 let run_request t x =
   let req = x.x_req and qp = x.x_qp in
-  let e = t.machine.Machine.engine in
-  Engine.set_after x.x_t0 0 0.0;
+  let e = t.machine.Machine.engine and xf = x.x_fl in
+  Engine.stamp e xf 0;
   (match req.Request.trace with
-  | Some fl -> Trace.close_stage fl ~tid:t.w_thread ~now:x.x_t0.(0)
+  | Some fl -> Trace.close_stage fl ~tid:t.w_thread ~now:xf.(0)
   | None -> ());
   req.Request.result <- t.exec ~thread:t.w_thread req;
   (* A request released (and maybe re-acquired) while it ran belongs to
@@ -229,8 +233,11 @@ let run_request t x =
   (match req.Request.trace with
   | Some fl -> Trace.open_stage fl ~name:"complete" ~now:(Engine.now e)
   | None -> ());
-  t.qstat ~qp_id:(Qp.id qp) ~service_ns:(Engine.now e -. x.x_t0.(0));
-  Machine.compute t.machine ~thread:t.w_thread (costs t).Costs.shmem_enqueue_ns;
+  Engine.stamp e xf 1;
+  xf.(1) <- xf.(1) -. xf.(0);
+  t.qstat ~qp_id:(Qp.id qp) xf 1;
+  xf.(1) <- (costs t).Costs.shmem_enqueue_ns;
+  Machine.compute_cell t.machine ~thread:t.w_thread xf 1;
   (* Hand the open "reap" stage to the client before the completion
      push can wake it. *)
   (match req.Request.trace with
@@ -293,7 +300,7 @@ let dispatch t qp req =
           x_req = req;
           x_qp = qp;
           x_gen = req.Request.gen;
-          x_t0 = [| 0.0 |];
+          x_fl = [| 0.0; 0.0 |];
           x_busy = true;
         }
       in
@@ -304,12 +311,12 @@ let dispatch t qp req =
    serialize on the worker's core, but waits (device I/O, downstream
    LabMods) overlap across requests — the paper's asynchronous message
    passing, which is what lets one worker drive a device well beyond
-   1/latency. [max_inflight] bounds the window. [pull_ns] is this
-   request's share of the cross-core cache-line pull, paid serially in
-   the polling loop — the worker cannot dequeue the next request
-   meanwhile, which is what lets a second worker pick it up from a
-   shared (unordered) queue. *)
-let process t qp req ~pull_ns =
+   1/latency. [max_inflight] bounds the window. [t.pull.(0)], staged
+   by [sweep], is this request's share of the cross-core cache-line
+   pull, paid serially in the polling loop — the worker cannot dequeue
+   the next request meanwhile, which is what lets a second worker pick
+   it up from a shared (unordered) queue. *)
+let process t qp req =
   t.inflight <- t.inflight + 1;
   (* Tell the orchestrator what this request is expected to cost before
      we start on it (the EstProcessingTime API): a queue turns
@@ -323,7 +330,7 @@ let process t qp req ~pull_ns =
       Trace.close_stage fl ~tid:t.w_thread ~now;
       Trace.open_stage fl ~name:"dispatch" ~now
   | None -> ());
-  Machine.compute t.machine ~thread:t.w_thread pull_ns;
+  Machine.compute_cell t.machine ~thread:t.w_thread t.pull 0;
   dispatch t qp req
 
 (* One pass over the *ready* queues: up to [batch_size] requests are
@@ -367,11 +374,10 @@ let sweep t =
             for i = 0 to got - 1 do
               let req = t.scratch.(i) in
               t.scratch.(i) <- t.scratch_dummy;
-              let pull_ns =
-                if i = 0 then c.Costs.shmem_cross_core_ns
-                else c.Costs.shmem_cross_core_ns *. c.Costs.shmem_batch_frac
-              in
-              process t qp req ~pull_ns
+              t.pull.(0) <-
+                (if i = 0 then c.Costs.shmem_cross_core_ns
+                 else c.Costs.shmem_cross_core_ns *. c.Costs.shmem_batch_frac);
+              process t qp req
             done
           end
         end;

@@ -15,7 +15,7 @@ val create :
   id:int ->
   thread:int ->
   exec:(thread:int -> Lab_core.Request.t -> Lab_core.Request.result) ->
-  ?qstat:(qp_id:int -> service_ns:float -> unit) ->
+  ?qstat:(qp_id:int -> float array -> int -> unit) ->
   ?qprime:(qp_id:int -> Lab_core.Request.t -> unit) ->
   ?spin_ns:float ->
   ?busy_poll:bool ->
@@ -24,8 +24,9 @@ val create :
   ?blackbox:Lab_obs.Flightrec.t ->
   unit ->
   t
-(** [exec] runs a request through its stack. [qstat] reports observed
-    per-queue service times to the orchestrator. [spin_ns] is the idle
+(** [exec] runs a request through its stack. [qstat ~qp_id cells i]
+    reports an observed per-queue service time, [cells.(i)], to the
+    orchestrator (in a cell, so the float is not boxed). [spin_ns] is the idle
     polling budget before parking (default 5000). With [busy_poll] the
     worker never parks while it has assigned queues — it burns its core
     polling, like a statically-configured worker pool; utilization then

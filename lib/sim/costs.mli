@@ -38,4 +38,8 @@ val default : t
 val copy_cost : t -> int -> float
 (** [copy_cost c bytes] is the boundary-copy cost for [bytes]. *)
 
+val stage_copy_cost : t -> int -> float array -> int -> unit
+(** [stage_copy_cost c bytes cells i] stores [copy_cost c bytes] in
+    [cells.(i)] without boxing it, for {!Machine.compute_cell}. *)
+
 val user_copy_cost : t -> int -> float

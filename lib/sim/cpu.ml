@@ -1,16 +1,16 @@
 type thread_id = int
 
 (* Per-core state is kept free of boxed fields, so a burst allocates
-   nothing beyond the wait's own continuation and delay: the last
-   thread is an int (-1 = none), and the two float accumulators live in
-   a flat float array — a mutable float field in a mixed record would
-   box on every store. *)
+   nothing beyond the wait's own continuation: the last thread is an
+   int (-1 = none), and the floats live in a flat float array — a
+   mutable float field in a mixed record would box on every store. *)
 type core = {
   lock : Semaphore.t;
   mutable last_thread : thread_id;
   mutable switches : int;
   (* fl.(0) busy ns · fl.(1) end time of the burst currently charged to
-     busy. The semaphore serializes bursts, so at most one is in flight
+     busy · fl.(2) that burst's length, staged for the engine's cell
+     calls. The semaphore serializes bursts, so at most one is in flight
      per core; a sampler asking for busy time up to an instant inside
      the burst subtracts the not-yet-elapsed overhang (interval
      accounting). *)
@@ -26,7 +26,7 @@ let create ?(costs = Costs.default) ~ncores () =
       lock = Semaphore.create 1;
       last_thread = -1;
       switches = 0;
-      fl = [| 0.0; 0.0 |];
+      fl = [| 0.0; 0.0; 0.0 |];
     }
   in
   { costs; cores = Array.init ncores make_core; affinity = Hashtbl.create 64 }
@@ -43,10 +43,12 @@ let core_of t thread =
   | c -> c
   | exception Not_found -> thread mod Array.length t.cores
 
-let compute t ~thread ?core ns =
+(* The one burst body. Inlined into both entry points, so [ns] stays an
+   unboxed float, held across a contended [acquire], and the burst is
+   staged in the core's own cell once the core is ours. *)
+let[@inline] burst t ~thread ns =
   let ns = if ns < 0.0 then 0.0 else ns in
-  let idx = match core with Some c -> c | None -> core_of t thread in
-  let c = t.cores.(idx) in
+  let c = t.cores.(core_of t thread) in
   Semaphore.acquire c.lock;
   let switch =
     if c.last_thread < 0 || c.last_thread = thread then 0.0
@@ -56,14 +58,19 @@ let compute t ~thread ?core ns =
     end
   in
   c.last_thread <- thread;
-  (* Boxed once here and shared by both calls below; an unboxed
-     let-bound float would be boxed again at each call. *)
-  let total = Sys.opaque_identity (ns +. switch) in
   let fl = c.fl in
-  fl.(0) <- fl.(0) +. total;
-  Engine.set_after fl 1 total;
-  Engine.wait total;
+  fl.(2) <- ns +. switch;
+  fl.(0) <- fl.(0) +. fl.(2);
+  Engine.set_after_cell fl 1 2;
+  Engine.wait_cell fl 2;
   Semaphore.release c.lock
+
+let compute t ~thread ns = burst t ~thread ns
+
+(* The cell is read here, before [acquire] can suspend: a caller's cell
+   may be restaged by another process while this one waits for the
+   core. *)
+let compute_cell t ~thread cells i = burst t ~thread cells.(i)
 
 let context_switches t =
   Array.fold_left (fun acc c -> acc + c.switches) 0 t.cores

@@ -15,12 +15,18 @@ val create : ?costs:Costs.t -> ncores:int -> unit -> t
 
 val ncores : t -> int
 
-val compute : t -> thread:thread_id -> ?core:int -> float -> unit
-(** [compute t ~thread ns] occupies a core for [ns] (plus a context
-    switch if the core last ran a different thread). With [?core] the
-    burst is pinned to that core; otherwise the thread's affinity
-    (default: thread id mod ncores) is used. Must be called from a
-    simulated process. *)
+val compute : t -> thread:thread_id -> float -> unit
+(** [compute t ~thread ns] occupies the thread's core (its affinity;
+    default: thread id mod ncores) for [ns] (plus a context switch if
+    the core last ran a different thread). Must be called from a
+    simulated process. Allocates only the wait's continuation, but the
+    caller boxes [ns]; see {!compute_cell}. *)
+
+val compute_cell : t -> thread:thread_id -> float array -> int -> unit
+(** [compute_cell t ~thread cells i] is [compute t ~thread cells.(i)]
+    without boxing the burst: same bursts, same schedule. [cells.(i)]
+    is read before the call can suspend, so a caller may restage the
+    cell for another burst as soon as this one has started. *)
 
 val pin : t -> thread:thread_id -> core:int -> unit
 (** Sets the thread's core affinity for subsequent unpinned bursts. *)

@@ -255,6 +255,7 @@ let engine_of_process () =
 
 let set_after cells i d = cells.(i) <- (engine_of_process ()).fl.(0) +. d
 
+
 let wait d =
   let t = engine_of_process () in
   t.fl.(4) <- d;
@@ -619,11 +620,16 @@ let stop_all t =
     t.free_head <- 0
   end
 
-(* [wait] with the delay read from a caller-owned float cell, so it is
-   not boxed (the twin of [set_after]). Defined last: placed next to
-   [wait], it shifted the code layout of the dispatch loop and cost
-   blk-hot about 1% host time. *)
+(* [wait] and [set_after] with the delay read from a caller-owned
+   float cell, and the clock stored into one, so nothing is boxed.
+   Defined last: placed next to [wait], [wait_cell] shifted the code
+   layout of the dispatch loop and cost blk-hot about 1% host time. *)
 let wait_cell cells i =
   let t = engine_of_process () in
   t.fl.(4) <- cells.(i);
   Effect.perform Wait
+
+let set_after_cell cells i j =
+  cells.(i) <- (engine_of_process ()).fl.(0) +. cells.(j)
+
+let stamp t cells i = cells.(i) <- t.fl.(0)

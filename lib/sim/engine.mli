@@ -122,6 +122,14 @@ val set_after : float array -> int -> float -> unit
     time plus [d] into [cells.(i)]. Must be called from within a
     process, like {!wait}. *)
 
+val set_after_cell : float array -> int -> int -> unit
+(** [set_after_cell cells i j] is [set_after cells i cells.(j)] without
+    boxing the delay. Must be called from within a process. *)
+
+val stamp : t -> float array -> int -> unit
+(** [stamp t cells i] stores [now t] into [cells.(i)]. Callable
+    outside a process. *)
+
 val wait_cell : float array -> int -> unit
 (** [wait_cell cells i] is [wait cells.(i)] without boxing the delay:
     same event, same (time, seq) key. Must be called from within a

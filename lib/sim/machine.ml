@@ -15,3 +15,5 @@ let run ?until t = Engine.run ?until t.engine
 let spawn t f = Engine.spawn t.engine f
 
 let compute t ~thread ns = Cpu.compute t.cpu ~thread ns
+
+let compute_cell t ~thread cells i = Cpu.compute_cell t.cpu ~thread cells i

@@ -1101,20 +1101,22 @@ let test_cpu_utilization () =
   check_float "one core busy 1000 of 4*1000" 0.25
     (Cpu.utilization cpu ~elapsed:1000.0)
 
-(* A compute burst allocates only what its wait needs: the effect
-   continuation and the one boxed burst length (ints and a float array
-   hold the per-core state, the affinity lookup is [Hashtbl.find]).
-   20k warm-up bursts (2 ms) run first, so pool growth stays out of
-   the measurement. Native only. *)
+(* A compute burst allocates only its wait's effect continuation: the
+   burst is staged in the core's own float cell, ints and a float array
+   hold the per-core state, the affinity lookup is [Hashtbl.find], and
+   [compute_cell] reads the caller's cell unboxed. 20k warm-up bursts
+   (2 ms) run first, so pool growth stays out of the measurement.
+   Native only. *)
 let test_cpu_compute_words () =
   let e = Engine.create () in
   let cpu = Cpu.create ~ncores:2 () in
   Cpu.pin cpu ~thread:5 ~core:1;
-  let unpinned = ref 0.0 and pinned = ref 0.0 in
-  let measure thread =
+  let cells = [| 100.0 |] in
+  let unpinned = ref 0.0 and pinned = ref 0.0 and celled = ref 0.0 in
+  let measure burst =
     let w0 = Gc.minor_words () in
     for _ = 1 to 10_000 do
-      Cpu.compute cpu ~thread 100.0
+      burst ()
     done;
     (Gc.minor_words () -. w0) /. 10_000.0
   in
@@ -1122,18 +1124,56 @@ let test_cpu_compute_words () =
       for _ = 1 to 20_000 do
         Cpu.compute cpu ~thread:0 100.0
       done;
-      unpinned := measure 0;
-      pinned := measure 5);
+      unpinned := measure (fun () -> Cpu.compute cpu ~thread:0 100.0);
+      pinned := measure (fun () -> Cpu.compute cpu ~thread:5 100.0);
+      celled := measure (fun () -> Cpu.compute_cell cpu ~thread:0 cells 0));
   Engine.run e;
-  check_float "busy time kept" 4_000_000.0 (Cpu.busy_ns cpu);
+  check_float "busy time kept" 5_000_000.0 (Cpu.busy_ns cpu);
   match Sys.backend_type with
   | Sys.Native ->
       Alcotest.(check bool)
-        (Printf.sprintf "compute allocates <= 4 words (unpinned %.3f, pinned %.3f)"
-           !unpinned !pinned)
+        (Printf.sprintf
+           "compute allocates <= 2 words (unpinned %.3f, pinned %.3f, cell %.3f)"
+           !unpinned !pinned !celled)
         true
-        (!unpinned <= 4.0 && !pinned <= 4.0)
+        (!unpinned <= 2.0 && !pinned <= 2.0 && !celled <= 2.0)
   | Sys.Bytecode | Sys.Other _ -> ()
+
+(* [compute_cell] is [compute] on the cell's value at the call: the
+   same completion instants, busy time and context switches. Three
+   threads share one core and one staging cell, so a caller that parks
+   on the core's semaphore has its cell restaged by the next caller
+   before its burst starts; one burst is negative (clamped to 0). *)
+let test_cpu_compute_cell_matches () =
+  let burst k i = if k = 1 && i = 2 then -50.0 else float_of_int ((100 * (k + 1)) + i) in
+  let run use_cell =
+    let e = Engine.create () in
+    let cpu = Cpu.create ~ncores:2 () in
+    let cells = [| 0.0 |] in
+    let log = ref [] in
+    for k = 0 to 2 do
+      (* Threads 0 and 2 share core 0; thread 1 has core 1. *)
+      let thread = if k = 1 then 1 else k in
+      Engine.spawn e (fun () ->
+          for i = 0 to 3 do
+            if use_cell then begin
+              cells.(0) <- burst k i;
+              Cpu.compute_cell cpu ~thread cells 0
+            end
+            else Cpu.compute cpu ~thread (burst k i);
+            log := (k, i, Engine.now e) :: !log
+          done)
+    done;
+    Engine.run e;
+    (List.rev !log, Cpu.busy_ns cpu, Cpu.context_switches cpu)
+  in
+  let log, busy, switches = run false in
+  let log', busy', switches' = run true in
+  Alcotest.(check (list (triple int int (float 0.0))))
+    "same completion instants" log log';
+  check_float "same busy ns" busy busy';
+  Alcotest.(check int) "same context switches" switches switches';
+  Alcotest.(check bool) "the shared core switched" true (switches > 0)
 
 let test_cpu_pinning () =
   let e = Engine.create () in
@@ -1360,6 +1400,8 @@ let () =
           Alcotest.test_case "utilization" `Quick test_cpu_utilization;
           Alcotest.test_case "pinning" `Quick test_cpu_pinning;
           Alcotest.test_case "compute words" `Quick test_cpu_compute_words;
+          Alcotest.test_case "compute_cell matches compute" `Quick
+            test_cpu_compute_cell_matches;
         ] );
       ("bitset", [ Alcotest.test_case "is_empty" `Quick test_bitset_is_empty ]);
       ( "rng",
