@@ -128,38 +128,28 @@ dune exec bench/main.exe -- exemplars --smoke
 test -s BENCH_exemplars.json
 dune exec bin/bench_diff.exe -- bench/baselines/BENCH_exemplars.json BENCH_exemplars.json
 
-echo "== labstor_cli metrics smoke =="
-dune exec bin/labstor_cli.exe -- metrics --ops 200 --threads 2 > /dev/null
-test -s out/metrics.jsonl
+echo "== labstor_cli validate (every stack YAML under examples/) =="
+for f in examples/*.yaml; do
+  [ "$f" = examples/runtime.yaml ] && continue
+  dune exec bin/labstor_cli.exe -- validate "$f" > /dev/null
+done
+
+echo "== labstor_cli run smoke (obs stack, examples/runtime.yaml, 2 ms outage) =="
+# One run turns every obs feature on: each artifact the config names
+# must be non-empty, the SLO keys must surface as burn-rate gauges in
+# the metrics file, and the outage must leave an ENODEV black-box dump.
+rm -rf out/config_smoke
+dune exec bin/labstor_cli.exe -- run --stack examples/obs_stack.yaml \
+  --config examples/runtime.yaml --offline-ms 2 --ops 200 --threads 2 > /dev/null
+for a in trace.json profile.json exemplars.json blackbox.json metrics.jsonl; do
+  test -s "out/config_smoke/$a" || { echo "run wrote no out/config_smoke/$a"; exit 1; }
+done
+grep -q 'slo.client.burn_rate' out/config_smoke/metrics.jsonl
+grep -q '"reason":"errno:ENODEV"' out/config_smoke/blackbox.json
 
 echo "== labstor_cli --threads 0 exits at once, nonzero (124 = timeout, a hang) =="
-rc=0; timeout 10 dune exec bin/labstor_cli.exe -- metrics --threads 0 > /dev/null 2>&1 || rc=$?
-[ "$rc" -ne 0 ] && [ "$rc" -ne 124 ] || { echo "metrics --threads 0 exited $rc"; exit 1; }
-
-echo "== labstor_cli config smoke (examples/runtime.yaml) =="
-# Every key of the config file reaches the Runtime: the SLO keys must
-# surface as burn-rate gauges in the metrics file the config names.
-rm -f out/config_smoke/metrics.jsonl
-dune exec bin/labstor_cli.exe -- metrics examples/runtime.yaml --ops 200 --threads 2 > /dev/null
-test -s out/config_smoke/metrics.jsonl
-grep -q 'slo.client.burn_rate' out/config_smoke/metrics.jsonl
-
-echo "== labstor_cli profile/top smoke =="
-dune exec bin/labstor_cli.exe -- profile --ops 200 --threads 2 > /dev/null
-test -s out/profile.json
-dune exec bin/labstor_cli.exe -- top --ops 200 --threads 2 > /dev/null
-
-echo "== labstor_cli exemplars/blackbox smoke =="
-dune exec bin/labstor_cli.exe -- exemplars --ops 200 --threads 2 > /dev/null
-test -s out/exemplars.json
-dune exec bin/labstor_cli.exe -- blackbox --ops 200 --threads 2 > /dev/null
-test -s out/blackbox.json
-grep -q '"reason":"errno:ENODEV"' out/blackbox.json
-
-echo "== labstor_cli qos smoke =="
-dune exec bin/labstor_cli.exe -- qos --tenants 4 --ops 50 --noisy > /dev/null
-
-echo "== labstor_cli load smoke =="
-dune exec bin/labstor_cli.exe -- load --rate 100 --total 500 --slo-p99 100 > /dev/null
+rc=0; timeout 10 dune exec bin/labstor_cli.exe -- run --stack examples/obs_stack.yaml \
+  --config examples/runtime.yaml --offline-ms 2 --threads 0 > /dev/null 2>&1 || rc=$?
+[ "$rc" -ne 0 ] && [ "$rc" -ne 124 ] || { echo "run --threads 0 exited $rc"; exit 1; }
 
 echo "check: OK"

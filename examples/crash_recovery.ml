@@ -7,7 +7,7 @@
    Runtime crashes are only one half of the failure model: device
    faults (EIO, torn writes, offline queues, lost commands) flow
    through the same client retry loop — see the "Fault model" section
-   of DESIGN.md and `labstor_cli faults` for that half.
+   of DESIGN.md and `bench/main.exe faults` for that half.
 
    Run with: dune exec examples/crash_recovery.exe *)
 

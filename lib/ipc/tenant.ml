@@ -59,7 +59,6 @@ type tenant = {
   mutable active : bool;
   mutable anext : int;  (* active-list link; -1 = end *)
   mutable dispatched : int;  (* ops through the DRR window *)
-  mutable bypassed : int;  (* latency-class ops (skipped the window) *)
   mutable served_bytes : int;  (* throughput-class bytes dispatched *)
   (* pending throughput-class ops: parallel power-of-two rings *)
   mutable pb : int array;  (* bytes *)
@@ -120,7 +119,6 @@ let register t ~ext_id ~weight ~rate_mbps ~burst_bytes ~qcap =
       active = false;
       anext = -1;
       dispatched = 0;
-      bypassed = 0;
       served_bytes = 0;
       pb = Array.make 8 0;
       pc = Array.make 8 dummy_cell;
@@ -160,8 +158,6 @@ let ops_done tn = tn.ops_done
 let bytes_done tn = tn.bytes_done
 
 let dispatched tn = tn.dispatched
-
-let bypassed tn = tn.bypassed
 
 let served_bytes tn = tn.served_bytes
 
@@ -217,8 +213,6 @@ let complete t tn ~bytes ~latency_ns ~ok =
 (* ---------------- DRR dispatch (scheduler side) ---------------- *)
 
 let windowed ~bytes = bytes > bypass_bytes
-
-let note_bypass tn = tn.bypassed <- tn.bypassed + 1
 
 (* Intrusive active list: only backlogged tenants are linked. *)
 

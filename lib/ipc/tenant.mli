@@ -71,10 +71,7 @@ val complete :
 
 val windowed : bytes:int -> bool
 (** True for throughput-class ops (they must pass {!submit} /
-    {!release}); false for latency-class ops, which bypass the window
-    (note them with {!note_bypass}). *)
-
-val note_bypass : tenant -> unit
+    {!release}); false for latency-class ops, which bypass the window. *)
 
 val submit : t -> tenant -> bytes:int -> Lab_sim.Engine.park_cell -> bool
 (** Offers a throughput-class op to the dispatch window. [true]: the op
@@ -106,8 +103,6 @@ val ops_done : tenant -> int
 val bytes_done : tenant -> int
 
 val dispatched : tenant -> int
-
-val bypassed : tenant -> int
 
 val served_bytes : tenant -> int
 

@@ -248,10 +248,7 @@ let operate m ctx req =
               cell_release qcells cell;
               ib
             end
-            else begin
-              Tenant.note_bypass tn;
-              -1
-            end
+            else -1
         | _ -> -1
       in
       Machine.compute ctx.Labmod.machine ~thread:ctx.Labmod.thread decision_cost_ns;

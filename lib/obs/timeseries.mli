@@ -59,8 +59,8 @@ type stat = {
 }
 
 val stats : t -> stat list
-(** One summary per series, sorted by name — the [labstor_cli top]
-    view. *)
+(** One summary per series, sorted by name — the sampler table
+    [labstor_cli run] prints. *)
 
 (** {1 Export} *)
 

@@ -3,6 +3,7 @@ open Lab_ipc
 open Lab_core
 module Metrics = Lab_obs.Metrics
 module Trace = Lab_obs.Trace
+module Itbl = Hashtbl.Make (Int)
 
 exception Runtime_gone
 
@@ -40,7 +41,7 @@ type t = {
   c_pid : int;
   uid : int;
   c_thread : int;
-  qp_of_stack : (int, Request.t Qp.t) Hashtbl.t;
+  qp_of_stack : Request.t Qp.t Itbl.t;  (* stack id -> its queue pair *)
   fd_table : (int, string * int) Hashtbl.t;  (* fd -> (path, stack id) *)
   mutable next_fd : int;
   mutable epoch : int;
@@ -124,7 +125,7 @@ let connect runtime ~pid ~uid ~thread ?(recovery_timeout_ns = 1e10)
     c_pid = pid;
     uid;
     c_thread = thread;
-    qp_of_stack = Hashtbl.create 8;
+    qp_of_stack = Itbl.create 8;
     fd_table = Hashtbl.create 64;
     next_fd = 3;
     epoch = Module_manager.epoch (Runtime.module_manager runtime);
@@ -163,15 +164,17 @@ let exhausted_retries t = Metrics.value t.counters.fc_exhausted
 
 let disconnect t = Ipc_manager.disconnect (Runtime.ipc t.runtime) t.conn
 
+(* Looked up on every request: an int-keyed table and an exception on
+   a miss, so a hit allocates nothing. *)
 let qp_for_stack t (stack : Stack.t) =
-  match Hashtbl.find_opt t.qp_of_stack stack.Stack.id with
-  | Some qp -> qp
-  | None ->
+  match Itbl.find t.qp_of_stack stack.Stack.id with
+  | qp -> qp
+  | exception Not_found ->
       let qp =
         Ipc_manager.create_qp (Runtime.ipc t.runtime) t.conn ~role:Qp.Primary
           ~ordering:Qp.Ordered
       in
-      Hashtbl.replace t.qp_of_stack stack.Stack.id qp;
+      Itbl.replace t.qp_of_stack stack.Stack.id qp;
       (* New primary queue: the Work Orchestrator runs a rebalance, as
          it does whenever a new client connects. *)
       Runtime.rebalance_now t.runtime;

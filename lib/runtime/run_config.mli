@@ -14,6 +14,10 @@
     metrics_path: out/config_smoke/metrics.jsonl
     profile_period_us: 50   # sampler period (0 = profiling off)
     profile_path: out/config_smoke/profile.json
+    exemplar_k: 8           # keep the 8 slowest requests (0 = off)
+    exemplar_path: out/config_smoke/exemplars.json
+    blackbox_cap: 512       # flight-recorder ring events (0 = off)
+    blackbox_path: out/config_smoke/blackbox.json
     slo_p99_target_us: 40   # latency objective (0 = no SLO)
     slo_floor_kops: 100     # throughput floor (0 = none)
     policy:
