@@ -31,11 +31,29 @@ let pct base v = Printf.sprintf "%+.0f%%" (100.0 *. (v -. base) /. base)
 let note fmt = Printf.printf ("  " ^^ fmt ^^ "\n")
 
 (* Smoke mode shrinks every experiment's workload for CI. Enabled by
-   the LABSTOR_SMOKE environment variable or the --smoke flag (which
-   main.ml records here). *)
+   the --smoke flag, which main.ml records here. *)
 let force_smoke = ref false
 
-let smoke () = !force_smoke || Sys.getenv_opt "LABSTOR_SMOKE" <> None
+let smoke () = !force_smoke
+
+(* Claims: an experiment states what its rows must show as named
+   predicates, [<experiment>.<what>], with the bound in the condition
+   and the measured values in the detail. A claim never exits: main.ml
+   reports every failed one on stderr after the selected experiments
+   have run, then exits 1. *)
+let failures : (string * string) list ref = ref []
+
+let claim name ok fmt =
+  Printf.ksprintf
+    (fun detail ->
+      if not ok then failures := (name, detail) :: !failures)
+    fmt
+
+let failed_claims () = List.rev !failures
+
+(* Minor-word budgets bind in native runs only: bytecode allocates
+   differently. *)
+let words_ok ok = ok || Sys.backend_type <> Sys.Native
 
 (* Wall-clock self-measurement of the simulator. Off by default —
    wall-clock numbers vary run to run, and the default experiment

@@ -18,7 +18,7 @@
    trace_sample = 0 must execute the identical number of simulator
    events in identical simulated time as the traced run.
 
-   Writes BENCH_anatomy.json. LABSTOR_SMOKE=1 shrinks the workload. *)
+   Writes BENCH_anatomy.json. --smoke shrinks the workload. *)
 
 open Labstor
 open Lab_sim
@@ -220,31 +220,24 @@ let run () =
   write_json "BENCH_anatomy.json" a;
   (* Acceptance: the telescoped stages of every request must tile its
      root span — worst residual within 1%. *)
-  if a.requests = 0 || a.max_residual > 0.01 then begin
-    Bench_util.note
-      "RECONCILIATION FAILED: max |root - sum(stages)|/root = %.4f over %d requests"
-      a.max_residual a.requests;
-    exit 1
-  end
-  else
+  let reconciled = a.requests > 0 && a.max_residual <= 0.01 in
+  Bench_util.claim "anatomy2.stages_reconcile" reconciled
+    "max |root - sum(stages)|/root = %.4f over %d requests (bound 0.01)"
+    a.max_residual a.requests;
+  if reconciled then
     Bench_util.note
       "reconciliation: stage sums match end-to-end latency (max residual %.4f%%)"
       (100.0 *. a.max_residual);
   (* Zero overhead when off: an untraced run must be indistinguishable
      from the traced run in simulated time and event count. *)
   let off = run_case ~seed ~ops ~sample:0 in
-  if List.length off.spans <> 0 then begin
-    Bench_util.note "OVERHEAD CHECK FAILED: sample=0 emitted %d events"
-      (List.length off.spans);
-    exit 1
-  end;
-  if off.elapsed <> traced.elapsed || off.events <> traced.events then begin
-    Bench_util.note
-      "OVERHEAD CHECK FAILED: traced %.1f ns/%d events vs untraced %.1f ns/%d events"
-      traced.elapsed traced.events off.elapsed off.events;
-    exit 1
-  end
-  else
+  Bench_util.claim "anatomy2.untraced_emits_nothing" (off.spans = [])
+    "sample=0 emitted %d events" (List.length off.spans);
+  let neutral = off.elapsed = traced.elapsed && off.events = traced.events in
+  Bench_util.claim "anatomy2.tracing_neutral" neutral
+    "traced %.1f ns/%d events vs untraced %.1f ns/%d events" traced.elapsed
+    traced.events off.elapsed off.events;
+  if neutral then
     Bench_util.note
       "zero overhead: traced and untraced runs identical (%d events, %.2f ms simulated)"
       off.events (off.elapsed /. 1e6);

@@ -11,7 +11,7 @@
    Reported per point: throughput, p99 latency, doorbell rings per
    request, scheduler merges per request, and simulator events executed
    (a determinism fingerprint). Set LABSTOR_WALLCLOCK for events/sec of
-   the simulator itself; LABSTOR_SMOKE=1 shrinks the workload for CI. *)
+   the simulator itself; --smoke shrinks the workload for CI. *)
 
 open Labstor
 open Lab_sim
@@ -151,7 +151,7 @@ let widths = [ 5; 6; 9; 9; 7; 8; 9 ]
 let header = [ "qd"; "batch"; "kIOPS"; "p99(us)"; "db/req"; "mrg/req"; "events" ]
 
 let run () =
-  let smoke = Sys.getenv_opt "LABSTOR_SMOKE" <> None in
+  let smoke = Bench_util.smoke () in
   let total_ops = if smoke then 256 else 4096 in
   let seed = 0xBA7C4 in
   Bench_util.heading "batching"
@@ -187,9 +187,8 @@ let run () =
      seeds give byte-identical rows (including the event count). *)
   let a = run_case ~seed ~qd:64 ~batch:16 ~total_ops in
   let b = run_case ~seed ~qd:64 ~batch:16 ~total_ops in
-  if row ~qd:64 ~batch:16 a = row ~qd:64 ~batch:16 b then
+  let same = row ~qd:64 ~batch:16 a = row ~qd:64 ~batch:16 b in
+  Bench_util.claim "batching.deterministic" same
+    "rows differ across identical runs";
+  if same then
     Bench_util.note "determinism: two seed-%#x qd=64 batch=16 runs matched" seed
-  else begin
-    Bench_util.note "determinism VIOLATED: rows differ across identical runs";
-    exit 1
-  end

@@ -15,8 +15,7 @@
    page (< 1.0 when coalescing works), and simulator events executed (a
    determinism fingerprint). A machine-readable summary is written to
    BENCH_cache.json. Set LABSTOR_WALLCLOCK for events/sec of the
-   simulator itself; LABSTOR_SMOKE=1 (or --smoke) shrinks the workload
-   for CI. *)
+   simulator itself; --smoke shrinks the workload for CI. *)
 
 open Labstor
 open Lab_sim
@@ -298,38 +297,27 @@ let run () =
         (fun shards ->
           let off = find policy false shards 0 in
           let on = find policy true shards 0 in
-          if on.kiops <= off.kiops then begin
-            Bench_util.note
-              "ACCEPTANCE VIOLATED: %s shards=%d readahead-on %.1f kIOPS <= \
-               off %.1f kIOPS"
-              policy shards on.kiops off.kiops;
-            exit 1
-          end)
+          Bench_util.claim "cache.readahead_beats_off" (on.kiops > off.kiops)
+            "%s shards=%d readahead-on %.1f kIOPS <= off %.1f kIOPS" policy
+            shards on.kiops off.kiops)
         [ 1; 4 ])
     [ "lru_cache"; "arc_cache" ];
   (* Acceptance: coalescing keeps write-back device ops per evicted
      dirty page below 1 (one-write-per-page would be exactly 1.0). *)
   List.iter
     (fun ((policy, ra, shards, wr_pct), (o : outcome)) ->
-      if wr_pct > 0 && o.wb_ops_per_page >= 1.0 then begin
-        Bench_util.note
-          "ACCEPTANCE VIOLATED: %s ra=%b shards=%d wr%%=%d write-back ops per \
-           page %.2f >= 1.0"
-          policy ra shards wr_pct o.wb_ops_per_page;
-        exit 1
-      end)
+      Bench_util.claim "cache.writeback_coalesces"
+        (wr_pct = 0 || o.wb_ops_per_page < 1.0)
+        "%s ra=%b shards=%d wr%%=%d write-back ops per page %.2f >= 1.0"
+        policy ra shards wr_pct o.wb_ops_per_page)
     results;
   (* Allocation guard: a hit allocates only its simulated CPU waits
-     and the returned size, set at the measured 10 and 8 words. Bytecode
-     allots differently, so the gate binds in native runs only. *)
-  if Sys.backend_type = Sys.Native && (read_words > 10.0 || write_words > 8.0)
-  then begin
-    Bench_util.note
-      "ALLOCATION REGRESSION: cache hit path at %.2f words per read hit \
-       (budget 10), %.2f per write absorb (budget 8)"
-      read_words write_words;
-    exit 1
-  end;
+     and the returned size, set at the measured 10 and 8 words. *)
+  Bench_util.claim "cache.hit_words"
+    (Bench_util.words_ok (read_words <= 10.0 && write_words <= 8.0))
+    "cache hit path at %.2f words per read hit (budget 10), %.2f per write \
+     absorb (budget 8)"
+    read_words write_words;
   (* Determinism: identical seeds must give byte-identical rows
      (including the event-count fingerprint). *)
   let a = run_case ~seed ~policy:"lru_cache" ~ra:true ~shards:4 ~wr_pct:25
@@ -339,9 +327,8 @@ let run () =
       ~ops_per_thread
   in
   let r ~o = row ~policy:"lru_cache" ~ra:true ~shards:4 ~wr_pct:25 o in
-  if r ~o:a = r ~o:b then
+  let same = r ~o:a = r ~o:b in
+  Bench_util.claim "cache.deterministic" same
+    "rows differ across identical runs";
+  if same then
     Bench_util.note "determinism: two seed-%#x lru/ra/4-shard runs matched" seed
-  else begin
-    Bench_util.note "determinism VIOLATED: rows differ across identical runs";
-    exit 1
-  end

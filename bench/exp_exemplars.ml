@@ -128,8 +128,6 @@ let run () =
   let p_on, _, ev_on, _ =
     run_point ~seed ~rate_kops:cruise_kops ~total:(total / 2) ~obs:On ()
   in
-  let vt_plain = 0.0 in
-  ignore vt_plain;
   let now_of p = Platform.now p in
   let off_neutral = ev_plain = ev_off in
   let on_neutral = ev_plain = ev_on && now_of p_off = now_of p_on in
@@ -138,16 +136,10 @@ let run () =
      %s)"
     ev_plain ev_off ev_on
     (if now_of p_off = now_of p_on then "identical" else "DIVERGED");
-  if not off_neutral then begin
-    Bench_util.note
-      "NEUTRALITY REGRESSION: capture-off run diverged from a no-obs run";
-    exit 1
-  end;
-  if not on_neutral then begin
-    Bench_util.note
-      "NEUTRALITY REGRESSION: capture-on run perturbed the schedule";
-    exit 1
-  end;
+  Bench_util.claim "exemplars.off_neutral" off_neutral
+    "capture-off run diverged from a no-obs run";
+  Bench_util.claim "exemplars.on_neutral" on_neutral
+    "capture-on run perturbed the schedule";
 
   (* ---- Phase 2: tail coverage under overload ---------------------- *)
   let p2, res2, ev2, lats = run_point ~seed ~rate_kops:overload_kops ~total ~obs:On () in
@@ -179,20 +171,14 @@ let run () =
     (Obs.Exemplar.offered store)
     (Obs.Exemplar.promoted store)
     (Obs.Exemplar.evicted store);
-  if coverage < 0.90 then begin
-    Bench_util.note
-      "COVERAGE REGRESSION: %.0f%% of the slowest 0.1%% captured (bound 90%%)"
-      (coverage *. 100.0);
-    exit 1
-  end;
+  Bench_util.claim "exemplars.tail_coverage" (coverage >= 0.90)
+    "%.0f%% of the slowest 0.1%% captured (bound 90%%)" (coverage *. 100.0);
   (* Anatomy: every stored exemplar's stage records tile its root span. *)
   List.iter
     (fun v ->
-      if v.Obs.Exemplar.v_stages = [] then begin
-        Bench_util.note "ANATOMY REGRESSION: exemplar %d has no stages"
-          v.Obs.Exemplar.v_id;
-        exit 1
-      end;
+      let staged = v.Obs.Exemplar.v_stages <> [] in
+      Bench_util.claim "exemplars.has_stages" staged "exemplar %d has no stages"
+        v.Obs.Exemplar.v_id;
       let sum =
         List.fold_left
           (fun acc s ->
@@ -202,13 +188,12 @@ let run () =
           0.0 v.Obs.Exemplar.v_stages
       in
       let residual = Float.abs (v.Obs.Exemplar.v_latency -. sum) in
-      if residual > 0.01 *. Float.max v.Obs.Exemplar.v_latency 1.0 then begin
-        Bench_util.note
-          "ANATOMY REGRESSION: exemplar %d stages sum %.0f ns vs latency %.0f \
-           ns"
-          v.Obs.Exemplar.v_id sum v.Obs.Exemplar.v_latency;
-        exit 1
-      end)
+      (* An exemplar with no stages already failed above. *)
+      Bench_util.claim "exemplars.stages_tile_latency"
+        ((not staged)
+        || residual <= 0.01 *. Float.max v.Obs.Exemplar.v_latency 1.0)
+        "exemplar %d stages sum %.0f ns vs latency %.0f ns" v.Obs.Exemplar.v_id
+        sum v.Obs.Exemplar.v_latency)
     views;
 
   (* ---- Phase 3: triggered black-box dump on injected ENODEV ------- *)
@@ -249,11 +234,8 @@ let run () =
     (Obs.Flightrec.triggers bb)
     (List.length dumps) failed3
     (if enodev_ok then "present with its triggering event" else "MISSING");
-  if not enodev_ok then begin
-    Bench_util.note
-      "BLACKBOX REGRESSION: no errno:ENODEV dump containing its trigger";
-    exit 1
-  end;
+  Bench_util.claim "exemplars.enodev_dump" enodev_ok
+    "no errno:ENODEV dump containing its trigger";
 
   (* ---- Phase 4: same-seed determinism ----------------------------- *)
   let p2b, _, ev2b, _ =
@@ -278,13 +260,11 @@ let run () =
     && store_json p2 = store_json p2b
     && bb_json p3 = bb_json p3b
   in
+  Bench_util.claim "exemplars.deterministic" deterministic
+    "same-seed reruns differ";
   if deterministic then
     Bench_util.note
-      "determinism: same-seed reruns byte-identical (exemplars + black box)"
-  else begin
-    Bench_util.note "determinism VIOLATED: same-seed reruns differ";
-    exit 1
-  end;
+      "determinism: same-seed reruns byte-identical (exemplars + black box)";
 
   (* ---- JSON ------------------------------------------------------- *)
   let oc = open_out "BENCH_exemplars.json" in

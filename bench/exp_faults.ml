@@ -8,7 +8,7 @@
    application), then checks the determinism guarantee: two runs with
    the same seed must produce byte-identical fault traces.
 
-   LABSTOR_SMOKE=1 shrinks the workload for CI. *)
+   --smoke shrinks the workload for CI. *)
 
 open Labstor
 open Lab_sim
@@ -95,7 +95,7 @@ let run_case ~rate ~seed ~ops =
   }
 
 let run () =
-  let smoke = Sys.getenv_opt "LABSTOR_SMOKE" <> None in
+  let smoke = Bench_util.smoke () in
   let ops = if smoke then 100 else 2000 in
   let seed = 0xFA17 in
   Bench_util.heading "faults"
@@ -130,11 +130,10 @@ let run () =
   (* Determinism: identical seeds must give byte-identical traces. *)
   let a = run_case ~rate:0.01 ~seed ~ops in
   let b = run_case ~rate:0.01 ~seed ~ops in
-  if a.trace = b.trace && a.trace <> "" then
+  let same = a.trace = b.trace && a.trace <> "" in
+  Bench_util.claim "faults.deterministic" same
+    "traces differ across identical runs (or are empty)";
+  if same then
     Bench_util.note "determinism: two seed-%#x runs gave identical %d-line fault traces"
       seed
       (List.length (String.split_on_char '\n' a.trace))
-  else begin
-    Bench_util.note "determinism VIOLATED: traces differ across identical runs";
-    exit 1
-  end

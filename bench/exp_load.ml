@@ -166,34 +166,26 @@ let run () =
   (* Gate 1: below the knee the two views must agree — CO correction is
      a no-op when the injectors keep up. *)
   let agreement_low = first.p99_c_us /. Stdlib.max 1e-9 first.p99_n_us in
-  if agreement_low > 1.10 || first.drops > 0 then begin
-    Bench_util.note
-      "CO REGRESSION: at %.0f kops/s corrected p99 %.2fx naive (bound 1.10x), \
-       %d drops (bound 0)"
-      first.rate_kops agreement_low first.drops;
-    exit 1
-  end;
+  Bench_util.claim "load.co_agrees_below_knee"
+    (agreement_low <= 1.10 && first.drops = 0)
+    "at %.0f kops/s corrected p99 %.2fx naive (bound 1.10x), %d drops (bound \
+     0)"
+    first.rate_kops agreement_low first.drops;
   (* Gate 2: past saturation the corrected tail must expose the hidden
      queueing delay. *)
   let divergence_high = last.p99_c_us /. Stdlib.max 1e-9 last.p99_n_us in
-  if divergence_high < 5.0 then begin
-    Bench_util.note
-      "CO REGRESSION: at %.0f kops/s corrected p99 only %.2fx naive (bound \
-       5x) — the recorder is not exposing coordinated omission"
-      last.rate_kops divergence_high;
-    exit 1
-  end;
+  Bench_util.claim "load.co_diverges_past_saturation" (divergence_high >= 5.0)
+    "at %.0f kops/s corrected p99 only %.2fx naive (bound 5x) — the recorder \
+     is not exposing coordinated omission"
+    last.rate_kops divergence_high;
   (* Gate 3: achieved throughput saturates; it must never regress as
      offered load grows (1% slack for arrival-stream noise). *)
   let rec monotone = function
     | a :: (b : point) :: rest ->
-        if b.achieved_kops < 0.99 *. a.achieved_kops then begin
-          Bench_util.note
-            "THROUGHPUT REGRESSION: achieved fell from %.1f to %.1f kops/s as \
-             offered rose %.0f -> %.0f"
-            a.achieved_kops b.achieved_kops a.rate_kops b.rate_kops;
-          exit 1
-        end;
+        Bench_util.claim "load.throughput_monotone"
+          (b.achieved_kops >= 0.99 *. a.achieved_kops)
+          "achieved fell from %.1f to %.1f kops/s as offered rose %.0f -> %.0f"
+          a.achieved_kops b.achieved_kops a.rate_kops b.rate_kops;
         monotone (b :: rest)
     | _ -> ()
   in
@@ -225,15 +217,11 @@ let run () =
     && p1.p99_n_us = p2.p99_n_us
     && p1.events = p2.events
   in
+  Bench_util.claim "load.deterministic" deterministic
+    "%.0f kops/s runs differ (events %d/%d)" knee_kops p1.events p2.events;
   if deterministic then
     Bench_util.note "determinism: two %.0f kops/s runs matched exactly"
-      knee_kops
-  else begin
-    Bench_util.note
-      "determinism VIOLATED: %.0f kops/s runs differ (events %d/%d)" knee_kops
-      p1.events p2.events;
-    exit 1
-  end;
+      knee_kops;
 
   (* JSON: curves as arrays (band + monotone gated by bench_diff) plus
      scalar knee keys. Same key set in smoke and full runs. *)

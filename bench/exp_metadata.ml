@@ -4,7 +4,11 @@
    1..24, 16 Runtime workers:
      LabFS-All  = permissions + LabFS, asynchronous execution
      LabFS-Min  = LabFS, asynchronous execution (no permission checks)
-     LabFS-D    = LabFS, synchronous execution (no central authority) *)
+     LabFS-D    = LabFS, synchronous execution (no central authority)
+
+   Claims: LabFS-All at least 3x ext4 at one thread, every kernel
+   filesystem lower at 24 threads than at its own peak, and LabFS-D the
+   highest column at every thread count. *)
 
 open Labstor
 open Lab_device
@@ -95,16 +99,47 @@ let run () =
       ("f2fs", kfs_rate Kfs.F2fs);
     ]
   in
+  (* [rows] is [(threads, [(system, ops/s)])]. *)
+  let rows =
+    List.map
+      (fun n -> (n, List.map (fun (name, f) -> (name, f n)) systems))
+      thread_counts
+  in
   let widths = 9 :: List.map (fun _ -> 10 ) systems in
   Bench_util.print_table widths
     ("threads" :: List.map fst systems)
     (List.map
-       (fun n ->
-         string_of_int n
-         :: List.map (fun (_, f) -> Bench_util.kops (f n)) systems)
-       thread_counts);
+       (fun (n, rates) ->
+         string_of_int n :: List.map (fun (_, r) -> Bench_util.kops r) rates)
+       rows);
   Bench_util.note
     "paper shape: LabFS up to ~3x single-threaded, keeps scaling (hashmap +";
   Bench_util.note
     "per-worker allocator); -Min ~ +7%% over -All; -D ~ +20%% more (no IPC);";
-  Bench_util.note "kernel filesystems plateau on directory/journal locks."
+  Bench_util.note "kernel filesystems plateau on directory/journal locks.";
+  let rate n sys = List.assoc sys (List.assoc n rows) in
+  let all1 = rate 1 "LabFS-All" and ext4_1 = rate 1 "ext4" in
+  Bench_util.claim "fig7.labfs_all_ge_3x_ext4_1_thread" (all1 >= 3.0 *. ext4_1)
+    "1 thread: LabFS-All %.2fx ext4 (bound 3x)" (all1 /. ext4_1);
+  List.iter
+    (fun fs ->
+      let peak =
+        List.fold_left (fun acc n -> Float.max acc (rate n fs)) 0.0 thread_counts
+      in
+      Bench_util.claim
+        (Printf.sprintf "fig7.%s_24_threads_below_peak" fs)
+        (rate 24 fs < peak) "%s at 24 threads %.1fk, not below its peak %.1fk"
+        fs (rate 24 fs /. 1e3) (peak /. 1e3))
+    [ "ext4"; "xfs"; "f2fs" ];
+  List.iter
+    (fun (n, rates) ->
+      let d = List.assoc "LabFS-D" rates in
+      let top =
+        List.fold_left
+          (fun acc (sys, r) -> if sys = "LabFS-D" then acc else Float.max acc r)
+          0.0 rates
+      in
+      Bench_util.claim "fig7.labfs_d_highest" (d > top)
+        "%d threads: LabFS-D %.1fk, not above the next column %.1fk" n
+        (d /. 1e3) (top /. 1e3))
+    rows

@@ -18,7 +18,7 @@
      events, so a run with the sampler on executes the identical event
      count in identical simulated time as one with it off.
 
-   Writes BENCH_profile.json. LABSTOR_SMOKE=1 shrinks the workload. *)
+   Writes BENCH_profile.json. --smoke shrinks the workload. *)
 
 open Labstor
 open Lab_sim
@@ -173,30 +173,22 @@ let run () =
   close_out oc;
   (* Acceptance: the paper's ordering — dedicated cores sustain higher
      per-core utilization than time-shared ones on the same load. *)
-  if ded_mean <= ts_mean then begin
-    Bench_util.note
-      "ORDERING FAILED: dedicated mean util %.4f <= time-shared %.4f"
-      ded_mean ts_mean;
-    exit 1
-  end
-  else
+  let ordered = ded_mean > ts_mean in
+  Bench_util.claim "profile.dedicated_util_gt_timeshared" ordered
+    "dedicated mean util %.4f <= time-shared %.4f" ded_mean ts_mean;
+  if ordered then
     Bench_util.note
       "ordering holds: dedicated %.2f > time-shared %.2f mean worker utilization"
       ded_mean ts_mean;
-  if not deterministic then begin
-    Bench_util.note "DETERMINISM FAILED: same-seed profile JSON differs";
-    exit 1
-  end
-  else
+  Bench_util.claim "profile.deterministic" deterministic
+    "same-seed profile JSON differs";
+  if deterministic then
     Bench_util.note "determinism: same-seed runs export byte-identical profile.json (%d bytes)"
       (String.length dedicated.profile);
-  if not neutral then begin
-    Bench_util.note
-      "NEUTRALITY FAILED: sampler on %d events/%.1f ns vs off %d events/%.1f ns"
-      dedicated.events dedicated.elapsed off.events off.elapsed;
-    exit 1
-  end
-  else
+  Bench_util.claim "profile.sampler_neutral" neutral
+    "sampler on %d events/%.1f ns vs off %d events/%.1f ns" dedicated.events
+    dedicated.elapsed off.events off.elapsed;
+  if neutral then
     Bench_util.note
       "sampler neutrality: profiling on and off both ran %d events in %.2f ms simulated"
       off.events (off.elapsed /. 1e6);

@@ -33,8 +33,8 @@
    A machine-readable summary is written to BENCH_qos.json (N = 16/256
    e2e points only; the full-mode N = 4096 point is printed and gated
    but kept out of the JSON so smoke and full runs share a key set).
-   LABSTOR_SMOKE=1 (or --smoke) shrinks the workload; wall-clock rates
-   print only under LABSTOR_WALLCLOCK. *)
+   --smoke shrinks the workload; wall-clock rates print only under
+   LABSTOR_WALLCLOCK. *)
 
 open Labstor
 open Lab_sim
@@ -330,7 +330,6 @@ let e2e_widths = [ 8; 10; 11; 7; 9; 9; 9; 9 ]
 
 let run () =
   let smoke = Bench_util.smoke () in
-  let native = Sys.backend_type = Sys.Native in
   Bench_util.heading "qos"
     "Multi-tenant QoS: O(1) DRR dispatch and noisy-neighbor isolation";
 
@@ -364,34 +363,24 @@ let run () =
   in
   let drr_words t = (List.assoc t drr).words_per_op in
   let alloc_ok =
-    (not native) || List.for_all (fun (_, o) -> o.words_per_op <= 2.0) drr
+    Bench_util.words_ok
+      (List.for_all (fun (_, o) -> o.words_per_op <= 2.0) drr)
   in
-  if not alloc_ok then begin
-    Bench_util.note
-      "ALLOCATION REGRESSION: DRR dispatch over 2.0 minor words/op (16:%.4f \
-       256:%.4f 4096:%.4f)"
-      (drr_words 16) (drr_words 256) (drr_words 4096);
-    exit 1
-  end;
+  Bench_util.claim "qos.drr_words" alloc_ok
+    "DRR dispatch over 2.0 minor words/op (16:%.4f 256:%.4f 4096:%.4f)"
+    (drr_words 16) (drr_words 256) (drr_words 4096);
   let fairness_ratio = (List.assoc 16 drr).fairness in
-  if List.exists (fun (_, o) -> o.fairness > 1.25) drr then begin
-    Bench_util.note
-      "FAIRNESS REGRESSION: served bytes per unit weight spread over 1.25x \
-       among backlogged tenants";
-    exit 1
-  end;
+  Bench_util.claim "qos.drr_fairness"
+    (List.for_all (fun (_, o) -> o.fairness <= 1.25) drr)
+    "served bytes per unit weight spread over 1.25x among backlogged tenants";
   if Bench_util.wallclock_enabled () then begin
     let n16 = (List.assoc 16 drr).ns_per_op
     and n4096 = (List.assoc 4096 drr).ns_per_op in
     Bench_util.note "dispatch ns/op: 16 tenants %.1f, 4096 tenants %.1f (%.2fx)"
       n16 n4096
       (n4096 /. Stdlib.max 1e-9 n16);
-    if n16 > 0.0 && n4096 > 1.25 *. n16 then begin
-      Bench_util.note
-        "SCALING REGRESSION: dispatch at 4096 tenants over 1.25x its \
-         16-tenant cost";
-      exit 1
-    end
+    Bench_util.claim "qos.drr_scaling" (n16 <= 0.0 || n4096 <= 1.25 *. n16)
+      "dispatch at 4096 tenants over 1.25x its 16-tenant cost"
   end;
 
   (* --- Part 2 --- *)
@@ -400,13 +389,8 @@ let run () =
   Bench_util.note "waitq park/wake: %.2f minor words/cycle pooled, %d cycles"
     wq_words cycles;
   (* Absolute budget: 2x the committed 4.05 words/cycle. *)
-  if native && wq_words > 8.0 then begin
-    Bench_util.note
-      "WAITQ REGRESSION: pooled park/wake at %.2f minor words/cycle (budget \
-       8.0)"
-      wq_words;
-    exit 1
-  end;
+  Bench_util.claim "qos.waitq_words" (Bench_util.words_ok (wq_words <= 8.0))
+    "pooled park/wake at %.2f minor words/cycle (budget 8.0)" wq_words;
 
   (* --- Part 3 --- *)
   let total_ops = if smoke then 1024 else 4096 in
@@ -459,35 +443,20 @@ let run () =
         (n, alone, attack, ratio))
       tenant_counts
   in
-  let isolation_ok =
-    List.for_all
-      (fun (_, alone, attack, ratio) ->
-        alone.reads > 0 && attack.reads > 0 && ratio <= 1.5
-        && attack.throttled > 0 && attack.noisy_dispatched > 0)
-      e2e
+  let isolated (_, alone, attack, ratio) =
+    alone.reads > 0 && attack.reads > 0 && ratio <= 1.5
+    && attack.throttled > 0 && attack.noisy_dispatched > 0
   in
-  if not isolation_ok then begin
-    List.iter
-      (fun (n, alone, attack, ratio) ->
-        if alone.reads = 0 || attack.reads = 0 then
-          Bench_util.note
-            "ISOLATION REGRESSION: N=%d empty p99 sample (alone %d reads, \
-             attacked %d reads)"
-            n alone.reads attack.reads;
-        if ratio > 1.5 then
-          Bench_util.note
-            "ISOLATION REGRESSION: N=%d polite p99 shifted %.3fx under attack \
-             (bound 1.5x)"
-            n ratio;
-        if attack.throttled = 0 then
-          Bench_util.note
-            "ISOLATION REGRESSION: N=%d noisy tenant was never throttled" n;
-        if attack.noisy_dispatched = 0 then
-          Bench_util.note
-            "ISOLATION REGRESSION: N=%d no noisy op passed the DRR window" n)
-      e2e;
-    exit 1
-  end;
+  List.iter
+    (fun ((n, alone, attack, ratio) as point) ->
+      Bench_util.claim "qos.isolation" (isolated point)
+        "N=%d: alone %d reads, attacked %d reads (both > 0); polite p99 \
+         %.3fx under attack (bound 1.5x); %d throttled, %d noisy ops \
+         dispatched (both > 0)"
+        n alone.reads attack.reads ratio attack.throttled
+        attack.noisy_dispatched)
+    e2e;
+  let isolation_ok = List.for_all isolated e2e in
   (* Determinism: a same-seed rerun of the attacked point must match
      exactly — latencies, throttle count and event sequence. *)
   let _, _, attack16, _ = List.find (fun (n, _, _, _) -> n = 16) e2e in
@@ -497,14 +466,11 @@ let run () =
     && attack16.throttled = attack16'.throttled
     && attack16.events = attack16'.events
   in
+  Bench_util.claim "qos.deterministic" deterministic
+    "attacked N=16 runs differ (events %d/%d)" attack16.events
+    attack16'.events;
   if deterministic then
-    Bench_util.note "determinism: two attacked N=16 runs matched exactly"
-  else begin
-    Bench_util.note
-      "determinism VIOLATED: attacked N=16 runs differ (events %d/%d)"
-      attack16.events attack16'.events;
-    exit 1
-  end;
+    Bench_util.note "determinism: two attacked N=16 runs matched exactly";
 
   (* --- JSON (same key set in smoke and full runs) --- *)
   let oc = open_out "BENCH_qos.json" in

@@ -150,46 +150,48 @@ let lab_case sched_mod ~colocated =
   Machine.run ~until:(duration_ns *. 3.0) machine;
   match !result with Some r -> r | None -> failwith "scheduler bench did not finish"
 
-(* The Table II shape this run must reproduce, checked on the averages
+(* The Table II shape this run must reproduce, claimed on the averages
    (the p99 columns are printed, not gated). [rows] is
-   [(name, (iso_avg, co_avg))] over [cases]. Returns the violated
-   conditions, empty when the shape holds. *)
-let shape_violations rows =
+   [(name, (iso_avg, co_avg))] over [cases]. *)
+let claim_shape rows =
   let iso name = fst (List.assoc name rows)
   and co name = snd (List.assoc name rows) in
   let isos = List.map (fun (_, (i, _)) -> i) rows in
   let lo = List.fold_left Float.min infinity isos
   and hi = List.fold_left Float.max neg_infinity isos in
-  let check ok msg = if ok then [] else [ msg ] in
   let us v = v /. 1e3 in
-  check (hi <= 1.10 *. lo)
-    (Printf.sprintf "isolated averages spread %.1f..%.1f us (> 10%%)" (us lo)
-       (us hi))
-  @ List.concat_map
-      (fun sys ->
-        let noop = sys ^ "-NoOp" and blk = sys ^ "-Blk" in
-        check
-          (co noop >= 10.0 *. iso noop)
-          (Printf.sprintf "%s colocated %.1f us < 10x isolated %.1f us" noop
-             (us (co noop)) (us (iso noop)))
-        @ check
-            (co blk <= 4.0 *. iso blk)
-            (Printf.sprintf "%s colocated %.1f us > 4x isolated %.1f us" blk
-               (us (co blk)) (us (iso blk))))
-      [ "Linux"; "Lab" ]
-  @ List.concat_map
-      (fun (policy, phase, get) ->
-        let lab = get ("Lab-" ^ policy) and linux = get ("Linux-" ^ policy) in
-        check
-          (Float.abs (lab -. linux) <= 0.05 *. linux)
-          (Printf.sprintf "Lab-%s %s %.1f us not within 5%% of Linux %.1f us"
-             policy phase (us lab) (us linux)))
-      [
-        ("NoOp", "isolated", iso);
-        ("NoOp", "colocated", co);
-        ("Blk", "isolated", iso);
-        ("Blk", "colocated", co);
-      ]
+  Bench_util.claim "fig8.isolated_within_10pct" (hi <= 1.10 *. lo)
+    "isolated averages spread %.1f..%.1f us (> 10%%)" (us lo) (us hi);
+  List.iter
+    (fun sys ->
+      let noop = sys ^ "-NoOp" and blk = sys ^ "-Blk" in
+      let tag = String.lowercase_ascii sys in
+      Bench_util.claim
+        (Printf.sprintf "fig8.%s_noop_colocated_ge_10x_isolated" tag)
+        (co noop >= 10.0 *. iso noop)
+        "%s colocated %.1f us < 10x isolated %.1f us" noop (us (co noop))
+        (us (iso noop));
+      Bench_util.claim
+        (Printf.sprintf "fig8.%s_blk_colocated_le_4x_isolated" tag)
+        (co blk <= 4.0 *. iso blk)
+        "%s colocated %.1f us > 4x isolated %.1f us" blk (us (co blk))
+        (us (iso blk)))
+    [ "Linux"; "Lab" ];
+  List.iter
+    (fun (policy, phase, get) ->
+      let lab = get ("Lab-" ^ policy) and linux = get ("Linux-" ^ policy) in
+      Bench_util.claim
+        (Printf.sprintf "fig8.lab_%s_%s_within_5pct_of_linux"
+           (String.lowercase_ascii policy) phase)
+        (Float.abs (lab -. linux) <= 0.05 *. linux)
+        "Lab-%s %s %.1f us not within 5%% of Linux %.1f us" policy phase
+        (us lab) (us linux))
+    [
+      ("NoOp", "isolated", iso);
+      ("NoOp", "colocated", co);
+      ("Blk", "isolated", iso);
+      ("Blk", "colocated", co);
+    ]
 
 let run () =
   Bench_util.heading "fig8"
@@ -229,11 +231,5 @@ let run () =
   Bench_util.note
     "Linux) while blk-switch holds ~100 us; Lab versions ~20%% (Blk) and ~5%%";
   Bench_util.note "(NoOp isolated) better than their kernel counterparts.";
-  match
-    shape_violations
-      (List.map (fun (name, (iso, _), (co, _)) -> (name, (iso, co))) results)
-  with
-  | [] -> ()
-  | bad ->
-      List.iter (Bench_util.note "SHAPE GATE FAILED: %s") bad;
-      exit 1
+  claim_shape
+    (List.map (fun (name, (iso, _), (co, _)) -> (name, (iso, co))) results)

@@ -45,7 +45,7 @@
    Default output is deterministic (event counts, words/event from
    Gc.minor_words deltas). Set LABSTOR_WALLCLOCK for events/sec (in
    full runs idle polls must run at least as fast as timer events);
-   LABSTOR_SMOKE=1 shrinks the workload for CI. Writes BENCH_sim.json. *)
+   --smoke shrinks the workload for CI. Writes BENCH_sim.json. *)
 
 open Lab_sim
 
@@ -387,104 +387,49 @@ let run () =
   let q_fresh, q_words = evq_words ~warmup ~total:timer_total in
   Bench_util.note "evq footprint after the timer scenario: %d words (fresh %d)"
     q_words q_fresh;
-  (* Allocation-regression guard: the pooled path must stay within 2
-     minor words/event in steady state. Gc counters are deterministic,
-     so the gate (and the JSON it feeds) cannot flake. Bytecode allots
-     differently, so the gate binds in native runs only. *)
-  let native = Sys.backend_type = Sys.Native in
-  let alloc_ok = (not native) || t_wpe <= 2.0 in
-  if not alloc_ok then begin
-    Bench_util.note
-      "ALLOCATION REGRESSION: pooled timer path at %.4f minor words/event (budget 2.0)"
-      t_wpe;
-    exit 1
-  end;
-  (* An empty idle poll is a timer-path tick that re-arms itself; a
-     poll that resumed the worker's coroutine would cost a
-     continuation. *)
-  if native && i_wpe > 0.5 then begin
-    Bench_util.note
-      "ALLOCATION REGRESSION: idle worker at %.4f minor words/poll (budget 0.5)"
-      i_wpe;
-    exit 1
-  end;
-  (* Elision guard: an idle worker's empty polls stay out of the event
-     queue. The count is deterministic, unlike the host time it saves. *)
-  if 100 * i_elided < 99 * i_events then begin
-    Bench_util.note
-      "ELISION REGRESSION: %d of %d idle polls elided (floor 99%%)" i_elided
-      i_events;
-    exit 1
-  end;
-  (* Burst guard: a compute burst allocates only its wait's
-     continuation; the burst length crosses no call boxed. *)
-  if native && c_words > 2.01 then begin
-    Bench_util.note
-      "ALLOCATION REGRESSION: compute burst at %.2f minor words (budget 2.01)"
-      c_words;
-    exit 1
-  end;
-  (* Device guard: a steady-state command allocates only the effect
-     continuations of the processes it passes through. *)
-  if native && d_4k > 14.0 then begin
-    Bench_util.note
-      "ALLOCATION REGRESSION: device path at %.2f minor words per 4 KiB \
-       command (budget 14)"
-      d_4k;
-    exit 1
-  end;
-  (* Exec guard: a bound stack's hop looks its instance up and calls
-     it with a context built once, so it allocates nothing. *)
-  if native && x_hop > 0.01 then begin
-    Bench_util.note
-      "ALLOCATION REGRESSION: Exec.run at %.4f minor words per hop \
-       (budget 0.01)"
-      x_hop;
-    exit 1
-  end;
-  (* Request guard: client, queue pair, worker executor and cache hit
-     allocate nothing beyond what [request_budget] was measured at. *)
-  if native && r_words > request_budget then begin
-    Bench_util.note
-      "ALLOCATION REGRESSION: request path at %.2f minor words per 4 KiB \
-       cache-hit read (budget %.2f)"
-      r_words request_budget;
-    exit 1
-  end;
-  (* Footprint guard: the queue's storage must not grow with the
-     number of buckets a run has touched. *)
-  if q_words > 2 * q_fresh then begin
-    Bench_util.note
-      "FOOTPRINT REGRESSION: evq holds %d words after the timer scenario \
-       (budget 2x fresh = %d)"
-      q_words (2 * q_fresh);
-    exit 1
-  end;
+  (* The budgets of the header. Gc counters and event counts are
+     deterministic, so these claims (and the JSON they feed) cannot
+     flake. *)
+  let alloc_ok = Bench_util.words_ok (t_wpe <= 2.0) in
+  Bench_util.claim "sim.timer_words" alloc_ok
+    "pooled timer path at %.4f minor words/event (budget 2.0)" t_wpe;
+  Bench_util.claim "sim.idle_poll_words" (Bench_util.words_ok (i_wpe <= 0.5))
+    "idle worker at %.4f minor words/poll (budget 0.5)" i_wpe;
+  Bench_util.claim "sim.idle_polls_elided" (100 * i_elided >= 99 * i_events)
+    "%d of %d idle polls elided (floor 99%%)" i_elided i_events;
+  Bench_util.claim "sim.burst_words" (Bench_util.words_ok (c_words <= 2.01))
+    "compute burst at %.2f minor words (budget 2.01)" c_words;
+  Bench_util.claim "sim.device_words" (Bench_util.words_ok (d_4k <= 14.0))
+    "device path at %.2f minor words per 4 KiB command (budget 14)" d_4k;
+  Bench_util.claim "sim.exec_hop_words" (Bench_util.words_ok (x_hop <= 0.01))
+    "Exec.run at %.4f minor words per hop (budget 0.01)" x_hop;
+  Bench_util.claim "sim.request_words"
+    (Bench_util.words_ok (r_words <= request_budget))
+    "request path at %.2f minor words per 4 KiB cache-hit read (budget %.2f)"
+    r_words request_budget;
+  Bench_util.claim "sim.evq_footprint" (q_words <= 2 * q_fresh)
+    "evq holds %d words after the timer scenario (budget 2x fresh = %d)"
+    q_words (2 * q_fresh);
   if Bench_util.wallclock_enabled () then begin
     Bench_util.note "timer:  %7.0fk events/sec" (rate t_events t_wall /. 1e3);
     Bench_util.note "wait:   %7.0fk events/sec" (rate w_events w_wall /. 1e3);
     Bench_util.note "idle:   %7.0fk polls/sec" (rate i_events i_wall /. 1e3);
     (* An elided poll is a few float and int updates, so it must be no
        slower than a timer event on a 256-entry queue. *)
-    if (not smoke) && rate i_events i_wall < rate t_events t_wall then begin
-      Bench_util.note
-        "IDLE-SPIN REGRESSION: %.0fk polls/sec below %.0fk timer events/sec"
-        (rate i_events i_wall /. 1e3)
-        (rate t_events t_wall /. 1e3);
-      exit 1
-    end
+    Bench_util.claim "sim.idle_spin_rate"
+      (smoke || rate i_events i_wall >= rate t_events t_wall)
+      "%.0fk polls/sec below %.0fk timer events/sec"
+      (rate i_events i_wall /. 1e3)
+      (rate t_events t_wall /. 1e3)
   end;
   (* Determinism: identical runs must execute the identical event
      sequence and allocate the identical number of words. *)
   let t_events', t_wpe', _, t_now' = run_timer ~warmup ~total:timer_total in
-  if t_events = t_events' && t_now = t_now' && t_wpe = t_wpe' then
-    Bench_util.note "determinism: two timer-loop runs matched exactly"
-  else begin
-    Bench_util.note
-      "determinism VIOLATED: timer-loop runs differ (events %d/%d)" t_events
-      t_events';
-    exit 1
-  end;
+  let same = t_events = t_events' && t_now = t_now' && t_wpe = t_wpe' in
+  Bench_util.claim "sim.deterministic" same
+    "timer-loop runs differ (events %d/%d)" t_events t_events';
+  if same then
+    Bench_util.note "determinism: two timer-loop runs matched exactly";
   let oc = open_out "BENCH_sim.json" in
   Printf.fprintf oc
     "{\n\

@@ -3,7 +3,8 @@
    Each subcommand regenerates one table/figure of the paper's
    evaluation (see DESIGN.md's experiment index); no argument runs all
    of them in order. `micro` runs Bechamel microbenchmarks of the core
-   data structures. *)
+   data structures. Every claim that failed is named on stderr once the
+   run ends, and the exit status is then 1. *)
 
 let experiments : (string * string * (unit -> unit)) list =
   [
@@ -66,22 +67,24 @@ let run_all () =
       flush stdout)
     experiments
 
+(* Every claim that failed in the experiments just run, one line each
+   on stderr, then exit 1. *)
+let report_claims () =
+  flush stdout;
+  let failed = Bench_util.failed_claims () in
+  List.iter
+    (fun (name, detail) -> Printf.eprintf "CLAIM FAILED %s: %s\n" name detail)
+    failed;
+  if failed <> [] then exit 1
+
 let () =
-  (* --smoke anywhere on the command line = LABSTOR_SMOKE=1. *)
-  let argv =
-    List.filter
-      (fun a ->
-        if a = "--smoke" then begin
-          Bench_util.force_smoke := true;
-          false
-        end
-        else true)
-      (Array.to_list Sys.argv)
-  in
-  match argv with
-  | [ _ ] | [ _; "all" ] -> run_all ()
-  | [ _; "micro" ] -> Micro.run ()
-  | [ _; name ] -> (
+  (* --smoke anywhere on the command line shrinks every workload. *)
+  let args = List.tl (Array.to_list Sys.argv) in
+  Bench_util.force_smoke := List.mem "--smoke" args;
+  (match List.filter (( <> ) "--smoke") args with
+  | [] | [ "all" ] -> run_all ()
+  | [ "micro" ] -> Micro.run ()
+  | [ name ] -> (
       match List.find_opt (fun (n, _, _) -> n = name) experiments with
       | Some (_, _, f) -> f ()
       | None ->
@@ -89,4 +92,5 @@ let () =
           exit 1)
   | _ ->
       usage ();
-      exit 1
+      exit 1);
+  report_claims ()

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Repo health check: build everything, run every test suite, run the
-# experiment smokes (each asserts its own acceptance criteria and exits
-# nonzero on violation), then gate the BENCH_*.json artifacts against
-# the committed baselines with bench_diff (>10% regression fails).
+# Repo health check: build everything, run every test suite (test/paper.t
+# holds the paper-figure claims), run the experiment smokes (each names
+# its failed claims on stderr and exits 1), then gate the BENCH_*.json
+# artifacts against the committed baselines with bench_diff (>10%
+# regression fails).
 # Usage: bin/check.sh  (or: make check)
 set -eu
 cd "$(dirname "$0")/.."
@@ -27,106 +28,40 @@ echo "== percentiles only through Obs.Hist =="
 bad=$(grep -rlE '(^|[^A-Za-z0-9_])Stats\.' lib bench bin test examples | grep -v '^lib/labstor/labstor\.ml$' || true)
 [ -z "$bad" ] || { echo "Stats used outside the labstor.ml shim; use Obs.Hist: $bad"; exit 1; }
 
+echo "== experiment gates only through Bench_util.claim =="
+# A failed claim names itself on stderr after the run; an exit inside an
+# experiment would skip every claim after it.
+bad=$(grep -lE "(^|[^A-Za-z0-9_])exit([^A-Za-z0-9_']|\$)" bench/exp_*.ml || true)
+[ -z "$bad" ] || { echo "exit called in an experiment; use Bench_util.claim: $bad"; exit 1; }
+
 echo "== dune runtest =="
 dune runtest
 
-echo "== fault-injection smoke (LABSTOR_SMOKE=1) =="
-LABSTOR_SMOKE=1 dune exec bench/main.exe -- faults
+# gate EXP JSON [--smoke]: run one experiment, which prints each failed
+# claim on stderr and exits 1, then diff its JSON against the committed
+# baseline (JSON "-": none to diff).
+gate() {
+  exp=$1 json=$2
+  shift 2
+  echo "== $exp${1:+ $*} =="
+  dune exec bench/main.exe -- "$exp" "$@"
+  [ "$json" = - ] && return
+  test -s "$json"
+  dune exec bin/bench_diff.exe -- "bench/baselines/$json" "$json"
+}
 
-echo "== batching smoke (LABSTOR_SMOKE=1) =="
-LABSTOR_SMOKE=1 dune exec bench/main.exe -- batching
-
-echo "== cache smoke (--smoke) =="
-dune exec bench/main.exe -- cache --smoke
-test -s BENCH_cache.json
-dune exec bin/bench_diff.exe -- bench/baselines/BENCH_cache.json BENCH_cache.json
-
-echo "== fig4a anatomy (byte-identical to baseline) =="
-# Per-layer exclusive times come from spans; any drift in the table is
-# a regression in the tracer, the exclusive-time fold or the stack.
-dune exec bench/main.exe -- anatomy | diff bench/baselines/fig4a.txt -
-
-echo "== fig8 schedulers (Table II shape) =="
-# Asserts the paper's scheduler shape on L-App average latency:
-# isolated averages within 10% of each other, NoOp colocated >= 10x its
-# isolated average, blk-switch colocated <= 4x, and every Lab variant
-# within 5% of its Linux counterpart; exits nonzero on violation.
-dune exec bench/main.exe -- schedulers
-
-echo "== fig6 storage-api (Fig 6 shape) =="
-# Asserts the paper's storage-interface shape on raw IOPS ratios:
-# NVMe 4 KiB KernelDriver >= 1.15x io_uring and SPDK > KernelDriver,
-# AIO < 0.75x POSIX on NVMe and PMEM, every HDD column within 1% of
-# POSIX, DAX >= SPDK on PMEM, and NVMe SPDK/POSIX smaller at 128 KiB
-# than at 4 KiB; exits nonzero on violation.
-dune exec bench/main.exe -- storage-api > /dev/null
-
-echo "== anatomy2 smoke (--smoke) =="
-# Asserts per-request stage/e2e reconciliation and zero overhead when
-# tracing is off; exits nonzero on violation.
-dune exec bench/main.exe -- anatomy2 --smoke
-test -s BENCH_anatomy.json
-dune exec bin/bench_diff.exe -- bench/baselines/BENCH_anatomy.json BENCH_anatomy.json
-
-echo "== profile smoke (--smoke) =="
-# Asserts dedicated > time-shared worker utilization, byte-identical
-# same-seed profile export, and sampler neutrality.
-dune exec bench/main.exe -- profile --smoke
-test -s BENCH_profile.json
-dune exec bin/bench_diff.exe -- bench/baselines/BENCH_profile.json BENCH_profile.json
-
-echo "== lvm smoke (--smoke) =="
-# Asserts mirror availability under single-leg loss, bounded degraded
-# p99, rebuild completion (frac = 1.0), journal-replay consistency and
-# same-seed determinism; exits nonzero on violation.
-dune exec bench/main.exe -- lvm --smoke
-test -s BENCH_lvm.json
-dune exec bin/bench_diff.exe -- bench/baselines/BENCH_lvm.json BENCH_lvm.json
-
-echo "== sim smoke (--smoke) =="
-# Asserts the pooled timer path stays within 2 minor words/event in
-# steady state, the event queue within 2x its fresh size after the
-# timer scenario, and that back-to-back runs execute identical event
-# sequences; exits nonzero on violation.
-dune exec bench/main.exe -- sim --smoke
-test -s BENCH_sim.json
-dune exec bin/bench_diff.exe -- bench/baselines/BENCH_sim.json BENCH_sim.json
-
-echo "== qos smoke (--smoke) =="
-# Asserts O(1)-in-tenant-count DRR dispatch on the 2-words/op budget,
-# weighted fairness, noisy-neighbor read-p99 isolation (<= 1.5x) and
-# same-seed determinism; exits nonzero on violation.
-dune exec bench/main.exe -- qos --smoke
-test -s BENCH_qos.json
-dune exec bin/bench_diff.exe -- bench/baselines/BENCH_qos.json BENCH_qos.json
-
-echo "== load smoke (--smoke) =="
-# Asserts CO-corrected p99 agrees with naive within 10% below the knee
-# and diverges >= 5x past saturation, monotone achieved throughput,
-# and same-seed determinism; exits nonzero on violation. The curve
-# arrays in BENCH_load.json are gated per-point (with *_band widening)
-# and for monotone-direction preservation by bench_diff.
-dune exec bench/main.exe -- load --smoke
-test -s BENCH_load.json
-dune exec bin/bench_diff.exe -- bench/baselines/BENCH_load.json BENCH_load.json
-
-echo "== exemplars full size =="
-# The full-size overload run: every one of the 6 slowest of its 6,601
-# completions must hold an exemplar (plus the same neutrality, dump and
-# determinism asserts as the smoke); exits nonzero on violation. Its
-# BENCH_exemplars.json is overwritten by the smoke below.
-dune exec bench/main.exe -- exemplars > /dev/null
-
-echo "== exemplars smoke (--smoke) =="
-# Asserts capture-off runs are byte-identical to no-obs runs (and
-# capture-on runs engine-neutral), >= 90% of the slowest 0.1% of
-# completions hold exemplars with telescoping stage anatomy, a
-# scripted outage leaves an errno:ENODEV black-box dump containing its
-# own trigger event, and same-seed reruns are byte-identical; exits
-# nonzero on violation.
-dune exec bench/main.exe -- exemplars --smoke
-test -s BENCH_exemplars.json
-dune exec bin/bench_diff.exe -- bench/baselines/BENCH_exemplars.json BENCH_exemplars.json
+gate faults - --smoke
+gate batching - --smoke
+gate cache BENCH_cache.json --smoke
+gate anatomy2 BENCH_anatomy.json --smoke
+gate profile BENCH_profile.json --smoke
+gate lvm BENCH_lvm.json --smoke
+gate sim BENCH_sim.json --smoke
+gate qos BENCH_qos.json --smoke
+gate load BENCH_load.json --smoke
+# Full size: its BENCH_exemplars.json is overwritten by the smoke below.
+gate exemplars -
+gate exemplars BENCH_exemplars.json --smoke
 
 echo "== labstor_cli validate (every stack YAML under examples/) =="
 for f in examples/*.yaml; do
