@@ -23,7 +23,7 @@
              [Device.submit_waiter] + [Device.await] on a pooled waiter.
              Reports steady-state minor words per 4 KiB command and per
              1 MiB (four-chunk) command; the 4 KiB figure is gated at
-             <= 14 words/command, its measured value.
+             its measured value, 14 words/command ([device_budget]).
    - exec:   [Exec.run] over chains of 1 and 8 pass-through vertices
              on a bound stack. The slope is minor words per module hop,
              gated at <= 0.01; the 1-vertex chain is reported as the
@@ -31,8 +31,8 @@
    - request: one client reading a 4 KiB block back to back through
              [Platform] (client -> queue pair -> worker -> lru_cache ->
              noop_sched -> kernel_driver), every read a warm cache hit.
-             Reports steady-state minor words per request; gated at
-             its measured value, 49.59 ([request_budget]).
+             Reports steady-state minor words per request; gated
+             two words above its measured 43.59 ([request_budget]).
    - batching: one point of the exp_batching sweep, as a whole-stack
              events fingerprint.
    - evq:    the timer scenario's pushes and pops replayed on a bare
@@ -245,9 +245,11 @@ let run_exec ~hops ~warmup ~total =
 
 let exec_hops = 8
 
-(* Words per request on [run_request], set at the measured 49.59: one
-   more word per request fails the smoke. *)
-let request_budget = 49.6
+(* Words per 4 KiB command on the device scenario: its measured value. *)
+let device_budget = 14.0
+
+(* Words per request on [run_request], two above the measured 43.59. *)
+let request_budget = 45.6
 
 (* Full request path: one client, one worker, a cache that holds every
    block it reads. The warmup fills the cache and grows the request,
@@ -399,8 +401,10 @@ let run () =
     "%d of %d idle polls elided (floor 99%%)" i_elided i_events;
   Bench_util.claim "sim.burst_words" (Bench_util.words_ok (c_words <= 2.01))
     "compute burst at %.2f minor words (budget 2.01)" c_words;
-  Bench_util.claim "sim.device_words" (Bench_util.words_ok (d_4k <= 14.0))
-    "device path at %.2f minor words per 4 KiB command (budget 14)" d_4k;
+  Bench_util.claim "sim.device_words"
+    (Bench_util.words_ok (d_4k <= device_budget))
+    "device path at %.2f minor words per 4 KiB command (budget %g)" d_4k
+    device_budget;
   Bench_util.claim "sim.exec_hop_words" (Bench_util.words_ok (x_hop <= 0.01))
     "Exec.run at %.4f minor words per hop (budget 0.01)" x_hop;
   Bench_util.claim "sim.request_words"

@@ -168,8 +168,6 @@ let payload_bytes = function
 
 let bytes_of t = payload_bytes t.payload
 
-let block_of t = match t.payload with Block b -> Some b | _ -> None
-
 (* LBAs address 512-byte sectors (the device profiles' block size);
    [block_end_lba] is the first sector past the transfer. *)
 let sector_bytes = 512

@@ -158,8 +158,6 @@ end
 
 (** {2 Block-request geometry (adjacent-LBA merging)} *)
 
-val block_of : t -> block_op option
-
 val block_end_lba : block_op -> int
 (** First sector past the transfer. *)
 

@@ -133,7 +133,7 @@ type t = {
   blocking : waiter_pool;  (* waiters of the blocking submissions *)
   mutable last_lba : int;  (* head position, for seek modelling *)
   mutable outstanding : int;
-  flush_waiters : unit Waitq.t;
+  flush_waiters : Waitq.t;
   mutable completed_reads : int;
   mutable completed_writes : int;
   mutable completed_errors : int;
@@ -320,7 +320,7 @@ let finish t c err =
       if c.kind = Write then t.bytes_written <- t.bytes_written + n
   | Some _ -> t.completed_errors <- t.completed_errors + 1);
   t.outstanding <- t.outstanding - 1;
-  if t.outstanding = 0 then ignore (Waitq.wake_all t.flush_waiters ());
+  if t.outstanding = 0 then ignore (Waitq.wake_all t.flush_waiters);
   let w = c.owner and len = c.bytes in
   c.owner <- nil_waiter;
   c.fault <- Fault.Pass;
@@ -666,7 +666,4 @@ let submit_wait t ~hctx ~kind ~lba ~bytes =
   give_waiter t.blocking w
 
 let flush t =
-  if t.outstanding > 0 then begin
-    let slot = ref None in
-    Waitq.park t.flush_waiters slot
-  end
+  if t.outstanding > 0 then Waitq.park t.flush_waiters

@@ -13,7 +13,7 @@ type 'req t = {
   owners : (int, Shmem.process_id) Hashtbl.t;  (* qp id -> owner pid *)
   creds : (Shmem.process_id, int) Hashtbl.t;
   mutable is_online : bool;
-  online_waiters : unit Waitq.t;
+  online_waiters : Waitq.t;
 }
 
 (* One-time UNIX-domain-socket handshake. *)
@@ -101,7 +101,7 @@ let online t = t.is_online
 let set_online t b =
   let was = t.is_online in
   t.is_online <- b;
-  if b && not was then ignore (Waitq.wake_all t.online_waiters ())
+  if b && not was then ignore (Waitq.wake_all t.online_waiters)
 
 let wait_online t ~timeout_ns =
   if t.is_online then true
@@ -113,12 +113,11 @@ let wait_online t ~timeout_ns =
       else begin
         (* Re-check periodically so the timeout can fire even if nobody
            wakes us; wake-ups arrive sooner via the waitq. *)
-        let slot = ref None in
         let woken = ref false in
         Engine.spawn t.engine (fun () ->
             Engine.wait (Float.min 1_000_000.0 (deadline -. Engine.now t.engine));
-            if not !woken then ignore (Waitq.wake_all t.online_waiters ()));
-        Waitq.park t.online_waiters slot;
+            if not !woken then ignore (Waitq.wake_all t.online_waiters));
+        Waitq.park t.online_waiters;
         woken := true;
         loop ()
       end

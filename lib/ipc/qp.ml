@@ -13,14 +13,14 @@ type 'a t = {
   qp_role : role;
   qp_ordering : ordering;
   mutable qp_mark : mark;
-  mutable bells : unit Waitq.t list;
+  mutable bells : Waitq.t list;
   (* Readiness listeners: fired on every doorbell ring and mark change,
      synchronously, so a poller can maintain a per-QP readiness bitmap
      instead of scanning idle queues. *)
   mutable ready_fns : (unit -> unit) list;
-  cq_waiters : unit Waitq.t;  (* consumers blocked on an empty CQ *)
-  sq_space : unit Waitq.t;  (* producers blocked on a full SQ *)
-  cq_space : unit Waitq.t;  (* completers blocked on a full CQ *)
+  cq_waiters : Waitq.t;  (* consumers blocked on an empty CQ *)
+  sq_space : Waitq.t;  (* producers blocked on a full SQ *)
+  cq_space : Waitq.t;  (* completers blocked on a full CQ *)
   rings : Lab_obs.Metrics.counter;
   sq_stall_count : Lab_obs.Metrics.counter;
   cq_stall_count : Lab_obs.Metrics.counter;
@@ -68,7 +68,7 @@ let set_mark t m =
 let ring_bell t =
   Lab_obs.Metrics.incr t.rings;
   notify_ready t;
-  List.iter (fun w -> ignore (Waitq.wake w ())) t.bells
+  List.iter (fun w -> ignore (Waitq.wake w)) t.bells
 
 let add_ready_listener t f =
   if not (List.exists (fun f' -> f' == f) t.ready_fns) then
@@ -87,8 +87,7 @@ let sq_stalls t = Lab_obs.Metrics.value t.sq_stall_count
    bounds the re-park chain. *)
 let sq_park t =
   Lab_obs.Metrics.incr t.sq_stall_count;
-  let slot = ref None in
-  Waitq.park t.sq_space slot
+  Waitq.park t.sq_space
 
 let try_submit t v =
   let ok = Ring.try_push t.sq v in
@@ -114,7 +113,7 @@ let submit_n t vs n =
 let try_completion t =
   match Ring.try_pop t.cq with
   | Some _ as v ->
-      ignore (Waitq.wake t.cq_space ());
+      ignore (Waitq.wake t.cq_space);
       v
   | None -> None
 
@@ -122,45 +121,41 @@ let rec await_completion t =
   match try_completion t with
   | Some v -> v
   | None ->
-      let slot = ref None in
-      Waitq.park t.cq_waiters slot;
+      Waitq.park t.cq_waiters;
       (* A completer placed our entry (or we raced another waiter; keep
          trying — FIFO park order bounds this). *)
       await_completion t
 
-let wait_completion_event t =
-  let slot = ref None in
-  Waitq.park t.cq_waiters slot
+let wait_completion_event t = Waitq.park t.cq_waiters
 
 let wake_all_waiters t =
-  ignore (Waitq.wake_all t.cq_waiters ());
+  ignore (Waitq.wake_all t.cq_waiters);
   (* Crash notification must also release processes parked on ring
      space, or they would sleep through the restart. *)
-  ignore (Waitq.wake_all t.sq_space ());
-  ignore (Waitq.wake_all t.cq_space ())
+  ignore (Waitq.wake_all t.sq_space);
+  ignore (Waitq.wake_all t.cq_space)
 
 let poll_sq t =
   match Ring.try_pop t.sq with
   | Some _ as v ->
-      ignore (Waitq.wake t.sq_space ());
+      ignore (Waitq.wake t.sq_space);
       v
   | None -> None
 
 let poll_sq_into t dst n =
   let got = Ring.pop_into t.sq dst ~off:0 ~max:n in
   for _ = 1 to got do
-    ignore (Waitq.wake t.sq_space ())
+    ignore (Waitq.wake t.sq_space)
   done;
   got
 
 let peek_sq t = Ring.peek t.sq
 
 let rec complete t v =
-  if Ring.try_push t.cq v then ignore (Waitq.wake t.cq_waiters ())
+  if Ring.try_push t.cq v then ignore (Waitq.wake t.cq_waiters)
   else begin
     Lab_obs.Metrics.incr t.cq_stall_count;
-    let slot = ref None in
-    Waitq.park t.cq_space slot;
+    Waitq.park t.cq_space;
     complete t v
   end
 

@@ -111,18 +111,18 @@ val doorbell_rings : 'a t -> int
 val sq_stalls : 'a t -> int
 (** Times a producer parked on a full submission ring. *)
 
-val set_doorbell : 'a t -> unit Lab_sim.Waitq.t option -> unit
+val set_doorbell : 'a t -> Lab_sim.Waitq.t option -> unit
 (** Attaches the doorbell of the worker assigned to this queue: each
     submission wakes that worker if it is idle-parked. [None] clears
     every attached doorbell. *)
 
-val add_doorbell : 'a t -> unit Lab_sim.Waitq.t -> unit
+val add_doorbell : 'a t -> Lab_sim.Waitq.t -> unit
 (** Unordered queues may be drained by several workers: attach another
     doorbell. Submissions ring every attached doorbell. Idempotent. *)
 
-val remove_doorbell : 'a t -> unit Lab_sim.Waitq.t -> unit
+val remove_doorbell : 'a t -> Lab_sim.Waitq.t -> unit
 
-val doorbell : 'a t -> unit Lab_sim.Waitq.t option
+val doorbell : 'a t -> Lab_sim.Waitq.t option
 (** The first attached doorbell, if any. *)
 
 val add_ready_listener : 'a t -> (unit -> unit) -> unit

@@ -42,8 +42,10 @@ let inflight t q = t.inflight_reqs.(q)
 (* blk-switch separates latency-critical (small) requests from
    throughput requests: the last quarter of the hardware queues is
    reserved for small I/O, and within each class requests steer to the
-   least-loaded queue. *)
-let switch_hctx inflight_bytes ~bytes =
+   least-loaded queue. The annotation keeps the comparison on unboxed
+   floats: inferred polymorphic, each scanned queue would box two
+   floats and call [caml_lessthan]. *)
+let switch_hctx (inflight_bytes : float array) ~bytes =
   let n = Array.length inflight_bytes in
   let reserved = Stdlib.max 1 (n / 4) in
   let lo, hi =

@@ -43,8 +43,10 @@ type member = {
    through [bt_prev]/[bt_next] around a per-queue sentinel, so opening
    appends and closing unlinks in O(1) — the old [batch list ref] per
    queue cost O(n) to append and O(n) to filter out, O(n^2) across a
-   burst of concurrent leaders. *)
+   burst of concurrent leaders. [bt_q] is the batch's hardware queue,
+   so the merge scan can return the batch alone. *)
 type batch = {
+  bt_q : int;
   bt_kind : Request.io_kind;
   mutable bt_end_lba : int;
   mutable bt_bytes : int;
@@ -93,6 +95,9 @@ type Labmod.state +=
       qos : Tenant.t option;
           (** multi-tenant DRR dispatch stage; [None] = QoS off, the
               classic path untouched *)
+      hints : int option array;
+          (** [Some q] for each hardware queue, built once: stamping a
+              request's steered queue allocates nothing *)
       qcells : cell_pool;
       merged_ops : Metrics.counter;  (** merged device ops dispatched *)
       absorbed_reqs : Metrics.counter;
@@ -121,11 +126,12 @@ let member_result merged_result ~off ~bytes =
    window, then forward one op covering everyone who joined and fan the
    outcome back out. With no followers this degenerates to forwarding
    the original request untouched. *)
-let lead ctx ~open_batches ~merged_ops ~absorbed_reqs ~merge_window_ns
-    ~blackbox ~q req b =
+let lead ctx ~open_batches ~hints ~merged_ops ~absorbed_reqs
+    ~merge_window_ns ~blackbox ~q req b =
   let s : batch = open_batches.(q) in
   let batch =
     {
+      bt_q = q;
       bt_kind = b.Request.b_kind;
       bt_end_lba = Request.block_end_lba b;
       bt_bytes = b.Request.b_bytes;
@@ -175,7 +181,7 @@ let lead ctx ~open_batches ~merged_ops ~absorbed_reqs ~merge_window_ns
                b_sync = false;
              })
       in
-      merged.Request.hint_hctx <- Some q;
+      merged.Request.hint_hctx <- hints.(q);
       let merged_result = ctx.Labmod.forward merged in
       List.iter
         (fun m ->
@@ -203,6 +209,57 @@ let join qcells batch b =
   cell_release qcells m.m_cell;
   m.m_result
 
+(* The open batch [b] extends: one that ends exactly at [b]'s LBA, in
+   [b]'s direction, with room for it. The scan walks queues in
+   ascending order and each queue's batches in arrival order, so the
+   first hit is the lowest-queue earliest-opened candidate. With none,
+   the result is queue 0's sentinel, which is never open. *)
+let find_batch open_batches ~max_merge_bytes ~max_merge_reqs b =
+  let n = Array.length open_batches in
+  let found = ref open_batches.(0) in
+  let q = ref 0 in
+  while (not !found.bt_open) && !q < n do
+    let s = open_batches.(!q) in
+    let cur = ref s.bt_next in
+    while (not !found.bt_open) && !cur != s do
+      let batch = !cur in
+      if
+        batch.bt_open
+        && batch.bt_kind = b.Request.b_kind
+        && b.Request.b_lba = batch.bt_end_lba
+        && batch.bt_bytes + b.Request.b_bytes <= max_merge_bytes
+        && batch.bt_nmembers + 2 <= max_merge_reqs
+      then found := batch
+      else cur := batch.bt_next
+    done;
+    incr q
+  done;
+  !found
+
+(* Charge [bytes] to queue [q] and stamp [q] on the request. *)
+let take_queue inflight_bytes hints req ~bytes q =
+  req.Request.hint_hctx <- hints.(q);
+  inflight_bytes.(q) <- inflight_bytes.(q) +. Stdlib.float_of_int bytes
+
+(* Honour a pre-set hint (degraded-mode requeue away from an offline
+   queue); otherwise steer least-loaded as usual. *)
+let steer inflight_bytes hints req ~bytes =
+  let q =
+    match req.Request.hint_hctx with
+    | Some h -> h mod Array.length inflight_bytes
+    | None -> Lab_kernel.Blk.switch_hctx inflight_bytes ~bytes
+  in
+  take_queue inflight_bytes hints req ~bytes q;
+  q
+
+let finish inflight_bytes qos ~gated_bytes ~bytes q result =
+  inflight_bytes.(q) <- inflight_bytes.(q) -. Stdlib.float_of_int bytes;
+  (if gated_bytes >= 0 then
+     match qos with
+     | Some table -> Tenant.release table ~bytes:gated_bytes
+     | None -> ());
+  result
+
 let operate m ctx req =
   match m.Labmod.state with
   | State
@@ -213,11 +270,13 @@ let operate m ctx req =
         max_merge_reqs;
         open_batches;
         qos;
+        hints;
         qcells;
         merged_ops;
         absorbed_reqs;
         blackbox;
-      } ->
+      } -> (
+      let bytes = Request.bytes_of req in
       (* Multi-tenant dispatch gate, ahead of the decision cost: a
          throughput-class op may only proceed while the DRR window has
          room; its turn within the window is deficit-round-robin by
@@ -226,11 +285,10 @@ let operate m ctx req =
       let gated_bytes =
         match qos with
         | Some table when req.Request.tenant >= 0 ->
-            let ib = Request.bytes_of req in
             let tn = Tenant.get table req.Request.tenant in
-            if Tenant.windowed ~bytes:ib then begin
+            if Tenant.windowed ~bytes then begin
               let cell = cell_acquire qcells in
-              if not (Tenant.submit table tn ~bytes:ib cell) then begin
+              if not (Tenant.submit table tn ~bytes cell) then begin
                 (match blackbox with
                 | Some bb ->
                     Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Park
@@ -246,102 +304,51 @@ let operate m ctx req =
                 | None -> ()
               end;
               cell_release qcells cell;
-              ib
+              bytes
             end
             else -1
         | _ -> -1
       in
       Machine.compute ctx.Labmod.machine ~thread:ctx.Labmod.thread decision_cost_ns;
-      let bytes = Stdlib.float_of_int (Request.bytes_of req) in
       (* Plug merge, before any steering: a batch that ends exactly at
          our LBA absorbs us on whatever queue it already holds —
          contiguity beats load balance. Requests carrying a degraded-
          mode requeue hint never join (they were steered away from an
-         offline queue on purpose). The scan walks queues in ascending
-         order and each queue's batches in arrival order, so the first
-         hit is the lowest-queue earliest-opened candidate — the same
-         batch the old fold over the Hashtbl selected. *)
-      let joinable b =
-        if req.Request.hint_hctx <> None then None
-        else begin
-          let n = Array.length open_batches in
-          let found = ref None in
-          let q = ref 0 in
-          while !found == None && !q < n do
-            let s = open_batches.(!q) in
-            let cur = ref s.bt_next in
-            while !found == None && !cur != s do
-              let batch = !cur in
-              if
-                batch.bt_open
-                && batch.bt_kind = b.Request.b_kind
-                && b.Request.b_lba = batch.bt_end_lba
-                && batch.bt_bytes + b.Request.b_bytes <= max_merge_bytes
-                && batch.bt_nmembers + 2 <= max_merge_reqs
-              then found := Some (!q, batch)
-              else cur := batch.bt_next
-            done;
-            incr q
-          done;
-          !found
-        end
-      in
-      let mergeable =
-        if merge_window_ns > 0.0 then
-          match Request.block_of req with
-          | Some b when not b.Request.b_sync -> Some b
-          | Some _ | None -> None
-        else None
-      in
-      let finish q result =
-        inflight_bytes.(q) <- inflight_bytes.(q) -. bytes;
-        (if gated_bytes >= 0 then
-           match qos with
-           | Some table -> Tenant.release table ~bytes:gated_bytes
-           | None -> ());
-        result
-      in
-      let steer () =
-        (* Honour a pre-set hint (degraded-mode requeue away from an
-           offline queue); otherwise steer least-loaded as usual. *)
-        let q =
-          match req.Request.hint_hctx with
-          | Some h -> h mod Array.length inflight_bytes
-          | None ->
-              Lab_kernel.Blk.switch_hctx inflight_bytes
-                ~bytes:(Request.bytes_of req)
-        in
-        req.Request.hint_hctx <- Some q;
-        inflight_bytes.(q) <- inflight_bytes.(q) +. bytes;
-        q
-      in
-      (match mergeable with
-      | None ->
-          let q = steer () in
-          finish q (ctx.Labmod.forward req)
-      | Some b -> (
-          match joinable b with
-          | Some (q, batch) ->
-              req.Request.hint_hctx <- Some q;
-              inflight_bytes.(q) <- inflight_bytes.(q) +. bytes;
-              (match blackbox with
-              | Some bb ->
-                  Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Sched
-                    ~now:(Machine.now ctx.Labmod.machine)
-                    ~id:req.Request.id ~tag:"join" ()
-              | None -> ());
-              (match req.Request.trace with
-              | Some fl ->
-                  Lab_obs.Trace.instant fl ~name:"sched_join"
-                    ~tid:ctx.Labmod.thread
-                    ~now:(Machine.now ctx.Labmod.machine)
-              | None -> ());
-              finish q (join qcells batch b)
-          | None ->
-              let q = steer () in
-              finish q
-                (lead ctx ~open_batches ~merged_ops ~absorbed_reqs
-                   ~merge_window_ns ~blackbox ~q req b)))
+         offline queue on purpose). *)
+      match req.Request.payload with
+      | Request.Block b when merge_window_ns > 0.0 && not b.Request.b_sync ->
+          let batch =
+            if req.Request.hint_hctx <> None then open_batches.(0)
+            else find_batch open_batches ~max_merge_bytes ~max_merge_reqs b
+          in
+          if batch.bt_open then begin
+            let q = batch.bt_q in
+            take_queue inflight_bytes hints req ~bytes q;
+            (match blackbox with
+            | Some bb ->
+                Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Sched
+                  ~now:(Machine.now ctx.Labmod.machine)
+                  ~id:req.Request.id ~tag:"join" ()
+            | None -> ());
+            (match req.Request.trace with
+            | Some fl ->
+                Lab_obs.Trace.instant fl ~name:"sched_join"
+                  ~tid:ctx.Labmod.thread
+                  ~now:(Machine.now ctx.Labmod.machine)
+            | None -> ());
+            finish inflight_bytes qos ~gated_bytes ~bytes q
+              (join qcells batch b)
+          end
+          else begin
+            let q = steer inflight_bytes hints req ~bytes in
+            finish inflight_bytes qos ~gated_bytes ~bytes q
+              (lead ctx ~open_batches ~hints ~merged_ops ~absorbed_reqs
+                 ~merge_window_ns ~blackbox ~q req b)
+          end
+      | _ ->
+          let q = steer inflight_bytes hints req ~bytes in
+          finish inflight_bytes qos ~gated_bytes ~bytes q
+            (ctx.Labmod.forward req))
   | _ -> Request.Failed "blkswitch_sched: bad state"
 
 let merged_ops (m : Labmod.t) =
@@ -365,9 +372,10 @@ let factory ?metrics ?qos ?blackbox ~nqueues () : Registry.factory =
   let geti key default =
     Option.value ~default (Option.bind (List.assoc_opt key attrs) Yamlite.get_int)
   in
-  let sentinel () =
+  let sentinel q =
     let rec s =
       {
+        bt_q = q;
         bt_kind = Request.Read;
         bt_end_lba = -1;
         bt_bytes = 0;
@@ -388,8 +396,9 @@ let factory ?metrics ?qos ?blackbox ~nqueues () : Registry.factory =
            merge_window_ns = getf "merge_window_ns" 0.0;
            max_merge_bytes = geti "max_merge_bytes" 262144;
            max_merge_reqs = geti "max_merge_reqs" 64;
-           open_batches = Array.init nqueues (fun _ -> sentinel ());
+           open_batches = Array.init nqueues sentinel;
            qos;
+           hints = Array.init nqueues Option.some;
            qcells = { cp = [||]; cn = 0 };
            merged_ops =
              Metrics.counter ?reg:metrics

@@ -106,8 +106,8 @@ type t = {
   cfg : config;
   shards : shard array;
   streams : (int, stream) Hashtbl.t;
-  ra_inflight : (int, unit Waitq.t) Hashtbl.t;  (* page -> fill arrival *)
-  mutable ra_free : unit Waitq.t list;  (* drained queues, for reuse *)
+  ra_inflight : (int, Waitq.t) Hashtbl.t;  (* page -> fill arrival *)
+  mutable ra_free : Waitq.t list;  (* drained queues, for reuse *)
   hit_count : Metrics.counter;
   miss_count : Metrics.counter;
   wb_failures : Metrics.counter;
@@ -442,7 +442,7 @@ let fill_arrived t ctx ~template ~start ~len r =
     match Hashtbl.find t.ra_inflight p with
     | wq ->
         Hashtbl.remove t.ra_inflight p;
-        ignore (Waitq.wake_all wq ());
+        ignore (Waitq.wake_all wq);
         t.ra_free <- wq :: t.ra_free
     | exception Not_found -> ()
   done
@@ -533,7 +533,7 @@ let ride_fills t ~first ~last =
        for p = first to last do
          if Bytes.get waited (p - first) = '\001' then
            match Hashtbl.find t.ra_inflight p with
-           | wq -> Waitq.park wq (ref None)
+           | wq -> Waitq.park wq
            | exception Not_found -> ()
        done;
        true

@@ -33,6 +33,9 @@ type t = {
   naive : Hist.t;
   lag : Hist.t;
   late_threshold_ns : float;
+  scratch : float array;
+      (* [record]'s three timestamps, then the three differences
+         [record_cells] observes: kept in cells, no float is boxed *)
   mutable recorded : int;
   mutable errors : int;
   mutable dropped : int;
@@ -45,20 +48,31 @@ let create ?(late_threshold_ns = 1_000.0) () =
     naive = Hist.create ();
     lag = Hist.create ();
     late_threshold_ns;
+    scratch = Array.make 6 0.0;
     recorded = 0;
     errors = 0;
     dropped = 0;
     late = 0;
   }
 
-let record t ~scheduled ~sent ~completed ~ok =
-  let lag = sent -. scheduled in
-  Hist.observe t.corrected (completed -. scheduled);
-  Hist.observe t.naive (completed -. sent);
-  Hist.observe t.lag lag;
+let record_cells t cells ~scheduled ~sent ~completed ~ok =
+  let d = t.scratch in
+  d.(3) <- cells.(completed) -. cells.(scheduled);
+  d.(4) <- cells.(completed) -. cells.(sent);
+  d.(5) <- cells.(sent) -. cells.(scheduled);
+  Hist.observe_cell t.corrected d 3;
+  Hist.observe_cell t.naive d 4;
+  Hist.observe_cell t.lag d 5;
   t.recorded <- t.recorded + 1;
   if not ok then t.errors <- t.errors + 1;
-  if lag > t.late_threshold_ns then t.late <- t.late + 1
+  if d.(5) > t.late_threshold_ns then t.late <- t.late + 1
+
+let record t ~scheduled ~sent ~completed ~ok =
+  let c = t.scratch in
+  c.(0) <- scheduled;
+  c.(1) <- sent;
+  c.(2) <- completed;
+  record_cells t c ~scheduled:0 ~sent:1 ~completed:2 ~ok
 
 let drop t = t.dropped <- t.dropped + 1
 

@@ -26,7 +26,14 @@ val create : ?late_threshold_ns:float -> unit -> t
 val record : t -> scheduled:float -> sent:float -> completed:float -> ok:bool -> unit
 (** Record one request: [scheduled] is the arrival process's intended
     injection time, [sent] when the generator actually dispatched it,
-    [completed] when the response arrived. *)
+    [completed] when the response arrived. A wrapper over
+    {!record_cells}. *)
+
+val record_cells :
+  t -> float array -> scheduled:int -> sent:int -> completed:int -> ok:bool -> unit
+(** [record_cells t cells ~scheduled ~sent ~completed ~ok] is {!record}
+    with the three timestamps read from [cells] at those indices, so a
+    caller that stamps the clock into cells boxes no float. *)
 
 val drop : t -> unit
 (** Count an arrival the harness shed (backlog cap hit) instead of

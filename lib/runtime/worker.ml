@@ -21,7 +21,7 @@ type t = {
   w_id : int;
   w_thread : int;
   machine : Machine.t;
-  bell : unit Waitq.t;
+  bell : Waitq.t;
   mutable assigned : Request.t Qp.t list;
   (* Readiness bitmap over [qarr] (= [assigned] as an array, same
      order): bit i set means queue i may need attention — a doorbell
@@ -151,7 +151,7 @@ let queues t = t.assigned
 
 let doorbell t = t.bell
 
-let wake t = ignore (Waitq.wake_all t.bell ())
+let wake t = ignore (Waitq.wake_all t.bell)
 
 let assign t qps =
   (* Detach our doorbell and readiness listener from queues we lose;
@@ -396,8 +396,7 @@ let park t =
         ~now:(Engine.now t.machine.Machine.engine)
         ~id:t.w_id ~tag:"worker" ()
   | None -> ());
-  let slot = ref None in
-  Waitq.park t.bell slot;
+  Waitq.park t.bell;
   t.is_parked <- false;
   t.awake_since <- Engine.now t.machine.Machine.engine;
   match t.blackbox with

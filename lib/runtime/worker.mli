@@ -52,7 +52,7 @@ val assign : t -> Lab_core.Request.t Lab_ipc.Qp.t list -> unit
 
 val queues : t -> Lab_core.Request.t Lab_ipc.Qp.t list
 
-val doorbell : t -> unit Lab_sim.Waitq.t
+val doorbell : t -> Lab_sim.Waitq.t
 
 val wake : t -> unit
 

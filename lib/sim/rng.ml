@@ -33,14 +33,14 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (next_raw t) 2) in
   r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits scaled to [0, 1). *)
   let bits = Int64.shift_right_logical (next_raw t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. bound
 
 let bool t = Int64.logand (next_raw t) 1L = 1L
 
-let exponential t mean =
+let[@inline] exponential t mean =
   let u = float t 1.0 in
   (* Guard against log 0. *)
   let u = if u <= 0.0 then epsilon_float else u in

@@ -1,4 +1,4 @@
-type t = { mutable units : int; queue : unit Waitq.t }
+type t = { mutable units : int; queue : Waitq.t }
 
 let create n =
   if n < 0 then invalid_arg "Semaphore.create: negative count";
@@ -12,12 +12,10 @@ let try_acquire t =
   else false
 
 let acquire t =
-  if not (try_acquire t) then begin
-    let slot = ref None in
-    Waitq.park t.queue slot
-    (* The releaser transferred its unit directly to us. *)
-  end
+  if not (try_acquire t) then
+    (* The releaser transfers its unit directly to us. *)
+    Waitq.park t.queue
 
-let release t = if not (Waitq.wake t.queue ()) then t.units <- t.units + 1
+let release t = if not (Waitq.wake t.queue) then t.units <- t.units + 1
 
 let waiters t = Waitq.length t.queue

@@ -4,52 +4,48 @@
    field (the queue's [nil] sentinel terminates both the FIFO and the
    free list), and each entry embeds an {!Engine.park_cell}, so a
    steady-state park/wake cycle allocates nothing beyond the effect
-   continuation and the [Some v] wake value — the old implementation
-   additionally paid a register closure, a fired flag, a resume
-   closure, an entry record, and a [Queue] cell per cycle. *)
+   continuation. A wake carries no value: a woken process reads what
+   it waited for from the state it shares with its waker. *)
 
-type 'a entry = {
+type entry = {
   cell : Engine.park_cell;
-  mutable eslot : 'a option ref;
-  mutable next : 'a entry;  (* FIFO / free-list link; nil terminates *)
+  mutable next : entry;  (* FIFO / free-list link; nil terminates *)
 }
 
-type 'a t = {
-  nil : 'a entry;  (* sentinel: list terminator, never parked *)
-  mutable head : 'a entry;
-  mutable tail : 'a entry;
-  mutable free : 'a entry;
+type t = {
+  nil : entry;  (* sentinel: list terminator, never parked *)
+  mutable head : entry;
+  mutable tail : entry;
+  mutable free : entry;
   mutable len : int;
 }
 
 let create () =
   let c = Engine.make_park_cell () in
-  let s = ref None in
-  let rec nil = { cell = c; eslot = s; next = nil } in
+  let rec nil = { cell = c; next = nil } in
   { nil; head = nil; tail = nil; free = nil; len = 0 }
 
 let is_empty q = q.len = 0
 
 let length q = q.len
 
-let park q slot =
+let park q =
   let nil = q.nil in
   let e =
     if q.free != nil then begin
       let e = q.free in
       q.free <- e.next;
       e.next <- nil;
-      e.eslot <- slot;
       e
     end
-    else { cell = Engine.make_park_cell (); eslot = slot; next = nil }
+    else { cell = Engine.make_park_cell (); next = nil }
   in
   if q.head == nil then q.head <- e else q.tail.next <- e;
   q.tail <- e;
   q.len <- q.len + 1;
   Engine.park e.cell
 
-let wake q v =
+let wake q =
   let nil = q.nil in
   if q.head == nil then false
   else begin
@@ -57,7 +53,6 @@ let wake q v =
     q.head <- e.next;
     if q.head == nil then q.tail <- nil;
     q.len <- q.len - 1;
-    e.eslot := Some v;
     Engine.unpark e.cell;
     (* The woken process never touches its entry again, so it can go
        straight back on the free list. *)
@@ -66,9 +61,9 @@ let wake q v =
     true
   end
 
-let wake_all q v =
+let wake_all q =
   let n = q.len in
   for _ = 1 to n do
-    ignore (wake q v)
+    ignore (wake q)
   done;
   n

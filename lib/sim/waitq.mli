@@ -1,22 +1,22 @@
 (** FIFO queue of parked processes, the building block for blocking
-    primitives. Each entry carries a callback that receives the wake-up
-    value and then resumes the process. *)
+    primitives. A wake carries no value: a woken process reads what it
+    waited for from the state it shares with its waker. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val length : 'a t -> int
+val length : t -> int
 
-val park : 'a t -> 'a option ref -> unit
-(** [park q slot] suspends the calling process, enqueueing it on [q].
-    When woken by {!wake}, the wake value has been stored in [slot]. *)
+val park : t -> unit
+(** [park q] suspends the calling process, enqueueing it on [q] until
+    {!wake} or {!wake_all} reaches it. *)
 
-val wake : 'a t -> 'a -> bool
-(** [wake q v] resumes the oldest parked process with value [v]. Returns
-    false if nobody was parked. *)
+val wake : t -> bool
+(** [wake q] resumes the oldest parked process. Returns false if nobody
+    was parked. *)
 
-val wake_all : 'a t -> 'a -> int
+val wake_all : t -> int
 (** Wakes every parked process; returns the number woken. *)

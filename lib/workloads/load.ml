@@ -58,52 +58,62 @@ let validate = function
 type gen = {
   proc : process;
   rng : Rng.t;
-  (* Poisson/Diurnal/Replay: wall-clock ns of the last arrival.
-     On_off: cumulative ON-time ns — the wall mapping re-inserts the
-     off intervals, which is what makes duty-cycle accounting exact. *)
-  mutable clock : float;
+  mutable clock : float;  (* the last arrival, ns since the run start *)
+  mutable on_clock : float;
+      (* On_off only: cumulative ON-time ns — the wall mapping
+         re-inserts the off intervals, which is what makes duty-cycle
+         accounting exact *)
   mutable r_idx : int;  (* Replay position; the trace loops *)
 }
 
 let generator ?(seed = 1) proc =
   validate proc;
-  { proc; rng = Rng.create (seed lxor 0x10AD); clock = 0.0; r_idx = 0 }
+  {
+    proc;
+    rng = Rng.create (seed lxor 0x10AD);
+    clock = 0.0;
+    on_clock = 0.0;
+    r_idx = 0;
+  }
 
 let pi = 4.0 *. atan 1.0
 
-(* Next arrival as an exact relative timestamp (ns since the run
-   started). Monotone non-decreasing by construction. *)
-let next g =
+(* Move [g.clock] to the next arrival, an exact relative timestamp (ns
+   since the run started). Monotone non-decreasing by construction.
+   The arrival stays in the record, so drawing one boxes no float. *)
+let advance g =
   match g.proc with
   | Poisson { rate_ops_s } ->
-      g.clock <- g.clock +. Rng.exponential g.rng (1e9 /. rate_ops_s);
-      g.clock
+      g.clock <- g.clock +. Rng.exponential g.rng (1e9 /. rate_ops_s)
   | On_off { rate_ops_s; on_ns; off_ns } ->
       (* Arrivals are Poisson at [rate_ops_s] during ON windows and
          absent during OFF windows: draw on the on-time clock, then map
          on-time to wall time by re-inserting one OFF interval per
          completed ON window. *)
-      g.clock <- g.clock +. Rng.exponential g.rng (1e9 /. rate_ops_s);
-      let k = Float.floor (g.clock /. on_ns) in
-      (k *. (on_ns +. off_ns)) +. (g.clock -. (k *. on_ns))
+      g.on_clock <- g.on_clock +. Rng.exponential g.rng (1e9 /. rate_ops_s);
+      let k = Float.floor (g.on_clock /. on_ns) in
+      g.clock <- (k *. (on_ns +. off_ns)) +. (g.on_clock -. (k *. on_ns))
   | Diurnal { mean_ops_s; amplitude; period_ns } ->
       (* Lewis-Shedler thinning: candidates at the envelope's peak rate,
          accepted with probability rate(t)/peak — an exact sampler for
          the inhomogeneous Poisson process, still fully seeded. *)
       let peak = mean_ops_s *. (1.0 +. amplitude) in
-      let rec draw () =
+      let accepted = ref false in
+      while not !accepted do
         g.clock <- g.clock +. Rng.exponential g.rng (1e9 /. peak);
         let rate =
           mean_ops_s
           *. (1.0 +. (amplitude *. sin (2.0 *. pi *. g.clock /. period_ns)))
         in
-        if Rng.float g.rng 1.0 *. peak <= rate then g.clock else draw ()
-      in
-      draw ()
+        accepted := Rng.float g.rng 1.0 *. peak <= rate
+      done
   | Replay { gaps_ns } ->
       g.clock <- g.clock +. Stdlib.float_of_int gaps_ns.(g.r_idx);
-      g.r_idx <- (g.r_idx + 1) mod Array.length gaps_ns;
-      g.clock
+      g.r_idx <- (g.r_idx + 1) mod Array.length gaps_ns
+
+let next g =
+  advance g;
+  g.clock
 
 let arrivals ?seed proc n =
   let g = generator ?seed proc in
@@ -146,6 +156,43 @@ type result = {
   recorder : Lab_obs.Latrec.t;
 }
 
+(* The backlog: scheduled arrival times in a float ring, so a queued
+   arrival is one unboxed store. The ring doubles when full; the
+   dispatcher keeps its length within the spec's cap. *)
+type backlog = {
+  mutable buf : float array;
+  mutable head : int;  (* oldest entry *)
+  mutable len : int;
+}
+
+(* Append [cells.(i)]. *)
+let push_cell bl cells i =
+  let cap = Array.length bl.buf in
+  if bl.len = cap then begin
+    let buf = Array.make (2 * cap) 0.0 in
+    for k = 0 to bl.len - 1 do
+      buf.(k) <- bl.buf.((bl.head + k) mod cap)
+    done;
+    bl.buf <- buf;
+    bl.head <- 0
+  end;
+  bl.buf.((bl.head + bl.len) mod Array.length bl.buf) <- cells.(i);
+  bl.len <- bl.len + 1
+
+(* Move the oldest entry into [cells.(i)]; the backlog is not empty. *)
+let take_cell bl cells i =
+  cells.(i) <- bl.buf.(bl.head);
+  bl.head <- (bl.head + 1) mod Array.length bl.buf;
+  bl.len <- bl.len - 1
+
+(* Cells of an injector: the scheduled arrival it sends, then the send
+   and completion instants, each stamped from the engine's clock. *)
+let c_scheduled = 0
+
+let c_sent = 1
+
+let c_completed = 2
+
 let run (machine : Machine.t) spec ~submit =
   if spec.total <= 0 then invalid_arg "Load.run: total must be > 0";
   if spec.injectors <= 0 then invalid_arg "Load.run: injectors must be > 0";
@@ -156,13 +203,19 @@ let run (machine : Machine.t) spec ~submit =
   let recorder =
     Lab_obs.Latrec.create ~late_threshold_ns:spec.late_threshold_ns ()
   in
-  let backlog : float Queue.t = Queue.create () in
-  let idle : Engine.park_cell Stack.t = Stack.create () in
-  let t0 = Machine.now machine in
+  let backlog =
+    { buf = Array.make (Stdlib.min spec.queue_cap 64) 0.0; head = 0; len = 0 }
+  in
+  (* Parked injectors, a stack: the last to park is the first woken. *)
+  let idle = Array.make spec.injectors (Engine.make_park_cell ()) in
+  let n_idle = ref 0 in
+  (* [clock.(0)] the run's start, [clock.(1)] the last arrival. *)
+  let clock = [| 0.0; 0.0 |] in
+  Engine.stamp eng clock 0;
+  Engine.stamp eng clock 1;
   let generated = ref 0 in
   let completed = ref 0 in
   let succeeded = ref 0 in
-  let last_arrival = ref t0 in
   let stopping = ref false in
   let finished = Engine.make_park_cell () in
   let finish_check () =
@@ -173,29 +226,32 @@ let run (machine : Machine.t) spec ~submit =
     then begin
       stopping := true;
       (* Wake the parked injectors so their processes exit. *)
-      Stack.iter Engine.unpark idle;
+      for k = !n_idle - 1 downto 0 do
+        Engine.unpark idle.(k)
+      done;
       Engine.unpark finished
     end
   in
   let injector j cell () =
-    let rec loop () =
-      if not !stopping then
-        match Queue.take_opt backlog with
-        | Some scheduled ->
-            let sent = Machine.now machine in
-            let ok = submit ~injector:j ~scheduled in
-            Lab_obs.Latrec.record recorder ~scheduled ~sent
-              ~completed:(Machine.now machine) ~ok;
-            incr completed;
-            if ok then incr succeeded;
-            finish_check ();
-            loop ()
-        | None ->
-            Stack.push cell idle;
-            Engine.park cell;
-            loop ()
-    in
-    loop ()
+    let cells = Array.make 3 0.0 in
+    while not !stopping do
+      if backlog.len > 0 then begin
+        take_cell backlog cells c_scheduled;
+        Engine.stamp eng cells c_sent;
+        let ok = submit ~injector:j ~scheduled:cells.(c_scheduled) in
+        Engine.stamp eng cells c_completed;
+        Lab_obs.Latrec.record_cells recorder cells ~scheduled:c_scheduled
+          ~sent:c_sent ~completed:c_completed ~ok;
+        incr completed;
+        if ok then incr succeeded;
+        finish_check ()
+      end
+      else begin
+        idle.(!n_idle) <- cell;
+        incr n_idle;
+        Engine.park cell
+      end
+    done
   in
   for j = 0 to spec.injectors - 1 do
     let cell = Engine.make_park_cell () in
@@ -207,23 +263,23 @@ let run (machine : Machine.t) spec ~submit =
      offered schedule is independent of the completion rate. *)
   let rel = ref 0 in
   let next_rel () =
-    let exact = next gen in
-    let n = Stdlib.int_of_float (Float.round exact) in
+    advance gen;
+    let n = Stdlib.int_of_float (Float.round gen.clock) in
     if n <= !rel then !rel else n
   in
   let rec fire _ =
     incr generated;
-    let now = Machine.now machine in
-    last_arrival := now;
-    if Queue.length backlog >= spec.queue_cap then
+    Engine.stamp eng clock 1;
+    if backlog.len >= spec.queue_cap then
       (* Shed rather than queue without bound: the drop count is
          the signal that the offered rate is unservable. *)
       Lab_obs.Latrec.drop recorder
     else begin
-      Queue.push now backlog;
-      match Stack.pop_opt idle with
-      | Some cell -> Engine.unpark cell
-      | None -> ()
+      push_cell backlog clock 1;
+      if !n_idle > 0 then begin
+        decr n_idle;
+        Engine.unpark idle.(!n_idle)
+      end
     end;
     if !generated < spec.total then begin
       let r = next_rel () in
@@ -237,8 +293,9 @@ let run (machine : Machine.t) spec ~submit =
   rel := r0;
   Engine.timer eng ~ns:r0 fire 0;
   Engine.park finished;
+  let t0 = clock.(0) in
   let elapsed = Machine.now machine -. t0 in
-  let span = !last_arrival -. t0 in
+  let span = clock.(1) -. t0 in
   {
     generated = !generated;
     completed = !completed;

@@ -238,8 +238,7 @@ let test_qp_doorbell_wakes_worker () =
       let woken_at = ref Float.nan in
       Engine.spawn e (fun () ->
           (* worker parks on its doorbell rather than busy-polling *)
-          let slot = ref None in
-          Waitq.park bell slot;
+          Waitq.park bell;
           woken_at := Engine.now e;
           match Qp.poll_sq qp with
           | Some v -> Qp.complete qp v

@@ -35,6 +35,61 @@ let test_blk_switch_avoids_loaded_queue () =
       Alcotest.(check bool) "steers away from queue 0" true (q <> 0);
       Blk.note_completion blk ~hctx:0 ~bytes:(1 lsl 20))
 
+(* Minor words allocated by [f ()]. *)
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* The reference rule, written as a fold over the class's queues: the
+   last quarter (at least one queue) is the latency class for requests
+   of at most 16 KiB, the rest the throughput class; a class with no
+   queue falls back to all of them. The lowest-index least-loaded queue
+   wins. *)
+let reference_switch_hctx loads ~bytes =
+  let n = Array.length loads in
+  let reserved = Stdlib.max 1 (n / 4) in
+  let in_class q =
+    n = reserved
+    || if bytes <= 16384 then q >= n - reserved else q < n - reserved
+  in
+  let best = ref (-1) in
+  Array.iteri
+    (fun q l ->
+      if in_class q && (!best < 0 || l < loads.(!best)) then best := q)
+    loads;
+  !best
+
+(* Loads drawn from a few whole multiples of 4 KiB, so ties are
+   common and the lowest-index rule is exercised. *)
+let prop_switch_hctx_matches_reference =
+  QCheck.Test.make ~name:"switch_hctx is the lowest least-loaded queue of its class"
+    ~count:500
+    QCheck.(
+      pair
+        (array_of_size Gen.(int_range 1 32)
+           (map (fun k -> Stdlib.float_of_int (k * 4096)) (int_range 0 5)))
+        (oneofl [ 512; 4096; 16384; 16385; 65536; 1 lsl 20 ]))
+    (fun (loads, bytes) ->
+      Blk.switch_hctx loads ~bytes = reference_switch_hctx loads ~bytes)
+
+(* Steering runs once per small request: it compares unboxed floats
+   and allocates nothing. *)
+let test_switch_hctx_allocates_nothing () =
+  let loads = Array.init 16 (fun q -> Stdlib.float_of_int ((q * 7 mod 5) * 4096)) in
+  let base = words ignore in
+  let sum = ref 0 in
+  let steered =
+    words (fun () ->
+        for i = 1 to 10_000 do
+          sum := !sum + Blk.switch_hctx loads ~bytes:(if i land 1 = 0 then 4096 else 65536)
+        done)
+  in
+  Alcotest.(check bool) "steered somewhere" true (!sum > 0);
+  if Sys.backend_type = Sys.Native then
+    Alcotest.(check (float 0.0)) "minor words for 10k steerings" 0.0
+      (steered -. base)
+
 let test_blk_polled_cheaper_than_irq () =
   let timed polled =
     in_sim (fun m ->
@@ -248,11 +303,6 @@ let test_lru_touch_allocates_nothing () =
   for k = 0 to 63 do
     ignore (Lru.put l k k)
   done;
-  let words f =
-    let w0 = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. w0
-  in
   let base = words ignore in
   let touched =
     words (fun () ->
@@ -494,6 +544,9 @@ let () =
           Alcotest.test_case "noop affinity" `Quick test_blk_noop_core_affinity;
           Alcotest.test_case "blk-switch steering" `Quick
             test_blk_switch_avoids_loaded_queue;
+          QCheck_alcotest.to_alcotest prop_switch_hctx_matches_reference;
+          Alcotest.test_case "switch_hctx allocates nothing" `Quick
+            test_switch_hctx_allocates_nothing;
           Alcotest.test_case "polled vs irq" `Quick test_blk_polled_cheaper_than_irq;
           Alcotest.test_case "direct hctx" `Quick test_blk_direct_hctx_skips_irq;
           Alcotest.test_case "direct hctx wraps" `Quick test_blk_hctx_wraps;

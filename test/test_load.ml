@@ -288,6 +288,72 @@ let test_harness_deterministic () =
   Alcotest.(check (float 0.0)) "naive p99 (exact)" n1 n2;
   Alcotest.(check int) "late count" l1 l2
 
+(* A pinned schedule: Poisson at 300 kops/s against 4 injectors of a
+   fixed 12 us service (333 kops/s of capacity) and a 16-deep backlog,
+   so the run crosses every harness path: idle injectors woken by an
+   arrival, a backlog drained by busy ones, lag past the late threshold
+   and shed arrivals. The literals are this schedule's outcome; any
+   change to the generator, the backlog or the recorder moves one. *)
+let pinned_spec =
+  {
+    Load.default_spec with
+    proc = Load.Poisson { rate_ops_s = 300_000.0 };
+    seed = 1;
+    total = 2000;
+    injectors = 4;
+    queue_cap = 4;
+  }
+
+(* Minor words per arrival of the whole pinned run, harness and
+   service together: 10.98 measured, 29.12 while the backlog was a
+   [float Queue.t] and the clock was read through [Machine.now]. *)
+let pinned_words_bound = 12.0
+
+let run_pinned () =
+  let words = ref 0.0 in
+  let res =
+    in_sim (fun m ->
+        let w0 = Gc.minor_words () in
+        let res =
+          Load.run m pinned_spec ~submit:(fun ~injector:_ ~scheduled:_ ->
+              Engine.wait 12_000.0;
+              true)
+        in
+        words := Gc.minor_words () -. w0;
+        res)
+  in
+  (res, !words /. 2000.0)
+
+let test_pinned_schedule () =
+  let res, words_per_arrival = run_pinned () in
+  let r = res.Load.recorder in
+  Alcotest.(check int) "generated" 2000 res.Load.generated;
+  Alcotest.(check int) "completed" 1892 res.Load.completed;
+  Alcotest.(check int) "dropped" 108 res.Load.dropped;
+  Alcotest.(check int) "late" 1072 res.Load.late;
+  Alcotest.(check (float 0.0)) "elapsed" 6866576.0 res.Load.elapsed_ns;
+  let quantiles name f expect =
+    List.iter2
+      (fun p v ->
+        Alcotest.(check (float 0.0)) (Printf.sprintf "%s p%g" name p) v (f p))
+      [ 0.5; 0.99; 0.999 ] expect
+  in
+  quantiles "corrected" (Lab_obs.Latrec.corrected_quantile r)
+    [ 14335.0; 23996.0; 23996.0 ];
+  quantiles "naive" (Lab_obs.Latrec.naive_quantile r)
+    [ 12000.0; 12000.0; 12000.0 ];
+  quantiles "lag" (Lab_obs.Latrec.Hist.quantile (Lab_obs.Latrec.lag r))
+    [ 2303.0; 11996.0; 11996.0 ];
+  (* The harness's own share is what the bound is for; the rest is the
+     service's [Engine.wait] and the engine. Native only: bytecode
+     allocates differently. *)
+  if Sys.backend_type = Sys.Native then
+    Alcotest.(check bool)
+      (Printf.sprintf "%.2f minor words per arrival (bound %.1f)"
+         words_per_arrival pinned_words_bound)
+      true
+      (words_per_arrival <= pinned_words_bound)
+
 (* ------------------------------------------------------------------ *)
 (* Recorder + SLO units                                                *)
 (* ------------------------------------------------------------------ *)
@@ -461,6 +527,7 @@ let () =
           Alcotest.test_case "queue cap sheds" `Quick test_queue_cap_sheds;
           Alcotest.test_case "same-seed determinism" `Quick
             test_harness_deterministic;
+          Alcotest.test_case "pinned schedule" `Quick test_pinned_schedule;
         ] );
       ( "latrec",
         [
