@@ -255,13 +255,15 @@ let client t ?pid ?(uid = 1000) ?retry_policy ~thread () =
   in
   Lab_runtime.Client.connect t.rt ~pid ~uid ~thread ?retry_policy ()
 
+(* One engine loop for the whole call: [Engine.run] stops right after
+   the event in which [f] returns, leaving everything else queued. *)
 let go t f =
   let result = ref None in
-  Machine.spawn t.m (fun () -> result := Some (f ()));
-  let e = t.m.Machine.engine in
-  while !result = None && Engine.step e do
-    ()
-  done;
+  let stop = ref false in
+  Machine.spawn t.m (fun () ->
+      result := Some (f ());
+      stop := true);
+  Engine.run ~stop t.m.Machine.engine;
   match !result with
   | Some r -> r
   | None -> failwith "Platform.go: process did not complete (deadlock?)"

@@ -108,8 +108,10 @@ val client :
 
 val go : t -> (unit -> 'a) -> 'a
 (** [go t f] runs [f] as a simulated process to completion and returns
-    its result, then freezes the platform's background processes. Call
-    from outside the engine (top level of an example). *)
+    its result, then freezes the platform's background processes: the
+    engine stops right after the event in which [f] returns, and
+    everything else stays queued for the next [go]. Call from outside
+    the engine (top level of an example). *)
 
 val now : t -> float
 (** Virtual time, ns. *)

@@ -87,6 +87,61 @@ let test_whole_platform_determinism () =
   let pp fmt (t, ops, reqs) = Format.fprintf fmt "(%.3f, %d, %d)" t ops reqs in
   Alcotest.check (Alcotest.testable pp ( = )) "bit-identical replay" a b
 
+(* [Platform.go] as it was: one [Engine.step] at a time until [f]
+   returns. The oracle for where [go]'s single run loop must stop. *)
+let go_by_steps platform f =
+  let result = ref None in
+  let m = Platform.machine platform in
+  Sim.Machine.spawn m (fun () -> result := Some (f ()));
+  while Option.is_none !result && Sim.Engine.step m.Sim.Machine.engine do
+    ()
+  done;
+  match !result with Some r -> r | None -> Alcotest.fail "deadlock"
+
+(* After each [go], the engine must stand exactly where the step loop
+   leaves it: the same events run, clock, polls elided and pending
+   events. The first [go] ends with the workers spinning on armed poll
+   chains, so the second starts from them; a final bounded run drains
+   what each left pending. *)
+let test_go_stops_where_steps_do () =
+  let boot () =
+    let p = Platform.boot ~nworkers:2 ~seed:7 () in
+    ignore (Platform.mount_exn p (fs_spec ()));
+    p
+  in
+  let work p go round =
+    go p (fun () ->
+        let c = Platform.client p ~thread:round () in
+        for j = 1 to 12 do
+          let path = Printf.sprintf "fs::/it/g%d-%d" round j in
+          ok (Runtime.Client.create c path);
+          match Runtime.Client.open_file c path with
+          | Ok fd ->
+              ignore (Runtime.Client.pwrite c ~fd ~off:0 ~bytes:4096);
+              ignore (Runtime.Client.close c fd)
+          | Error e -> failwith e
+        done;
+        Platform.now p)
+  in
+  let state p =
+    let e = (Platform.machine p).Sim.Machine.engine in
+    Printf.sprintf "events %d, now %.3f, elided %d, active %b"
+      (Sim.Engine.events_executed e) (Sim.Engine.now e)
+      (Sim.Engine.polls_elided e) (Sim.Engine.active e)
+  in
+  let a = boot () and b = boot () in
+  for round = 1 to 2 do
+    let ta = work a Platform.go round and tb = work b go_by_steps round in
+    Alcotest.(check (float 0.0)) "go returns at the same instant" tb ta;
+    Alcotest.(check string) (Printf.sprintf "after go %d" round) (state b) (state a)
+  done;
+  let drain p =
+    Sim.Machine.run ~until:(Platform.now p +. 1e6) (Platform.machine p)
+  in
+  drain a;
+  drain b;
+  Alcotest.(check string) "pending events run the same" (state b) (state a)
+
 let test_multi_interface_multiplexing () =
   let _, ops, reqs = run_scenario () in
   Alcotest.(check int) "all client ops completed" 240 ops;
@@ -296,6 +351,7 @@ let () =
           Alcotest.test_case "multi-interface multiplexing" `Quick
             test_multi_interface_multiplexing;
           Alcotest.test_case "fio through a stack" `Quick test_fio_through_labstor_stack;
+          Alcotest.test_case "go stops where steps do" `Quick test_go_stops_where_steps_do;
         ] );
       ( "lifecycle",
         [
