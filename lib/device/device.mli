@@ -73,19 +73,37 @@ val n_hw_queues : t -> int
     The device's one submission path. A waiter is a caller-owned,
     reusable completion record: {!submit_waiter} fans a command out
     into chunks, each finished chunk merges its outcome into the waiter
-    in place, and the last one calls the waiter's notify. Pooled
-    waiters make a steady-state command allocate nothing but the
-    continuations of the processes it passes through. {!submit_wait}
-    is the one blocking call over it. A caller that never reads
-    {!waiter_error} masks faults; {!completed_errors} still counts
-    them. *)
+    in place, and the last one calls the waiter's notify. The device
+    serves commands from preallocated engine timers, not processes,
+    so with pooled waiters a steady-state command allocates nothing
+    but the continuation of the process that {!await}s it.
+    {!submit_wait} is the one blocking call over it. A caller that
+    never reads {!waiter_error} masks faults; {!completed_errors} still
+    counts them.
+
+    {b The notify contract.} A notify runs inside a device event, not
+    inside a process: a device timer callback (the end of a command's
+    latency or transfer stage, or the delivery of an offline
+    rejection), or the event that opens a scripted offline window and
+    aborts the commands queued under it. It must therefore not
+    {!Lab_sim.Engine.wait}, {!Lab_sim.Engine.park}, {!await},
+    {!flush}, {!submit_wait} or charge CPU time (which waits). It may
+    read the waiter, update counters, submit further commands with
+    {!submit_waiter}, return the waiter to a pool, and wake processes
+    ({!wake}, {!Lab_sim.Engine.arrive}, {!Lab_sim.Engine.unpark}). A
+    notify that waits or parks in a timer callback finds no process
+    handler: the effect escapes and {!Lab_sim.Engine.run} raises
+    [Stdlib.Effect.Unhandled], with the device left mid-event; a notify
+    run from the offline-window event instead suspends that event's
+    process, which holds up the rest of the abort. *)
 
 type waiter
 
 val submit_waiter :
   t -> waiter -> hctx:int -> kind:io_kind -> lba:int -> bytes:int -> unit
-(** Asynchronous submission: the waiter's notify fires in device
-    context once every chunk has finished. [hctx] is taken modulo the
+(** Asynchronous submission: the waiter's notify fires in a device
+    event (see the notify contract above) once every chunk has
+    finished. [hctx] is taken modulo the
     queue count. Operations larger than the per-command transfer limit
     are split into chunks; the outcome is the most severe chunk error
     (offline > media error > torn), with [E_torn] carrying the total

@@ -665,4 +665,13 @@ let wait_cell cells i =
 let set_after_cell cells i j =
   cells.(i) <- (engine_of_process ()).fl.(0) +. cells.(j)
 
+(* [timer] with the delay read from a caller-owned float cell and
+   clamped as the Wait handler clamps it, so a callback that stands in
+   for a process's [wait_cell] takes the same key. *)
+let timer_cell t cells i fn arg =
+  let d = cells.(i) in
+  let d = if d < 0.0 then 0.0 else d in
+  Array.unsafe_set t.evq.Evq.key_in 0 (Array.unsafe_get t.fl 0 +. d);
+  push_timer t fn arg
+
 let stamp t cells i = cells.(i) <- t.fl.(0)

@@ -135,6 +135,14 @@ val wait_cell : float array -> int -> unit
     same event, same (time, seq) key. Must be called from within a
     process. *)
 
+val timer_cell : t -> float array -> int -> (int -> unit) -> int -> unit
+(** [timer_cell t cells i fn arg] runs [fn arg] at [now t +. cells.(i)]
+    (negative treated as 0), like {!timer} with the delay read from a
+    float cell. It takes the (time, seq) key a {!wait_cell} on the same
+    cell issued at that point would take, so a callback can stand in
+    for a process that waits there. Callable outside a process; [fn]
+    must not call {!wait}/{!park}/{!await}. *)
+
 (** {2 Poll chains}
 
     A spin-poller whose empty polls only re-arm themselves keeps its

@@ -316,6 +316,72 @@ let test_engine_timer_alloc_free () =
         (per_event <= 2.0)
   | Sys.Bytecode | Sys.Other _ -> ()
 
+(* [timer_cell] takes the key a [wait_cell] on the same cell would:
+   issued at one instant from one cell, the two fire at the same time
+   in issue order, whichever comes first. *)
+let test_engine_timer_cell_matches_wait_cell () =
+  let e = Engine.create () in
+  let cells = [| 12.5 |] in
+  let log = ref [] in
+  let note tag = log := Printf.sprintf "%s@%.1f" tag (Engine.now e) :: !log in
+  let fired = Array.map (fun tag _ -> note tag) [| "timer-first"; "timer-second" |] in
+  Engine.spawn e (fun () ->
+      Engine.wait 1.0;
+      Engine.timer_cell e cells 0 fired.(0) 0;
+      Engine.wait_cell cells 0;
+      note "wait-second");
+  Engine.spawn e (fun () ->
+      Engine.wait 40.0;
+      Engine.schedule e (Engine.now e) (fun () ->
+          Engine.timer_cell e cells 0 fired.(1) 0);
+      Engine.wait_cell cells 0;
+      note "wait-first");
+  Engine.run e;
+  Alcotest.(check (list string)) "same time, issue order"
+    [ "timer-first@13.5"; "wait-second@13.5"; "wait-first@52.5"; "timer-second@52.5" ]
+    (List.rev !log)
+
+let test_engine_timer_cell_negative () =
+  let e = Engine.create () in
+  let at = ref (-1.0) in
+  Engine.spawn e (fun () ->
+      Engine.wait 7.0;
+      Engine.timer_cell e [| -3.0 |] 0 (fun _ -> at := Engine.now e) 0);
+  Engine.run e;
+  check_float "a negative cell lands at now" 7.0 !at
+
+(* Steady-state [timer_cell] traffic allocates nothing, as [timer]'s
+   does: the same closed loop on each path, run for 1000 and for 3000
+   events after a warmup, inside one calendar window. [run]'s own
+   per-call words cancel in the difference. *)
+let test_engine_timer_cell_alloc_free () =
+  let words use_cell n =
+    let e = Engine.create () in
+    let cells = [| 10.0 |] in
+    let remaining = ref 0 in
+    let rec fn arg =
+      if !remaining > 0 then begin
+        decr remaining;
+        if use_cell then Engine.timer_cell e cells 0 fn arg
+        else Engine.timer e ~ns:10 fn arg
+      end
+    in
+    remaining := 1_000;
+    fn 0;
+    Engine.run e;
+    remaining := n;
+    fn 0;
+    let w0 = Gc.minor_words () in
+    Engine.run e;
+    Gc.minor_words () -. w0
+  in
+  let per_2000 use_cell = words use_cell 3_000 -. words use_cell 1_000 in
+  match Sys.backend_type with
+  | Sys.Native ->
+      check_float "timer" 0.0 (per_2000 false);
+      check_float "timer_cell" 0.0 (per_2000 true)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 (* A spinning poller on a poll chain must replay a loop of [wait]s event
    for event. Each poller parks once per idle period; its tick re-arms
    the chain while there is nothing to see and resumes it in place when
@@ -1522,6 +1588,12 @@ let () =
           Alcotest.test_case "tick exact boundaries" `Quick
             test_engine_tick_exact_boundaries;
           Alcotest.test_case "timer" `Quick test_engine_timer;
+          Alcotest.test_case "timer_cell matches wait_cell" `Quick
+            test_engine_timer_cell_matches_wait_cell;
+          Alcotest.test_case "timer_cell negative" `Quick
+            test_engine_timer_cell_negative;
+          Alcotest.test_case "timer_cell alloc-free" `Quick
+            test_engine_timer_cell_alloc_free;
           Alcotest.test_case "timer alloc-free" `Quick
             test_engine_timer_alloc_free;
           Alcotest.test_case "resume_in_place matches wait" `Quick
