@@ -87,7 +87,7 @@ val n_hw_queues : t -> int
     rejection), or the event that opens a scripted offline window and
     aborts the commands queued under it. It must therefore not
     {!Lab_sim.Engine.wait}, {!Lab_sim.Engine.park}, {!await},
-    {!flush}, {!submit_wait} or charge CPU time (which waits). It may
+    {!submit_wait} or charge CPU time (which waits). It may
     read the waiter, update counters, submit further commands with
     {!submit_waiter}, return the waiter to a pool, and wake processes
     ({!wake}, {!Lab_sim.Engine.arrive}, {!Lab_sim.Engine.unpark}). A
@@ -159,10 +159,6 @@ val submit_wait : t -> hctx:int -> kind:io_kind -> lba:int -> bytes:int -> unit
     calling process until the command completes and ignores its
     outcome. The kernel baselines use it by design: they model stacks
     whose fault handling is out of scope. *)
-
-val flush : t -> unit
-(** Suspends the caller until every outstanding command has completed
-    (fsync semantics at the device level). *)
 
 val outstanding : t -> int
 

@@ -351,11 +351,12 @@ let test_device_flush_with_chunked_io () =
       Lab_device.Device.set_notify w (fun w ->
           Alcotest.(check int) "reported as one op" (1 lsl 20)
             (Lab_device.Device.waiter_bytes w);
-          done_ := true);
+          done_ := true;
+          Lab_device.Device.wake w);
       Lab_device.Device.submit_waiter dev w ~hctx:0 ~kind:Lab_device.Device.Write
         ~lba:0 ~bytes:(1 lsl 20);
-      Lab_device.Device.flush dev;
-      Alcotest.(check bool) "flush waited for all chunks" true !done_;
+      Lab_device.Device.await w;
+      Alcotest.(check bool) "await waited for all chunks" true !done_;
       Alcotest.(check int) "four chunk completions counted" 4
         (Lab_device.Device.completed_writes dev))
 

@@ -112,11 +112,12 @@ let test_blk_direct_hctx_skips_irq () =
       Device.set_notify w (fun w ->
           Blk.note_completion blk ~hctx:(Device.waiter_hctx w)
             ~bytes:(Device.waiter_bytes w);
-          done_ := true);
+          done_ := true;
+          Device.wake w);
       Blk.submit_io_to_hctx blk ~thread:0 ~hctx:2 ~kind:Device.Write ~lba:0
         ~bytes:4096 w;
       Alcotest.(check int) "tracked in-flight" 1 (Blk.inflight blk 2);
-      Device.flush dev;
+      Device.await w;
       Alcotest.(check bool) "completed" true !done_;
       Alcotest.(check int) "drained" 0 (Blk.inflight blk 2))
 
@@ -508,8 +509,7 @@ let pinned_batch_scenario () =
                     | Error err -> Printf.bprintf log "w%d.%d:%s;" th i err)
                   results)
       done;
-      Engine.await all_done;
-      Device.flush dev);
+      Engine.await all_done);
   let inflight blk =
     let n = ref 0 in
     for q = 0 to Device.n_hw_queues dev - 1 do
