@@ -12,7 +12,7 @@ echo "== dune build =="
 dune build @all
 
 echo "== dead exports =="
-# Every val and every optional argument in lib/**/*.mli must have a
+# Every val, exception and optional argument in lib/**/*.mli must have a
 # caller outside its own module; lists the ones that do not and fails.
 sh bin/dead_exports.sh
 

@@ -79,8 +79,6 @@ and chain = {
   mutable cfn : unit -> unit;
 }
 
-exception Stopped
-
 (* Payload-free: the per-perform data rides in engine fields ([fl].(4)
    for the wait delay, [park_into] for park) — a payload would
    allocate a tuple and box the float on every perform. The

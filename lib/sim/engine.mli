@@ -245,9 +245,7 @@ val set_tick : t -> period:float -> (float -> unit) -> unit
     unsupported. One hook per engine; installing replaces the previous
     one. @raise Invalid_argument if [period <= 0]. *)
 
-exception Stopped
-(** Raised inside processes that the engine terminates via {!stop_all}. *)
-
 val stop_all : t -> unit
 (** Drops all queued events and disarms every chain. Suspended
-    processes are abandoned. *)
+    processes are abandoned: nothing is raised inside them, and none
+    runs again. *)
