@@ -47,17 +47,11 @@ let validate_cmd =
         Printf.eprintf "parse error: %s\n" e;
         exit 1
     | Ok spec -> (
-        (* Validate against the stock implementations. *)
+        (* Validate against the stock implementations, attributes
+           included, as a mount does. *)
         let platform = Platform.boot () in
         let reg = Runtime.Runtime.registry (Platform.runtime platform) in
-        let mod_type_of name =
-          Option.map
-            (fun f ->
-              let probe = f ~uuid:"__probe__" ~attrs:[] in
-              probe.Core.Labmod.mod_type)
-            (Core.Registry.find_factory reg name)
-        in
-        match Core.Stack_spec.validate spec ~mod_type_of with
+        match Core.Stack_spec.validate spec ~probe:(Core.Registry.probe reg) with
         | Error e ->
             Printf.eprintf "invalid stack: %s\n" e;
             exit 1
@@ -362,12 +356,9 @@ let mods_cmd =
     Printf.printf "%d installed LabMod implementations:\n" (List.length names);
     List.iter
       (fun name ->
-        match Core.Registry.find_factory reg name with
-        | Some f ->
-            let probe = f ~uuid:"__probe__" ~attrs:[] in
-            Printf.printf "  %-24s %s\n" name
-              (Core.Labmod.mod_type_name probe.Core.Labmod.mod_type)
-        | None -> ())
+        match Core.Registry.probe reg ~mod_name:name ~attrs:[] with
+        | Ok ty -> Printf.printf "  %-24s %s\n" name (Core.Labmod.mod_type_name ty)
+        | Error _ -> ())
       names
   in
   Cmd.v (Cmd.info "mods" ~doc:"List the stock LabMod implementations") Term.(const run $ const ())

@@ -7,16 +7,8 @@ type t = {
 
 let ( let* ) r f = Result.bind r f
 
-let mod_type_of registry name =
-  match Registry.find_factory registry name with
-  | None -> None
-  | Some factory ->
-      (* Probe the factory for its module type without registering. *)
-      let probe = factory ~uuid:"__probe__" ~attrs:[] in
-      Some probe.Labmod.mod_type
-
 let instantiate registry spec ~id =
-  let* () = Stack_spec.validate spec ~mod_type_of:(mod_type_of registry) in
+  let* () = Stack_spec.validate spec ~probe:(Registry.probe registry) in
   let* () =
     List.fold_left
       (fun acc (v : Stack_spec.vertex) ->

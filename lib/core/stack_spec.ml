@@ -149,7 +149,7 @@ let acyclic dag =
   done;
   !visited = List.length dag
 
-let validate ?(max_length = 16) t ~mod_type_of =
+let validate ?(max_length = 16) t ~probe =
   let* () = if t.dag = [] then Error "empty DAG" else Ok () in
   let* () =
     if List.length t.dag > max_length then
@@ -180,9 +180,9 @@ let validate ?(max_length = 16) t ~mod_type_of =
     List.fold_left
       (fun acc v ->
         let* acc = acc in
-        match mod_type_of v.mod_name with
-        | Some ty -> Ok ((v.uuid, ty) :: acc)
-        | None -> Error (Printf.sprintf "%s: implementation %S is not installed" v.uuid v.mod_name))
+        match probe ~mod_name:v.mod_name ~attrs:v.attrs with
+        | Ok ty -> Ok ((v.uuid, ty) :: acc)
+        | Error e -> Error (Printf.sprintf "%s: %s" v.uuid e))
       (Ok []) t.dag
   in
   List.fold_left

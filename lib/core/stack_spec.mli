@@ -53,13 +53,19 @@ val parse : string -> (t, string) result
 val validate :
   ?max_length:int ->
   t ->
-  mod_type_of:(string -> Labmod.mod_type option) ->
+  probe:
+    (mod_name:string ->
+    attrs:(string * Yamlite.t) list ->
+    (Labmod.mod_type, string) result) ->
   (unit, string) result
 (** Checks: non-empty DAG no longer than [max_length] (default 16),
     unique UUIDs, outputs referencing known vertices, acyclicity, every
-    implementation installed, and interface compatibility along each
-    edge ({!Labmod.compatible_downstream}). The first vertex is the
-    stack's entry point. *)
+    vertex accepted by [probe] (its implementation installed and its
+    attributes valid; {!Registry.probe} is the platform's), and
+    interface compatibility along each edge
+    ({!Labmod.compatible_downstream}). A probe error is returned
+    prefixed with the vertex's UUID. The first vertex is the stack's
+    entry point. *)
 
 val entry : t -> vertex
 (** First vertex of the DAG. Raises [Invalid_argument] on empty DAG. *)

@@ -86,8 +86,6 @@ type Labmod.state +=
   | State of {
       inflight_bytes : float array;
       merge_window_ns : float;
-      max_merge_bytes : int;
-      max_merge_reqs : int;
       open_batches : batch array;
           (** per hardware queue, the sentinel of the ring of batches
               currently holding their merge window open — concurrent
@@ -209,12 +207,18 @@ let join qcells batch b =
   cell_release qcells m.m_cell;
   m.m_result
 
+(* A merged op's limits: one full device command, and at most 64
+   requests. *)
+let max_merge_bytes = 262144
+
+let max_merge_reqs = 64
+
 (* The open batch [b] extends: one that ends exactly at [b]'s LBA, in
    [b]'s direction, with room for it. The scan walks queues in
    ascending order and each queue's batches in arrival order, so the
    first hit is the lowest-queue earliest-opened candidate. With none,
    the result is queue 0's sentinel, which is never open. *)
-let find_batch open_batches ~max_merge_bytes ~max_merge_reqs b =
+let find_batch open_batches b =
   let n = Array.length open_batches in
   let found = ref open_batches.(0) in
   let q = ref 0 in
@@ -266,8 +270,6 @@ let operate m ctx req =
       {
         inflight_bytes;
         merge_window_ns;
-        max_merge_bytes;
-        max_merge_reqs;
         open_batches;
         qos;
         hints;
@@ -319,7 +321,7 @@ let operate m ctx req =
       | Request.Block b when merge_window_ns > 0.0 && not b.Request.b_sync ->
           let batch =
             if req.Request.hint_hctx <> None then open_batches.(0)
-            else find_batch open_batches ~max_merge_bytes ~max_merge_reqs b
+            else find_batch open_batches b
           in
           if batch.bt_open then begin
             let q = batch.bt_q in
@@ -361,17 +363,14 @@ let absorbed_reqs (m : Labmod.t) =
   | State { absorbed_reqs; _ } -> Metrics.value absorbed_reqs
   | _ -> 0
 
+let attr_table = [ Registry.float_attr "merge_window_ns" (fun _ ns -> ns) ]
+
 let factory ?metrics ?qos ?blackbox ~nqueues () : Registry.factory =
  fun ~uuid ~attrs ->
   (* Probe instantiations (reserved "__probe__" uuid) must not pollute
      the registry. *)
   let metrics = if uuid = "__probe__" then None else metrics in
-  let getf key default =
-    Option.value ~default (Option.bind (List.assoc_opt key attrs) Yamlite.get_float)
-  in
-  let geti key default =
-    Option.value ~default (Option.bind (List.assoc_opt key attrs) Yamlite.get_int)
-  in
+  let merge_window_ns = Registry.decode_attrs ~mod_name:name attr_table 0.0 attrs in
   let sentinel q =
     let rec s =
       {
@@ -393,9 +392,7 @@ let factory ?metrics ?qos ?blackbox ~nqueues () : Registry.factory =
       (State
          {
            inflight_bytes = Array.make nqueues 0.0;
-           merge_window_ns = getf "merge_window_ns" 0.0;
-           max_merge_bytes = geti "max_merge_bytes" 262144;
-           max_merge_reqs = geti "max_merge_reqs" 64;
+           merge_window_ns;
            open_batches = Array.init nqueues sentinel;
            qos;
            hints = Array.init nqueues Option.some;

@@ -10,10 +10,9 @@
     for the same hardware queue, forwards one combined block op, and
     splits the completion (or torn-write error) back per-request.
 
-    Factory attributes: [merge_window_ns] (float, default 0 = merging
-    off — the classic single-request path), [max_merge_bytes] (int,
-    default 262144, one full device command), [max_merge_reqs] (int,
-    default 64).
+    Factory attribute: [merge_window_ns] (float, default 0 = merging
+    off — the classic single-request path). A merged op carries at
+    most 262144 bytes (one full device command) and 64 requests.
 
     With [?qos] a {!Lab_ipc.Tenant} table is attached: requests stamped
     with a tenant index pass the weighted deficit-round-robin dispatch

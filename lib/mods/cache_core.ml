@@ -51,38 +51,42 @@ type config = {
   nshards : int;
   write_through : bool;
   readahead : bool;
-  ra_min : int;
-  ra_max : int;
   wb_high : int;
   wb_low : int;
-  wb_max_batch : int;
 }
 
+(* A readahead window starts at [ra_min] pages and doubles up to
+   [ra_max] (Linux-style 4 -> 64); a write-back run merges at most
+   [wb_max_batch] pages. *)
+let ra_min = 4
+
+let ra_max = 64
+
+let wb_max_batch = 64
+
+let attr_table =
+  Registry.
+    [
+      int_attr "capacity_mb" (fun c mb ->
+          { c with capacity_pages = Stdlib.max 1 (mb * 1024 * 1024 / c.page_bytes) });
+      int_attr "shards" (fun c n -> { c with nshards = Stdlib.max 1 n });
+      bool_attr "write_through" (fun c write_through -> { c with write_through });
+      bool_attr "readahead" (fun c readahead -> { c with readahead });
+    ]
+
 let config_of_attrs ~name attrs =
-  let geti key default =
-    Option.value ~default (Option.bind (List.assoc_opt key attrs) Yamlite.get_int)
-  in
-  let getb key default =
-    Option.value ~default
-      (Option.bind (List.assoc_opt key attrs) Yamlite.get_bool)
-  in
-  let page_bytes = 4096 in
-  let ra_min = Stdlib.max 1 (geti "ra_min_pages" 4) in
-  let wb_high = Stdlib.max 1 (geti "wb_high" 32) in
-  {
-    cfg_name = name;
-    capacity_pages =
-      Stdlib.max 1 (geti "capacity_mb" 64 * 1024 * 1024 / page_bytes);
-    page_bytes;
-    nshards = Stdlib.max 1 (geti "shards" 1);
-    write_through = getb "write_through" false;
-    readahead = getb "readahead" false;
-    ra_min;
-    ra_max = Stdlib.max ra_min (geti "ra_max_pages" 64);
-    wb_high;
-    wb_low = Stdlib.min (wb_high - 1) (Stdlib.max 0 (geti "wb_low" 8));
-    wb_max_batch = Stdlib.max 1 (geti "wb_max_batch" 64);
-  }
+  Registry.decode_attrs ~mod_name:name attr_table
+    {
+      cfg_name = name;
+      capacity_pages = 64 * 1024 * 1024 / 4096;
+      page_bytes = 4096;
+      nshards = 1;
+      write_through = false;
+      readahead = false;
+      wb_high = 32;
+      wb_low = 8;
+    }
+    attrs
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -310,7 +314,7 @@ let flush_log t ctx sh ~template ~target =
     for i = 1 to n - 1 do
       let p = pages.(i) in
       if p <> pages.(i - 1) then
-        if p = !start + !len && !len < t.cfg.wb_max_batch then incr len
+        if p = !start + !len && !len < wb_max_batch then incr len
         else begin
           write_back_run t ctx ~template !start !len;
           start := p;
@@ -461,7 +465,7 @@ let issue_readahead t ctx ~template ~start ~count =
   while !p <= stop do
     if ra_candidate t !p then begin
       let s = !p in
-      while !p <= stop && !p - s < t.cfg.ra_max && ra_candidate t !p do
+      while !p <= stop && !p - s < ra_max && ra_candidate t !p do
         let wq =
           match t.ra_free with
           | wq :: rest ->
@@ -499,8 +503,7 @@ let track_and_prefetch t ctx req ~first ~last =
     let s = stream_of t req in
     if first = s.next_page then begin
       s.window <-
-        (if s.window = 0 then t.cfg.ra_min
-         else Stdlib.min t.cfg.ra_max (s.window * 2));
+        (if s.window = 0 then ra_min else Stdlib.min ra_max (s.window * 2));
       s.next_page <- last + 1;
       issue_readahead t ctx ~template:req ~start:(last + 1) ~count:s.window
     end

@@ -17,7 +17,7 @@
     {b Readahead.} Demand reads are tracked per stream
     ([Request.hint_stream], falling back to the pid). A read continuing
     exactly where the stream's last one ended ramps the prefetch window
-    [ra_min_pages] → doubling → [ra_max_pages] (Linux-style 4→64) and
+    4 pages → doubling → 64 pages (Linux-style) and
     issues the window downstream as merged prefetch-tagged reads. Fills
     are admitted clean on success and {e dropped} on failure (a faulted
     fill is never admitted, same rule as demand fills). A demand read
@@ -26,8 +26,8 @@
 
     {b Write-back.} Evicted dirty pages accumulate in a per-shard dirty
     log; when the log reaches [wb_high] entries it is flushed down to
-    [wb_low], sorted and merged into adjacent-LBA runs (at most
-    [wb_max_batch] pages each), one downstream write per run — instead
+    [wb_low], sorted and merged into adjacent-LBA runs (at most 64
+    pages each), one downstream write per run — instead
     of one write per evicted page. A [Control] request drains every
     log (an fsync-like hook) and is then forwarded. *)
 
@@ -59,19 +59,17 @@ type config = {
   nshards : int;
   write_through : bool;
   readahead : bool;
-  ra_min : int;  (** initial prefetch window, pages *)
-  ra_max : int;  (** window ceiling, pages *)
   wb_high : int;  (** dirty-log length that triggers a flush *)
   wb_low : int;  (** flush drains the log down to this length *)
-  wb_max_batch : int;  (** largest merged write-back run, pages *)
 }
 
 val config_of_attrs : name:string -> (string * Yamlite.t) list -> config
-(** Shared attribute parsing for the cache LabMods: [capacity_mb]
-    (default 64), [write_through] (false), [shards] (1), [readahead]
-    (false), [ra_min_pages] (4), [ra_max_pages] (64), [wb_high] (32),
-    [wb_low] (8), [wb_max_batch] (64). Values are clamped to sane
-    ranges; pages are 4 KiB. *)
+(** The cache LabMods' attributes, decoded by {!Registry.decode_attrs}:
+    [capacity_mb] (default 64, at least one 4 KiB page), [shards]
+    (default 1, at least 1), [write_through] (false) and [readahead]
+    (false). [wb_high] is 32 and [wb_low] 8; callers that build a
+    config directly may set them.
+    @raise Registry.Bad_attr on any other key or a mistyped value. *)
 
 (** {2 The engine} *)
 

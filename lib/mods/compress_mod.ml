@@ -9,10 +9,14 @@
 open Lab_sim
 open Lab_core
 
+(* CPU cost per payload byte: ZLIB-class compression, and the faster
+   inflate on the read path. *)
+let compress_ns_per_byte = 0.625
+
+let decompress_ns_per_byte = 0.2
+
 type comp_state = {
   ratio : float;
-  compress_ns_per_byte : float;
-  decompress_ns_per_byte : float;
   mutable bytes_in : int;
   mutable bytes_out : int;
 }
@@ -29,7 +33,7 @@ let operate m ctx req =
   | State s, Request.Block { b_kind = Request.Write; b_lba; b_bytes; _ } ->
       let machine = ctx.Labmod.machine in
       Machine.compute machine ~thread:ctx.Labmod.thread
-        (s.compress_ns_per_byte *. Stdlib.float_of_int b_bytes);
+        (compress_ns_per_byte *. Stdlib.float_of_int b_bytes);
       let out = Stdlib.max 1 (int_of_float (Stdlib.float_of_int b_bytes *. s.ratio)) in
       s.bytes_in <- s.bytes_in + b_bytes;
       s.bytes_out <- s.bytes_out + out;
@@ -53,7 +57,7 @@ let operate m ctx req =
       in
       let result = ctx.Labmod.forward fetch in
       Machine.compute machine ~thread:ctx.Labmod.thread
-        (s.decompress_ns_per_byte *. Stdlib.float_of_int b_bytes);
+        (decompress_ns_per_byte *. Stdlib.float_of_int b_bytes);
       result
   | _, (Request.Posix _ | Request.Kv _ | Request.Control _) ->
       ctx.Labmod.forward req
@@ -61,22 +65,18 @@ let operate m ctx req =
 
 let est m req =
   match m.Labmod.state with
-  | State s -> s.compress_ns_per_byte *. Stdlib.float_of_int (Request.bytes_of req)
+  | State _ -> compress_ns_per_byte *. Stdlib.float_of_int (Request.bytes_of req)
   | _ -> 1000.0
+
+let attr_table = [ Registry.float_attr "ratio" (fun _ r -> r) ]
 
 let factory : Registry.factory =
  fun ~uuid ~attrs ->
-  let fattr key default =
-    Option.value ~default
-      (Option.bind (List.assoc_opt key attrs) Yamlite.get_float)
-  in
   Labmod.make ~name ~uuid ~mod_type:Labmod.Compression
     ~state:
       (State
          {
-           ratio = fattr "ratio" 0.5;
-           compress_ns_per_byte = fattr "compress_ns_per_byte" 0.625;
-           decompress_ns_per_byte = fattr "decompress_ns_per_byte" 0.2;
+           ratio = Registry.decode_attrs ~mod_name:name attr_table 0.5 attrs;
            bytes_in = 0;
            bytes_out = 0;
          })

@@ -6,8 +6,7 @@
     downstream request by the configured ratio; {!Lz77} is the real
     algorithm backing the model.
 
-    Attributes: [ratio] (default 0.5), [compress_ns_per_byte],
-    [decompress_ns_per_byte]. *)
+    Attribute: [ratio] (default 0.5). Decompression costs 0.2 ns/B. *)
 
 open Lab_core
 

@@ -92,14 +92,17 @@ let est m req =
   ignore m;
   100.0 +. (0.001 *. Stdlib.float_of_int (Request.bytes_of req))
 
+let attr_table =
+  [
+    Registry.string_attr "mode" (fun _ s ->
+        match mode_of_string s with
+        | Some m -> m
+        | None -> Registry.reject "relaxed, ordered or durable");
+  ]
+
 let factory : Registry.factory =
  fun ~uuid ~attrs ->
-  let mode =
-    Option.value ~default:Relaxed
-      (Option.bind
-         (Option.bind (List.assoc_opt "mode" attrs) Yamlite.get_string)
-         mode_of_string)
-  in
+  let mode = Registry.decode_attrs ~mod_name:name attr_table Relaxed attrs in
   Labmod.make ~name ~uuid ~mod_type:Labmod.Consistency
     ~state:(State { mode; order_lock = Semaphore.create 1; writes_seen = 0 })
     {

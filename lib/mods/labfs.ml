@@ -349,10 +349,7 @@ let est m req =
 
 let factory ~total_blocks ~nworkers () : Registry.factory =
  fun ~uuid ~attrs ->
-  let nworkers =
-    Option.value ~default:nworkers
-      (Option.bind (List.assoc_opt "nworkers" attrs) Yamlite.get_int)
-  in
+  Registry.decode_attrs ~mod_name:name [] () attrs;
   let state =
     State
       {

@@ -26,8 +26,8 @@ type inode = {
 val name : string
 
 val factory : total_blocks:int -> nworkers:int -> unit -> Registry.factory
-(** Blocks are 4 KiB. The factory's [attrs] may override [nworkers]
-    (key ["nworkers"]). *)
+(** Blocks are 4 KiB; [nworkers] (at least 1) sets the block
+    allocator's per-worker pools. LabFS reads no attributes. *)
 
 (** {2 Introspection for tests, recovery and benchmarks} *)
 

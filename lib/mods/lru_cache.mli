@@ -13,8 +13,7 @@
 
     Attributes (see {!Cache_core.config_of_attrs}): [capacity_mb]
     (default 64), [write_through] (false), [shards] (1), [readahead]
-    (false), [ra_min_pages] (4), [ra_max_pages] (64), [wb_high] (32),
-    [wb_low] (8), [wb_max_batch] (64). *)
+    (false). *)
 
 open Lab_core
 

@@ -416,7 +416,7 @@ let test_arc_ghost_lists_under_readahead () =
 (* Pinned schedule                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Four concurrent clients on a 4-shard write-back lru_cache with
+(* Four concurrent clients on a 4-shard write-back LRU cache with
    readahead and a low write-back watermark, plus a write-through twin,
    over a downstream that takes device-like time and fails writes that
    touch pages 200..203 or 900..903. Forwards run in spawned processes,
@@ -432,7 +432,9 @@ let test_arc_ghost_lists_under_readahead () =
    A final Control drains the write-back logs. Every completion and
    downstream op with its instant, the event count and the per-shard
    counters are pinned, so a change to the cache's schedule shows here
-   event for event. *)
+   event for event. No attribute sets the watermarks, so the caches are
+   engines built from a config and driven as [lru_cache]'s operate
+   drives its engine. *)
 let pinned_cache_scenario () =
   let m = Machine.create ~ncores:4 () in
   let e = m.Machine.engine in
@@ -453,23 +455,20 @@ let pinned_cache_scenario () =
         else Request.Done
     | _ -> Request.Done
   in
-  let attrs ~write_through =
-    [
-      ("capacity_mb", Yamlite.Int 1);
-      ("shards", Yamlite.Int 4);
-      ("readahead", Yamlite.Bool true);
-      ("wb_high", Yamlite.Int 4);
-      ("wb_low", Yamlite.Int 1);
-      ("write_through", Yamlite.Bool write_through);
-    ]
-  in
   let cache uuid ~write_through =
-    Lru_cache.factory () ~uuid ~attrs:(attrs ~write_through)
+    Cache_core.create ~policy:Cache_core.lru_policy ~instance:uuid
+      {
+        (small_config ~capacity_pages:256 ~nshards:4 ~readahead:true ~wb_high:4
+           ~wb_low:1 ())
+        with
+        Cache_core.cfg_name = Lru_cache.name;
+        write_through;
+      }
   in
   let wb = cache "pin-wb" ~write_through:false in
   let wt = cache "pin-wt" ~write_through:true in
   let next_id = ref 0 in
-  let run labmod ~th ~tag ?stream payload =
+  let run core ~th ~tag ?stream payload =
     incr next_id;
     let req =
       Request.make ~id:!next_id ~pid:(th + 1) ~uid:0 ~thread:th ~stack_id:1
@@ -484,7 +483,7 @@ let pinned_cache_scenario () =
         forward_async = (fun r k -> Engine.spawn e (fun () -> k (forward r)));
       }
     in
-    let res = labmod.Labmod.ops.Labmod.operate labmod ctx req in
+    let res = Cache_core.operate core ctx req in
     Printf.bprintf log "c%d.%s:%s@%.0f;" th tag
       (match res with
       | Request.Size n -> string_of_int n
@@ -493,11 +492,11 @@ let pinned_cache_scenario () =
       | _ -> "other")
       (Machine.now m)
   in
-  let rd labmod ~th ~tag ?stream lba pages =
-    run labmod ~th ~tag ?stream (block Request.Read ~lba ~bytes:(pages * 4096))
+  let rd core ~th ~tag ?stream lba pages =
+    run core ~th ~tag ?stream (block Request.Read ~lba ~bytes:(pages * 4096))
   in
-  let wr labmod ~th ~tag lba pages =
-    run labmod ~th ~tag (block Request.Write ~lba ~bytes:(pages * 4096))
+  let wr core ~th ~tag lba pages =
+    run core ~th ~tag (block Request.Write ~lba ~bytes:(pages * 4096))
   in
   Machine.spawn m (fun () ->
       let all_done = Engine.join 4 in
@@ -548,8 +547,7 @@ let pinned_cache_scenario () =
     String.concat ","
       (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) (go [] pages))
   in
-  let counters labmod =
-    let core = Option.get (Lru_cache.core labmod) in
+  let counters core =
     String.concat " "
       (List.map
          (fun (k, v) -> Printf.sprintf "%s=%d" k v)

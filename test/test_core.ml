@@ -214,6 +214,36 @@ let test_registry_missing_factory () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected error"
 
+(* One table decodes a module's attributes: values fold over the
+   defaults in spec order, and an unknown key, a mistyped value or a
+   rejected one raises [Bad_attr] naming the module and the key. *)
+let test_decode_attrs () =
+  let table =
+    Registry.
+      [
+        int_attr "depth" (fun (_, on) d -> if d > 0 then (d, on) else reject "a positive int");
+        bool_attr "on" (fun (d, _) on -> (d, on));
+      ]
+  in
+  let decode attrs = Registry.decode_attrs ~mod_name:"m" table (1, false) attrs in
+  Alcotest.(check (pair int bool)) "defaults" (1, false) (decode []);
+  Alcotest.(check (pair int bool)) "decoded" (4, true)
+    (decode [ ("on", Yamlite.Bool true); ("depth", Yamlite.Int 4) ]);
+  let refused f =
+    match f () with
+    | _ -> Alcotest.fail "expected Bad_attr"
+    | exception Registry.Bad_attr { mod_name; key; problem } ->
+        Printf.sprintf "%s %s: %s" mod_name key problem
+  in
+  Alcotest.(check string) "unknown key" "m dpth: unknown (m reads depth, on)"
+    (refused (fun () -> decode [ ("dpth", Yamlite.Int 4) ]));
+  Alcotest.(check string) "mistyped" "m on: expected a bool, got 1"
+    (refused (fun () -> decode [ ("on", Yamlite.Int 1) ]));
+  Alcotest.(check string) "rejected" "m depth: expected a positive int, got 0"
+    (refused (fun () -> decode [ ("depth", Yamlite.Int 0) ]));
+  Alcotest.(check string) "no attributes" "m x: unknown (m reads none)"
+    (refused (fun () -> Registry.decode_attrs ~mod_name:"m" [] () [ ("x", Yamlite.Null) ]))
+
 let test_labmod_state_mutation () =
   in_sim (fun m ->
       let r = Registry.create () in
@@ -254,13 +284,14 @@ dag:
     mod: mockdrv
 |}
 
-let mock_type_of = function
-  | "mockfs" -> Some Labmod.Filesystem
-  | "mockcache" -> Some Labmod.Cache
-  | "mocksched" -> Some Labmod.Scheduler
-  | "mockdrv" -> Some Labmod.Driver
-  | "mockkvs" -> Some Labmod.Kv_store
-  | _ -> None
+let mock_probe ~mod_name ~attrs:_ =
+  match mod_name with
+  | "mockfs" -> Ok Labmod.Filesystem
+  | "mockcache" -> Ok Labmod.Cache
+  | "mocksched" -> Ok Labmod.Scheduler
+  | "mockdrv" -> Ok Labmod.Driver
+  | "mockkvs" -> Ok Labmod.Kv_store
+  | _ -> Error "not installed"
 
 let test_spec_parse () =
   match Stack_spec.parse sample_spec with
@@ -274,7 +305,7 @@ let test_spec_parse () =
 
 let test_spec_validate_ok () =
   let spec = Result.get_ok (Stack_spec.parse sample_spec) in
-  match Stack_spec.validate spec ~mod_type_of:mock_type_of with
+  match Stack_spec.validate spec ~probe:mock_probe with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -282,7 +313,7 @@ let expect_invalid name doc =
   match Stack_spec.parse doc with
   | Error _ -> ()
   | Ok spec -> (
-      match Stack_spec.validate spec ~mod_type_of:mock_type_of with
+      match Stack_spec.validate spec ~probe:mock_probe with
       | Error _ -> ()
       | Ok () -> Alcotest.fail (name ^ ": expected validation failure"))
 
@@ -351,10 +382,10 @@ let test_spec_max_length () =
   in
   let doc = Printf.sprintf "mount: \"fs::/x\"\ndag:\n%s" vertices in
   let spec = Result.get_ok (Stack_spec.parse doc) in
-  (match Stack_spec.validate ~max_length:16 spec ~mod_type_of:mock_type_of with
+  (match Stack_spec.validate ~max_length:16 spec ~probe:mock_probe with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "expected max-length failure");
-  match Stack_spec.validate ~max_length:32 spec ~mod_type_of:mock_type_of with
+  match Stack_spec.validate ~max_length:32 spec ~probe:mock_probe with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -557,6 +588,7 @@ let () =
           Alcotest.test_case "instantiate once per uuid" `Quick
             test_registry_instantiate_once;
           Alcotest.test_case "missing factory" `Quick test_registry_missing_factory;
+          Alcotest.test_case "attribute decoder" `Quick test_decode_attrs;
           Alcotest.test_case "state mutation" `Quick test_labmod_state_mutation;
         ] );
       ( "stack-spec",
