@@ -214,12 +214,52 @@ let hit_words () =
   let reads = block Core.Request.Read and writes = block Core.Request.Write in
   (* Each harness's unmeasured first round admits the pages: reads by a
      demand miss, writes dirty. *)
-  ( words_per_call lru (fun i -> reads.(i)) -. base,
+  ( base,
+    words_per_call lru (fun i -> reads.(i)) -. base,
     words_per_call lru (fun i -> writes.(i)) -. base )
+
+(* Minor words per read miss, minus the same dummy_mod baseline: a
+   4-shard lru_cache of 1 MiB (64 pages a shard) takes one-page reads
+   of pages it never held, at LBA stride 67, so each one misses, is
+   forwarded, is admitted and evicts the shard's LRU page. An
+   unmeasured first pass fills the shards; the measured pass reads
+   fresh pages. The harness's forward log is cleared after each call. *)
+let miss_reads = 1024
+
+let miss_words ~base =
+  let h =
+    Runtime.Mod_harness.create (fun _m ~uuid ~attrs:_ ->
+        Mods.Lru_cache.factory () ~uuid
+          ~attrs:[ ("shards", Core.Yamlite.Int 4); ("capacity_mb", Core.Yamlite.Int 1) ])
+  in
+  let pass first =
+    for i = first to first + miss_reads - 1 do
+      ignore
+        (Runtime.Mod_harness.run h
+           (Core.Request.Block
+              {
+                Core.Request.b_kind = Core.Request.Read;
+                b_lba = i * 67;
+                b_bytes = 4096;
+                b_sync = false;
+              }));
+      Runtime.Mod_harness.clear_forwarded h
+    done
+  in
+  pass 0;
+  let w0 = Gc.minor_words () in
+  pass miss_reads;
+  ((Gc.minor_words () -. w0) /. Stdlib.float_of_int miss_reads) -. base
+
+let read_hit_budget = 10.0
+
+let write_hit_budget = 8.0
+
+let miss_budget = 20.0
 
 let json_escape_free name = name (* policy names are [a-z_]+ *)
 
-let write_json path results ~read_words ~write_words =
+let write_json path results ~read_words ~write_words ~miss_words =
   let oc = open_out path in
   output_string oc "[\n";
   List.iter
@@ -233,8 +273,9 @@ let write_json path results ~read_words ~write_words =
         o.ra_acc o.flush_batch o.wb_ops_per_page)
     results;
   Printf.fprintf oc
-    "  {\"read_hit_words_per_call\": %.2f, \"write_hit_words_per_call\": %.2f}\n"
-    read_words write_words;
+    "  {\"read_hit_words_per_call\": %.2f, \"write_hit_words_per_call\": %.2f, \
+     \"read_miss_words_per_call\": %.2f}\n"
+    read_words write_words miss_words;
   output_string oc "]\n";
   close_out oc
 
@@ -277,8 +318,9 @@ let run () =
         0)
   in
   let results = List.rev !results in
-  let read_words, write_words = hit_words () in
-  write_json "BENCH_cache.json" results ~read_words ~write_words;
+  let base, read_words, write_words = hit_words () in
+  let miss_words = miss_words ~base in
+  write_json "BENCH_cache.json" results ~read_words ~write_words ~miss_words;
   Bench_util.note
     "readahead detects each thread's stream and fills ahead of the reader:";
   Bench_util.note
@@ -311,13 +353,19 @@ let run () =
         "%s ra=%b shards=%d wr%%=%d write-back ops per page %.2f >= 1.0"
         policy ra shards wr_pct o.wb_ops_per_page)
     results;
-  (* Allocation guard: a hit allocates only its simulated CPU waits
-     and the returned size, set at the measured 10 and 8 words. *)
+  (* Allocation guards: a hit allocates only its simulated CPU waits
+     and the returned size, set at the measured 10 and 8 words; a miss
+     also forwards, and its admit and eviction allocate nothing. *)
   Bench_util.claim "cache.hit_words"
-    (Bench_util.words_ok (read_words <= 10.0 && write_words <= 8.0))
-    "cache hit path at %.2f words per read hit (budget 10), %.2f per write \
-     absorb (budget 8)"
-    read_words write_words;
+    (Bench_util.words_ok
+       (read_words <= read_hit_budget && write_words <= write_hit_budget))
+    "cache hit path at %.2f words per read hit (budget %g), %.2f per write \
+     absorb (budget %g)"
+    read_words read_hit_budget write_words write_hit_budget;
+  Bench_util.claim "cache.miss_words"
+    (Bench_util.words_ok (miss_words <= miss_budget))
+    "cache miss path at %.2f words per read miss (budget %g)" miss_words
+    miss_budget;
   (* Determinism: identical seeds must give byte-identical rows
      (including the event-count fingerprint). *)
   let a = run_case ~seed ~policy:"lru_cache" ~ra:true ~shards:4 ~wr_pct:25

@@ -28,6 +28,12 @@ echo "== percentiles only through Obs.Hist =="
 bad=$(grep -rlE '(^|[^A-Za-z0-9_])Stats\.' lib bench bin test examples | grep -v '^lib/labstor/labstor\.ml$' || true)
 [ -z "$bad" ] || { echo "Stats used outside the labstor.ml shim; use Obs.Hist: $bad"; exit 1; }
 
+echo "== int keys only through Itbl =="
+# Int.hash, and so Hashtbl.Make (Int), calls the C caml_hash on every
+# lookup; an int-keyed table under lib/ is a Lab_sim.Itbl.
+bad=$(grep -rlE 'Hashtbl\.Make *\( *Int *\)|Int\.hash' lib || true)
+[ -z "$bad" ] || { echo "Hashtbl.Make (Int) or Int.hash under lib/; use Lab_sim.Itbl: $bad"; exit 1; }
+
 echo "== experiment gates only through Bench_util.claim =="
 # A failed claim names itself on stderr after the run; an exit inside an
 # experiment would skip every claim after it.

@@ -1,10 +1,12 @@
+module Itbl = Lab_sim.Itbl
+
 type t = {
   by_mount : (string, Stack.t) Hashtbl.t;
-  by_id : (int, Stack.t) Hashtbl.t;
+  by_id : Stack.t Itbl.t;
   mutable next_id : int;
 }
 
-let create () = { by_mount = Hashtbl.create 16; by_id = Hashtbl.create 16; next_id = 1 }
+let create () = { by_mount = Hashtbl.create 16; by_id = Itbl.create 8; next_id = 1 }
 
 let mount t registry spec =
   let mountpoint = spec.Stack_spec.mount in
@@ -16,7 +18,7 @@ let mount t registry spec =
     | Ok stack ->
         t.next_id <- t.next_id + 1;
         Hashtbl.replace t.by_mount mountpoint stack;
-        Hashtbl.replace t.by_id stack.Stack.id stack;
+        Itbl.replace t.by_id stack.Stack.id stack;
         Ok stack
 
 let unmount t mountpoint =
@@ -24,12 +26,12 @@ let unmount t mountpoint =
   | None -> Error (Printf.sprintf "nothing mounted at %S" mountpoint)
   | Some stack ->
       Hashtbl.remove t.by_mount mountpoint;
-      Hashtbl.remove t.by_id stack.Stack.id;
+      Itbl.remove t.by_id stack.Stack.id;
       Ok ()
 
 let lookup t mountpoint = Hashtbl.find t.by_mount mountpoint
 
-let stack_by_id t id = Hashtbl.find t.by_id id
+let stack_by_id t id = Itbl.find t.by_id id
 
 let parent path =
   match String.rindex_opt path '/' with
@@ -52,7 +54,7 @@ let modify_stack t registry spec =
       | Error _ as e -> e
       | Ok fresh ->
           Hashtbl.replace t.by_mount mountpoint fresh;
-          Hashtbl.replace t.by_id fresh.Stack.id fresh;
+          Itbl.replace t.by_id fresh.Stack.id fresh;
           Ok fresh)
 
 let mounts t = Hashtbl.fold (fun k _ acc -> k :: acc) t.by_mount []

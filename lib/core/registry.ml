@@ -2,11 +2,12 @@ type factory = uuid:string -> attrs:(string * Yamlite.t) list -> Labmod.t
 
 type binding = ..
 
-module Itbl = Hashtbl.Make (Int)
+module Itbl = Lab_sim.Itbl
 
 type t = {
   factories : (string, factory) Hashtbl.t;
   by_uuid : (string, Labmod.t) Hashtbl.t;
+  mutable generation : int;  (* bumped by every change to [by_uuid] *)
   bindings : binding Itbl.t;
 }
 
@@ -14,7 +15,8 @@ let create () =
   {
     factories = Hashtbl.create 32;
     by_uuid = Hashtbl.create 64;
-    bindings = Itbl.create 8;
+    generation = 0;
+    bindings = Itbl.create 4;
   }
 
 let register_factory t ~name factory = Hashtbl.replace t.factories name factory
@@ -92,6 +94,7 @@ let instantiate t ~mod_name ~uuid ~attrs =
           match build factory ~uuid ~attrs with
           | Ok m ->
               Hashtbl.replace t.by_uuid uuid m;
+              t.generation <- t.generation + 1;
               Ok m
           | Error e -> Error (uuid ^ ": " ^ e)))
 
@@ -99,9 +102,15 @@ let find t uuid = Hashtbl.find_opt t.by_uuid uuid
 
 let find_exn t uuid = Hashtbl.find t.by_uuid uuid
 
-let replace t m = Hashtbl.replace t.by_uuid m.Labmod.uuid m
+let replace t m =
+  Hashtbl.replace t.by_uuid m.Labmod.uuid m;
+  t.generation <- t.generation + 1
 
-let remove t uuid = Hashtbl.remove t.by_uuid uuid
+let remove t uuid =
+  Hashtbl.remove t.by_uuid uuid;
+  t.generation <- t.generation + 1
+
+let generation t = t.generation
 
 let instances t = Hashtbl.fold (fun _ m acc -> m :: acc) t.by_uuid []
 

@@ -74,7 +74,7 @@ val instantiate :
 val find : t -> string -> Labmod.t option
 
 val find_exn : t -> string -> Labmod.t
-(** [find] without the option, for per-request paths.
+(** [find] without the option.
     @raise Not_found if no instance has that UUID. *)
 
 val replace : t -> Labmod.t -> unit
@@ -82,6 +82,11 @@ val replace : t -> Labmod.t -> unit
     upgrade). *)
 
 val remove : t -> string -> unit
+
+val generation : t -> int
+(** Changes whenever {!instantiate} adds an instance or {!replace} or
+    {!remove} runs, so a cache of instances read by UUID is current
+    while this is the value it was built at. *)
 
 val instances : t -> Labmod.t list
 

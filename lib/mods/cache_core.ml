@@ -31,9 +31,7 @@ let lru_policy ~capacity =
         last := -1;
         Lru.touch lru p
         || begin
-             (match Lru.put lru p () with
-             | Some (v, ()) -> last := v
-             | None -> ());
+             last := Lru.put_evict lru p ();
              false
            end);
     pol_evicted = (fun () -> !last);
@@ -96,9 +94,9 @@ type shard = {
   sh_id : int;
   pol : policy;
   lock : Semaphore.t;
-  dirty : (int, unit) Hashtbl.t;  (* resident dirty pages *)
+  dirty : unit Itbl.t;  (* resident dirty pages *)
   dirty_log : int Queue.t;  (* evicted dirty pages awaiting flush *)
-  prefetched : (int, unit) Hashtbl.t;  (* admitted by readahead, unaccessed *)
+  prefetched : unit Itbl.t;  (* admitted by readahead, unaccessed *)
   mutable sh_hits : int;
   mutable sh_misses : int;
   mutable sh_evictions : int;
@@ -109,8 +107,8 @@ type stream = { mutable next_page : int; mutable window : int }
 type t = {
   cfg : config;
   shards : shard array;
-  streams : (int, stream) Hashtbl.t;
-  ra_inflight : (int, Waitq.t) Hashtbl.t;  (* page -> fill arrival *)
+  streams : stream Itbl.t;
+  ra_inflight : Waitq.t Itbl.t;  (* page -> fill arrival *)
   mutable ra_free : Waitq.t list;  (* drained queues, for reuse *)
   hit_count : Metrics.counter;
   miss_count : Metrics.counter;
@@ -151,15 +149,15 @@ let create ~policy ?metrics ?timeseries ?instance cfg =
             sh_id = i;
             pol = policy ~capacity:per_shard;
             lock = Semaphore.create 1;
-            dirty = Hashtbl.create 256;
+            dirty = Itbl.create 128;
             dirty_log = Queue.create ();
-            prefetched = Hashtbl.create 64;
+            prefetched = Itbl.create 32;
             sh_hits = 0;
             sh_misses = 0;
             sh_evictions = 0;
           });
-    streams = Hashtbl.create 16;
-    ra_inflight = Hashtbl.create 64;
+    streams = Itbl.create 8;
+    ra_inflight = Itbl.create 32;
     ra_free = [];
     hit_count = counter "hits";
     miss_count = counter "misses";
@@ -224,7 +222,7 @@ let pages_on t ~first ~last ~c0 ~cl =
    cost. With one shard every worker funnels through here; with many
    the same total work spreads across independent locks. Every [enter]
    is paired with a [leave] on each exit path. Nothing in between can
-   raise: [Cpu.compute], the policies and [Hashtbl] operations do not,
+   raise: [Cpu.compute], the policies and [Itbl] operations do not,
    and the engine never discontinues a process. *)
 let charge t ctx =
   Machine.compute_cell ctx.Labmod.machine ~thread:ctx.Labmod.thread t.burst 0
@@ -247,12 +245,12 @@ let leave sh = Semaphore.release sh.lock
 let note_evictions t sh =
   let v = sh.pol.pol_evicted () in
   if v >= 0 then begin
-    if Hashtbl.mem sh.prefetched v then begin
-      Hashtbl.remove sh.prefetched v;
+    if Itbl.mem sh.prefetched v then begin
+      Itbl.remove sh.prefetched v;
       Metrics.incr t.ra_wasted
     end;
-    if Hashtbl.mem sh.dirty v then begin
-      Hashtbl.remove sh.dirty v;
+    if Itbl.mem sh.dirty v then begin
+      Itbl.remove sh.dirty v;
       Queue.add v sh.dirty_log;
       sh.sh_evictions <- sh.sh_evictions + 1;
       Metrics.incr t.dirty_evicted
@@ -260,8 +258,8 @@ let note_evictions t sh =
   end
 
 let consume_prefetched t sh ~demand_read p =
-  if Hashtbl.mem sh.prefetched p then begin
-    Hashtbl.remove sh.prefetched p;
+  if Itbl.mem sh.prefetched p then begin
+    Itbl.remove sh.prefetched p;
     if demand_read then Metrics.incr t.ra_hits
   end
 
@@ -349,14 +347,14 @@ let page_action t sh action p =
   match action with
   | Resident -> sh.pol.pol_mem p
   | Mark_dirty ->
-      if sh.pol.pol_mem p then Hashtbl.replace sh.dirty p ();
+      if sh.pol.pol_mem p then Itbl.replace sh.dirty p ();
       true
   | Admit_clean | Admit_dirty | Serve ->
       ignore (sh.pol.pol_touch p);
       consume_prefetched t sh ~demand_read:(action = Serve) p;
       (match action with
-      | Admit_dirty -> Hashtbl.replace sh.dirty p ()
-      | Admit_clean -> Hashtbl.remove sh.dirty p
+      | Admit_dirty -> Itbl.replace sh.dirty p ()
+      | Admit_clean -> Itbl.remove sh.dirty p
       | _ -> ());
       note_evictions t sh;
       true
@@ -418,11 +416,11 @@ let stream_of t req =
   let key =
     match req.Request.hint_stream with Some s -> s | None -> req.Request.pid
   in
-  match Hashtbl.find t.streams key with
+  match Itbl.find t.streams key with
   | s -> s
   | exception Not_found ->
       let s = { next_page = Stdlib.min_int; window = 0 } in
-      Hashtbl.replace t.streams key s;
+      Itbl.replace t.streams key s;
       s
 
 (* A fill's completion: admit each page clean on success, or drop it
@@ -437,15 +435,15 @@ let fill_arrived t ctx ~template ~start ~len r =
       enter t ctx sh;
       t.burst.(0) <- (costs ctx).Costs.cache_insert_ns;
       charge t ctx;
-      if not (sh.pol.pol_touch p) then Hashtbl.replace sh.prefetched p ();
+      if not (sh.pol.pol_touch p) then Itbl.replace sh.prefetched p ();
       note_evictions t sh;
       leave sh;
       maybe_flush t ctx sh ~template
     end
     else Metrics.incr t.ra_wasted;
-    match Hashtbl.find t.ra_inflight p with
+    match Itbl.find t.ra_inflight p with
     | wq ->
-        Hashtbl.remove t.ra_inflight p;
+        Itbl.remove t.ra_inflight p;
         ignore (Waitq.wake_all wq);
         t.ra_free <- wq :: t.ra_free
     | exception Not_found -> ()
@@ -453,7 +451,7 @@ let fill_arrived t ctx ~template ~start ~len r =
 
 let resident t p = (shard_of t p).pol.pol_mem p
 
-let ra_candidate t p = (not (Hashtbl.mem t.ra_inflight p)) && not (resident t p)
+let ra_candidate t p = (not (Itbl.mem t.ra_inflight p)) && not (resident t p)
 
 (* Issue prefetch reads for [start .. start+count-1], skipping resident
    and already-in-flight pages, merged into contiguous runs of at most
@@ -473,7 +471,7 @@ let issue_readahead t ctx ~template ~start ~count =
               wq
           | [] -> Waitq.create ()
         in
-        Hashtbl.replace t.ra_inflight !p wq;
+        Itbl.replace t.ra_inflight !p wq;
         incr p
       done;
       let len = !p - s in
@@ -521,7 +519,7 @@ let ride_fills t ~first ~last =
   while !riding && !p <= last do
     if not (resident t !p) then begin
       incr missing;
-      riding := Hashtbl.mem t.ra_inflight !p
+      riding := Itbl.mem t.ra_inflight !p
     end;
     incr p
   done;
@@ -535,7 +533,7 @@ let ride_fills t ~first ~last =
        done;
        for p = first to last do
          if Bytes.get waited (p - first) = '\001' then
-           match Hashtbl.find t.ra_inflight p with
+           match Itbl.find t.ra_inflight p with
            | wq -> Waitq.park wq
            | exception Not_found -> ()
        done;
@@ -671,7 +669,7 @@ let live_pages t =
 let dirty_resident t =
   List.sort compare
     (Array.fold_left
-       (fun acc sh -> Hashtbl.fold (fun p () l -> p :: l) sh.dirty acc)
+       (fun acc sh -> Itbl.fold (fun p () l -> p :: l) sh.dirty acc)
        [] t.shards)
 
 let dirty_backlog t =

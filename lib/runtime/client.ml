@@ -3,7 +3,6 @@ open Lab_ipc
 open Lab_core
 module Metrics = Lab_obs.Metrics
 module Trace = Lab_obs.Trace
-module Itbl = Hashtbl.Make (Int)
 
 exception Runtime_gone
 
@@ -42,7 +41,7 @@ type t = {
   uid : int;
   c_thread : int;
   qp_of_stack : Request.t Qp.t Itbl.t;  (* stack id -> its queue pair *)
-  fd_table : (int, string * int) Hashtbl.t;  (* fd -> (path, stack id) *)
+  fd_table : (string * int) Itbl.t;  (* fd -> (path, stack id) *)
   mutable next_fd : int;
   mutable epoch : int;
   recovery_timeout_ns : float;
@@ -97,7 +96,7 @@ let pid t = t.c_pid
 
 let thread t = t.c_thread
 
-let open_fd_count t = Hashtbl.length t.fd_table
+let open_fd_count t = Itbl.length t.fd_table
 
 let machine t = Runtime.machine t.runtime
 
@@ -125,8 +124,8 @@ let connect runtime ~pid ~uid ~thread ?(recovery_timeout_ns = 1e10)
     c_pid = pid;
     uid;
     c_thread = thread;
-    qp_of_stack = Itbl.create 8;
-    fd_table = Hashtbl.create 64;
+    qp_of_stack = Itbl.create 1;
+    fd_table = Itbl.create 32;
     next_fd = 3;
     epoch = Module_manager.epoch (Runtime.module_manager runtime);
     recovery_timeout_ns;
@@ -592,9 +591,9 @@ let resolve t target =
   | None -> Error (Printf.sprintf "no LabStack mounted for %S" target)
 
 let lookup_fd t fd =
-  match Hashtbl.find_opt t.fd_table fd with
-  | Some entry -> Ok entry
-  | None -> Error (Printf.sprintf "bad file descriptor %d" fd)
+  match Itbl.find t.fd_table fd with
+  | entry -> Ok entry
+  | exception Not_found -> Error (Printf.sprintf "bad file descriptor %d" fd)
 
 let stack_of_id t sid =
   match Namespace.stack_by_id (Runtime.namespace t.runtime) sid with
@@ -619,7 +618,7 @@ let open_file t ?(create = false) path =
   let* () = as_unit (do_request t stack (Request.Posix (Request.Open { path; create }))) in
   let fd = t.next_fd in
   t.next_fd <- fd + 1;
-  Hashtbl.replace t.fd_table fd (path, stack.Stack.id);
+  Itbl.replace t.fd_table fd (path, stack.Stack.id);
   Ok fd
 
 (* GenericFS owns file-descriptor state, so close is a client-local
@@ -627,7 +626,7 @@ let open_file t ?(create = false) path =
 let close t fd =
   charge_hash t;
   let* _entry = lookup_fd t fd in
-  Hashtbl.remove t.fd_table fd;
+  Itbl.remove t.fd_table fd;
   Ok ()
 
 let pwrite t ~fd ~off ~bytes =
@@ -742,6 +741,6 @@ let fork t ~new_pid ~new_thread =
   t.fl.(0) <-
     (costs t).Costs.shmem_enqueue_ns +. (costs t).Costs.shmem_cross_core_ns;
   charge t;
-  Hashtbl.iter (fun fd entry -> Hashtbl.replace child.fd_table fd entry) t.fd_table;
+  Itbl.fold (fun fd entry () -> Itbl.replace child.fd_table fd entry) t.fd_table ();
   child.next_fd <- t.next_fd;
   child

@@ -5,9 +5,10 @@ open Lab_core
    reused after: the uuid of every vertex reachable from the entry
    (vertex 0), each vertex's successors as vertex indices, and each
    vertex's module context with [forward] and [forward_async] built
-   once. A hop then allocates nothing. Instances are still looked up by
-   uuid on every hop, so a [Registry.replace] (live upgrade, a
-   recording wrapper) takes effect on the next request. *)
+   once. A hop then allocates nothing. Each vertex's instance is read
+   from [mods], which is re-read from the registry on the first hop
+   after the registry's generation moves, so a [Registry.replace] (live
+   upgrade, a recording wrapper) takes effect on the next hop. *)
 type binding = {
   stack : Stack.t;
   machine : Machine.t;
@@ -15,6 +16,8 @@ type binding = {
   registry : Registry.t;
   uuids : string array;
   mutable ctxs : Labmod.ctx array;
+  mutable mods : Labmod.t option array;  (* [None]: no instance *)
+  mutable gen : int;  (* the registry generation [mods] was read at *)
 }
 
 type Registry.binding += Bound of binding
@@ -31,12 +34,16 @@ let mod_span (r : Request.t) ~name ~uuid ~thread ~t0 ~t1 =
         ~args:[ ("uuid", uuid) ]
   | None -> ()
 
+let refresh_mods b =
+  b.mods <- Array.map (Registry.find b.registry) b.uuids;
+  b.gen <- Registry.generation b.registry
+
 let rec run_vertex b i req =
+  if b.gen <> Registry.generation b.registry then refresh_mods b;
   let uuid = b.uuids.(i) in
-  match Registry.find_exn b.registry uuid with
-  | exception Not_found ->
-      Request.Failed (Printf.sprintf "no LabMod instance %S" uuid)
-  | m -> (
+  match b.mods.(i) with
+  | None -> Request.Failed (Printf.sprintf "no LabMod instance %S" uuid)
+  | Some m -> (
       req.Request.hop <- uuid;
       let ctx = b.ctxs.(i) in
       (* Read the clock only for a traced request: [Engine.now] returns
@@ -86,7 +93,9 @@ let resolve stack =
 
 let make_binding machine registry stack thread =
   let uuids, succ = resolve stack in
-  let b = { stack; machine; thread; registry; uuids; ctxs = [||] } in
+  let b =
+    { stack; machine; thread; registry; uuids; ctxs = [||]; mods = [||]; gen = -1 }
+  in
   let ctx nexts =
     {
       Labmod.machine;

@@ -19,7 +19,8 @@ val run :
   Lab_core.Request.result
 (** Executes the entry LabMod; each mod's [forward] continues to its
     DAG successors (sequentially, last result wins). Instances are
-    looked up by UUID on every hop, so a {!Lab_core.Registry.replace}
-    applies from the next hop on. A vertex whose instance is missing
-    from the registry fails the request. Must run inside a simulated
-    process. *)
+    read from the binding's cache, which is re-read whenever the
+    {!Lab_core.Registry.generation} has moved, so a
+    {!Lab_core.Registry.replace} applies from the next hop on. A vertex
+    whose instance is missing from the registry fails the request.
+    Must run inside a simulated process. *)

@@ -70,6 +70,10 @@ let default_config =
    mutable float field in a mixed record would box on every store. *)
 type qstat = { qs : float array; mutable last_total : int }
 
+(* A stack's instances in DAG order, vertices with no instance left
+   out, as of registry generation [e_gen]. *)
+type est_mods = { e_stack : Stack.t; e_gen : int; e_mods : Labmod.t array }
+
 let ewma = 0
 
 let arrivals = 1
@@ -82,7 +86,8 @@ type t = {
   mm : Module_manager.t;
   pool : Worker.t array;
   cfg : config;
-  qstats : (int, qstat) Hashtbl.t;
+  qstats : qstat Itbl.t;
+  est_mods : est_mods Itbl.t;  (* stack id -> its instances *)
   est : float array;  (* [0]: the sum [estimate_into] leaves *)
   mutable req_counter : int;
   admin_thread : int;
@@ -167,11 +172,11 @@ let exec_request t ~thread req =
       Request.Failed (Printf.sprintf "unknown stack id %d" req.Request.stack_id)
 
 let qstat_of t qp_id =
-  match Hashtbl.find t.qstats qp_id with
+  match Itbl.find t.qstats qp_id with
   | s -> s
   | exception Not_found ->
       let s = { qs = [| 2000.0; 0.0 |]; last_total = 0 } in
-      Hashtbl.replace t.qstats qp_id s;
+      Itbl.replace t.qstats qp_id s;
       s
 
 (* The service time is [cells.(i)]: a float argument would be boxed. *)
@@ -180,26 +185,41 @@ let note_service t ~qp_id cells i =
   s.qs.(ewma) <- (0.8 *. s.qs.(ewma)) +. (0.2 *. cells.(i));
   Lab_obs.Hist.observe_cell t.service_hist cells i
 
+let read_est_mods t (stack : Stack.t) =
+  let mods =
+    List.filter_map
+      (fun (v : Stack_spec.vertex) -> Registry.find t.reg v.Stack_spec.uuid)
+      stack.Stack.spec.Stack_spec.dag
+  in
+  let e =
+    { e_stack = stack; e_gen = Registry.generation t.reg; e_mods = Array.of_list mods }
+  in
+  Itbl.replace t.est_mods stack.Stack.id e;
+  e.e_mods
+
+(* Cached per stack, and read again when the stack record or the
+   registry generation has changed. *)
+let est_mods_of t (stack : Stack.t) =
+  match Itbl.find t.est_mods stack.Stack.id with
+  | e when e.e_stack == stack && e.e_gen = Registry.generation t.reg -> e.e_mods
+  | _ -> read_est_mods t stack
+  | exception Not_found -> read_est_mods t stack
+
 (* EstProcessingTime over a stack: every LabMod on it asked in DAG
    order and summed left to right, so the sum is bit-identical to a
    fold over [Stack.mods]; a vertex with no instance is skipped, as
-   there. A top-level walk with the sum in a float cell: no closure, no
-   option, no boxed accumulator. *)
-let rec est_walk reg acc req = function
-  | [] -> ()
-  | (v : Stack_spec.vertex) :: rest ->
-      (match Registry.find_exn reg v.Stack_spec.uuid with
-      | m ->
-          acc.(0) <- acc.(0) +. m.Labmod.ops.Labmod.est_processing_time m req
-      | exception Not_found -> ());
-      est_walk reg acc req rest
-
-(* Leaves the estimate for [req]'s stack in [t.est.(0)]; 0 when the
-   stack is gone. *)
+   there. The sum stays in a float cell: no closure, no boxed
+   accumulator. Leaves the estimate for [req]'s stack in [t.est.(0)];
+   0 when the stack is gone. *)
 let estimate_into t req =
   t.est.(0) <- 0.0;
   match Namespace.stack_by_id t.ns req.Request.stack_id with
-  | stack -> est_walk t.reg t.est req stack.Stack.spec.Stack_spec.dag
+  | stack ->
+      let mods = est_mods_of t stack in
+      for i = 0 to Array.length mods - 1 do
+        let m = mods.(i) in
+        t.est.(0) <- t.est.(0) +. m.Labmod.ops.Labmod.est_processing_time m req
+      done
   | exception Not_found -> ()
 
 (* Dispatch-time estimate: raises the queue's expected service time
@@ -315,7 +335,8 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
              ~load_code:(make_load_code machine default);
          pool;
          cfg = config;
-         qstats = Hashtbl.create 64;
+         qstats = Itbl.create 16;
+         est_mods = Itbl.create 1;
          est = [| 0.0 |];
          req_counter = 0;
          admin_thread = admin_thread_id;

@@ -17,7 +17,7 @@ type core = {
   fl : float array;
 }
 
-type t = { costs : Costs.t; cores : core array; affinity : (thread_id, int) Hashtbl.t }
+type t = { costs : Costs.t; cores : core array; affinity : int Itbl.t }
 
 let create ?(costs = Costs.default) ~ncores () =
   if ncores <= 0 then invalid_arg "Cpu.create: ncores must be positive";
@@ -29,17 +29,17 @@ let create ?(costs = Costs.default) ~ncores () =
       fl = [| 0.0; 0.0; 0.0 |];
     }
   in
-  { costs; cores = Array.init ncores make_core; affinity = Hashtbl.create 64 }
+  { costs; cores = Array.init ncores make_core; affinity = Itbl.create 32 }
 
 let ncores t = Array.length t.cores
 
 let pin t ~thread ~core =
   if core < 0 || core >= Array.length t.cores then invalid_arg "Cpu.pin: bad core";
-  Hashtbl.replace t.affinity thread core
+  Itbl.replace t.affinity thread core
 
-(* [Hashtbl.find] rather than [find_opt]: no [Some] per lookup. *)
+(* [find] rather than an option: no [Some] per lookup. *)
 let core_of t thread =
-  match Hashtbl.find t.affinity thread with
+  match Itbl.find t.affinity thread with
   | c -> c
   | exception Not_found -> thread mod Array.length t.cores
 

@@ -1,9 +1,15 @@
 (** LRU map from int keys (page indices) with O(1) lookup, insert, and
     eviction. Used by the kernel page cache and the cache LabMods.
 
-    Nodes are linked through a sentinel, so a promotion or an unlink
-    allocates nothing: {!touch} and {!mem} never allocate, and {!put}
-    allocates only the node and table binding of a new key. *)
+    Entries live in flat int arrays of slots (key, and the recency
+    links through a sentinel slot), found by an open-addressed index
+    with an inline hash. No call allocates except: {!find}, {!remove},
+    {!lru} and {!put} allocate the option (and pair) they return; the
+    slot arrays double when a new key finds every slot in use (a
+    bounded LRU stops at its capacity); and values are stored once per
+    slot only after two physically different ones were put, so a
+    [unit] LRU never holds a value array. {!touch}, {!mem} and an
+    evicting {!put_evict} allocate nothing. *)
 
 type 'v t
 
@@ -17,7 +23,7 @@ val mem : 'v t -> int -> bool
 
 val touch : 'v t -> int -> bool
 (** Promotes the entry to most-recently-used if present; true when it
-    was. One table lookup. *)
+    was. One index lookup. *)
 
 val find : 'v t -> int -> 'v option
 (** Promotes the entry to most-recently-used. *)
@@ -25,6 +31,10 @@ val find : 'v t -> int -> 'v option
 val put : 'v t -> int -> 'v -> (int * 'v) option
 (** Inserts or updates (promoting). Returns the evicted LRU entry when
     the capacity was exceeded. *)
+
+val put_evict : 'v t -> int -> 'v -> int
+(** {!put} that returns only the evicted key, or -1 when nothing was
+    evicted (keys are page indices, so never -1). *)
 
 val remove : 'v t -> int -> 'v option
 

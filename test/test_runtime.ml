@@ -819,6 +819,85 @@ let test_exec_sees_replaced_instance () =
   Alcotest.(check (list string)) "new instance runs" [ "v1:e"; "v2:a" ]
     (walk stack)
 
+(* A removed instance fails the next hop of a bound stack, naming the
+   vertex, after the hops before it ran. *)
+let test_exec_fails_removed_instance () =
+  let m = Machine.create ~ncores:1 () in
+  let registry = Registry.create () in
+  let log = ref [] in
+  Registry.register_factory registry ~name:"tap"
+    (tap (fun tag uuid -> log := (tag ^ ":" ^ uuid) :: !log));
+  let stack =
+    ok
+      (Stack.instantiate registry
+         (tap_spec ~mount:"ctl::/rm" [ ("e", [ "a" ]); ("a", []) ])
+         ~id:0)
+  in
+  let walk () =
+    log := [];
+    let result = ref Request.Done in
+    Machine.spawn m (fun () ->
+        result := Exec.run m ~registry ~stack ~thread:0 (control_req ()));
+    Machine.run m;
+    (List.rev !log, Format.asprintf "%a" Request.pp_result !result)
+  in
+  let before = walk () in
+  Registry.remove registry "a";
+  let after = walk () in
+  Alcotest.(check (pair (list string) string)) "bound walk"
+    ([ "v1:e"; "v1:a" ], Format.asprintf "%a" Request.pp_result Request.Done)
+    before;
+  Alcotest.(check (pair (list string) string)) "the next hop fails"
+    ( [ "v1:e" ],
+      Format.asprintf "%a" Request.pp_result
+        (Request.Failed "no LabMod instance \"a\"") )
+    after
+
+(* A request parked inside a bound stack sees a replacement made while
+   it waits: its next hop runs the new instance. *)
+let test_exec_replace_while_parked () =
+  let m = Machine.create ~ncores:1 () in
+  let registry = Registry.create () in
+  let log = ref [] in
+  let note tag uuid = log := (tag ^ ":" ^ uuid) :: !log in
+  let parking ~uuid ~attrs:_ =
+    Labmod.make ~name:"park" ~uuid ~mod_type:Labmod.Control
+      {
+        Labmod.operate =
+          (fun _ ctx req ->
+            note "v1" uuid;
+            Engine.wait 10.0;
+            ctx.Labmod.forward req);
+        est_processing_time = Labmod.default_est;
+        state_update = Fun.id;
+        state_repair = ignore;
+      }
+  in
+  Registry.register_factory registry ~name:"tap" (tap note);
+  Registry.register_factory registry ~name:"park" parking;
+  let spec = tap_spec ~mount:"ctl::/park" [ ("e", [ "a" ]); ("a", []) ] in
+  let park_entry (v : Stack_spec.vertex) =
+    if v.Stack_spec.uuid = "e" then { v with Stack_spec.mod_name = "park" } else v
+  in
+  let spec = { spec with Stack_spec.dag = List.map park_entry spec.Stack_spec.dag } in
+  let stack = ok (Stack.instantiate registry spec ~id:0) in
+  let walk ?replace_at () =
+    log := [];
+    Machine.spawn m (fun () ->
+        ignore (Exec.run m ~registry ~stack ~thread:0 (control_req ())));
+    Option.iter
+      (fun t ->
+        Machine.spawn m (fun () ->
+            Engine.wait t;
+            Registry.replace registry (tap ~tag:"v2" note ~uuid:"a" ~attrs:[])))
+      replace_at;
+    Machine.run m;
+    List.rev !log
+  in
+  Alcotest.(check (list string)) "bound" [ "v1:e"; "v1:a" ] (walk ());
+  Alcotest.(check (list string)) "replaced while parked" [ "v1:e"; "v2:a" ]
+    (walk ~replace_at:5.0 ())
+
 (* Bindings belong to their platform. Two platforms booted from the
    same seed run the same workload, in the client thread (sync mode),
    in alternating rounds: their warm rounds cost the same minor words,
@@ -941,6 +1020,10 @@ let () =
             test_exec_rebinds_modified_stack;
           Alcotest.test_case "replaced instance runs next" `Quick
             test_exec_sees_replaced_instance;
+          Alcotest.test_case "removed instance fails the next hop" `Quick
+            test_exec_fails_removed_instance;
+          Alcotest.test_case "replace seen by a parked request" `Quick
+            test_exec_replace_while_parked;
           Alcotest.test_case "bindings per platform" `Quick
             test_exec_bindings_per_platform;
         ] );

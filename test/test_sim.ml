@@ -1563,6 +1563,190 @@ let test_rng_zipf_skew () =
   done;
   Alcotest.(check bool) "rank 0 most popular" true (hits.(0) > hits.(9))
 
+(* ------------------------------------------------------------------ *)
+(* Lru and Itbl                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Random operation sequences against an association list, most recent
+   first. Keys are [i * stride] for a small [i]; at stride 4096 they
+   share low bits, so with the small index of a small LRU their probe
+   runs collide and removals and evictions shift entries back. Values
+   repeat, so a run puts both equal and different values. *)
+type lru_op =
+  | Put of int * int
+  | Put_evict of int * int
+  | Touch of int
+  | Mem of int
+  | Find of int
+  | Remove of int
+  | Lru_of
+
+let show_lru_op = function
+  | Put (k, v) -> Printf.sprintf "put %d %d" k v
+  | Put_evict (k, v) -> Printf.sprintf "put_evict %d %d" k v
+  | Touch k -> Printf.sprintf "touch %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Lru_of -> "lru"
+
+type lru_case = { cap : int option; stride : int; ops : lru_op list }
+
+let gen_lru_case =
+  let open QCheck.Gen in
+  let* cap = frequency [ (4, map Option.some (int_range 1 64)); (1, return None) ] in
+  let* stride = oneofl [ 1; 4096 ] in
+  let* nkeys = int_range 1 80 in
+  let key = map (fun i -> i * stride) (int_range 0 (nkeys - 1)) in
+  let value = int_range 0 3 in
+  let op =
+    frequency
+      [
+        (3, map2 (fun k v -> Put (k, v)) key value);
+        (3, map2 (fun k v -> Put_evict (k, v)) key value);
+        (2, map (fun k -> Touch k) key);
+        (1, map (fun k -> Mem k) key);
+        (2, map (fun k -> Find k) key);
+        (2, map (fun k -> Remove k) key);
+        (1, return Lru_of);
+      ]
+  in
+  let+ ops = list_size (int_range 1 300) op in
+  { cap; stride; ops }
+
+let show_lru_case c =
+  Printf.sprintf "cap %s, stride %d: %s"
+    (match c.cap with Some n -> string_of_int n | None -> "unbounded")
+    c.stride
+    (String.concat "; " (List.map show_lru_op c.ops))
+
+(* The same sequence on an LRU of [v] values, [v] built from the int. *)
+let lru_agrees (type v) (of_int : int -> v) c =
+  let l : v Lru.t = Lru.create ?capacity:c.cap () in
+  let cap = Option.value c.cap ~default:max_int in
+  let model : (int * v) list ref = ref [] in
+  let promote k v = model := (k, v) :: List.remove_assoc k !model in
+  let last () = match List.rev !model with [] -> None | kv :: _ -> Some kv in
+  (* The model of a put: the entry it evicts, if any. *)
+  let put k v =
+    let fresh = not (List.mem_assoc k !model) in
+    promote k v;
+    if fresh && List.length !model > cap then begin
+      let victim = last () in
+      model := List.filteri (fun i _ -> i < cap) !model;
+      victim
+    end
+    else None
+  in
+  List.for_all
+    (fun op ->
+      let agrees =
+        match op with
+        | Put (k, v) ->
+            let v = of_int v in
+            Lru.put l k v = put k v
+        | Put_evict (k, v) ->
+            let v = of_int v in
+            Lru.put_evict l k v = (match put k v with Some (e, _) -> e | None -> -1)
+        | Touch k ->
+            let expect = List.assoc_opt k !model in
+            Option.iter (promote k) expect;
+            Lru.touch l k = (expect <> None)
+        | Mem k -> Lru.mem l k = List.mem_assoc k !model
+        | Find k ->
+            let expect = List.assoc_opt k !model in
+            Option.iter (promote k) expect;
+            Lru.find l k = expect
+        | Remove k ->
+            let expect = List.assoc_opt k !model in
+            model := List.remove_assoc k !model;
+            Lru.remove l k = expect
+        | Lru_of -> Lru.lru l = last ()
+      in
+      agrees
+      && List.rev (Lru.fold (fun k v acc -> (k, v) :: acc) l []) = !model
+      && Lru.length l = List.length !model)
+    c.ops
+
+(* Int values, and float values (a flat float array once stored). *)
+let prop_lru_matches_model =
+  QCheck.Test.make ~name:"Lru matches an association-list model" ~count:500
+    (QCheck.make ~print:show_lru_case gen_lru_case)
+    (fun c -> lru_agrees Fun.id c && lru_agrees Stdlib.float_of_int c)
+
+(* At capacity, a put of a new key reuses the evicted entry's slot and
+   index bucket: no word allocated. Native only. *)
+let test_lru_evicting_put_allocates_nothing () =
+  let l = Lru.create ~capacity:64 () in
+  for k = 0 to 63 do
+    ignore (Lru.put_evict l (k * 4096) k)
+  done;
+  let evicted = ref 0 in
+  let w0 = Gc.minor_words () in
+  for k = 64 to 10_063 do
+    if Lru.put_evict l (k * 4096) k = (k - 64) * 4096 then incr evicted
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "each put evicts the oldest key" 10_000 !evicted;
+  match Sys.backend_type with
+  | Sys.Native ->
+      Alcotest.(check (float 0.0)) "words allocated by 10k evicting puts" 0.0 words
+  | Sys.Bytecode | Sys.Other _ -> ()
+
+type itbl_op = Replace of int * int | Remove_key of int | Find_key of int
+
+let show_itbl_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove_key k -> Printf.sprintf "remove %d" k
+  | Find_key k -> Printf.sprintf "find %d" k
+
+(* Replace, remove and lookups against an association list, keys at
+   stride 1 or 4096 (negative ones too); after each step every key
+   agrees on [mem] and [find], and [fold] sees exactly the bindings. *)
+let prop_itbl_matches_model =
+  let gen =
+    let open QCheck.Gen in
+    let* stride = oneofl [ 1; 4096; -4096 ] in
+    let key = map (fun i -> i * stride) (int_range 0 40) in
+    let op =
+      frequency
+        [
+          (3, map2 (fun k v -> Replace (k, v)) key small_nat);
+          (2, map (fun k -> Remove_key k) key);
+          (1, map (fun k -> Find_key k) key);
+        ]
+    in
+    pair (return stride) (list_size (int_range 1 200) op)
+  in
+  QCheck.Test.make ~name:"Itbl matches an association-list model" ~count:300
+    (QCheck.make
+       ~print:(fun (_, ops) -> String.concat "; " (List.map show_itbl_op ops))
+       gen)
+    (fun (stride, ops) ->
+      let t = Itbl.create 1 in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (k, v) ->
+              Itbl.replace t k v;
+              model := (k, v) :: List.remove_assoc k !model
+          | Remove_key k ->
+              Itbl.remove t k;
+              model := List.remove_assoc k !model
+          | Find_key _ -> ());
+          List.for_all
+            (fun i ->
+              let k = i * stride in
+              let expect = List.assoc_opt k !model in
+              Itbl.mem t k = (expect <> None)
+              && (match Itbl.find t k with v -> Some v | exception Not_found -> None)
+                 = expect)
+            (List.init 41 Fun.id)
+          && List.sort compare (Itbl.fold (fun k v acc -> (k, v) :: acc) t [])
+             = List.sort compare !model)
+        ops)
+
 let () =
   let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests) in
   Alcotest.run "lab_sim"
@@ -1639,6 +1823,13 @@ let () =
             test_cpu_compute_cell_matches;
         ] );
       ("bitset", [ Alcotest.test_case "is_empty" `Quick test_bitset_is_empty ]);
+      ( "lru",
+        [
+          QCheck_alcotest.to_alcotest prop_lru_matches_model;
+          Alcotest.test_case "evicting put allocates nothing" `Quick
+            test_lru_evicting_put_allocates_nothing;
+        ] );
+      ("itbl", [ QCheck_alcotest.to_alcotest prop_itbl_matches_model ]);
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
