@@ -37,6 +37,12 @@
              noop_sched -> kernel_driver), every read a warm cache hit.
              Reports steady-state minor words per request; gated
              two words above its measured 43.59 ([request_budget]).
+   - fd-read: the same path through the POSIX fd ops: one client
+             reading 4 KiB of an open file back to back with
+             [Client.pread] (labfs -> lru_cache -> noop_sched ->
+             kernel_driver), every read a warm cache hit. Gated two
+             words above its measured value ([fd_read_budget]); not
+             printed, only claimed and written to the JSON.
    - batching: one point of the exp_batching sweep, as a whole-stack
              events fingerprint.
    - evq:    the timer scenario's pushes and pops replayed on a bare
@@ -304,6 +310,43 @@ let run_request ~warmup ~total =
       done;
       (Gc.minor_words () -. w0) /. Stdlib.float_of_int total)
 
+(* Words per read on [run_fd_read], two above the measured 73.70. *)
+let fd_read_budget = 75.7
+
+(* POSIX fd path: one client, one worker, an open file whose only 4 KiB
+   block the cache holds once the first write lands, so each measured
+   pread is a cache hit. *)
+let run_fd_read ~warmup ~total =
+  let open Labstor in
+  let p = Platform.boot ~nworkers:1 () in
+  ignore
+    (Platform.mount_exn p
+       "mount: \"fs::/sim\"\n\
+        rules:\n  exec_mode: async\n\
+        dag:\n\
+       \  - uuid: fd-fs\n    mod: labfs\n    outputs: [fd-cache]\n\
+       \  - uuid: fd-cache\n    mod: lru_cache\n\
+       \    attrs:\n      capacity_mb: 4\n    outputs: [fd-sched]\n\
+       \  - uuid: fd-sched\n    mod: noop_sched\n    outputs: [fd-drv]\n\
+       \  - uuid: fd-drv\n    mod: kernel_driver\n");
+  Platform.go p (fun () ->
+      let c = Platform.client p ~thread:0 () in
+      let check = function Ok _ -> () | Error e -> failwith ("sim fd read: " ^ e) in
+      let fd =
+        match Lab_runtime.Client.open_file c ~create:true "fs::/sim/f" with
+        | Ok fd -> fd
+        | Error e -> failwith ("sim fd read: " ^ e)
+      in
+      check (Lab_runtime.Client.pwrite c ~fd ~off:0 ~bytes:4096);
+      for _ = 1 to warmup do
+        check (Lab_runtime.Client.pread c ~fd ~off:0 ~bytes:4096)
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to total do
+        check (Lab_runtime.Client.pread c ~fd ~off:0 ~bytes:4096)
+      done;
+      (Gc.minor_words () -. w0) /. Stdlib.float_of_int total)
+
 (* Queue footprint: replay [run_timer]'s exact push/pop sequence (same
    seqs, same times) on a bare queue and count the words it retains.
    [Engine] keeps its queue private, hence the replay. *)
@@ -397,6 +440,7 @@ let run () =
       "request"; "-"; Printf.sprintf "%.2f" r_words;
       "words/request (4 KiB cache-hit read_block)";
     ];
+  let f_words = run_fd_read ~warmup:2_000 ~total:10_000 in
   let b = Exp_batching.run_case ~seed:0xBA7C4 ~qd:64 ~batch:16
       ~total_ops:batch_ops in
   Bench_util.print_row widths
@@ -431,6 +475,10 @@ let run () =
     (Bench_util.words_ok (r_words <= request_budget))
     "request path at %.2f minor words per 4 KiB cache-hit read (budget %.2f)"
     r_words request_budget;
+  Bench_util.claim "sim.fd_read_words"
+    (Bench_util.words_ok (f_words <= fd_read_budget))
+    "fd path at %.2f minor words per 4 KiB cache-hit pread (budget %.2f)"
+    f_words fd_read_budget;
   Bench_util.claim "sim.evq_footprint" (q_words <= 2 * q_fresh)
     "evq holds %d words after the timer scenario (budget 2x fresh = %d)"
     q_words (2 * q_fresh);
@@ -474,12 +522,13 @@ let run () =
     \  \"exec_words_per_hop\": %.4f,\n\
     \  \"exec_words_per_call\": %.4f,\n\
     \  \"request_words_per_op\": %.2f,\n\
+    \  \"fd_read_words_per_op\": %.2f,\n\
     \  \"batching_events\": %d,\n\
     \  \"evq_words\": %d,\n\
     \  \"deterministic\": %b\n\
      }\n"
     loops t_events t_wpe alloc_ok w_events w_wpe i_events
-    i_wpe i_elided c_words d_4k d_1m de_4k de_1m x_hop x_call r_words b.Exp_batching.events q_words
+    i_wpe i_elided c_words d_4k d_1m de_4k de_1m x_hop x_call r_words f_words b.Exp_batching.events q_words
     (t_events = t_events' && t_now = t_now');
   close_out oc;
   Bench_util.note "wrote BENCH_sim.json"

@@ -75,7 +75,7 @@ type t = {
   mutable commits : int;
   mutable next_lba : int;
   mutable next_file_id : int;
-  page_owner : (int, file) Hashtbl.t;  (* cache key -> file, for fsync *)
+  page_owner : file Itbl.t;  (* cache key -> file, for fsync *)
   (* Write-back of evicted dirty pages is fire and forget: a pooled
      waiter's notify ends the in-flight accounting and frees it. *)
   wb_waiters : Device.waiter_pool;
@@ -105,7 +105,7 @@ let create_fs machine blk ~flavor =
     commits = 0;
     next_lba = 1 lsl 20;  (* leave room for the journal region *)
     next_file_id = 0;
-    page_owner = Hashtbl.create 4096;
+    page_owner = Itbl.create 4096;
     wb_waiters;
     wb_notify =
       (fun w ->
@@ -264,17 +264,17 @@ let cache_key file page = (file.id * max_pages_per_file) + page
 let writeback_evicted t ~thread page =
   match (page : Page_cache.page option) with
   | Some p when p.Page_cache.dirty -> (
-      match Hashtbl.find_opt t.page_owner p.Page_cache.page_index with
-      | Some owner ->
+      match Itbl.find t.page_owner p.Page_cache.page_index with
+      | owner ->
           let page_no = p.Page_cache.page_index mod max_pages_per_file in
           let lba = lba_of_page t ~thread owner page_no in
           let w = Device.take_waiter t.wb_waiters in
           Device.set_notify w t.wb_notify;
           Blk.submit_io_to_hctx t.blk ~thread ~hctx:(thread land 15)
             ~kind:Device.Write ~lba ~bytes:(page_size t) w;
-          Hashtbl.remove t.page_owner p.Page_cache.page_index
-      | None -> ())
-  | Some p -> Hashtbl.remove t.page_owner p.Page_cache.page_index
+          Itbl.remove t.page_owner p.Page_cache.page_index
+      | exception Not_found -> ())
+  | Some p -> Itbl.remove t.page_owner p.Page_cache.page_index
   | None -> ()
 
 let write t ~thread path ~off ~bytes ~direct =
@@ -292,7 +292,7 @@ let write t ~thread path ~off ~bytes ~direct =
     for page = first to last do
       let key = cache_key f page in
       let evicted = Page_cache.write t.cache ~thread ~page_index:key in
-      Hashtbl.replace t.page_owner key f;
+      Itbl.replace t.page_owner key f;
       writeback_evicted t ~thread evicted
     done
   end;
@@ -320,7 +320,7 @@ let read t ~thread path ~off ~bytes ~direct =
             Blk.submit_bio_wait t.blk ~thread ~kind:Device.Read ~lba ~bytes:ps
               ~polled:false;
             let evicted = Page_cache.insert_clean t.cache ~thread ~page_index:key in
-            Hashtbl.replace t.page_owner key f;
+            Itbl.replace t.page_owner key f;
             writeback_evicted t ~thread evicted
           end
         done

@@ -44,10 +44,12 @@ type member = {
    appends and closing unlinks in O(1) — the old [batch list ref] per
    queue cost O(n) to append and O(n) to filter out, O(n^2) across a
    burst of concurrent leaders. [bt_q] is the batch's hardware queue,
-   so the merge scan can return the batch alone. *)
+   so the merge scan can return the batch alone. A closed batch goes
+   back onto the module's free list (singly linked through [bt_next]
+   behind the [spare] sentinel) and the next leader reuses it. *)
 type batch = {
-  bt_q : int;
-  bt_kind : Request.io_kind;
+  mutable bt_q : int;
+  mutable bt_kind : Request.io_kind;
   mutable bt_end_lba : int;
   mutable bt_bytes : int;
   mutable bt_members : member list;
@@ -90,6 +92,9 @@ type Labmod.state +=
           (** per hardware queue, the sentinel of the ring of batches
               currently holding their merge window open — concurrent
               contiguous runs each plug independently *)
+      spare : batch;
+          (** sentinel of the free list of closed batches, threaded
+              through [bt_next]; [spare.bt_next == spare] when empty *)
       qos : Tenant.t option;
           (** multi-tenant DRR dispatch stage; [None] = QoS off, the
               classic path untouched *)
@@ -120,26 +125,58 @@ let member_result merged_result ~off ~bytes =
       | Some persisted when off + bytes <= persisted -> Request.Size bytes
       | Some _ | None -> r)
 
-(* Leader path: open a batch on queue [q], sleep through the merge
-   window, then forward one op covering everyone who joined and fan the
-   outcome back out. With no followers this degenerates to forwarding
-   the original request untouched. *)
-let lead ctx ~open_batches ~hints ~merged_ops ~absorbed_reqs
-    ~merge_window_ns ~blackbox ~q req b =
-  let s : batch = open_batches.(q) in
-  let batch =
+(* A closed batch linked to itself: each queue's ring sentinel and the
+   free list's. *)
+let closed_batch q =
+  let rec s =
     {
       bt_q = q;
-      bt_kind = b.Request.b_kind;
-      bt_end_lba = Request.block_end_lba b;
-      bt_bytes = b.Request.b_bytes;
+      bt_kind = Request.Read;
+      bt_end_lba = -1;
+      bt_bytes = 0;
       bt_members = [];
       bt_nmembers = 0;
-      bt_open = true;
-      bt_prev = s.bt_prev;
+      bt_open = false;
+      bt_prev = s;
       bt_next = s;
     }
   in
+  s
+
+(* Open a batch for [b] on queue [q] between [prev] and [next]: a
+   closed one from the free list behind [spare], or a new one (a copy
+   of [spare], one allocation where [closed_batch]'s [let rec] makes
+   two), with every field set here. *)
+let take_batch spare ~q b ~prev ~next =
+  let batch =
+    let free = spare.bt_next in
+    if free == spare then { spare with bt_q = q }
+    else begin
+      spare.bt_next <- free.bt_next;
+      free
+    end
+  in
+  batch.bt_q <- q;
+  batch.bt_kind <- b.Request.b_kind;
+  batch.bt_end_lba <- Request.block_end_lba b;
+  batch.bt_bytes <- b.Request.b_bytes;
+  batch.bt_members <- [];
+  batch.bt_nmembers <- 0;
+  batch.bt_open <- true;
+  batch.bt_prev <- prev;
+  batch.bt_next <- next;
+  batch
+
+(* Leader path: open a batch on queue [q], sleep through the merge
+   window, then forward one op covering everyone who joined and fan the
+   outcome back out. With no followers this degenerates to forwarding
+   the original request untouched. The batch record is back on the
+   free list before the forward: what the fan-out needs is read out of
+   it first. *)
+let lead ctx ~open_batches ~spare ~hints ~merged_ops ~absorbed_reqs
+    ~merge_window_ns ~blackbox ~q req b =
+  let s : batch = open_batches.(q) in
+  let batch = take_batch spare ~q b ~prev:s.bt_prev ~next:s in
   (* Link at the tail: arrival order, like the old append. *)
   s.bt_prev.bt_next <- batch;
   s.bt_prev <- batch;
@@ -147,24 +184,27 @@ let lead ctx ~open_batches ~hints ~merged_ops ~absorbed_reqs
   batch.bt_open <- false;
   batch.bt_prev.bt_next <- batch.bt_next;
   batch.bt_next.bt_prev <- batch.bt_prev;
-  batch.bt_prev <- batch;
-  batch.bt_next <- batch;
-  match List.rev batch.bt_members with
+  let members = batch.bt_members in
+  let nmembers = batch.bt_nmembers in
+  let merged_bytes = batch.bt_bytes in
+  batch.bt_next <- spare.bt_next;
+  spare.bt_next <- batch;
+  match List.rev members with
   | [] -> ctx.Labmod.forward req
   | followers ->
       Metrics.incr merged_ops;
-      Metrics.incr ~by:batch.bt_nmembers absorbed_reqs;
+      Metrics.incr ~by:nmembers absorbed_reqs;
       (match blackbox with
       | Some bb ->
           Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Sched
             ~now:(Machine.now ctx.Labmod.machine)
-            ~id:req.Request.id ~arg:batch.bt_nmembers ~tag:"merge" ()
+            ~id:req.Request.id ~arg:nmembers ~tag:"merge" ()
       | None -> ());
       (match req.Request.trace with
       | Some fl ->
           Lab_obs.Trace.instant fl ~name:"sched_merge" ~tid:ctx.Labmod.thread
             ~now:(Machine.now ctx.Labmod.machine)
-            ~args:[ ("absorbed", string_of_int batch.bt_nmembers) ]
+            ~args:[ ("absorbed", string_of_int nmembers) ]
       | None -> ());
       let merged =
         Request.make ~id:req.Request.id ~pid:req.Request.pid
@@ -175,7 +215,7 @@ let lead ctx ~open_batches ~hints ~merged_ops ~absorbed_reqs
              {
                Request.b_kind = b.Request.b_kind;
                b_lba = b.Request.b_lba;
-               b_bytes = batch.bt_bytes;
+               b_bytes = merged_bytes;
                b_sync = false;
              })
       in
@@ -271,6 +311,7 @@ let operate m ctx req =
         inflight_bytes;
         merge_window_ns;
         open_batches;
+        spare;
         qos;
         hints;
         qcells;
@@ -344,7 +385,7 @@ let operate m ctx req =
           else begin
             let q = steer inflight_bytes hints req ~bytes in
             finish inflight_bytes qos ~gated_bytes ~bytes q
-              (lead ctx ~open_batches ~hints ~merged_ops ~absorbed_reqs
+              (lead ctx ~open_batches ~spare ~hints ~merged_ops ~absorbed_reqs
                  ~merge_window_ns ~blackbox ~q req b)
           end
       | _ ->
@@ -371,29 +412,14 @@ let factory ?metrics ?qos ?blackbox ~nqueues () : Registry.factory =
      the registry. *)
   let metrics = if uuid = "__probe__" then None else metrics in
   let merge_window_ns = Registry.decode_attrs ~mod_name:name attr_table 0.0 attrs in
-  let sentinel q =
-    let rec s =
-      {
-        bt_q = q;
-        bt_kind = Request.Read;
-        bt_end_lba = -1;
-        bt_bytes = 0;
-        bt_members = [];
-        bt_nmembers = 0;
-        bt_open = false;
-        bt_prev = s;
-        bt_next = s;
-      }
-    in
-    s
-  in
   Labmod.make ~name ~uuid ~mod_type:Labmod.Scheduler
     ~state:
       (State
          {
            inflight_bytes = Array.make nqueues 0.0;
            merge_window_ns;
-           open_batches = Array.init nqueues sentinel;
+           open_batches = Array.init nqueues closed_batch;
+           spare = closed_batch 0;
            qos;
            hints = Array.init nqueues Option.some;
            qcells = { cp = [||]; cn = 0 };

@@ -590,16 +590,6 @@ let resolve t target =
   | Some stack -> Ok stack
   | None -> Error (Printf.sprintf "no LabStack mounted for %S" target)
 
-let lookup_fd t fd =
-  match Itbl.find t.fd_table fd with
-  | entry -> Ok entry
-  | exception Not_found -> Error (Printf.sprintf "bad file descriptor %d" fd)
-
-let stack_of_id t sid =
-  match Namespace.stack_by_id (Runtime.namespace t.runtime) sid with
-  | s -> Ok s
-  | exception Not_found -> Error (Printf.sprintf "stack %d unmounted" sid)
-
 let ( let* ) r f = Result.bind r f
 
 let as_unit = function
@@ -625,27 +615,39 @@ let open_file t ?(create = false) path =
    table update — no Runtime round trip. *)
 let close t fd =
   charge_hash t;
-  let* _entry = lookup_fd t fd in
-  Itbl.remove t.fd_table fd;
-  Ok ()
+  match Itbl.find t.fd_table fd with
+  | exception Not_found -> Error (Printf.sprintf "bad file descriptor %d" fd)
+  | _ ->
+      Itbl.remove t.fd_table fd;
+      Ok ()
+
+(* An fd op's request: the fd table and the namespace are matched in
+   place, so a hit builds no [Ok] and no continuation closure, and the
+   payload and the result are all the op allocates here ([payload] is
+   closed, so passing it allocates nothing). A miss is the [Failed]
+   result naming what is missing. *)
+let fd_request t ~fd ~off ~bytes payload =
+  charge_hash t;
+  match Itbl.find t.fd_table fd with
+  | exception Not_found -> Request.Failed (Printf.sprintf "bad file descriptor %d" fd)
+  | path, sid -> (
+      match Namespace.stack_by_id (Runtime.namespace t.runtime) sid with
+      | exception Not_found -> Request.Failed (Printf.sprintf "stack %d unmounted" sid)
+      | stack -> do_request t stack (Request.Posix (payload fd path off bytes)))
 
 let pwrite t ~fd ~off ~bytes =
-  charge_hash t;
-  let* path, sid = lookup_fd t fd in
-  let* stack = stack_of_id t sid in
-  as_size (do_request t stack (Request.Posix (Request.Pwrite { fd; path; off; bytes })))
+  as_size
+    (fd_request t ~fd ~off ~bytes (fun fd path off bytes ->
+         Request.Pwrite { fd; path; off; bytes }))
 
 let pread t ~fd ~off ~bytes =
-  charge_hash t;
-  let* path, sid = lookup_fd t fd in
-  let* stack = stack_of_id t sid in
-  as_size (do_request t stack (Request.Posix (Request.Pread { fd; path; off; bytes })))
+  as_size
+    (fd_request t ~fd ~off ~bytes (fun fd path off bytes ->
+         Request.Pread { fd; path; off; bytes }))
 
 let fsync t ~fd =
-  charge_hash t;
-  let* path, sid = lookup_fd t fd in
-  let* stack = stack_of_id t sid in
-  as_unit (do_request t stack (Request.Posix (Request.Fsync { fd; path })))
+  as_unit
+    (fd_request t ~fd ~off:0 ~bytes:0 (fun fd path _ _ -> Request.Fsync { fd; path }))
 
 let create t path =
   let* stack = resolve t path in

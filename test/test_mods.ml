@@ -272,6 +272,84 @@ let test_blkswitch_avoids_loaded () =
       Alcotest.(check bool) "small request steered off queue 0" true
         (small.Request.hint_hctx <> Some 0 && small.Request.hint_hctx <> None))
 
+(* Two merge windows on one queue, one after the other, each with
+   followers: the second batch reuses the first one's closed record, so
+   it must start from its own leader alone (no member or byte carried
+   over), and every member gets its own share back. *)
+let test_blkswitch_successive_windows () =
+  in_sim (fun m ->
+      let sched =
+        Blkswitch_sched.factory ~nqueues:1 () ~uuid:"bsw"
+          ~attrs:[ ("merge_window_ns", Yamlite.Float 5000.0) ]
+      in
+      let forwarded = ref [] in
+      let forward req =
+        (match req.Request.payload with
+        | Request.Block b -> forwarded := (b.Request.b_lba, b.Request.b_bytes) :: !forwarded
+        | _ -> ());
+        Request.Done
+      in
+      let window ~at ops =
+        let results = Array.make (List.length ops) Request.Done in
+        let j = Engine.join (List.length ops) in
+        List.iteri
+          (fun i (lba, bytes) ->
+            Engine.spawn_at m.Machine.engine
+              (at +. (1000.0 *. float_of_int i))
+              (fun () ->
+                results.(i) <- drive m ~forward sched (mk_req m ~thread:i (block_write ~lba bytes));
+                Engine.arrive j))
+          ops;
+        Engine.await j;
+        Array.to_list results
+      in
+      let sizes = Alcotest.testable Request.pp_result ( = ) in
+      let first = window ~at:1000.0 [ (0, 4096); (8, 8192); (24, 4096) ] in
+      Alcotest.(check (list sizes)) "first window: each member's own bytes"
+        [ Request.Size 4096; Request.Size 8192; Request.Size 4096 ] first;
+      let second = window ~at:100_000.0 [ (1000, 2048); (1004, 1024) ] in
+      Alcotest.(check (list sizes)) "second window: each member's own bytes"
+        [ Request.Size 2048; Request.Size 1024 ] second;
+      Alcotest.(check (list (pair int int))) "one merged op per window"
+        [ (0, 16384); (1000, 3072) ] (List.rev !forwarded);
+      Alcotest.(check int) "two merged ops" 2 (Blkswitch_sched.merged_ops sched);
+      Alcotest.(check int) "three followers absorbed" 3
+        (Blkswitch_sched.absorbed_reqs sched))
+
+(* A lead that no follower joins costs its merge window's wait and
+   nothing more: after the first, it reuses the closed batch record.
+   Measured as the words of 10k lone leads less those of 10k ops with
+   no window and of 10k bare waits. Native only: bytecode allots
+   differently. *)
+let test_blkswitch_lone_lead_allocates_no_batch () =
+  let words f =
+    let m = Machine.create ~ncores:8 () in
+    let result = ref nan in
+    Machine.spawn m (fun () ->
+        f m;
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          f m
+        done;
+        result := Gc.minor_words () -. w0);
+    Machine.run m;
+    !result
+  in
+  let op window =
+    let sched =
+      Blkswitch_sched.factory ~nqueues:2 () ~uuid:"bsw"
+        ~attrs:[ ("merge_window_ns", Yamlite.Float window) ]
+    in
+    fun m -> ignore (drive m sched (mk_req m (block_write 4096)))
+  in
+  let lead = words (op 5000.0) and plain = words (op 0.0) in
+  let wait = words (fun _ -> Engine.wait 5000.0) in
+  match Sys.backend_type with
+  | Sys.Native ->
+      Alcotest.(check (float 0.0)) "words per lone lead beyond its wait" 0.0
+        ((lead -. plain -. wait) /. 10_000.0)
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* LRU cache mod                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -583,6 +661,10 @@ let () =
         [
           Alcotest.test_case "noop keying" `Quick test_noop_sched_core_keying;
           Alcotest.test_case "blk-switch steering" `Quick test_blkswitch_avoids_loaded;
+          Alcotest.test_case "blk-switch successive merge windows" `Quick
+            test_blkswitch_successive_windows;
+          Alcotest.test_case "blk-switch lone lead allocates no batch" `Quick
+            test_blkswitch_lone_lead_allocates_no_batch;
         ] );
       ( "lru-cache",
         [

@@ -126,6 +126,35 @@ let test_unmounted_path_fails () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "expected resolution failure")
 
+(* The fd ops fail by name: on a closed fd with "bad file descriptor
+   N", and on an fd whose stack was unmounted after open with "stack N
+   unmounted" (close still drops such an fd). *)
+let test_fd_op_errors () =
+  in_rt (fun _m rt _dev ->
+      ignore (ok (Runtime.mount_text rt (fs_stack_spec ())));
+      let c = Client.connect rt ~pid:100 ~uid:1 ~thread:0 () in
+      let size = Alcotest.(result int string) and unit = Alcotest.(result unit string) in
+      let fd = ok (Client.open_file c ~create:true "fs::/data/f") in
+      ok (Client.close c fd);
+      let bad = Printf.sprintf "bad file descriptor %d" fd in
+      Alcotest.check size "pread" (Error bad) (Client.pread c ~fd ~off:0 ~bytes:4096);
+      Alcotest.check size "pwrite" (Error bad) (Client.pwrite c ~fd ~off:0 ~bytes:4096);
+      Alcotest.check unit "fsync" (Error bad) (Client.fsync c ~fd);
+      Alcotest.check unit "close" (Error bad) (Client.close c fd);
+      let fd = ok (Client.open_file c "fs::/data/f") in
+      let ns = Runtime.namespace rt in
+      let sid = (Namespace.lookup ns "fs::/data").Stack.id in
+      ok (Namespace.unmount ns "fs::/data");
+      let gone = Printf.sprintf "stack %d unmounted" sid in
+      Alcotest.check size "pread unmounted" (Error gone)
+        (Client.pread c ~fd ~off:0 ~bytes:4096);
+      Alcotest.check size "pwrite unmounted" (Error gone)
+        (Client.pwrite c ~fd ~off:0 ~bytes:4096);
+      Alcotest.check unit "fsync unmounted" (Error gone) (Client.fsync c ~fd);
+      Alcotest.check unit "close unmounted" (Ok ()) (Client.close c fd);
+      Alcotest.check size "pread after close" (Error (Printf.sprintf "bad file descriptor %d" fd))
+        (Client.pread c ~fd ~off:0 ~bytes:4096))
+
 let test_kv_end_to_end () =
   in_rt (fun _m rt _dev ->
       ignore (ok (Runtime.mount_text rt (kv_stack_spec ())));
@@ -974,6 +1003,7 @@ let () =
           Alcotest.test_case "file io via workers" `Quick test_end_to_end_file_io;
           Alcotest.test_case "open missing" `Quick test_open_missing_fails;
           Alcotest.test_case "unmounted path" `Quick test_unmounted_path_fails;
+          Alcotest.test_case "fd op errors" `Quick test_fd_op_errors;
           Alcotest.test_case "kv store" `Quick test_kv_end_to_end;
           Alcotest.test_case "sync mode inline" `Quick test_sync_mode_no_workers;
           Alcotest.test_case "sync < async single-thread" `Quick
