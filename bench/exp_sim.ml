@@ -127,7 +127,7 @@ let run_idle_spin ~polls =
   let warm_ns = 1_000_000.0 in
   let limit = warm_ns +. (Stdlib.float_of_int polls *. poll_ns) in
   let w =
-    Lab_runtime.Worker.create m ~id:0 ~thread:0
+    Lab_runtime.Worker.create m ~hooks:Lab_core.Hooks.off ~id:0 ~thread:0
       ~exec:(fun ~thread:_ _ -> Lab_core.Request.Done)
       ~spin_ns:(limit +. poll_ns) ()
   in

@@ -34,6 +34,14 @@ echo "== int keys only through Itbl =="
 bad=$(grep -rlE 'Hashtbl\.Make *\( *Int *\)|Int\.hash' lib || true)
 [ -z "$bad" ] || { echo "Hashtbl.Make (Int) or Int.hash under lib/; use Lab_sim.Itbl: $bad"; exit 1; }
 
+echo "== obs recording only through Hooks =="
+# A request-lifecycle point reports to Lab_core.Hooks, which fans out to
+# the consumers that are on; nothing else under lib/ records into the
+# tracer or the flight recorder itself.
+bad=$(grep -rlE '(Trace\.(start|span|instant|open_stage|close_stage|finish)|Flightrec\.(record|trigger))([^A-Za-z0-9_]|$)' lib \
+  | grep -v '^lib/obs/' | grep -v '^lib/core/hooks\.mli\{0,1\}$' || true)
+[ -z "$bad" ] || { echo "Trace or Flightrec recording outside lib/obs and Lab_core.Hooks; add a Hooks point: $bad"; exit 1; }
+
 echo "== experiment gates only through Bench_util.claim =="
 # A failed claim names itself on stderr after the run; an exit inside an
 # experiment would skip every claim after it.

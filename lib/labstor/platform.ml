@@ -82,20 +82,15 @@ let boot ?(config = Lab_runtime.Runtime.default_config) ?(ncores = 24)
            backends)
       ~default_backend:(backend_name (List.hd devices)) ()
   in
-  (* Injected faults feed the flight recorder: each device's fault plan
-     reports (now, queue, label) as a fault fires, recording a Fault
-     event and firing a per-category "fault:<label>" dump trigger. *)
-  (match Lab_runtime.Runtime.blackbox rt with
-  | Some bb ->
+  (* Injected faults feed the hooks: each device's fault plan reports
+     (now, queue, label) as a fault fires. *)
+  (match Lab_core.Hooks.fault_observer (Lab_runtime.Runtime.hooks rt) with
+  | Some observe ->
       List.iter
         (fun (_, d) ->
           match Device.fault_plan d with
           | None -> ()
-          | Some f ->
-              Fault.set_observer f (fun ~now ~queue ~label ->
-                  Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Fault ~now
-                    ~id:queue ~tag:label ();
-                  Lab_obs.Flightrec.trigger bb ~reason:("fault:" ^ label) ~now))
+          | Some f -> Fault.set_observer f observe)
         devs
   | None -> ());
   (* Device health is exposed as read-through gauges: the registry holds
@@ -141,7 +136,7 @@ let boot ?(config = Lab_runtime.Runtime.default_config) ?(ncores = 24)
   Lab_runtime.Runtime.start rt;
   { m; rt; devs; backends; next_pid = 1000 }
 
-let tracer t = Lab_runtime.Runtime.tracer t.rt
+let tracer t = Lab_core.Hooks.tracer (Lab_runtime.Runtime.hooks t.rt)
 
 let metrics t = Lab_runtime.Runtime.metrics t.rt
 

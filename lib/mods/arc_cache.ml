@@ -168,13 +168,12 @@ let est m req =
   ignore m;
   600.0 +. (0.35 *. Stdlib.float_of_int (Request.bytes_of req))
 
-let factory ?metrics ?timeseries () : Registry.factory =
+let factory ?env () : Registry.factory =
  fun ~uuid ~attrs ->
   let cfg = Cache_core.config_of_attrs ~name attrs in
   let acc = ref [] in
   let core =
-    Cache_core.create ~policy:(arc_policy acc) ?metrics ?timeseries
-      ~instance:uuid cfg
+    Cache_core.create ~policy:(arc_policy acc) ?env ~instance:uuid cfg
   in
   Labmod.make ~name ~uuid ~mod_type:Labmod.Cache
     ~state:(State { core; arcs = Array.of_list (List.rev !acc) })

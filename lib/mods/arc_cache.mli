@@ -15,13 +15,9 @@ open Lab_core
 
 val name : string
 
-val factory :
-  ?metrics:Lab_obs.Metrics.t ->
-  ?timeseries:Lab_obs.Timeseries.t ->
-  unit ->
-  Registry.factory
-(** [?metrics] registers the cache counters under ["mod.<uuid>."];
-    [?timeseries] adds the ["mod.<uuid>.dirty_backlog"] sampler probe.
+val factory : ?env:Mod_util.env -> unit -> Registry.factory
+(** Instances register their counters and sampler probe in [env] (see
+    {!Cache_core.create}).
 
     Attributes (see {!Cache_core.config_of_attrs}): [capacity_mb]
     (default 64), [write_through] (false), [shards] (1), [readahead]

@@ -10,7 +10,7 @@
    for the same hardware queue, and forwards one merged block op.
    Completions (and torn-write errors) are split back per-request.
 
-   With a QoS table attached ({!factory}'s [?qos]), requests stamped
+   With a QoS table attached (the factory env's [qos]), requests stamped
    with a tenant index additionally pass the multi-tenant dispatch
    stage before steering: latency-class requests (at most the table's
    bypass threshold) go straight through, throughput-class requests
@@ -84,31 +84,31 @@ let cell_release p c =
   p.cp.(p.cn) <- c;
   p.cn <- p.cn + 1
 
-type Labmod.state +=
-  | State of {
-      inflight_bytes : float array;
-      merge_window_ns : float;
-      open_batches : batch array;
-          (** per hardware queue, the sentinel of the ring of batches
-              currently holding their merge window open — concurrent
-              contiguous runs each plug independently *)
-      spare : batch;
-          (** sentinel of the free list of closed batches, threaded
-              through [bt_next]; [spare.bt_next == spare] when empty *)
-      qos : Tenant.t option;
-          (** multi-tenant DRR dispatch stage; [None] = QoS off, the
-              classic path untouched *)
-      hints : int option array;
-          (** [Some q] for each hardware queue, built once: stamping a
-              request's steered queue allocates nothing *)
-      qcells : cell_pool;
-      merged_ops : Metrics.counter;  (** merged device ops dispatched *)
-      absorbed_reqs : Metrics.counter;
-          (** follower requests absorbed into them *)
-      blackbox : Lab_obs.Flightrec.t option;
-          (** flight recorder: merge decisions and QoS-gate park/wake
-              record into it; [None] = one option check per site *)
-    }
+type sched = {
+  inflight_bytes : float array;
+  merge_window_ns : float;
+  open_batches : batch array;
+      (** per hardware queue, the sentinel of the ring of batches
+          currently holding their merge window open — concurrent
+          contiguous runs each plug independently *)
+  spare : batch;
+      (** sentinel of the free list of closed batches, threaded
+          through [bt_next]; [spare.bt_next == spare] when empty *)
+  qos : Tenant.t option;
+      (** multi-tenant DRR dispatch stage; [None] = QoS off, the
+          classic path untouched *)
+  hints : int option array;
+      (** [Some q] for each hardware queue, built once: stamping a
+          request's steered queue allocates nothing *)
+  qcells : cell_pool;
+  merged_ops : Metrics.counter;  (** merged device ops dispatched *)
+  absorbed_reqs : Metrics.counter;
+      (** follower requests absorbed into them *)
+  hooks : Hooks.t;
+      (** merge/join decisions and QoS-gate park/wake report here *)
+}
+
+type Labmod.state += State of sched
 
 let name = "blkswitch_sched"
 
@@ -173,39 +173,27 @@ let take_batch spare ~q b ~prev ~next =
    the original request untouched. The batch record is back on the
    free list before the forward: what the fan-out needs is read out of
    it first. *)
-let lead ctx ~open_batches ~spare ~hints ~merged_ops ~absorbed_reqs
-    ~merge_window_ns ~blackbox ~q req b =
-  let s : batch = open_batches.(q) in
-  let batch = take_batch spare ~q b ~prev:s.bt_prev ~next:s in
+let lead ctx st ~q req b =
+  let s : batch = st.open_batches.(q) in
+  let batch = take_batch st.spare ~q b ~prev:s.bt_prev ~next:s in
   (* Link at the tail: arrival order, like the old append. *)
   s.bt_prev.bt_next <- batch;
   s.bt_prev <- batch;
-  Engine.wait merge_window_ns;
+  Engine.wait st.merge_window_ns;
   batch.bt_open <- false;
   batch.bt_prev.bt_next <- batch.bt_next;
   batch.bt_next.bt_prev <- batch.bt_prev;
   let members = batch.bt_members in
   let nmembers = batch.bt_nmembers in
   let merged_bytes = batch.bt_bytes in
-  batch.bt_next <- spare.bt_next;
-  spare.bt_next <- batch;
+  batch.bt_next <- st.spare.bt_next;
+  st.spare.bt_next <- batch;
   match List.rev members with
   | [] -> ctx.Labmod.forward req
   | followers ->
-      Metrics.incr merged_ops;
-      Metrics.incr ~by:nmembers absorbed_reqs;
-      (match blackbox with
-      | Some bb ->
-          Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Sched
-            ~now:(Machine.now ctx.Labmod.machine)
-            ~id:req.Request.id ~arg:nmembers ~tag:"merge" ()
-      | None -> ());
-      (match req.Request.trace with
-      | Some fl ->
-          Lab_obs.Trace.instant fl ~name:"sched_merge" ~tid:ctx.Labmod.thread
-            ~now:(Machine.now ctx.Labmod.machine)
-            ~args:[ ("absorbed", string_of_int nmembers) ]
-      | None -> ());
+      Metrics.incr st.merged_ops;
+      Metrics.incr ~by:nmembers st.absorbed_reqs;
+      Hooks.sched_merge st.hooks ctx req ~absorbed:nmembers;
       let merged =
         Request.make ~id:req.Request.id ~pid:req.Request.pid
           ~uid:req.Request.uid ~thread:req.Request.thread
@@ -219,7 +207,7 @@ let lead ctx ~open_batches ~spare ~hints ~merged_ops ~absorbed_reqs
                b_sync = false;
              })
       in
-      merged.Request.hint_hctx <- hints.(q);
+      merged.Request.hint_hctx <- st.hints.(q);
       let merged_result = ctx.Labmod.forward merged in
       List.iter
         (fun m ->
@@ -296,29 +284,17 @@ let steer inflight_bytes hints req ~bytes =
   take_queue inflight_bytes hints req ~bytes q;
   q
 
-let finish inflight_bytes qos ~gated_bytes ~bytes q result =
-  inflight_bytes.(q) <- inflight_bytes.(q) -. Stdlib.float_of_int bytes;
+let finish st ~gated_bytes ~bytes q result =
+  st.inflight_bytes.(q) <- st.inflight_bytes.(q) -. Stdlib.float_of_int bytes;
   (if gated_bytes >= 0 then
-     match qos with
+     match st.qos with
      | Some table -> Tenant.release table ~bytes:gated_bytes
      | None -> ());
   result
 
 let operate m ctx req =
   match m.Labmod.state with
-  | State
-      {
-        inflight_bytes;
-        merge_window_ns;
-        open_batches;
-        spare;
-        qos;
-        hints;
-        qcells;
-        merged_ops;
-        absorbed_reqs;
-        blackbox;
-      } -> (
+  | State st -> (
       let bytes = Request.bytes_of req in
       (* Multi-tenant dispatch gate, ahead of the decision cost: a
          throughput-class op may only proceed while the DRR window has
@@ -326,27 +302,17 @@ let operate m ctx req =
          tenant weight. [-1] = not windowed (no tenant, QoS off, or
          latency class) — those pay nothing here. *)
       let gated_bytes =
-        match qos with
+        match st.qos with
         | Some table when req.Request.tenant >= 0 ->
             let tn = Tenant.get table req.Request.tenant in
             if Tenant.windowed ~bytes then begin
-              let cell = cell_acquire qcells in
+              let cell = cell_acquire st.qcells in
               if not (Tenant.submit table tn ~bytes cell) then begin
-                (match blackbox with
-                | Some bb ->
-                    Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Park
-                      ~now:(Machine.now ctx.Labmod.machine)
-                      ~id:req.Request.id ~tag:"qos_gate" ()
-                | None -> ());
+                Hooks.park st.hooks ~id:req.Request.id ~tag:"qos_gate";
                 Engine.park cell;
-                match blackbox with
-                | Some bb ->
-                    Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Wake
-                      ~now:(Machine.now ctx.Labmod.machine)
-                      ~id:req.Request.id ~tag:"qos_gate" ()
-                | None -> ()
+                Hooks.wake st.hooks ~id:req.Request.id ~arg:0 ~tag:"qos_gate"
               end;
-              cell_release qcells cell;
+              cell_release st.qcells cell;
               bytes
             end
             else -1
@@ -359,58 +325,41 @@ let operate m ctx req =
          mode requeue hint never join (they were steered away from an
          offline queue on purpose). *)
       match req.Request.payload with
-      | Request.Block b when merge_window_ns > 0.0 && not b.Request.b_sync ->
+      | Request.Block b when st.merge_window_ns > 0.0 && not b.Request.b_sync ->
           let batch =
-            if req.Request.hint_hctx <> None then open_batches.(0)
-            else find_batch open_batches b
+            if req.Request.hint_hctx <> None then st.open_batches.(0)
+            else find_batch st.open_batches b
           in
           if batch.bt_open then begin
             let q = batch.bt_q in
-            take_queue inflight_bytes hints req ~bytes q;
-            (match blackbox with
-            | Some bb ->
-                Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Sched
-                  ~now:(Machine.now ctx.Labmod.machine)
-                  ~id:req.Request.id ~tag:"join" ()
-            | None -> ());
-            (match req.Request.trace with
-            | Some fl ->
-                Lab_obs.Trace.instant fl ~name:"sched_join"
-                  ~tid:ctx.Labmod.thread
-                  ~now:(Machine.now ctx.Labmod.machine)
-            | None -> ());
-            finish inflight_bytes qos ~gated_bytes ~bytes q
-              (join qcells batch b)
+            take_queue st.inflight_bytes st.hints req ~bytes q;
+            Hooks.sched_join st.hooks ctx req;
+            finish st ~gated_bytes ~bytes q (join st.qcells batch b)
           end
           else begin
-            let q = steer inflight_bytes hints req ~bytes in
-            finish inflight_bytes qos ~gated_bytes ~bytes q
-              (lead ctx ~open_batches ~spare ~hints ~merged_ops ~absorbed_reqs
-                 ~merge_window_ns ~blackbox ~q req b)
+            let q = steer st.inflight_bytes st.hints req ~bytes in
+            finish st ~gated_bytes ~bytes q (lead ctx st ~q req b)
           end
       | _ ->
-          let q = steer inflight_bytes hints req ~bytes in
-          finish inflight_bytes qos ~gated_bytes ~bytes q
-            (ctx.Labmod.forward req))
+          let q = steer st.inflight_bytes st.hints req ~bytes in
+          finish st ~gated_bytes ~bytes q (ctx.Labmod.forward req))
   | _ -> Request.Failed "blkswitch_sched: bad state"
 
 let merged_ops (m : Labmod.t) =
   match m.Labmod.state with
-  | State { merged_ops; _ } -> Metrics.value merged_ops
+  | State st -> Metrics.value st.merged_ops
   | _ -> 0
 
 let absorbed_reqs (m : Labmod.t) =
   match m.Labmod.state with
-  | State { absorbed_reqs; _ } -> Metrics.value absorbed_reqs
+  | State st -> Metrics.value st.absorbed_reqs
   | _ -> 0
 
 let attr_table = [ Registry.float_attr "merge_window_ns" (fun _ ns -> ns) ]
 
-let factory ?metrics ?qos ?blackbox ~nqueues () : Registry.factory =
+let factory ?(env = Mod_util.detached) ~nqueues () : Registry.factory =
  fun ~uuid ~attrs ->
-  (* Probe instantiations (reserved "__probe__" uuid) must not pollute
-     the registry. *)
-  let metrics = if uuid = "__probe__" then None else metrics in
+  let env = Mod_util.for_instance env ~uuid in
   let merge_window_ns = Registry.decode_attrs ~mod_name:name attr_table 0.0 attrs in
   Labmod.make ~name ~uuid ~mod_type:Labmod.Scheduler
     ~state:
@@ -420,23 +369,20 @@ let factory ?metrics ?qos ?blackbox ~nqueues () : Registry.factory =
            merge_window_ns;
            open_batches = Array.init nqueues closed_batch;
            spare = closed_batch 0;
-           qos;
+           qos = env.Mod_util.qos;
            hints = Array.init nqueues Option.some;
            qcells = { cp = [||]; cn = 0 };
            merged_ops =
-             Metrics.counter ?reg:metrics
+             Metrics.counter ?reg:env.Mod_util.metrics
                (Printf.sprintf "mod.%s.merged_ops" uuid);
            absorbed_reqs =
-             Metrics.counter ?reg:metrics
+             Metrics.counter ?reg:env.Mod_util.metrics
                (Printf.sprintf "mod.%s.absorbed_reqs" uuid);
-           blackbox;
+           hooks = env.Mod_util.hooks;
          })
     {
       Labmod.operate;
       est_processing_time = (fun _ _ -> decision_cost_ns);
-      state_update =
-        (function
-        | State _ as s -> s
-        | other -> other);
+      state_update = Mod_util.identity_state;
       state_repair = Mod_util.no_repair;
     }

@@ -14,7 +14,7 @@
     off — the classic single-request path). A merged op carries at
     most 262144 bytes (one full device command) and 64 requests.
 
-    With [?qos] a {!Lab_ipc.Tenant} table is attached: requests stamped
+    With a {!Lab_ipc.Tenant} table in the factory env, requests stamped
     with a tenant index pass the weighted deficit-round-robin dispatch
     stage before steering (latency-class requests bypass it). Per-op
     cost is O(1) in registered tenants and allocation-free. *)
@@ -30,14 +30,8 @@ val merged_ops : Labmod.t -> int
 val absorbed_reqs : Labmod.t -> int
 (** Requests absorbed into merged ops as followers (excludes leaders). *)
 
-val factory :
-  ?metrics:Lab_obs.Metrics.t ->
-  ?qos:Lab_ipc.Tenant.t ->
-  ?blackbox:Lab_obs.Flightrec.t ->
-  nqueues:int ->
-  unit ->
-  Registry.factory
-(** [?metrics] registers the merge counters under ["mod.<uuid>."];
-    [?qos] attaches the multi-tenant DRR dispatch stage. [?blackbox]
-    records merge/join decisions and QoS-gate park/wake transitions
-    into the flight recorder. *)
+val factory : ?env:Mod_util.env -> nqueues:int -> unit -> Registry.factory
+(** [env]'s registry gets the merge counters under ["mod.<uuid>."], its
+    QoS table attaches the multi-tenant DRR dispatch stage, and its
+    hooks see merge/join decisions and QoS-gate park/wake
+    transitions. *)

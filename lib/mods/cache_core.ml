@@ -124,18 +124,15 @@ type t = {
   burst : float array;
 }
 
-(* [?metrics] attaches the engine's counters to a registry under
-   "mod.<instance>." ([?instance] defaults to the config name, which is
-   the wrapping LabMod's module name — pass the uuid for per-instance
-   metrics). Detached counters otherwise; behaviour is identical. *)
-let create ~policy ?metrics ?timeseries ?instance cfg =
+(* [env]'s registry gets the engine's counters under "mod.<instance>."
+   ([?instance] defaults to the config name, which is the wrapping
+   LabMod's module name — pass the uuid for per-instance metrics).
+   Detached counters otherwise; behaviour is identical. *)
+let create ~policy ?(env = Mod_util.detached) ?instance cfg =
   let inst = Option.value instance ~default:cfg.cfg_name in
-  (* Probe instantiations (stack validation, `labstor_cli mods`) use the
-     reserved "__probe__" uuid and must not pollute the registry. *)
-  let metrics = if inst = "__probe__" then None else metrics in
-  let timeseries = if inst = "__probe__" then None else timeseries in
+  let env = Mod_util.for_instance env ~uuid:inst in
   let counter k =
-    Metrics.counter ?reg:metrics (Printf.sprintf "mod.%s.%s" inst k)
+    Metrics.counter ?reg:env.Mod_util.metrics (Printf.sprintf "mod.%s.%s" inst k)
   in
   let per_shard =
     Stdlib.max 1 ((cfg.capacity_pages + cfg.nshards - 1) / cfg.nshards)
@@ -173,7 +170,7 @@ let create ~policy ?metrics ?timeseries ?instance cfg =
   in
   (* Dirty-log depth is the write-back pressure signal; exposing it as a
      sampled series shows the high/low watermark sawtooth over time. *)
-  (match timeseries with
+  (match env.Mod_util.timeseries with
   | Some ts ->
       Lab_obs.Timeseries.add_series ts
         (Printf.sprintf "mod.%s.dirty_backlog" inst)
@@ -272,14 +269,6 @@ let derived_block template op =
   io.Request.prefetch <- false;
   io.Request.trace <- None;
   io
-
-(* Point event on the traced request's timeline (hit/miss markers). *)
-let trace_instant ctx (req : Request.t) name =
-  match req.Request.trace with
-  | Some fl ->
-      Lab_obs.Trace.instant fl ~name ~tid:ctx.Labmod.thread
-        ~now:(Machine.now ctx.Labmod.machine)
-  | None -> ()
 
 let write_back_run t ctx ~template start_page len =
   Metrics.incr t.flush_op_count;
@@ -547,7 +536,7 @@ let ride_fills t ~first ~last =
 let serve_hit t ctx req ~home ~first ~last ~bytes =
   Metrics.incr t.hit_count;
   home.sh_hits <- home.sh_hits + 1;
-  trace_instant ctx req "cache_hit";
+  Hooks.cache ctx req ~hit:true;
   ignore (visit_shards t ctx req Serve ~first ~last);
   Costs.stage_copy_cost (costs ctx) bytes t.burst 0;
   charge t ctx;
@@ -556,7 +545,7 @@ let serve_hit t ctx req ~home ~first ~last ~bytes =
 let demand_miss t ctx req ~home ~first ~last ~bytes =
   Metrics.incr t.miss_count;
   home.sh_misses <- home.sh_misses + 1;
-  trace_instant ctx req "cache_miss";
+  Hooks.cache ctx req ~hit:false;
   let result = ctx.Labmod.forward req in
   (* Never admit a page whose fill failed: a faulted read left no data
      to cache, and admitting it would serve garbage on the next (hit)

@@ -77,17 +77,16 @@ type t
 
 val create :
   policy:policy_factory ->
-  ?metrics:Lab_obs.Metrics.t ->
-  ?timeseries:Lab_obs.Timeseries.t ->
+  ?env:Mod_util.env ->
   ?instance:string ->
   config -> t
-(** [?metrics] registers the engine's counters under
+(** [env]'s registry gets the engine's counters under
     ["mod.<instance>."] ([?instance] defaults to the config name);
-    without it the counters are detached but behave identically.
-    [?timeseries] additionally registers a
-    ["mod.<instance>.dirty_backlog"] occupancy probe with the
-    continuous-profiling sampler.  Both are suppressed for the reserved
-    ["__probe__"] instance. *)
+    without one the counters are detached but behave identically.
+    [env]'s sampler additionally gets a
+    ["mod.<instance>.dirty_backlog"] occupancy probe. The env goes
+    through {!Mod_util.for_instance}, so a ["__probe__"] instance
+    registers neither. *)
 
 val operate : t -> Labmod.ctx -> Request.t -> Request.result
 

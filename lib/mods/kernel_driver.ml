@@ -42,15 +42,7 @@ let operate m ctx req =
       let result =
         match Device.waiter_error w with
         | None ->
-            (* The device kept exact service timestamps; attach them to
-               the request's trace so the anatomy breakdown can separate
-               device time from driver software time. *)
-            (match req.Request.trace with
-            | Some fl ->
-                Lab_obs.Trace.span fl ~name:"device" ~cat:"device"
-                  ~tid:ctx.Labmod.thread ~t0:(Device.waiter_submitted w)
-                  ~t1:(Device.waiter_completed w)
-            | None -> ());
+            Hooks.device req ~tid:ctx.Labmod.thread w;
             Request.Size b_bytes
         | Some e -> Mod_util.device_error name e
       in

@@ -627,10 +627,11 @@ let attr_table legs =
           (r, if ns = [] || not distinct then reject names else List.map leg ns));
     ]
 
-let factory ?metrics ~machine ~legs ~rebuild_rate_mbps () : Registry.factory =
+let factory ?(env = Mod_util.detached) ~machine ~legs ~rebuild_rate_mbps () :
+    Registry.factory =
  fun ~uuid ~attrs ->
-  let probe = uuid = "__probe__" in
-  let metrics = if probe then None else metrics in
+  let env = Mod_util.for_instance env ~uuid in
+  let metrics = env.Mod_util.metrics in
   (* By default, a mirror over every backend. *)
   let raid, chosen =
     Registry.decode_attrs ~mod_name:name (attr_table legs) (1, legs) attrs
@@ -703,7 +704,7 @@ let factory ?metrics ~machine ~legs ~rebuild_rate_mbps () : Registry.factory =
      state machine (healthy -> dead -> rebuilding -> healthy) and
      journals every transition. Probe instantiations must not attach
      watchers to shared devices. *)
-  if not probe then
+  if not (Mod_util.is_probe ~uuid) then
     Array.iter
       (fun leg ->
         Device.add_health_watcher leg.l_dev (function

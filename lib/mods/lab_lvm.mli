@@ -74,7 +74,7 @@ end
 val name : string
 
 val factory :
-  ?metrics:Lab_obs.Metrics.t ->
+  ?env:Mod_util.env ->
   machine:Lab_sim.Machine.t ->
   legs:(string * Lab_kernel.Blk.t * Lab_device.Device.t) list ->
   rebuild_rate_mbps:float ->
@@ -84,8 +84,9 @@ val factory :
     [legs] attr selects a subset. [rebuild_rate_mbps] is the default
     resilver rate cap (the [lvm_rebuild_rate_mbps] runtime knob).
     Instances register [mod.<uuid>.*] counters plus the [rebuild_frac]
-    and [live_legs] gauges in [?metrics], and attach a health watcher
-    to each leg's device (probe instantiations attach nothing). *)
+    and [live_legs] gauges in [env]'s registry, and attach a health
+    watcher to each leg's device (probe instantiations attach
+    nothing). *)
 
 (** {2 Introspection} (for tests, benches and the CLI) *)
 

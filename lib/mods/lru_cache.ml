@@ -33,14 +33,14 @@ let est m req =
   ignore m;
   500.0 +. (0.35 *. Stdlib.float_of_int (Request.bytes_of req))
 
-let factory ?metrics ?timeseries () : Registry.factory =
+let factory ?env () : Registry.factory =
  fun ~uuid ~attrs ->
   let cfg = Cache_core.config_of_attrs ~name attrs in
   Labmod.make ~name ~uuid ~mod_type:Labmod.Cache
     ~state:
       (State
-         (Cache_core.create ~policy:Cache_core.lru_policy ?metrics
-            ?timeseries ~instance:uuid cfg))
+         (Cache_core.create ~policy:Cache_core.lru_policy ?env ~instance:uuid
+            cfg))
     {
       Labmod.operate;
       est_processing_time = est;

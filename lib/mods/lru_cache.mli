@@ -19,13 +19,9 @@ open Lab_core
 
 val name : string
 
-val factory :
-  ?metrics:Lab_obs.Metrics.t ->
-  ?timeseries:Lab_obs.Timeseries.t ->
-  unit ->
-  Registry.factory
-(** [?metrics] registers the cache counters under ["mod.<uuid>."];
-    [?timeseries] adds the ["mod.<uuid>.dirty_backlog"] sampler probe. *)
+val factory : ?env:Mod_util.env -> unit -> Registry.factory
+(** Instances register their counters and sampler probe in [env] (see
+    {!Cache_core.create}). *)
 
 val core : Labmod.t -> Cache_core.t option
 (** The underlying engine, for counter inspection. *)

@@ -21,3 +21,18 @@ let device_error name e =
 let identity_state : Labmod.state -> Labmod.state = fun s -> s
 
 let no_repair (_ : Labmod.t) = ()
+
+type env = {
+  metrics : Lab_obs.Metrics.t option;
+  timeseries : Lab_obs.Timeseries.t option;
+  qos : Lab_ipc.Tenant.t option;
+  hooks : Hooks.t;
+}
+
+let detached = { metrics = None; timeseries = None; qos = None; hooks = Hooks.off }
+
+(* Probe instantiations (stack validation, `labstor_cli mods`) use the
+   reserved "__probe__" uuid and must attach to nothing shared. *)
+let is_probe ~uuid = uuid = "__probe__"
+
+let for_instance env ~uuid = if is_probe ~uuid then detached else env

@@ -13,3 +13,22 @@ val identity_state : Labmod.state -> Labmod.state
 (** The common [state_update]: carry the old state over unchanged. *)
 
 val no_repair : Labmod.t -> unit
+
+type env = {
+  metrics : Lab_obs.Metrics.t option;
+  timeseries : Lab_obs.Timeseries.t option;
+  qos : Lab_ipc.Tenant.t option;
+  hooks : Hooks.t;
+}
+(** What a LabMod factory attaches its instances to (see
+    {!Mods_env.install}). *)
+
+val detached : env
+(** Attached to nothing, every hook off: each factory's default. *)
+
+val is_probe : uuid:string -> bool
+(** Whether [uuid] is the reserved ["__probe__"] uuid of a throwaway
+    probe instance, which must attach to nothing shared. *)
+
+val for_instance : env -> uuid:string -> env
+(** [env], or [detached] for a probe instance. *)

@@ -6,8 +6,8 @@ type backend = { blk : Lab_kernel.Blk.t; device : Device.t }
 let backend_of_device machine device =
   { blk = Lab_kernel.Blk.create machine device ~sched:Lab_kernel.Blk.Noop; device }
 
-let install ?metrics ?timeseries ?qos ?blackbox registry ~machine ~backends
-    ~default_backend ~nworkers ~lvm_rebuild_rate_mbps =
+let install ~env registry ~machine ~backends ~default_backend ~nworkers
+    ~lvm_rebuild_rate_mbps =
   let default =
     match List.assoc_opt default_backend backends with
     | Some b -> b
@@ -26,17 +26,17 @@ let install ?metrics ?timeseries ?qos ?blackbox registry ~machine ~backends
   let total_blocks blk = Profile.blocks (Device.profile (Lab_kernel.Blk.device blk)) in
   reg "labfs" (Labfs.factory ~total_blocks:(total_blocks default.blk) ~nworkers ());
   reg "labkvs" (Labkvs.factory ~total_blocks:(total_blocks default.blk) ~nworkers);
-  reg "lru_cache" (Lru_cache.factory ?metrics ?timeseries ());
-  reg "arc_cache" (Arc_cache.factory ?metrics ?timeseries ());
+  reg "lru_cache" (Lru_cache.factory ~env ());
+  reg "arc_cache" (Arc_cache.factory ~env ());
   reg "permissions" Permissions.factory;
   reg "compress" Compress_mod.factory;
   reg "consistency" Consistency_mod.factory;
   let nqueues = Device.n_hw_queues default.device in
   reg "noop_sched" (Noop_sched.factory ~nqueues);
   reg "blkswitch_sched"
-    (Blkswitch_sched.factory ?metrics ?qos ?blackbox ~nqueues ());
+    (Blkswitch_sched.factory ~env ~nqueues ());
   reg "lab_lvm"
-    (Lab_lvm.factory ?metrics ~machine
+    (Lab_lvm.factory ~env ~machine
        ~legs:(List.map (fun (bname, b) -> (bname, b.blk, b.device)) backends)
        ~rebuild_rate_mbps:lvm_rebuild_rate_mbps ());
   reg "dummy" (Dummy_mod.factory ())

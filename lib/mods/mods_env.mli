@@ -13,10 +13,7 @@ val backend_of_device : Lab_sim.Machine.t -> Lab_device.Device.t -> backend
 (** Wraps a device with a pass-through block layer (Noop steering). *)
 
 val install :
-  ?metrics:Lab_obs.Metrics.t ->
-  ?timeseries:Lab_obs.Timeseries.t ->
-  ?qos:Lab_ipc.Tenant.t ->
-  ?blackbox:Lab_obs.Flightrec.t ->
+  env:Mod_util.env ->
   Registry.t ->
   machine:Lab_sim.Machine.t ->
   backends:(string * backend) list ->
@@ -24,15 +21,15 @@ val install :
   nworkers:int ->
   lvm_rebuild_rate_mbps:float ->
   unit
-(** [?metrics] is threaded to the cache and scheduler factories so
-    every instance they build registers its counters (under
-    ["mod.<uuid>."]) in that registry.  [?timeseries] is threaded to
-    the cache factories so each instance registers its
-    ["mod.<uuid>.dirty_backlog"] probe with the profiling sampler.
-    [?qos] is threaded to the [blkswitch_sched] factory, attaching the
-    multi-tenant DRR dispatch stage to every instance it builds.
-    [?blackbox] is threaded to the [blkswitch_sched] factory so its
-    instances record scheduler decisions into the flight recorder.
+(** [env] is the one record the cache, scheduler and volume-manager
+    factories attach their instances to, in place of a handle per
+    consumer. Its [metrics] registry gets every instance's counters
+    (under ["mod.<uuid>."]) and gauges; its [timeseries] sampler gets
+    each cache instance's ["mod.<uuid>.dirty_backlog"] probe; its [qos]
+    table attaches the multi-tenant DRR dispatch stage to every
+    [blkswitch_sched] instance; its [hooks] see the scheduler's
+    merge/join decisions and QoS-gate park/wake. A ["__probe__"]
+    instance attaches to none of them ({!Mod_util.for_instance}).
 
     Registers: [labfs], [labkvs], [lru_cache], [permissions],
     [compress], [noop_sched], [blkswitch_sched], [lab_lvm] (over all

@@ -211,22 +211,6 @@ let dump t =
            v_stages = !stages;
          })
 
-let jstring s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let fns v = Printf.sprintf "%.3f" v
 
 (* Byte-stable: fixed float format, deterministic order. *)
@@ -248,8 +232,8 @@ let to_json t =
         if j > 0 then Buffer.add_char b ',';
         Buffer.add_string b
           (Printf.sprintf {|{"name":%s,"cat":%s,"t0_ns":%s,"dur_ns":%s}|}
-             (jstring e.e_names.(j))
-             (jstring e.e_cats.(j))
+             (Json.quote e.e_names.(j))
+             (Json.quote e.e_cats.(j))
              (fns e.e_t0s.(j))
              (fns (e.e_t1s.(j) -. e.e_t0s.(j))))
       done;

@@ -1,20 +1,12 @@
-(* Always-on flight recorder with triggered black-box dumps.
+(* Always-on flight recorder with triggered black-box dumps (see
+   flightrec.mli). The ring is struct-of-arrays columns, preallocated:
+   the last [cap] events, older ones overwritten. A record stores the
+   time from a float cell and otherwise ints and a shared string, so
+   it boxes no float, builds no option and allocates nothing.
 
-   A fixed-size ring of recent encoded events — submissions,
-   completions, errno failures, worker park/wake, scheduler decisions,
-   SLO window rolls, injected faults. Recording is a handful of array
-   stores into preallocated struct-of-arrays columns (no allocation,
-   no engine events, no simulated time), so the recorder can stay on
-   for every run at bounded cost: the ring holds the last [cap]
-   events and older ones are overwritten.
-
-   When a trigger fires — an injected fault, a client-visible
-   ENODEV/ETIMEDOUT, a deadline miss, an SLO burn rate above 1 — the
-   ring is serialized into a black-box dump: a JSON snapshot of what
-   the system was doing just before the event. The first few dumps
-   are kept (a crashing run triggers in bursts; the earliest context
-   is the diagnostic one) and exported by [Platform.export] to
-   out/blackbox.json. *)
+   A trigger — an injected fault, a client-visible ENODEV/ETIMEDOUT, a
+   deadline miss, an SLO burn rate above 1 — serializes the ring into
+   a JSON snapshot of what the system was doing just before. *)
 
 type kind =
   | Submit
@@ -28,29 +20,21 @@ type kind =
   | Sched
   | Trigger
 
-let code_of_kind = function
-  | Submit -> 0
-  | Complete -> 1
-  | Errno -> 2
-  | Deadline -> 3
-  | Park -> 4
-  | Wake -> 5
-  | Slo_roll -> 6
-  | Fault -> 7
-  | Sched -> 8
-  | Trigger -> 9
-
-let kind_names =
-  [|
-    "submit"; "complete"; "errno"; "deadline"; "park"; "wake"; "slo_roll";
-    "fault"; "sched"; "trigger";
-  |]
-
-let kind_name k = kind_names.(code_of_kind k)
+let kind_name = function
+  | Submit -> "submit"
+  | Complete -> "complete"
+  | Errno -> "errno"
+  | Deadline -> "deadline"
+  | Park -> "park"
+  | Wake -> "wake"
+  | Slo_roll -> "slo_roll"
+  | Fault -> "fault"
+  | Sched -> "sched"
+  | Trigger -> "trigger"
 
 type t = {
   cap : int;
-  codes : int array;
+  kinds : kind array;
   ts : float array;
   ids : int array;
   args : int array;
@@ -64,14 +48,14 @@ type t = {
 }
 
 let create ?(max_dumps = 4) ~cap () =
-  let cap = if cap < 0 then 0 else cap in
+  if cap <= 0 then invalid_arg "Flightrec.create: cap must be positive";
   {
     cap;
-    codes = Array.make (Stdlib.max cap 1) 0;
-    ts = Array.make (Stdlib.max cap 1) 0.0;
-    ids = Array.make (Stdlib.max cap 1) (-1);
-    args = Array.make (Stdlib.max cap 1) 0;
-    tags = Array.make (Stdlib.max cap 1) "";
+    kinds = Array.make cap Submit;
+    ts = Array.make cap 0.0;
+    ids = Array.make cap (-1);
+    args = Array.make cap 0;
+    tags = Array.make cap "";
     head = 0;
     recorded = 0;
     triggers = 0;
@@ -85,20 +69,19 @@ let recorded t = t.recorded
 let triggers t = t.triggers
 let dumps t = List.rev t.rev_dumps
 
-(* The hot path: five array stores and two integer updates. [tag]
-   should be a shared/literal string — the recorder never copies or
-   builds strings while recording. *)
-let record t kind ~now ?(id = -1) ?(arg = 0) ?(tag = "") () =
-  if t.cap > 0 then begin
-    let i = t.head in
-    t.codes.(i) <- code_of_kind kind;
-    t.ts.(i) <- now;
-    t.ids.(i) <- id;
-    t.args.(i) <- arg;
-    t.tags.(i) <- tag;
-    t.head <- (if i + 1 = t.cap then 0 else i + 1);
-    t.recorded <- t.recorded + 1
-  end
+(* The hot path: five array stores and two integer updates. The time
+   is [cells.(c)], so it crosses the call unboxed; [tag] should be a
+   shared/literal string — the recorder never copies or builds strings
+   while recording. *)
+let record t kind cells c ~id ~arg ~tag =
+  let i = t.head in
+  t.kinds.(i) <- kind;
+  t.ts.(i) <- cells.(c);
+  t.ids.(i) <- id;
+  t.args.(i) <- arg;
+  t.tags.(i) <- tag;
+  t.head <- (if i + 1 = t.cap then 0 else i + 1);
+  t.recorded <- t.recorded + 1
 
 (* ---- read-out ----------------------------------------------------- *)
 
@@ -118,7 +101,7 @@ let events t =
     let i = (t.head - n + j + t.cap) mod t.cap in
     out :=
       {
-        e_kind = kind_names.(t.codes.(i));
+        e_kind = kind_name t.kinds.(i);
         e_ts = t.ts.(i);
         e_id = t.ids.(i);
         e_arg = t.args.(i);
@@ -128,28 +111,12 @@ let events t =
   done;
   !out
 
-let jstring s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let fns v = Printf.sprintf "%.3f" v
 
 let dump_json t ~reason ~now =
   let b = Buffer.create 8192 in
   Buffer.add_string b
-    (Printf.sprintf {|{"reason":%s,"now_ns":%s,"events":[|} (jstring reason)
+    (Printf.sprintf {|{"reason":%s,"now_ns":%s,"events":[|} (Json.quote reason)
        (fns now));
   List.iteri
     (fun i e ->
@@ -157,7 +124,8 @@ let dump_json t ~reason ~now =
       Buffer.add_string b
         (Printf.sprintf
            "\n{\"kind\":%s,\"ts_ns\":%s,\"id\":%d,\"arg\":%d,\"tag\":%s}"
-           (jstring e.e_kind) (fns e.e_ts) e.e_id e.e_arg (jstring e.e_tag)))
+           (Json.quote e.e_kind) (fns e.e_ts) e.e_id e.e_arg
+           (Json.quote e.e_tag)))
     (events t);
   Buffer.add_string b "\n]}";
   Buffer.contents b
@@ -169,17 +137,15 @@ let dump_json t ~reason ~now =
    the earliest context per failure mode is the diagnostic one —
    dedup by reason keeps a rare trigger (a client-visible errno) from
    being crowded out by a chatty one (per-op injected faults). *)
-let trigger t ~reason ~now =
-  if t.cap > 0 then begin
-    record t Trigger ~now ~tag:reason ();
-    t.triggers <- t.triggers + 1;
-    if
-      List.length t.rev_dumps < t.max_dumps
-      && not (List.mem reason t.dumped_reasons)
-    then begin
-      t.dumped_reasons <- reason :: t.dumped_reasons;
-      t.rev_dumps <- dump_json t ~reason ~now :: t.rev_dumps
-    end
+let trigger t ~reason cells c =
+  record t Trigger cells c ~id:(-1) ~arg:0 ~tag:reason;
+  t.triggers <- t.triggers + 1;
+  if
+    List.length t.rev_dumps < t.max_dumps
+    && not (List.mem reason t.dumped_reasons)
+  then begin
+    t.dumped_reasons <- reason :: t.dumped_reasons;
+    t.rev_dumps <- dump_json t ~reason ~now:cells.(c) :: t.rev_dumps
   end
 
 (* Export artifact: counters plus the retained dumps (each already a

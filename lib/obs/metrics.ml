@@ -133,22 +133,6 @@ let jfloat f =
   let f = if Float.is_finite f then f else 0.0 in
   Printf.sprintf "%.6f" f
 
-let jstring s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 (* One JSON object per line: a snapshot greppable with standard
    line-oriented tools and append-friendly across runs. *)
 let to_jsonl t =
@@ -171,7 +155,7 @@ let to_jsonl t =
               (jfloat h.hs_p50) (jfloat h.hs_p99) (jfloat h.hs_p999) buckets
       in
       Buffer.add_string buf
-        (Printf.sprintf "{\"name\":%s,%s}\n" (jstring name) body))
+        (Printf.sprintf "{\"name\":%s,%s}\n" (Json.quote name) body))
     (to_list t);
   Buffer.contents buf
 

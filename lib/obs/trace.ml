@@ -68,7 +68,7 @@ and flow = {
 let create ?(sample = 0) ?exemplars () =
   { sample; exemplars; rev_events = []; count = 0; pool = [||]; pool_n = 0 }
 
-let sample t = t.sample
+let exemplars t = t.exemplars
 
 (* Multiplicative hash (a 63-bit-safe odd constant from the SplitMix /
    xorshift family) decorrelates the sampling decision from id
@@ -150,12 +150,13 @@ let record_stage fl ~name ~cat ~t0 ~t1 =
   end
   else fl.fl_dropped <- fl.fl_dropped + 1
 
-let emit_span ?(args = []) fl ~name ~cat ~tid ~t0 ~t1 =
+(* A complete span ([ph] 'X') or, with [t0 = t1], an instant ('i'). *)
+let emit_span ?(args = []) ?(ph = 'X') fl ~name ~cat ~tid ~t0 ~t1 =
   emit fl.fl_tr
     {
       ev_name = name;
       ev_cat = cat;
-      ev_ph = 'X';
+      ev_ph = ph;
       ev_ts = t0;
       ev_dur = (if t1 > t0 then t1 -. t0 else 0.0);
       ev_tid = tid;
@@ -171,17 +172,7 @@ let instant ?(args = []) fl ~name ~tid ~now =
   if fl.fl_tr.exemplars <> None then
     record_stage fl ~name ~cat:"event" ~t0:now ~t1:now;
   if fl.fl_emit then
-    emit fl.fl_tr
-      {
-        ev_name = name;
-        ev_cat = "event";
-        ev_ph = 'i';
-        ev_ts = now;
-        ev_dur = 0.0;
-        ev_tid = tid;
-        ev_id = fl.fl_id;
-        ev_args = args;
-      }
+    emit_span ~args ~ph:'i' fl ~name ~cat:"event" ~tid ~t0:now ~t1:now
 
 let open_stage fl ~name ~now =
   fl.fl_open <- true;
@@ -221,22 +212,6 @@ let clear t =
 
 (* --- Chrome trace-event JSON -------------------------------------- *)
 
-let jstring s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 (* Chrome timestamps are microseconds; "%.3f" keeps ns resolution with
    a fixed format so equal traces serialize byte-identically. *)
 let us ns = Printf.sprintf "%.3f" (ns /. 1e3)
@@ -245,7 +220,7 @@ let event_json b ev =
   Buffer.add_string b
     (Printf.sprintf
        {|{"name":%s,"cat":%s,"ph":"%c","ts":%s,"pid":1,"tid":%d|}
-       (jstring ev.ev_name) (jstring ev.ev_cat) ev.ev_ph (us ev.ev_ts)
+       (Json.quote ev.ev_name) (Json.quote ev.ev_cat) ev.ev_ph (us ev.ev_ts)
        ev.ev_tid);
   if ev.ev_ph = 'X' then Buffer.add_string b (Printf.sprintf {|,"dur":%s|} (us ev.ev_dur));
   if ev.ev_ph = 'i' then Buffer.add_string b {|,"s":"t"|};
@@ -254,9 +229,9 @@ let event_json b ev =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (jstring k);
+      Buffer.add_string b (Json.quote k);
       Buffer.add_char b ':';
-      Buffer.add_string b (jstring v))
+      Buffer.add_string b (Json.quote v))
     args;
   Buffer.add_string b "}}"
 

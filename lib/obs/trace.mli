@@ -39,7 +39,7 @@ val create : ?sample:int -> ?exemplars:Exemplar.t -> unit -> t
     [exemplars] attaches a tail-exemplar store and turns on
     stage capture for {e every} request (see {!Exemplar}). *)
 
-val sample : t -> int
+val exemplars : t -> Exemplar.t option
 val sampled : t -> id:int -> bool
 (** Deterministic: [sample > 0] and a multiplicative hash of [id] is
     [0 mod sample]. The hash decorrelates sampling from id allocation

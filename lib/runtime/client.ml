@@ -2,7 +2,6 @@ open Lab_sim
 open Lab_ipc
 open Lab_core
 module Metrics = Lab_obs.Metrics
-module Trace = Lab_obs.Trace
 
 exception Runtime_gone
 
@@ -62,11 +61,7 @@ type t = {
      policy backs off on) and every request is stamped with the
      tenant's dense index for the scheduler's DRR stage. *)
   tenant : Tenant.tenant option;
-  (* Flight recorder (shared with the whole runtime; [None] = every
-     hook below is one option check). Client submissions, completions,
-     errno failures and deadline misses record into it; ENODEV /
-     ETIMEDOUT and deadline misses trigger black-box dumps. *)
-  bb : Lab_obs.Flightrec.t option;
+  hooks : Hooks.t;  (* the runtime's: submit, post, finish, latency *)
   (* The pending set of the one submission in flight (a request or a
      batch; a client is one thread's connection). Slot i holds the id
      of entry i's outstanding attempt, or [closed] and then its result.
@@ -141,7 +136,7 @@ let connect runtime ~pid ~uid ~thread ?(recovery_timeout_ns = 1e10)
     latency_hist = Metrics.histogram ~reg "client.latency_ns";
     pool = Request.Pool.create ();
     tenant = Runtime.tenant_for runtime ~uid;
-    bb = Runtime.blackbox runtime;
+    hooks = Runtime.hooks runtime;
     slot_id = [| closed |];
     slot_res = [| Request.Done |];
     slots = 0;
@@ -208,49 +203,11 @@ let run_state_repair t =
         (Stack.mods stack (Runtime.registry t.runtime)))
     (Namespace.stacks (Runtime.namespace t.runtime))
 
-(* ---- flight-recorder hooks -----------------------------------------
-   Each is one option check when no recorder is configured; recording
-   never reads anything but the clock, so it cannot perturb a run. *)
-
-let bb_submit t (req : Request.t) =
-  match t.bb with
-  | None -> ()
-  | Some bb ->
-      Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Submit
-        ~now:req.Request.submitted_at ~id:req.Request.id ()
-
-(* A settled attempt: ok/failed completions record; a client-visible
-   ENODEV (device gone) or ETIMEDOUT (time budget spent) triggers a
-   black-box dump. Deadline misses go through [deadline_miss]
-   instead. *)
-let bb_result t ~id result =
-  match t.bb with
-  | None -> ()
-  | Some bb -> (
-      let now = Machine.now (machine t) in
-      match Request.errno_of_result result with
-      | Some e ->
-          Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Errno ~now ~id ~tag:e
-            ();
-          if e = "ENODEV" then
-            Lab_obs.Flightrec.trigger bb ~reason:"errno:ENODEV" ~now
-          else if e = "ETIMEDOUT" then
-            Lab_obs.Flightrec.trigger bb ~reason:"errno:ETIMEDOUT" ~now
-      | None ->
-          Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Complete ~now ~id
-            ~arg:(if Request.is_ok result then 0 else 1)
-            ())
-
-(* A deadline miss is counted, recorded as its own black-box trigger
-   category and surfaced as a final ETIMEDOUT failure. *)
+(* A deadline miss is counted, reported to the hooks and surfaced as a
+   final ETIMEDOUT failure. *)
 let deadline_miss t ~id detail =
   Metrics.incr t.counters.fc_deadline_misses;
-  (match t.bb with
-  | None -> ()
-  | Some bb ->
-      let now = Machine.now (machine t) in
-      Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Deadline ~now ~id ();
-      Lab_obs.Flightrec.trigger bb ~reason:"deadline_miss" ~now);
+  Hooks.deadline_miss t.hooks ~id;
   Request.failed_errno "ETIMEDOUT" detail
 
 (* Request construction + LabStack/Module-Registry lookups the Runtime
@@ -285,10 +242,10 @@ let open_slots t n =
   t.left <- n;
   t.outbox_n <- 0
 
-(* Build: a pooled request stamped with the tenant, the open-loop
-   origin and its trace context, with the "submit" stage open. It
-   becomes slot [slot]'s outstanding attempt and waits in the outbox
-   for the next post. *)
+(* Build: a pooled request stamped with the tenant and the open-loop
+   origin, then submitted to the hooks (its trace context, with the
+   "submit" stage open). It becomes slot [slot]'s outstanding attempt
+   and waits in the outbox for the next post. *)
 let build t (stack : Stack.t) ~slot payload ~hint ~stream ~scheduled =
   let req =
     Request.Pool.acquire t.pool
@@ -313,22 +270,7 @@ let build t (stack : Stack.t) ~slot payload ~hint ~stream ~scheduled =
   | Some s0 ->
       req.Request.scheduled_at <- Float.min s0 req.Request.submitted_at
   | None -> ());
-  (* Trace context: present only when this request id is sampled, so
-     with sampling off the whole path costs one option check. The flow
-     starts at the scheduled origin; any injection lag shows up as its
-     own stage rather than silently inflating "submit". *)
-  req.Request.trace <-
-    Trace.start (Runtime.tracer t.runtime) ~id:req.Request.id
-      ~now:req.Request.scheduled_at;
-  (match req.Request.trace with
-  | Some fl ->
-      if req.Request.scheduled_at < req.Request.submitted_at then begin
-        Trace.open_stage fl ~name:"inject_lag" ~now:req.Request.scheduled_at;
-        Trace.close_stage fl ~tid:t.c_thread ~now:req.Request.submitted_at
-      end;
-      Trace.open_stage fl ~name:"submit" ~now:req.Request.submitted_at
-  | None -> ());
-  bb_submit t req;
+  Hooks.submit t.hooks req ~tid:t.c_thread;
   t.slot_id.(slot) <- req.Request.id;
   t.outbox.(t.outbox_n) <- req;
   t.outbox_n <- t.outbox_n + 1;
@@ -347,12 +289,7 @@ let post t qp =
   (* Nothing below waits, so each traced entry reads the same instant;
      an untraced post reads no clock. *)
   for k = 0 to n - 1 do
-    match t.outbox.(k).Request.trace with
-    | Some fl ->
-        let now = Machine.now (machine t) in
-        Trace.close_stage fl ~tid:t.c_thread ~now;
-        Trace.open_stage fl ~name:"queue_wait" ~now
-    | None -> ()
+    Hooks.post t.hooks t.outbox.(k) ~tid:t.c_thread
   done
 
 (* The slot awaiting request [id] (from slot [i] on), or -1 for a stale
@@ -360,13 +297,10 @@ let post t qp =
 let rec slot_of t id i =
   if i = t.slots then -1 else if t.slot_id.(i) = id then i else slot_of t id (i + 1)
 
-(* Ends [req] with [result] in slot [i]: the trace finishes, the flight
-   recorder notes the result and the record goes back to the pool. *)
+(* Ends [req] with [result] in slot [i]: the hooks see it finish and the
+   record goes back to the pool. *)
 let finish t i (req : Request.t) result =
-  (match req.Request.trace with
-  | Some fl -> Trace.finish fl ~tid:t.c_thread ~now:(Machine.now (machine t))
-  | None -> ());
-  bb_result t ~id:req.Request.id result;
+  Hooks.finish t.hooks req ~tid:t.c_thread result;
   t.slot_res.(i) <- result;
   Request.Pool.release t.pool req
 
@@ -441,10 +375,7 @@ let rec dispatch_once t (stack : Stack.t) payload ~hint ~stream ~scheduled
                walks the namespace and Module Registry itself. *)
             t.fl.(0) <- sync_dispatch_ns;
             charge t;
-            (match req.Request.trace with
-            | Some fl ->
-                Trace.close_stage fl ~tid:t.c_thread ~now:(Machine.now (machine t))
-            | None -> ());
+            Hooks.execute t.hooks req ~tid:t.c_thread;
             (* The DAG runs to completion in this thread, so nothing can
                still reference the request: [finish] recycles it. *)
             finish t 0 req (Runtime.exec_request t.runtime ~thread:t.c_thread req);
@@ -543,9 +474,7 @@ let do_request t (stack : Stack.t) ?stream ?scheduled_at payload =
   (match scheduled_at with Some s -> fl.(2) <- Float.min s fl.(2) | None -> ());
   fl.(4) <- fl.(3) -. fl.(2);
   Lab_obs.Hist.observe_cell t.latency_hist fl 4;
-  (match Runtime.slo t.runtime with
-  | Some slo -> Lab_obs.Latrec.Slo.observe slo ~latency_ns:fl.(4) ~now:fl.(3)
-  | None -> ());
+  Hooks.latency t.hooks fl ~latency:4 ~at:3;
   result
 
 (* --- Batched submission (io_uring-style multi-submit) --- *)

@@ -22,18 +22,6 @@ type binding = {
 
 type Registry.binding += Bound of binding
 
-(* Instrumentation reads the simulated clock but never charges compute
-   or schedules events, so a traced run's timing is identical to an
-   untraced one.  Each module span is attached to the flow carried by
-   the request the module actually saw — a derived request (record
-   copy) shares its parent's flow, a synthesized one carries none. *)
-let mod_span (r : Request.t) ~name ~uuid ~thread ~t0 ~t1 =
-  match r.Request.trace with
-  | Some fl ->
-      Lab_obs.Trace.span fl ~name ~cat:"mod" ~tid:thread ~t0 ~t1
-        ~args:[ ("uuid", uuid) ]
-  | None -> ()
-
 let refresh_mods b =
   b.mods <- Array.map (Registry.find b.registry) b.uuids;
   b.gen <- Registry.generation b.registry
@@ -57,7 +45,7 @@ and traced_operate b m ctx uuid req =
   let e = b.machine.Machine.engine in
   let t0 = Engine.now e in
   let result = m.Labmod.ops.Labmod.operate m ctx req in
-  mod_span req ~name:m.Labmod.name ~uuid ~thread:b.thread ~t0
+  Hooks.module_span req ~name:m.Labmod.name ~uuid ~tid:b.thread ~t0
     ~t1:(Engine.now e);
   result
 
@@ -138,6 +126,5 @@ let run machine ~registry ~stack ~thread req =
       let e = machine.Machine.engine in
       let t0 = Engine.now e in
       let result = run_vertex b 0 req in
-      Lab_obs.Trace.span fl ~name:"module_stack" ~cat:"stage" ~tid:thread ~t0
-        ~t1:(Engine.now e);
+      Hooks.module_stack fl ~tid:thread ~t0 ~t1:(Engine.now e);
       result

@@ -93,20 +93,11 @@ type t = {
   admin_thread : int;
   mutable live : bool;
   repo_mgr : Repo.t;
-  tracer : Lab_obs.Trace.t;
+  hooks : Hooks.t;  (* the tracer, the flight recorder and the SLO *)
   metrics : Lab_obs.Metrics.t;
   service_hist : Lab_obs.Metrics.histogram;
   timeseries : Lab_obs.Timeseries.t option;
   qos : Tenant.t;
-  slo : Lab_obs.Latrec.Slo.t option;
-      (* runtime-wide SLO over client latency; [None] (the default)
-         means the request path makes exactly one option check *)
-  exemplars : Lab_obs.Exemplar.t option;
-      (* tail-exemplar store the tracer offers every finished flow to;
-         [None] = no retroactive capture *)
-  blackbox : Lab_obs.Flightrec.t option;
-      (* always-on flight recorder; [None] = every hook is one option
-         check *)
 }
 
 let machine t = t.machine
@@ -123,7 +114,7 @@ let workers t = t.pool
 
 let config t = t.cfg
 
-let tracer t = t.tracer
+let hooks t = t.hooks
 
 let metrics t = t.metrics
 
@@ -131,11 +122,9 @@ let timeseries t = t.timeseries
 
 let qos t = t.qos
 
-let slo t = t.slo
+let exemplars t = Lab_obs.Trace.exemplars (Hooks.tracer t.hooks)
 
-let exemplars t = t.exemplars
-
-let blackbox t = t.blackbox
+let blackbox t = Hooks.blackbox t.hooks
 
 let next_request_id t =
   t.req_counter <- t.req_counter + 1;
@@ -254,8 +243,8 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
     Lab_obs.Trace.create ~sample:config.trace_sample ?exemplars ()
   in
   (* Flight recorder: a preallocated ring, always on once configured;
-     record/trigger hooks all over the runtime reduce to one option
-     check when [blackbox_cap] is 0. *)
+     with [blackbox_cap] 0 there is none and its hooks are one option
+     check each. *)
   let blackbox =
     if config.blackbox_cap > 0 then
       Some (Lab_obs.Flightrec.create ~cap:config.blackbox_cap ())
@@ -286,22 +275,13 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
            ~window_ns:1e6 ())
     else None
   in
-  (* The flight recorder rides SLO window rolls: every closed window is
-     logged, and a window burning past its budget (burn > 1) triggers a
-     black-box dump. *)
-  (match (slo, blackbox) with
-  | Some s, Some bb ->
-      Lab_obs.Latrec.Slo.set_on_roll s (fun ~now ~burn ->
-          Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Slo_roll ~now
-            ~arg:(Stdlib.int_of_float (burn *. 1000.0))
-            ();
-          if burn > 1.0 then
-            Lab_obs.Flightrec.trigger bb ~reason:"slo_burn" ~now)
-  | _ -> ());
-  Lab_mods.Mods_env.install reg ~machine ~backends ~default_backend
+  let hooks = Hooks.create ~tracer ?blackbox ?slo machine.Machine.engine in
+  let env =
+    { Lab_mods.Mod_util.metrics = Some metrics; timeseries; qos = Some qos; hooks }
+  in
+  Lab_mods.Mods_env.install ~env reg ~machine ~backends ~default_backend
     ~nworkers:config.nworkers
-    ~lvm_rebuild_rate_mbps:config.lvm_rebuild_rate_mbps ~metrics ?timeseries
-    ~qos ?blackbox;
+    ~lvm_rebuild_rate_mbps:config.lvm_rebuild_rate_mbps;
   let default =
     match List.assoc_opt default_backend backends with
     | Some b -> b
@@ -320,10 +300,10 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
                (config.worker_core_base + i) mod Cpu.ncores machine.Machine.cpu
              in
              Cpu.pin machine.Machine.cpu ~thread ~core;
-             Worker.create machine ~id:i ~thread ~exec ~qstat ~qprime
+             Worker.create machine ~hooks ~id:i ~thread ~exec ~qstat ~qprime
                ~busy_poll:config.workers_busy_poll
                ~batch_size:config.worker_batch_size
-               ~max_inflight:config.worker_max_inflight ?blackbox ())
+               ~max_inflight:config.worker_max_inflight ())
        in
        {
          machine;
@@ -342,14 +322,11 @@ let create machine ?(config = default_config) ~backends ~default_backend () =
          admin_thread = admin_thread_id;
          live = true;
          repo_mgr = Repo.create ~runtime_uid:0 ();
-         tracer;
+         hooks;
          metrics;
          service_hist = Lab_obs.Metrics.histogram ~reg:metrics "runtime.service_ns";
          timeseries;
          qos;
-         slo;
-         exemplars;
-         blackbox;
        })
   in
   let t = Lazy.force t in

@@ -95,9 +95,11 @@ val workers : t -> Worker.t array
 
 val config : t -> config
 
-val tracer : t -> Lab_obs.Trace.t
-(** The span tracer every client/worker/module instrumentation point
-    emits into; created with the config's [trace_sample]. *)
+val hooks : t -> Lab_core.Hooks.t
+(** The one lifecycle interface the clients, workers and LabMods report
+    to. It fans out to the tracer (created with the config's
+    [trace_sample]), the flight recorder and the SLO, whichever the
+    config turns on. *)
 
 val metrics : t -> Lab_obs.Metrics.t
 (** The metrics registry: queue-pair, worker, module, client and (via
@@ -114,24 +116,18 @@ val qos : t -> Lab_ipc.Tenant.t
 (** The multi-tenant QoS table. Always present; inert (every request
     skips the dispatch gate) until a tenant is registered. *)
 
-val slo : t -> Lab_obs.Latrec.Slo.t option
-(** The runtime-wide client-latency SLO, present iff the config sets a
-    latency target or throughput floor. When present, every client
-    request feeds it and its error-budget gauges
-    ([slo.<name>.budget_remaining], [slo.<name>.burn_rate]) travel with
-    {!Platform.export}. *)
-
 val exemplars : t -> Lab_obs.Exemplar.t option
 (** The tail-exemplar store, present iff the config's [exemplar_k] is
     positive. Attached to the tracer: every finished request flow is
     offered and the K slowest survive with full stage anatomy. *)
 
 val blackbox : t -> Lab_obs.Flightrec.t option
-(** The flight recorder, present iff the config's [blackbox_cap] is
-    positive. Client submit/complete/errno/deadline events, worker and
-    scheduler park/wake, SLO window rolls and injected faults all
-    record into its ring; faults, client-visible ENODEV/ETIMEDOUT,
-    deadline misses and burn rates above 1 trigger black-box dumps. *)
+(** The flight recorder behind {!hooks}, present iff the config's
+    [blackbox_cap] is positive. Client submit/complete/errno/deadline
+    events, worker and scheduler park/wake, SLO window rolls and
+    injected faults all record into its ring; faults, client-visible
+    ENODEV/ETIMEDOUT, deadline misses and burn rates above 1 trigger
+    black-box dumps. *)
 
 val register_tenant :
   t ->

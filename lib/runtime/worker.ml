@@ -1,7 +1,6 @@
 open Lab_sim
 open Lab_ipc
 open Lab_core
-module Trace = Lab_obs.Trace
 
 (* A long-lived process that runs one request at a time for its worker
    and parks on the worker's idle stack between requests. [x_fl.(0)] is
@@ -68,9 +67,7 @@ type t = {
   mutable idle_x : executor array;
   mutable n_idle : int;
   mutable spawned : int;
-  (* Flight recorder: park/wake transitions are recorded so a black-box
-     dump shows whether workers were asleep just before a trigger. *)
-  blackbox : Lab_obs.Flightrec.t option;
+  hooks : Hooks.t;  (* request stages and park/wake report here *)
 }
 
 (* Whether a poll now would only poll again: the worker is running, has
@@ -95,9 +92,9 @@ let idle_tick t () =
     Engine.arm t.chain t.tick
   else Engine.resume_in_place t.cell
 
-let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ _ _ -> ())
+let create machine ~hooks ~id ~thread ~exec ?(qstat = fun ~qp_id:_ _ _ -> ())
     ?(qprime = fun ~qp_id:_ _ -> ()) ?(spin_ns = 5000.0) ?(busy_poll = false)
-    ?(batch_size = 1) ?(max_inflight = 16) ?blackbox () =
+    ?(batch_size = 1) ?(max_inflight = 16) () =
   let batch_size = Stdlib.max 1 batch_size in
   let scratch_dummy =
     Request.make ~id:(-1) ~pid:(-1) ~uid:(-1) ~thread:(-1) ~stack_id:(-1)
@@ -137,7 +134,7 @@ let create machine ~id ~thread ~exec ?(qstat = fun ~qp_id:_ _ _ -> ())
       idle_x = [||];
       n_idle = 0;
       spawned = 0;
-      blackbox;
+      hooks;
     }
   in
   t.tick <- idle_tick t;
@@ -214,38 +211,25 @@ let reset_stats t =
 let costs t = t.machine.Machine.costs
 
 (* Runs the executor's request through its stack and posts the
-   completion. Stage accounting (telescoping): the client's
-   "queue_wait" ended at dequeue and "dispatch" ends here; "complete"
-   covers the post-stack completion push. Tracing only reads the clock
-   — it never charges time or schedules events. *)
+   completion, reporting each stage boundary to the hooks. *)
 let run_request t x =
   let req = x.x_req and qp = x.x_qp in
   let e = t.machine.Machine.engine and xf = x.x_fl in
   Engine.stamp e xf 0;
-  (match req.Request.trace with
-  | Some fl -> Trace.close_stage fl ~tid:t.w_thread ~now:xf.(0)
-  | None -> ());
+  Hooks.execute t.hooks req ~tid:t.w_thread;
   req.Request.result <- t.exec ~thread:t.w_thread req;
   (* A request released (and maybe re-acquired) while it ran belongs to
      someone else now: completing it would hand them our result. *)
   if req.Request.gen <> x.x_gen then
     invalid_arg "Worker: request released while in flight";
-  (match req.Request.trace with
-  | Some fl -> Trace.open_stage fl ~name:"complete" ~now:(Engine.now e)
-  | None -> ());
+  Hooks.complete t.hooks req;
   Engine.stamp e xf 1;
   xf.(1) <- xf.(1) -. xf.(0);
   t.qstat ~qp_id:(Qp.id qp) xf 1;
   xf.(1) <- (costs t).Costs.shmem_enqueue_ns;
   Machine.compute_cell t.machine ~thread:t.w_thread xf 1;
-  (* Hand the open "reap" stage to the client before the completion
-     push can wake it. *)
-  (match req.Request.trace with
-  | Some fl ->
-      let now = Engine.now e in
-      Trace.close_stage fl ~tid:t.w_thread ~now;
-      Trace.open_stage fl ~name:"reap" ~now
-  | None -> ());
+  (* Before the completion push can wake the client. *)
+  Hooks.reap t.hooks req ~tid:t.w_thread;
   Qp.complete qp req;
   t.done_count <- t.done_count + 1;
   t.inflight <- t.inflight - 1;
@@ -322,14 +306,7 @@ let process t qp req =
      we start on it (the EstProcessingTime API): a queue turns
      computational at dispatch, not at first completion. *)
   t.qprime ~qp_id:(Qp.id qp) req;
-  (* The client's "queue_wait" ends the moment the worker dequeues;
-     "dispatch" covers the cross-core pull. *)
-  (match req.Request.trace with
-  | Some fl ->
-      let now = Engine.now t.machine.Machine.engine in
-      Trace.close_stage fl ~tid:t.w_thread ~now;
-      Trace.open_stage fl ~name:"dispatch" ~now
-  | None -> ());
+  Hooks.dispatch t.hooks req ~tid:t.w_thread;
   Machine.compute_cell t.machine ~thread:t.w_thread t.pull 0;
   dispatch t qp req
 
@@ -390,22 +367,11 @@ let park t =
   t.active <- t.active +. (Engine.now t.machine.Machine.engine -. t.awake_since);
   t.is_parked <- true;
   let done_before = t.done_count in
-  (match t.blackbox with
-  | Some bb ->
-      Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Park
-        ~now:(Engine.now t.machine.Machine.engine)
-        ~id:t.w_id ~tag:"worker" ()
-  | None -> ());
+  Hooks.park t.hooks ~id:t.w_id ~tag:"worker";
   Waitq.park t.bell;
   t.is_parked <- false;
   t.awake_since <- Engine.now t.machine.Machine.engine;
-  match t.blackbox with
-  | Some bb ->
-      Lab_obs.Flightrec.record bb Lab_obs.Flightrec.Wake ~now:t.awake_since
-        ~id:t.w_id
-        ~arg:(t.done_count - done_before)
-        ~tag:"worker" ()
-  | None -> ()
+  Hooks.wake t.hooks ~id:t.w_id ~arg:(t.done_count - done_before) ~tag:"worker"
 
 (* Wait one poll interval ([poll.(1)]) on the idle tick: the worker
    parks, and the tick resumes it in place once polling would find

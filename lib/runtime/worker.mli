@@ -12,6 +12,7 @@ type t
 
 val create :
   Lab_sim.Machine.t ->
+  hooks:Lab_core.Hooks.t ->
   id:int ->
   thread:int ->
   exec:(thread:int -> Lab_core.Request.t -> Lab_core.Request.result) ->
@@ -21,10 +22,11 @@ val create :
   ?busy_poll:bool ->
   ?batch_size:int ->
   ?max_inflight:int ->
-  ?blackbox:Lab_obs.Flightrec.t ->
   unit ->
   t
-(** [exec] runs a request through its stack. [qstat ~qp_id cells i]
+(** [hooks] sees each request's stages and the worker's park/wake
+    ({!Lab_core.Hooks.off} outside a runtime). [exec] runs a request
+    through its stack. [qstat ~qp_id cells i]
     reports an observed per-queue service time, [cells.(i)], to the
     orchestrator (in a cell, so the float is not boxed). [spin_ns] is the idle
     polling budget before parking (default 5000). With [busy_poll] the

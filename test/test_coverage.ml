@@ -245,12 +245,12 @@ let test_ipc_disconnect_frees_region () =
 let test_worker_doorbell_handoff () =
   in_sim (fun m ->
       let w1 =
-        Lab_runtime.Worker.create m ~id:1 ~thread:1
+        Lab_runtime.Worker.create m ~hooks:Lab_core.Hooks.off ~id:1 ~thread:1
           ~exec:(fun ~thread:_ _ -> Request.Done)
           ()
       in
       let w2 =
-        Lab_runtime.Worker.create m ~id:2 ~thread:2
+        Lab_runtime.Worker.create m ~hooks:Lab_core.Hooks.off ~id:2 ~thread:2
           ~exec:(fun ~thread:_ _ -> Request.Done)
           ()
       in
@@ -281,7 +281,10 @@ let test_unordered_queue_multi_worker () =
         in
         let workers =
           Array.init nworkers (fun i ->
-              let w = Lab_runtime.Worker.create m ~id:i ~thread:(100 + i) ~exec () in
+              let w =
+                Lab_runtime.Worker.create m ~hooks:Lab_core.Hooks.off ~id:i
+                  ~thread:(100 + i) ~exec ()
+              in
               Lab_runtime.Worker.start w;
               w)
         in

@@ -596,8 +596,10 @@ let test_exemplar_disabled () =
 
 let test_flightrec_ring () =
   let bb = Flightrec.create ~cap:4 () in
+  let at = [| 0.0 |] in
   for i = 1 to 6 do
-    Flightrec.record bb Flightrec.Submit ~now:(float_of_int i) ~id:i ()
+    at.(0) <- float_of_int i;
+    Flightrec.record bb Flightrec.Submit at 0 ~id:i ~arg:0 ~tag:""
   done;
   Alcotest.(check int) "all recorded" 6 (Flightrec.recorded bb);
   (match Flightrec.events bb with
@@ -608,23 +610,25 @@ let test_flightrec_ring () =
       Alcotest.(check int) "then" 5 c.Flightrec.e_id;
       Alcotest.(check int) "newest" 6 d.Flightrec.e_id
   | es -> Alcotest.failf "expected 4 ring events, got %d" (List.length es));
-  (* cap=0 disables: record and trigger are no-ops. *)
-  let off = Flightrec.create ~cap:0 () in
-  Flightrec.record off Flightrec.Submit ~now:0.0 ();
-  Flightrec.trigger off ~reason:"x" ~now:0.0;
-  Alcotest.(check int) "disabled records nothing" 0 (Flightrec.recorded off);
-  Alcotest.(check int) "disabled dumps nothing" 0
-    (List.length (Flightrec.dumps off))
+  (* No recorder is an absent one, not a zero-capacity ring. *)
+  List.iter
+    (fun cap ->
+      Alcotest.check_raises
+        (Printf.sprintf "cap %d refused" cap)
+        (Invalid_argument "Flightrec.create: cap must be positive")
+        (fun () -> ignore (Flightrec.create ~cap ())))
+    [ 0; -1 ]
 
 let test_flightrec_triggers () =
   let bb = Flightrec.create ~max_dumps:2 ~cap:16 () in
-  Flightrec.record bb Flightrec.Errno ~now:1.0 ~id:9 ~tag:"ENODEV" ();
-  Flightrec.trigger bb ~reason:"errno:ENODEV" ~now:2.0;
+  let at = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
+  Flightrec.record bb Flightrec.Errno at 0 ~id:9 ~arg:0 ~tag:"ENODEV";
+  Flightrec.trigger bb ~reason:"errno:ENODEV" at 1;
   (* Same reason again: counted, but no second dump. *)
-  Flightrec.trigger bb ~reason:"errno:ENODEV" ~now:3.0;
-  Flightrec.trigger bb ~reason:"deadline_miss" ~now:4.0;
+  Flightrec.trigger bb ~reason:"errno:ENODEV" at 2;
+  Flightrec.trigger bb ~reason:"deadline_miss" at 3;
   (* Third distinct reason: over max_dumps, counted only. *)
-  Flightrec.trigger bb ~reason:"slo_burn" ~now:5.0;
+  Flightrec.trigger bb ~reason:"slo_burn" at 4;
   Alcotest.(check int) "all triggers counted" 4 (Flightrec.triggers bb);
   (match Flightrec.dumps bb with
   | [ d1; d2 ] ->
@@ -803,11 +807,22 @@ let retro_config =
     blackbox_cap = 256;
   }
 
+(* Every consumer on at once: the hooks fan one lifecycle point out to
+   the tracer, exemplar capture, the flight recorder and the SLO in
+   turn, while the sampler ticks. *)
+let all_on_config =
+  {
+    retro_config with
+    slo_p99_target_us = 50.0;
+    profile_period_ns = 25_000.0;
+  }
+
 let test_capture_neutrality () =
   (* Exemplar capture and the flight recorder do their work in plain
      OCaml between engine events — no spawns, no simulated time — so
      turning both on full blast must leave the schedule untouched:
-     identical event count and identical final virtual time. *)
+     identical event count and identical final virtual time. So must
+     every consumer at once. *)
   let observe p =
     let machine = Platform.machine p in
     ( Lab_sim.Engine.events_executed machine.Lab_sim.Machine.engine,
@@ -815,10 +830,31 @@ let test_capture_neutrality () =
   in
   let off = run_platform ~sample:0 () in
   let on = run_platform ~sample:0 ~config:retro_config () in
+  let all = run_platform ~sample:1 ~config:all_on_config () in
   let events0, elapsed0 = observe off in
   let events1, elapsed1 = observe on in
+  let events2, elapsed2 = observe all in
   Alcotest.(check int) "same event count" events0 events1;
   Alcotest.(check (float 0.0)) "same virtual time" elapsed0 elapsed1;
+  Alcotest.(check int) "all on: same event count" events0 events2;
+  Alcotest.(check (float 0.0)) "all on: same virtual time" elapsed0 elapsed2;
+  let rt = Platform.runtime all in
+  Alcotest.(check bool) "all on: traced" true
+    (Trace.event_count (Platform.tracer all) > 0);
+  Alcotest.(check bool) "all on: recorded" true
+    (match Runtime.Runtime.blackbox rt with
+    | Some bb -> Flightrec.recorded bb > 0
+    | None -> false);
+  Alcotest.(check bool) "all on: captured" true
+    (match Runtime.Runtime.exemplars rt with
+    | Some store -> Exemplar.offered store = threads * ops
+    | None -> false);
+  Alcotest.(check bool) "all on: sampled" true
+    (match Runtime.Runtime.timeseries rt with
+    | Some ts -> Timeseries.ticks ts > 0
+    | None -> false);
+  Alcotest.(check bool) "all on: SLO gauges" true
+    (List.mem_assoc "slo.client.burn_rate" (Metrics.to_list (Platform.metrics all)));
   (* ... and the capture actually happened. *)
   (match Runtime.Runtime.exemplars (Platform.runtime on) with
   | None -> Alcotest.fail "exemplar store missing"

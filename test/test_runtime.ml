@@ -694,7 +694,9 @@ let test_misrouted_executor_resume () =
   let m = Machine.create ~ncores:2 () in
   let e = m.Machine.engine in
   let w =
-    Worker.create m ~id:0 ~thread:0 ~exec:(fun ~thread:_ _ -> Request.Done) ()
+    Worker.create m ~hooks:Hooks.off ~id:0 ~thread:0
+      ~exec:(fun ~thread:_ _ -> Request.Done)
+      ()
   in
   let qp =
     Lab_ipc.Qp.create ~role:Lab_ipc.Qp.Primary ~ordering:Lab_ipc.Qp.Ordered
@@ -966,7 +968,7 @@ let test_released_in_flight_raises () =
   let m = Machine.create ~ncores:2 () in
   let e = m.Machine.engine in
   let w =
-    Worker.create m ~id:0 ~thread:0
+    Worker.create m ~hooks:Hooks.off ~id:0 ~thread:0
       ~exec:(fun ~thread:_ _ ->
         Engine.wait 10_000.0;
         Request.Done)

@@ -872,7 +872,8 @@ let worker_poll_scenario ~busy_poll =
     Lab_core.Request.Done
   in
   let w =
-    Lab_runtime.Worker.create m ~id:0 ~thread:0 ~exec ~busy_poll ~spin_ns:4000.0 ()
+    Lab_runtime.Worker.create m ~hooks:Lab_core.Hooks.off ~id:0 ~thread:0 ~exec
+      ~busy_poll ~spin_ns:4000.0 ()
   in
   let qp =
     Lab_ipc.Qp.create ~role:Lab_ipc.Qp.Primary ~ordering:Lab_ipc.Qp.Ordered ~id:1 ()
@@ -949,7 +950,8 @@ let shared_qp_scenario () =
     List.mapi
       (fun i (start_at, spin_ns) ->
         let w =
-          Lab_runtime.Worker.create m ~id:i ~thread:i ~exec ~spin_ns ()
+          Lab_runtime.Worker.create m ~hooks:Lab_core.Hooks.off ~id:i ~thread:i
+            ~exec ~spin_ns ()
         in
         Engine.schedule e start_at (fun () ->
             Lab_runtime.Worker.assign w [ qp ];
@@ -1521,6 +1523,28 @@ let test_rng_int_alloc_free () =
         "words allocated by 10k Rng.int draws" 0.0 words
   | Sys.Bytecode | Sys.Other _ -> ()
 
+(* The flight recorder stays on for whole runs, so a record must cost
+   array stores only: the time comes in a float cell and nothing is
+   boxed or wrapped in an option, whichever fields the kind carries. *)
+let test_flightrec_record_alloc_free () =
+  let module F = Lab_obs.Flightrec in
+  let bb = F.create ~cap:64 () in
+  let at = [| 0.0 |] in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    at.(0) <- float_of_int i;
+    F.record bb F.Park at 0 ~id:(-1) ~arg:0 ~tag:"";
+    F.record bb F.Wake at 0 ~id:i ~arg:0 ~tag:"worker";
+    F.record bb F.Sched at 0 ~id:i ~arg:(i land 7) ~tag:"merge"
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "all recorded" 30_000 (F.recorded bb);
+  match Sys.backend_type with
+  | Sys.Native ->
+      Alcotest.(check (float 0.0))
+        "words allocated by 30k Flightrec.record calls" 0.0 words
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 let prop_rng_int_in_bounds =
   QCheck.Test.make ~name:"Rng.int stays within bound" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -1837,6 +1861,8 @@ let () =
           Alcotest.test_case "rng stream pinned" `Quick test_rng_stream_pinned;
           Alcotest.test_case "Rng.int allocates nothing" `Quick
             test_rng_int_alloc_free;
+          Alcotest.test_case "Flightrec.record allocates nothing" `Quick
+            test_flightrec_record_alloc_free;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "zipf skew" `Quick test_rng_zipf_skew;
           QCheck_alcotest.to_alcotest prop_rng_int_in_bounds;
