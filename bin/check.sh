@@ -48,6 +48,16 @@ echo "== experiment gates only through Bench_util.claim =="
 bad=$(grep -lE "(^|[^A-Za-z0-9_])exit([^A-Za-z0-9_']|\$)" bench/exp_*.ml || true)
 [ -z "$bad" ] || { echo "exit called in an experiment; use Bench_util.claim: $bad"; exit 1; }
 
+echo "== README shows examples/runtime.yaml as it is =="
+# README's "Runtime configuration" yaml block is the example file below
+# its comment header, so the two cannot drift.
+readme_yaml=$(mktemp)
+awk '/^## Runtime configuration/ { s = 1 } s && /^```yaml$/ { y = 1; next } y && /^```$/ { exit } y' \
+  README.md > "$readme_yaml"
+rc=0; sed -n '/^[^#]/,$p' examples/runtime.yaml | diff -u "$readme_yaml" - || rc=$?
+rm -f "$readme_yaml"
+[ "$rc" -eq 0 ] || { echo "README's runtime yaml block differs from examples/runtime.yaml"; exit 1; }
+
 echo "== dune runtest =="
 dune runtest
 

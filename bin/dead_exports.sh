@@ -6,13 +6,17 @@
 # no file outside its module contains `~name` or `?name`; exits 1 if
 # there is any. Comments, string literals (plain and {|quoted|}) and
 # character literals are blanked out first, so a name that appears
-# only in a comment or a string is no caller. Any other mention in a
-# file counts, so a name another module also uses counts as live: the
+# only in a comment or a string is no caller. A mention of `M.name`
+# counts for module M's export `name`; a bare `name` counts only in a
+# file that opens M (`open`, `include`, a local `M.(...)`, `M.[...]`
+# or `M.{...}`) or aliases it (`module X = M`). Any such mention
+# counts, so a name the file uses for something else still counts: the
 # guard can miss a dead export or option but never flags a live one.
-# It also lists every LabMod attribute key (`int_attr "key"`, ... in a
-# lib/**/*.ml) that no file outside its module sets by writing `key:`
-# (a stack spec) or `("key", ...)` (an attrs list); any such text
-# counts, so again it can miss a dead key but never flags a live one.
+# It also lists every key of a key table (`int "key"`, `Keys.float
+# "key"`, ... in a lib/**/*.ml that uses Keys) that no file outside its
+# module sets by writing `key:` (a YAML document) or `("key", ...)` (an
+# attrs list); any such text counts, so again it can miss a dead key
+# but never flags a live one.
 # Usage: bin/dead_exports.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -58,8 +62,30 @@ awk '
       }
       return out
     }
-    FNR == 1 { unit = FILENAME; sub(/\.mli?$/, "", unit); depth = instr = inq = 0 }
+    # The module a file belongs to: lib/core/stack_spec.ml is Stack_spec.
+    function modname(u,    m) {
+      m = u
+      sub(/.*\//, "", m)
+      return toupper(substr(m, 1, 1)) substr(m, 2)
+    }
+    # The last component of a module path: Lab_core.Registry is Registry.
+    function last(path,    c, n) {
+      n = split(path, c, ".")
+      return c[n]
+    }
+    FNR == 1 {
+      unit = FILENAME; sub(/\.mli?$/, "", unit); depth = instr = inq = nsub = 0
+      if (!(unit in isunit)) { isunit[unit] = 1; ulist[++nunits] = unit }
+    }
     { $0 = strip($0) }
+    # Vals inside `module X : sig ... end` belong to X.
+    FILENAME ~ /^lib\/.*\.mli$/ && /^[ \t]*module[ \t]+[A-Z][A-Za-z0-9_]*[ \t]*:[ \t]*sig/ {
+      w = $0
+      sub(/^[ \t]*module[ \t]+/, "", w)
+      sub(/[^A-Za-z0-9_].*$/, "", w)
+      subm[++nsub] = w
+    }
+    FILENAME ~ /^lib\/.*\.mli$/ && /^[ \t]*end([^A-Za-z0-9_]|$)/ && nsub > 0 { nsub-- }
     FILENAME ~ /^lib\/.*\.mli$/ && /^[ \t]*(val|exception)[ \t]/ {
       v = $0
       sub(/^[ \t]*/, "", v)
@@ -67,7 +93,10 @@ awk '
       sub(/[ \t].*$/, "", kw)
       sub(/^[a-z]+[ \t]+/, "", v)
       sub(/[^A-Za-z0-9_].*$/, "", v)
-      if (v != "") decl[unit SUBSEP v] = FILENAME ":" FNR ": " kw
+      if (v != "") {
+        decl[unit SUBSEP v] = FILENAME ":" FNR ": " kw
+        owner[unit SUBSEP v] = nsub > 0 ? subm[nsub] : modname(unit)
+      }
     }
     FILENAME ~ /^lib\/.*\.mli$/ {
       line = $0
@@ -81,7 +110,21 @@ awk '
       line = $0
       while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
         w = substr(line, RSTART, RLENGTH)
-        if (!((w, unit) in seen)) { seen[w, unit] = 1; units[w]++ }
+        seen[w, unit] = 1
+        line = substr(line, RSTART + RLENGTH)
+      }
+      line = $0
+      while (match(line, /[A-Z][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)+/)) {
+        k = split(substr(line, RSTART, RLENGTH), c, ".")
+        for (i = 1; i < k; i++) qual[c[i], c[i + 1], unit] = 1
+        line = substr(line, RSTART + RLENGTH)
+      }
+      line = $0
+      while (match(line, /(open!?|include)[ \t]+[A-Z][A-Za-z0-9_.]*|module[ \t]+[A-Z][A-Za-z0-9_]*[ \t]*=[ \t]*[A-Z][A-Za-z0-9_.]*|[A-Z][A-Za-z0-9_]*\.([[({]|[ \t]*$)/)) {
+        w = substr(line, RSTART, RLENGTH)
+        sub(/\.([[({]|[ \t]*)$/, "", w)
+        sub(/.*[ \t=]/, "", w)
+        opens[last(w), unit] = 1
         line = substr(line, RSTART + RLENGTH)
       }
       line = $0
@@ -94,7 +137,13 @@ awk '
     END {
       for (k in decl) {
         split(k, p, SUBSEP)
-        if (units[p[2]] <= 1) { print decl[k] " " p[2] | "sort"; n++ }
+        mo = owner[k]; live = 0
+        for (i = 1; i <= nunits && !live; i++) {
+          o = ulist[i]
+          if (o != p[1] && (((mo, p[2], o) in qual) || (((p[2], o) in seen) && ((mo, o) in opens))))
+            live = 1
+        }
+        if (!live) { print decl[k] " " p[2] | "sort"; n++ }
       }
       for (k in opt) {
         split(k, p, SUBSEP)
@@ -111,10 +160,11 @@ awk '
 
 files=$(find lib bench bin test labbench examples -name _build -prune -o \
   \( -name '*.ml' -o -name '*.mli' -o -name '*.yaml' -o -name '*.t' \) -print | sort)
-for ml in $(grep -lE '_attr[[:space:]]+"' $(find lib -name '*.ml' | sort)); do
-  for key in $(grep -oE '_attr[[:space:]]+"[A-Za-z0-9_]+"' "$ml" | cut -d'"' -f2 | sort -u); do
+ctor='(^|[^A-Za-z0-9_.]|Keys\.)(int|float|bool|string|strings|path|custom)[[:space:]]+"[A-Za-z0-9_]+"'
+for ml in $(grep -lw 'Keys' $(find lib -name '*.ml' ! -name keys.ml | sort)); do
+  for key in $(grep -oE "$ctor" "$ml" | cut -d'"' -f2 | sort -u); do
     grep -lE "(^|[^A-Za-z0-9_~?])$key:|\(\"$key\"," $files | grep -qv "^${ml%.ml}\.mli\{0,1\}\$" \
-      || { echo "$ml: attribute $key: no file outside its module sets it"; status=1; }
+      || { echo "$ml: key $key: no file outside its module sets it"; status=1; }
   done
 done
 exit $status

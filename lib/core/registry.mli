@@ -21,37 +21,9 @@ val factory_names : t -> string list
 
 (** {2 Attributes}
 
-    A factory decodes its vertex's [attrs] with {!decode_attrs} and one
-    table of its module's keys, so a key is accepted exactly when it is
-    decoded. A setting no stack varies is a constant, not a key. *)
-
-exception Bad_attr of { mod_name : string; key : string; problem : string }
-(** A key the module does not read, or a value it cannot use:
-    [problem] is ["unknown (m reads k1, k2)"] or
-    ["expected an int, got \"big\""]. *)
-
-type 'a attr
-(** A key and the setter that folds its value into the settings ['a]. *)
-
-val int_attr : string -> ('a -> int -> 'a) -> 'a attr
-
-val float_attr : string -> ('a -> float -> 'a) -> 'a attr
-(** Accepts ints too. *)
-
-val bool_attr : string -> ('a -> bool -> 'a) -> 'a attr
-
-val string_attr : string -> ('a -> string -> 'a) -> 'a attr
-
-val strings_attr : string -> ('a -> string list -> 'a) -> 'a attr
-
-val reject : string -> 'a
-(** For a setter given a value it cannot use: [reject "0 or 1"] makes
-    {!decode_attrs} raise ["expected 0 or 1, got 2"]. *)
-
-val decode_attrs :
-  mod_name:string -> 'a attr list -> 'a -> (string * Yamlite.t) list -> 'a
-(** [decode_attrs ~mod_name table defaults attrs] folds [attrs], in
-    spec order, into [defaults]. @raise Bad_attr *)
+    A factory decodes its vertex's [attrs] with {!Keys.decode} and one
+    table of its module's keys. A setting no stack varies is a
+    constant, not a key. *)
 
 val probe :
   t -> mod_name:string -> attrs:(string * Yamlite.t) list ->

@@ -12,8 +12,6 @@ let create ~runtime_uid ?(max_repos_per_user = 8) () =
   if max_repos_per_user <= 0 then invalid_arg "Repo.create: quota";
   { runtime_uid; max_repos_per_user; table = Hashtbl.create 8 }
 
-let repos t = Hashtbl.fold (fun k _ acc -> k :: acc) t.table []
-
 let trust_of_mod t mod_name =
   let provided =
     Hashtbl.fold

@@ -29,8 +29,6 @@ val mount_repo :
 val unmount_repo : t -> Registry.t -> name:string -> (unit, string) result
 (** Unregisters the repo's implementations. *)
 
-val repos : t -> string list
-
 val trust_of_mod : t -> string -> trust
 (** Trust of the repo providing implementation [name]; implementations
     not provided by any repo (the built-ins the Runtime was configured

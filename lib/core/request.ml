@@ -113,8 +113,6 @@ module Pool = struct
 
   let create () = { stack = [||]; size = 0 }
 
-  let length p = p.size
-
   let acquire p ~id ~pid ~uid ~thread ~stack_id ~now payload =
     if p.size = 0 then make ~id ~pid ~uid ~thread ~stack_id ~now payload
     else begin

@@ -137,9 +137,6 @@ module Pool : sig
 
   val create : unit -> t
 
-  val length : t -> int
-  (** Records currently parked. *)
-
   val acquire :
     t ->
     id:int ->

@@ -15,8 +15,6 @@ val instantiate :
 
 val entry_uuid : t -> string
 
-val vertex : t -> string -> Stack_spec.vertex option
-
 val next_uuids : t -> string -> string list
 (** Downstream vertices of the given UUID (within this stack). *)
 

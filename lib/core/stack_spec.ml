@@ -15,91 +15,62 @@ let default_rules = { exec_mode = Async; priority = 0; admins = [ "root" ] }
 
 let ( let* ) r f = Result.bind r f
 
-let string_list_of = function
-  | Yamlite.List items ->
-      let strings =
-        List.filter_map
-          (fun v ->
-            match v with
-            | Yamlite.Str s -> Some s
-            | Yamlite.Int i -> Some (string_of_int i)
-            | _ -> None)
-          items
-      in
-      if List.length strings = List.length items then Ok strings
-      else Error "expected a list of strings"
-  | Yamlite.Null -> Ok []
-  | _ -> Error "expected a list"
+let rule_keys =
+  Keys.
+    [
+      string "exec_mode" (fun r -> function
+        | "sync" -> { r with exec_mode = Sync }
+        | "async" -> { r with exec_mode = Async }
+        | _ -> reject "sync or async");
+      int "priority" (fun r priority -> { r with priority });
+      strings "admins" (fun r admins -> { r with admins });
+    ]
 
-let rules_of_yaml = function
-  | None -> Ok default_rules
-  | Some node ->
-      let* exec_mode =
-        match Option.bind (Yamlite.find node "exec_mode") Yamlite.get_string with
-        | Some "sync" -> Ok Sync
-        | Some "async" | None -> Ok Async
-        | Some other -> Error (Printf.sprintf "unknown exec_mode %S" other)
-      in
-      let priority =
-        Option.value ~default:0
-          (Option.bind (Yamlite.find node "priority") Yamlite.get_int)
-      in
-      let* admins =
-        match Yamlite.find node "admins" with
-        | None -> Ok default_rules.admins
-        | Some l -> string_list_of l
-      in
-      Ok { exec_mode; priority; admins }
+let vertex_keys =
+  Keys.
+    [
+      string "uuid" (fun v uuid -> { v with uuid });
+      string "mod" (fun v mod_name -> { v with mod_name });
+      custom "attrs" (fun v -> function
+        | Yamlite.Map attrs -> { v with attrs }
+        | Yamlite.Null -> v
+        | _ -> reject "a map");
+      strings "outputs" (fun v outputs -> { v with outputs });
+    ]
 
-let vertex_of_yaml i node =
-  let err msg = Error (Printf.sprintf "dag[%d]: %s" i msg) in
+let unnamed = { uuid = ""; mod_name = ""; attrs = []; outputs = [] }
+
+(* A refusal inside the [i]th vertex names the vertex by its index. *)
+let vertex i node =
+  let refuse problem =
+    raise (Keys.Refused (Keys.Bad { key = Printf.sprintf "dag[%d]" i; problem }))
+  in
   match node with
-  | Yamlite.Map _ -> (
-      match
-        ( Option.bind (Yamlite.find node "uuid") Yamlite.get_string,
-          Option.bind (Yamlite.find node "mod") Yamlite.get_string )
-      with
-      | None, _ -> err "missing uuid"
-      | _, None -> err "missing mod"
-      | Some uuid, Some mod_name ->
-          let attrs =
-            match Yamlite.find node "attrs" with
-            | Some (Yamlite.Map kvs) -> kvs
-            | _ -> []
-          in
-          let* outputs =
-            match Yamlite.find node "outputs" with
-            | None -> Ok []
-            | Some l -> (
-                match string_list_of l with
-                | Ok outs -> Ok outs
-                | Error e -> err e)
-          in
-          Ok { uuid; mod_name; attrs; outputs })
-  | _ -> err "expected a mapping"
+  | Yamlite.Map kvs -> (
+      match Keys.decode vertex_keys unnamed kvs with
+      | exception Keys.Refused e -> refuse (Keys.message e)
+      | { uuid = ""; _ } -> refuse "missing uuid"
+      | { mod_name = ""; _ } -> refuse "missing mod"
+      | v -> v)
+  | _ -> refuse "expected a mapping"
+
+(* A missing [dag] is an empty one, which {!validate} refuses. *)
+let keys =
+  Keys.
+    [
+      string "mount" (fun t mount -> { t with mount });
+      custom "rules" (fun t n -> { t with rules = nested rule_keys t.rules n });
+      custom "dag" (fun t -> function
+        | Yamlite.List l -> { t with dag = List.mapi vertex l }
+        | _ -> reject "a list");
+    ]
 
 let of_yaml node =
-  let* mount =
-    match Option.bind (Yamlite.find node "mount") Yamlite.get_string with
-    | Some m when m <> "" -> Ok m
-    | _ -> Error "missing or empty mount point"
-  in
-  let* rules = rules_of_yaml (Yamlite.find node "rules") in
-  let* dag_nodes =
-    match Option.bind (Yamlite.find node "dag") Yamlite.get_list with
-    | Some l -> Ok l
-    | None -> Error "missing dag"
-  in
-  let* dag =
-    List.fold_left
-      (fun acc (i, v) ->
-        let* acc = acc in
-        let* vertex = vertex_of_yaml i v in
-        Ok (vertex :: acc))
-      (Ok [])
-      (List.mapi (fun i v -> (i, v)) dag_nodes)
-  in
-  Ok { mount; rules; dag = List.rev dag }
+  let kvs = match node with Yamlite.Map kvs -> kvs | _ -> [] in
+  match Keys.decode keys { mount = ""; rules = default_rules; dag = [] } kvs with
+  | exception Keys.Refused e -> Error (Keys.message e)
+  | { mount = ""; _ } -> Error "missing or empty mount point"
+  | t -> Ok t
 
 let parse text =
   match Yamlite.parse text with

@@ -45,10 +45,13 @@ type t = { mount : string; rules : rules; dag : vertex list }
 
 val default_rules : rules
 
-val of_yaml : Yamlite.t -> (t, string) result
-
 val parse : string -> (t, string) result
-(** Parse + structural extraction; does not validate the DAG. *)
+(** Parse + structural extraction; does not validate the DAG. The top
+    level, [rules:] and each vertex are {!Keys} tables, so an unknown
+    key, a key given twice or a value of the wrong type or shape is an
+    error naming the key (and the vertex's index). [mount] and each
+    vertex's [uuid] and [mod] are required; a missing [dag] is an
+    empty one, which {!validate} refuses. *)
 
 val validate :
   ?max_length:int ->

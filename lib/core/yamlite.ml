@@ -239,8 +239,6 @@ let get_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ 
 
 let get_bool = function Bool b -> Some b | _ -> None
 
-let get_list = function List l -> Some l | _ -> None
-
 (* ---------------------------------------------------------------- *)
 (* Serialization (round-trippable within the subset)                  *)
 (* ---------------------------------------------------------------- *)

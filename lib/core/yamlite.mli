@@ -33,8 +33,6 @@ val get_float : t -> float option
 
 val get_bool : t -> bool option
 
-val get_list : t -> t list option
-
 val to_string : t -> string
 (** Debug rendering (not round-trippable YAML). *)
 

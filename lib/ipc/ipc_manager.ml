@@ -36,8 +36,6 @@ let create ?metrics ?timeseries engine =
     online_waiters = Waitq.create ();
   }
 
-let engine t = t.engine
-
 let shmem t = t.shm
 
 let connect t ~pid ~uid =

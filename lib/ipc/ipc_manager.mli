@@ -24,8 +24,6 @@ val create :
     (["ipc.qp<id>.sq_depth"], ["ipc.qp<id>.cq_depth"]) with the
     continuous-profiling sampler as queue pairs are created. *)
 
-val engine : 'req t -> Lab_sim.Engine.t
-
 val shmem : 'req t -> Shmem.t
 
 val connect : 'req t -> pid:int -> uid:int -> connection

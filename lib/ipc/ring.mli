@@ -12,8 +12,6 @@ val capacity : 'a t -> int
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val is_full : 'a t -> bool
 
 val try_push : 'a t -> 'a -> bool

@@ -5,12 +5,6 @@ type api = Psync | Posix_aio | Libaio | Io_uring
 
 type t = { machine : Machine.t; blk : Blk.t; waiters : Device.waiter_pool }
 
-let name = function
-  | Psync -> "POSIX"
-  | Posix_aio -> "POSIX-AIO"
-  | Libaio -> "libaio"
-  | Io_uring -> "io_uring"
-
 let all = [ Psync; Posix_aio; Libaio; Io_uring ]
 
 let create machine blk = { machine; blk; waiters = Device.waiter_pool () }

@@ -17,8 +17,6 @@ type api = Psync | Posix_aio | Libaio | Io_uring
 
 type t
 
-val name : api -> string
-
 val all : api list
 
 val create : Lab_sim.Machine.t -> Blk.t -> t

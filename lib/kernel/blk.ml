@@ -35,8 +35,6 @@ let create machine dev ~sched =
 
 let device t = t.dev
 
-let sched t = t.scheduler
-
 let inflight t q = t.inflight_reqs.(q)
 
 (* blk-switch separates latency-critical (small) requests from

@@ -17,8 +17,6 @@ val create : Lab_sim.Machine.t -> Lab_device.Device.t -> sched:sched -> t
 
 val device : t -> Lab_device.Device.t
 
-val sched : t -> sched
-
 val select_hctx : t -> thread:int -> bytes:int -> int
 (** The scheduler decision: [Noop] steers to the originating core's
     queue, [Blk_switch] applies {!switch_hctx} to this layer's

@@ -63,5 +63,3 @@ let clean _t page = page.dirty <- false
 let hits t = t.hit_count
 
 let misses t = t.miss_count
-
-let length t = Lru.length t.entries

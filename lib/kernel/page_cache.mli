@@ -34,5 +34,3 @@ val clean : t -> page -> unit
 val hits : t -> int
 
 val misses : t -> int
-
-val length : t -> int

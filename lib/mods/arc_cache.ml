@@ -135,14 +135,6 @@ let hits m = with_core m Cache_core.hits
 
 let misses m = with_core m Cache_core.misses
 
-let writeback_failures m = with_core m Cache_core.writeback_failures
-
-let counter_list m =
-  match core m with Some t -> Cache_core.counter_list t | None -> []
-
-let shard_counter_list m =
-  match core m with Some t -> Cache_core.shard_counter_list t | None -> []
-
 let arc_shards m = match m.Labmod.state with State s -> s.arcs | _ -> [||]
 
 (* Adapt the pure ARC structure to the engine's policy interface. The

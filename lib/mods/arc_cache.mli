@@ -13,8 +13,6 @@
 
 open Lab_core
 
-val name : string
-
 val factory : ?env:Mod_util.env -> unit -> Registry.factory
 (** Instances register their counters and sampler probe in [env] (see
     {!Cache_core.create}).
@@ -31,18 +29,6 @@ val hits : Labmod.t -> int
 
 val misses : Labmod.t -> int
 
-val writeback_failures : Labmod.t -> int
-(** Pages whose write-back run completed with a failure. As with
-    [lru_cache], a read miss whose downstream fill fails is never
-    admitted into the cache. *)
-
-val counter_list : Labmod.t -> (string * int) list
-(** Aggregate engine counters as labelled pairs
-    (see {!Cache_core.counter_list}). *)
-
-val shard_counter_list : Labmod.t -> (string * int) list
-(** Per-shard hits/misses/evictions as labelled pairs. *)
-
 (** The pure ARC structure, exposed for property tests. *)
 module Arc : sig
   type t
@@ -54,9 +40,6 @@ module Arc : sig
   val touch : t -> int -> bool
   (** [touch t key] records an access; true on hit. Adapts [p] and
       evicts per the ARC algorithm on miss. *)
-
-  val evicted : t -> int option
-  (** Key evicted by the most recent [touch], if any. *)
 
   val live_count : t -> int
 

@@ -355,12 +355,12 @@ let absorbed_reqs (m : Labmod.t) =
   | State st -> Metrics.value st.absorbed_reqs
   | _ -> 0
 
-let attr_table = [ Registry.float_attr "merge_window_ns" (fun _ ns -> ns) ]
+let attr_table = [ Keys.float "merge_window_ns" (fun _ ns -> ns) ]
 
 let factory ?(env = Mod_util.detached) ~nqueues () : Registry.factory =
  fun ~uuid ~attrs ->
   let env = Mod_util.for_instance env ~uuid in
-  let merge_window_ns = Registry.decode_attrs ~mod_name:name attr_table 0.0 attrs in
+  let merge_window_ns = Keys.decode attr_table 0.0 attrs in
   Labmod.make ~name ~uuid ~mod_type:Labmod.Scheduler
     ~state:
       (State

@@ -21,8 +21,6 @@
 
 open Lab_core
 
-val name : string
-
 val merged_ops : Labmod.t -> int
 (** Merged device ops dispatched so far (batches that absorbed at least
     one follower). *)

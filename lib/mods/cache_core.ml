@@ -63,17 +63,17 @@ let ra_max = 64
 let wb_max_batch = 64
 
 let attr_table =
-  Registry.
+  Keys.
     [
-      int_attr "capacity_mb" (fun c mb ->
+      int "capacity_mb" (fun c mb ->
           { c with capacity_pages = Stdlib.max 1 (mb * 1024 * 1024 / c.page_bytes) });
-      int_attr "shards" (fun c n -> { c with nshards = Stdlib.max 1 n });
-      bool_attr "write_through" (fun c write_through -> { c with write_through });
-      bool_attr "readahead" (fun c readahead -> { c with readahead });
+      int "shards" (fun c n -> { c with nshards = Stdlib.max 1 n });
+      bool "write_through" (fun c write_through -> { c with write_through });
+      bool "readahead" (fun c readahead -> { c with readahead });
     ]
 
 let config_of_attrs ~name attrs =
-  Registry.decode_attrs ~mod_name:name attr_table
+  Keys.decode attr_table
     {
       cfg_name = name;
       capacity_pages = 64 * 1024 * 1024 / 4096;

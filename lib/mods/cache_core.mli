@@ -64,12 +64,12 @@ type config = {
 }
 
 val config_of_attrs : name:string -> (string * Yamlite.t) list -> config
-(** The cache LabMods' attributes, decoded by {!Registry.decode_attrs}:
+(** The cache LabMods' attributes, decoded by {!Keys.decode}:
     [capacity_mb] (default 64, at least one 4 KiB page), [shards]
     (default 1, at least 1), [write_through] (false) and [readahead]
     (false). [wb_high] is 32 and [wb_low] 8; callers that build a
     config directly may set them.
-    @raise Registry.Bad_attr on any other key or a mistyped value. *)
+    @raise Keys.Refused on any other key or a mistyped value. *)
 
 (** {2 The engine} *)
 
@@ -97,9 +97,6 @@ val operate : t -> Labmod.ctx -> Request.t -> Request.result
 val hits : t -> int
 
 val misses : t -> int
-
-val writeback_failures : t -> int
-(** Pages whose write-back run completed with a failure. *)
 
 val readahead_issued : t -> int
 (** Pages submitted as prefetch fills. *)

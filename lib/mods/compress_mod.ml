@@ -68,7 +68,7 @@ let est m req =
   | State _ -> compress_ns_per_byte *. Stdlib.float_of_int (Request.bytes_of req)
   | _ -> 1000.0
 
-let attr_table = [ Registry.float_attr "ratio" (fun _ r -> r) ]
+let attr_table = [ Keys.float "ratio" (fun _ r -> r) ]
 
 let factory : Registry.factory =
  fun ~uuid ~attrs ->
@@ -76,7 +76,7 @@ let factory : Registry.factory =
     ~state:
       (State
          {
-           ratio = Registry.decode_attrs ~mod_name:name attr_table 0.5 attrs;
+           ratio = Keys.decode attr_table 0.5 attrs;
            bytes_in = 0;
            bytes_out = 0;
          })

@@ -10,8 +10,6 @@
 
 open Lab_core
 
-val name : string
-
 val factory : Registry.factory
 
 val bytes_saved : Labmod.t -> int

@@ -94,15 +94,15 @@ let est m req =
 
 let attr_table =
   [
-    Registry.string_attr "mode" (fun _ s ->
+    Keys.string "mode" (fun _ s ->
         match mode_of_string s with
         | Some m -> m
-        | None -> Registry.reject "relaxed, ordered or durable");
+        | None -> Keys.reject "relaxed, ordered or durable");
   ]
 
 let factory : Registry.factory =
  fun ~uuid ~attrs ->
-  let mode = Registry.decode_attrs ~mod_name:name attr_table Relaxed attrs in
+  let mode = Keys.decode attr_table Relaxed attrs in
   Labmod.make ~name ~uuid ~mod_type:Labmod.Consistency
     ~state:(State { mode; order_lock = Semaphore.create 1; writes_seen = 0 })
     {

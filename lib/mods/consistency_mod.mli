@@ -11,8 +11,6 @@ open Lab_core
 
 type mode = Relaxed | Ordered | Durable
 
-val name : string
-
 val factory : Registry.factory
 
 val mode : Labmod.t -> mode option

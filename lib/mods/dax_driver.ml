@@ -39,7 +39,7 @@ let est m req =
 
 let factory ~device : Registry.factory =
  fun ~uuid ~attrs ->
-  Registry.decode_attrs ~mod_name:name [] () attrs;
+  Keys.decode [] () attrs;
   if not (Device.profile device).Profile.byte_addressable then
     invalid_arg "dax: device is not byte addressable";
   Labmod.make ~name ~uuid ~mod_type:Labmod.Driver

@@ -4,7 +4,5 @@
 
 open Lab_core
 
-val name : string
-
 val factory : device:Lab_device.Device.t -> Registry.factory
 (** @raise Invalid_argument if the device is not byte addressable. *)

@@ -24,11 +24,11 @@ let operate m ctx req =
       Request.Done
   | _ -> Request.Failed "dummy: expects control requests"
 
-let attr_table = [ Registry.float_attr "op_ns" (fun _ ns -> ns) ]
+let attr_table = [ Keys.float "op_ns" (fun _ ns -> ns) ]
 
 let factory ?(op_ns = 1000.0) ?(tag = "v1") () : Registry.factory =
  fun ~uuid ~attrs ->
-  let op_ns = Registry.decode_attrs ~mod_name:name attr_table op_ns attrs in
+  let op_ns = Keys.decode attr_table op_ns attrs in
   Labmod.make ~name ~uuid ~mod_type:Labmod.Control
     ~state:(State { messages = 0; op_ns; tag })
     {

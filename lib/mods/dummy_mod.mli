@@ -6,8 +6,6 @@
 
 open Lab_core
 
-val name : string
-
 val factory : ?op_ns:float -> ?tag:string -> unit -> Registry.factory
 (** Attribute [op_ns] overrides the per-message CPU cost. *)
 

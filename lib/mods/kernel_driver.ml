@@ -58,7 +58,7 @@ let est m req =
 
 let factory ~blk : Registry.factory =
  fun ~uuid ~attrs ->
-  Registry.decode_attrs ~mod_name:name [] () attrs;
+  Keys.decode [] () attrs;
   let notify w =
     Blk.note_completion blk ~hctx:(Device.waiter_hctx w)
       ~bytes:(Device.waiter_bytes w);

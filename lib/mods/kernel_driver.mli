@@ -6,6 +6,4 @@
 
 open Lab_core
 
-val name : string
-
 val factory : blk:Lab_kernel.Blk.t -> Registry.factory

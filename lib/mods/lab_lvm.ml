@@ -617,12 +617,12 @@ let attr_table legs =
     ^ String.concat ", " (List.map (fun (n, _, _) -> n) legs)
   in
   let leg n =
-    try List.find (fun (n', _, _) -> n' = n) legs with Not_found -> Registry.reject names
+    try List.find (fun (n', _, _) -> n' = n) legs with Not_found -> Keys.reject names
   in
-  Registry.
+  Keys.
     [
-      int_attr "raid" (fun (_, ls) r -> if r = 0 || r = 1 then (r, ls) else reject "0 or 1");
-      strings_attr "legs" (fun (r, _) ns ->
+      int "raid" (fun (_, ls) r -> if r = 0 || r = 1 then (r, ls) else reject "0 or 1");
+      strings "legs" (fun (r, _) ns ->
           let distinct = List.length (List.sort_uniq compare ns) = List.length ns in
           (r, if ns = [] || not distinct then reject names else List.map leg ns));
     ]
@@ -633,9 +633,7 @@ let factory ?(env = Mod_util.detached) ~machine ~legs ~rebuild_rate_mbps () :
   let env = Mod_util.for_instance env ~uuid in
   let metrics = env.Mod_util.metrics in
   (* By default, a mirror over every backend. *)
-  let raid, chosen =
-    Registry.decode_attrs ~mod_name:name (attr_table legs) (1, legs) attrs
-  in
+  let raid, chosen = Keys.decode (attr_table legs) (1, legs) attrs in
   let data_extents =
     List.fold_left
       (fun acc (_, blk, _) ->

@@ -71,8 +71,6 @@ module Meta : sig
       extent, and no physical extent double-booked. *)
 end
 
-val name : string
-
 val factory :
   ?env:Mod_util.env ->
   machine:Lab_sim.Machine.t ->
@@ -81,8 +79,9 @@ val factory :
   unit ->
   Registry.factory
 (** [legs] are the candidate backing devices by backend name; a stack's
-    [legs] attr selects a subset. [rebuild_rate_mbps] is the default
-    resilver rate cap (the [lvm_rebuild_rate_mbps] runtime knob).
+    [legs] attr selects a subset. [rebuild_rate_mbps] is every
+    instance's resilver rate cap (the [lvm_rebuild_rate_mbps] runtime
+    knob).
     Instances register [mod.<uuid>.*] counters plus the [rebuild_frac]
     and [live_legs] gauges in [env]'s registry, and attach a health
     watcher to each leg's device (probe instantiations attach

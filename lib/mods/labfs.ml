@@ -349,7 +349,7 @@ let est m req =
 
 let factory ~total_blocks ~nworkers () : Registry.factory =
  fun ~uuid ~attrs ->
-  Registry.decode_attrs ~mod_name:name [] () attrs;
+  Keys.decode [] () attrs;
   let state =
     State
       {

@@ -23,8 +23,6 @@ type inode = {
   mutable nblocks : int;
 }
 
-val name : string
-
 val factory : total_blocks:int -> nworkers:int -> unit -> Registry.factory
 (** Blocks are 4 KiB; [nworkers] (at least 1) sets the block
     allocator's per-worker pools. LabFS reads no attributes. *)

@@ -140,7 +140,7 @@ let est m req =
 
 let factory ~total_blocks ~nworkers : Registry.factory =
  fun ~uuid ~attrs ->
-  Registry.decode_attrs ~mod_name:name [] () attrs;
+  Keys.decode [] () attrs;
   Labmod.make ~name ~uuid ~mod_type:Labmod.Kv_store
     ~state:
       (State

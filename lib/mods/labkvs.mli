@@ -6,8 +6,6 @@
 
 open Lab_core
 
-val name : string
-
 val factory : total_blocks:int -> nworkers:int -> Registry.factory
 (** Blocks are 4 KiB. *)
 

@@ -30,15 +30,5 @@ val hits : Labmod.t -> int
 
 val misses : Labmod.t -> int
 
-val writeback_failures : Labmod.t -> int
-(** Pages whose asynchronous write-back run completed with a failure
-    (e.g. an injected device fault). Read misses whose fill fails are
-    never admitted into the cache; write-through writes that fail leave
-    their pages dirty so eviction retries the persist. *)
-
-val counter_list : Labmod.t -> (string * int) list
-(** Aggregate engine counters as labelled pairs
-    (see {!Cache_core.counter_list}). *)
-
 val shard_counter_list : Labmod.t -> (string * int) list
 (** Per-shard hits/misses/evictions as labelled pairs. *)

@@ -24,7 +24,7 @@ let operate m ctx req =
 
 let factory ~nqueues : Registry.factory =
  fun ~uuid ~attrs ->
-  Registry.decode_attrs ~mod_name:name [] () attrs;
+  Keys.decode [] () attrs;
   Labmod.make ~name ~uuid ~mod_type:Labmod.Scheduler ~state:(State { nqueues })
     {
       Labmod.operate;

@@ -4,6 +4,4 @@
 
 open Lab_core
 
-val name : string
-
 val factory : nqueues:int -> Registry.factory

@@ -61,11 +61,11 @@ let operate m ctx req =
           else Request.Denied (Printf.sprintf "uid %d: %s" req.Request.uid target))
   | _ -> Request.Failed "permissions: bad state"
 
-let attr_table = [ Registry.bool_attr "default_allow" (fun _ b -> b) ]
+let attr_table = [ Keys.bool "default_allow" (fun _ b -> b) ]
 
 let factory : Registry.factory =
  fun ~uuid ~attrs ->
-  let default_allow = Registry.decode_attrs ~mod_name:name attr_table true attrs in
+  let default_allow = Keys.decode attr_table true attrs in
   Labmod.make ~name ~uuid ~mod_type:Labmod.Permissions
     ~state:(State { rules = []; default_allow })
     {

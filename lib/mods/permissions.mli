@@ -4,8 +4,6 @@
 
 open Lab_core
 
-val name : string
-
 val factory : Registry.factory
 (** Attribute: [default_allow] (default true) — the decision when no
     rule matches. *)

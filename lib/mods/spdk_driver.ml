@@ -48,7 +48,7 @@ let est m req =
 
 let factory ~device : Registry.factory =
  fun ~uuid ~attrs ->
-  Registry.decode_attrs ~mod_name:name [] () attrs;
+  Keys.decode [] () attrs;
   if not (Device.profile device).Profile.supports_polling then
     invalid_arg "spdk: device does not support userspace polling";
   Labmod.make ~name ~uuid ~mod_type:Labmod.Driver

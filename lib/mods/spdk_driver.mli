@@ -6,7 +6,5 @@
 
 open Lab_core
 
-val name : string
-
 val factory : device:Lab_device.Device.t -> Registry.factory
 (** @raise Invalid_argument if the device does not support polling. *)

@@ -71,7 +71,7 @@ let fresh_entry () =
   }
 
 let create ?threshold ~k () =
-  let k = if k < 0 then 0 else k in
+  if k <= 0 then invalid_arg "Exemplar.create: k must be positive";
   {
     k;
     entries = Array.init k (fun _ -> fresh_entry ());
@@ -130,11 +130,7 @@ let offer t ~id ~t0 ~latency ~n ~dropped ~names ~cats ~t0s ~t1s =
   t.offered <- t.offered + 1;
   Hist.observe t.hist latency;
   let n = Stdlib.min n stage_capacity in
-  if t.k = 0 then begin
-    t.recycled <- t.recycled + 1;
-    false
-  end
-  else if t.n = t.k then begin
+  if t.n = t.k then begin
     (* Full: replace the strictly-smallest latency. Equal latencies keep
        the incumbent. *)
     let e = t.entries.(t.min_i) in

@@ -18,7 +18,8 @@ val stage_capacity : int
 type t
 
 val create : ?threshold:(unit -> float) -> k:int -> unit -> t
-(** [k] slots ([k = 0] disables the store: every offer recycles).
+(** [k] slots; no store is an absent one, so [k <= 0] raises
+    [Invalid_argument].
     Without [threshold] the store is self-adaptive: it keeps its own
     {!Hist} of every offered latency (one per traced attempt, not the
     registry's per-request "client.latency_ns") and, while a slot is

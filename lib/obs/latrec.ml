@@ -76,8 +76,6 @@ let record t ~scheduled ~sent ~completed ~ok =
 
 let drop t = t.dropped <- t.dropped + 1
 
-let recorded t = t.recorded
-
 let dropped t = t.dropped
 
 let late t = t.late
@@ -91,21 +89,6 @@ let naive_quantile t q = Hist.quantile t.naive q
 let lag_mean_ns t = Hist.mean t.lag
 
 let lag_max_ns t = Hist.max_value t.lag
-
-(* Read-through gauges into the metrics registry, so a platform export
-   carries the CO-corrected tail next to everything else. *)
-let register t ~reg ~prefix =
-  let g name f = Metrics.gauge_fn reg (prefix ^ "." ^ name) f in
-  g "p50_corrected_ns" (fun () -> Hist.quantile t.corrected 0.50);
-  g "p99_corrected_ns" (fun () -> Hist.quantile t.corrected 0.99);
-  g "p999_corrected_ns" (fun () -> Hist.quantile t.corrected 0.999);
-  g "p99_naive_ns" (fun () -> Hist.quantile t.naive 0.99);
-  g "max_corrected_ns" (fun () -> Hist.max_value t.corrected);
-  g "lag_mean_ns" (fun () -> lag_mean_ns t);
-  g "lag_max_ns" (fun () -> lag_max_ns t);
-  g "recorded" (fun () -> Stdlib.float_of_int t.recorded);
-  g "dropped" (fun () -> Stdlib.float_of_int t.dropped);
-  g "late" (fun () -> Stdlib.float_of_int t.late)
 
 (* ------------------------------------------------------------------ *)
 (* Service-level objectives                                            *)
@@ -195,8 +178,6 @@ module Slo = struct
   let floor_deficit t = t.floor_deficit
 
   let name t = t.name
-
-  let p99_target_ns t = t.p99_target_ns
 
   let set_on_roll t f = t.on_roll <- Some f
 

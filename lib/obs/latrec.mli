@@ -40,7 +40,6 @@ val drop : t -> unit
     injecting. Dropped arrivals appear in no histogram — that they had
     to be shed at all is the signal. *)
 
-val recorded : t -> int
 val dropped : t -> int
 val late : t -> int
 
@@ -51,12 +50,6 @@ val corrected_quantile : t -> float -> float
 val naive_quantile : t -> float -> float
 val lag_mean_ns : t -> float
 val lag_max_ns : t -> float
-
-val register : t -> reg:Metrics.t -> prefix:string -> unit
-(** Expose the recorder as read-through gauges
-    ["<prefix>.{p50,p99,p999}_corrected_ns"], ["<prefix>.p99_naive_ns"],
-    ["<prefix>.max_corrected_ns"], ["<prefix>.lag_{mean,max}_ns"] and
-    ["<prefix>.{recorded,dropped,late}"]. *)
 
 (** Service-level objectives: a latency target plus a throughput floor
     turned into error-budget arithmetic. Requests over the target are
@@ -97,7 +90,6 @@ module Slo : sig
 
   val floor_deficit : t -> float
   val name : t -> string
-  val p99_target_ns : t -> float
 
   val set_on_roll : t -> (now:float -> burn:float -> unit) -> unit
   (** Install a window-close hook, called once per closed burn window

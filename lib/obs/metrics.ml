@@ -63,7 +63,6 @@ let counter ?reg name =
 let incr ?(by = 1) c = c.c <- c.c + by
 let value c = c.c
 let set_value c v = c.c <- v
-let reset c = c.c <- 0
 
 (* --- gauges ------------------------------------------------------- *)
 
@@ -158,5 +157,3 @@ let to_jsonl t =
         (Printf.sprintf "{\"name\":%s,%s}\n" (Json.quote name) body))
     (to_list t);
   Buffer.contents buf
-
-let clear t = Hashtbl.reset t.tbl

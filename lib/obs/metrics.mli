@@ -29,7 +29,6 @@ val counter : ?reg:t -> string -> counter
 val incr : ?by:int -> counter -> unit
 val value : counter -> int
 val set_value : counter -> int -> unit
-val reset : counter -> unit
 
 (** {1 Gauges} *)
 
@@ -70,5 +69,3 @@ val to_jsonl : t -> string
 (** One JSON object per line, sorted by name; floats are fixed-format
     and non-finite values are clamped to 0, so equal registry states
     export byte-identical snapshots. *)
-
-val clear : t -> unit

@@ -38,10 +38,6 @@ let create ?(capacity = 4096) ~period () =
   if capacity <= 0 then invalid_arg "Timeseries.create: capacity must be positive";
   { period; capacity; series = []; ticks = 0 }
 
-let period t = t.period
-
-let capacity t = t.capacity
-
 let ticks t = t.ticks
 
 let add_series t name probe =

@@ -25,10 +25,6 @@ val create : ?capacity:int -> period:float -> unit -> t
     period in simulated ns (recorded in the export; the owner's tick
     source enforces it). @raise Invalid_argument if either is <= 0. *)
 
-val period : t -> float
-
-val capacity : t -> int
-
 val add_series : t -> string -> probe -> unit
 (** Registers a named probe (dotted names, same convention as
     {!Metrics}). Series may be added at any time — components created

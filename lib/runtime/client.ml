@@ -87,10 +87,6 @@ type t = {
    marks a slot whose first attempt is not built yet. *)
 let closed = -1
 
-let pid t = t.c_pid
-
-let thread t = t.c_thread
-
 let open_fd_count t = Itbl.length t.fd_table
 
 let machine t = Runtime.machine t.runtime
@@ -155,8 +151,6 @@ let requeues t = Metrics.value t.counters.fc_requeues
 let deadline_misses t = Metrics.value t.counters.fc_deadline_misses
 
 let exhausted_retries t = Metrics.value t.counters.fc_exhausted
-
-let disconnect t = Ipc_manager.disconnect (Runtime.ipc t.runtime) t.conn
 
 (* Looked up on every request: an int-keyed table and an exception on
    a miss, so a hit allocates nothing. *)

@@ -64,12 +64,6 @@ val connect :
     [EIO] media error. When retries are exhausted the last failure is
     surfaced. *)
 
-val disconnect : t -> unit
-
-val pid : t -> int
-
-val thread : t -> int
-
 (** {2 GenericFS: POSIX interface} *)
 
 val open_file : t -> ?create:bool -> string -> (int, string) result

@@ -19,10 +19,6 @@ let create ?(ncores = 4) ?(downstream = fun _ -> Request.Done) make_factory =
     next_id = 0;
   }
 
-let labmod t = t.under_test
-
-let machine t = t.m
-
 let forwarded t = List.rev t.sent
 
 let clear_forwarded t = t.sent <- []

@@ -19,10 +19,6 @@ val create :
     scripts the next DAG stage; the default completes everything with
     [Done]. *)
 
-val labmod : t -> Lab_core.Labmod.t
-
-val machine : t -> Lab_sim.Machine.t
-
 val run :
   t -> ?thread:int -> Lab_core.Request.payload -> Lab_core.Request.result * float
 (** Drives one request through the module in a fresh simulated process

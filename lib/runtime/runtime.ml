@@ -14,32 +14,15 @@ type config = {
   trace_path : string option;
   metrics_path : string option;
   exemplar_k : int;
-      (* tail-exemplar store slots: 0 (the default) disables retroactive
-         stage capture entirely; > 0 captures every request's stages
-         into pooled buffers and keeps the K slowest with full anatomy *)
   exemplar_tail_us : float;
-      (* fixed promotion threshold (µs); <= 0 (the default) adapts to
-         the live client-latency p99 instead *)
   exemplar_path : string option;
-      (* where Platform.export writes the exemplar JSON *)
   blackbox_cap : int;
-      (* flight-recorder ring capacity (events); 0 (the default)
-         disables the recorder — no ring, no triggers, no dumps *)
   blackbox_path : string option;
-      (* where Platform.export writes the black-box dump JSON *)
-  profile_period_ns : float;  (* sampler period; <= 0 disables profiling *)
+  profile_period_ns : float;
   profile_path : string option;
   lvm_rebuild_rate_mbps : float;
-      (* volume-manager resilver rate cap (MB/s); bounds how hard a
-         background rebuild competes with foreground traffic *)
   slo_p99_target_us : float;
-      (* client-latency objective (µs); observations over it burn error
-         budget. <= 0 (with no floor) means no SLO object exists at all
-         and the request path stays byte-identical to a build without
-         SLO support *)
   slo_floor_kops : float;
-      (* throughput floor (kops/s): windows serving less than this burn
-         budget for the unserved demand; 0 = no floor *)
 }
 
 let default_config =
@@ -445,8 +428,6 @@ let start t =
 
 let mount_repo t ~name ~owner_uid ~mods =
   Repo.mount_repo t.repo_mgr t.reg ~name ~owner_uid ~mods
-
-let unmount_repo t ~name = Repo.unmount_repo t.repo_mgr t.reg ~name
 
 let mount t spec =
   match Repo.validate_stack_trust t.repo_mgr spec with

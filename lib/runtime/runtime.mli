@@ -49,11 +49,10 @@ type config = {
       (** where {!Platform.export} writes the profile JSON (sampler
           timeline + span-based flamegraph and tail attribution) *)
   lvm_rebuild_rate_mbps : float;
-      (** default resilver rate cap (MB/s) for {!Lab_mods.Lab_lvm}
-          instances — the volume-topology knob bounding how hard a
+      (** resilver rate cap (MB/s) of every {!Lab_mods.Lab_lvm}
+          instance — the volume-topology knob bounding how hard a
           background mirror rebuild competes with foreground I/O
-          (default 400, overridable per-instance via the stack's
-          [rebuild_rate_mbps] attr) *)
+          (default 400) *)
   slo_p99_target_us : float;
       (** client-latency objective (µs): requests slower than this burn
           error budget (1% of requests, over 1 ms burn windows; gauges
@@ -151,11 +150,9 @@ val tenant_for : t -> uid:int -> Lab_ipc.Tenant.tenant option
 val start : t -> unit
 
 val mount_text : t -> string -> (Lab_core.Stack.t, string) result
-(** mount.stack: parse a YAML spec and mount it. *)
-
-val mount : t -> Lab_core.Stack_spec.t -> (Lab_core.Stack.t, string) result
-(** Validates trust (untrusted LabMods may not run inside the Runtime)
-    before inducting the stack into the Namespace. *)
+(** mount.stack: parse a YAML spec and mount it. Validates trust
+    (untrusted LabMods may not run inside the Runtime) before inducting
+    the stack into the Namespace. *)
 
 val mount_repo :
   t ->
@@ -166,7 +163,6 @@ val mount_repo :
 (** mount.repo: installs a LabMod repo (unprivileged; quota applies).
     Repos owned by the Runtime's uid are trusted. *)
 
-val unmount_repo : t -> name:string -> (unit, string) result
 
 val modify_stack_text : t -> string -> (Lab_core.Stack.t, string) result
 

@@ -142,8 +142,6 @@ let create machine ~hooks ~id ~thread ~exec ?(qstat = fun ~qp_id:_ _ _ -> ())
 
 let id t = t.w_id
 
-let thread t = t.w_thread
-
 let queues t = t.assigned
 
 let doorbell t = t.bell
@@ -190,8 +188,6 @@ let stop t =
 let resume t =
   t.running <- true;
   wake t
-
-let parked t = t.is_parked
 
 let processed t = t.done_count
 

@@ -43,8 +43,6 @@ val create :
 
 val id : t -> int
 
-val thread : t -> int
-
 val start : t -> unit
 (** Spawns the worker process. *)
 
@@ -62,8 +60,6 @@ val stop : t -> unit
 (** The worker parks permanently at its next sweep (crash simulation). *)
 
 val resume : t -> unit
-
-val parked : t -> bool
 
 val processed : t -> int
 

@@ -22,8 +22,6 @@ let create nbits =
   let nbits = Stdlib.max 0 nbits in
   { words = Array.make (Stdlib.max 1 ((nbits + 31) lsr 5)) 0; nbits }
 
-let capacity t = t.nbits
-
 (* Growth keeps existing bits; [resize] is expected at reconfiguration
    time (queue reassignment), never on the per-event path. *)
 let resize t nbits =
@@ -44,9 +42,6 @@ let[@inline] clear t i =
   let w = i lsr 5 in
   Array.unsafe_set t.words w
     (Array.unsafe_get t.words w land lnot (1 lsl (i land 31)))
-
-let[@inline] mem t i =
-  Array.unsafe_get t.words (i lsr 5) land (1 lsl (i land 31)) <> 0
 
 let clear_all t = Array.fill t.words 0 (Array.length t.words) 0
 

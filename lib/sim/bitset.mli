@@ -9,8 +9,6 @@ type t
 val create : int -> t
 (** [create n] holds bits [0 .. n-1], all initially clear. *)
 
-val capacity : t -> int
-
 val resize : t -> int -> unit
 (** Grows capacity to at least [n] bits, preserving existing bits.
     Never shrinks. *)
@@ -18,8 +16,6 @@ val resize : t -> int -> unit
 val set : t -> int -> unit
 
 val clear : t -> int -> unit
-
-val mem : t -> int -> bool
 
 val clear_all : t -> unit
 

@@ -89,9 +89,6 @@ val injected : t -> (string * int) list
 
 val injected_total : t -> int
 
-val trace : t -> string list
-(** Every injected fault, oldest first, one formatted line each. *)
-
 val trace_to_string : t -> string
 (** Newline-joined {!trace}; equal seeds and submission sequences give
     byte-identical strings. *)

@@ -25,8 +25,6 @@ let create () =
   let rec nil = { cell = c; next = nil } in
   { nil; head = nil; tail = nil; free = nil; len = 0 }
 
-let is_empty q = q.len = 0
-
 let length q = q.len
 
 let park q =

@@ -6,8 +6,6 @@ type t
 
 val create : unit -> t
 
-val is_empty : t -> bool
-
 val length : t -> int
 
 val park : t -> unit

@@ -39,10 +39,6 @@ val generator : ?seed:int -> process -> gen
 (** @raise Invalid_argument on a malformed process (non-positive rate,
     amplitude outside [0,1], empty or negative-gap trace). *)
 
-val next : gen -> float
-(** Next arrival as an exact relative timestamp (ns since the run
-    start). Monotone non-decreasing. *)
-
 val arrivals : ?seed:int -> process -> int -> float array
 (** [arrivals proc n]: the first [n] arrival times of a fresh
     generator — the pure stream, no engine involved (for tests and

@@ -30,18 +30,9 @@ type config = {
   stripes_per_md_op : int;  (** stripe-map batching at the MD server *)
 }
 
-val default_config : config
-
 type t
 
 val create : Lab_sim.Machine.t -> ?config:config -> md_ops -> data_ops -> t
-
-val write_file : t -> thread:int -> path:string -> bytes:int -> unit
-(** Creates the file at the metadata server, then streams stripes
-    round-robin to the data servers, consulting the MD server every
-    [stripes_per_md_op] stripes. *)
-
-val read_file : t -> thread:int -> path:string -> bytes:int -> unit
 
 type result = {
   elapsed_ns : float;

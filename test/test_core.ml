@@ -215,34 +215,43 @@ let test_registry_missing_factory () =
   | Ok _ -> Alcotest.fail "expected error"
 
 (* One table decodes a module's attributes: values fold over the
-   defaults in spec order, and an unknown key, a mistyped value or a
-   rejected one raises [Bad_attr] naming the module and the key. *)
+   defaults, and an unknown key, a mistyped value, a rejected one or a
+   key given twice is refused, naming the module and the key. *)
 let test_decode_attrs () =
   let table =
-    Registry.
+    Keys.
       [
-        int_attr "depth" (fun (_, on) d -> if d > 0 then (d, on) else reject "a positive int");
-        bool_attr "on" (fun (d, _) on -> (d, on));
+        int "depth" (fun (_, on) d -> if d > 0 then (d, on) else reject "a positive int");
+        bool "on" (fun (d, _) on -> (d, on));
       ]
   in
-  let decode attrs = Registry.decode_attrs ~mod_name:"m" table (1, false) attrs in
+  let decode attrs = Keys.decode table (1, false) attrs in
   Alcotest.(check (pair int bool)) "defaults" (1, false) (decode []);
   Alcotest.(check (pair int bool)) "decoded" (4, true)
     (decode [ ("on", Yamlite.Bool true); ("depth", Yamlite.Int 4) ]);
-  let refused f =
-    match f () with
-    | _ -> Alcotest.fail "expected Bad_attr"
-    | exception Registry.Bad_attr { mod_name; key; problem } ->
-        Printf.sprintf "%s %s: %s" mod_name key problem
+  let r = Registry.create () in
+  let factory table : Registry.factory =
+   fun ~uuid ~attrs ->
+    ignore (Keys.decode table (1, false) attrs);
+    counter_factory () ~uuid ~attrs
   in
-  Alcotest.(check string) "unknown key" "m dpth: unknown (m reads depth, on)"
-    (refused (fun () -> decode [ ("dpth", Yamlite.Int 4) ]));
-  Alcotest.(check string) "mistyped" "m on: expected a bool, got 1"
-    (refused (fun () -> decode [ ("on", Yamlite.Int 1) ]));
-  Alcotest.(check string) "rejected" "m depth: expected a positive int, got 0"
-    (refused (fun () -> decode [ ("depth", Yamlite.Int 0) ]));
-  Alcotest.(check string) "no attributes" "m x: unknown (m reads none)"
-    (refused (fun () -> Registry.decode_attrs ~mod_name:"m" [] () [ ("x", Yamlite.Null) ]))
+  Registry.register_factory r ~name:"m" (factory table);
+  Registry.register_factory r ~name:"n" (factory []);
+  let refused ?(mod_name = "m") attrs =
+    match Registry.probe r ~mod_name ~attrs with
+    | Ok _ -> Alcotest.fail "expected a refusal"
+    | Error e -> e
+  in
+  Alcotest.(check string) "unknown key" "m attribute dpth: unknown (m reads depth, on)"
+    (refused [ ("dpth", Yamlite.Int 4) ]);
+  Alcotest.(check string) "mistyped" "m attribute on: expected a bool, got 1"
+    (refused [ ("on", Yamlite.Int 1) ]);
+  Alcotest.(check string) "rejected" "m attribute depth: expected a positive int, got 0"
+    (refused [ ("depth", Yamlite.Int 0) ]);
+  Alcotest.(check string) "given twice" "m attribute depth: duplicate"
+    (refused [ ("depth", Yamlite.Int 2); ("depth", Yamlite.Int 3) ]);
+  Alcotest.(check string) "no attributes" "n attribute x: unknown (n reads none)"
+    (refused ~mod_name:"n" [ ("x", Yamlite.Null) ])
 
 let test_labmod_state_mutation () =
   in_sim (fun m ->

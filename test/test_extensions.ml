@@ -461,7 +461,10 @@ let test_run_config_rejects_unknown () =
   rejects "cutoff without a kind" "policy:\n  lq_cutoff_us: 250" "lq_cutoff_us";
   rejects "int as word" "workers: eight" "workers";
   rejects "int as bool" "busy_poll: 3" "busy_poll";
-  rejects "path as int" "trace_path: 7" "trace_path"
+  rejects "path as int" "trace_path: 7" "trace_path";
+  rejects "key given twice" "workers: 2\nworkers: 0" "workers";
+  rejects "policy key given twice" "policy:\n  kind: static\n  kind: dynamic" "kind";
+  rejects "policy not a map" "policy: dynamic" "policy"
 
 (* Boot keeps every field of the config it is given; only the worker
    cores are derived from the machine shape. *)

@@ -584,11 +584,15 @@ let test_exemplar_stage_copy () =
       | ss -> Alcotest.failf "expected 2 stages, got %d" (List.length ss))
   | vs -> Alcotest.failf "expected 1 exemplar, got %d" (List.length vs)
 
+(* No store is an absent one, not a zero-slot store. *)
 let test_exemplar_disabled () =
-  let store = Exemplar.create ~k:0 () in
-  Alcotest.(check bool) "k=0 recycles" false
-    (offer_simple store ~id:1 ~latency:1e12);
-  Alcotest.(check int) "nothing stored" 0 (Exemplar.stored store)
+  List.iter
+    (fun k ->
+      Alcotest.check_raises
+        (Printf.sprintf "k %d refused" k)
+        (Invalid_argument "Exemplar.create: k must be positive")
+        (fun () -> ignore (Exemplar.create ~k ())))
+    [ 0; -1 ]
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                     *)
