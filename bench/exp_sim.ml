@@ -35,14 +35,19 @@
    - request: one client reading a 4 KiB block back to back through
              [Platform] (client -> queue pair -> worker -> lru_cache ->
              noop_sched -> kernel_driver), every read a warm cache hit.
-             Reports steady-state minor words per request; gated
-             two words above its measured 43.59 ([request_budget]).
+             Reports steady-state minor words per request and splits
+             them into its engine performs (each allocates a 2-word
+             continuation) and the envelope, the words beyond those
+             continuations. Gated three ways: words two above the
+             measured 35.59 ([request_budget]), performs pinned at 11
+             ([request_performs]) and the envelope two above the
+             measured 13.59 ([request_envelope_budget]).
    - fd-read: the same path through the POSIX fd ops: one client
              reading 4 KiB of an open file back to back with
              [Client.pread] (labfs -> lru_cache -> noop_sched ->
-             kernel_driver), every read a warm cache hit. Gated two
-             words above its measured value ([fd_read_budget]); not
-             printed, only claimed and written to the JSON.
+             kernel_driver), every read a warm cache hit. The same
+             ledger and the same three gates ([fd_read_budget],
+             [fd_read_performs], [fd_read_envelope_budget]).
    - batching: one point of the exp_batching sweep, as a whole-stack
              events fingerprint.
    - evq:    the timer scenario's pushes and pops replayed on a bare
@@ -269,8 +274,34 @@ let device_events_4k = 7.0
 
 let device_events_1m = 19.0
 
-(* Words per request on [run_request], two above the measured 43.59. *)
-let request_budget = 45.6
+(* The ledger of a full-stack path: minor words and engine performs per
+   op over [total] ops run by [ops] on platform [p]. Each perform
+   allocates its 2-word continuation; the rest of the words are the
+   request's envelope. Performs are pinned at the printed precision: a
+   warm path's count is a whole number per op, give or take a wakeup
+   of the idle worker. *)
+type ledger = { words : float; performs : float }
+
+let per_op p ~total ops =
+  let e = (Labstor.Platform.machine p).Machine.engine in
+  let p0 = Engine.performs e in
+  let w0 = Gc.minor_words () in
+  ops ();
+  let n = Stdlib.float_of_int total in
+  {
+    words = (Gc.minor_words () -. w0) /. n;
+    performs = Stdlib.float_of_int (Engine.performs e - p0) /. n;
+  }
+
+let envelope l = l.words -. (2.0 *. l.performs)
+
+(* Words per request on [run_request], two above the measured 35.59; its
+   11 performs pinned; its envelope, two above the measured 13.59. *)
+let request_budget = 37.6
+
+let request_performs = 11.0
+
+let request_envelope_budget = 15.6
 
 (* Full request path: one client, one worker, a cache that holds every
    block it reads. The warmup fills the cache and grows the request,
@@ -304,14 +335,18 @@ let run_request ~warmup ~total =
       for i = 1 to warmup do
         read i
       done;
-      let w0 = Gc.minor_words () in
-      for i = 1 to total do
-        read i
-      done;
-      (Gc.minor_words () -. w0) /. Stdlib.float_of_int total)
+      per_op p ~total (fun () ->
+          for i = 1 to total do
+            read i
+          done))
 
-(* Words per read on [run_fd_read], two above the measured 73.70. *)
-let fd_read_budget = 75.7
+(* Words per read on [run_fd_read], two above the measured 64.70; its
+   13 performs pinned; its envelope, two above the measured 38.69. *)
+let fd_read_budget = 66.7
+
+let fd_read_performs = 13.0
+
+let fd_read_envelope_budget = 40.7
 
 (* POSIX fd path: one client, one worker, an open file whose only 4 KiB
    block the cache holds once the first write lands, so each measured
@@ -341,11 +376,10 @@ let run_fd_read ~warmup ~total =
       for _ = 1 to warmup do
         check (Lab_runtime.Client.pread c ~fd ~off:0 ~bytes:4096)
       done;
-      let w0 = Gc.minor_words () in
-      for _ = 1 to total do
-        check (Lab_runtime.Client.pread c ~fd ~off:0 ~bytes:4096)
-      done;
-      (Gc.minor_words () -. w0) /. Stdlib.float_of_int total)
+      per_op p ~total (fun () ->
+          for _ = 1 to total do
+            check (Lab_runtime.Client.pread c ~fd ~off:0 ~bytes:4096)
+          done))
 
 (* Queue footprint: replay [run_timer]'s exact push/pop sequence (same
    seqs, same times) on a bare queue and count the words it retains.
@@ -434,13 +468,17 @@ let run () =
       Printf.sprintf "words/hop (%d vs 1 vertices); %.4f per call" exec_hops
         x_call;
     ];
-  let r_words = run_request ~warmup:2_000 ~total:10_000 in
-  Bench_util.print_row (widths @ [ 0 ])
-    [
-      "request"; "-"; Printf.sprintf "%.2f" r_words;
-      "words/request (4 KiB cache-hit read_block)";
-    ];
-  let f_words = run_fd_read ~warmup:2_000 ~total:10_000 in
+  let r = run_request ~warmup:2_000 ~total:10_000 in
+  let f = run_fd_read ~warmup:2_000 ~total:10_000 in
+  let ledger_row name l what =
+    Bench_util.print_row (widths @ [ 0 ])
+      [ name; "-"; Printf.sprintf "%.2f" l.words; what ];
+    Bench_util.note
+      "%s: %.2f performs/op x 2 = %.2f words of continuations + %.2f envelope"
+      name l.performs (2.0 *. l.performs) (envelope l)
+  in
+  ledger_row "request" r "words/request (4 KiB cache-hit read_block)";
+  ledger_row "fd-read" f "words/read (4 KiB cache-hit pread)";
   let b = Exp_batching.run_case ~seed:0xBA7C4 ~qd:64 ~batch:16
       ~total_ops:batch_ops in
   Bench_util.print_row widths
@@ -471,14 +509,26 @@ let run () =
     de_4k de_1m device_events_4k device_events_1m;
   Bench_util.claim "sim.exec_hop_words" (Bench_util.words_ok (x_hop <= 0.01))
     "Exec.run at %.4f minor words per hop (budget 0.01)" x_hop;
-  Bench_util.claim "sim.request_words"
-    (Bench_util.words_ok (r_words <= request_budget))
-    "request path at %.2f minor words per 4 KiB cache-hit read (budget %.2f)"
-    r_words request_budget;
-  Bench_util.claim "sim.fd_read_words"
-    (Bench_util.words_ok (f_words <= fd_read_budget))
-    "fd path at %.2f minor words per 4 KiB cache-hit pread (budget %.2f)"
-    f_words fd_read_budget;
+  (* Each full-stack path is gated three ways, so a failure says what
+     grew: the total, the suspensions (performs pinned) or the rest. *)
+  let ledger_claims name what l ~budget ~performs ~envelope_budget =
+    Bench_util.claim ("sim." ^ name ^ "_words")
+      (Bench_util.words_ok (l.words <= budget))
+      "%s at %.2f minor words per %s (budget %.2f)" name l.words what budget;
+    Bench_util.claim ("sim." ^ name ^ "_performs")
+      (Float.round (100.0 *. l.performs) = Float.round (100.0 *. performs))
+      "%s at %.2f engine performs per %s (pinned %.2f): a suspension was \
+       added or removed"
+      name l.performs what performs;
+    Bench_util.claim ("sim." ^ name ^ "_envelope")
+      (Bench_util.words_ok (envelope l <= envelope_budget))
+      "%s envelope at %.2f words per %s beyond its continuations (budget %.2f)"
+      name (envelope l) what envelope_budget
+  in
+  ledger_claims "request" "4 KiB cache-hit read" r ~budget:request_budget
+    ~performs:request_performs ~envelope_budget:request_envelope_budget;
+  ledger_claims "fd_read" "4 KiB cache-hit pread" f ~budget:fd_read_budget
+    ~performs:fd_read_performs ~envelope_budget:fd_read_envelope_budget;
   Bench_util.claim "sim.evq_footprint" (q_words <= 2 * q_fresh)
     "evq holds %d words after the timer scenario (budget 2x fresh = %d)"
     q_words (2 * q_fresh);
@@ -522,13 +572,18 @@ let run () =
     \  \"exec_words_per_hop\": %.4f,\n\
     \  \"exec_words_per_call\": %.4f,\n\
     \  \"request_words_per_op\": %.2f,\n\
+    \  \"request_performs_per_op\": %.2f,\n\
+    \  \"request_envelope_words\": %.2f,\n\
     \  \"fd_read_words_per_op\": %.2f,\n\
+    \  \"fd_read_performs_per_op\": %.2f,\n\
+    \  \"fd_read_envelope_words\": %.2f,\n\
     \  \"batching_events\": %d,\n\
     \  \"evq_words\": %d,\n\
     \  \"deterministic\": %b\n\
      }\n"
     loops t_events t_wpe alloc_ok w_events w_wpe i_events
-    i_wpe i_elided c_words d_4k d_1m de_4k de_1m x_hop x_call r_words f_words b.Exp_batching.events q_words
+    i_wpe i_elided c_words d_4k d_1m de_4k de_1m x_hop x_call r.words r.performs (envelope r) f.words f.performs
+    (envelope f) b.Exp_batching.events q_words
     (t_events = t_events' && t_now = t_now');
   close_out oc;
   Bench_util.note "wrote BENCH_sim.json"

@@ -3,7 +3,7 @@
 # holds the paper-figure claims), run the experiment smokes (each names
 # its failed claims on stderr and exits 1), then gate the BENCH_*.json
 # artifacts against the committed baselines with bench_diff (>10%
-# regression fails).
+# regression fails), then run labbench once per workload.
 # Usage: bin/check.sh  (or: make check)
 set -eu
 cd "$(dirname "$0")/.."
@@ -86,6 +86,15 @@ gate load BENCH_load.json --smoke
 # Full size: its BENCH_exemplars.json is overwritten by the smoke below.
 gate exemplars -
 gate exemplars BENCH_exemplars.json --smoke
+
+echo "== labbench (every workload, seed 1, 1 s) =="
+# The repo benchmark checks itself: it exits 1 when one of its checks
+# failed (same-seed rounds must reproduce sim_*, events and minor words
+# exactly) and 2 when it crashed or did not build.
+for w in fs-mixed blk-hot blk-open; do
+  rc=0; python3 labbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 > /dev/null || rc=$?
+  [ "$rc" -eq 0 ] || { echo "labbench --workload $w exited $rc"; exit 1; }
+done
 
 echo "== labstor_cli validate (every stack YAML under examples/) =="
 for f in examples/*.yaml; do

@@ -64,18 +64,20 @@ let tracer h = h.tracer
 
 let blackbox h = h.blackbox
 
+(* [times] holds submitted_at at 0 and scheduled_at at 1; the tracer
+   reads the origin only when it starts a flow. *)
 let submit h (req : Request.t) ~tid =
-  req.Request.trace <-
-    Trace.start h.tracer ~id:req.Request.id ~now:req.Request.scheduled_at;
+  let times = req.Request.times in
+  req.Request.trace <- Trace.start h.tracer ~id:req.Request.id times 1;
   (match req.Request.trace with
   | Some fl ->
-      if req.Request.scheduled_at < req.Request.submitted_at then begin
-        Trace.open_stage fl ~name:"inject_lag" ~now:req.Request.scheduled_at;
-        Trace.close_stage fl ~tid ~now:req.Request.submitted_at
+      if times.(1) < times.(0) then begin
+        Trace.open_stage fl ~name:"inject_lag" ~now:times.(1);
+        Trace.close_stage fl ~tid ~now:times.(0)
       end;
-      Trace.open_stage fl ~name:"submit" ~now:req.Request.submitted_at
+      Trace.open_stage fl ~name:"submit" ~now:times.(0)
   | None -> ());
-  h.clock.(0) <- req.Request.submitted_at;
+  h.clock.(0) <- times.(0);
   record h Flightrec.Submit ~id:req.Request.id ~arg:0 ~tag:""
 
 let next_stage h (req : Request.t) ~tid ~name =

@@ -39,7 +39,7 @@ type result =
 (* All fields are mutable so completed requests can be recycled through
    {!Pool} instead of allocating a fresh 13-field record per operation.
    Code outside the pool still treats identity fields (id, pid, uid,
-   thread, stack_id, payload, submitted_at) as immutable for the
+   thread, stack_id, payload, times) as immutable for the
    lifetime of one operation. *)
 type t = {
   mutable id : int;
@@ -64,12 +64,12 @@ type t = {
   mutable tenant : int;
       (** dense QoS-tenant index ([-1] = no tenant): one array read for
           the scheduler's per-tenant lookup instead of a Hashtbl probe *)
-  mutable submitted_at : float;
-  mutable scheduled_at : float;
-      (** coordinated-omission-safe latency origin: when an open-loop
-          arrival process intended this request to exist, which can be
-          earlier than [submitted_at] if the generator fell behind.
-          Equal to [submitted_at] for closed-loop requests. *)
+  times : float array;
+      (** [0] submitted_at · [1] scheduled_at, the open-loop latency
+          origin (earlier than [submitted_at] when the generator fell
+          behind). Flat, so the client stamps both in place; a record
+          copy shares the array, and only the building client writes
+          it. *)
   mutable gen : int;
       (** pool generation: even while the record is live, odd while it
           is parked in a {!Pool}; bumped on every acquire and release *)
@@ -94,13 +94,13 @@ let make ~id ~pid ~uid ~thread ~stack_id ~now payload =
     prefetch = false;
     trace = None;
     tenant = -1;
-    submitted_at = now;
-    scheduled_at = now;
+    times = [| now; now |];
     gen = 0;
   }
 
 (* Free-list of recycled request records. A released request is
-   re-initialized on acquire, so recycling is invisible to request
+   re-initialized on acquire but for its times, which the acquiring
+   client stamps in place, so recycling is invisible to request
    consumers; release also blanks payload/trace/result so a parked
    record pins no strings, flows or closures. Ownership rule: release
    only once the operation's completion has been consumed — a request
@@ -113,8 +113,8 @@ module Pool = struct
 
   let create () = { stack = [||]; size = 0 }
 
-  let acquire p ~id ~pid ~uid ~thread ~stack_id ~now payload =
-    if p.size = 0 then make ~id ~pid ~uid ~thread ~stack_id ~now payload
+  let acquire p ~id ~pid ~uid ~thread ~stack_id payload =
+    if p.size = 0 then make ~id ~pid ~uid ~thread ~stack_id ~now:0.0 payload
     else begin
       p.size <- p.size - 1;
       let r = p.stack.(p.size) in
@@ -131,8 +131,6 @@ module Pool = struct
       r.prefetch <- false;
       r.trace <- None;
       r.tenant <- -1;
-      r.submitted_at <- now;
-      r.scheduled_at <- now;
       r.gen <- r.gen + 1;
       r
     end

@@ -76,16 +76,20 @@ type t = {
       (** dense QoS-tenant index stamped by the client at dispatch
           ([-1] = no tenant): the scheduler's per-tenant lookup is one
           array read, never a Hashtbl probe *)
-  mutable submitted_at : float;
-  mutable scheduled_at : float;
-      (** coordinated-omission-safe latency origin: when an open-loop
+  times : float array;
+      (** [times.(0)] is [submitted_at], when the client built the
+          request, and [times.(1)] is [scheduled_at], the
+          coordinated-omission-safe latency origin: when an open-loop
           arrival process {e intended} this request to exist, which can
           be earlier than [submitted_at] if the generator fell behind
-          its schedule. {!make} and {!Pool.acquire} initialize it to
-          [submitted_at]; an open-loop injector overwrites it before
-          dispatch. Latency measured from here includes the time the
-          request spent waiting to even be sent — the part closed-loop
-          (send-time) measurement omits. *)
+          its schedule. Latency measured from there includes the time
+          the request spent waiting to even be sent — the part
+          closed-loop (send-time) measurement omits. A flat float array,
+          so the client stamps both in place
+          ({!Lab_sim.Engine.stamp}) and no time is boxed. {!make} sets
+          both to [now]; {!Pool.acquire} keeps the record's array for
+          its caller to stamp. A record copy shares the array, so only
+          the client that built the request writes it. *)
   mutable gen : int;
       (** pool generation: even while the record is live, odd while it
           is parked in a {!Pool}. {!make} sets 0, and {!Pool.acquire}
@@ -119,7 +123,7 @@ val payload_bytes : payload -> int
 (** Free-list recycling of request records, so steady-state clients
     reuse one record per outstanding slot instead of allocating a fresh
     record per operation. {!Pool.acquire} re-initializes every field
-    (indistinguishable from {!make}); {!Pool.release} blanks
+    but [times], whose cells the caller stamps; {!Pool.release} blanks
     payload/result/trace so parked records pin nothing.
 
     Ownership rule: release a request only after its completion has
@@ -144,7 +148,6 @@ module Pool : sig
     uid:int ->
     thread:int ->
     stack_id:int ->
-    now:float ->
     payload ->
     req
 

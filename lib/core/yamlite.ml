@@ -85,7 +85,16 @@ let parse_scalar no s =
     match int_of_string_opt s with
     | Some i -> Int i
     | None -> (
-        match float_of_string_opt s with Some f -> Float f | None -> Str s)
+        match float_of_string_opt s with
+        | Some f -> Float f
+        | None when s.[0] = '{' ->
+            (* A flow map would otherwise pass as a plain string. *)
+            fail no
+              (Printf.sprintf
+                 "flow map %s is not supported: write it as an indented block, \
+                  or quote a string"
+                 s)
+        | None -> Str s)
 
 (* Inline flow list: [a, b, c]. Nested flow collections unsupported. *)
 let parse_flow_list no s =
@@ -248,7 +257,7 @@ let needs_quoting s =
   || int_of_string_opt s <> None
   || float_of_string_opt s <> None
   || String.exists (fun c -> c = ':' || c = '#' || c = '"' || c = '\'' || c = '\n') s
-  || s.[0] = ' ' || s.[0] = '-' || s.[0] = '[' 
+  || s.[0] = ' ' || s.[0] = '-' || s.[0] = '[' || s.[0] = '{'
   || s.[String.length s - 1] = ' '
 
 let scalar_to_yaml = function

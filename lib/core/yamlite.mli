@@ -5,7 +5,9 @@
     Supported: nested block maps and block lists (indentation based),
     inline flow lists [a, b, c], scalars (null, bool, int, float,
     single/double-quoted and plain strings), and [#] comments. Anchors,
-    aliases, multi-document streams, and block scalars are not. *)
+    aliases, multi-document streams, and block scalars are not; an
+    unquoted value that starts with [{] (a flow map) is a parse error,
+    so it is never read as a plain string. *)
 
 type t =
   | Null

@@ -117,6 +117,11 @@ let try_completion t =
       v
   | None -> None
 
+let completion_or t none =
+  let v = Ring.pop_or t.cq none in
+  if v != none then ignore (Waitq.wake t.cq_space);
+  v
+
 let rec await_completion t =
   match try_completion t with
   | Some v -> v

@@ -66,6 +66,12 @@ val await_completion : 'a t -> 'a
 
 val try_completion : 'a t -> 'a option
 
+val completion_or : 'a t -> 'a -> 'a
+(** [completion_or t none] is {!try_completion} without the option: the
+    next completion, or [none] (compared by physical equality) when the
+    ring is empty. [none] must be a value never submitted, such as one
+    request built at module initialisation. Allocation-free. *)
+
 val wait_completion_event : 'a t -> unit
 (** Parks until a completion is posted {e or} the waiters are flushed by
     {!wake_all_waiters}; the caller must re-check the completion ring.

@@ -51,6 +51,18 @@ let try_pop (type a) (t : a t) : a option =
     Some v
   end
 
+(* [try_pop] that hands back [none] for an empty ring instead of
+   wrapping the entry in [Some]. *)
+let pop_or (type a) (t : a t) (none : a) : a =
+  if is_empty t then none
+  else begin
+    let idx = t.head land t.mask in
+    let v : a = Obj.obj t.slots.(idx) in
+    t.slots.(idx) <- dummy;
+    t.head <- t.head + 1;
+    v
+  end
+
 let peek (type a) (t : a t) : a option =
   if is_empty t then None else Some (Obj.obj t.slots.(t.head land t.mask))
 

@@ -18,6 +18,11 @@ val try_push : 'a t -> 'a -> bool
 
 val try_pop : 'a t -> 'a option
 
+val pop_or : 'a t -> 'a -> 'a
+(** [pop_or t none] is the oldest entry, popped, or [none] when the
+    ring is empty. Allocation-free; the caller tells the two apart by
+    physical equality, so [none] must be a value never pushed. *)
+
 val peek : 'a t -> 'a option
 
 val space : 'a t -> int

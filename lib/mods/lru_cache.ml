@@ -19,10 +19,11 @@ let misses m = with_core m Cache_core.misses
 let shard_counter_list m =
   match core m with Some t -> Cache_core.shard_counter_list t | None -> []
 
+(* Matched in place: [core]'s [Some] would cost every request 2 words. *)
 let operate m ctx req =
-  match core m with
-  | Some t -> Cache_core.operate t ctx req
-  | None -> Request.Failed "lru_cache: not initialized"
+  match m.Labmod.state with
+  | State t -> Cache_core.operate t ctx req
+  | _ -> Request.Failed "lru_cache: not initialized"
 
 let est m req =
   ignore m;

@@ -123,12 +123,12 @@ let release tr fl =
   tr.pool.(tr.pool_n) <- fl;
   tr.pool_n <- tr.pool_n + 1
 
-let start t ~id ~now =
+let start t ~id cells i =
   let em = sampled t ~id in
   if em || t.exemplars <> None then begin
     let fl = acquire t in
     fl.fl_id <- id;
-    fl.fl_t0 <- now;
+    fl.fl_t0 <- cells.(i);
     fl.fl_emit <- em;
     fl.fl_open <- false;
     fl.fl_n <- 0;

@@ -54,9 +54,12 @@ type flow
     recycled at {!finish}, so a flow must not be touched after its
     request completes. *)
 
-val start : t -> id:int -> now:float -> flow option
-(** [None] unless the id is sampled or capture is on; the result is
-    stored in [Request.trace] and travels with the request. *)
+val start : t -> id:int -> float array -> int -> flow option
+(** [start t ~id cells i] starts a flow whose root begins at
+    [cells.(i)]. [None] unless the id is sampled or capture is on, and
+    then the time is never read, so an untraced start boxes nothing.
+    The result is stored in [Request.trace] and travels with the
+    request. *)
 
 val span :
   ?args:(string * string) list ->

@@ -102,6 +102,13 @@ let charge_hash t =
   t.fl.(0) <- (costs t).Costs.hash_op_ns;
   charge t
 
+(* A request that is never submitted, built once at module
+   initialisation: what [Qp.completion_or] returns for an empty
+   completion ring, and the filler of an empty outbox. *)
+let no_completion =
+  Request.make ~id:0 ~pid:0 ~uid:0 ~thread:0 ~stack_id:0 ~now:0.0
+    (Request.Control 0)
+
 let connect runtime ~pid ~uid ~thread ?(recovery_timeout_ns = 1e10)
     ?(retry_policy = default_retry_policy) () =
   let conn = Ipc_manager.connect (Runtime.ipc runtime) ~pid ~uid in
@@ -137,8 +144,7 @@ let connect runtime ~pid ~uid ~thread ?(recovery_timeout_ns = 1e10)
     slot_res = [| Request.Done |];
     slots = 0;
     left = 0;
-    outbox =
-      [| Request.make ~id:0 ~pid ~uid ~thread ~stack_id:0 ~now:0.0 (Request.Control 0) |];
+    outbox = [| no_completion |];
     outbox_n = 0;
     fl = Array.make 5 0.0;
     rounds = 0;
@@ -245,9 +251,12 @@ let build t (stack : Stack.t) ~slot payload ~hint ~stream ~scheduled =
     Request.Pool.acquire t.pool
       ~id:(Runtime.next_request_id t.runtime)
       ~pid:t.c_pid ~uid:t.uid ~thread:t.c_thread ~stack_id:stack.Stack.id
-      ~now:(Machine.now (machine t))
       payload
   in
+  (* Submitted and scheduled at now, stamped in place: no boxed time. *)
+  let times = req.Request.times in
+  Engine.stamp (machine t).Machine.engine times 0;
+  times.(1) <- times.(0);
   req.Request.hint_hctx <- hint;
   req.Request.hint_stream <- stream;
   (* The tenant stamp lets the scheduler's DRR stage meter every
@@ -257,12 +266,11 @@ let build t (stack : Stack.t) ~slot payload ~hint ~stream ~scheduled =
   | Some tn -> req.Request.tenant <- Tenant.idx tn
   | None -> ());
   (* Open-loop origin: the arrival process intended this request at
-     [scheduled], which may precede [submitted_at] when the injector
+     [scheduled], which may precede the submission when the injector
      fell behind. Closed-loop callers pass [None] and keep the two
      equal, so nothing below deviates for them. *)
   (match scheduled with
-  | Some s0 ->
-      req.Request.scheduled_at <- Float.min s0 req.Request.submitted_at
+  | Some s0 -> times.(1) <- Float.min s0 times.(0)
   | None -> ());
   Hooks.submit t.hooks req ~tid:t.c_thread;
   t.slot_id.(slot) <- req.Request.id;
@@ -302,26 +310,26 @@ let finish t i (req : Request.t) result =
 let rec reap_loop t qp =
   if t.left = 0 then Done
   else
-    match Qp.try_completion qp with
-    | Some req ->
-        let i = slot_of t req.Request.id 0 in
-        if i >= 0 then begin
-          t.slot_id.(i) <- closed;
-          t.left <- t.left - 1;
-          (* Pull the completion cache line back to our core. *)
-          t.fl.(0) <- (costs t).Costs.shmem_cross_core_ns;
-          charge t;
-          (* Completion consumed: the Runtime is done with the record. *)
-          finish t i req req.Request.result
-        end;
-        reap_loop t qp
-    | None ->
-        if Engine.reached (machine t).Machine.engine t.fl 1 then Deadline
-        else if Ipc_manager.online (Runtime.ipc t.runtime) then begin
-          Qp.wait_completion_event qp;
-          reap_loop t qp
-        end
-        else Crashed
+    let req = Qp.completion_or qp no_completion in
+    if req != no_completion then begin
+      let i = slot_of t req.Request.id 0 in
+      if i >= 0 then begin
+        t.slot_id.(i) <- closed;
+        t.left <- t.left - 1;
+        (* Pull the completion cache line back to our core. *)
+        t.fl.(0) <- (costs t).Costs.shmem_cross_core_ns;
+        charge t;
+        (* Completion consumed: the Runtime is done with the record. *)
+        finish t i req req.Request.result
+      end;
+      reap_loop t qp
+    end
+    else if Engine.reached (machine t).Machine.engine t.fl 1 then Deadline
+    else if Ipc_manager.online (Runtime.ipc t.runtime) then begin
+      Qp.wait_completion_event qp;
+      reap_loop t qp
+    end
+    else Crashed
 
 (* Reap: close every pending slot from the completion ring. A finite
    deadline gets one watchdog, which wakes the completion waiters at
@@ -519,7 +527,14 @@ let as_unit = function
   | Request.Done | Request.Fd _ | Request.Size _ -> Ok ()
   | Request.Denied m | Request.Failed m -> Error m
 
+(* [Ok n] for every whole number of 512-byte sectors up to 128 KiB,
+   built at module initialisation (never lazily, so every platform in a
+   process allocates alike), so a sized result allocates nothing. *)
+let ok_sizes = Array.init 257 (fun i -> Ok (i * 512))
+
 let as_size = function
+  | Request.Size n when n >= 0 && n <= 131072 && n land 511 = 0 ->
+      ok_sizes.(n lsr 9)
   | Request.Size n -> Ok n
   | Request.Done | Request.Fd _ -> Ok 0
   | Request.Denied m | Request.Failed m -> Error m

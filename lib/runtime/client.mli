@@ -112,7 +112,7 @@ val write_block :
     per-stream readahead; untagged requests are keyed by pid.
 
     [scheduled_at] is the open-loop arrival process's intended
-    injection time ({!Lab_core.Request.t.scheduled_at}): when given,
+    injection time ({!Lab_core.Request.t.times}[.(1)]): when given,
     the client measures latency (and feeds the runtime SLO, if
     configured) from it instead of from the send, which is the
     coordinated-omission-safe origin. Omitted = closed-loop behavior,

@@ -44,6 +44,7 @@ type t = {
   mutable armed : chain array;
   mutable narmed : int;
   mutable elided : int;
+  mutable performs : int;  (* effect performs: [wait], [wait_cell], [park] *)
   mutable stop : bool ref;  (* the stop cell of the innermost [run] *)
   mutable tick_fn : (float -> unit) option;
   mutable tick_k : int;  (* next boundary is base +. float k *. period *)
@@ -150,6 +151,7 @@ let create () =
       armed = [||];
       narmed = 0;
       elided = 0;
+      performs = 0;
       stop = never;
       tick_fn = None;
       tick_k = 0;
@@ -262,6 +264,7 @@ let set_after cells i d = cells.(i) <- (engine_of_process ()).fl.(0) +. d
 let wait d =
   let t = engine_of_process () in
   t.fl.(4) <- d;
+  t.performs <- t.performs + 1;
   Effect.perform Wait
 
 let park cell =
@@ -271,6 +274,7 @@ let park cell =
   | Some e when e == t -> ()
   | _ -> cell.peng <- Some t);
   t.park_into <- cell;
+  t.performs <- t.performs + 1;
   Effect.perform Park
 
 (* One-shot: the first unpark schedules the parked continuation at the
@@ -630,6 +634,8 @@ let events_executed t = t.executed
 
 let polls_elided t = t.elided
 
+let performs t = t.performs
+
 (* Blank the pool — not just the queue — so dropped events release
    their closures/continuations to the GC instead of pinning them in
    stale slots (the old heap-backed engine leaked exactly that way). *)
@@ -658,6 +664,7 @@ let stop_all t =
 let wait_cell cells i =
   let t = engine_of_process () in
   t.fl.(4) <- cells.(i);
+  t.performs <- t.performs + 1;
   Effect.perform Wait
 
 let set_after_cell cells i j =

@@ -245,6 +245,13 @@ val set_tick : t -> period:float -> (float -> unit) -> unit
     unsupported. One hook per engine; installing replaces the previous
     one. @raise Invalid_argument if [period <= 0]. *)
 
+val performs : t -> int
+(** Effect performs so far: one per {!wait}, {!wait_cell} and {!park}
+    (so one per {!await} that blocks). Each allocates the one
+    continuation the effect runtime builds, 2 minor words, so a
+    path's words split into [2 * performs] of continuations and the
+    rest. *)
+
 val stop_all : t -> unit
 (** Drops all queued events and disarms every chain. Suspended
     processes are abandoned: nothing is raised inside them, and none

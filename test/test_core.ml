@@ -162,7 +162,20 @@ let test_yaml_parse_error () =
   (try
      ignore (Yamlite.parse "just scalar\nkey: value");
      Alcotest.fail "expected parse error"
-   with Yamlite.Parse_error _ -> ())
+   with Yamlite.Parse_error _ -> ());
+  (* A flow map is refused at its line, in a value or a flow list;
+     quoted, it is a string, and a string that starts with one is
+     serialized quoted. *)
+  List.iter
+    (fun text ->
+      match Yamlite.parse text with
+      | _ -> Alcotest.failf "flow map accepted: %S" text
+      | exception Yamlite.Parse_error { line; _ } ->
+          Alcotest.(check int) ("line of " ^ text) 2 line)
+    [ "a: 1\nrules: {exec_mode: sync}"; "a: 1\nl: [x, {y}]" ];
+  let v = Yamlite.Map [ ("m", Yamlite.Str "{a: b}") ] in
+  Alcotest.(check bool) "quoted flow map is a string" true
+    (Yamlite.parse "m: \"{a: b}\"" = v && Yamlite.parse (Yamlite.serialize v) = v)
 
 (* ------------------------------------------------------------------ *)
 (* LabMod + Registry                                                   *)
@@ -576,6 +589,43 @@ let test_upgrade_decentralized_epochs () =
       Alcotest.(check int) "client at current epoch sees nothing" 0
         (List.length (Module_manager.client_pending_upgrades mm ~since_epoch:1)))
 
+(* Every request is built by stamping its times in place and reported
+   to [Hooks.submit]; with tracing and the flight recorder off, neither
+   boxes the time nor allocates. The flow starts only for a traced
+   request, from its scheduled origin. Native only for the words. *)
+let test_untraced_submit_allocates_nothing () =
+  let e = Engine.create () in
+  let submit h req =
+    let times = req.Request.times in
+    Engine.stamp e times 0;
+    times.(1) <- times.(0);
+    Hooks.submit h req ~tid:0
+  in
+  let req = Request.make ~id:1 ~pid:1 ~uid:0 ~thread:0 ~stack_id:1 ~now:5.0 (Request.Control 0) in
+  let h = Hooks.create ~tracer:(Lab_obs.Trace.create ()) e in
+  submit h req;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    submit h req
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "untraced: no flow" true (req.Request.trace = None);
+  Alcotest.(check (float 0.0)) "stamped at now" 0.0 req.Request.times.(1);
+  (match Sys.backend_type with
+  | Sys.Native -> Alcotest.(check (float 0.0)) "words for 10k submits" 0.0 words
+  | Sys.Bytecode | Sys.Other _ -> ());
+  let tracer = Lab_obs.Trace.create ~sample:1 () in
+  let traced = Hooks.create ~tracer e in
+  req.Request.times.(1) <- -3.0;
+  Hooks.submit traced req ~tid:0;
+  Hooks.finish traced req ~tid:0 Request.Done;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "traced: root and stages from the times"
+    [ ("inject_lag", -3.0); ("submit", 0.0); ("request", -3.0) ]
+    (List.map
+       (fun (ev : Lab_obs.Trace.ev) -> (ev.Lab_obs.Trace.ev_name, ev.Lab_obs.Trace.ev_ts))
+       (Lab_obs.Trace.events tracer))
+
 let () =
   Alcotest.run "lab_core"
     [
@@ -624,5 +674,10 @@ let () =
           Alcotest.test_case "centralized upgrade" `Quick test_upgrade_centralized;
           Alcotest.test_case "decentralized epochs" `Quick
             test_upgrade_decentralized_epochs;
+        ] );
+      ( "hooks",
+        [
+          Alcotest.test_case "untraced submit allocates nothing" `Quick
+            test_untraced_submit_allocates_nothing;
         ] );
     ]

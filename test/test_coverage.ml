@@ -208,7 +208,7 @@ let test_exec_span_exclusive_times () =
         Request.make ~id:1 ~pid:1 ~uid:0 ~thread:0 ~stack_id:1 ~now:0.0
           (Request.Control 0)
       in
-      let fl = Lab_obs.Trace.start tracer ~id:1 ~now:(Machine.now m) in
+      let fl = Lab_obs.Trace.start tracer ~id:1 [| Machine.now m |] 0 in
       req.Request.trace <- fl;
       ignore (Lab_runtime.Exec.run m ~registry:reg ~stack ~thread:0 req);
       Lab_obs.Trace.finish (Option.get fl) ~tid:0 ~now:(Machine.now m);

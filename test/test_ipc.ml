@@ -332,6 +332,35 @@ let test_qp_depth_tracking () =
       ignore (Qp.poll_sq qp);
       Alcotest.(check int) "after poll" 1 (Qp.sq_depth qp))
 
+(* The client reaps with [completion_or] on every request: it hands
+   back the entry itself or the caller's sentinel, never an option, so
+   popping allocates nothing on a full or an empty completion ring.
+   Native only for the words. *)
+let test_qp_completion_or_allocates_nothing () =
+  let qp = Qp.create ~role:Qp.Primary ~ordering:Qp.Ordered ~id:1 () in
+  let none = ref (-1) in
+  let entries = Array.init 200 (fun i -> ref i) in
+  Array.iter (Qp.complete qp) entries;
+  let got = Array.make 200 none in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 199 do
+    got.(i) <- Qp.completion_or qp none
+  done;
+  let full = Gc.minor_words () -. w0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 200 do
+    if Qp.completion_or qp none != none then Alcotest.fail "ring not drained"
+  done;
+  let empty = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "entries in completion order" true
+    (Array.for_all2 ( == ) entries got);
+  Alcotest.(check int) "drained" 0 (Qp.cq_depth qp);
+  match Sys.backend_type with
+  | Sys.Native ->
+      Alcotest.(check (float 0.0)) "words popping 200 entries" 0.0 full;
+      Alcotest.(check (float 0.0)) "words on 200 empty polls" 0.0 empty
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Ipc_manager                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -426,6 +455,8 @@ let () =
             test_qp_batch_backpressure;
           Alcotest.test_case "marks" `Quick test_qp_marks;
           Alcotest.test_case "depth tracking" `Quick test_qp_depth_tracking;
+          Alcotest.test_case "completion_or allocates nothing" `Quick
+            test_qp_completion_or_allocates_nothing;
         ] );
       ( "ipc-manager",
         [

@@ -401,6 +401,56 @@ let test_lru_mod_eviction_writes_back () =
       ignore (drive m ~forward cache (mk_req m (block_read ~lba:0 4096)));
       Alcotest.(check int) "early page evicted -> miss" 1 (Lru_cache.misses cache))
 
+(* A warm hit, read or write absorb, allocates the continuations of its
+   simulated CPU bursts (2 words per engine perform) and its [Size]
+   result, nothing more: the module finds its cache state without an
+   option. Native only for the words. *)
+let test_cache_warm_hit_words () =
+  let per_hit name (cache : Labmod.t) hits payload =
+    let m = Machine.create ~ncores:1 () in
+    let ctx =
+      {
+        Labmod.machine = m;
+        thread = 0;
+        forward = (fun _ -> Request.Done);
+        forward_async = (fun _ k -> k Request.Done);
+      }
+    in
+    let req = mk_req m payload in
+    let n = 1_000 in
+    let words = ref nan and performs = ref 0 in
+    Machine.spawn m (fun () ->
+        for _ = 1 to 2 do
+          ignore (cache.Labmod.ops.Labmod.operate cache ctx req)
+        done;
+        let p0 = Engine.performs m.Machine.engine in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to n do
+          ignore (cache.Labmod.ops.Labmod.operate cache ctx req)
+        done;
+        words := Gc.minor_words () -. w0;
+        performs := Engine.performs m.Machine.engine - p0);
+    Machine.run m;
+    Alcotest.(check bool) (name ^ ": hits perform") true (!performs >= n);
+    (hits cache, (!words -. (2.0 *. Stdlib.float_of_int !performs)) /. Stdlib.float_of_int n)
+  in
+  let attrs = [ ("capacity_mb", Yamlite.Int 1) ] in
+  List.iter
+    (fun (name, make, hits) ->
+      let read_hits, read_env = per_hit name (make ~uuid:name ~attrs) hits (block_read 4096) in
+      let _, write_env = per_hit name (make ~uuid:name ~attrs) hits (block_write 4096) in
+      Alcotest.(check int) (name ^ ": every read after the first hits") 1_001 read_hits;
+      match Sys.backend_type with
+      | Sys.Native ->
+          Alcotest.(check (float 0.0)) (name ^ ": read hit words beyond bursts") 2.0 read_env;
+          Alcotest.(check (float 0.0)) (name ^ ": write absorb words beyond bursts") 2.0
+            write_env
+      | Sys.Bytecode | Sys.Other _ -> ())
+    [
+      ("lru_cache", Lru_cache.factory (), Lru_cache.hits);
+      ("arc_cache", Arc_cache.factory (), Arc_cache.hits);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Permissions mod                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -672,6 +722,8 @@ let () =
             test_lru_mod_write_back_and_hit;
           Alcotest.test_case "eviction writeback" `Quick
             test_lru_mod_eviction_writes_back;
+          Alcotest.test_case "warm hit allocates only bursts and result" `Quick
+            test_cache_warm_hit_words;
         ] );
       ( "permissions",
         [

@@ -314,11 +314,11 @@ let test_sampling_predicate () =
     !id
   in
   Alcotest.(check bool) "start unsampled" true
-    (Trace.start tr ~id:unsampled ~now:0.0 = None)
+    (Trace.start tr ~id:unsampled [| 0.0 |] 0 = None)
 
 let test_stage_telescoping () =
   let tr = Trace.create ~sample:1 () in
-  let fl = Option.get (Trace.start tr ~id:5 ~now:10.0) in
+  let fl = Option.get (Trace.start tr ~id:5 [| 10.0 |] 0) in
   Trace.open_stage fl ~name:"one" ~now:10.0;
   Trace.close_stage fl ~tid:0 ~now:25.0;
   Trace.open_stage fl ~name:"two" ~now:25.0;
@@ -339,7 +339,7 @@ let test_stage_telescoping () =
 let test_chrome_json_stable () =
   let build () =
     let tr = Trace.create ~sample:1 () in
-    let fl = Option.get (Trace.start tr ~id:2 ~now:100.0) in
+    let fl = Option.get (Trace.start tr ~id:2 [| 100.0 |] 0) in
     Trace.instant fl ~name:"hit" ~tid:3 ~now:150.0;
     Trace.span fl ~name:"mod" ~cat:"mod" ~tid:3 ~t0:120.0 ~t1:180.0
       ~args:[ ("uuid", "m0") ];
@@ -443,7 +443,7 @@ let test_timeseries_json_stable () =
    containing mod "cache" [2,8]. *)
 let synthetic_trace () =
   let tr = Trace.create ~sample:1 () in
-  let fl = Option.get (Trace.start tr ~id:2 ~now:0.0) in
+  let fl = Option.get (Trace.start tr ~id:2 [| 0.0 |] 0) in
   Trace.span fl ~name:"cache" ~cat:"mod" ~tid:0 ~t0:2.0 ~t1:8.0 ~args:[];
   Trace.open_stage fl ~name:"work" ~now:0.0;
   Trace.close_stage fl ~tid:0 ~now:10.0;

@@ -983,7 +983,7 @@ let test_released_in_flight_raises () =
   let pool = Request.Pool.create () in
   let req =
     Request.Pool.acquire pool ~id:1 ~pid:1 ~uid:0 ~thread:1 ~stack_id:1
-      ~now:0.0 (Request.Control 1)
+      (Request.Control 1)
   in
   Lab_ipc.Qp.submit qp req;
   (* A 1 us deadline passes while the worker still runs the request. *)
